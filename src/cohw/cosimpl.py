@@ -802,10 +802,13 @@ def moore_differentials(A):
 
 def complex_cohomology_dims(dims, diffs):
     """H^i dims for a cochain complex given by object dims and matrices."""
+    # d^i is the outgoing differential at degree i and the incoming one at
+    # degree i + 1: rank each once
+    ranks = [rank(d) for d in diffs[:len(dims)]]
     out = []
     for i in range(len(dims)):
-        rank_out = rank(diffs[i]) if i < len(diffs) else 0
-        rank_in = rank(diffs[i - 1]) if i > 0 else 0
+        rank_out = ranks[i] if i < len(ranks) else 0
+        rank_in = ranks[i - 1] if i > 0 else 0
         out.append(dims[i] - rank_out - rank_in)
     return out
 

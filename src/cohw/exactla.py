@@ -4,9 +4,18 @@ Scalars are ``fractions.Fraction`` (field tag ``'Q'``) or :class:`Gaussian`
 (field tag ``'Qi'``).  All vectors and matrices are plain tuples/lists of
 scalars; subspaces are canonically represented by reduced-row-echelon bases
 with a fixed global coordinate order.  No floating point anywhere.
+
+Row reduction takes one of two paths, chosen by the input.  Rational input
+(only ``int`` and ``Fraction`` entries) is reduced fraction-free: each row
+is cleared of denominators, elimination runs on Python integers and the
+pivots are divided out once at the end, giving ``Fraction`` entries.  Input
+with any ``Gaussian`` entry is not: it is reduced by field division.
+Reduced echelon form is unique, so both paths agree where both apply.
+:class:`Echelon` keeps a reduced basis for repeated membership tests.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class Gaussian:
@@ -231,14 +240,24 @@ def transpose(A):
 
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot column list); zero
-    rows dropped."""
+    rows dropped.
+
+    Rational input (``int`` and ``Fraction`` entries) is reduced
+    fraction-free and always comes back as ``Fraction`` entries; input with
+    any ``Gaussian`` entry is reduced by field division."""
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    out, pivots = [], []
+    if any(_any_gaussian(row) for row in rows):
+        return _rref_field(rows)
+    return _rref_integer(rows)
+
+
+def _rref_field(work):
+    """Gauss-Jordan elimination dividing in the field of the entries."""
+    ncols = len(work[0])
+    pivots = []
     r = 0
-    work = rows
     for c in range(ncols):
         # find a pivot in column c at or below row r
         piv = None
@@ -259,7 +278,67 @@ def rref(rows):
         r += 1
         if r == len(work):
             break
-    out = [row for row in work[:r]]
+    return work[:r], pivots
+
+
+def _primitive_int_row(row):
+    """The row scaled to integers with no common factor, or None if zero."""
+    den = 1
+    for x in row:
+        if x:
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    if not g:
+        return None
+    return [x // g for x in ints] if g != 1 else ints
+
+
+def _rref_integer(rows):
+    """Gauss-Jordan elimination on integer rows: each row is cleared of
+    denominators, every elimination step scales by the pivot instead of
+    dividing and then divides the row by its content, and only the final
+    rows are divided by their pivots.  Reduced echelon form is unique, so
+    the result equals that of field elimination."""
+    ncols = len(rows[0])
+    work = [ints for ints in map(_primitive_int_row, rows) if ints is not None]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        p = prow[c]
+        # entries left of c vanish in every row at or below r
+        support = [(j, y) for j, y in enumerate(prow[c:], c) if y]
+        for i, row in enumerate(work):
+            a = row[c]
+            if not a or i == r:
+                continue
+            g = gcd(p, a)
+            s, t = p // g, a // g
+            if s != 1:
+                row = [s * x for x in row]
+            for j, y in support:
+                row[j] -= t * y
+            g = gcd(*row)
+            work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    out = []
+    for row, c in zip(work, pivots):
+        p = row[c]
+        out.append([Fraction(x, p) if x else _ZERO_Q for x in row])
     return out, pivots
 
 
@@ -320,12 +399,44 @@ def span_echelon(vectors):
     return rref(vectors)[0]
 
 
+class Echelon:
+    """The reduced echelon basis of a span, kept for membership tests.
+
+    ``rows`` and ``pivots`` are tuples, so the basis cannot be changed
+    after it is built."""
+
+    __slots__ = ("rows", "pivots", "_free")
+
+    def __init__(self, vectors):
+        rows, pivots = rref(vectors)
+        self.rows = tuple(tuple(row) for row in rows)
+        self.pivots = tuple(pivots)
+        ncols = len(rows[0]) if rows else 0
+        self._free = tuple(j for j in range(ncols) if j not in pivots)
+
+    def contains(self, v):
+        """Is v in the span?  In reduced echelon form the only combination
+        of the rows that can equal v takes v[p] times the row with pivot p,
+        and it agrees with v on every pivot column; so v lies in the span
+        exactly when it also agrees on the free columns."""
+        if not self.rows:
+            return vec_is_zero(v)
+        terms = [(v[p], row) for p, row in zip(self.pivots, self.rows)
+                 if v[p]]
+        for j in self._free:
+            acc = 0
+            for c, row in terms:
+                y = row[j]
+                if y:
+                    acc += c * y
+            if acc != v[j]:
+                return False
+        return True
+
+
 def in_span(vectors, v):
     """Is v in the span of the given vectors?"""
-    if vec_is_zero(v):
-        return True
-    basis = span_echelon(vectors)
-    return len(span_echelon(basis + [list(v)])) == len(basis)
+    return Echelon(vectors).contains(v)
 
 
 def coords_in_basis(basis, v):

@@ -13,9 +13,8 @@ from itertools import permutations
 import math
 import os
 
-from . import exactla
 from .exactla import (
-    in_span, span_echelon, vec_add, vec_is_zero, vec_scale, zero_vec,
+    Echelon, span_echelon, vec_is_zero, zero_vec,
 )
 
 DEFAULT_ORDER = 3
@@ -56,6 +55,7 @@ class TruncatedEnvelope:
             "monomial basis of size %d exceeds cap %d" % (len(self.monomials), cap)
         self.index = {m: k for k, m in enumerate(self.monomials)}
         self._no_cache = {}
+        self._j_echelons = None
 
     def wdeg(self, m):
         return sum(e * w for e, w in zip(m, self.weights))
@@ -292,13 +292,20 @@ class TruncatedEnvelope:
 
     def j_powers(self):
         """[U, J, J^2, ..., J^order, 0] as echelon bases of coordinate
-        vectors; honest iterated ideal powers."""
-        full = span_echelon([self.to_vector({m: Fraction(1)})
-                             for m in self.monomials])
+        vectors; honest iterated ideal powers.  Returns a fresh copy."""
+        return [[list(row) for row in e.rows] for e in self.j_echelons()]
+
+    def j_echelons(self):
+        """The J-powers of :meth:`j_powers` as immutable
+        :class:`~cohw.exactla.Echelon` objects, computed once per envelope."""
+        if self._j_echelons is not None:
+            return self._j_echelons
+        full = Echelon([self.to_vector({m: Fraction(1)})
+                        for m in self.monomials])
         j1_elems = [{m: Fraction(1)} for m in self.monomials if sum(m) >= 1]
         powers = [full]
         current = j1_elems
-        powers.append(span_echelon([self.to_vector(a) for a in current]))
+        powers.append(Echelon([self.to_vector(a) for a in current]))
         for _ in range(2, self.order + 1):
             nxt = []
             for a in current:
@@ -306,17 +313,19 @@ class TruncatedEnvelope:
                     p = self.mul(a, b)
                     if p:
                         nxt.append(p)
-            basis = span_echelon([self.to_vector(p) for p in nxt])
+            basis = Echelon([self.to_vector(p) for p in nxt])
             powers.append(basis)
-            current = [self.from_vector(v) for v in basis]
-        powers.append([])  # J^{order+1} = 0 in the truncated model
-        return powers
+            current = [self.from_vector(v) for v in basis.rows]
+        powers.append(Echelon([]))  # J^{order+1} = 0 in the truncated model
+        self._j_echelons = tuple(powers)
+        return self._j_echelons
 
     def j_filtration_dual_dims(self):
         """dim of the level-m quotient U/J^{m+1}, for m = 0..order."""
-        powers = self.j_powers()
-        total = len(powers[0])
-        return [total - len(powers[m + 1]) for m in range(self.order + 1)]
+        powers = self.j_echelons()
+        total = len(powers[0].rows)
+        return [total - len(powers[m + 1].rows)
+                for m in range(self.order + 1)]
 
     def graded_piece(self, m):
         """Echelon data for gr^J_m = J^m/J^{m+1}: returns (basis of J^m,
@@ -358,7 +367,7 @@ def symmetrization_check(env):
     """Check that symmetrization carries the weighted polynomial filtration
     onto the J-filtration level by level (equal dimensions, containment).
     Returns a report dict; on failure names the first violating level."""
-    powers = env.j_powers()
+    powers = env.j_echelons()
     levels = weighted_filtration_levels(env)
     max_level = env.order
     report = {"ok": True, "levels": []}
@@ -371,12 +380,12 @@ def symmetrization_check(env):
                         continue
                     sym_vecs.append(env.to_vector(symmetrize(env, mono)))
         image = span_echelon(sym_vecs)
-        jm = powers[m] if m < len(powers) else []
-        contained = all(in_span(jm, v) for v in image) if jm else not image
-        entry = {"level": m, "sym_dim": len(image), "j_dim": len(jm),
+        jm = powers[m]
+        contained = all(jm.contains(v) for v in image)
+        entry = {"level": m, "sym_dim": len(image), "j_dim": len(jm.rows),
                  "contained": contained}
         report["levels"].append(entry)
-        if not contained or len(image) != len(jm):
+        if not contained or len(image) != len(jm.rows):
             report["ok"] = False
             report["first_violation"] = m
             return report
@@ -388,7 +397,7 @@ def graded_trivialization_check(env, q, samples):
     every J-graded piece.  Verified on the given sample elements; returns
     True only if each sample's class in gr^J_m is preserved for all m."""
     g = env.exp_coords(q)
-    powers = env.j_powers()
+    powers = env.j_echelons()
     for a in samples:
         ga = env.mul(g, a)
         diff = env.to_vector(env.sub(ga, a))
@@ -397,14 +406,15 @@ def graded_trivialization_check(env, q, samples):
         va = env.to_vector(a)
         lead = None
         for m in range(len(powers) - 1, -1, -1):
-            if powers[m] and in_span(powers[m], va):
+            if powers[m].rows and powers[m].contains(va):
                 lead = m
                 break
         if lead is None:
             lead = 0
-        target = powers[lead + 1] if lead + 1 < len(powers) else []
+        # powers[-1] is J^{order+1} = 0, so lead + 1 is always in range
+        target = powers[lead + 1]
         if vec_is_zero(diff):
             continue
-        if not target or not in_span(target, diff):
+        if not target.contains(diff):
             return False
     return True

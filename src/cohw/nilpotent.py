@@ -332,12 +332,12 @@ class LieMorphism:
             self.check_bracket()
 
     def check_bracket(self):
+        images = [self.apply(self.source.basis_vector(i))
+                  for i in range(self.source.dim)]
         for i in range(self.source.dim):
             for j in range(i + 1, self.source.dim):
                 lhs = self.apply(self.source.bracket_basis(i, j))
-                rhs = self.target.bracket(
-                    self.apply(self.source.basis_vector(i)),
-                    self.apply(self.source.basis_vector(j)))
+                rhs = self.target.bracket(images[i], images[j])
                 assert lhs == rhs, "not a Lie algebra morphism at (%d,%d)" % (i, j)
 
     def apply(self, x):

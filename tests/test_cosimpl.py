@@ -364,3 +364,17 @@ def test_hom_equal_and_identities():
                    check=True)
     assert hom_equal(ident, ident)
     assert not hom_equal(ident, sq)
+
+
+def test_complex_cohomology_ranks_each_differential_once(monkeypatch):
+    import cohw.cosimpl as cosimpl
+    calls = []
+
+    def counting_rank(A):
+        calls.append(A)
+        return exactla.rank(A)
+    monkeypatch.setattr(cosimpl, "rank", counting_rank)
+    # 0 -> Q -> Q^2 -> Q -> 0 with d0 = (1, 1)^T and d1 = (1, -1)
+    diffs = [[[F(1)], [F(1)]], [[F(1), F(-1)]]]
+    assert complex_cohomology_dims([1, 2, 1], diffs) == [0, 0, 0]
+    assert len(calls) == len(diffs)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohw.exactla import (
-    Gaussian, I, conjugate_fixed, complement_basis, coords_in_basis,
+    Echelon, Gaussian, I, conjugate_fixed, complement_basis, coords_in_basis,
     format_scalar, in_span, kernel_basis, mat_mul, mat_vec, parse_scalar,
     rank, rref, solve_affine, span_echelon, subspace_intersect, subspace_ops,
     subspace_sum, vec_add, vec_is_zero, vec_scale, vec_sub, FilteredSpace,
@@ -223,3 +223,115 @@ def test_sparse_kernels_match_plain_formula(data, m, k, n):
     v = data.draw(sparse_matrix(1, k))[0]
     assert _typed([mat_vec(A, v)]) == _typed([_plain_mat_vec(A, v)])
     assert _typed(mat_mul(A, B)) == _typed(_plain_mat_mul(A, B))
+
+
+def _typed_rref(result):
+    rows, pivots = result
+    return _typed(rows), pivots
+
+
+def test_integer_input_gives_fractions():
+    # 1 / int is a float: integer input must never leak one
+    rows, pivots = rref([[2, 1], [1, 1]])
+    assert _typed(rows) == _typed([[F(1), F(0)], [F(0), F(1)]])
+    assert pivots == [0, 1]
+    assert rank([[2, 4], [1, 2]]) == 1
+    assert _typed(kernel_basis([[2, 4, 6]])) == \
+        _typed([[F(1), F(0), F(-1, 3)], [F(0), F(1), F(-2, 3)]])
+    x, ker = solve_affine([[2, 1], [1, 1]], [3, 2])
+    assert _typed([x]) == _typed([[F(1), F(1)]])
+    assert ker == []
+    x, ker = solve_affine([[3, 6]], [1])
+    assert _typed([x]) == _typed([[F(1, 3), F(0)]])
+    assert _typed(ker) == _typed([[F(1), F(-1, 2)]])
+
+
+def _reference_rref(rows):
+    # the field elimination rref used for every input before rational
+    # input got its integer path, kept verbatim as an oracle
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    out, pivots = [], []
+    r = 0
+    work = rows
+    for c in range(ncols):
+        # find a pivot in column c at or below row r
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    out = [row for row in work[:r]]
+    return out, pivots
+
+
+big_fracs = st.builds(F, st.integers(-10 ** 15, 10 ** 15),
+                      st.integers(1, 10 ** 12))
+rational_entries = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)),
+                             small_fracs, big_fracs)
+
+
+@st.composite
+def rational_matrix(draw, entries=rational_entries):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    M = [draw(st.lists(entries, min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    # zero rows, duplicate rows and multiples of other rows
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, rows - 1))
+        kind = draw(st.sampled_from(["zero", "copy", "multiple"]))
+        if kind == "zero":
+            M.insert(i, [F(0)] * cols)
+        else:
+            c = F(1) if kind == "copy" else draw(big_fracs)
+            M.insert(i, [c * x for x in M[draw(st.integers(0, rows - 1))]])
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrix())
+def test_rref_matches_field_elimination(M):
+    assert _typed_rref(rref(M)) == _typed_rref(_reference_rref(M))
+
+
+gaussian_entries = st.one_of(
+    st.just(F(0)), st.just(Gaussian(0)), small_fracs,
+    st.builds(Gaussian, small_fracs, small_fracs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrix(gaussian_entries))
+def test_rref_gaussian_input_unchanged(M):
+    assert _typed_rref(rref(M)) == _typed_rref(_reference_rref(M))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), rational_matrix())
+def test_echelon_contains_agrees_with_rank(data, M):
+    n = len(M[0])
+    v = data.draw(st.one_of(
+        st.lists(rational_entries, min_size=n, max_size=n),
+        # a combination of the rows, so that members occur often
+        st.lists(small_fracs, min_size=len(M), max_size=len(M)).map(
+            lambda cs: [sum((c * row[j] for c, row in zip(cs, M)), F(0))
+                        for j in range(n)])))
+    member = rank(M + [v]) == rank(M)
+    assert Echelon(M).contains(v) == member
+    assert in_span(M, v) == member
+    assert Echelon([]).contains(v) == vec_is_zero(v)

@@ -185,3 +185,23 @@ def test_exp_grouplike_log_primitive(q):
     g = env.exp_coords(q)
     assert env.is_grouplike(g)
     assert env.log_coords(g) == [F(c) for c in q]
+
+
+def test_j_powers_copy_protects_cache():
+    env = TruncatedEnvelope(heisenberg(), order=3)
+    before = symmetrization_check(env)
+    dims = env.j_filtration_dual_dims()
+    q = [F(1), F(-1), F(2)]
+    samples = [env.gen(0), env.gen(2), env.mul(env.gen(0), env.gen(1))]
+    assert graded_trivialization_check(env, q, samples)
+    powers = env.j_powers()
+    # wreck every level of the returned copy
+    for basis in powers:
+        for row in basis:
+            row[:] = [F(7)] * len(row)
+        basis.append([F(1)] * len(env.monomials))
+    powers.append([])
+    assert symmetrization_check(env) == before
+    assert env.j_filtration_dual_dims() == dims
+    assert graded_trivialization_check(env, q, samples)
+    assert env.j_powers() == TruncatedEnvelope(heisenberg(), order=3).j_powers()

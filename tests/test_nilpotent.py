@@ -283,3 +283,19 @@ def test_class_three_group_axioms(a, b, c):
     L = central_extension(H, 1, {(0, 2): [F(1)]})
     assert L.bch(L.bch(a, b), c) == L.bch(a, L.bch(b, c))
     assert L.bch(a, L.inverse(a)) == L.zero()
+
+
+def test_check_bracket_checks_every_pair():
+    # brackets [x, y] = z and [x, z] = w; diag(a, b, ab, c) respects the
+    # first and respects the second only if c = a^2 b
+    L = central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
+
+    def diag(*entries):
+        return [[F(e) if i == j else F(0) for j in range(4)]
+                for i, e in enumerate(entries)]
+
+    LieMorphism(L, L, diag(2, 3, 6, 12))
+    with pytest.raises(AssertionError, match=r"\(0,1\)"):
+        LieMorphism(L, L, diag(2, 3, 5, 10))
+    with pytest.raises(AssertionError, match=r"\(0,2\)"):
+        LieMorphism(L, L, diag(2, 3, 6, 11))
