@@ -79,6 +79,13 @@ def _tokens(line):
     return line.split()
 
 
+def _value(toks, lineno):
+    """The one value of a keyword line."""
+    if len(toks) != 2:
+        raise ParseError(lineno, 1, "%s takes one value" % toks[0])
+    return toks[1]
+
+
 def _parse_int(tok, lineno, what):
     try:
         return int(tok)
@@ -139,15 +146,14 @@ def parse_description(text, name="<input>"):
                                      "field must be rational or gaussian")
                 df.field = "Qi" if toks[1] == "gaussian" else "Q"
             elif key == "p":
-                if len(toks) != 2:
-                    raise ParseError(lineno, 1, "p takes one value")
-                df.p = _parse_frac(toks[1], lineno)
+                df.p = _parse_frac(_value(toks, lineno), lineno)
             else:
                 raise ParseError(lineno, 1, "statement outside any section: %r"
                                  % key)
         elif section == "lie_algebra":
             if key == "dim":
-                lie["dim"] = _parse_int(toks[1], lineno, "dimension")
+                lie["dim"] = _parse_int(_value(toks, lineno), lineno,
+                                       "dimension")
             elif key == "bracket":
                 if len(toks) != 5:
                     raise ParseError(lineno, 1,
@@ -158,12 +164,9 @@ def parse_description(text, name="<input>"):
             else:
                 raise ParseError(lineno, 1, "unknown lie_algebra line %r" % key)
         elif section == "finite_group":
-            if key in ("cyclic", "symmetric"):
-                grp["kind"] = key
-                grp["n"] = _parse_int(toks[1], lineno, "order")
-            elif key == "elements":
-                grp["kind"] = "table"
-                grp["n"] = _parse_int(toks[1], lineno, "order")
+            if key in ("cyclic", "symmetric", "elements"):
+                grp["kind"] = "table" if key == "elements" else key
+                grp["n"] = _parse_int(_value(toks, lineno), lineno, "order")
             elif key == "row":
                 grp["rows"].append((lineno,
                                     [_parse_int(t, lineno, "entry")
@@ -173,7 +176,8 @@ def parse_description(text, name="<input>"):
         elif section in ("filtration_W", "filtration_F"):
             tag = "W" if section == "filtration_W" else "F"
             if key == "level":
-                filts[tag].append((_parse_int(toks[1], lineno, "level"), []))
+                filts[tag].append(
+                    (_parse_int(_value(toks, lineno), lineno, "level"), []))
             elif key == "vector":
                 if not filts[tag]:
                     raise ParseError(lineno, 1, "vector before any level")
@@ -187,7 +191,7 @@ def parse_description(text, name="<input>"):
                                   [_parse_frac(t, lineno) for t in toks[1:]]))
         elif section == "cosimplicial":
             if key == "pattern":
-                coset["pattern"] = toks[1]
+                coset["pattern"] = _value(toks, lineno)
             elif key in ("left", "right"):
                 coset[key] = [_parse_int(t, lineno, "element") for t in toks[1:]]
             else:

@@ -242,8 +242,6 @@ def is_linear_carrier(G):
 class FiniteHom:
     """Homomorphism between finite carriers, stored as a full lookup dict."""
 
-    kind = "finite"
-
     def __init__(self, source, target, mapping, check=True):
         self.source = source
         self.target = target
@@ -269,8 +267,6 @@ class LinearHom:
     """Homomorphism between linear-mode carriers given by a matrix acting
     on log/linear coordinates."""
 
-    kind = "linear"
-
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
@@ -282,26 +278,36 @@ class LinearHom:
         return tuple(mat_vec(self.matrix, list(x)))
 
     def compose(self, other):
-        if isinstance(other, LinearHom):
-            return LinearHom(other.source, self.target,
-                             mat_mul(self.matrix, other.matrix))
-        return GenericComposite(self, other)
+        return LinearHom(other.source, self.target,
+                         mat_mul(self.matrix, other.matrix))
 
 
 class StructuredHom:
-    """Homomorphism between ProductGroups: every target factor is fed from
-    one source factor through a factor-level homomorphism."""
+    """Block homomorphism between product-shaped carriers.
 
-    kind = "structured"
+    One type serves finite products (ProductGroup) and linear direct sums
+    (a VectorGroup or UnipotentCarrier built by ``_product_object``, which
+    lists its summands in ``factors``).  Target block t is fed from source
+    block parts[t][0] through the factor homomorphism parts[t][1].
+    Applying, composing and comparing work block by block; for linear
+    carriers the dense matrix is built only on demand, and cached."""
 
     def __init__(self, source, target, parts):
         self.source = source
         self.target = target
         self.parts = list(parts)  # (source factor index, hom on factors)
         assert len(self.parts) == len(target.factors)
+        self._linear = is_linear_carrier(source)
+        self._matrix = None
 
     def apply(self, x):
-        return tuple(h.apply(x[i]) for (i, h) in self.parts)
+        if not self._linear:
+            return tuple([h.apply(x[i]) for (i, h) in self.parts])
+        off = self.source.offsets
+        out = []
+        for (i, h) in self.parts:
+            out.extend(h.apply(x[off[i]:off[i + 1]]))
+        return tuple(out)
 
     def compose(self, other):
         if isinstance(other, StructuredHom):
@@ -310,33 +316,30 @@ class StructuredHom:
                 (i0, h0) = other.parts[i]
                 parts.append((i0, h.compose(h0)))
             return StructuredHom(other.source, self.target, parts)
-        return GenericComposite(self, other)
+        return LinearHom(other.source, self.target,
+                         mat_mul(self.matrix, other.matrix))
 
-
-class GenericComposite:
-    """Fallback composite; still equality-checkable on generators."""
-
-    kind = "generic"
-
-    def __init__(self, outer, inner):
-        self.outer = outer
-        self.inner = inner
-        self.source = inner.source
-        self.target = outer.target
-
-    def apply(self, x):
-        return self.outer.apply(self.inner.apply(x))
-
-    def compose(self, other):
-        return GenericComposite(self, other)
+    @property
+    def matrix(self):
+        """Dense matrix of a linear block map, assembled on first use."""
+        if self._matrix is None:
+            off = self.source.offsets
+            rows = []
+            for (i, h) in self.parts:
+                for r in h.matrix:
+                    row = [Fraction(0)] * off[-1]
+                    row[off[i]:off[i + 1]] = r
+                    rows.append(row)
+            self._matrix = rows
+        return self._matrix
 
 
 def identity_hom(G):
-    if is_linear_carrier(G):
-        return LinearHom(G, G, exactla.identity_matrix(G.dim))
-    if isinstance(G, ProductGroup):
+    if hasattr(G, "factors"):
         return StructuredHom(G, G, [(i, identity_hom(f))
                                     for i, f in enumerate(G.factors)])
+    if is_linear_carrier(G):
+        return LinearHom(G, G, exactla.identity_matrix(G.dim))
     return FiniteHom(G, G, {x: x for x in G.elements()}, check=False)
 
 
@@ -356,16 +359,37 @@ def inner_automorphism(G, c):
 
 
 def hom_equal(h1, h2):
-    """Decidable equality of homomorphisms.  Linear homs compare matrices;
-    otherwise two verified homomorphisms agree iff they agree on a
-    generating set of the source."""
-    assert h1.source is h2.source or type(h1.source) is type(h2.source)
-    if isinstance(h1, LinearHom) and isinstance(h2, LinearHom):
+    """Decidable equality of homomorphisms.  Two block maps compare block
+    by block; other linear homs compare matrices; otherwise two verified
+    homomorphisms agree iff they agree on a generating set of the
+    source.  Linear maps compare on coordinates, whichever linear
+    carriers they are declared on."""
+    assert h1.source is h2.source or type(h1.source) is type(h2.source) \
+        or is_linear_carrier(h1.source) and is_linear_carrier(h2.source)
+    if isinstance(h1, StructuredHom) and isinstance(h2, StructuredHom):
+        for (i1, f1), (i2, f2) in zip(h1.parts, h2.parts):
+            # fed from different source blocks, a target block agrees only
+            # where both factor maps are trivial
+            if not (hom_equal(f1, f2) if i1 == i2
+                    else _is_trivial(f1) and _is_trivial(f2)):
+                return False
+        return True
+    if is_linear_carrier(h1.source):
         return exactla.mat_eq(h1.matrix, h2.matrix)
     for g in h1.source.generators():
         if h1.apply(g) != h2.apply(g):
             return False
     return True
+
+
+def _is_trivial(h):
+    """Whether h sends every element to the identity."""
+    if isinstance(h, StructuredHom):
+        return all(_is_trivial(f) for (_, f) in h.parts)
+    if is_linear_carrier(h.source):
+        return all(vec_is_zero(row) for row in h.matrix)
+    e = h.target.identity()
+    return all(h.apply(g) == e for g in h.source.generators())
 
 
 # ---------------------------------------------------------------------------
@@ -485,45 +509,42 @@ def sigma_map(n, i):
 # ---------------------------------------------------------------------------
 # cogeneration
 
-def _mono_cofaces_search(X, image, k):
-    """Find a composite of cofaces realizing the injection with the given
-    image by breadth-first search over the (tiny) simplex category."""
-    kp = len(image) - 1
-    target = tuple(image)
-    start = tuple(range(kp + 1))
-    if kp == k:
-        return identity_hom(X.objects[kp])
-    frontier = [(start, identity_hom(X.objects[kp]), kp)]
-    while frontier:
-        nxt = []
-        for val, hom, level in frontier:
-            for i in range(level + 2):
-                d = delta_map(level + 1, i)
-                comp = tuple(d[v] for v in val)
-                h2 = X.d(level + 1, i).compose(hom)
-                if level + 1 == k:
-                    if comp == target:
-                        return h2
-                else:
-                    nxt.append((comp, h2, level + 1))
-        frontier = nxt
-    raise AssertionError("mono not realizable (bug)")
+def _mono_composite(coface, start, image, k):
+    """The map of the injection [k'] -> [k] with the given image, applied
+    after start: the cofaces d^m, for each value m of [k] missing from the
+    image, in increasing order."""
+    h = start
+    level = len(image) - 1
+    for m in range(k + 1):
+        if m not in image:
+            level += 1
+            h = coface(level, m).compose(h)
+    return h
 
 
 def _product_object(factors, linear):
-    if linear:
-        from .nilpotent import direct_sum
-        algs = [f.L if isinstance(f, UnipotentCarrier) else None
-                for f in factors]
-        if all(a is not None for a in algs):
-            L = algs[0]
-            for a in algs[1:]:
-                L = direct_sum(L, a)
-            return UnipotentCarrier(L)
+    """Product of the factor carriers: a ProductGroup, or for linear
+    carriers their direct sum, which records its summands in ``factors``
+    and the coordinate where each starts in ``offsets``."""
+    if not linear:
+        return ProductGroup(factors)
+    from .nilpotent import direct_sum
+    algs = [f.L if isinstance(f, UnipotentCarrier) else None
+            for f in factors]
+    if all(a is not None for a in algs):
+        L = algs[0]
+        for a in algs[1:]:
+            L = direct_sum(L, a)
+        G = UnipotentCarrier(L)
+    else:
         assert all(isinstance(f, VectorGroup) for f in factors), \
             "cannot mix vector and unipotent factors"
-        return VectorGroup(sum(f.dim for f in factors))
-    return ProductGroup(factors)
+        G = VectorGroup(sum(f.dim for f in factors))
+    G.factors = list(factors)
+    G.offsets = [0]
+    for f in factors:
+        G.offsets.append(G.offsets[-1] + f.dim)
+    return G
 
 
 def cogenerate(X, N=None):
@@ -533,44 +554,24 @@ def cogenerate(X, N=None):
     factorization.  Identities are verified post-construction."""
     if N is None:
         N = X.N + 1
-    j = X.N
     linear = all(is_linear_carrier(G) for G in X.objects)
-    level_epis = {}
-    objects = []
-    for n in range(N + 1):
-        es = []
-        for k in range(min(n, j) + 1):
-            for e in epis(n, k):
-                es.append((k, e))
-        level_epis[n] = es
-        objects.append(_product_object([X.objects[k] for (k, _) in es], linear))
+    level_epis = {n: _gamma_epis(n, X.N) for n in range(N + 1)}
+    objects = [_product_object([X.objects[k] for (k, _) in level_epis[n]],
+                               linear)
+               for n in range(N + 1)]
+    monos = {}
 
     def gamma_map(f, np, n):
         """Hom Gamma^{n'} -> Gamma^n for monotone f: [n'] -> [n]."""
         src_idx = {e: i for i, e in enumerate(level_epis[np])}
         parts = []
         for (k, g) in level_epis[n]:
-            h = compose_monotone(g, f)
-            epi, image = epi_mono_factor(h, k)
-            kp = len(image) - 1
-            i0 = src_idx[(kp, epi)]
-            parts.append((i0, _mono_cofaces_search(X, image, k)))
-        if linear:
-            rows = []
-            src_offsets = []
-            off = 0
-            for (k, _) in level_epis[np]:
-                src_offsets.append(off)
-                off += X.objects[k].dim
-            total_src = off
-            for (i0, h) in parts:
-                base = src_offsets[i0]
-                for r in h.matrix:
-                    row = [Fraction(0)] * total_src
-                    for c, v in enumerate(r):
-                        row[base + c] = v
-                    rows.append(row)
-            return LinearHom(objects[np], objects[n], rows)
+            epi, image = epi_mono_factor(compose_monotone(g, f), k)
+            key = (tuple(image), k)
+            if key not in monos:
+                monos[key] = _mono_composite(
+                    X.d, identity_hom(X.objects[len(image) - 1]), image, k)
+            parts.append((src_idx[(len(image) - 1, epi)], monos[key]))
         return StructuredHom(objects[np], objects[n], parts)
 
     cofaces = {}
@@ -589,31 +590,17 @@ def cogenerate(X, N=None):
 
 
 def cogenerate_morphism(GX, GY, factor_maps):
-    """Levelwise morphism between two cogenerated cosimplicial groups
+    """Levelwise block map between two cogenerated cosimplicial groups
     induced by maps of the underlying truncated semi objects
-    (factor_maps[k]: X^k -> Y^k commuting with the cofaces).  Returns one
-    hom per level; the result is automatically a cosimplicial map."""
+    (factor_maps[k]: X^k -> Y^k on every factor indexed by an epi onto
+    [k]).  Returns one hom per level; it is a cosimplicial map when the
+    factor maps commute with the cofaces."""
     out = []
     for n in range(min(GX.N, GY.N) + 1):
         assert GX.level_epis[n] == GY.level_epis[n]
-        if GX.linear_mode:
-            rows = []
-            total_src = sum(GX.semi.objects[k].dim
-                            for (k, _) in GX.level_epis[n])
-            off = 0
-            for (k, _) in GX.level_epis[n]:
-                M = factor_maps[k].matrix
-                for r in M:
-                    row = [Fraction(0)] * total_src
-                    for c, v in enumerate(r):
-                        row[off + c] = v
-                    rows.append(row)
-                off += GX.semi.objects[k].dim
-            out.append(LinearHom(GX.objects[n], GY.objects[n], rows))
-        else:
-            parts = [(i, factor_maps[k])
-                     for i, (k, _) in enumerate(GX.level_epis[n])]
-            out.append(StructuredHom(GX.objects[n], GY.objects[n], parts))
+        parts = [(i, factor_maps[k])
+                 for i, (k, _) in enumerate(GX.level_epis[n])]
+        out.append(StructuredHom(GX.objects[n], GY.objects[n], parts))
     return out
 
 
@@ -791,13 +778,29 @@ def moore_differentials(A):
     coface matrices) of a linear-mode (semi-)cosimplicial object."""
     out = []
     for n in range(1, A.N + 1):
-        M = None
+        M = exactla.zero_matrix(A.objects[n].dim, A.objects[n - 1].dim)
         for i in range(n + 1):
-            term = A.d(n, i).matrix
-            term = [[((-1) ** i) * v for v in row] for row in term]
-            M = term if M is None else exactla.mat_add(M, term)
+            _add_signed(M, (-1) ** i, A.d(n, i))
         out.append(M)
     return out
+
+
+def _add_signed(M, sign, h, r0=0, c0=0):
+    """Add sign times the matrix of the linear hom h into M in place, with
+    its top left corner at row r0 and column c0; block maps go block by
+    block, so no dense matrix of theirs is built."""
+    if isinstance(h, StructuredHom):
+        off = h.source.offsets
+        r = r0
+        for (i, f) in h.parts:
+            _add_signed(M, sign, f, r, c0 + off[i])
+            r += f.target.dim
+        return
+    for r, row in enumerate(h.matrix):
+        out = M[r0 + r]
+        for c, v in enumerate(row):
+            if v:
+                out[c0 + c] += sign * v
 
 
 def complex_cohomology_dims(dims, diffs):
@@ -811,15 +814,6 @@ def complex_cohomology_dims(dims, diffs):
         rank_in = ranks[i - 1] if i > 0 else 0
         out.append(dims[i] - rank_out - rank_in)
     return out
-
-
-def pi_abelian(A, i):
-    """dim of pi^i of an abelian linear-mode cosimplicial object."""
-    assert all(is_linear_carrier(G) and G.is_abelian() for G in A.objects)
-    diffs = moore_differentials(A)
-    dims = [G.dim for G in A.objects]
-    assert i < len(dims)
-    return complex_cohomology_dims(dims, diffs)[i]
 
 
 def pi_abelian_all(A):
@@ -905,61 +899,37 @@ def eilenberg_zilber_oracle(A, jmax=2, N=None):
     if N is None:
         N = max(A.P, A.Q) + 1
         N = max(N, jmax + 1)
-    # -- total complex of the Moore bicomplex of A itself
-    def moore_dir(objects_dims, mats, length):
-        # alternating sums per level
-        out = {}
-        for n in range(1, length + 1):
-            if n in mats:
-                M = None
-                for i, m in enumerate(mats[n]):
-                    t = [[((-1) ** i) * v for v in row] for row in m]
-                    M = t if M is None else exactla.mat_add(M, t)
-                out[n] = M
-        return out
+    dh = {(p, q): [LinearHom(A.objects[p - 1][q], A.objects[p][q], m)
+                   for m in A.dh[p][q]]
+          for p in range(1, A.P + 1) for q in range(A.Q + 1)}
+    dv = {(p, q): [LinearHom(A.objects[p][q - 1], A.objects[p][q], m)
+                   for m in A.dv[p][q]]
+          for p in range(A.P + 1) for q in range(1, A.Q + 1)}
 
-    dims = [[A.objects[p][q].dim for q in range(A.Q + 1)]
-            for p in range(A.P + 1)]
-    tot_dims = []
-    for n in range(N + 1):
-        tot_dims.append(sum(dims[p][n - p]
-                            for p in range(max(0, n - A.Q), min(n, A.P) + 1)))
-    # total differential D(a_{p,q}) = dh(a) + (-1)^p dv(a)
+    # -- total complex of the Moore bicomplex of A itself
+    def offsets(m):
+        off, out = 0, {}
+        for p in range(max(0, m - A.Q), min(m, A.P) + 1):
+            out[(p, m - p)] = off
+            off += A.objects[p][m - p].dim
+        return out, off
+
+    tot = [offsets(n) for n in range(N + 1)]
+    tot_dims = [total for (_, total) in tot]
+    # total differential D(a_{p,q}) = dh(a) + (-1)^p dv(a), each the
+    # alternating sum of its cofaces
     tot_diffs = []
     for n in range(N):
-        rows_idx = []
-        M = [[Fraction(0)] * tot_dims[n] for _ in range(tot_dims[n + 1])]
-        # offsets
-        def offsets(m):
-            off, out = 0, {}
-            for p in range(max(0, m - A.Q), min(m, A.P) + 1):
-                out[(p, m - p)] = off
-                off += dims[p][m - p]
-            return out
-        src_off = offsets(n)
-        dst_off = offsets(n + 1)
-        for (p, q), so in src_off.items():
-            # horizontal: (p,q) -> (p+1,q), alternating sum of dh
-            if (p + 1, q) in dst_off and (p + 1) <= A.P:
-                do = dst_off[(p + 1, q)]
-                dm = None
-                for i, m in enumerate(A.dh[p + 1][q]):
-                    t = [[((-1) ** i) * v for v in row] for row in m]
-                    dm = t if dm is None else exactla.mat_add(dm, t)
-                for r in range(len(dm)):
-                    for c in range(len(dm[0])):
-                        M[do + r][so + c] += dm[r][c]
-            # vertical with sign (-1)^p
-            if (p, q + 1) in dst_off and (q + 1) <= A.Q:
-                do = dst_off[(p, q + 1)]
-                dm = None
-                for i, m in enumerate(A.dv[p][q + 1]):
-                    t = [[((-1) ** i) * v for v in row] for row in m]
-                    dm = t if dm is None else exactla.mat_add(dm, t)
-                sign = (-1) ** p
-                for r in range(len(dm)):
-                    for c in range(len(dm[0])):
-                        M[do + r][so + c] += sign * dm[r][c]
+        M = exactla.zero_matrix(tot_dims[n + 1], tot_dims[n])
+        dst_off = tot[n + 1][0]
+        for (p, q), so in tot[n][0].items():
+            if (p + 1, q) in dst_off:
+                for i, h in enumerate(dh[p + 1, q]):
+                    _add_signed(M, (-1) ** i, h, dst_off[(p + 1, q)], so)
+            if (p, q + 1) in dst_off:
+                for i, h in enumerate(dv[p, q + 1]):
+                    _add_signed(M, (-1) ** (p + i), h, dst_off[(p, q + 1)],
+                                so)
         tot_diffs.append(M)
     tot_h = complex_cohomology_dims(tot_dims, tot_diffs)
 
@@ -976,76 +946,49 @@ def eilenberg_zilber_oracle(A, jmax=2, N=None):
                         out.append((a, eh, b, ev))
         return out
 
-    def _mono_matrix(A, image, k, other, horizontal):
-        kp = len(image) - 1
-        if horizontal:
-            M = exactla.identity_matrix(A.objects[kp][other].dim)
-        else:
-            M = exactla.identity_matrix(A.objects[other][kp].dim)
-        cur = list(image)
-        level = kp
-        # BFS search like the group case, small sizes
-        target = tuple(image)
-        if kp == k:
-            return M
-        frontier = [(tuple(range(kp + 1)), M, kp)]
-        while frontier:
-            nxt = []
-            for val, Mh, lev in frontier:
-                for i in range(lev + 2):
-                    d = delta_map(lev + 1, i)
-                    comp = tuple(d[v] for v in val)
-                    if horizontal:
-                        M2 = mat_mul(A.dh[lev + 1][other][i], Mh)
-                    else:
-                        M2 = mat_mul(A.dv[other][lev + 1][i], Mh)
-                    if lev + 1 == k:
-                        if comp == target:
-                            return M2
-                    else:
-                        nxt.append((comp, M2, lev + 1))
-            frontier = nxt
-        raise AssertionError("mono not realizable (bug)")
+    pairs = [level_pairs(n) for n in range(N + 1)]
+    diag = [_product_object([A.objects[a][b] for (a, _, b, _) in pairs[n]],
+                            True)
+            for n in range(N + 1)]
+    monos = {}
+
+    def mono(image, k, other, horizontal):
+        """Map of the mono with the given image into [k], horizontally at
+        vertical index other, or vertically at horizontal index other."""
+        key = (tuple(image), k, other, horizontal)
+        if key not in monos:
+            kp = len(image) - 1
+            if horizontal:
+                monos[key] = _mono_composite(
+                    lambda lev, m: dh[lev, other][m],
+                    identity_hom(A.objects[kp][other]), image, k)
+            else:
+                monos[key] = _mono_composite(
+                    lambda lev, m: dv[other, lev][m],
+                    identity_hom(A.objects[other][kp]), image, k)
+        return monos[key]
 
     def diag_coface(n, i):
-        """matrix of diagonal d^i: Diag^{n-1} -> Diag^n."""
-        src = level_pairs(n - 1)
-        dst = level_pairs(n)
-        src_idx = {}
-        off = 0
-        for (a, eh, b, ev) in src:
-            src_idx[(a, eh, b, ev)] = off
-            off += A.objects[a][b].dim
-        total_src = off
-        rows = []
+        """Diagonal d^i: Diag^{n-1} -> Diag^n."""
+        src_idx = {e: t for t, e in enumerate(pairs[n - 1])}
         f = delta_map(n, i)
-        for (a, eh, b, ev) in dst:
-            hh = compose_monotone(eh, f)
-            vv = compose_monotone(ev, f)
-            eph, imh = epi_mono_factor(hh, a)
-            epv, imv = epi_mono_factor(vv, b)
+        parts = []
+        for (a, eh, b, ev) in pairs[n]:
+            eph, imh = epi_mono_factor(compose_monotone(eh, f), a)
+            epv, imv = epi_mono_factor(compose_monotone(ev, f), b)
             ap, bp = len(imh) - 1, len(imv) - 1
-            base = src_idx[(ap, eph, bp, epv)]
             # map A^{a',b'} -> A^{a,b'} -> A^{a,b}
-            Mh = _mono_matrix(A, imh, a, bp, horizontal=True)
-            Mv = _mono_matrix(A, imv, b, a, horizontal=False)
-            M = mat_mul(Mv, Mh)
-            for r in M:
-                row = [Fraction(0)] * total_src
-                for c, v in enumerate(r):
-                    row[base + c] = v
-                rows.append(row)
-        return rows
+            parts.append((src_idx[(ap, eph, bp, epv)],
+                          mono(imv, b, a, False).compose(
+                              mono(imh, a, bp, True))))
+        return StructuredHom(diag[n - 1], diag[n], parts)
 
-    diag_dims = [sum(A.objects[a][b].dim for (a, _, b, _) in level_pairs(n))
-                 for n in range(N + 1)]
+    diag_dims = [G.dim for G in diag]
     diag_diffs = []
     for n in range(1, N + 1):
-        M = None
+        M = exactla.zero_matrix(diag_dims[n], diag_dims[n - 1])
         for i in range(n + 1):
-            t = diag_coface(n, i)
-            t = [[((-1) ** i) * v for v in row] for row in t]
-            M = t if M is None else exactla.mat_add(M, t)
+            _add_signed(M, (-1) ** i, diag_coface(n, i))
         diag_diffs.append(M)
     diag_h = complex_cohomology_dims(diag_dims, diag_diffs)
 

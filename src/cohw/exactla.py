@@ -268,7 +268,7 @@ def _rref_field(work):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
+        inv = Fraction(1) / work[r][c]
         work[r] = [inv * x for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c]:

@@ -9,13 +9,12 @@ instances) or by generator-propagation enumeration of cocycles, and the
 two paths are cross-checked in the tests.
 """
 
-from fractions import Fraction
 from itertools import product as iproduct
 
 from . import exactla
 from .cosimpl import (
-    CosimplicialGroup, FiniteHom, LinearHom, MixedExactSequence,
-    ProductGroup, StructuredHom, TableGroup, UnipotentCarrier, hom_equal,
+    CosimplicialGroup, FiniteHom, MixedExactSequence, StructuredHom,
+    TableGroup, UnipotentCarrier, _product_object, hom_equal,
     identity_hom, pi0, pi1_finite, pi1_unipotent_deciders, twist,
     twisted_conj, z1_elements,
 )
@@ -81,18 +80,20 @@ def _tuples(G, n):
 
 
 def cochain_cosimplicial(action, N=3, check=None):
-    """Cosimplicial group with level n the maps G^n -> U.
+    """Cosimplicial group with level n the maps G^n -> U: a product of
+    copies of U indexed by argument tuples (a direct sum of copies of the
+    algebra for a unipotent U), with block structure maps.
 
     Cofaces: the outer face lets the first argument act, the middle faces
     merge adjacent arguments, the last face drops the last argument.
     Codegeneracies insert the identity argument.
     """
     G, U = action.G, action.carrier
-    if isinstance(U, UnipotentCarrier):
-        return _cochain_unipotent(action, N)
+    linear = isinstance(U, UnipotentCarrier)
     tuples = {n: _tuples(G, n) for n in range(N + 1)}
     index = {n: {t: i for i, t in enumerate(tuples[n])} for n in tuples}
-    objects = [ProductGroup([U] * len(tuples[n])) for n in range(N + 1)]
+    objects = [_product_object([U] * len(tuples[n]), linear)
+               for n in range(N + 1)]
     uid = identity_hom(U)
 
     def coface(n, i):
@@ -121,68 +122,9 @@ def cochain_cosimplicial(action, N=3, check=None):
                for n in range(1, N + 1)}
     codegens = {n: [codegen(n, i) for i in range(n + 1)] for n in range(N)}
     if check is None:
-        check = len(tuples[N]) <= COCHAIN_CHECK_CAP
+        check = len(tuples[N]) * (U.dim if linear else 1) \
+            <= COCHAIN_CHECK_CAP
     C = CosimplicialGroup(objects, cofaces, codegens, check=check)
-    C.tuples = tuples
-    C.tuple_index = index
-    C.action = action
-    return C
-
-
-def _cochain_unipotent(action, N):
-    """Cochain object for a unipotent coefficient group, as one unipotent
-    carrier per level (direct sum of copies of the algebra indexed by
-    argument tuples) with block coface matrices."""
-    from .nilpotent import direct_sum
-    G, U = action.G, action.carrier
-    L = U.L
-    d = L.dim
-    tuples = {n: _tuples(G, n) for n in range(N + 1)}
-    index = {n: {t: i for i, t in enumerate(tuples[n])} for n in tuples}
-    objects = []
-    for n in range(N + 1):
-        Ln = L
-        for _ in range(len(tuples[n]) - 1):
-            Ln = direct_sum(Ln, L)
-        objects.append(UnipotentCarrier(Ln))
-
-    def block_hom(n_src, n_dst, parts):
-        total_src = d * len(tuples[n_src])
-        rows = []
-        for (i0, M) in parts:
-            for r in M:
-                row = [Fraction(0)] * total_src
-                for c, v in enumerate(r):
-                    row[i0 * d + c] = v
-                rows.append(row)
-        return LinearHom(objects[n_src], objects[n_dst], rows)
-
-    eye = exactla.identity_matrix(d)
-
-    def coface(n, i):
-        parts = []
-        for t in tuples[n]:
-            if i == 0:
-                parts.append((index[n - 1][t[1:]], action.maps[t[0]].matrix))
-            elif i == n:
-                parts.append((index[n - 1][t[:-1]], eye))
-            else:
-                src = t[:i - 1] + (G.mul(t[i - 1], t[i]),) + t[i + 1:]
-                parts.append((index[n - 1][src], eye))
-        return block_hom(n - 1, n, parts)
-
-    def codegen(n, i):
-        parts = []
-        for t in tuples[n]:
-            src = t[:i] + (G.identity(),) + t[i:]
-            parts.append((index[n + 1][src], eye))
-        return block_hom(n + 1, n, parts)
-
-    cofaces = {n: [coface(n, i) for i in range(n + 1)]
-               for n in range(1, N + 1)}
-    codegens = {n: [codegen(n, i) for i in range(n + 1)] for n in range(N)}
-    C = CosimplicialGroup(objects, cofaces, codegens,
-                          check=len(tuples[N]) * d <= COCHAIN_CHECK_CAP)
     C.tuples = tuples
     C.tuple_index = index
     C.action = action

@@ -537,17 +537,6 @@ class UnipotentTorsor:
         L = self.L
         theta = self.auto.matrix
 
-        def residual(g):
-            M = exactla.mat_sub(L.Ad_matrix(g), theta)
-            # flatten column action on basis into one L-valued residual per
-            # basis vector; combine by summing absolute layers -- instead we
-            # solve each column jointly below
-            out = L.zero()
-            for j in range(L.dim):
-                col = [M[i][j] for i in range(L.dim)]
-                out = vec_add(out, col)
-            return out
-
         # joint residual over all columns via stacked solve: treat each
         # column as its own L-valued condition
         def stacked(g):

@@ -20,10 +20,12 @@ from .exactla import (
     vec_sub, zero_matrix, zero_vec,
 )
 from .cosimpl import (
-    CosimplicialGroup, LinearHom, MixedExactSequence, UnipotentCarrier,
-    _gamma_epis, cogenerate, complex_cohomology_dims, complex_embedding,
-    compose_monotone, delta_map, epi_mono_factor, moore_differentials, pi0,
-    pi1_unipotent_deciders, pi_abelian_all, sigma_map, twisted_conj,
+    CosimplicialGroup, LinearHom, MixedExactSequence, StructuredHom,
+    UnipotentCarrier, VectorGroup, _gamma_epis, _product_object, cogenerate,
+    cogenerate_morphism, complex_cohomology_dims, complex_embedding,
+    compose_monotone, delta_map, epi_mono_factor, hom_equal,
+    moore_differentials, pi0, pi1_unipotent_deciders, pi_abelian_all,
+    sigma_map, twisted_conj,
 )
 from .nilpotent import (
     LieMorphism, NilpotentLieAlgebra, direct_sum, solve_graded_affine,
@@ -137,20 +139,6 @@ def epsilon_lie_algebra(L, n, name=None):
                                name=name or ("%s[eps^%d]" % (L.name, n)))
 
 
-def _blockdiag(blocks):
-    rows = sum(len(B) for B in blocks)
-    cols = sum(len(B[0]) if B else 0 for B in blocks)
-    out = zero_matrix(rows, cols)
-    r = c = 0
-    for B in blocks:
-        for i, row in enumerate(B):
-            for j, v in enumerate(row):
-                out[r + i][c + j] = v
-        r += len(B)
-        c += len(B[0]) if B else 0
-    return out
-
-
 def epsilon_denormalize(p, n, nu=0):
     """The epsilon-variable pattern R[eps_1..eps_n] for a one-dimensional
     base with formal monodromy nu: the cosimplicial module denormalizing
@@ -171,9 +159,10 @@ def epsilon_denormalize(p, n, nu=0):
                for m in range(1, n + 1)}
     codegens = {m: [E.s(m, i).matrix for i in range(m + 1)]
                 for m in range(n)}
-    frobenius = [_blockdiag([[[Fraction(1) if k == 0 else p]]
-                             for (k, _) in E.level_epis[m]])
-                 for m in range(n + 1)]
+    unit = VectorGroup(1)
+    frobenius = [h.matrix for h in cogenerate_morphism(
+        E, E, [LinearHom(unit, unit, [[Fraction(1)]]),
+               LinearHom(unit, unit, [[p]])])[:n + 1]]
     return {"levels": n, "p": p, "nu": nu, "cofaces": cofaces,
             "codegens": codegens, "frobenius": frobenius,
             "carrier_dims": [m + 1 for m in range(n + 1)],
@@ -203,67 +192,40 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
     eps_algs = [epsilon_lie_algebra(L, n_eps(m)) for m in range(N + 1)]
     for m in range(N + 1):
         assert E.objects[m].dim == eps_algs[m].dim
-
-    def phi_mat(m):
-        return _blockdiag([
-            phi if k == 0 else [[p * v for v in row] for row in phi]
-            for (k, _) in E.level_epis[m]])
+    D = VectorGroup(d)
+    frobenius = cogenerate_morphism(E, E, [
+        LinearHom(D, D, phi),
+        LinearHom(D, D, [[p * v for v in row] for row in phi])])
 
     # diagonal objects: one epsilon-carrier copy per Frobenius-direction
     # cogeneration factor (epis [n] ->> [k], k <= 1)
     factors = {n: _gamma_epis(n, 1) for n in range(N + 1)}
-    algs = []
-    for n in range(N + 1):
-        A = eps_algs[n]
-        for _ in range(len(factors[n]) - 1):
-            A = direct_sum(A, eps_algs[n])
-        algs.append(A)
-    objects = [UnipotentCarrier(A) for A in algs]
+    objects = [_product_object([UnipotentCarrier(eps_algs[n])]
+                               * len(factors[n]), True)
+               for n in range(N + 1)]
+    algs = [G.L for G in objects]
 
     def diag_coface(n, i):
         f = delta_map(n, i)
-        src = factors[n - 1]
-        dst = factors[n]
-        src_idx = {e: t for t, e in enumerate(src)}
-        src_block = E.objects[n - 1].dim
-        total_src = src_block * len(src)
-        Emat = E.d(n, i).matrix
-        Phi = phi_mat(n)
-        rows = []
-        for (k, g) in dst:
-            h = compose_monotone(g, f)
-            epi, image = epi_mono_factor(h, k)
-            t0 = src_idx[(len(image) - 1, epi)]
-            # Frobenius-direction factor map: the mono [0] -> [1] hitting 1
-            # is d^0 = Frobenius; every other mono is an identity
-            block = mat_mul(Phi, Emat) if image == [1] else Emat
-            base = t0 * src_block
-            for r in block:
-                row = zero_vec(total_src)
-                for c, v in enumerate(r):
-                    row[base + c] = v
-                rows.append(row)
-        return LinearHom(objects[n - 1], objects[n], rows)
+        src_idx = {e: t for t, e in enumerate(factors[n - 1])}
+        e_map = E.d(n, i)
+        # Frobenius-direction factor map: the mono [0] -> [1] hitting 1
+        # is d^0 = Frobenius; every other mono is an identity
+        frob_map = frobenius[n].compose(e_map)
+        parts = []
+        for (k, g) in factors[n]:
+            epi, image = epi_mono_factor(compose_monotone(g, f), k)
+            parts.append((src_idx[(len(image) - 1, epi)],
+                          frob_map if image == [1] else e_map))
+        return StructuredHom(objects[n - 1], objects[n], parts)
 
     def diag_codegen(n, i):
         f = sigma_map(n, i)
-        src = factors[n + 1]
-        dst = factors[n]
-        src_idx = {e: t for t, e in enumerate(src)}
-        src_block = E.objects[n + 1].dim
-        total_src = src_block * len(src)
-        Emat = E.s(n, i).matrix
-        rows = []
-        for (k, g) in dst:
-            h = compose_monotone(g, f)
-            t0 = src_idx[(k, h)]
-            base = t0 * src_block
-            for r in Emat:
-                row = zero_vec(total_src)
-                for c, v in enumerate(r):
-                    row[base + c] = v
-                rows.append(row)
-        return LinearHom(objects[n + 1], objects[n], rows)
+        src_idx = {e: t for t, e in enumerate(factors[n + 1])}
+        e_map = E.s(n, i)
+        parts = [(src_idx[(k, compose_monotone(g, f))], e_map)
+                 for (k, g) in factors[n]]
+        return StructuredHom(objects[n + 1], objects[n], parts)
 
     cofaces = {n: [diag_coface(n, i) for i in range(n + 1)]
                for n in range(1, N + 1)}
@@ -587,28 +549,30 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
     SQ = selmer_quotient_cosimplicial(XQ, "g/e", 2)
 
     def level_maps(S_src, S_dst, M):
-        out = []
-        for n in range(3):
-            copies = S_src.objects[n].dim // len(M[0])
-            out.append(LinearHom(S_src.objects[n], S_dst.objects[n],
-                                 _blockdiag([M] * copies)))
-        return out
+        # M on every copy of the algebra: on each epsilon block of each
+        # diagonal factor
+        h = LinearHom(VectorGroup(len(M[0])), VectorGroup(len(M)), M)
+        eps = cogenerate_morphism(S_src.eps_module, S_dst.eps_module, [h, h])
+        return [StructuredHom(S_src.objects[n], S_dst.objects[n],
+                              [(t, eps[n]) for t in
+                               range(len(S_src.objects[n].factors))])
+                for n in range(3)]
 
     inclL = level_maps(SZ, SU, inclM)
     projL = level_maps(SU, SQ, projM0)
     # the levelwise maps must commute with every coface and codegeneracy
     for n in (1, 2):
         for i in range(n + 1):
-            assert mat_eq(mat_mul(inclL[n].matrix, SZ.d(n, i).matrix),
-                          mat_mul(SU.d(n, i).matrix, inclL[n - 1].matrix))
-            assert mat_eq(mat_mul(projL[n].matrix, SU.d(n, i).matrix),
-                          mat_mul(SQ.d(n, i).matrix, projL[n - 1].matrix))
+            assert hom_equal(inclL[n].compose(SZ.d(n, i)),
+                             SU.d(n, i).compose(inclL[n - 1]))
+            assert hom_equal(projL[n].compose(SU.d(n, i)),
+                             SQ.d(n, i).compose(projL[n - 1]))
     for n in (0, 1):
         for i in range(n + 1):
-            assert mat_eq(mat_mul(inclL[n].matrix, SZ.s(n, i).matrix),
-                          mat_mul(SU.s(n, i).matrix, inclL[n + 1].matrix))
-            assert mat_eq(mat_mul(projL[n].matrix, SU.s(n, i).matrix),
-                          mat_mul(SQ.s(n, i).matrix, projL[n + 1].matrix))
+            assert hom_equal(inclL[n].compose(SZ.s(n, i)),
+                             SU.s(n, i).compose(inclL[n + 1]))
+            assert hom_equal(projL[n].compose(SU.s(n, i)),
+                             SQ.s(n, i).compose(projL[n + 1]))
     # levelwise exactness and centrality upstairs
     for n in range(3):
         imn = [mat_vec(inclL[n].matrix, list(e))

@@ -127,6 +127,35 @@ def test_located_parse_errors():
         parse_description("[lie_algebra]\ndim 2\nbracket 0 0 1 1\n")
 
 
+def test_keyword_without_value_is_a_located_input_error(tmp_path, capsys):
+    # every statement of the corpus cut down to its keyword is either still
+    # valid or an input error (exit 2); never a traceback.  The keywords
+    # that take exactly one value must report the line, at column 1.
+    one_value = {"dim", "cyclic", "symmetric", "elements", "level", "pattern"}
+    seen = set()
+    for f in sorted(CORPUS.glob("*.alg")):
+        lines = f.read_text().splitlines()
+        for i, raw in enumerate(lines):
+            stmt = raw.split("#", 1)[0].strip()
+            if not stmt or stmt.startswith("["):
+                continue
+            key = stmt.split()[0]
+            cut = tmp_path / ("%s_%d.alg" % (f.stem, i + 1))
+            cut.write_text("\n".join(lines[:i] + [key] + lines[i + 1:]))
+            code, out = run(capsys, ["validate", str(cut)])
+            assert code in (0, 2), (f.name, i + 1, out)
+            if key in one_value:
+                seen.add(key)
+                assert code == 2, (f.name, i + 1, out)
+                assert "%s:%d:1: %s takes one value" % (cut, i + 1, key) \
+                    in out
+    # the corpus has no cyclic or elements line: check those directly
+    for key in sorted(one_value - seen):
+        with pytest.raises(ParseError) as e:
+            parse_description("[finite_group]\n%s\n" % key)
+        assert (e.value.line, e.value.col) == (2, 1)
+
+
 def test_parse_round_trip_objects():
     df = load_description(str(CORPUS / "heisenberg_isocrystal.alg"))
     assert df.L.dim == 3 and df.L.nilpotency_class == 2

@@ -2,22 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohw import exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
-    SemiCosimplicialGroup, TableGroup, UnipotentCarrier, VectorGroup,
-    codim_vanishing_check, cogenerate, cogenerate_morphism,
-    complex_cohomology_dims, constant_cosimplicial, cyclic_group,
-    eilenberg_zilber_oracle, epi_mono_factor, epis, hom_equal, identity_hom,
-    les_central_finite, moore_differentials, pi0, pi1_finite,
-    pi1_unipotent_deciders, pi_abelian_all, random_bisemicosimplicial,
-    random_linear_semicosimplicial, subgroup_table, symmetric_group, twist,
-    trivial_twist_isomorphism, twisted_conj, z1_elements,
+    SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
+    VectorGroup, codim_vanishing_check, cogenerate, cogenerate_morphism,
+    complex_cohomology_dims, compose_monotone, constant_cosimplicial,
+    cyclic_group, delta_map, eilenberg_zilber_oracle, epi_mono_factor, epis,
+    hom_equal, identity_hom, les_central_finite, moore_differentials, pi0,
+    pi1_finite, pi1_unipotent_deciders, pi_abelian_all,
+    random_bisemicosimplicial, random_linear_semicosimplicial, sigma_map,
+    subgroup_table, symmetric_group, twist, trivial_twist_isomorphism,
+    twisted_conj, z1_elements,
 )
 from cohw.nilpotent import LieMorphism, heisenberg
 
 F = Fraction
+
+
+def _typed(rows):
+    return [[(type(x), x) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +384,139 @@ def test_complex_cohomology_ranks_each_differential_once(monkeypatch):
     diffs = [[[F(1)], [F(1)]], [[F(1), F(-1)]]]
     assert complex_cohomology_dims([1, 2, 1], diffs) == [0, 0, 0]
     assert len(calls) == len(diffs)
+
+
+# ---------------------------------------------------------------------------
+# block homomorphisms
+
+def _reference_mono_matrix(X, image, k):
+    # the breadth-first search over composites of cofaces that cogenerate
+    # used before block maps, kept as an oracle
+    kp = len(image) - 1
+    target = tuple(image)
+    start = tuple(range(kp + 1))
+    if kp == k:
+        return exactla.identity_matrix(X.objects[kp].dim)
+    frontier = [(start, exactla.identity_matrix(X.objects[kp].dim), kp)]
+    while frontier:
+        nxt = []
+        for val, M, level in frontier:
+            for i in range(level + 2):
+                d = delta_map(level + 1, i)
+                comp = tuple(d[v] for v in val)
+                M2 = exactla.mat_mul(X.d(level + 1, i).matrix, M)
+                if level + 1 == k:
+                    if comp == target:
+                        return M2
+                else:
+                    nxt.append((comp, M2, level + 1))
+        frontier = nxt
+    raise AssertionError("mono not realizable")
+
+
+def _reference_gamma_matrix(X, level_epis, f, np, n):
+    # the dense assembly of the old linear branch of cogenerate's gamma_map
+    src_idx = {e: i for i, e in enumerate(level_epis[np])}
+    src_offsets = []
+    off = 0
+    for (k, _) in level_epis[np]:
+        src_offsets.append(off)
+        off += X.objects[k].dim
+    total_src = off
+    rows = []
+    for (k, g) in level_epis[n]:
+        h = compose_monotone(g, f)
+        epi, image = epi_mono_factor(h, k)
+        base = src_offsets[src_idx[(len(image) - 1, epi)]]
+        for r in _reference_mono_matrix(X, image, k):
+            row = [F(0)] * total_src
+            for c, v in enumerate(r):
+                row[base + c] = v
+            rows.append(row)
+    return rows
+
+
+def _random_block_hom(data, source, target):
+    """A block map with random wiring; each factor map is zero or small."""
+    parts = []
+    for tf in target.factors:
+        i = data.draw(st.integers(0, len(source.factors) - 1))
+        sf = source.factors[i]
+        zero = data.draw(st.booleans())
+        M = [[F(0) if zero else F(data.draw(st.integers(-1, 1)))
+              for _ in range(sf.dim)] for _ in range(tf.dim)]
+        parts.append((i, LinearHom(sf, tf, M)))
+    return StructuredHom(source, target, parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.lists(st.integers(1, 2), min_size=2, max_size=3),
+       st.integers(0, 10 ** 6))
+def test_cogenerated_block_maps_match_dense_assembly(data, dims, seed):
+    X = random_linear_semicosimplicial(random.Random(seed), dims)
+    G = cogenerate(X)
+    for n in range(1, G.N + 1):
+        for i in range(n + 1):
+            assert _typed(G.d(n, i).matrix) == _typed(
+                _reference_gamma_matrix(X, G.level_epis, delta_map(n, i),
+                                        n - 1, n))
+    for n in range(G.N):
+        for i in range(n + 1):
+            assert _typed(G.s(n, i).matrix) == _typed(
+                _reference_gamma_matrix(X, G.level_epis, sigma_map(n, i),
+                                        n + 1, n))
+    # block compose and hom_equal against mat_mul and mat_eq: all
+    # composites Gamma^1 -> Gamma^2 -> Gamma^1 of the structure maps
+    maps = [G.s(1, j).compose(G.d(2, i)) for i in range(3) for j in range(2)]
+    maps += [G.d(1, i).compose(G.s(0, 0)) for i in range(2)]
+    assert all(isinstance(h, StructuredHom) for h in maps)
+    for a in maps:
+        for b in maps:
+            assert hom_equal(a, b) == exactla.mat_eq(a.matrix, b.matrix)
+    assert exactla.mat_eq(maps[0].matrix, exactla.mat_mul(
+        G.s(1, 0).matrix, G.d(2, 0).matrix))
+    # random wirings, including target blocks fed from different source
+    # blocks through zero factor maps
+    one, two = G.objects[1], G.objects[2]
+    h = _random_block_hom(data, one, two)
+    g = _random_block_hom(data, two, one)
+    assert exactla.mat_eq(g.compose(h).matrix,
+                          exactla.mat_mul(g.matrix, h.matrix))
+    dense = LinearHom(one, two, h.matrix)
+    assert exactla.mat_eq(g.compose(dense).matrix, g.compose(h).matrix)
+    assert exactla.mat_eq(dense.compose(g).matrix,
+                          exactla.mat_mul(h.matrix, g.matrix))
+    h2 = _random_block_hom(data, one, two)
+    assert hom_equal(h, h2) == exactla.mat_eq(h.matrix, h2.matrix)
+    assert hom_equal(h, dense) and hom_equal(dense, h)
+    assert h.apply(tuple(range(one.dim))) == dense.apply(
+        tuple(range(one.dim)))
+
+
+def test_trivial_blocks_from_different_sources_are_equal():
+    X = random_linear_semicosimplicial(random.Random(2), [1, 2])
+    G1 = cogenerate(X).objects[1]  # blocks X^0 and X^1
+
+    def zero(i, t):
+        sf, tf = G1.factors[i], G1.factors[t]
+        return LinearHom(sf, tf, exactla.zero_matrix(tf.dim, sf.dim))
+    a = StructuredHom(G1, G1, [(0, zero(0, 0)), (1, zero(1, 1))])
+    b = StructuredHom(G1, G1, [(1, zero(1, 0)), (0, zero(0, 1))])
+    assert hom_equal(a, b) and exactla.mat_eq(a.matrix, b.matrix)
+    one = LinearHom(G1.factors[1], G1.factors[0], [[F(1), F(0)]])
+    c = StructuredHom(G1, G1, [(1, one), (0, zero(0, 1))])
+    assert not hom_equal(a, c) and not hom_equal(c, a)
+
+
+def test_perturbed_cogenerated_coface_fails_identities():
+    X = random_linear_semicosimplicial(random.Random(4), [2, 2, 1])
+    G = cogenerate(X)
+    h = G.d(2, 1)
+    parts = list(h.parts)
+    i0, f = parts[0]
+    M = [list(row) for row in f.matrix]
+    M[0][0] += 1
+    parts[0] = (i0, LinearHom(f.source, f.target, M))
+    G.cofaces[2][1] = StructuredHom(h.source, h.target, parts)
+    with pytest.raises(AssertionError):
+        G.check_identities()

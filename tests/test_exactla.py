@@ -244,6 +244,11 @@ def test_integer_input_gives_fractions():
     x, ker = solve_affine([[3, 6]], [1])
     assert _typed([x]) == _typed([[F(1, 3), F(0)]])
     assert _typed(ker) == _typed([[F(1), F(-1, 2)]])
+    # the Gaussian path divides in the field: an int pivot must not give
+    # the float 1 / 2 either
+    rows, pivots = rref([[2, 4, Gaussian(0, 1)]])
+    assert _typed(rows) == _typed([[F(1), F(2), Gaussian(0, F(1, 2))]])
+    assert not any(isinstance(x, float) for row in rows for x in row)
 
 
 def _reference_rref(rows):
