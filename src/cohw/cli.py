@@ -22,7 +22,7 @@ from .exactla import (
     vec_is_zero,
 )
 from .cosimpl import (
-    FiniteHom, ProductGroup, SemiCosimplicialGroup, cogenerate,
+    ENUM_CAP, FiniteHom, ProductGroup, SemiCosimplicialGroup, cogenerate,
     complex_cohomology_dims, cyclic_group, eilenberg_zilber_oracle,
     moore_differentials, pi0, pi1_finite, pi_abelian_all,
     random_bisemicosimplicial, random_linear_semicosimplicial, subgroup_table,
@@ -107,6 +107,26 @@ def _parse_gauss(tok, lineno):
         raise ParseError(lineno, 1, "bad scalar: %r" % tok)
 
 
+def _group_order(kind, tok, lineno):
+    """Order n of a ``cyclic``, ``symmetric`` or ``elements`` group, checked
+    before any table is built: n >= 1, and at most ENUM_CAP table cells
+    (n^2, or n!^2 for the symmetric group)."""
+    n = _parse_int(tok, lineno, "order")
+    if n < 1:
+        raise ParseError(lineno, 1, "%s order must be at least 1" % kind)
+    size = n
+    if kind == "symmetric":
+        size = 1
+        for k in range(2, n + 1):
+            size *= k
+            if size * size > ENUM_CAP:
+                break
+    if size * size > ENUM_CAP:
+        raise ParseError(lineno, 1, "%s %d: group table exceeds %d cells"
+                         % (kind, n, ENUM_CAP))
+    return n
+
+
 def parse_description(text, name="<input>"):
     """Total parse with located diagnostics; builds and validates the
     referenced objects (delegating invariants to the module validators)."""
@@ -154,6 +174,8 @@ def parse_description(text, name="<input>"):
             if key == "dim":
                 lie["dim"] = _parse_int(_value(toks, lineno), lineno,
                                        "dimension")
+                if lie["dim"] < 0:
+                    raise ParseError(lineno, 1, "dimension must be >= 0")
             elif key == "bracket":
                 if len(toks) != 5:
                     raise ParseError(lineno, 1,
@@ -166,7 +188,7 @@ def parse_description(text, name="<input>"):
         elif section == "finite_group":
             if key in ("cyclic", "symmetric", "elements"):
                 grp["kind"] = "table" if key == "elements" else key
-                grp["n"] = _parse_int(_value(toks, lineno), lineno, "order")
+                grp["n"] = _group_order(key, _value(toks, lineno), lineno)
             elif key == "row":
                 grp["rows"].append((lineno,
                                     [_parse_int(t, lineno, "entry")
@@ -198,7 +220,15 @@ def parse_description(text, name="<input>"):
                 raise ParseError(lineno, 1, "unknown cosimplicial line %r" % key)
         elif section == "action":
             if key == "carrier":
-                action["carrier"] = (lineno, toks[1:])
+                kind = toks[1] if len(toks) > 1 else None
+                if kind in ("cyclic", "symmetric"):
+                    n = _group_order(kind, _value(toks[1:], lineno), lineno)
+                elif kind == "lie_algebra" and len(toks) == 2:
+                    n = None
+                else:
+                    raise ParseError(lineno, 1, "carrier must be cyclic n, "
+                                     "symmetric n or lie_algebra")
+                action["carrier"] = (lineno, kind, n)
             elif key == "generator":
                 action["generators"].append((lineno, toks[1:]))
             else:
@@ -436,17 +466,15 @@ def derive_mhs_extension(df):
 def build_action(df):
     G = df.group
     assert G is not None, "action needs a finite_group"
-    lineno, carrier_spec = df.action["carrier"]
-    if carrier_spec[0] == "cyclic":
-        carrier = cyclic_group(int(carrier_spec[1]))
-    elif carrier_spec[0] == "symmetric":
-        carrier = symmetric_group(int(carrier_spec[1]))
-    elif carrier_spec[0] == "lie_algebra":
+    lineno, kind, n = df.action["carrier"]
+    if kind == "cyclic":
+        carrier = cyclic_group(n)
+    elif kind == "symmetric":
+        carrier = symmetric_group(n)
+    else:
         from .cosimpl import UnipotentCarrier
         assert df.L is not None, "carrier lie_algebra needs the section"
         carrier = UnipotentCarrier(df.L)
-    else:
-        raise ParseError(lineno, 1, "unknown carrier %r" % carrier_spec[0])
     images = {}
     for lineno, toks in df.action["generators"]:
         g = int(toks[0])

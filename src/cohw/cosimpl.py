@@ -532,10 +532,7 @@ def _product_object(factors, linear):
     algs = [f.L if isinstance(f, UnipotentCarrier) else None
             for f in factors]
     if all(a is not None for a in algs):
-        L = algs[0]
-        for a in algs[1:]:
-            L = direct_sum(L, a)
-        G = UnipotentCarrier(L)
+        G = UnipotentCarrier(direct_sum(*algs) if len(algs) > 1 else algs[0])
     else:
         assert all(isinstance(f, VectorGroup) for f in factors), \
             "cannot mix vector and unipotent factors"
@@ -682,8 +679,8 @@ def pi1_finite(U):
 
 def pi1_unipotent_deciders(U):
     """Deciders for pi^1 of a unipotent cosimplicial group: triviality and
-    equivalence of cocycles by layered solving (with a complete symbolic
-    fallback), and exact tangent dimensions."""
+    equivalence of cocycles by stabilizer descent, and exact tangent
+    dimensions."""
     G0, G1 = U.objects[0], U.objects[1]
     assert is_linear_carrier(G0)
     L1 = G1.L
@@ -698,76 +695,53 @@ def pi1_unipotent_deciders(U):
             lhs = twisted_conj(U, tuple(u0), tuple(c))
             return list(G1.mul(lhs, G1.inv(tuple(cprime))))
 
-        sol, cert = solve_graded_affine(L1, residual, G0.dim)
-        if sol is not None:
-            return True
-        # complete fallback: symbolic solve
-        return _symbolic_twist_solve(U, c, cprime) is not None
+        sol, _ = solve_graded_affine(L1, residual, G0)
+        return sol is not None
 
     def is_trivial(c):
         return equivalent(c, G1.identity())
 
     def tangent_dimension_at(c):
+        """dim T_c Z^1 minus the rank of the orbit map at the identity,
+        both from exact linearizations."""
         assert is_cocycle(c)
-        import sympy
-        from .nilpotent import bch_symbolic, frac_to_sympy
-
-        def jacobian_at_zero(exprs, syms):
-            zero = {s: 0 for s in syms}
-            M = sympy.Matrix(exprs).jacobian(sympy.Matrix(list(syms)))
-            M = M.subs(zero)
-            return [[Fraction(sympy.Rational(v).p, sympy.Rational(v).q)
-                     for v in M.row(r)] for r in range(M.rows)]
-
-        # tangent of Z^1 at c: linearize u |-> d^1(u) - bch(d^2(u), d^0(u))
-        n1 = G1.dim
-        xs = sympy.symbols("x0:%d" % n1)
-        u = [frac_to_sympy(v) + x for v, x in zip(c, xs)]
         G2 = U.objects[2]
 
-        def mat_apply(hom, vec):
-            return [sum(frac_to_sympy(r[i]) * vec[i]
-                        for i in range(len(vec))) for r in hom.matrix]
+        def cocycle_map(u):
+            return vec_sub(U.d(2, 1).apply(u),
+                           G2.mul(U.d(2, 2).apply(u), U.d(2, 0).apply(u)))
 
-        prod = bch_symbolic(G2.L, mat_apply(U.d(2, 2), u),
-                            mat_apply(U.d(2, 0), u))
-        res = [a - b for a, b in zip(mat_apply(U.d(2, 1), u), prod)]
-        z_tangent = n1 - rank(jacobian_at_zero(res, xs))
-        # orbit tangent: u0 |-> d^1(u0)^-1 c d^0(u0), linearized at u0 = 0
-        n0 = G0.dim
-        ys = sympy.symbols("y0:%d" % n0)
-        u0 = list(ys)
-        pt = [frac_to_sympy(v) + sympy.Integer(0) for v in c]
-        orbit = bch_symbolic(
-            L1, bch_symbolic(L1, [-v for v in mat_apply(U.d(1, 1), u0)], pt),
-            mat_apply(U.d(1, 0), u0))
-        lin2 = [e - p for e, p in zip(orbit, pt)]
-        return z_tangent - rank(jacobian_at_zero(lin2, ys))
+        def orbit_map(u0):
+            return twisted_conj(U, u0, tuple(c))
+
+        z_tangent = G1.dim - rank(
+            _jacobian(cocycle_map, tuple(c), G2.L.nilpotency_class))
+        return z_tangent - rank(
+            _jacobian(orbit_map, G0.identity(), L1.nilpotency_class))
 
     return {"is_trivial": is_trivial, "equivalent": equivalent,
             "tangent_dimension_at": tangent_dimension_at,
             "is_cocycle": is_cocycle}
 
 
-def _symbolic_twist_solve(U, c, cprime):
-    """Solve d^1(u0)^-1 c d^0(u0) = c' exactly with sympy; returns a
-    rational witness or None."""
-    import sympy
-    from .nilpotent import bch_symbolic, frac_to_sympy, solve_symbolic
-    G0, G1 = U.objects[0], U.objects[1]
-    L1 = G1.L
-
-    def residual_sym(u0):
-        b0 = [sum(frac_to_sympy(r[i]) * u0[i] for i in range(G0.dim))
-              for r in U.d(1, 0).matrix]
-        b1 = [sum(frac_to_sympy(r[i]) * u0[i] for i in range(G0.dim))
-              for r in U.d(1, 1).matrix]
-        lhs = bch_symbolic(L1, bch_symbolic(
-            L1, [-v for v in b1], [frac_to_sympy(v) for v in c]), b0)
-        inv = [-frac_to_sympy(v) for v in cprime]
-        return bch_symbolic(L1, lhs, inv)
-
-    return solve_symbolic(L1, residual_sym, G0.dim)
+def _jacobian(F, point, degree):
+    """Columns of the Jacobian at ``point`` of a polynomial map F of
+    degree at most ``degree`` (at least 1): the derivative along each
+    coordinate from Newton forward differences at t = 0..degree, which is
+    exact for such polynomials."""
+    degree = max(degree, 1)
+    cols = []
+    for i in range(len(point)):
+        diffs = [list(F(tuple(x + t if k == i else x
+                              for k, x in enumerate(point))))
+                 for t in range(degree + 1)]
+        col = zero_vec(len(diffs[0]))
+        for j in range(1, degree + 1):
+            diffs = [vec_sub(b, a) for a, b in zip(diffs, diffs[1:])]
+            col = vec_add(col, [Fraction((-1) ** (j + 1), j) * x
+                                for x in diffs[0]])
+        cols.append(col)
+    return cols
 
 
 # ---------------------------------------------------------------------------

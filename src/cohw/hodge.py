@@ -13,7 +13,7 @@ layer.
 Torsor classes are double cosets W0U(R) \\ U(C) / F0U(C).  They are
 computed two ways: a deterministic layered normal form (advisory), and a
 decider built on the cosimplicial group cogenerated by the pattern
-F0U(C) x W0U(R) => U(C), whose layered/symbolic solver is authoritative.
+F0U(C) x W0U(R) => U(C), whose stabilizer descent is authoritative.
 """
 
 import random
@@ -420,7 +420,7 @@ def classify_torsor(M, u):
 def equivalent(M, u, uprime):
     """Does some (w, f) in W0U(R) x F0U(C) satisfy w^-1 u f = u'?  Equal
     normal forms answer yes immediately; otherwise the coset deciders
-    (layered solving with a complete symbolic fallback) are authoritative."""
+    (exact stabilizer descent) are authoritative."""
     c1 = classify_torsor(M, u)
     c2 = classify_torsor(M, uprime)
     if c1.representative == c2.representative:

@@ -13,13 +13,11 @@ per class.
 """
 
 from fractions import Fraction
-from itertools import product
 
 from . import exactla
 from .exactla import (
-    Fraction as _F, coords_in_basis, in_span, kernel_basis, mat_mul,
-    mat_vec, rank, rref, solve_affine, span_echelon, transpose,
-    vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vec,
+    in_span, mat_mul, mat_vec, rank, solve_affine, span_echelon, transpose,
+    vec_add, vec_is_zero, vec_neg, vec_scale, zero_vec,
 )
 
 MAX_BCH_CLASS = 6
@@ -279,16 +277,22 @@ def heisenberg(field="Q"):
     return NilpotentLieAlgebra(3, {(0, 1): {2: 1}}, field=field, name="heis")
 
 
-def direct_sum(L1, L2, name=None):
-    assert L1.field == L2.field
-    n1 = L1.dim
-    structure = dict((k, dict(v)) for k, v in L1.structure.items())
-    for (i, j), row in L2.structure.items():
-        structure[(i + n1, j + n1)] = {k + n1: c for k, c in row.items()}
+def direct_sum(*algebras, name=None):
+    """Direct sum of any number of algebras over one field, built in one
+    step, so the lower central series is computed once."""
+    field = algebras[0].field
+    assert all(a.field == field for a in algebras)
+    structure = {}
+    offset = 0
+    for a in algebras:
+        for (i, j), row in a.structure.items():
+            structure[(i + offset, j + offset)] = {
+                k + offset: c for k, c in row.items()}
+        offset += a.dim
     # block sums of valid algebras are valid: cross brackets vanish, so
     # antisymmetry and Jacobi reduce to the (already checked) summands
-    return NilpotentLieAlgebra(n1 + L2.dim, structure, field=L1.field,
-                               name=name or (L1.name + "+" + L2.name),
+    return NilpotentLieAlgebra(offset, structure, field=field,
+                               name=name or "+".join(a.name for a in algebras),
                                validate=False)
 
 
@@ -363,125 +367,84 @@ def identity_morphism(L):
 
 
 # ---------------------------------------------------------------------------
-# layered affine solving over a unipotent group
+# orbit solving over a unipotent group
 
-def solve_graded_affine(L, residual, nvars, var_to_coord=None, max_layer=None):
-    """Solve a unipotent equation by one exact linear solve per layer of the
-    lower central series.
+def solve_graded_affine(L, residual, group):
+    """Decide residual(u) = 0 for u in a unipotent ``group`` (``.dim`` log
+    coordinates, product ``.mul``) exactly, by stabilizer descent along the
+    lower central series Gamma of L.
 
-    ``residual`` maps a candidate coordinate vector (length nvars) to an
-    element of L that should become 0.  The linearization at each layer is
-    recovered by probing basis directions, which is exact because between
-    consecutive layers the residual is affine in the unknown modulo deeper
-    terms.
+    Preconditions: ``residual(u)`` compares the image of a point under u
+    with a target, for an action of ``group`` that preserves Gamma and
+    moves the points of each fibre Gamma_{m+1}/Gamma_{m+2} by
+    translations; the standard basis of L is adapted to Gamma.
 
-    Returns (solution or None, certificate dict).  On failure the
-    certificate names the first obstructed layer.  Note this greedy descent
-    is complete only when the per-layer linear maps determine the deeper
-    behaviour; the symbolic decider below has no such caveat.
+    Completeness: modulo Gamma_{m+1} the solutions form a coset
+    g exp(h), h the Lie algebra of a stabilizer, a linear subspace in log
+    coordinates.  For X in h, g exp(X) moves the point within one fibre
+    of the next layer by a translation that is a homomorphism of exp(h),
+    hence linear in X: the next layer of residual(g X) is exactly affine
+    in X.  One exact linear solve per layer, probing mul(g, X) over a
+    basis of h, either gives the next g, with the kernel as the next h,
+    or proves that no solution exists.
+
+    Returns (solution or None, certificate dict); on failure the
+    certificate names the obstructed layer and its residual.
     """
-    if var_to_coord is None:
-        var_to_coord = list(range(nvars))
-    x = [L._coerce(0)] * nvars
+    zero = [L._coerce(0)] * group.dim
+    g = zero
+    h = [[L._coerce(int(i == j)) for j in range(group.dim)]
+         for i in range(group.dim)]
     depths = L.depth_of_coordinate()
-    nlayers = len(L.lcs) - 1
-    if max_layer is None:
-        max_layer = nlayers
-    for layer in range(max_layer):
+    for layer in range(L.nilpotency_class):
         coords = [c for c in range(L.dim) if depths[c] == layer]
         if not coords:
             continue
-        r0 = residual(x)
-        rows = []
-        for v in range(nvars):
-            probe = list(x)
-            probe[v] = probe[v] + L._coerce(1)
-            rv = residual(probe)
-            rows.append([rv[c] - r0[c] for c in coords])
-        A = transpose(rows)
-        b = [-r0[c] for c in coords]
-        sol, _ = solve_affine(A, b)
+        r0 = residual(g)
+        cols = [residual(list(group.mul(g, X))) for X in h]
+        A = [[rv[c] - r0[c] for rv in cols] for c in coords]
+        sol, kernel = solve_affine(A, [-r0[c] for c in coords])
         if sol is None:
             return None, {"status": "obstructed", "layer": layer,
                           "residual": [r0[c] for c in coords]}
-        x = vec_add(x, sol)
-    r = residual(x)
-    if vec_is_zero(r):
-        return x, {"status": "solved"}
-    return None, {"status": "obstructed",
-                  "layer": min(depths[c] for c in range(L.dim) if r[c]),
-                  "residual": r}
+        g = list(group.mul(g, _combine(sol, h, zero)))
+        h = [_combine(k, h, zero) for k in kernel]
+    if not vec_is_zero(residual(g)):
+        raise AssertionError("stabilizer descent solved every layer but "
+                             "left a residual: the action breaks the "
+                             "descent's preconditions")
+    return g, {"status": "solved"}
 
 
-def solve_symbolic(L, residual_sym, nvars):
-    """Complete decider for polynomial systems valued in L: build the
-    residual with sympy symbols, eliminate layer by layer linearly where
-    possible and fall back to sympy.solve for the polynomial tail.  Returns
-    an exact rational witness or None (sound: None means no rational
-    solution exists when the solution set is finite, and for the layered
-    systems produced here linear elimination covers the rest).
-    """
+def _combine(coeffs, vectors, zero):
+    out = zero
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = vec_add(out, vec_scale(c, v))
+    return out
+
+
+def solve_symbolic(L, residual, nvars):
+    """Reference decider for tests, with no production caller: evaluate
+    the numeric ``residual`` on sympy symbols and hand the polynomial
+    system to sympy.solve.  Returns a rational witness, checked on the
+    numeric residual, or None."""
     import sympy
 
     xs = sympy.symbols("t0:%d" % nvars) if nvars else ()
-    res = residual_sym(list(xs))
-    eqs = [sympy.expand(sympy.nsimplify(sympy.sympify(e))) for e in res]
+    eqs = [sympy.expand(e) for e in residual(list(xs))]
     eqs = [e for e in eqs if e != 0]
     if not eqs:
         return [Fraction(0)] * nvars
-    sols = sympy.solve(eqs, list(xs), dict=True)
-    for sol in sols:
-        full = []
-        ok = True
-        for s in xs:
-            v = sol.get(s, sympy.Integer(0))
-            v = v.subs({t: 0 for t in v.free_symbols})
-            if not v.is_rational:
-                ok = False
-                break
-            full.append(Fraction(sympy.Rational(v).p, sympy.Rational(v).q))
-        if not ok:
+    for sol in sympy.solve(eqs, list(xs), dict=True):
+        vals = [sympy.sympify(sol.get(s, 0)) for s in xs]
+        vals = [v.subs({t: 0 for t in v.free_symbols}) for v in vals]
+        if not all(v.is_rational for v in vals):
             continue
-        check = residual_sym([sympy.Rational(f.numerator, f.denominator)
-                              for f in full])
-        if all(sympy.simplify(c) == 0 for c in check):
+        full = [Fraction(int(v.p), int(v.q)) for v in vals]
+        if vec_is_zero(residual(full)):
             return full
     return None
-
-
-def frac_to_sympy(x):
-    import sympy
-    if isinstance(x, Fraction):
-        return sympy.Rational(x.numerator, x.denominator)
-    return x
-
-
-def bch_symbolic(L, x, y):
-    """BCH product where coordinates may be sympy expressions."""
-    import sympy
-
-    def bracket(a, b):
-        out = [sympy.Integer(0)] * L.dim
-        for (i, j), row in L.structure.items():
-            c = a[i] * b[j] - a[j] * b[i]
-            for k, s in row.items():
-                out[k] = out[k] + c * frac_to_sympy(s)
-        return out
-
-    table = bch_word_table(L.nilpotency_class if L.nilpotency_class else 1)
-    values = (list(x), list(y))
-    out = [sympy.Integer(0)] * L.dim
-    for word, coeff in table.items():
-        if len(word) == 1:
-            out = [o + frac_to_sympy(coeff) * v
-                   for o, v in zip(out, values[word[0]])]
-            continue
-        acc = values[word[-1]]
-        for letter in reversed(word[:-1]):
-            acc = bracket(values[letter], acc)
-        c = frac_to_sympy(coeff / len(word))
-        out = [o + c * a for o, a in zip(out, acc)]
-    return [sympy.expand(o) for o in out]
 
 
 # ---------------------------------------------------------------------------
@@ -533,37 +496,19 @@ class UnipotentTorsor:
 
     def _inner_conjugator(self):
         """If the labeling automorphism is Ad_g for some group element g,
-        recover g by layered solving of Ad_g = theta."""
+        recover g by stabilizer descent: Ad_g must move the basis, a point
+        of L^dim, onto the columns of theta."""
+        from .cosimpl import UnipotentCarrier
         L = self.L
         theta = self.auto.matrix
 
-        # joint residual over all columns via stacked solve: treat each
-        # column as its own L-valued condition
-        def stacked(g):
+        def residual(g):
             M = exactla.mat_sub(L.Ad_matrix(g), theta)
-            return M
+            return [M[i][j] for j in range(L.dim) for i in range(L.dim)]
 
-        x = [L._coerce(0)] * L.dim
-        depths = L.depth_of_coordinate()
-        for layer in range(len(L.lcs) - 1):
-            coords = [c for c in range(L.dim) if depths[c] == layer]
-            M0 = stacked(x)
-            rows = []
-            for v in range(L.dim):
-                probe = list(x)
-                probe[v] = probe[v] + L._coerce(1)
-                Mv = stacked(probe)
-                rows.append([Mv[c][j] - M0[c][j]
-                             for c in coords for j in range(L.dim)])
-            A = transpose(rows)
-            b = [-M0[c][j] for c in coords for j in range(L.dim)]
-            sol, _ = solve_affine(A, b)
-            if sol is None:
-                return None
-            x = vec_add(x, sol)
-        if exactla.mat_eq(L.Ad_matrix(x), theta):
-            return x
-        return None
+        copies = direct_sum(*[L] * max(L.dim, 1))
+        sol, _ = solve_graded_affine(copies, residual, UnipotentCarrier(L))
+        return sol
 
     def is_trivial(self):
         g, cert = self.trivialize()

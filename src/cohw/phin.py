@@ -28,8 +28,8 @@ from .cosimpl import (
     sigma_map, twisted_conj,
 )
 from .nilpotent import (
-    LieMorphism, NilpotentLieAlgebra, direct_sum, solve_graded_affine,
-    solve_symbolic,
+    LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, direct_sum,
+    solve_graded_affine,
 )
 
 LIE_CHECK_CAP = 16
@@ -324,23 +324,11 @@ def twisted_conj_residual(L, phi, w, wprime):
 
 
 def twisted_conj_equivalent(L, phi, w, wprime):
-    """Decide u^-1 w phi(u) = w' by layered solving with a complete
-    symbolic fallback.  Returns (witness or None)."""
+    """Decide u^-1 w phi(u) = w' by stabilizer descent.  Returns (witness
+    or None)."""
     residual = twisted_conj_residual(L, phi, w, wprime)
-    sol, _ = solve_graded_affine(L, residual, L.dim)
-    if sol is not None:
-        return sol
-
-    def residual_sym(u):
-        import sympy
-        from .nilpotent import bch_symbolic, frac_to_sympy
-        phiu = [sum(frac_to_sympy(phi[r][c]) * u[c] for c in range(L.dim))
-                for r in range(L.dim)]
-        val = bch_symbolic(L, bch_symbolic(
-            L, [-x for x in u], [frac_to_sympy(v) for v in w]), phiu)
-        return bch_symbolic(L, val, [-frac_to_sympy(v) for v in wprime])
-
-    return solve_symbolic(L, residual_sym, L.dim)
+    sol, _ = solve_graded_affine(L, residual, UnipotentCarrier(L))
+    return sol
 
 
 def twisted_conj_classify(L, phi, extra_targets=()):
@@ -424,13 +412,11 @@ class PhiNTorsor:
 
 
 def phin_torsor_equivalent(T1, T2):
-    """Decide whether a single gauge transformation carries T1 to T2:
-    layered solving on the doubled algebra with a symbolic fallback.
-    Returns (bool, witness or None)."""
+    """Decide whether a single gauge transformation carries T1 to T2, by
+    stabilizer descent on the doubled algebra.  Returns (bool, witness or
+    None)."""
     assert T1.X is T2.X
-    X = T1.X
-    L = X.L
-    L2 = direct_sum(L, L)
+    L = T1.X.L
 
     def residual(u):
         G = T1.gauge(list(u))
@@ -438,49 +424,8 @@ def phin_torsor_equivalent(T1, T2):
         rn = vec_sub(G.monodromy, T2.monodromy)
         return list(rw) + list(rn)
 
-    sol, _ = solve_graded_affine(L2, residual, L.dim)
-    if sol is not None:
-        return True, sol
-
-    def residual_sym(u):
-        import sympy
-        from .nilpotent import bch_symbolic, frac_to_sympy
-
-        def fmat(M, vec):
-            return [sum(frac_to_sympy(M[r][c]) * vec[c]
-                        for c in range(len(vec))) for r in range(len(M))]
-
-        w1 = [frac_to_sympy(v) for v in T1.frobenius]
-        nu1 = [frac_to_sympy(v) for v in T1.monodromy]
-        neg = [-x for x in u]
-        w = bch_symbolic(L, bch_symbolic(L, neg, w1), fmat(X.phi, u))
-        rw = bch_symbolic(L, w, [-frac_to_sympy(v) for v in T2.frobenius])
-        # Ad(u^-1) nu1 + dlog_N(u), with the same exact series symbolically
-        def sym_bracket(a, b):
-            out = [sympy.Integer(0)] * L.dim
-            for (i, j), row in L.structure.items():
-                c = a[i] * b[j] - a[j] * b[i]
-                for k, s in row.items():
-                    out[k] = out[k] + c * frac_to_sympy(s)
-            return out
-
-        # Ad(exp(-u)) = exp(ad_{-u}); dlog term = sum (ad_{-u})^k/(k+1)! N u
-        def ad_series(base, vec, dlog):
-            out = list(vec)
-            term = list(vec)
-            for k in range(1, L.nilpotency_class + 1):
-                term = sym_bracket(base, term)
-                denom = sympy.factorial(k + 1) if dlog else sympy.factorial(k)
-                out = [o + t / denom for o, t in zip(out, term)]
-            return out
-
-        adpart = ad_series(neg, nu1, dlog=False)
-        dlog = ad_series(neg, fmat(X.N, u), dlog=True)
-        rn = [a + b - frac_to_sympy(v)
-              for a, b, v in zip(adpart, dlog, T2.monodromy)]
-        return rw + rn
-
-    sol = solve_symbolic(L2, residual_sym, L.dim)
+    sol, _ = solve_graded_affine(direct_sum(L, L), residual,
+                                 UnipotentCarrier(L))
     return sol is not None, sol
 
 
@@ -501,11 +446,8 @@ def _twist_witness(S, c):
     def residual(u0):
         return list(twisted_conj(S, tuple(u0), tuple(c)))
 
-    sol, _ = solve_graded_affine(L1, residual, S.objects[0].dim)
-    if sol is not None:
-        return sol
-    from .cosimpl import _symbolic_twist_solve
-    return _symbolic_twist_solve(S, list(c), list(S.objects[1].identity()))
+    sol, _ = solve_graded_affine(L1, residual, S.objects[0])
+    return sol
 
 
 def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
@@ -677,6 +619,10 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
     LU1 = SU.objects[1].L
     nz = len(z1Z)
     n0 = SU.objects[0].dim
+    # incl(Z) is central, so (z, u0) acts as incl(z) (u0 . c): a right
+    # action of the direct product of Z^1(Z)-coefficients and U^0
+    acting = UnipotentCarrier(direct_sum(abelian_lie_algebra(nz),
+                                         SU.objects[0].L))
     ok = True
     base_cocycles = [SU.objects[1].identity()]
     for h in h1reps:
@@ -700,7 +646,7 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
                 twisted_conj(SU, tuple(u0), tuple(c1)))
             return list(SU.objects[1].mul(val, SU.objects[1].inv(c2)))
 
-        sol, _ = solve_graded_affine(LU1, residual, nz + n0)
+        sol, _ = solve_graded_affine(LU1, residual, acting)
         ok = ok and sol is not None
     clauses["exact at pi1(U)"] = ok
 
@@ -737,7 +683,9 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
                              SU.d(2, 0).apply(tuple(u)))
                 return list(G2.mul(lhs, G2.inv(rhs)))
 
-            sol, _ = solve_graded_affine(LU2, residual, len(kerp1))
+            # ker(proj) is central, so the lift residual is affine in t
+            sol, _ = solve_graded_affine(LU2, residual,
+                                         VectorGroup(len(kerp1)))
             liftable = sol is not None
             ok = ok and (triv2 == liftable)
         clauses["exact at pi1(Q)"] = ok

@@ -127,6 +127,56 @@ def test_located_parse_errors():
         parse_description("[lie_algebra]\ndim 2\nbracket 0 0 1 1\n")
 
 
+def test_group_orders_and_dims_are_bounded_at_their_line(tmp_path, capsys,
+                                                          monkeypatch):
+    # each input is rejected at its line, with exit 2, before any group is
+    # built: the constructors fail if called at all
+    import cohw.cli as cli
+
+    def refuse(n):
+        raise AssertionError("group of order %d built" % n)
+
+    monkeypatch.setattr(cli, "cyclic_group", refuse)
+    monkeypatch.setattr(cli, "symmetric_group", refuse)
+    cases = [
+        ("[finite_group]\ncyclic 0\n", 2, "at least 1"),
+        ("[finite_group]\ncyclic -1\n", 2, "at least 1"),
+        ("# comment\n[lie_algebra]\ndim -2\n", 3, ">= 0"),
+        ("[finite_group]\ncyclic 1001\n", 2, "exceeds"),
+        ("[finite_group]\nsymmetric 7\n", 2, "exceeds"),
+        ("[finite_group]\nsymmetric 1000000000\n", 2, "exceeds"),
+        ("[finite_group]\nelements 1001\n", 2, "exceeds"),
+        ("[finite_group]\nelements 0\n", 2, "at least 1"),
+        ("[finite_group]\ncyclic 2\n[action]\ncarrier symmetric 9\n", 4,
+         "exceeds"),
+        ("[finite_group]\ncyclic 2\n[action]\ncarrier cyclic 0\n", 4,
+         "at least 1"),
+        ("[finite_group]\ncyclic 2\n[action]\ncarrier cyclic\n", 4,
+         "one value"),
+        ("[finite_group]\ncyclic 2\n[action]\ncarrier torus 3\n", 4,
+         "carrier must be"),
+    ]
+    path = tmp_path / "bad.alg"
+    for text, line, message in cases:
+        path.write_text(text)
+        code, out = run(capsys, ["validate", str(path)])
+        assert code == 2, (text, out)
+        assert ":%d:1: " % line in out and message in out, (text, out)
+        assert "Traceback" not in out
+    # the largest tables within the cap are accepted by the parser
+    built = []
+
+    def record(n):
+        built.append(n)
+        return cohw.cosimpl.cyclic_group(1)
+
+    monkeypatch.setattr(cli, "cyclic_group", record)
+    monkeypatch.setattr(cli, "symmetric_group", record)
+    parse_description("[finite_group]\ncyclic 1000\n")
+    parse_description("[finite_group]\nsymmetric 6\n")
+    assert built == [1000, 6]
+
+
 def test_keyword_without_value_is_a_located_input_error(tmp_path, capsys):
     # every statement of the corpus cut down to its keyword is either still
     # valid or an input error (exit 2); never a traceback.  The keywords

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohw import exactla
+from cohw.cosimpl import UnipotentCarrier
 from cohw.nilpotent import (
     LieMorphism, NilpotentLieAlgebra, UnipotentTorsor, abelian_lie_algebra,
     bch_word_table, central_extension, direct_sum, heisenberg,
@@ -201,7 +203,7 @@ def test_solve_graded_affine_conjugacy():
     def residual(g):
         return exactla.vec_sub(H.conjugate(g, a), b)
 
-    sol, cert = solve_graded_affine(H, residual, H.dim)
+    sol, cert = solve_graded_affine(H, residual, UnipotentCarrier(H))
     assert cert["status"] == "solved"
     assert H.conjugate(sol, a) == b
 
@@ -216,10 +218,23 @@ def test_solve_graded_affine_obstruction_names_layer():
     def residual(g):
         return exactla.vec_sub(H.conjugate(g, a), b)
 
-    sol, cert = solve_graded_affine(H, residual, H.dim)
+    sol, cert = solve_graded_affine(H, residual, UnipotentCarrier(H))
     assert sol is None
     assert cert["status"] == "obstructed"
     assert cert["layer"] == 1
+
+
+def test_solve_graded_affine_raises_when_preconditions_break():
+    # u0^2 + 1 = 0 is no orbit equation: the layer solve "succeeds" on its
+    # probed affine part, and the left-over residual must raise rather
+    # than be reported as an obstruction
+    H = heisenberg()
+
+    def residual(u):
+        return [u[0] * u[0] + 1, F(0), F(0)]
+
+    with pytest.raises(AssertionError, match="preconditions"):
+        solve_graded_affine(H, residual, UnipotentCarrier(H))
 
 
 def test_torsor_transition_trivialization():
@@ -248,6 +263,28 @@ def test_torsor_auto_conjugator_recovery():
     conj = cert.get("conjugator")
     assert conj is not None
     assert exactla.mat_eq(H.Ad_matrix(conj), theta.matrix)
+
+
+def test_torsor_auto_conjugator_found_for_every_inner_automorphism():
+    # seeded Ad_c on class-2 and class-3 algebras, where a per-coordinate
+    # greedy layer solve misses some; an outer unipotent automorphism of
+    # the Heisenberg algebra (x -> x + y) has no conjugator
+    rng = random.Random(1)
+    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    for L in (heisenberg(), fil3,
+              direct_sum(heisenberg(), abelian_lie_algebra(1)),
+              direct_sum(heisenberg(), heisenberg())):
+        for _ in range(5):
+            c = [F(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(L.dim)]
+            theta = LieMorphism(L, L, L.Ad_matrix(c))
+            _, cert = UnipotentTorsor(L, auto=theta).trivialize()
+            assert exactla.mat_eq(L.Ad_matrix(cert["conjugator"]),
+                                  theta.matrix)
+    H = heisenberg()
+    outer = LieMorphism(H, H, [[F(1), 0, 0], [F(1), F(1), 0], [0, 0, F(1)]])
+    _, cert = UnipotentTorsor(H, auto=outer).trivialize()
+    assert "conjugator" not in cert
 
 
 def test_torsor_pushout_projection():
