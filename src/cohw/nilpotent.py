@@ -109,6 +109,7 @@ class NilpotentLieAlgebra:
         self.lcs = self._lower_central_series()
         self.nilpotency_class = len(self.lcs) - 1
         self._depths = None
+        self._adapted = None
         assert self.nilpotency_class <= MAX_BCH_CLASS, \
             "nilpotency class above supported BCH truncation depth"
 
@@ -198,19 +199,42 @@ class NilpotentLieAlgebra:
 
     def depth_of_coordinate(self):
         """For the standard basis: largest m with e_i in gamma_{m+1}
-        (0-indexed layer), assuming the basis is adapted to the series.
-        Computed once per algebra; each call returns a fresh copy."""
+        (0-indexed layer).  A reduced echelon basis spans e_i exactly when
+        one of its rows is e_i.  Computed once per algebra; each call
+        returns a fresh copy."""
         if self._depths is None:
-            depths = []
-            for i in range(self.dim):
-                e = self.basis_vector(i)
-                d = 0
-                for m, g in enumerate(self.lcs):
-                    if g and in_span(g, e):
-                        d = m
-                depths.append(d)
+            depths = [0] * self.dim
+            for m, g in enumerate(self.lcs):
+                for row in g:
+                    support = [i for i, x in enumerate(row) if x]
+                    if len(support) == 1:
+                        depths[support[0]] = m
             self._depths = depths
         return list(self._depths)
+
+    def adapted_coordinates(self):
+        """(change, layers): ``change`` maps standard coordinates to those
+        in a basis adapted to the central series, or is None when the
+        standard basis is adapted (every gamma_m a coordinate subspace);
+        layers[m] lists the coordinates spanning gamma_{m+1} modulo
+        gamma_{m+2}.  Computed once per algebra."""
+        if self._adapted is None:
+            change, layers = None, [[] for _ in range(self.nilpotency_class)]
+            if all(sum(1 for x in row if x) == 1
+                   for g in self.lcs for row in g):
+                for i, d in enumerate(self.depth_of_coordinate()):
+                    layers[d].append(i)
+            else:
+                basis = []
+                for m, layer in enumerate(self.adapted_basis()):
+                    layers[m] = [len(basis) + k for k in range(len(layer))]
+                    basis += layer
+                # [B | I] reduces to [I | B^-1]
+                red, _ = exactla.rref([list(col) + e for col, e in
+                                       zip(transpose(basis), self.basis())])
+                change = [row[self.dim:] for row in red]
+            self._adapted = change, layers
+        return self._adapted
 
     # -- group structure (truncated BCH) ------------------------------------
 
@@ -377,7 +401,8 @@ def solve_graded_affine(L, residual, group):
     Preconditions: ``residual(u)`` compares the image of a point under u
     with a target, for an action of ``group`` that preserves Gamma and
     moves the points of each fibre Gamma_{m+1}/Gamma_{m+2} by
-    translations; the standard basis of L is adapted to Gamma.
+    translations.  Residuals are read in coordinates adapted to Gamma,
+    so any basis of L will do.
 
     Completeness: modulo Gamma_{m+1} the solutions form a coset
     g exp(h), h the Lie algebra of a stabilizer, a linear subspace in log
@@ -395,13 +420,13 @@ def solve_graded_affine(L, residual, group):
     g = zero
     h = [[L._coerce(int(i == j)) for j in range(group.dim)]
          for i in range(group.dim)]
-    depths = L.depth_of_coordinate()
-    for layer in range(L.nilpotency_class):
-        coords = [c for c in range(L.dim) if depths[c] == layer]
+    change, layers = L.adapted_coordinates()
+    read = (lambda r: r) if change is None else (lambda r: mat_vec(change, r))
+    for layer, coords in enumerate(layers):
         if not coords:
             continue
-        r0 = residual(g)
-        cols = [residual(list(group.mul(g, X))) for X in h]
+        r0 = read(residual(g))
+        cols = [read(residual(list(group.mul(g, X)))) for X in h]
         A = [[rv[c] - r0[c] for rv in cols] for c in coords]
         sol, kernel = solve_affine(A, [-r0[c] for c in coords])
         if sol is None:

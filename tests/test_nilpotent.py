@@ -172,6 +172,40 @@ def test_depth_of_coordinate_cached_copy():
     assert second == fresh and second is not first
 
 
+def test_adapted_coordinates_read_the_central_series():
+    H = heisenberg()
+    assert H.adapted_coordinates() == (None, [[0, 1], [2]])
+    # [e0, e1] = e2 + e3: Gamma_2 is not a coordinate subspace
+    L = NilpotentLieAlgebra(4, {(0, 1): {2: 1, 3: 1}})
+    assert L.depth_of_coordinate() == [0, 0, 0, 0]
+    change, layers = L.adapted_coordinates()
+    assert layers == [[0, 1, 2], [3]]
+    centre = exactla.mat_vec(change, [F(0), F(0), F(1), F(1)])
+    assert centre[:3] == [0, 0, 0] and centre[3] != 0
+    # the adapted coordinates are a change of basis
+    assert exactla.rank(change) == 4
+
+
+def test_torsor_auto_conjugator_in_a_basis_not_adapted_to_the_series():
+    # the class-3 filiform algebra in the basis f_i = e_{i-1} + e_i, where
+    # Ad is quadratic in the conjugator and no coordinate is central
+    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    f = [[F(int(k in (i - 1, i))) for k in range(4)] for i in range(4)]
+    structure = {}
+    for i in range(4):
+        for j in range(i + 1, 4):
+            row = exactla.coords_in_basis(f, fil3.bracket(f[i], f[j]))
+            structure[(i, j)] = {k: c for k, c in enumerate(row) if c}
+    L = NilpotentLieAlgebra(4, structure)
+    assert L.nilpotency_class == 3 and L.adapted_coordinates()[0] is not None
+    rng = random.Random(2)
+    for _ in range(4):
+        c = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
+        theta = LieMorphism(L, L, L.Ad_matrix(c))
+        _, cert = UnipotentTorsor(L, auto=theta).trivialize()
+        assert exactla.mat_eq(L.Ad_matrix(cert["conjugator"]), theta.matrix)
+
+
 def test_morphism_checks_brackets():
     H = heisenberg()
     A = abelian_lie_algebra(2)

@@ -1,20 +1,31 @@
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cohw
 from cohw import exactla
+from cohw.cli import load_description, parse_description
 from cohw.cosimpl import pi0, pi_abelian_all
-from cohw.exactla import identity_matrix, mat_vec, span_echelon, vec_add
-from cohw.nilpotent import LieMorphism, abelian_lie_algebra, heisenberg
+from cohw.exactla import (
+    coords_in_basis, identity_matrix, mat_mul, mat_vec, span_echelon,
+    vec_add, vec_is_zero,
+)
+from cohw.nilpotent import (
+    LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, direct_sum,
+    heisenberg,
+)
 from cohw.phin import (
     EpsilonPoint, PhiNGroup, PhiNTorsor, d_phi1, epsilon_denormalize,
     epsilon_lie_algebra, h1_quotient, phin_torsor_equivalent, quotient_les,
     selmer_quotient_cosimplicial, twisted_conj_classify,
-    twisted_conj_equivalent,
+    twisted_conj_equivalent, twisted_conj_residual,
 )
 
 F = Fraction
+CORPUS = pathlib.Path(cohw.__file__).parent / "corpus"
 
 
 def _q_one():
@@ -152,6 +163,102 @@ def test_twisted_conjugation_random_battery():
         phi = [[a, 0, 0], [0, b, 0], [0, 0, a * b]]
         res = twisted_conj_classify(H, phi)
         assert res["transitive"] == (a != 1 and b != 1 and a * b != 1)
+
+
+def test_corpus_isocrystal_basis_targets_are_reached(monkeypatch):
+    # a greedy per-coordinate layer solve found no witness for these three
+    # targets; the descent must, without sympy
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    df = load_description(str(CORPUS / "heisenberg_isocrystal.alg"))
+    res = twisted_conj_classify(df.L, df.phi)
+    assert res["transitive"]
+    assert len(res["certificates"]) == 3
+    for cert in res["certificates"]:
+        assert cert["solvable"]
+        residual = twisted_conj_residual(df.L, df.phi, cert["target"],
+                                         df.L.zero())
+        assert vec_is_zero(residual(cert["witness"]))
+
+
+def _diag(entries):
+    n = len(entries)
+    return [[F(entries[i]) if i == j else F(0) for j in range(n)]
+            for i in range(n)]
+
+
+def test_twisted_conjugation_in_a_basis_not_adapted_to_the_series(
+        monkeypatch):
+    # [e0, e1] = e2 + e3: Gamma_2 contains neither e2 nor e3, so every
+    # coordinate has depth 0 and the layers must be read in adapted
+    # coordinates.  u = (1, 1, 0, 0) carries 0 to u^-1 phi(u), whose
+    # Gamma_2 part comes from u0 u1 alone.
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    L = parse_description("[lie_algebra]\ndim 4\nbracket 0 1 2 1\n"
+                          "bracket 0 1 3 1\n").L
+    u = [F(1), F(1), F(0), F(0)]
+    targets = []
+    for entries in ([2, F(1, 2), 1, 1], [2, 3, 6, 6]):
+        phi = _diag(entries)
+        target = L.bch(L.inverse(u), mat_vec(phi, u))
+        witness = twisted_conj_equivalent(L, phi, L.zero(), target)
+        assert witness is not None
+        residual = twisted_conj_residual(L, phi, L.zero(), target)
+        assert vec_is_zero(residual(witness))
+        targets.append(target)
+    assert targets == [[F(1), F(-1, 2), F(3, 4), F(3, 4)],
+                       [F(1), F(2), F(-1, 2), F(-1, 2)]]
+    # e2 is off the orbit of 0 under diag(2, 1/2, 1, 1): an obstruction
+    assert twisted_conj_equivalent(L, _diag([2, F(1, 2), 1, 1]), L.zero(),
+                                   [F(0), F(0), F(1), F(0)]) is None
+
+
+def _change_basis(L, P):
+    """L in the basis given by the columns of the invertible P, with the
+    map taking old coordinates to new ones."""
+    cols = exactla.transpose(P)
+    structure = {}
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            row = coords_in_basis(cols, L.bracket(cols[i], cols[j]))
+            structure[(i, j)] = {k: c for k, c in enumerate(row) if c}
+    Pinv = exactla.transpose([coords_in_basis(cols, e) for e in L.basis()])
+    return NilpotentLieAlgebra(L.dim, structure), Pinv
+
+
+def test_twisted_conjugation_verdicts_do_not_depend_on_the_basis():
+    rng = random.Random(23)
+    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    cases = [(heisenberg(), lambda a, b: [a, b, a * b]),
+             (fil3, lambda a, b: [a, b, a * b, a * a * b]),
+             (direct_sum(heisenberg(), heisenberg()),
+              lambda a, b: [a, b, a * b, b, a, a * b])]
+    verdicts = []
+    for k in range(24):
+        L, grading = cases[k % 3]
+        n = L.dim
+        a, b = (F(rng.choice([1, 2, -1, 3])) for _ in range(2))
+        phi = mat_mul(_diag(grading(a, b)), L.Ad_matrix(
+            [F(rng.randint(-1, 1)) for _ in range(n)]))
+        w = [F(rng.randint(-2, 2)) for _ in range(n)]
+        wprime = [F(rng.randint(-2, 2)) for _ in range(n)]
+        if k % 2:
+            u = [F(rng.randint(-2, 2)) for _ in range(n)]
+            wprime = L.bch(L.bch(L.inverse(u), w), mat_vec(phi, u))
+        P = [[F(rng.randint(-2, 2)) + int(i == j) * 5 for j in range(n)]
+             for i in range(n)]
+        M, Pinv = _change_basis(L, P)
+        assert M.adapted_coordinates()[0] is not None
+        phiM = mat_mul(Pinv, mat_mul(phi, P))
+        got = twisted_conj_equivalent(L, phi, w, wprime)
+        moved = twisted_conj_equivalent(M, phiM, mat_vec(Pinv, w),
+                                        mat_vec(Pinv, wprime))
+        assert (got is None) == (moved is None)
+        if moved is not None:
+            residual = twisted_conj_residual(M, phiM, mat_vec(Pinv, w),
+                                             mat_vec(Pinv, wprime))
+            assert vec_is_zero(residual(moved))
+        verdicts.append(got is not None)
+    assert set(verdicts) == {True, False}
 
 
 def test_quotient_les_heisenberg_isocrystal():
