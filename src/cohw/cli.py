@@ -464,8 +464,13 @@ def derive_mhs_extension(df):
 
 
 def build_action(df):
+    """The group action of the [action] section; each malformed line is a
+    ParseError at that line."""
     G = df.group
     assert G is not None, "action needs a finite_group"
+    gens = df.action["generators"]
+    if df.action["carrier"] is None:
+        raise ParseError(gens[0][0], 1, "generator before a carrier line")
     lineno, kind, n = df.action["carrier"]
     if kind == "cyclic":
         carrier = cyclic_group(n)
@@ -473,26 +478,37 @@ def build_action(df):
         carrier = symmetric_group(n)
     else:
         from .cosimpl import UnipotentCarrier
-        assert df.L is not None, "carrier lie_algebra needs the section"
+        if df.L is None:
+            raise ParseError(lineno, 1, "carrier lie_algebra needs the "
+                                        "lie_algebra section")
         carrier = UnipotentCarrier(df.L)
     images = {}
-    for lineno, toks in df.action["generators"]:
-        g = int(toks[0])
-        kind = toks[1]
-        if kind == "permutation":
-            mapping = {u: int(t) for u, t in enumerate(toks[2:])}
+    for lineno, toks in gens:
+        if len(toks) < 2:
+            raise ParseError(lineno, 1, "generator needs an index and an "
+                                        "image")
+        g = _parse_int(toks[0], lineno, "generator index")
+        if not 0 <= g < G.size():
+            raise ParseError(lineno, 1, "generator index %d out of range" % g)
+        if toks[1] == "permutation" and kind != "lie_algebra":
+            mapping = {u: _parse_int(t, lineno, "permutation image")
+                       for u, t in enumerate(toks[2:])}
+            if sorted(mapping.values()) != list(range(carrier.size())):
+                raise ParseError(lineno, 1, "permutation must list the %d "
+                                 "carrier elements" % carrier.size())
             images[g] = FiniteHom(carrier, carrier, mapping, check=True)
-        elif kind == "matrix":
+        elif toks[1] == "matrix" and kind == "lie_algebra":
             from .cosimpl import LinearHom
             d = df.L.dim
-            entries = [Fraction(t) for t in toks[2:]]
+            entries = [_parse_frac(t, lineno) for t in toks[2:]]
             if len(entries) != d * d:
                 raise ParseError(lineno, 1, "matrix needs %d entries" % (d * d))
             mat = [entries[r * d:(r + 1) * d] for r in range(d)]
             images[g] = LinearHom(carrier, carrier, mat)
         else:
-            raise ParseError(lineno, 1, "generator image must be "
-                                        "permutation or matrix")
+            raise ParseError(lineno, 1, "generator image must be a "
+                                        "permutation of a finite carrier "
+                                        "or a matrix on a lie_algebra")
     return GroupAction.from_generator_images(G, carrier, images)
 
 

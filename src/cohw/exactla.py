@@ -433,6 +433,16 @@ class Echelon:
                 return False
         return True
 
+    def reduce(self, v):
+        """The canonical representative of v modulo the span: zero on the
+        pivot columns, so it depends only on the class of v."""
+        out = list(v)
+        for p, row in zip(self.pivots, self.rows):
+            c = out[p]
+            if c:
+                out = [x - c * y for x, y in zip(out, row)]
+        return out
+
 
 def in_span(vectors, v):
     """Is v in the span of the given vectors?"""

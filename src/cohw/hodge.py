@@ -10,10 +10,13 @@ descending, bracket-multiplicative Hodge filtration over the Gaussian
 field satisfying the degreewise direct-sum condition on each pure-weight
 layer.
 
-Torsor classes are double cosets W0U(R) \\ U(C) / F0U(C).  They are
-computed two ways: a deterministic layered normal form (advisory), and a
-decider built on the cosimplicial group cogenerated by the pattern
-F0U(C) x W0U(R) => U(C), whose stabilizer descent is authoritative.
+Torsor classes are double cosets W0U(R) \\ U(C) / F0U(C).  The
+stabilizer descent of ``nilpotent``, run on w^-1 u f over (f, w) in
+F0U(C) x W0U(R), gives each class one canonical normal form, so two
+points are equivalent exactly when their normal forms agree.  The
+cosimplicial group cogenerated by the pattern F0U(C) x W0U(R) => U(C)
+has the same classes as its pi^1, and carries the exact sequence of a
+central extension.
 """
 
 import random
@@ -22,15 +25,15 @@ from fractions import Fraction
 from .exactla import (
     Gaussian, complement_basis, conj_vector, conjugate_fixed,
     coords_in_basis, in_span, kernel_basis, mat_eq, mat_mul, mat_vec, rank,
-    realify_vector, rref, solve_affine, span_echelon, subspace_intersect,
-    transpose, unrealify_vector, vec_add, vec_is_zero, vec_neg, vec_scale,
-    vec_sub, zero_vec,
+    realify_vector, solve_affine, span_echelon, subspace_intersect,
+    unrealify_vector, vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub,
+    zero_vec,
 )
 from .cosimpl import (
-    LinearHom, MixedExactSequence, SemiCosimplicialGroup, UnipotentCarrier,
-    cogenerate, cogenerate_morphism, pi0, pi1_unipotent_deciders,
+    LinearHom, MixedExactSequence, SemiCosimplicialGroup, StructuredHom,
+    UnipotentCarrier, _product_object, cogenerate, cogenerate_morphism, pi0,
 )
-from .nilpotent import LieMorphism, NilpotentLieAlgebra, direct_sum
+from .nilpotent import LieMorphism, NilpotentLieAlgebra, _descend
 
 I = Gaussian(0, 1)
 
@@ -83,11 +86,9 @@ def realify_matrix(A, rows, cols):
 
 def subalgebra_on_basis(L, vectors, name="sub"):
     """Abstract Lie algebra on the span of a bracket-closed family, with
-    basis sorted by central-series depth.  Returns (algebra, basis,
+    the reduced echelon basis of the span.  Returns (algebra, basis,
     inclusion morphism)."""
     basis = span_echelon([list(v) for v in vectors])
-    depths = L.depth_of_coordinate()
-    basis.sort(key=lambda v: min(depths[i] for i, x in enumerate(v) if x))
     structure = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -173,18 +174,14 @@ def validate_mhs(M):
     fidx = sorted(M.hodge)
 
     # W nested ascending
-    ok = True
-    for a, b in zip(widx, widx[1:]):
-        small, big = M.weights[a], M.weights[b]
-        if not all(in_span(big, v) or vec_is_zero(v) for v in small):
-            ok = False
-    add("W nested", ok)
+    add("W nested", all(in_span(M.weights[b], v)
+                        for a, b in zip(widx, widx[1:])
+                        for v in M.weights[a]))
 
     # W levels are ideals
     for m in widx:
         lvl = M.weights[m]
         ideal = all(in_span(lvl, L.bracket(L.basis_vector(i), w))
-                    or vec_is_zero(L.bracket(L.basis_vector(i), w))
                     for i in range(d) for w in lvl)
         add("W_%d is an ideal" % m, ideal,
             "" if ideal else "non-ideal W level")
@@ -194,12 +191,9 @@ def validate_mhs(M):
         add("negative weights: W_-1 is everything", neg)
 
     # F nested descending
-    ok = True
-    for a, b in zip(fidx, fidx[1:]):
-        big, small = M.hodge[a], M.hodge[b]
-        if not all(in_span(big, v) or vec_is_zero(v) for v in small):
-            ok = False
-    add("F nested", ok)
+    add("F nested", all(in_span(M.hodge[a], v)
+                        for a, b in zip(fidx, fidx[1:])
+                        for v in M.hodge[b]))
 
     # F bracket-multiplicative
     for a in fidx:
@@ -253,21 +247,22 @@ def validate_mhs(M):
 def w0_f0_subgroups(M):
     """The two materialized subgroups: W0 over the rationals and F0 over
     the Gaussian field, both realized as subalgebras of the realified
-    Lie algebra (with the group structure through BCH)."""
+    Lie algebra (with the group structure through BCH), and the acting
+    group F0U(C) x W0U(R), their direct sum with factors (F0, W0)."""
     if "sub" in M._cache:
         return M._cache["sub"]
     LR = M.Lreal
     w_real = [realify_vector(gvec(w)) for w in M.w0()]
-    f_real = []
-    for f in M.f0():
-        f_real.append(realify_vector(f))
-        f_real.append(realify_vector(vec_scale(I, list(f))))
+    f_real = [realify_vector(vec_scale(c, list(f)))
+              for f in M.f0() for c in (Gaussian(1), I)]
     walg, wb, wincl = subalgebra_on_basis(LR, w_real, name=M.name + "_W0")
     falg, fb, fincl = subalgebra_on_basis(LR, f_real, name=M.name + "_F0")
     out = {"w0_basis": M.w0(), "f0_basis": M.f0(),
            "w0_real": wb, "f0_real": fb,
            "w0_algebra": walg, "f0_algebra": falg,
            "w0_inclusion": wincl, "f0_inclusion": fincl,
+           "group": _product_object([UnipotentCarrier(falg),
+                                     UnipotentCarrier(walg)], linear=True),
            "real_fixed": M.real_fixed()}
     M._cache["sub"] = out
     return out
@@ -285,48 +280,30 @@ def coset_cosimplicial(M, N=2):
         return M._cache[key]
     sub = w0_f0_subgroups(M)
     LR = M.Lreal
-    falg, walg = sub["f0_algebra"], sub["w0_algebra"]
-    fb, wb = sub["f0_real"], sub["w0_real"]
-    X0alg = direct_sum(falg, walg, name=M.name + "_F0xW0")
-    X0 = UnipotentCarrier(X0alg)
+    X0 = sub["group"]
     X1 = UnipotentCarrier(LR)
-    nf, nw = falg.dim, walg.dim
-    d0 = [[fb[c][r] if c < nf else Fraction(0) for c in range(nf + nw)]
-          for r in range(LR.dim)]
-    d1 = [[wb[c - nf][r] if c >= nf else Fraction(0) for c in range(nf + nw)]
-          for r in range(LR.dim)]
+    nf, nw = sub["f0_algebra"].dim, sub["w0_algebra"].dim
+    d0 = [row + [Fraction(0)] * nw for row in sub["f0_inclusion"].matrix]
+    d1 = [[Fraction(0)] * nf + row for row in sub["w0_inclusion"].matrix]
     # both cofaces are Lie morphisms (subalgebra inclusions)
-    LieMorphism(X0alg, LR, d0, check=True)
-    LieMorphism(X0alg, LR, d1, check=True)
+    LieMorphism(X0.L, LR, d0, check=True)
+    LieMorphism(X0.L, LR, d1, check=True)
     X = SemiCosimplicialGroup([X0, X1], {1: [LinearHom(X0, X1, d0),
                                              LinearHom(X0, X1, d1)]},
                               check=True)
     G = cogenerate(X, N)
-    G.x0_dim = nf + nw
     M._cache[key] = G
     return G
-
-
-def embed_point(G, u_real):
-    """A complex point of the group as a level-1 cochain of the coset
-    cosimplicial group (identity in the level-0 factor)."""
-    return tuple([Fraction(0)] * G.x0_dim + list(u_real))
-
-
-def coset_deciders(M):
-    if "dec" not in M._cache:
-        G = coset_cosimplicial(M, 2)
-        M._cache["dec"] = (G, pi1_unipotent_deciders(G))
-    return M._cache["dec"]
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 class MHSTorsorClass:
-    """Advisory normal form of a double coset: representative reduced
-    layer by layer into the canonical echelon complement, together with
-    the group witnesses that performed the reduction."""
+    """Canonical normal form of a double coset: the representative
+    w^-1 u f, equal for two points exactly when they are equivalent, the
+    reduced value of each layer of the realified central series, and the
+    witnesses w and f as points of the realified Lie algebra."""
 
     def __init__(self, mhs, representative, layer_coords, left_witness,
                  right_witness):
@@ -340,10 +317,7 @@ class MHSTorsorClass:
         return vec_is_zero(self.representative)
 
     def normal_coords(self):
-        out = []
-        for layer in sorted(self.layer_coords):
-            out.extend(self.layer_coords[layer])
-        return out
+        return [x for layer in self.layer_coords for x in layer]
 
     def __eq__(self, other):
         return (isinstance(other, MHSTorsorClass)
@@ -354,80 +328,31 @@ class MHSTorsorClass:
 
 
 def classify_torsor(M, u):
-    """Layered reduction: descend the central series; at each layer act
-    on the left by the real form and on the right by F0 so the layer
-    coordinates land in the canonical (non-pivot) complement of the
-    reachable subspace."""
-    u = gvec(u)
-    LR = M.Lreal
+    """The normal form of the double coset of u, by stabilizer descent of
+    act(f, w) = w^-1 u f over the acting group F0U(C) x W0U(R)."""
     sub = w0_f0_subgroups(M)
-    wspan = sub["w0_real"]
-    fspan = sub["f0_real"]
-    depths = LR.depth_of_coordinate()
-    ur = realify_vector(u)
-    w_tot = LR.zero()
-    f_tot = LR.zero()
-    layer_coords = {}
-    for layer in range(max(depths) + 1 if depths else 0):
-        layer_idx = [i for i, dp in enumerate(depths) if dp == layer]
-        if not layer_idx:
-            continue
-        deep = []
-        for i, dp in enumerate(depths):
-            if dp >= layer:
-                deep.append(LR.basis_vector(i))
-        WL = subspace_intersect(wspan, deep) if wspan else []
-        FL = subspace_intersect(fspan, deep) if fspan else []
-        gens = [("w", g) for g in WL] + [("f", g) for g in FL]
+    LR, group = M.Lreal, sub["group"]
+    nf = group.offsets[1]
+    ur = realify_vector(gvec(u))
 
-        def pr(v):
-            return [v[i] for i in layer_idx]
+    def witnesses(g):
+        return (sub["w0_inclusion"].apply(g[nf:]),
+                sub["f0_inclusion"].apply(g[:nf]))
 
-        b = pr(ur)
-        red, pivots = rref([pr(g) for _, g in gens])
-        c = list(b)
-        for row, p in zip(red, pivots):
-            if c[p]:
-                c = vec_sub(c, vec_scale(c[p], row))
-        t = vec_sub(b, c)
-        if gens:
-            A = [[pr(g)[r] for _, g in gens] for r in range(len(layer_idx))]
-            x, _ = solve_affine(A, t)
-            assert x is not None
-        else:
-            assert vec_is_zero(t)
-            x = []
-        w_elt = LR.zero()
-        f_elt = LR.zero()
-        for coef, (kind, g) in zip(x, gens):
-            if not coef:
-                continue
-            if kind == "w":
-                w_elt = vec_add(w_elt, vec_scale(coef, g))
-            else:
-                f_elt = vec_sub(f_elt, vec_scale(coef, g))
-        ur = LR.bch(LR.bch(vec_neg(w_elt), ur), f_elt)
-        assert pr(ur) == c, "layer reduction drifted (bug)"
-        layer_coords[layer] = c
-        w_tot = LR.bch(w_tot, w_elt)
-        f_tot = LR.bch(f_tot, f_elt)
-    check = LR.bch(LR.bch(vec_neg(w_tot), realify_vector(u)), f_tot)
-    assert check == ur, "reduction witness mismatch (bug)"
-    return MHSTorsorClass(M, unrealify_vector(ur), layer_coords, w_tot,
-                          f_tot)
+    def act(g):
+        w, f = witnesses(g)
+        return LR.bch(LR.bch(vec_neg(w), ur), f)
+
+    g, layers = _descend(LR, act, group)
+    w, f = witnesses(g)
+    return MHSTorsorClass(M, unrealify_vector(act(g)),
+                          [reduced for _, reduced in layers], w, f)
 
 
 def equivalent(M, u, uprime):
-    """Does some (w, f) in W0U(R) x F0U(C) satisfy w^-1 u f = u'?  Equal
-    normal forms answer yes immediately; otherwise the coset deciders
-    (exact stabilizer descent) are authoritative."""
-    c1 = classify_torsor(M, u)
-    c2 = classify_torsor(M, uprime)
-    if c1.representative == c2.representative:
-        return True
-    G, dec = coset_deciders(M)
-    return dec["equivalent"](embed_point(G, realify_vector(gvec(u))),
-                             embed_point(G, realify_vector(gvec(uprime))))
+    """Does some (w, f) in W0U(R) x F0U(C) satisfy w^-1 u f = u'?  Exactly
+    when the normal forms of u and u' are equal."""
+    return classify_torsor(M, u) == classify_torsor(M, uprime)
 
 
 def h1_dimension(M, freeness_samples=3):
@@ -525,41 +450,28 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
                 "non-strict filtration data: weight level escapes"
 
     # cosimplicial realization and levelwise maps
-    GZ = coset_cosimplicial(MZ, 2)
-    GU = coset_cosimplicial(MU, 2)
-    GQ = coset_cosimplicial(MQ, 2)
-    _, decU = coset_deciders(MU)
-    _, decQ = coset_deciders(MQ)
+    GZ, GU, GQ = (coset_cosimplicial(M, 2) for M in (MZ, MU, MQ))
 
     def factor_maps(Ma, Mb, mor):
         suba, subb = w0_f0_subgroups(Ma), w0_f0_subgroups(Mb)
         real = realify_matrix(mor.matrix, Mb.L.dim, Ma.L.dim)
 
-        def block(ba, bb):
-            cols = []
-            for v in ba:
-                co = coords_in_basis(bb, mat_vec(real, v)) if bb else (
-                    [] if vec_is_zero(mat_vec(real, v)) else None)
-                assert co is not None, "filtration map does not restrict"
-                cols.append(co)
-            return cols
-        fcols = block(suba["f0_real"], subb["f0_real"])
-        wcols = block(suba["w0_real"], subb["w0_real"])
-        nfa, nwa = len(suba["f0_real"]), len(suba["w0_real"])
-        nfb, nwb = len(subb["f0_real"]), len(subb["w0_real"])
-        m0 = [[Fraction(0)] * (nfa + nwa) for _ in range(nfb + nwb)]
-        for c, col in enumerate(fcols):
-            for r, v in enumerate(col):
-                m0[r][c] = v
-        for c, col in enumerate(wcols):
-            for r, v in enumerate(col):
-                m0[nfb + r][nfa + c] = v
+        def block(kind):
+            """The matrix of the map on one factor, in the subalgebra
+            bases."""
+            bb = subb[kind]
+            cols = [coords_in_basis(bb, mat_vec(real, v)) for v in suba[kind]]
+            assert None not in cols, "filtration map does not restrict"
+            return [[co[r] for co in cols] for r in range(len(bb))]
         Ga = coset_cosimplicial(Ma, 2)
         Gb = coset_cosimplicial(Mb, 2)
-        h0 = LinearHom(Ga.semi.objects[0], Gb.semi.objects[0], m0)
+        Xa, Xb = suba["group"], subb["group"]
+        h0 = StructuredHom(Xa, Xb, [
+            (k, LinearHom(Xa.factors[k], Xb.factors[k], block(kind)))
+            for k, kind in enumerate(("f0_real", "w0_real"))])
         h1 = LinearHom(Ga.semi.objects[1], Gb.semi.objects[1], real)
         for i in range(2):  # the factor maps commute with the cofaces
-            assert mat_eq(mat_mul(Gb.semi.cofaces[1][i].matrix, m0),
+            assert mat_eq(mat_mul(Gb.semi.cofaces[1][i].matrix, h0.matrix),
                           mat_mul(real, Ga.semi.cofaces[1][i].matrix))
         return [h0, h1]
 
@@ -595,20 +507,23 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
     assert h1_z_dim == h1_dimension(MZ)
 
     LCU = MU.LC
+    proj_f0U = [[mat_vec(projC, list(f))[r] for f in f0U] for r in range(dQ)]
+
+    def hodge_lift(q):
+        """A point of F0U(C) over the point q of F0Q(C)."""
+        x, _ = solve_affine(proj_f0U, gvec(q))
+        assert x is not None, "Hodge lift missing (strictness violated)"
+        out = gvec(zero_vec(dU))
+        for coef, f in zip(x, f0U):
+            out = vec_add(out, vec_scale(coef, list(f)))
+        return out
 
     def delta(q0):
         """Connecting class of a fixed point of Q: compare the Hodge lift
         with the real lift; their difference is a complex point of Z."""
-        b = gvec(q0)
-        A = [[mat_vec(projC, list(f))[r] for f in f0U] for r in range(dQ)]
-        x, _ = solve_affine(A, b)
-        assert x is not None, "Hodge lift missing (strictness violated)"
-        f_lift = gvec(zero_vec(dU))
-        for coef, f in zip(x, f0U):
-            f_lift = vec_add(f_lift, vec_scale(coef, list(f)))
         ubar, _ = solve_affine(proj.matrix, qvec(q0))
         assert ubar is not None
-        z = LCU.bch(vec_neg(gvec(ubar)), f_lift)
+        z = LCU.bch(vec_neg(gvec(ubar)), hodge_lift(q0))
         assert vec_is_zero(mat_vec(projC, z))
         zc = coords_in_basis(inclC_cols, z)
         assert zc is not None
@@ -625,10 +540,9 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
         ok = ok and (liftable == in_span(relZ, dv))
     clauses["exact at fixed points of Q"] = ok
 
-    def embed_in_U(z_real):
-        zc = unrealify_vector(list(z_real))
-        uC = mat_vec(inclC, zc)
-        return embed_point(GU, realify_vector(uC))
+    def lift(z_real):
+        """The complex point of U of a real point of Z(C)."""
+        return mat_vec(inclC, unrealify_vector(list(z_real)))
 
     # exactness at H1(Z): a class dies in U iff it is a connecting class
     denom = span_echelon(relZ + delta_img)
@@ -637,7 +551,7 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
     if len(h1Z_basis) >= 2:
         reps.append(vec_add(h1Z_basis[0], h1Z_basis[1]))
     for z in reps:
-        dies = decU["is_trivial"](embed_in_U(z))
+        dies = classify_torsor(MU, lift(z)).is_base()
         ok = ok and (dies == in_span(denom, z))
     clauses["exact at class space of Z"] = ok
 
@@ -648,7 +562,7 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
              for z2 in h1Z_basis[i + 1:]]
     pairs += [(z, [Fraction(0)] * (2 * dZ)) for z in h1Z_basis]
     for z1, z2 in pairs:
-        eq = decU["equivalent"](embed_in_U(z1), embed_in_U(z2))
+        eq = equivalent(MU, lift(z1), lift(z2))
         same = in_span(denom, vec_sub(list(z1), list(z2)))
         inj = inj and (eq == same)
     clauses["middle map fibers are connecting orbits"] = inj
@@ -661,14 +575,12 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
                                      rng.randint(-2, 2))
                             for _ in range(dU)])
     if h1Z_basis:
-        test_points.append(mat_vec(inclC, unrealify_vector(h1Z_basis[0])))
+        test_points.append(lift(h1Z_basis[0]))
     checked_nontrivial = False
     for u in test_points:
         q = mat_vec(projC, u)
         qcls = classify_torsor(MQ, q)
-        q_triv = qcls.is_base() or decQ["is_trivial"](
-            embed_point(GQ, realify_vector(q)))
-        if q_triv:
+        if qcls.is_base():
             # construct the Z-point explicitly from the reduction witness
             wQ = qcls.left_witness
             assert all(wQ[2 * k + 1] == 0 for k in range(dQ)), \
@@ -676,20 +588,12 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
             wQr = [wQ[2 * k] for k in range(dQ)]
             wU, _ = solve_affine(proj.matrix, wQr)
             assert wU is not None
-            fQ = unrealify_vector(qcls.right_witness)
-            A = [[mat_vec(projC, list(f))[r] for f in f0U]
-                 for r in range(dQ)]
-            x, _ = solve_affine(A, fQ)
-            assert x is not None, "Hodge witness does not lift"
-            fU = gvec(zero_vec(dU))
-            for coef, f in zip(x, f0U):
-                fU = vec_add(fU, vec_scale(coef, list(f)))
+            fU = hodge_lift(unrealify_vector(qcls.right_witness))
             z_cand = LCU.bch(vec_neg(gvec(wU)), LCU.bch(u, fU))
             ok = ok and vec_is_zero(mat_vec(projC, z_cand))
         elif not checked_nontrivial and h1Z_basis:
             # nontrivial image in Q: no Z-class may hit it
-            eq = decU["equivalent"](embed_point(GU, realify_vector(u)),
-                                    embed_in_U(h1Z_basis[0]))
+            eq = equivalent(MU, u, lift(h1Z_basis[0]))
             ok = ok and not eq
             checked_nontrivial = True
     clauses["exact at class space of U"] = ok

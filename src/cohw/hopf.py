@@ -47,7 +47,11 @@ class TruncatedEnvelope:
         # a basis vector at lower-central-series depth d carries weight d+1;
         # the span of monomials of weighted degree > order is then a genuine
         # two-sided ideal (brackets only increase weight), so the truncation
-        # is an honest algebra quotient
+        # is an honest algebra quotient.  That needs every basis vector to
+        # have a depth: the basis must be adapted to the series.
+        if L.adapted_coordinates()[0] is not None:
+            raise ValueError("the standard basis of %s is not adapted to "
+                             "its lower central series" % L.name)
         self.weights = [d + 1 for d in L.depth_of_coordinate()]
         self.monomials = _monomials(self.weights, order)
         cap = int(os.environ.get("COHW_MAX_BASIS", "5000"))
@@ -327,13 +331,6 @@ class TruncatedEnvelope:
         return [total - len(powers[m + 1].rows)
                 for m in range(self.order + 1)]
 
-    def graded_piece(self, m):
-        """Echelon data for gr^J_m = J^m/J^{m+1}: returns (basis of J^m,
-        basis of J^{m+1}); the graded coordinates of v are the coordinates
-        of v mod J^{m+1} in the complement."""
-        powers = self.j_powers()
-        return powers[m], powers[m + 1]
-
 
 # ---------------------------------------------------------------------------
 # symmetrization and the weighted polynomial filtration
@@ -353,13 +350,10 @@ def symmetrize(env, exponents):
 
 def weighted_filtration_levels(env):
     """Commutative monomials grouped by total weight, where the weight of
-    variable i is 1 + its lower-central-series depth."""
-    depths = env.L.depth_of_coordinate()
-    weights = [d + 1 for d in depths]
+    variable i is ``env.weights[i]``, 1 + its lower-central-series depth."""
     levels = {}
     for m in env.monomials:
-        w = sum(e * wt for e, wt in zip(m, weights))
-        levels.setdefault(w, []).append(m)
+        levels.setdefault(env.wdeg(m), []).append(m)
     return levels
 
 

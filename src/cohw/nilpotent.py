@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import exactla
 from .exactla import (
-    in_span, mat_mul, mat_vec, rank, solve_affine, span_echelon, transpose,
-    vec_add, vec_is_zero, vec_neg, vec_scale, zero_vec,
+    Echelon, in_span, mat_mul, mat_vec, rank, solve_affine, span_echelon,
+    transpose, vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vec,
 )
 
 MAX_BCH_CLASS = 6
@@ -396,7 +396,8 @@ def identity_morphism(L):
 def solve_graded_affine(L, residual, group):
     """Decide residual(u) = 0 for u in a unipotent ``group`` (``.dim`` log
     coordinates, product ``.mul``) exactly, by stabilizer descent along the
-    lower central series Gamma of L.
+    lower central series Gamma of L: the residual is zero somewhere
+    exactly when every reduced layer of the descent is zero.
 
     Preconditions: ``residual(u)`` compares the image of a point under u
     with a target, for an action of ``group`` that preserves Gamma and
@@ -404,41 +405,61 @@ def solve_graded_affine(L, residual, group):
     translations.  Residuals are read in coordinates adapted to Gamma,
     so any basis of L will do.
 
-    Completeness: modulo Gamma_{m+1} the solutions form a coset
+    Returns (solution or None, certificate dict); on failure the
+    certificate names the first non-zero layer and its residual.
+    """
+    g, layers = _descend(L, residual, group, stop_at_nonzero=True)
+    for layer, (r0, reduced) in enumerate(layers):
+        if not vec_is_zero(reduced):
+            return None, {"status": "obstructed", "layer": layer,
+                          "residual": r0}
+    return g, {"status": "solved"}
+
+
+def _descend(L, act, group, stop_at_nonzero=False):
+    """Move the point act(u), u in ``group``, into its canonical normal
+    form one layer of Gamma at a time.
+
+    Modulo Gamma_{m+1} the u reaching the normal form so far form a coset
     g exp(h), h the Lie algebra of a stabilizer, a linear subspace in log
     coordinates.  For X in h, g exp(X) moves the point within one fibre
     of the next layer by a translation that is a homomorphism of exp(h),
-    hence linear in X: the next layer of residual(g X) is exactly affine
-    in X.  One exact linear solve per layer, probing mul(g, X) over a
-    basis of h, either gives the next g, with the kernel as the next h,
-    or proves that no solution exists.
+    hence linear in X: that layer of act(g X) is exactly r0 + A X.  The
+    reduced echelon basis of the columns of A reduces r0 to its canonical
+    representative modulo the directions the stabilizer reaches, the same
+    for every point of the orbit; one exact solve moves the layer there
+    (with -r0 as right side when it reduces to 0) and gives the next g,
+    with the kernel as the next h.
 
-    Returns (solution or None, certificate dict); on failure the
-    certificate names the obstructed layer and its residual.
+    Returns (g, layers), layers[m] = (r0, reduced value) in adapted
+    coordinates; with ``stop_at_nonzero``, up to the first layer that
+    does not reduce to 0.
     """
-    zero = [L._coerce(0)] * group.dim
-    g = zero
+    g = zero = [L._coerce(0)] * group.dim
     h = [[L._coerce(int(i == j)) for j in range(group.dim)]
          for i in range(group.dim)]
-    change, layers = L.adapted_coordinates()
+    change, coords_by_layer = L.adapted_coordinates()
     read = (lambda r: r) if change is None else (lambda r: mat_vec(change, r))
-    for layer, coords in enumerate(layers):
-        if not coords:
-            continue
-        r0 = read(residual(g))
-        cols = [read(residual(list(group.mul(g, X)))) for X in h]
-        A = [[rv[c] - r0[c] for rv in cols] for c in coords]
-        sol, kernel = solve_affine(A, [-r0[c] for c in coords])
-        if sol is None:
-            return None, {"status": "obstructed", "layer": layer,
-                          "residual": [r0[c] for c in coords]}
+    layers = []
+    for coords in coords_by_layer:
+        r = read(act(g))
+        cols = [read(act(list(group.mul(g, X)))) for X in h]
+        A = [[rv[c] - r[c] for rv in cols] for c in coords]
+        r0 = [r[c] for c in coords]
+        reduced = Echelon(transpose(A)).reduce(r0)
+        layers.append((r0, reduced))
+        if stop_at_nonzero and not vec_is_zero(reduced):
+            return g, layers
+        sol, kernel = solve_affine(A, vec_sub(reduced, r0))
         g = list(group.mul(g, _combine(sol, h, zero)))
         h = [_combine(k, h, zero) for k in kernel]
-    if not vec_is_zero(residual(g)):
-        raise AssertionError("stabilizer descent solved every layer but "
-                             "left a residual: the action breaks the "
+    final = read(act(g))
+    if any([final[c] for c in coords] != reduced for coords, (_, reduced)
+           in zip(coords_by_layer, layers)):
+        raise AssertionError("stabilizer descent left a layer off its "
+                             "normal form: the action breaks the "
                              "descent's preconditions")
-    return g, {"status": "solved"}
+    return g, layers
 
 
 def _combine(coeffs, vectors, zero):

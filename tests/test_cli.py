@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 import cohw
+from cohw.exactla import Gaussian, parse_scalar
 from cohw.cli import (
     ParseError, load_description, main, parse_description, run_verify,
 )
@@ -24,6 +25,18 @@ def test_corpus_parses_and_validates(capsys):
         assert code == 0, out
         assert "verdict: ok" in out
         assert "sha256=" in out
+
+
+def test_corpus_commands_match_the_golden_output(capsys, monkeypatch):
+    # the benchmark's reference output, read only: every corpus command
+    # must print it byte for byte, with the same exit code
+    root = pathlib.Path(__file__).resolve().parent.parent
+    golden = json.loads((root / "perfbench" / "golden.json").read_text())
+    assert len(golden) == 10
+    monkeypatch.chdir(root)  # the reports name the input by that path
+    for command, gold in sorted(golden.items()):
+        code, out = run(capsys, command.split())
+        assert (out, code) == (gold["stdout"], gold["exit"]), command
 
 
 def test_pi_s3_double_cosets(capsys):
@@ -84,6 +97,66 @@ def test_hodge_classify_flagship(capsys):
     assert "base class" in out
 
 
+HEIS_SKEW = """field gaussian
+[lie_algebra]
+dim 3
+bracket 0 1 2 1
+bracket 0 1 1 -1
+bracket 0 2 2 1
+bracket 0 2 1 -1
+[filtration_W]
+level -2
+vector 0 -1 1
+level -1
+vector 1 0 0
+vector 0 1 0
+vector 0 0 1
+[filtration_F]
+level -1
+vector 1 0 0
+vector 0 1 0
+vector 0 0 1
+level 0
+vector 1 i 0
+level 1
+"""
+
+
+def _heis_skew_class(u):
+    """The class of u in the corpus Heisenberg MHS written in the basis
+    e0, e1, e1 + e2 (``HEIS_SKEW``), computed by hand: the point is
+    exp(x e0 + y e1 + z e2) with (x, y, z) = (u0, u1 + u2, u2), and the
+    class is Im z + (b Im x - a Im y) / 2 with a = Re x - Im y and
+    b = Re y + Im x."""
+    x, y, z = u[0], u[1] + u[2], u[2]
+    a, b = x.re - y.im, y.re + x.im
+    return z.im + (b * x.im - a * y.im) / 2
+
+
+def test_hodge_classify_in_a_basis_not_adapted_to_the_series(tmp_path,
+                                                            capsys):
+    # no basis vector spans the center b2 - b1: the normal form is still
+    # found, and it lies in the class of the element
+    f = tmp_path / "heis_skew.alg"
+    f.write_text(HEIS_SKEW)
+    for element in ("1+i,2-3i,5/2+7i", "0,0,1+2i", "1,2i,0", "3-i,0,-2i",
+                    "2,5,-7"):
+        code, out = run(capsys, ["hodge-classify", "--element", element,
+                                 str(f)])
+        assert code == 0, (element, out)
+        normal = [line for line in out.splitlines()
+                  if line.startswith("normal form: ")][0]
+        u = [parse_scalar(t, "Qi") for t in element.split(",")]
+        v = [parse_scalar(t, "Qi")
+             for t in normal[len("normal form: "):].split(", ")]
+        c = _heis_skew_class(u)
+        assert _heis_skew_class(v) == c
+        assert v == [Gaussian(0), Gaussian(0, -c), Gaussian(0, c)]
+        # the reduced coordinate is read along the echelon row b1 - b2
+        assert ("reduced coordinates: %s" % -c if c
+                else "reduced coordinates: none (base class)") in out
+
+
 def test_hodge_les_flagship(capsys):
     code, out = run(capsys, ["hodge-les",
                              str(CORPUS / "heisenberg_mhs.alg")])
@@ -104,7 +177,7 @@ def test_h1_finite_action(tmp_path, capsys):
     assert "h1 classes: 1" in out
 
 
-def test_located_parse_errors():
+def test_located_parse_errors(tmp_path, capsys):
     with pytest.raises(ParseError) as e:
         parse_description("")
     assert (e.value.line, e.value.col) == (1, 1)
@@ -125,6 +198,33 @@ def test_located_parse_errors():
     # non-antisymmetric / non-Jacobi data is rejected by the validator
     with pytest.raises(ParseError):
         parse_description("[lie_algebra]\ndim 2\nbracket 0 0 1 1\n")
+    # the [action] section is read when h1 builds the action: each bad
+    # line is an input error at that line, never a traceback
+    c2 = "[finite_group]\ncyclic 2\n[action]\n"
+    c2_on_c3 = c2 + "carrier cyclic 3\n"
+    c2_on_line = "[lie_algebra]\ndim 1\n" + c2 + "carrier lie_algebra\n"
+    cases = [
+        (c2 + "generator 1 permutation 0 2 1\n", 4, "before a carrier"),
+        (c2_on_c3 + "generator x permutation 0 2 1\n", 5,
+         "bad generator index"),
+        (c2_on_c3 + "generator 1 permutation 0 two 1\n", 5,
+         "bad permutation image"),
+        (c2_on_c3 + "generator 1 permutation 0 2 5\n", 5,
+         "must list the 3 carrier elements"),
+        (c2_on_c3 + "generator 2 permutation 0 2 1\n", 5, "out of range"),
+        (c2_on_c3 + "generator 1\n", 5, "needs an index and an image"),
+        (c2_on_c3 + "generator 1 matrix 1\n", 5, "image must be"),
+        (c2_on_line + "generator 1 matrix x\n", 7, "bad rational"),
+        (c2_on_line + "generator 1 permutation 0\n", 7, "image must be"),
+    ]
+    path = tmp_path / "action.alg"
+    for text, line, message in cases:
+        path.write_text(text)
+        code, out = run(capsys, ["h1", str(path)])
+        assert code == 2, (text, out)
+        assert ":%d:1: " % line in out and message in out, (text, out)
+    path.write_text(c2_on_line + "generator 1 matrix -1\n")
+    assert run(capsys, ["h1", str(path)])[0] == 0
 
 
 def test_group_orders_and_dims_are_bounded_at_their_line(tmp_path, capsys,

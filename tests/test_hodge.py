@@ -5,13 +5,15 @@ import pytest
 
 from cohw.exactla import Gaussian, realify_vector, unrealify_vector, vec_add, \
     vec_neg, vec_scale
-from cohw.cosimpl import pi0
+from cohw.cosimpl import check_cosimplicial_map, pi0, pi1_unipotent_deciders
 from cohw.hodge import (
     MHSGroup, classify_torsor, coset_cosimplicial, equivalent,
     freeness_check, h1_dimension, mhs_les, twist_mhs, validate_mhs,
     w0_f0_subgroups,
 )
-from cohw.nilpotent import LieMorphism, abelian_lie_algebra, heisenberg
+from cohw.nilpotent import (
+    LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, heisenberg,
+)
 
 F = Fraction
 I = Gaussian(0, 1)
@@ -38,6 +40,46 @@ def _heis():
                     {-1: [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                      0: [[Gaussian(1), I, Gaussian(0)]], 1: []},
                     name="heisHodge")
+
+
+def _heis_skew():
+    """The Heisenberg MHS of ``_heis`` in the basis b0 = e0, b1 = e1,
+    b2 = e1 + e2, which is not adapted to the central series: the center
+    is spanned by b2 - b1, so no basis vector lies in it."""
+    L = NilpotentLieAlgebra(3, {(0, 1): {1: -1, 2: 1}, (0, 2): {1: -1, 2: 1}},
+                            name="heis_skew")
+    full = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    return MHSGroup(L, {-2: [[0, -1, 1]], -1: full},
+                    {-1: full, 0: [[Gaussian(1), I, Gaussian(0)]], 1: []},
+                    name="heisSkewHodge")
+
+
+def _heis_class(x, y, z):
+    """The double coset of exp(x e0 + y e1 + z e2) in the Heisenberg MHS,
+    computed by hand: the right factor exp(t (e0 + i e1)), t = Im y +
+    i Im x, leaves the real plane point (a, b); moving that point off on
+    the left leaves a central point whose imaginary part is the class."""
+    a, b = x.re - y.im, y.re + x.im
+    return z.im + (b * x.im - a * y.im) / 2
+
+
+def _random_point(rng, d, bound=3):
+    return [Gaussian(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            for _ in range(d)]
+
+
+def _move(M, rng, u):
+    """w^-1 u f for random w in W0U(R) and f in F0U(C), as a complex
+    point."""
+    LR = M.Lreal
+    sub = w0_f0_subgroups(M)
+    w = LR.zero()
+    for g in sub["w0_real"]:
+        w = vec_add(w, vec_scale(F(rng.randint(-3, 3)), g))
+    f = LR.zero()
+    for g in sub["f0_real"]:
+        f = vec_add(f, vec_scale(F(rng.randint(-3, 3)), g))
+    return unrealify_vector(LR.bch(LR.bch(vec_neg(w), realify_vector(u)), f))
 
 
 def test_validate_examples():
@@ -147,27 +189,57 @@ def test_equivalent_constructed_pairs():
 
 
 def test_normal_form_constant_on_classes():
-    """200 random (u, w, f): the layered normal form of w^-1 u f equals
-    the normal form of u.  A counterexample would demote normal forms
-    (the decider stays authoritative)."""
+    """260 random (u, w, f): the normal form of w^-1 u f equals the normal
+    form of u, also in a basis not adapted to the central series."""
     rng = random.Random(17)
-    cases = [(_heis(), 140), (_r1(), 60)]
+    cases = [(_heis(), 140), (_r1(), 60), (_heis_skew(), 60)]
     for M, count in cases:
-        LR = M.Lreal
-        sub = w0_f0_subgroups(M)
-        d = M.L.dim
         for _ in range(count):
-            u = [Gaussian(rng.randint(-3, 3), rng.randint(-3, 3))
-                 for _ in range(d)]
-            w = LR.zero()
-            for g in sub["w0_real"]:
-                w = vec_add(w, vec_scale(F(rng.randint(-3, 3)), g))
-            f = LR.zero()
-            for g in sub["f0_real"]:
-                f = vec_add(f, vec_scale(F(rng.randint(-3, 3)), g))
-            v = LR.bch(LR.bch(vec_neg(w), realify_vector(u)), f)
-            assert classify_torsor(M, unrealify_vector(v)).representative \
+            u = _random_point(rng, M.L.dim)
+            assert classify_torsor(M, _move(M, rng, u)).representative \
                 == classify_torsor(M, u).representative
+
+
+def test_normal_form_carries_the_class_invariant():
+    # the same classes in two bases: b = (x, y - z, z) is exp(x e0 + y e1
+    # + z e2), and the normal form keeps the hand-computed class
+    rng = random.Random(29)
+    adapted, skew = _heis(), _heis_skew()
+    for _ in range(20):
+        x, y, z = _random_point(rng, 3, bound=9)
+        c = _heis_class(x, y, z)
+        r = classify_torsor(adapted, [x, y, z]).representative
+        assert r == [Gaussian(0), Gaussian(0), Gaussian(0, c)]
+        r = classify_torsor(skew, [x, y - z, z]).representative
+        assert r == [Gaussian(0), Gaussian(0, -c), Gaussian(0, c)]
+
+
+def test_equivalent_matches_the_cosimplicial_decider():
+    """Seeded pairs, equivalent by construction or not: equality of
+    normal forms agrees with pi^1 of the cogenerated coset cosimplicial
+    group, decided on its level-1 cochains."""
+    rng = random.Random(31)
+    for M in (_heis(), _heis_skew()):
+        G = coset_cosimplicial(M, 2)
+        dec = pi1_unipotent_deciders(G)
+        # the level-1 factor indexed by the identity epi [1] ->> [1]
+        k = [i for i, (n, _) in enumerate(G.level_epis[1]) if n == 1][0]
+        off = G.objects[1].offsets
+
+        def embed(u):
+            c = [F(0)] * off[-1]
+            c[off[k]:off[k + 1]] = realify_vector(u)
+            return tuple(c)
+
+        verdicts = []
+        for trial in range(12):
+            u = _random_point(rng, M.L.dim)
+            v = _move(M, rng, u) if trial % 2 else \
+                _random_point(rng, M.L.dim)
+            got = equivalent(M, u, v)
+            assert got == dec["equivalent"](embed(u), embed(v)), (u, v)
+            verdicts.append(got)
+        assert True in verdicts and False in verdicts
 
 
 def test_h1_dimensions():
@@ -197,6 +269,11 @@ def test_mhs_les_heisenberg():
     # the center classes biject onto the middle classes
     assert res["middle_bijective"] is True
     assert res["h1_z_dim"] == 1 and res["h1_q_dim"] == 0
+    # the levelwise block maps commute with every coface and codegeneracy
+    GZ, GU, GQ = res["cosimplicial"]
+    maps_zu, maps_uq = res["level_maps"]
+    assert check_cosimplicial_map(GZ, GU, maps_zu)
+    assert check_cosimplicial_map(GU, GQ, maps_uq)
 
 
 def test_mhs_les_degenerate_and_split():

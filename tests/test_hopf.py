@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from cohw import exactla
 from cohw.hopf import (
     TruncatedEnvelope, graded_trivialization_check, symmetrization_check,
-    symmetrize,
+    symmetrize, weighted_filtration_levels,
 )
-from cohw.nilpotent import abelian_lie_algebra, central_extension, heisenberg
+from cohw.nilpotent import (
+    NilpotentLieAlgebra, abelian_lie_algebra, central_extension, heisenberg,
+)
 
 F = Fraction
 
@@ -155,6 +157,30 @@ def test_symmetrization_check_class_three():
     env = TruncatedEnvelope(L, order=4)
     report = symmetrization_check(env)
     assert report["ok"], report
+
+
+def test_envelope_needs_a_basis_adapted_to_the_series():
+    # [e0, e1] = e2 + e3: no basis vector spans the center, so no vector
+    # has a PBW weight; the envelope refuses instead of a false report
+    L = NilpotentLieAlgebra(4, {(0, 1): {2: 1, 3: 1}}, name="skew")
+    with pytest.raises(ValueError, match="skew is not adapted"):
+        TruncatedEnvelope(L, 3)
+    # the same algebra in the adapted basis e0, e1, e2 + e3, e3
+    L = NilpotentLieAlgebra(4, {(0, 1): {2: 1}}, name="adapted")
+    assert symmetrization_check(TruncatedEnvelope(L, 3))["ok"]
+
+
+def test_weighted_levels_group_by_the_envelope_weights():
+    L = central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
+    env = TruncatedEnvelope(L, order=4)
+    assert env.weights == [1, 1, 2, 3]
+    levels = weighted_filtration_levels(env)
+    assert sorted(m for monos in levels.values() for m in monos) \
+        == sorted(env.monomials)
+    for w, monos in levels.items():
+        assert all(sum(e * wt for e, wt in zip(m, env.weights)) == w
+                   for m in monos)
+    assert levels[3] == [m for m in env.monomials if env.wdeg(m) == 3]
 
 
 def test_graded_trivialization():
