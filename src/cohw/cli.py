@@ -22,11 +22,12 @@ from .exactla import (
     vec_is_zero,
 )
 from .cosimpl import (
-    ENUM_CAP, FiniteHom, ProductGroup, SemiCosimplicialGroup, cogenerate,
-    complex_cohomology_dims, cyclic_group, eilenberg_zilber_oracle,
-    moore_differentials, pi0, pi1_finite, pi_abelian_all,
-    random_bisemicosimplicial, random_linear_semicosimplicial, subgroup_table,
-    symmetric_group, trivial_twist_isomorphism, twist, z1_elements,
+    ENUM_CAP, FiniteHom, LinearHom, ProductGroup, SemiCosimplicialGroup,
+    UnipotentCarrier, cogenerate, complex_cohomology_dims, cyclic_group,
+    eilenberg_zilber_oracle, hom_equal, identity_hom, moore_differentials,
+    pi0, pi1_finite, pi_abelian_all, random_bisemicosimplicial,
+    random_linear_semicosimplicial, subgroup_table, symmetric_group,
+    trivial_twist_isomorphism, twist, z1_elements,
 )
 from .gcohom import GroupAction, h0_h1, les_group_cohomology
 from .hodge import (
@@ -356,14 +357,8 @@ def load_description(path):
 # derived structures
 
 def build_coset_cosimplicial(df, N=2):
-    G = df.group
-    Hl, incl_l = subgroup_table(G, df.coset["left"])
-    Hr, incl_r = subgroup_table(G, df.coset["right"])
-    X0 = ProductGroup([Hl, Hr])
-    d0 = FiniteHom(X0, G, {x: incl_l[x[0]] for x in X0.elements()}, check=True)
-    d1 = FiniteHom(X0, G, {x: incl_r[x[1]] for x in X0.elements()}, check=True)
-    X = SemiCosimplicialGroup([X0, G], {1: [d0, d1]}, check=True)
-    return cogenerate(X, N)
+    return cogenerate(_coset_object(df.group, df.coset["left"],
+                                    df.coset["right"]), N)
 
 
 def build_phin(df):
@@ -465,22 +460,23 @@ def derive_mhs_extension(df):
 
 def build_action(df):
     """The group action of the [action] section; each malformed line is a
-    ParseError at that line."""
+    ParseError at that line, a generator image that is not a
+    homomorphism one at its generator line, and images that do not
+    generate the group or define no action one at the carrier line."""
     G = df.group
     assert G is not None, "action needs a finite_group"
     gens = df.action["generators"]
     if df.action["carrier"] is None:
         raise ParseError(gens[0][0], 1, "generator before a carrier line")
-    lineno, kind, n = df.action["carrier"]
+    carrier_line, kind, n = df.action["carrier"]
     if kind == "cyclic":
         carrier = cyclic_group(n)
     elif kind == "symmetric":
         carrier = symmetric_group(n)
     else:
-        from .cosimpl import UnipotentCarrier
         if df.L is None:
-            raise ParseError(lineno, 1, "carrier lie_algebra needs the "
-                                        "lie_algebra section")
+            raise ParseError(carrier_line, 1, "carrier lie_algebra needs the "
+                                              "lie_algebra section")
         carrier = UnipotentCarrier(df.L)
     images = {}
     for lineno, toks in gens:
@@ -496,20 +492,38 @@ def build_action(df):
             if sorted(mapping.values()) != list(range(carrier.size())):
                 raise ParseError(lineno, 1, "permutation must list the %d "
                                  "carrier elements" % carrier.size())
-            images[g] = FiniteHom(carrier, carrier, mapping, check=True)
+            h = FiniteHom(carrier, carrier, mapping, check=False)
+            homomorphism = h.is_homomorphism()
         elif toks[1] == "matrix" and kind == "lie_algebra":
-            from .cosimpl import LinearHom
             d = df.L.dim
             entries = [_parse_frac(t, lineno) for t in toks[2:]]
             if len(entries) != d * d:
                 raise ParseError(lineno, 1, "matrix needs %d entries" % (d * d))
             mat = [entries[r * d:(r + 1) * d] for r in range(d)]
-            images[g] = LinearHom(carrier, carrier, mat)
+            h = LinearHom(carrier, carrier, mat)
+            homomorphism = LieMorphism(df.L, df.L, mat, check=False) \
+                .bracket_defect() is None
         else:
             raise ParseError(lineno, 1, "generator image must be a "
                                         "permutation of a finite carrier "
                                         "or a matrix on a lie_algebra")
-    return GroupAction.from_generator_images(G, carrier, images)
+        if not homomorphism:
+            raise ParseError(lineno, 1, "generator image is not a "
+                                        "homomorphism of the carrier")
+        if g == G.identity() and not hom_equal(h, identity_hom(carrier)):
+            raise ParseError(lineno, 1, "the identity must act trivially")
+        images[g] = h
+    try:
+        action = GroupAction.from_generator_images(G, carrier, images,
+                                                   check=False)
+    except ValueError:
+        raise ParseError(carrier_line, 1, "generator images do not generate "
+                                          "the group") from None
+    bad = action.defect()
+    if bad is not None:
+        raise ParseError(carrier_line, 1, "generator images do not define "
+                                          "an action: %s" % bad)
+    return action
 
 
 # ---------------------------------------------------------------------------

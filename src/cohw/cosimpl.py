@@ -13,9 +13,8 @@ from itertools import product as iproduct
 
 from . import exactla
 from .exactla import (
-    complement_basis, coords_in_basis, in_span, kernel_basis, mat_mul,
-    mat_vec, rank, span_echelon, transpose, vec_add, vec_is_zero, vec_neg,
-    vec_sub, zero_vec,
+    kernel_basis, mat_mul, mat_vec, rank, vec_add, vec_is_zero, vec_sub,
+    zero_vec,
 )
 from .nilpotent import solve_graded_affine
 
@@ -247,11 +246,16 @@ class FiniteHom:
         self.target = target
         self.mapping = dict(mapping)
         if check:
-            for a in source.elements():
-                for b in source.elements():
-                    assert self.mapping[source.mul(a, b)] == \
-                        target.mul(self.mapping[a], self.mapping[b]), \
-                        "not a homomorphism"
+            assert self.is_homomorphism(), "not a homomorphism"
+
+    def is_homomorphism(self):
+        S, T, m = self.source, self.target, self.mapping
+        elements = S.elements()
+        for a in elements:
+            for b in elements:
+                if m[S.mul(a, b)] != T.mul(m[a], m[b]):
+                    return False
+        return True
 
     def apply(self, x):
         return self.mapping[x]
@@ -509,6 +513,20 @@ def sigma_map(n, i):
 # ---------------------------------------------------------------------------
 # cogeneration
 
+def _wiring(f, src_epis, tgt_epis):
+    """Epi-mono wiring of the map that a monotone f: [n'] -> [n] induces
+    on products indexed by epis: for each target epi g: [n] ->> [k],
+    factor g o f as an epi onto [k'] followed by a mono into [k].  Gives,
+    per target, the position of that epi among src_epis, the mono's
+    image and k."""
+    src_idx = {e: i for i, e in enumerate(src_epis)}
+    out = []
+    for (k, g) in tgt_epis:
+        epi, image = epi_mono_factor(compose_monotone(g, f), k)
+        out.append((src_idx[(len(image) - 1, epi)], tuple(image), k))
+    return out
+
+
 def _mono_composite(coface, start, image, k):
     """The map of the injection [k'] -> [k] with the given image, applied
     after start: the cofaces d^m, for each value m of [k] missing from the
@@ -560,30 +578,30 @@ def cogenerate(X, N=None):
 
     def gamma_map(f, np, n):
         """Hom Gamma^{n'} -> Gamma^n for monotone f: [n'] -> [n]."""
-        src_idx = {e: i for i, e in enumerate(level_epis[np])}
         parts = []
-        for (k, g) in level_epis[n]:
-            epi, image = epi_mono_factor(compose_monotone(g, f), k)
-            key = (tuple(image), k)
-            if key not in monos:
-                monos[key] = _mono_composite(
+        for (i, image, k) in _wiring(f, level_epis[np], level_epis[n]):
+            if (image, k) not in monos:
+                monos[image, k] = _mono_composite(
                     X.d, identity_hom(X.objects[len(image) - 1]), image, k)
-            parts.append((src_idx[(len(image) - 1, epi)], monos[key]))
+            parts.append((i, monos[image, k]))
         return StructuredHom(objects[np], objects[n], parts)
 
-    cofaces = {}
-    for n in range(1, N + 1):
-        cofaces[n] = [gamma_map(delta_map(n, i), n - 1, n)
-                      for i in range(n + 1)]
-    codegens = {}
-    for n in range(N):
-        codegens[n] = [gamma_map(sigma_map(n, i), n + 1, n)
-                       for i in range(n + 1)]
-    G = CosimplicialGroup(objects, cofaces, codegens, check=True)
+    G = CosimplicialGroup(objects, *_structure_maps(gamma_map, N),
+                          check=True)
     G.level_epis = level_epis
     G.semi = X
     G.linear_mode = linear
     return G
+
+
+def _structure_maps(induced, N):
+    """Cofaces and codegeneracies up to level N, from the map induced(f,
+    n', n) of each monotone f: [n'] -> [n]."""
+    cofaces = {n: [induced(delta_map(n, i), n - 1, n) for i in range(n + 1)]
+               for n in range(1, N + 1)}
+    codegens = {n: [induced(sigma_map(n, i), n + 1, n) for i in range(n + 1)]
+                for n in range(N)}
+    return cofaces, codegens
 
 
 def cogenerate_morphism(GX, GY, factor_maps):
@@ -852,12 +870,12 @@ def trivial_twist_isomorphism(U, beta, u0):
 
 
 # ---------------------------------------------------------------------------
-# Eilenberg-Zilber
+# double cogeneration and Eilenberg-Zilber
 
 class BiSemiCosimplicial:
     """Bi-semi-cosimplicial abelian object in linear mode: objects[p][q]
     are VectorGroups, dh[p][q][i]: (p-1,q) -> (p,q), dv[p][q][i]:
-    (p,q-1) -> (p,q)."""
+    (p,q-1) -> (p,q), each a matrix."""
 
     def __init__(self, objects, dh, dv):
         self.objects = objects
@@ -866,6 +884,58 @@ class BiSemiCosimplicial:
         self.dh = dh
         self.dv = dv
 
+    def h(self, p, q, i):
+        """Horizontal coface d_h^i: A^{p-1,q} -> A^{p,q}."""
+        return LinearHom(self.objects[p - 1][q], self.objects[p][q],
+                         self.dh[p][q][i])
+
+    def v(self, p, q, i):
+        """Vertical coface d_v^i: A^{p,q-1} -> A^{p,q}."""
+        return LinearHom(self.objects[p][q - 1], self.objects[p][q],
+                         self.dv[p][q][i])
+
+
+def diagonal_cogenerate(A, N):
+    """Diagonal of the double cogeneration of a truncated
+    bi-semi-cosimplicial vector space, up to level N.  Level n is, for
+    each epi [n] ->> [a], the product of A^{a,b} over the epis
+    [n] ->> [b].  A monotone f feeds the block of (eh, ev) from the epi
+    parts of eh o f and ev o f, through the horizontal mono of eh o f and
+    then the vertical mono of ev o f.  The identities are not verified
+    here; check_identities does that on demand."""
+    hepis = [_gamma_epis(n, A.P) for n in range(N + 1)]
+    vepis = [_gamma_epis(n, A.Q) for n in range(N + 1)]
+    rows = [[_product_object([A.objects[a][b] for (b, _) in vepis[n]], True)
+             for a in range(A.P + 1)] for n in range(N + 1)]
+    objects = [_product_object([rows[n][a] for (a, _) in hepis[n]], True)
+               for n in range(N + 1)]
+    hmonos, blocks = {}, {}
+
+    def block(imh, a, imv, b):
+        """A^{a',b'} -> A^{a,b'} -> A^{a,b} along the monos with images
+        imh into [a] and imv into [b]."""
+        ap, bp = len(imh) - 1, len(imv) - 1
+        if (imh, a, bp) not in hmonos:
+            hmonos[imh, a, bp] = _mono_composite(
+                lambda lev, m: A.h(lev, bp, m),
+                identity_hom(A.objects[ap][bp]), imh, a)
+        if (imh, a, imv, b) not in blocks:
+            blocks[imh, a, imv, b] = _mono_composite(
+                lambda lev, m: A.v(a, lev, m), hmonos[imh, a, bp], imv, b)
+        return blocks[imh, a, imv, b]
+
+    def diagonal_map(f, np, n):
+        vwiring = _wiring(f, vepis[np], vepis[n])
+        parts = []
+        for (i, imh, a) in _wiring(f, hepis[np], hepis[n]):
+            row = [(j, block(imh, a, imv, b)) for (j, imv, b) in vwiring]
+            parts.append((i, StructuredHom(rows[np][len(imh) - 1],
+                                           rows[n][a], row)))
+        return StructuredHom(objects[np], objects[n], parts)
+
+    return CosimplicialGroup(objects, *_structure_maps(diagonal_map, N),
+                             check=False)
+
 
 def eilenberg_zilber_oracle(A, jmax=2, N=None):
     """Compare pi^j of the diagonal of the doubly cogenerated object with
@@ -873,12 +943,6 @@ def eilenberg_zilber_oracle(A, jmax=2, N=None):
     if N is None:
         N = max(A.P, A.Q) + 1
         N = max(N, jmax + 1)
-    dh = {(p, q): [LinearHom(A.objects[p - 1][q], A.objects[p][q], m)
-                   for m in A.dh[p][q]]
-          for p in range(1, A.P + 1) for q in range(A.Q + 1)}
-    dv = {(p, q): [LinearHom(A.objects[p][q - 1], A.objects[p][q], m)
-                   for m in A.dv[p][q]]
-          for p in range(A.P + 1) for q in range(1, A.Q + 1)}
 
     # -- total complex of the Moore bicomplex of A itself
     def offsets(m):
@@ -898,73 +962,16 @@ def eilenberg_zilber_oracle(A, jmax=2, N=None):
         dst_off = tot[n + 1][0]
         for (p, q), so in tot[n][0].items():
             if (p + 1, q) in dst_off:
-                for i, h in enumerate(dh[p + 1, q]):
-                    _add_signed(M, (-1) ** i, h, dst_off[(p + 1, q)], so)
+                for i in range(p + 2):
+                    _add_signed(M, (-1) ** i, A.h(p + 1, q, i),
+                                dst_off[(p + 1, q)], so)
             if (p, q + 1) in dst_off:
-                for i, h in enumerate(dv[p, q + 1]):
-                    _add_signed(M, (-1) ** (p + i), h, dst_off[(p, q + 1)],
-                                so)
+                for i in range(q + 2):
+                    _add_signed(M, (-1) ** (p + i), A.v(p, q + 1, i),
+                                dst_off[(p, q + 1)], so)
         tot_diffs.append(M)
     tot_h = complex_cohomology_dims(tot_dims, tot_diffs)
-
-    # -- diagonal of the double cogeneration
-    # Gamma^{p,q} = sum over pairs (epi_h: [p]->>[a], epi_v: [q]->>[b]) of
-    # A^{a,b}; the diagonal object at level n is Gamma^{n,n} with coface
-    # d^i = d^i_h o d^i_v.
-    def level_pairs(n):
-        out = []
-        for a in range(min(n, A.P) + 1):
-            for eh in epis(n, a):
-                for b in range(min(n, A.Q) + 1):
-                    for ev in epis(n, b):
-                        out.append((a, eh, b, ev))
-        return out
-
-    pairs = [level_pairs(n) for n in range(N + 1)]
-    diag = [_product_object([A.objects[a][b] for (a, _, b, _) in pairs[n]],
-                            True)
-            for n in range(N + 1)]
-    monos = {}
-
-    def mono(image, k, other, horizontal):
-        """Map of the mono with the given image into [k], horizontally at
-        vertical index other, or vertically at horizontal index other."""
-        key = (tuple(image), k, other, horizontal)
-        if key not in monos:
-            kp = len(image) - 1
-            if horizontal:
-                monos[key] = _mono_composite(
-                    lambda lev, m: dh[lev, other][m],
-                    identity_hom(A.objects[kp][other]), image, k)
-            else:
-                monos[key] = _mono_composite(
-                    lambda lev, m: dv[other, lev][m],
-                    identity_hom(A.objects[other][kp]), image, k)
-        return monos[key]
-
-    def diag_coface(n, i):
-        """Diagonal d^i: Diag^{n-1} -> Diag^n."""
-        src_idx = {e: t for t, e in enumerate(pairs[n - 1])}
-        f = delta_map(n, i)
-        parts = []
-        for (a, eh, b, ev) in pairs[n]:
-            eph, imh = epi_mono_factor(compose_monotone(eh, f), a)
-            epv, imv = epi_mono_factor(compose_monotone(ev, f), b)
-            ap, bp = len(imh) - 1, len(imv) - 1
-            # map A^{a',b'} -> A^{a,b'} -> A^{a,b}
-            parts.append((src_idx[(ap, eph, bp, epv)],
-                          mono(imv, b, a, False).compose(
-                              mono(imh, a, bp, True))))
-        return StructuredHom(diag[n - 1], diag[n], parts)
-
-    diag_dims = [G.dim for G in diag]
-    diag_diffs = []
-    for n in range(1, N + 1):
-        M = exactla.zero_matrix(diag_dims[n], diag_dims[n - 1])
-        for i in range(n + 1):
-            _add_signed(M, (-1) ** i, diag_coface(n, i))
-        diag_diffs.append(M)
-    diag_h = complex_cohomology_dims(diag_dims, diag_diffs)
+    diag_h = pi_abelian_all(diagonal_cogenerate(A, N))
 
     report = {"diagonal": diag_h[:jmax + 1], "total": tot_h[:jmax + 1],
               "match": diag_h[:jmax + 1] == tot_h[:jmax + 1]}
@@ -1077,18 +1084,15 @@ class MixedExactSequence:
 
     Nodes are dicts.  Enumerated nodes carry {"kind", "elements", "base",
     "mul"(optional)}; maps are dicts or callables on node elements; the
-    action is a callable (x_k, x_{k+1}) -> x_{k+1}.  Certificate nodes
-    (for unipotent carriers) instead carry pre-verified clause results in
-    ``certificates``.
+    action is a callable (x_k, x_{k+1}) -> x_{k+1}.
     """
 
-    def __init__(self, nodes, maps, j, k, action=None, certificates=None):
+    def __init__(self, nodes, maps, j, k, action=None):
         self.nodes = nodes
         self.maps = maps
         self.j = j
         self.k = k
         self.action = action
-        self.certificates = certificates or {}
 
     def _apply(self, idx, x):
         m = self.maps[idx]
@@ -1172,9 +1176,16 @@ class MixedExactSequence:
                    if self._apply(r, x) == base_next}
             (note if img == pre else fail)(
                 "pointed exactness at node %d" % r)
-        for name, val in self.certificates.items():
-            (note if val else fail)("certificate: %s" % name)
         return rep
+
+
+def certificate_report(clauses):
+    """Report, in the form of MixedExactSequence.verify, of a sequence
+    whose clauses were decided by exact solving rather than enumeration:
+    one ("ok" | "FAIL", "certificate: <name>") entry per clause."""
+    return {"ok": all(clauses.values()),
+            "clauses": [("ok" if val else "FAIL", "certificate: %s" % name)
+                        for name, val in clauses.items()]}
 
 
 def les_central_finite(Z, U, Q, incl, proj):

@@ -495,22 +495,6 @@ def complement_basis(U, ambient_dim):
     return basis
 
 
-def subspace_ops(U, V, ambient_dim):
-    """Sum, intersection and quotient data for two subspaces.
-
-    Returns a dict with echelon bases for the sum and intersection, the
-    dimension of sum/intersection, and the canonical complement of the sum
-    inside the ambient space (non-pivot coordinates)."""
-    s = subspace_sum(U, V)
-    i = subspace_intersect(U, V)
-    return {
-        "sum": s,
-        "intersection": i,
-        "quotient_dim": len(s) - len(i),
-        "complement": complement_basis(s, ambient_dim),
-    }
-
-
 # ---------------------------------------------------------------------------
 # realification and conjugation-fixed subspaces
 
@@ -558,24 +542,3 @@ def conjugate_fixed(W):
     rational = [[v[2 * k] for k in range(n)] for v in inter]
     return span_echelon(rational)
 
-
-class FilteredSpace:
-    """An ascending or descending chain of nested subspaces of a fixed
-    ambient coordinate space, each stored in canonical echelon form."""
-
-    def __init__(self, ambient_dim, levels, ascending=True, indices=None):
-        self.ambient_dim = ambient_dim
-        self.levels = [span_echelon(b) for b in levels]
-        self.ascending = ascending
-        self.indices = list(indices) if indices is not None else list(range(len(levels)))
-        seq = self.levels if ascending else list(reversed(self.levels))
-        for small, big in zip(seq, seq[1:]):
-            for v in small:
-                assert in_span(big, v) or not big and vec_is_zero(v), \
-                    "filtration levels not nested"
-
-    def dims(self):
-        return [len(b) for b in self.levels]
-
-    def level(self, idx):
-        return self.levels[self.indices.index(idx)]

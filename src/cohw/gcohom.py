@@ -32,19 +32,28 @@ class GroupAction:
         self.maps = dict(maps)
         assert set(self.maps) == set(G.elements()), "need a map per element"
         if check:
-            ident = identity_hom(carrier)
-            assert hom_equal(self.maps[G.identity()], ident), \
-                "identity must act trivially"
-            for a in G.elements():
-                for b in G.elements():
-                    lhs = self.maps[a].compose(self.maps[b])
-                    assert hom_equal(lhs, self.maps[G.mul(a, b)]), \
-                        "not an action: %r, %r" % (a, b)
+            bad = self.defect()
+            assert bad is None, bad
+
+    def defect(self):
+        """Why the maps are not an action -- the identity acts
+        nontrivially, or a(b(u)) != (ab)(u) for a first pair (a, b) --
+        or None when they are one."""
+        G = self.G
+        if not hom_equal(self.maps[G.identity()], identity_hom(self.carrier)):
+            return "the identity acts nontrivially"
+        for a in G.elements():
+            for b in G.elements():
+                lhs = self.maps[a].compose(self.maps[b])
+                if not hom_equal(lhs, self.maps[G.mul(a, b)]):
+                    return "(ab).u != a.(b.u) at a = %r, b = %r" % (a, b)
+        return None
 
     @classmethod
     def from_generator_images(cls, G, carrier, gen_images, check=True):
         """Extend automorphisms given on a generating set to all of G by
-        composing along the Cayley graph."""
+        composing along the Cayley graph.  Raises ValueError when the
+        given elements do not generate G."""
         maps = {G.identity(): identity_hom(carrier)}
         frontier = [G.identity()]
         while frontier:
@@ -56,7 +65,8 @@ class GroupAction:
                         maps[gs] = maps[g].compose(h)
                         nxt.append(gs)
             frontier = nxt
-        assert len(maps) == G.size(), "images do not generate"
+        if len(maps) != G.size():
+            raise ValueError("images do not generate")
         return cls(G, carrier, maps, check=check)
 
     def act(self, g, u):

@@ -11,13 +11,14 @@ spans inside the monomial coordinate space.
 from fractions import Fraction
 from itertools import permutations
 import math
-import os
 
 from .exactla import (
     Echelon, span_echelon, vec_is_zero, zero_vec,
 )
 
 DEFAULT_ORDER = 3
+# largest PBW monomial basis a TruncatedEnvelope may have
+MAX_BASIS = 5000
 
 
 def _monomials(weights, order):
@@ -54,9 +55,9 @@ class TruncatedEnvelope:
                              "its lower central series" % L.name)
         self.weights = [d + 1 for d in L.depth_of_coordinate()]
         self.monomials = _monomials(self.weights, order)
-        cap = int(os.environ.get("COHW_MAX_BASIS", "5000"))
-        assert len(self.monomials) <= cap, \
-            "monomial basis of size %d exceeds cap %d" % (len(self.monomials), cap)
+        assert len(self.monomials) <= MAX_BASIS, \
+            "monomial basis of size %d exceeds cap %d" % (
+                len(self.monomials), MAX_BASIS)
         self.index = {m: k for k, m in enumerate(self.monomials)}
         self._no_cache = {}
         self._j_echelons = None

@@ -360,13 +360,20 @@ class LieMorphism:
             self.check_bracket()
 
     def check_bracket(self):
+        bad = self.bracket_defect()
+        assert bad is None, "not a Lie algebra morphism at (%d,%d)" % bad
+
+    def bracket_defect(self):
+        """The first pair (i, j) of basis indices whose bracket the map
+        does not respect, or None."""
         images = [self.apply(self.source.basis_vector(i))
                   for i in range(self.source.dim)]
         for i in range(self.source.dim):
             for j in range(i + 1, self.source.dim):
                 lhs = self.apply(self.source.bracket_basis(i, j))
-                rhs = self.target.bracket(images[i], images[j])
-                assert lhs == rhs, "not a Lie algebra morphism at (%d,%d)" % (i, j)
+                if lhs != self.target.bracket(images[i], images[j]):
+                    return i, j
+        return None
 
     def apply(self, x):
         return mat_vec(self.matrix, x)

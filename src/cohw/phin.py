@@ -3,12 +3,13 @@ their quotient patterns.
 
 A PhiNGroup is a nilpotent Lie algebra with a Frobenius automorphism phi
 and a monodromy derivation N satisfying N phi = p phi N.  Its quotient
-patterns ("f/e" and "g/e") are cosimplicial unipotent groups built by
-crossing the two-object Frobenius pattern (D with d^0 = phi, d^1 = id)
+patterns ("f/e" and "g/e") are cosimplicial unipotent groups: the
+diagonal of the double cogeneration (``cosimpl.diagonal_cogenerate``)
+of the two-object Frobenius pattern (D with d^0 = phi, d^1 = id) crossed
 with the square-zero epsilon-variable pattern that denormalizes the
-two-term complex D --N--> D, and taking the diagonal.  All structure
-maps are produced mechanically and re-verified: cosimplicial identities
-exactly, and multiplicativity (Lie-morphism property) up to a size cap.
+two-term complex D --N--> D.  All structure maps are produced by that
+one construction and re-verified: cosimplicial identities exactly, and
+multiplicativity (Lie-morphism property) up to a size cap.
 """
 
 from fractions import Fraction
@@ -20,12 +21,11 @@ from .exactla import (
     vec_sub, zero_matrix, zero_vec,
 )
 from .cosimpl import (
-    CosimplicialGroup, LinearHom, MixedExactSequence, StructuredHom,
-    UnipotentCarrier, VectorGroup, _gamma_epis, _product_object, cogenerate,
-    cogenerate_morphism, complex_cohomology_dims, complex_embedding,
-    compose_monotone, delta_map, epi_mono_factor, hom_equal,
-    moore_differentials, pi0, pi1_unipotent_deciders, pi_abelian_all,
-    sigma_map, twisted_conj,
+    BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
+    UnipotentCarrier, VectorGroup, _product_object, certificate_report,
+    cogenerate, cogenerate_morphism, complex_cohomology_dims,
+    complex_embedding, diagonal_cogenerate, hom_equal, moore_differentials,
+    pi0, pi1_unipotent_deciders, pi_abelian_all, twisted_conj,
 )
 from .nilpotent import (
     LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, direct_sum,
@@ -174,63 +174,42 @@ def epsilon_denormalize(p, n, nu=0):
 
 def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
     """Cosimplicial unipotent group of the quotient pattern: the diagonal
-    of the cogeneration of (D with d^0 = phi, d^1 = id) crossed with the
-    epsilon denormalization of D --N--> D.  The "f/e" variant uses the
-    degree-zero pattern (no epsilon direction, so N plays no role)."""
+    of the double cogeneration (``diagonal_cogenerate``) of the
+    bi-semi-cosimplicial space with every entry D.  Horizontally it is
+    the Frobenius pattern, d^0 = phi on column 0 and p phi on column 1,
+    d^1 = id; vertically the epsilon pattern, the embedding of the complex
+    D --N--> D (d^0 = 0, d^1 = -N).  Each row of a level, one copy of D
+    per epi [n] ->> [b], is the epsilon carrier on L with one epsilon per
+    b = 1.  The "f/e" variant has column 0 only (no epsilon direction, so
+    N plays no role)."""
     assert variant in ("f/e", "g/e")
     L, phi, p = X.L, X.phi, X.p
-    d = L.dim
-    if variant == "f/e":
-        eps_semi = complex_embedding([d], [])
-    else:
-        eps_semi = complex_embedding([d, d], [X.N])
-    E = cogenerate(eps_semi, N=N)
+    D = VectorGroup(L.dim)
+    eye = exactla.identity_matrix(L.dim)
+    columns = [phi]
+    vertical = None
+    if variant == "g/e":
+        columns.append([[p * v for v in row] for row in phi])
+        eps = complex_embedding([L.dim, L.dim], [X.N])
+        vertical = [eps.d(1, i).matrix for i in range(2)]
+    A = BiSemiCosimplicial([[D] * len(columns)] * 2,
+                           [None, [[M, eye] for M in columns]],
+                           [[None, vertical]] * 2)
+    diag = diagonal_cogenerate(A, N)
 
-    def n_eps(m):
-        return sum(1 for (k, _) in E.level_epis[m] if k == 1)
-
-    eps_algs = [epsilon_lie_algebra(L, n_eps(m)) for m in range(N + 1)]
-    for m in range(N + 1):
-        assert E.objects[m].dim == eps_algs[m].dim
-    D = VectorGroup(d)
-    frobenius = cogenerate_morphism(E, E, [
-        LinearHom(D, D, phi),
-        LinearHom(D, D, [[p * v for v in row] for row in phi])])
-
-    # diagonal objects: one epsilon-carrier copy per Frobenius-direction
-    # cogeneration factor (epis [n] ->> [k], k <= 1)
-    factors = {n: _gamma_epis(n, 1) for n in range(N + 1)}
-    objects = [_product_object([UnipotentCarrier(eps_algs[n])]
-                               * len(factors[n]), True)
-               for n in range(N + 1)]
+    objects = []
+    for G in diag.objects:
+        # the epsilon carrier is, as a vector space, the row's sum of
+        # copies of D: main part first, then one epsilon coefficient each
+        row = G.factors[0]
+        U = UnipotentCarrier(epsilon_lie_algebra(L, len(row.factors) - 1))
+        U.factors, U.offsets = row.factors, row.offsets
+        objects.append(_product_object([U] * len(G.factors), True))
     algs = [G.L for G in objects]
-
-    def diag_coface(n, i):
-        f = delta_map(n, i)
-        src_idx = {e: t for t, e in enumerate(factors[n - 1])}
-        e_map = E.d(n, i)
-        # Frobenius-direction factor map: the mono [0] -> [1] hitting 1
-        # is d^0 = Frobenius; every other mono is an identity
-        frob_map = frobenius[n].compose(e_map)
-        parts = []
-        for (k, g) in factors[n]:
-            epi, image = epi_mono_factor(compose_monotone(g, f), k)
-            parts.append((src_idx[(len(image) - 1, epi)],
-                          frob_map if image == [1] else e_map))
-        return StructuredHom(objects[n - 1], objects[n], parts)
-
-    def diag_codegen(n, i):
-        f = sigma_map(n, i)
-        src_idx = {e: t for t, e in enumerate(factors[n + 1])}
-        e_map = E.s(n, i)
-        parts = [(src_idx[(k, compose_monotone(g, f))], e_map)
-                 for (k, g) in factors[n]]
-        return StructuredHom(objects[n + 1], objects[n], parts)
-
-    cofaces = {n: [diag_coface(n, i) for i in range(n + 1)]
-               for n in range(1, N + 1)}
-    codegens = {n: [diag_codegen(n, i) for i in range(n + 1)]
-                for n in range(N)}
+    cofaces = {n: [StructuredHom(objects[n - 1], objects[n], h.parts)
+                   for h in hs] for n, hs in diag.cofaces.items()}
+    codegens = {n: [StructuredHom(objects[n + 1], objects[n], h.parts)
+                    for h in hs] for n, hs in diag.codegens.items()}
     S = CosimplicialGroup(objects, cofaces, codegens, check=True)
     # multiplicativity: every structure map must be a Lie morphism (checked
     # up to a source-dimension cap; the epsilon-module maps and the low
@@ -248,7 +227,6 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
     S.phin = X
     S.variant = variant
     S.level_algebras = algs
-    S.eps_module = E
     return S
 
 
@@ -491,14 +469,15 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
     SQ = selmer_quotient_cosimplicial(XQ, "g/e", 2)
 
     def level_maps(S_src, S_dst, M):
-        # M on every copy of the algebra: on each epsilon block of each
-        # diagonal factor
+        # M on every copy of D in every row of the diagonal
         h = LinearHom(VectorGroup(len(M[0])), VectorGroup(len(M)), M)
-        eps = cogenerate_morphism(S_src.eps_module, S_dst.eps_module, [h, h])
-        return [StructuredHom(S_src.objects[n], S_dst.objects[n],
-                              [(t, eps[n]) for t in
-                               range(len(S_src.objects[n].factors))])
-                for n in range(3)]
+        out = []
+        for G, H in zip(S_src.objects[:3], S_dst.objects[:3]):
+            row = StructuredHom(G.factors[0], H.factors[0], [
+                (j, h) for j in range(len(H.factors[0].factors))])
+            out.append(StructuredHom(G, H, [(t, row) for t in
+                                            range(len(H.factors))]))
+        return out
 
     inclL = level_maps(SZ, SU, inclM)
     projL = level_maps(SU, SQ, projM0)
@@ -718,18 +697,7 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
         # already identifies every sampled cocycle with one from Z
         middle_bijective = inj and clauses["exact at pi1(U)"]
 
-    nodes = [
-        {"kind": "group", "label": "pi0(Z)", "dim": len(p0Z)},
-        {"kind": "group", "label": "pi0(U)", "dim": len(p0U)},
-        {"kind": "group", "label": "pi0(Q)", "dim": len(p0Q)},
-        {"kind": "group", "label": "pi1(Z)", "dim": h1_z_dim},
-        {"kind": "pointed", "label": "pi1(U)"},
-        {"kind": "pointed", "label": "pi1(Q)", "dim": h1_q_dim},
-        {"kind": "pointed", "label": "pi2(Z)", "dim": pi2Z},
-    ]
-    seq = MixedExactSequence(nodes, [None] * 6, j=0, k=3,
-                             certificates=clauses)
-    return {"sequence": seq, "report": seq.verify(),
+    return {"report": certificate_report(clauses),
             "middle_bijective": middle_bijective,
             "h1_z_dim": h1_z_dim, "clauses": clauses,
             "cosimplicial": (SZ, SU, SQ)}

@@ -216,6 +216,18 @@ def test_located_parse_errors(tmp_path, capsys):
         (c2_on_c3 + "generator 1 matrix 1\n", 5, "image must be"),
         (c2_on_line + "generator 1 matrix x\n", 7, "bad rational"),
         (c2_on_line + "generator 1 permutation 0\n", 7, "image must be"),
+        # well-formed lines whose images are not automorphisms, or do not
+        # make an action of the whole group
+        (c2_on_c3 + "generator 1 permutation 1 2 0\n", 5,
+         "not a homomorphism"),
+        (c2_on_line.replace("dim 1", "dim 3\nbracket 0 1 2 1")
+         + "generator 1 matrix -1 0 0 0 1 0 0 0 1\n", 8,
+         "not a homomorphism"),
+        ("[finite_group]\ncyclic 3\n[action]\ncarrier cyclic 3\n"
+         "generator 1 permutation 0 2 1\n", 4, "do not define an action"),
+        (c2_on_c3 + "generator 0 permutation 0 2 1\n", 5,
+         "identity must act trivially"),
+        (c2_on_c3, 4, "do not generate the group"),
     ]
     path = tmp_path / "action.alg"
     for text, line, message in cases:

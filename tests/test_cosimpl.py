@@ -10,12 +10,12 @@ from cohw.cosimpl import (
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
     VectorGroup, codim_vanishing_check, cogenerate, cogenerate_morphism,
     complex_cohomology_dims, compose_monotone, constant_cosimplicial,
-    cyclic_group, delta_map, eilenberg_zilber_oracle, epi_mono_factor, epis,
-    hom_equal, identity_hom, les_central_finite, moore_differentials, pi0,
-    pi1_finite, pi1_unipotent_deciders, pi_abelian_all,
-    random_bisemicosimplicial, random_linear_semicosimplicial, sigma_map,
-    subgroup_table, symmetric_group, twist, trivial_twist_isomorphism,
-    twisted_conj, z1_elements,
+    cyclic_group, delta_map, diagonal_cogenerate, eilenberg_zilber_oracle,
+    epi_mono_factor, epis, hom_equal, identity_hom, les_central_finite,
+    moore_differentials, pi0, pi1_finite, pi1_unipotent_deciders,
+    pi_abelian_all, random_bisemicosimplicial, random_linear_semicosimplicial,
+    sigma_map, subgroup_table, symmetric_group, twist,
+    trivial_twist_isomorphism, twisted_conj, z1_elements,
 )
 from cohw.nilpotent import LieMorphism, heisenberg
 
@@ -164,6 +164,22 @@ def test_eilenberg_zilber_random():
         A = random_bisemicosimplicial(rng, hdims, vdims)
         report = eilenberg_zilber_oracle(A, jmax=2)
         assert report["match"]
+
+
+def test_diagonal_cogenerate_identities():
+    rng = random.Random(8)
+    for _ in range(4):
+        hdims = [rng.randint(1, 2) for _ in range(3)]
+        vdims = [rng.randint(1, 2) for _ in range(3)]
+        A = random_bisemicosimplicial(rng, hdims, vdims)
+        D = diagonal_cogenerate(A, 3)
+        assert sorted(D.codegens) == [0, 1, 2]
+        D.check_identities()
+    # a horizontal coface that breaks the bi-semi-cosimplicial identities
+    # breaks those of the diagonal
+    A.dh[1][0][0][0][0] += 1
+    with pytest.raises(AssertionError):
+        diagonal_cogenerate(A, 3).check_identities()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohw.exactla import (
     Echelon, Gaussian, I, conjugate_fixed, complement_basis, coords_in_basis,
     format_scalar, in_span, kernel_basis, mat_mul, mat_vec, parse_scalar,
-    rank, rref, solve_affine, span_echelon, subspace_intersect, subspace_ops,
-    subspace_sum, vec_add, vec_is_zero, vec_scale, vec_sub, FilteredSpace,
+    rank, rref, solve_affine, span_echelon, subspace_intersect,
+    subspace_sum, vec_add, vec_is_zero, vec_scale, vec_sub,
 )
 
 F = Fraction
@@ -69,24 +68,6 @@ def test_gaussian_kernel():
     assert v[1] == I  # (1, i) is the echelon scaling of (-i, 1)
 
 
-def test_subspace_ops_dimensions():
-    U = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
-    V = [[F(0), F(1), F(1)]]
-    out = subspace_ops(U, V, 3)
-    assert len(out["sum"]) == 3
-    assert len(out["intersection"]) == 0
-    assert out["quotient_dim"] == 3
-    assert out["complement"] == []
-
-    W = [[F(1), F(1), F(0)]]
-    out2 = subspace_ops(U, W, 3)
-    assert len(out2["sum"]) == 2
-    assert len(out2["intersection"]) == 1
-    assert out2["quotient_dim"] == 1
-    assert len(out2["complement"]) == 1
-    assert out2["complement"][0] == [F(0), F(0), F(1)]
-
-
 def test_conjugate_fixed_real_line():
     # span of (1, 0) is already real: fixed part is the rational line
     W = [[Gaussian(1), Gaussian(0)]]
@@ -112,15 +93,6 @@ def test_complement_is_complement():
     C = complement_basis(U, 3)
     total = span_echelon(span_echelon(U) + C)
     assert len(total) == 3
-
-
-def test_filtered_space_nesting():
-    W0 = [[F(1), F(0)]]
-    W1 = [[F(1), F(0)], [F(0), F(1)]]
-    fs = FilteredSpace(2, [W0, W1], ascending=True)
-    assert fs.dims() == [1, 2]
-    with pytest.raises(AssertionError):
-        FilteredSpace(2, [W1, W0], ascending=True)
 
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)

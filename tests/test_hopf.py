@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohw import exactla
+from cohw import exactla, hopf
 from cohw.hopf import (
     TruncatedEnvelope, graded_trivialization_check, symmetrization_check,
     symmetrize, weighted_filtration_levels,
@@ -25,7 +25,7 @@ def test_monomial_count():
 
 
 def test_basis_cap(monkeypatch):
-    monkeypatch.setenv("COHW_MAX_BASIS", "5")
+    monkeypatch.setattr(hopf, "MAX_BASIS", 5)
     with pytest.raises(AssertionError):
         TruncatedEnvelope(heisenberg(), order=2)
 

@@ -8,7 +8,11 @@ import pytest
 import cohw
 from cohw import exactla
 from cohw.cli import load_description, parse_description
-from cohw.cosimpl import pi0, pi_abelian_all
+from cohw.cosimpl import (
+    LinearHom, StructuredHom, UnipotentCarrier, VectorGroup, _product_object,
+    cogenerate, cogenerate_morphism, complex_embedding, compose_monotone,
+    delta_map, epi_mono_factor, epis, pi0, pi_abelian_all, sigma_map,
+)
 from cohw.exactla import (
     coords_in_basis, identity_matrix, mat_mul, mat_vec, span_echelon,
     vec_add, vec_is_zero,
@@ -90,6 +94,70 @@ def test_selmer_dims():
     assert [o.dim for o in S.objects] == [1, 4, 9, 16]
     Sf = selmer_quotient_cosimplicial(X, "f/e", N=3)
     assert [o.dim for o in Sf.objects] == [1, 2, 3, 4]
+
+
+def _reference_selmer(X, variant, N):
+    """Structure-map matrices and level algebras of the quotient pattern
+    from a hand-built assembly: an epsilon module E cogenerated from
+    D --N--> D, its Frobenius block map (phi on main parts, p phi on
+    epsilon parts), and one copy of E per epi [n] ->> [k], k <= 1, wired
+    by epi-mono factorization with the mono [0] -> [1] hitting 1 acting
+    as the Frobenius after E's coface."""
+    L, phi, p = X.L, X.phi, X.p
+    d = L.dim
+    E = cogenerate(complex_embedding([d], []) if variant == "f/e"
+                   else complex_embedding([d, d], [X.N]), N=N)
+    D = VectorGroup(d)
+    frobenius = cogenerate_morphism(E, E, [
+        LinearHom(D, D, phi),
+        LinearHom(D, D, [[p * v for v in row] for row in phi])])
+    factors = [[(k, g) for k in (0, 1) for g in epis(n, k)]
+               for n in range(N + 1)]
+    objects = [_product_object([E.objects[n]] * len(factors[n]), True)
+               for n in range(N + 1)]
+
+    def wire(f, np, n, factor_map):
+        src_idx = {e: t for t, e in enumerate(factors[np])}
+        parts = []
+        for (k, g) in factors[n]:
+            epi, image = epi_mono_factor(compose_monotone(g, f), k)
+            parts.append((src_idx[(len(image) - 1, epi)], factor_map(image)))
+        return StructuredHom(objects[np], objects[n], parts).matrix
+
+    cofaces = {}
+    for n in range(1, N + 1):
+        for i in range(n + 1):
+            e_map = E.d(n, i)
+            frob_map = frobenius[n].compose(e_map)
+            cofaces[n, i] = wire(delta_map(n, i), n - 1, n,
+                                 lambda image: frob_map if image == [1]
+                                 else e_map)
+    codegens = {(n, i): wire(sigma_map(n, i), n + 1, n,
+                             lambda image: E.s(n, i))
+                for n in range(N) for i in range(n + 1)}
+    n_eps = [sum(1 for (k, _) in E.level_epis[n] if k == 1)
+             for n in range(N + 1)]
+    algs = [_product_object([UnipotentCarrier(epsilon_lie_algebra(L, e))]
+                            * len(factors[n]), True).L
+            for n, e in enumerate(n_eps)]
+    return cofaces, codegens, algs
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("variant", ["g/e", "f/e"])
+def test_selmer_structure_maps_match_reference_assembly(variant, N):
+    df = load_description(str(CORPUS / "heisenberg_isocrystal.alg"))
+    for X in (PhiNGroup(df.L, df.phi, p=df.p), _st_curve(), _q_one()):
+        S = selmer_quotient_cosimplicial(X, variant, N)
+        cofaces, codegens, algs = _reference_selmer(X, variant, N)
+        # repr tells an int entry from a Fraction one
+        for (n, i), M in cofaces.items():
+            assert repr(S.d(n, i).matrix) == repr(M), (n, i)
+        for (n, i), M in codegens.items():
+            assert repr(S.s(n, i).matrix) == repr(M), (n, i)
+        assert len(S.cofaces) == N and len(S.codegens) == N
+        for A, B in zip(S.level_algebras, algs):
+            assert (A.dim, A.name, A.structure) == (B.dim, B.name, B.structure)
 
 
 def test_pi0_equals_d_phi1():
