@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from . import exactla
 from .exactla import (
-    Gaussian, coords_in_basis, format_scalar, mat_eq, mat_mul, mat_vec,
-    parse_scalar, solve_affine, span_echelon, subspace_intersect, transpose,
-    vec_is_zero,
+    coords_in_basis, format_scalar, mat_eq, mat_mul, mat_vec, parse_scalar,
+    solve_affine, span_echelon, subspace_intersect, transpose,
+    unrealify_vector, vec_is_zero,
 )
 from .cosimpl import (
     ENUM_CAP, FiniteHom, LinearHom, ProductGroup, SemiCosimplicialGroup,
@@ -31,7 +31,7 @@ from .cosimpl import (
 )
 from .gcohom import GroupAction, h0_h1, les_group_cohomology
 from .hodge import (
-    MHSGroup, classify_torsor, gvec, h1_dimension, mhs_les,
+    MHSGroup, classify_torsor, h1_dimension, mhs_les, realify_matrix,
     subalgebra_on_basis,
 )
 from .hopf import TruncatedEnvelope, graded_trivialization_check, \
@@ -62,7 +62,7 @@ class DescriptionFile:
     def __init__(self, name, digest):
         self.name = name
         self.digest = digest
-        self.field = "Q"
+        self.field = "rational"
         self.p = None
         self.L = None
         self.L_class = None
@@ -103,7 +103,7 @@ def _parse_frac(tok, lineno):
 
 def _parse_gauss(tok, lineno):
     try:
-        return parse_scalar(tok, field="Qi")
+        return parse_scalar(tok, field="gaussian")
     except (ValueError, ZeroDivisionError):
         raise ParseError(lineno, 1, "bad scalar: %r" % tok)
 
@@ -165,7 +165,7 @@ def parse_description(text, name="<input>"):
                 if len(toks) != 2 or toks[1] not in ("rational", "gaussian"):
                     raise ParseError(lineno, 1,
                                      "field must be rational or gaussian")
-                df.field = "Qi" if toks[1] == "gaussian" else "Q"
+                df.field = toks[1]
             elif key == "p":
                 df.p = _parse_frac(_value(toks, lineno), lineno)
             else:
@@ -438,21 +438,23 @@ def derive_mhs_extension(df):
     zcols = df.extension["incl"]
     proj_rows = df.extension["proj"]
     LZ, basisZ, incl = subalgebra_on_basis(L, zcols, name="Z")
-    basisZ_C = [gvec(v) for v in basisZ]
+    # the Hodge levels are realified: so are Z's basis and coordinates
+    basisZ_R = realify_matrix(basisZ, len(basisZ), L.dim)
     wz, fz = {}, {}
     for m, lvl in MU.weights.items():
         inter = subspace_intersect(lvl, basisZ) if lvl else []
         wz[m] = [coords_in_basis(basisZ, v) for v in inter]
     for p_, lvl in MU.hodge.items():
-        inter = subspace_intersect(lvl, basisZ_C) if lvl else []
-        fz[p_] = [coords_in_basis(basisZ_C, v) for v in inter]
+        inter = subspace_intersect(lvl, basisZ_R)
+        fz[p_] = [unrealify_vector(coords_in_basis(basisZ_R, v))
+                  for v in inter]
     MZ = MHSGroup(LZ, wz, fz, negative_weights=MU.negative_weights, name="Z")
     LQ, _ = _quotient_algebra(L, proj_rows)
     proj = LieMorphism(L, LQ, proj_rows)
-    projC = [[Gaussian(x) for x in row] for row in proj_rows]
+    projR = realify_matrix(proj_rows, len(proj_rows), L.dim)
     wq = {m: [mat_vec(proj_rows, v) for v in lvl]
           for m, lvl in MU.weights.items()}
-    fq = {p_: [mat_vec(projC, list(v)) for v in lvl]
+    fq = {p_: [unrealify_vector(mat_vec(projR, v)) for v in lvl]
           for p_, lvl in MU.hodge.items()}
     MQ = MHSGroup(LQ, wq, fq, negative_weights=MU.negative_weights, name="Q")
     return MZ, MU, MQ, incl, proj
@@ -874,7 +876,7 @@ def _header(command, df=None):
 
 def cmd_validate(df, args):
     lines = _header("validate", df)
-    lines.append("field: %s" % ("gaussian" if df.field == "Qi" else "rational"))
+    lines.append("field: %s" % df.field)
     if df.L is not None:
         lines.append("lie algebra: dim %d, class %d"
                      % (df.L.dim, df.L.nilpotency_class))
@@ -977,7 +979,7 @@ def cmd_hodge_classify(df, args):
         raise ParseError(1, 1, "--element needs %d coordinates" % M.L.dim)
     u = [_parse_gauss(t, 1) for t in toks]
     cls = classify_torsor(M, u)
-    lines.append("element: %s" % _fmt_vec(gvec(u)))
+    lines.append("element: %s" % _fmt_vec(u))
     lines.append("normal form: %s" % _fmt_vec(cls.representative))
     nonzero = [format_scalar(x) for x in cls.normal_coords() if x]
     lines.append("reduced coordinates: %s"

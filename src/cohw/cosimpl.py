@@ -834,15 +834,16 @@ def twist(U, beta):
 
 
 def check_cosimplicial_map(U, V, maps):
-    """Verify that per-level maps U^n -> V^n commute with all cofaces and
-    codegeneracies."""
-    for n in range(1, U.N + 1):
+    """Verify that per-level maps U^n -> V^n, n = 0..len(maps) - 1,
+    commute with all cofaces and codegeneracies between those levels."""
+    top = len(maps) - 1
+    for n in range(1, top + 1):
         for i in range(n + 1):
             lhs = maps[n].compose(U.d(n, i))
             rhs = V.d(n, i).compose(maps[n - 1])
             if not hom_equal(lhs, rhs):
                 return False
-    for n in range(U.N):
+    for n in range(top):
         for i in range(n + 1):
             lhs = maps[n].compose(U.s(n, i))
             rhs = V.s(n, i).compose(maps[n + 1])

@@ -1,17 +1,22 @@
-"""Exact linear algebra over the rationals and the Gaussian rationals.
+"""Exact linear algebra over the rationals, with Gaussian rationals at the
+boundary.
 
-Scalars are ``fractions.Fraction`` (field tag ``'Q'``) or :class:`Gaussian`
-(field tag ``'Qi'``).  All vectors and matrices are plain tuples/lists of
-scalars; subspaces are canonically represented by reduced-row-echelon bases
-with a fixed global coordinate order.  No floating point anywhere.
+Scalars are ``fractions.Fraction``.  All vectors and matrices are plain
+tuples/lists of scalars; subspaces are canonically represented by
+reduced-row-echelon bases with a fixed global coordinate order.  No
+floating point anywhere.
 
-Row reduction takes one of two paths, chosen by the input.  Rational input
-(only ``int`` and ``Fraction`` entries) is reduced fraction-free: each row
-is cleared of denominators, elimination runs on Python integers and the
-pivots are divided out once at the end, giving ``Fraction`` entries.  Input
-with any ``Gaussian`` entry is not: it is reduced by field division.
-Reduced echelon form is unique, so both paths agree where both apply.
-:class:`Echelon` keeps a reduced basis for repeated membership tests.
+Row reduction is fraction-free: each row is cleared of denominators,
+elimination runs on Python integers and the pivots are divided out once at
+the end, giving ``Fraction`` entries.  :class:`Echelon` keeps a reduced
+basis for repeated membership tests.
+
+Points and subspaces over Q(i) are computed on realified coordinates: a
+Gaussian vector (z_1..z_n) is the rational vector (re z_1, im z_1, ...,
+re z_n, im z_n), and a complex span is the rational span of the realified
+vectors and their multiples by i (:func:`complex_span`).  :class:`Gaussian`
+is the scalar of input and output only (parsing, printing, and the
+conversions ``realify_vector``/``unrealify_vector``).
 """
 
 from fractions import Fraction
@@ -32,9 +37,6 @@ class Gaussian:
 
     def conj(self):
         return Gaussian(self.re, -self.im)
-
-    def is_rational(self):
-        return self.im == 0
 
     def __add__(self, other):
         other = _gauss(other)
@@ -99,10 +101,6 @@ def _gauss(x):
 I = Gaussian(0, 1)
 
 
-def scalar_conj(x):
-    return x.conj() if isinstance(x, Gaussian) else x
-
-
 def format_scalar(x):
     """Render a scalar as "a/b" or "a/b+c/d*i" (deterministic)."""
     if isinstance(x, Gaussian):
@@ -115,10 +113,11 @@ def format_scalar(x):
     return str(Fraction(x))
 
 
-def parse_scalar(text, field="Q"):
-    """Parse "a/b" or "a/b+c/d*i" / "a/b-c/d*i" / "c/d*i"."""
+def parse_scalar(text, field="rational"):
+    """Parse "a/b" (``field`` "rational") or, for ``field`` "gaussian",
+    also "a/b+c/d*i" / "a/b-c/d*i" / "c/d*i"."""
     text = text.strip().replace(" ", "")
-    if field == "Q":
+    if field == "rational":
         return Fraction(text)
     if not text.endswith("*i") and "i" not in text:
         return Gaussian(Fraction(text))
@@ -159,35 +158,25 @@ def vec_neg(u):
 def vec_is_zero(u):
     return all(not bool(a) for a in u)
 
-def zero_vec(n, field="Q"):
-    z = Fraction(0) if field == "Q" else Gaussian(0)
-    return [z] * n
+def zero_vec(n):
+    return [Fraction(0)] * n
 
 _ZERO_Q = Fraction(0)
-_ZERO_QI = Gaussian(0)
 
-def _any_gaussian(xs):
-    for x in xs:
-        if isinstance(x, Gaussian):
-            return True
-    return False
-
-# Each entry of A v and A B is the sum of a row-times-column product started
-# from Gaussian(0) when any entry of that row or that vector/column is a
-# Gaussian and from Fraction(0) otherwise, so the type of every entry does
-# not depend on which terms are zero.  Zero terms are skipped: adding one
-# changes neither the value nor, given that start, the type.
+# A v and A B skip zero terms, which change no sum: each entry starts from
+# Fraction(0), so it is a Fraction whichever terms vanish.
 
 def mat_vec(A, v):
     v = list(v)
-    v_gauss = _any_gaussian(v)
+    n = len(v)
     nonzero = [(j, x) for j, x in enumerate(v) if x]
     out = []
     for row in A:
-        acc = _ZERO_QI if v_gauss or _any_gaussian(row) else _ZERO_Q
-        terms = nonzero if len(row) >= len(v) else \
-            [(j, x) for j, x in nonzero if j < len(row)]
-        for j, x in terms:
+        if len(row) != n:
+            raise ValueError("mat_vec: row of length %d, vector of length %d"
+                             % (len(row), n))
+        acc = _ZERO_Q
+        for j, x in nonzero:
             a = row[j]
             if a:
                 acc = acc + a * x
@@ -195,16 +184,16 @@ def mat_vec(A, v):
     return out
 
 def mat_mul(A, B):
-    Bt = list(zip(*B))
-    ncols = len(Bt)
-    col_gauss = [_any_gaussian(col) for col in Bt]
+    inner = len(B)
+    ncols = len(B[0]) if B else 0
     B_nonzero = [[(j, b) for j, b in enumerate(brow[:ncols]) if b]
                  for brow in B]
     out = []
     for row in A:
-        row_gauss = _any_gaussian(row)
-        acc = [_ZERO_QI if row_gauss or g else _ZERO_Q
-               for g in col_gauss]
+        if len(row) != inner:
+            raise ValueError("mat_mul: row of length %d, %d rows on the right"
+                             % (len(row), inner))
+        acc = [_ZERO_Q] * ncols
         for a, brow in zip(row, B_nonzero):
             if a:
                 for j, b in brow:
@@ -239,46 +228,13 @@ def transpose(A):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column list); zero
-    rows dropped.
-
-    Rational input (``int`` and ``Fraction`` entries) is reduced
-    fraction-free and always comes back as ``Fraction`` entries; input with
-    any ``Gaussian`` entry is reduced by field division."""
+    """Reduced row echelon form of rational rows (``int`` and ``Fraction``
+    entries).  Returns (rows, pivot column list); zero rows dropped, and
+    every entry a ``Fraction``."""
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
-    if any(_any_gaussian(row) for row in rows):
-        return _rref_field(rows)
     return _rref_integer(rows)
-
-
-def _rref_field(work):
-    """Gauss-Jordan elimination dividing in the field of the entries."""
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        # find a pivot in column c at or below row r
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
 
 
 def _primitive_int_row(row):
@@ -362,16 +318,12 @@ def solve_affine(A, b):
     red, pivots = rref(aug)
     particular = None
     if all(p != n for p in pivots):  # consistent: no pivot in the b column
-        x = zero_vec(n) if not _has_gaussian(A, b) else [Gaussian(0)] * n
+        x = zero_vec(n)
         for row, p in zip(red, pivots):
             x[p] = row[n]
         particular = x
     kernel = kernel_basis(A, n)
     return particular, kernel
-
-
-def _has_gaussian(A, b):
-    return any(_any_gaussian(row) for row in A) or _any_gaussian(b)
 
 
 def kernel_basis(A, ncols=None):
@@ -385,8 +337,8 @@ def kernel_basis(A, ncols=None):
     one = Fraction(1)
     basis = []
     for f in free:
-        v = zero_vec(ncols) if not _has_gaussian(A, []) else [Gaussian(0)] * ncols
-        v[f] = one if not _has_gaussian(A, []) else Gaussian(1)
+        v = zero_vec(ncols)
+        v[f] = one
         for row, p in zip(red, pivots):
             v[p] = -row[f]
         basis.append(v)
@@ -475,7 +427,7 @@ def subspace_intersect(U, V):
     ker = kernel_basis(A, len(U) + len(V))
     vecs = []
     for k in ker:
-        v = zero_vec(n) if not _has_gaussian(U, []) else [Gaussian(0)] * n
+        v = zero_vec(n)
         for i in range(len(U)):
             v = vec_add(v, vec_scale(k[i], U[i]))
         vecs.append(v)
@@ -485,21 +437,20 @@ def subspace_intersect(U, V):
 def complement_basis(U, ambient_dim):
     """Canonical complement of span(U): the non-pivot coordinate subspace."""
     _, pivots = rref(U)
-    gaussian = _has_gaussian(U, [])
     basis = []
     for c in range(ambient_dim):
         if c not in pivots:
-            v = zero_vec(ambient_dim) if not gaussian else [Gaussian(0)] * ambient_dim
-            v[c] = Fraction(1) if not gaussian else Gaussian(1)
+            v = zero_vec(ambient_dim)
+            v[c] = Fraction(1)
             basis.append(v)
     return basis
 
 
 # ---------------------------------------------------------------------------
-# realification and conjugation-fixed subspaces
+# realification
 
 def realify_vector(v):
-    """(z_1..z_n) over Qi  ->  (re z_1, im z_1, ..., re z_n, im z_n) over Q."""
+    """(z_1..z_n) over Q(i)  ->  (re z_1, im z_1, ..., re z_n, im z_n) over Q."""
     out = []
     for z in v:
         z = _gauss(z)
@@ -512,33 +463,15 @@ def unrealify_vector(v):
     return [Gaussian(v[2 * k], v[2 * k + 1]) for k in range(len(v) // 2)]
 
 
-def conj_vector(v):
-    return [scalar_conj(x) for x in v]
-
-
-def conjugate_fixed(W):
-    """Rational subspace of conjugation-fixed vectors of span(W) n conj(span(W)).
-
-    W is a list of Gaussian vectors; the result is a rational echelon basis."""
-    if not W:
-        return []
-    n = len(W[0])
-    real_span = []
+def complex_span(W):
+    """The complex span of the vectors W (Gaussian or rational entries) in
+    realified coordinates: the reduced echelon basis of the rational span
+    of realify(w) and realify(i w) over w in W.  It has twice the complex
+    dimension.  Its real points, the conjugation-fixed vectors of span(W),
+    are its meet with the real coordinate plane (odd coordinates zero):
+    a rational vector of span(W) is its own conjugate."""
+    rows = []
     for w in W:
-        real_span.append(realify_vector(w))
-        real_span.append(realify_vector(vec_scale(I, list(w))))
-    conj_span = []
-    for w in W:
-        cw = conj_vector(list(w))
-        conj_span.append(realify_vector(cw))
-        conj_span.append(realify_vector(vec_scale(I, cw)))
-    # vectors with all imaginary coordinates zero
-    real_plane = []
-    for k in range(n):
-        v = [Fraction(0)] * (2 * n)
-        v[2 * k] = Fraction(1)
-        real_plane.append(v)
-    inter = subspace_intersect(subspace_intersect(real_span, conj_span), real_plane)
-    rational = [[v[2 * k] for k in range(n)] for v in inter]
-    return span_echelon(rational)
-
+        rows.append(realify_vector(w))
+        rows.append(realify_vector(vec_scale(I, list(w))))
+    return span_echelon(rows)

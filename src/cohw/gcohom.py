@@ -264,9 +264,9 @@ def h0_h1(action, N=3):
         assert sorted(res["h0"]) == sorted(h0_fixed_points(action))
         res["h1_classes"] = direct
         return res
+    classes = h1_classes(action)
     return {"mode": "enumeration", "h0": h0_fixed_points(action),
-            "h1_classes": h1_classes(action),
-            "h1_count": len(h1_classes(action))}
+            "h1_classes": classes, "h1_count": len(classes)}
 
 
 # ---------------------------------------------------------------------------

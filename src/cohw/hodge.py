@@ -1,14 +1,19 @@
 """Mixed Hodge data on unipotent groups and the double-coset torsor
 classification.
 
-The "real" model is a nilpotent Lie algebra over the rationals; "complex"
-points use Gaussian-rational coordinates with coordinatewise conjugation
-(all statements used are algebraic in the filtrations and conjugation, so
-the rational/Gaussian pair is an exact stand-in for R/C).  A mixed Hodge
-structure is an ascending weight filtration by ideals together with a
-descending, bracket-multiplicative Hodge filtration over the Gaussian
-field satisfying the degreewise direct-sum condition on each pure-weight
-layer.
+The "real" model is a nilpotent Lie algebra L over the rationals; its
+"complex" points are its Gaussian-rational points, computed exactly on the
+realified algebra ``M.Lreal`` (L as a rational algebra of twice the
+dimension, coordinates (re_0, im_0, re_1, im_1, ...)), where conjugation
+negates the odd coordinates.  All statements used are algebraic in the
+filtrations and conjugation, so the rational/Gaussian pair is an exact
+stand-in for R/C.  A mixed Hodge structure is an ascending weight
+filtration by ideals together with a descending, bracket-multiplicative
+Hodge filtration over the Gaussian field satisfying the degreewise
+direct-sum condition on each pure-weight layer; each Hodge level is kept
+as the realified echelon basis of its complex span.  Gaussian vectors
+appear only at the boundary: the spanning families of the Hodge levels,
+the points classified, and their normal forms.
 
 Torsor classes are double cosets W0U(R) \\ U(C) / F0U(C).  The
 stabilizer descent of ``nilpotent``, run on w^-1 u f over (f, w) in
@@ -23,11 +28,11 @@ import random
 from fractions import Fraction
 
 from .exactla import (
-    Gaussian, complement_basis, conj_vector, conjugate_fixed,
-    coords_in_basis, in_span, kernel_basis, mat_eq, mat_mul, mat_vec, rank,
+    Echelon, Gaussian, complement_basis, complex_span, coords_in_basis,
+    identity_matrix, in_span, kernel_basis, mat_eq, mat_mul, mat_vec, rank,
     realify_vector, solve_affine, span_echelon, subspace_intersect,
-    unrealify_vector, vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub,
-    zero_vec,
+    transpose, unrealify_vector, vec_add, vec_is_zero, vec_neg, vec_scale,
+    vec_sub, zero_vec,
 )
 from .cosimpl import (
     LinearHom, SemiCosimplicialGroup, StructuredHom, UnipotentCarrier,
@@ -35,31 +40,10 @@ from .cosimpl import (
 )
 from .nilpotent import LieMorphism, NilpotentLieAlgebra, _descend
 
-I = Gaussian(0, 1)
-
-
-def gvec(v):
-    """Coerce a coordinate vector to Gaussian scalars."""
-    return [x if isinstance(x, Gaussian) else Gaussian(Fraction(x))
-            for x in v]
-
-
-def qvec(v):
-    return [x if isinstance(x, Fraction) else Fraction(x) for x in v]
-
-
-def complexify(L):
-    """The same structure constants over the Gaussian field."""
-    assert L.field == "Q"
-    return NilpotentLieAlgebra(L.dim, L.structure, field="Qi",
-                               name=L.name + "_C", validate=False)
-
-
 def realify_algebra(L):
     """Restriction of scalars: the rational Lie algebra of dimension 2d
     underlying the Gaussian points, with coordinates interleaved
     (re_0, im_0, re_1, im_1, ...) to match ``realify_vector``."""
-    assert L.field == "Q"
     structure = {}
     for (i, j), row in L.structure.items():
         re_row = {2 * k: Fraction(c) for k, c in row.items()}
@@ -74,7 +58,10 @@ def realify_algebra(L):
 
 
 def realify_matrix(A, rows, cols):
-    """Realification of a rational matrix acting on Gaussian coordinates."""
+    """Realification of a rational matrix acting on Gaussian coordinates.
+    Read as a list of rows b_k, its rows 2k and 2k + 1 are the realified
+    b_k and i b_k: a basis of their complex span whose coordinates are the
+    realified complex coordinates."""
     out = [[Fraction(0)] * (2 * cols) for _ in range(2 * rows)]
     for r in range(rows):
         for c in range(cols):
@@ -97,7 +84,7 @@ def subalgebra_on_basis(L, vectors, name="sub"):
             row = {k: c for k, c in enumerate(coords) if c}
             if row:
                 structure[(i, j)] = row
-    alg = NilpotentLieAlgebra(len(basis), structure, field=L.field, name=name)
+    alg = NilpotentLieAlgebra(len(basis), structure, name=name)
     mat = [[basis[c][r] for c in range(len(basis))] for r in range(L.dim)]
     return alg, basis, LieMorphism(alg, L, mat, check=True)
 
@@ -111,10 +98,12 @@ class MHSGroup:
     Gaussian field, bracket-multiplicative).
 
     ``weights`` maps an integer m to a basis of W_m (cumulative, rational
-    vectors); ``hodge`` maps an integer p to a basis of F^p (Gaussian
-    vectors).  Unstored indices take the value at the largest stored index
-    below them (empty below all stored W indices, full below all stored F
-    indices).  Immutable after construction; deciders are reentrant.
+    vectors); ``hodge`` maps an integer p to a spanning family of F^p
+    (Gaussian or rational vectors), stored as ``complex_span`` of it: the
+    realified echelon basis, twice as long as the complex dimension.
+    Unstored indices take the value at the largest stored index below them
+    (empty below all stored W indices, full below all stored F indices).
+    Immutable after construction; deciders are reentrant.
     """
 
     def __init__(self, L, weights, hodge, negative_weights=True, name="M",
@@ -122,11 +111,10 @@ class MHSGroup:
         self.L = L
         self.name = name
         self.negative_weights = negative_weights
-        self.weights = {int(m): span_echelon([qvec(v) for v in basis])
+        self.weights = {int(m): span_echelon(basis)
                         for m, basis in weights.items()}
-        self.hodge = {int(p): span_echelon([gvec(v) for v in basis])
+        self.hodge = {int(p): complex_span(basis)
                       for p, basis in hodge.items()}
-        self.LC = complexify(L)
         self.Lreal = realify_algebra(L)
         self._cache = {}
         self.report = validate_mhs(self)
@@ -140,7 +128,7 @@ class MHSGroup:
     def f_basis(self, p):
         stored = [i for i in self.hodge if i <= p]
         if not stored:
-            return [gvec(self.LC.basis_vector(k)) for k in range(self.L.dim)]
+            return identity_matrix(2 * self.L.dim)
         return self.hodge[max(stored)]
 
     def w0(self):
@@ -151,12 +139,21 @@ class MHSGroup:
 
     def real_fixed(self):
         """Rational basis of F0 /\\ W0 real points (the fixed subgroup of
-        the double-coset pattern)."""
-        rf = conjugate_fixed(self.f0())
-        return subspace_intersect(rf, self.w0()) if rf else []
+        the double-coset pattern).  The realified W0 lies in the real
+        coordinate plane, so its meet with F0 is the realified answer, a
+        reduced echelon basis that stays one without its zero imaginary
+        columns."""
+        inter = subspace_intersect(self.f0(),
+                                   [realify_vector(w) for w in self.w0()])
+        return [v[0::2] for v in inter]
 
     def __repr__(self):
         return "MHSGroup(%s, dim=%d)" % (self.name, self.L.dim)
+
+
+def _conj(v):
+    """Complex conjugation in realified coordinates."""
+    return [-x if k % 2 else x for k, x in enumerate(v)]
 
 
 def validate_mhs(M):
@@ -168,7 +165,7 @@ def validate_mhs(M):
     def add(name, ok, detail=""):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    L, LC = M.L, M.LC
+    L, LR = M.L, M.Lreal
     d = L.dim
     widx = sorted(M.weights)
     fidx = sorted(M.hodge)
@@ -195,12 +192,12 @@ def validate_mhs(M):
                         for a, b in zip(fidx, fidx[1:])
                         for v in M.hodge[b]))
 
-    # F bracket-multiplicative
+    # F bracket-multiplicative: the bracket is real bilinear, so real
+    # bases of the levels suffice
     for a in fidx:
         for b in fidx:
-            target = M.f_basis(a + b)
-            good = all(vec_is_zero(LC.bracket(u, v))
-                       or (target and in_span(target, LC.bracket(u, v)))
+            target = Echelon(M.f_basis(a + b))
+            good = all(target.contains(LR.bracket(u, v))
                        for u in M.hodge[a] for v in M.hodge[b])
             add("[F^%d, F^%d] in F^%d" % (a, b, a + b), good,
                 "" if good else "non-multiplicative F")
@@ -220,24 +217,26 @@ def validate_mhs(M):
         if grdim == 0:
             continue
         graded[m] = grdim
-        full = [gvec(v) for v in Wm1] + [gvec(v) for v in comp]
-        WmC = [gvec(v) for v in Wm]
+        # realified, so coordinates in it are realified complex ones
+        full = realify_matrix(Wm1 + comp, len(Wm1) + grdim, d)
+        WmC = complex_span(Wm)
 
         def gr_part(p):
+            """F^p /\\ W_m in Gr_m W, realified."""
             fp = M.f_basis(p)
             inter = subspace_intersect(fp, WmC) if fp else []
             quots = []
             for x in inter:
                 co = coords_in_basis(full, x)
                 assert co is not None
-                quots.append(co[len(Wm1):])
+                quots.append(co[2 * len(Wm1):])
             return span_echelon(quots)
 
         for p in range(pmin, pmax + 2):
             A = gr_part(p)
-            B = [conj_vector(v) for v in gr_part(m + 1 - p)]
-            direct = (len(A) + len(B) == grdim
-                      and len(span_echelon(A + B)) == grdim)
+            B = [_conj(v) for v in gr_part(m + 1 - p)]
+            direct = (len(A) + len(B) == 2 * grdim
+                      and len(span_echelon(A + B)) == 2 * grdim)
             add("Hodge decomposition at weight %d, p=%d" % (m, p), direct,
                 "" if direct else "failed Hodge decomposition")
     return {"ok": all(c["ok"] for c in checks), "checks": checks,
@@ -252,11 +251,9 @@ def w0_f0_subgroups(M):
     if "sub" in M._cache:
         return M._cache["sub"]
     LR = M.Lreal
-    w_real = [realify_vector(gvec(w)) for w in M.w0()]
-    f_real = [realify_vector(vec_scale(c, list(f)))
-              for f in M.f0() for c in (Gaussian(1), I)]
+    w_real = [realify_vector(w) for w in M.w0()]
     walg, wb, wincl = subalgebra_on_basis(LR, w_real, name=M.name + "_W0")
-    falg, fb, fincl = subalgebra_on_basis(LR, f_real, name=M.name + "_F0")
+    falg, fb, fincl = subalgebra_on_basis(LR, M.f0(), name=M.name + "_F0")
     out = {"w0_basis": M.w0(), "f0_basis": M.f0(),
            "w0_real": wb, "f0_real": fb,
            "w0_algebra": walg, "f0_algebra": falg,
@@ -333,7 +330,7 @@ def classify_torsor(M, u):
     sub = w0_f0_subgroups(M)
     LR, group = M.Lreal, sub["group"]
     nf = group.offsets[1]
-    ur = realify_vector(gvec(u))
+    ur = realify_vector(u)
 
     def witnesses(g):
         return (sub["w0_inclusion"].apply(g[nf:]),
@@ -357,11 +354,12 @@ def equivalent(M, u, uprime):
 
 def h1_dimension(M, freeness_samples=3):
     """dim_R U(C) - dim_R F0U(C) - dim_R U(R), the dimension of the
-    double-coset space; a freeness certificate is produced alongside and
-    a nontrivial stabilizer is treated as a bug."""
+    double-coset space (dim_R F0U(C) is the length of the realified F0
+    basis); a freeness certificate is produced alongside and a nontrivial
+    stabilizer is treated as a bug."""
     assert M.negative_weights, "dimension formula needs negative weights"
     d = M.L.dim
-    dim = 2 * d - 2 * len(M.f0()) - d
+    dim = 2 * d - len(M.f0()) - d
     cert = freeness_check(M, freeness_samples)
     assert cert["all_trivial"], ("freeness failure (bug signal)", cert)
     return dim
@@ -373,7 +371,7 @@ def freeness_check(M, samples, rng=None):
     zero solution.  Properness is out of scope; freeness only."""
     if isinstance(samples, int):
         rng = rng or random.Random(0)
-        pts = [gvec(zero_vec(M.L.dim))]
+        pts = [zero_vec(M.L.dim)]
         while len(pts) < samples:
             pts.append([Gaussian(rng.randint(-3, 3), rng.randint(-3, 3))
                         for _ in range(M.L.dim)])
@@ -384,7 +382,7 @@ def freeness_check(M, samples, rng=None):
     fgens = sub["f0_real"]
     dims = []
     for u in samples:
-        ur = realify_vector(gvec(u))
+        ur = realify_vector(u)
         Ad = LR.Ad_matrix(LR.inverse(ur))
         cols = [mat_vec(Ad, w) for w in wgens] + [vec_neg(list(f))
                                                   for f in fgens]
@@ -424,19 +422,20 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
             assert vec_is_zero(MU.L.bracket(MU.L.basis_vector(i), c)), \
                 "kernel not central"
 
-    inclC = [[Gaussian(x) for x in row] for row in incl.matrix]
-    projC = [[Gaussian(x) for x in row] for row in proj.matrix]
-    inclC_cols = [gvec(c) for c in incl_cols]
+    # the maps on complex points, realified; the columns of inclR are a
+    # basis of Z(C) whose coordinates are realified complex coordinates
+    inclR = realify_matrix(incl.matrix, dU, dZ)
+    projR = realify_matrix(proj.matrix, dQ, dU)
+    inclR_cols = transpose(inclR)
 
     # strict compatibility of the filtrations
     f0Z, f0U, f0Q = MZ.f0(), MU.f0(), MQ.f0()
-    pushedF = span_echelon([mat_vec(projC, list(f)) for f in f0U])
-    assert pushedF == span_echelon([list(f) for f in f0Q]), \
+    pushedF = [mat_vec(projR, f) for f in f0U]
+    assert span_echelon(pushedF) == f0Q, \
         "non-strict filtration data: proj(F0 U) != F0 Q"
-    imgZ = span_echelon([mat_vec(inclC, list(f)) for f in f0Z])
-    interU = subspace_intersect([list(f) for f in f0U], inclC_cols) \
-        if f0U else []
-    assert span_echelon(imgZ) == span_echelon(interU), \
+    imgZ = span_echelon([mat_vec(inclR, f) for f in f0Z])
+    interU = subspace_intersect(f0U, inclR_cols)
+    assert imgZ == interU, \
         "non-strict filtration data: F0 U /\\ Z != incl(F0 Z)"
     for m in sorted(set(MZ.weights) | set(MU.weights) | set(MQ.weights)):
         wU = MU.w_basis(m)
@@ -486,8 +485,7 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
         eq = pi0(G)
         d1 = G.semi.cofaces[1][1].matrix
         img = span_echelon([mat_vec(d1, list(v)) for v in eq])
-        direct = span_echelon([realify_vector(gvec(v))
-                               for v in M.real_fixed()])
+        direct = span_echelon([realify_vector(v) for v in M.real_fixed()])
         assert img == direct, "pi0 disagrees with the fixed-point basis"
 
     clauses = {}
@@ -506,28 +504,30 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
     h1_z_dim = len(h1Z_basis)
     assert h1_z_dim == h1_dimension(MZ)
 
-    LCU = MU.LC
-    proj_f0U = [[mat_vec(projC, list(f))[r] for f in f0U] for r in range(dQ)]
+    LRU = MU.Lreal
+    proj_f0U = [[f[r] for f in pushedF] for r in range(2 * dQ)]
 
     def hodge_lift(q):
-        """A point of F0U(C) over the point q of F0Q(C)."""
-        x, _ = solve_affine(proj_f0U, gvec(q))
+        """A point of F0U(C) over the point q of F0Q(C), both realified."""
+        x, _ = solve_affine(proj_f0U, q)
         assert x is not None, "Hodge lift missing (strictness violated)"
-        out = gvec(zero_vec(dU))
+        out = zero_vec(2 * dU)
         for coef, f in zip(x, f0U):
-            out = vec_add(out, vec_scale(coef, list(f)))
+            out = vec_add(out, vec_scale(coef, f))
         return out
 
     def delta(q0):
         """Connecting class of a fixed point of Q: compare the Hodge lift
-        with the real lift; their difference is a complex point of Z."""
-        ubar, _ = solve_affine(proj.matrix, qvec(q0))
+        with the real lift; their difference is a complex point of Z,
+        returned in realified coordinates."""
+        ubar, _ = solve_affine(proj.matrix, q0)
         assert ubar is not None
-        z = LCU.bch(vec_neg(gvec(ubar)), hodge_lift(q0))
-        assert vec_is_zero(mat_vec(projC, z))
-        zc = coords_in_basis(inclC_cols, z)
+        z = LRU.bch(vec_neg(realify_vector(ubar)),
+                    hodge_lift(realify_vector(q0)))
+        assert vec_is_zero(mat_vec(projR, z))
+        zc = coords_in_basis(inclR_cols, z)
         assert zc is not None
-        return realify_vector(zc)
+        return zc
 
     delta_img = [delta(q0) for q0 in p0Q]
 
@@ -536,13 +536,13 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
     for q0, dv in zip(p0Q, delta_img):
         A = [[mat_vec(proj.matrix, list(v))[r] for v in p0U]
              for r in range(dQ)] if p0U else [[] for _ in range(dQ)]
-        liftable = solve_affine(A, qvec(q0))[0] is not None
+        liftable = solve_affine(A, q0)[0] is not None
         ok = ok and (liftable == in_span(relZ, dv))
     clauses["exact at fixed points of Q"] = ok
 
     def lift(z_real):
-        """The complex point of U of a real point of Z(C)."""
-        return mat_vec(inclC, unrealify_vector(list(z_real)))
+        """The complex point of U of a realified point of Z(C)."""
+        return unrealify_vector(mat_vec(inclR, z_real))
 
     # exactness at H1(Z): a class dies in U iff it is a connecting class
     denom = span_echelon(relZ + delta_img)
@@ -569,7 +569,7 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
 
     # exactness at H1(U): a class dies in Q iff it comes from Z
     ok = True
-    test_points = [gvec(zero_vec(dU))]
+    test_points = [zero_vec(dU)]
     for _ in range(samples):
         test_points.append([Gaussian(rng.randint(-2, 2),
                                      rng.randint(-2, 2))
@@ -578,19 +578,17 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
         test_points.append(lift(h1Z_basis[0]))
     checked_nontrivial = False
     for u in test_points:
-        q = mat_vec(projC, u)
-        qcls = classify_torsor(MQ, q)
+        ur = realify_vector(u)
+        qcls = classify_torsor(MQ, unrealify_vector(mat_vec(projR, ur)))
         if qcls.is_base():
             # construct the Z-point explicitly from the reduction witness
             wQ = qcls.left_witness
-            assert all(wQ[2 * k + 1] == 0 for k in range(dQ)), \
-                "real witness has imaginary part (bug)"
-            wQr = [wQ[2 * k] for k in range(dQ)]
-            wU, _ = solve_affine(proj.matrix, wQr)
+            assert not any(wQ[1::2]), "real witness has imaginary part (bug)"
+            wU, _ = solve_affine(proj.matrix, wQ[0::2])
             assert wU is not None
-            fU = hodge_lift(unrealify_vector(qcls.right_witness))
-            z_cand = LCU.bch(vec_neg(gvec(wU)), LCU.bch(u, fU))
-            ok = ok and vec_is_zero(mat_vec(projC, z_cand))
+            fU = hodge_lift(qcls.right_witness)
+            z_cand = LRU.bch(vec_neg(realify_vector(wU)), LRU.bch(ur, fU))
+            ok = ok and vec_is_zero(mat_vec(projR, z_cand))
         elif not checked_nontrivial and h1Z_basis:
             # nontrivial image in Q: no Z-class may hit it
             eq = equivalent(MU, u, lift(h1Z_basis[0]))
@@ -620,9 +618,9 @@ def twist_mhs(M, alpha):
     element alpha^-1 (weights unchanged); torsor classes correspond under
     right multiplication by alpha.  Re-validation must succeed (the
     graded pieces are untouched by a unipotent adjoint)."""
-    a = gvec(alpha)
-    Ad = M.LC.Ad_matrix(M.LC.inverse(a))
-    hodge = {p: span_echelon([mat_vec(Ad, list(f)) for f in basis])
+    LR = M.Lreal
+    Ad = LR.Ad_matrix(LR.inverse(realify_vector(alpha)))
+    hodge = {p: [unrealify_vector(mat_vec(Ad, f)) for f in basis]
              for p, basis in M.hodge.items()}
     return MHSGroup(M.L, M.weights, hodge,
                     negative_weights=M.negative_weights,

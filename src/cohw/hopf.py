@@ -21,13 +21,17 @@ DEFAULT_ORDER = 3
 MAX_BASIS = 5000
 
 
-def _monomials(weights, order):
+def _monomials(weights, order, cap):
     """All exponent tuples with total weighted degree <= order, sorted by
-    (weighted degree, lexicographic)."""
+    (weighted degree, lexicographic).  Raises ValueError on finding more
+    than ``cap`` of them, before enumerating the rest."""
     dim = len(weights)
     found = []
     def rec(prefix, budget, slot):
         if slot == dim:
+            if len(found) == cap:
+                raise ValueError("monomial basis of weighted degree <= %d "
+                                 "exceeds cap %d" % (order, cap))
             found.append(tuple(prefix))
             return
         e = 0
@@ -54,10 +58,7 @@ class TruncatedEnvelope:
             raise ValueError("the standard basis of %s is not adapted to "
                              "its lower central series" % L.name)
         self.weights = [d + 1 for d in L.depth_of_coordinate()]
-        self.monomials = _monomials(self.weights, order)
-        assert len(self.monomials) <= MAX_BASIS, \
-            "monomial basis of size %d exceeds cap %d" % (
-                len(self.monomials), MAX_BASIS)
+        self.monomials = _monomials(self.weights, order, MAX_BASIS)
         self.index = {m: k for k, m in enumerate(self.monomials)}
         self._no_cache = {}
         self._j_echelons = None

@@ -1,6 +1,6 @@
 """Nilpotent Lie algebras and the unipotent groups they exponentiate to.
 
-A nilpotent Lie algebra over an exact field is given by structure constants
+A nilpotent Lie algebra over the rationals is given by structure constants
 on a fixed basis.  The group law on the same coordinate space is truncated
 Baker-Campbell-Hausdorff multiplication; since the algebra is nilpotent the
 series is a finite sum and everything stays exact.
@@ -94,14 +94,13 @@ class NilpotentLieAlgebra:
     [e_i, e_j] = sum coeff * e_k.  Elements are coordinate lists.
     """
 
-    def __init__(self, dim, structure, field="Q", name="L", validate=True):
+    def __init__(self, dim, structure, name="L", validate=True):
         self.dim = dim
-        self.field = field
         self.name = name
         self.structure = {}
         for (i, j), row in structure.items():
             assert i < j, "structure constants keyed by i < j"
-            clean = {k: self._coerce(c) for k, c in row.items() if self._coerce(c)}
+            clean = {k: Fraction(c) for k, c in row.items() if c}
             if clean:
                 self.structure[(i, j)] = clean
         if validate:
@@ -113,20 +112,12 @@ class NilpotentLieAlgebra:
         assert self.nilpotency_class <= MAX_BCH_CLASS, \
             "nilpotency class above supported BCH truncation depth"
 
-    def _coerce(self, c):
-        if self.field == "Qi":
-            return c if isinstance(c, exactla.Gaussian) else exactla.Gaussian(c)
-        if isinstance(c, exactla.Gaussian):
-            assert c.is_rational()
-            return c.re
-        return Fraction(c)
-
     def zero(self):
-        return zero_vec(self.dim, self.field)
+        return zero_vec(self.dim)
 
     def basis_vector(self, i):
         v = self.zero()
-        v[i] = self._coerce(1)
+        v[i] = Fraction(1)
         return v
 
     def basis(self):
@@ -245,7 +236,7 @@ class NilpotentLieAlgebra:
         out = self.zero()
         for word, coeff in table.items():
             if len(word) == 1:
-                out = vec_add(out, vec_scale(self._coerce(coeff), values[word[0]]))
+                out = vec_add(out, vec_scale(coeff, values[word[0]]))
                 continue
             # each homogeneous component of the BCH series is a Lie element,
             # so the Dynkin projection (nested bracket / word length) of the
@@ -253,7 +244,7 @@ class NilpotentLieAlgebra:
             term = _nested_bracket(self, word, values)
             if vec_is_zero(term):
                 continue
-            out = vec_add(out, vec_scale(self._coerce(coeff / len(word)), term))
+            out = vec_add(out, vec_scale(coeff / len(word), term))
         return out
 
     def inverse(self, x):
@@ -273,14 +264,12 @@ class NilpotentLieAlgebra:
         n = self.dim
         A = self.ad_matrix(g)
         out = exactla.identity_matrix(n)
-        if self.field == "Qi":
-            out = [[exactla.Gaussian(x) for x in row] for row in out]
         power = out
         fact = Fraction(1)
         for k in range(1, self.nilpotency_class + 1):
             power = mat_mul(A, power)
             fact = fact / k
-            term = [[self._coerce(fact) * x for x in row] for row in power]
+            term = [[fact * x for x in row] for row in power]
             out = exactla.mat_add(out, term)
         return out
 
@@ -292,20 +281,18 @@ class NilpotentLieAlgebra:
             self.name, self.dim, self.nilpotency_class)
 
 
-def abelian_lie_algebra(dim, field="Q", name="A"):
-    return NilpotentLieAlgebra(dim, {}, field=field, name=name)
+def abelian_lie_algebra(dim, name="A"):
+    return NilpotentLieAlgebra(dim, {}, name=name)
 
 
-def heisenberg(field="Q"):
+def heisenberg():
     """Heisenberg algebra: [x, y] = z."""
-    return NilpotentLieAlgebra(3, {(0, 1): {2: 1}}, field=field, name="heis")
+    return NilpotentLieAlgebra(3, {(0, 1): {2: 1}}, name="heis")
 
 
 def direct_sum(*algebras, name=None):
-    """Direct sum of any number of algebras over one field, built in one
-    step, so the lower central series is computed once."""
-    field = algebras[0].field
-    assert all(a.field == field for a in algebras)
+    """Direct sum of any number of algebras, built in one step, so the
+    lower central series is computed once."""
     structure = {}
     offset = 0
     for a in algebras:
@@ -315,12 +302,12 @@ def direct_sum(*algebras, name=None):
         offset += a.dim
     # block sums of valid algebras are valid: cross brackets vanish, so
     # antisymmetry and Jacobi reduce to the (already checked) summands
-    return NilpotentLieAlgebra(offset, structure, field=field,
+    return NilpotentLieAlgebra(offset, structure,
                                name=name or "+".join(a.name for a in algebras),
                                validate=False)
 
 
-def central_extension(Q, z_dim, omega, field="Q", name=None):
+def central_extension(Q, z_dim, omega, name=None):
     """Central extension of Q by an abelian algebra of dimension z_dim,
     with 2-cocycle omega: omega[(i,j)] (i < j, basis of Q) -> list of
     z-coordinates.  New basis: Q basis first, then the central basis."""
@@ -334,7 +321,7 @@ def central_extension(Q, z_dim, omega, field="Q", name=None):
         for k, c in enumerate(zvec):
             if c:
                 row[n + k] = row.get(n + k, 0) + c
-    return NilpotentLieAlgebra(n + z_dim, structure, field=field,
+    return NilpotentLieAlgebra(n + z_dim, structure,
                                name=name or (Q.name + "-ext"))
 
 
@@ -442,9 +429,8 @@ def _descend(L, act, group, stop_at_nonzero=False):
     coordinates; with ``stop_at_nonzero``, up to the first layer that
     does not reduce to 0.
     """
-    g = zero = [L._coerce(0)] * group.dim
-    h = [[L._coerce(int(i == j)) for j in range(group.dim)]
-         for i in range(group.dim)]
+    g = zero = zero_vec(group.dim)
+    h = exactla.identity_matrix(group.dim)
     change, coords_by_layer = L.adapted_coordinates()
     read = (lambda r: r) if change is None else (lambda r: mat_vec(change, r))
     layers = []

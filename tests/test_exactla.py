@@ -1,12 +1,14 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohw.exactla import (
-    Echelon, Gaussian, I, conjugate_fixed, complement_basis, coords_in_basis,
-    format_scalar, in_span, kernel_basis, mat_mul, mat_vec, parse_scalar,
-    rank, rref, solve_affine, span_echelon, subspace_intersect,
-    subspace_sum, vec_add, vec_is_zero, vec_scale, vec_sub,
+    Echelon, Gaussian, I, complement_basis, complex_span, coords_in_basis,
+    format_scalar, identity_matrix, in_span, kernel_basis, mat_mul, mat_vec,
+    parse_scalar, rank, realify_vector, rref, solve_affine, span_echelon,
+    subspace_intersect, subspace_sum, unrealify_vector, vec_add, vec_is_zero,
+    vec_scale,
 )
 
 F = Fraction
@@ -28,7 +30,7 @@ def test_scalar_formatting_round_trip():
     assert format_scalar(Gaussian(F(1, 2), F(-2, 3))) == "1/2-2/3*i"
     assert format_scalar(Gaussian(0, 1)) == "1*i"
     for s in ["1/2", "-7", "1/2-2/3*i", "3*i", "-1/5+1*i", "0"]:
-        x = parse_scalar(s, "Qi")
+        x = parse_scalar(s, "gaussian")
         assert format_scalar(x) == s or format_scalar(Gaussian(x)) == s
 
 
@@ -56,35 +58,56 @@ def test_solve_underdetermined():
         assert mat_vec(A, v) == [F(0)]
 
 
+def _realify_matrix(A):
+    """The rational matrix of z -> A z on realified coordinates, for a
+    Gaussian matrix A: rows Re(a z) and Im(a z) for each row a."""
+    out = []
+    for row in A:
+        row = [Gaussian(1) * a for a in row]
+        out.append([x for a in row for x in (a.re, -a.im)])
+        out.append([x for a in row for x in (a.im, a.re)])
+    return out
+
+
+def _real_points(S):
+    """Rational basis of the real points of a realified complex span: its
+    meet with the real coordinate plane, imaginary columns dropped."""
+    if not S:
+        return []
+    plane = [realify_vector(e) for e in identity_matrix(len(S[0]) // 2)]
+    return [v[0::2] for v in subspace_intersect(S, plane)]
+
+
 def test_gaussian_kernel():
-    # kernel of [1  i] is spanned by (-i, 1)
-    A = [[Gaussian(1), I]]
+    # kernel of [1  i] is spanned by (-i, 1), on realified coordinates
+    A = _realify_matrix([[Gaussian(1), I]])
     ker = kernel_basis(A)
-    assert len(ker) == 1
-    v = ker[0]
-    assert vec_is_zero(mat_vec(A, v))
-    # canonicalized: pivot coordinate is 1
-    assert v[0] == Gaussian(1)
-    assert v[1] == I  # (1, i) is the echelon scaling of (-i, 1)
+    assert len(ker) == 2
+    for v in ker:
+        assert vec_is_zero(mat_vec(A, v))
+    # canonicalized: the complex span of (1, i), the echelon scaling of
+    # (-i, 1), with pivot coordinate 1
+    assert ker == complex_span([[-I, Gaussian(1)]])
+    assert unrealify_vector(ker[0]) == [Gaussian(1), I]
 
 
 def test_conjugate_fixed_real_line():
     # span of (1, 0) is already real: fixed part is the rational line
     W = [[Gaussian(1), Gaussian(0)]]
-    fixed = conjugate_fixed(W)
+    fixed = _real_points(complex_span(W))
     assert fixed == [[F(1), F(0)]]
 
 
 def test_conjugate_fixed_isotropic_line_is_zero():
     # span of (1, i) meets its conjugate span (1, -i) only at 0
     W = [[Gaussian(1), I]]
-    assert conjugate_fixed(W) == []
+    assert _real_points(complex_span(W)) == []
 
 
 def test_conjugate_fixed_complex_plane():
     # the full plane is conjugation stable; fixed rational part is everything
     W = [[Gaussian(1), Gaussian(0)], [Gaussian(0), Gaussian(1)]]
-    fixed = conjugate_fixed(W)
+    fixed = _real_points(complex_span(W))
     assert len(fixed) == 2
 
 
@@ -146,20 +169,13 @@ def test_coords_reconstruct(basis, v):
     assert acc == list(v)
 
 
-def _plain_zero(*vecs):
-    if any(isinstance(x, Gaussian) for vec in vecs for x in vec):
-        return Gaussian(0)
-    return F(0)
-
-
 def _plain_mat_vec(A, v):
-    return [sum((a * x for a, x in zip(row, v)), _plain_zero(row, v))
-            for row in A]
+    return [sum((a * x for a, x in zip(row, v)), F(0)) for row in A]
 
 
 def _plain_mat_mul(A, B):
     cols = list(zip(*B))
-    return [[sum((a * b for a, b in zip(row, col)), _plain_zero(row, col))
+    return [[sum((a * b for a, b in zip(row, col)), F(0))
              for col in cols] for row in A]
 
 
@@ -167,10 +183,9 @@ def _typed(rows):
     return [[(type(x), x) for x in row] for row in rows]
 
 
-zeros = st.sampled_from([0, F(0), Gaussian(0)])
+zeros = st.sampled_from([0, F(0)])
 sparse_entries = st.one_of(
-    zeros, zeros, zeros, st.integers(-3, 3), small_fracs,
-    st.builds(Gaussian, small_fracs, small_fracs))
+    zeros, zeros, zeros, st.integers(-3, 3), small_fracs)
 
 
 @st.composite
@@ -189,12 +204,25 @@ def sparse_matrix(draw, rows, cols):
 @given(st.data(), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4))
 def test_sparse_kernels_match_plain_formula(data, m, k, n):
     # mat_vec and mat_mul skip zero terms; every entry must keep the value
-    # and the type (Fraction or Gaussian) of the plain sum it replaces
+    # and the type (Fraction, also for int input) of the plain sum it
+    # replaces
     A = data.draw(sparse_matrix(m, k))
     B = data.draw(sparse_matrix(k, n))
     v = data.draw(sparse_matrix(1, k))[0]
     assert _typed([mat_vec(A, v)]) == _typed([_plain_mat_vec(A, v)])
     assert _typed(mat_mul(A, B)) == _typed(_plain_mat_mul(A, B))
+
+
+def test_kernels_reject_shape_mismatch():
+    # a row shorter or longer than the vector or the right factor's
+    # column is a mis-wired product, not a truncated one
+    for row in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            mat_mul([row], [[1], [2], [3]])
+        with pytest.raises(ValueError):
+            mat_vec([row], [1, 2, 3])
+    assert mat_mul([[1, 2, 3]], [[1], [2], [3]]) == [[14]]
+    assert mat_vec([[1, 2, 3]], [1, 2, 3]) == [14]
 
 
 def _typed_rref(result):
@@ -216,11 +244,6 @@ def test_integer_input_gives_fractions():
     x, ker = solve_affine([[3, 6]], [1])
     assert _typed([x]) == _typed([[F(1, 3), F(0)]])
     assert _typed(ker) == _typed([[F(1), F(-1, 2)]])
-    # the Gaussian path divides in the field: an int pivot must not give
-    # the float 1 / 2 either
-    rows, pivots = rref([[2, 4, Gaussian(0, 1)]])
-    assert _typed(rows) == _typed([[F(1), F(2), Gaussian(0, F(1, 2))]])
-    assert not any(isinstance(x, float) for row in rows for x in row)
 
 
 def _reference_rref(rows):
@@ -292,10 +315,38 @@ gaussian_entries = st.one_of(
     st.builds(Gaussian, small_fracs, small_fracs))
 
 
+def _complex_rank(rows):
+    return len(_reference_rref(rows)[0])
+
+
 @settings(max_examples=100, deadline=None)
-@given(rational_matrix(gaussian_entries))
-def test_rref_gaussian_input_unchanged(M):
-    assert _typed_rref(rref(M)) == _typed_rref(_reference_rref(M))
+@given(st.data(), rational_matrix(gaussian_entries))
+def test_complex_span_matches_complex_elimination(data, W):
+    # complex_span on realified coordinates against elimination over Q(i)
+    n = len(W[0])
+    gaussian_vectors = st.lists(gaussian_entries, min_size=n, max_size=n)
+    S = complex_span(W)
+    r = _complex_rank(W)
+    assert len(S) == 2 * r
+    # membership: random vectors and Gaussian combinations of the rows
+    v = data.draw(st.one_of(gaussian_vectors, st.lists(
+        gaussian_entries, min_size=len(W), max_size=len(W)).map(
+            lambda cs: [sum((c * row[j] for c, row in zip(cs, W)), F(0))
+                        for j in range(n)])))
+    assert Echelon(S).contains(realify_vector(v)) == \
+        (_complex_rank(W + [v]) == r)
+    # intersection with a second span
+    V = data.draw(st.lists(gaussian_vectors, max_size=3))
+    assert len(subspace_intersect(S, complex_span(V))) == \
+        2 * (r + _complex_rank(V) - _complex_rank(W + V))
+    # real points: rational vectors of span(W), as many as the complex
+    # dimension of span(W) /\ conj span(W)
+    conj = [[(Gaussian(1) * x).conj() for x in row] for row in W]
+    real = _real_points(S)
+    assert len(real) == 2 * r - _complex_rank(W + conj)
+    for x in real:
+        assert all(isinstance(c, F) for c in x)
+        assert _complex_rank(W + [x]) == r
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from cohw.exactla import Gaussian, realify_vector, unrealify_vector, vec_add, \
     vec_neg, vec_scale
+from cohw.cli import derive_mhs_extension, load_description
 from cohw.cosimpl import check_cosimplicial_map, pi0, pi1_unipotent_deciders
 from cohw.hodge import (
     MHSGroup, classify_torsor, coset_cosimplicial, equivalent,
@@ -17,6 +20,7 @@ from cohw.nilpotent import (
 
 F = Fraction
 I = Gaussian(0, 1)
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "cohw" / "corpus"
 
 
 def _r1():
@@ -93,6 +97,8 @@ def test_validate_examples():
     assert not bad.report["ok"]
     details = [c["detail"] for c in bad.report["checks"] if not c["ok"]]
     assert "failed Hodge decomposition" in details
+    # and its F^0 /\ W_0 has the real point e1
+    assert bad.real_fixed() == [[1, 0]]
 
 
 def test_validate_named_violations():
@@ -318,6 +324,11 @@ def test_twist():
     assert tw.report["ok"] and tw.hodge[0] != M.hodge[0]
     assert h1_dimension(tw) == h1_dimension(M) == 1
     # classes correspond under right multiplication by alpha
+    LR = M.Lreal
+
+    def times_alpha(u):
+        return unrealify_vector(LR.bch(realify_vector(u),
+                                       realify_vector(alpha)))
     rng = random.Random(9)
     for _ in range(4):
         u = [Gaussian(rng.randint(-1, 1), rng.randint(-1, 1))
@@ -325,7 +336,56 @@ def test_twist():
         v = [Gaussian(rng.randint(-1, 1), rng.randint(-1, 1))
              for _ in range(3)]
         assert equivalent(M, u, v) == equivalent(
-            tw, M.LC.bch(u, alpha), M.LC.bch(v, alpha))
+            tw, times_alpha(u), times_alpha(v))
+
+
+def _pinned_mhs():
+    """Every mixed Hodge structure built in the tests and from the corpus
+    (the corpus MHS and the Z and Q of its extension), valid or not."""
+    full3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    heis = _heis()
+    out = {"R1": _r1(), "V": _v(), "heis": heis, "heis_skew": _heis_skew()}
+    out["real_F0"] = MHSGroup(abelian_lie_algebra(2), {-1: [[1, 0], [0, 1]]},
+                              {-1: [[1, 0], [0, 1]], 0: [[1, 0]], 1: []},
+                              check=False)
+    out["non_ideal_W"] = MHSGroup(heisenberg(), {-2: [[1, 0, 0]], -1: full3},
+                                  {-1: full3, 0: []}, check=False)
+    out["non_multiplicative_F"] = MHSGroup(
+        heisenberg(), {-2: [[0, 0, 1]], -1: full3},
+        {-1: full3, 0: [[1, 0, 0], [0, 1, 0]], 1: []}, check=False)
+    out["point"] = MHSGroup(abelian_lie_algebra(0), {-1: []}, {0: []})
+    out["split"] = MHSGroup(abelian_lie_algebra(3),
+                            {-2: [[1, 0, 0]], -1: full3},
+                            {-1: full3, 0: [[Gaussian(0), Gaussian(1), I]],
+                             1: []})
+    out["V_flip"] = MHSGroup(abelian_lie_algebra(2), {-1: [[1, 0], [0, 1]]},
+                             {-1: [[1, 0], [0, 1]], 0: [[Gaussian(1), -I]],
+                              1: []})
+    out["heis_twisted"] = twist_mhs(heis, [Gaussian(1, 1), Gaussian(2), I])
+    out["heis_twisted_central"] = twist_mhs(heis, [0, 0, Gaussian(2, 1)])
+    df = load_description(str(CORPUS / "heisenberg_mhs.alg"))
+    MZ, MU, MQ, _, _ = derive_mhs_extension(df)
+    out.update({"corpus": MU, "corpus_Z": MZ, "corpus_Q": MQ})
+    return out
+
+
+def test_validate_reports_are_pinned():
+    """Each check of ``validate_mhs`` (name, verdict, detail) and the
+    graded weights, on every MHS of ``_pinned_mhs``, equal the reports
+    recorded in validate_mhs_reports.json by the version that eliminated
+    the Hodge levels over Q(i) instead of on realified coordinates."""
+    expected = json.loads(
+        pathlib.Path(__file__).with_name("validate_mhs_reports.json")
+        .read_text())
+    got = {}
+    for name, M in _pinned_mhs().items():
+        report = validate_mhs(M)
+        got[name] = {
+            "graded_weights": {str(m): k for m, k
+                               in report["graded_weights"].items()},
+            "checks": [[c["name"], c["ok"], c["detail"]]
+                       for c in report["checks"]]}
+    assert got == expected
 
 
 def test_validate_is_idempotent_and_reentrant():

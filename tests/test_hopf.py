@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,9 +29,28 @@ def test_monomial_count():
 
 
 def test_basis_cap(monkeypatch):
-    monkeypatch.setattr(hopf, "MAX_BASIS", 5)
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(hopf, "MAX_BASIS", 6)
+    with pytest.raises(ValueError):
         TruncatedEnvelope(heisenberg(), order=2)
+    # the cap is inclusive: the 7 monomials fit a cap of 7
+    monkeypatch.setattr(hopf, "MAX_BASIS", 7)
+    assert len(TruncatedEnvelope(heisenberg(), order=2).monomials) == 7
+
+
+def test_basis_cap_holds_under_optimization():
+    # python -O strips assert statements; the cap is not one
+    code = ("from cohw import hopf\n"
+            "from cohw.nilpotent import heisenberg\n"
+            "hopf.MAX_BASIS = 5\n"
+            "try:\n"
+            "    hopf.TruncatedEnvelope(heisenberg(), order=3)\n"
+            "except ValueError:\n"
+            "    print('capped')\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "capped\n", proc.stderr
 
 
 def test_normal_order_heisenberg():
