@@ -70,6 +70,7 @@ class DescriptionFile:
         self.filtration_w = None
         self.filtration_f = None
         self.phi = None
+        self.phi_line = None
         self.N = None
         self.coset = None
         self.action = None
@@ -315,7 +316,9 @@ def parse_description(text, name="<input>"):
         if len(mats[tag]) != d or any(len(r) != d for _, r in mats[tag]):
             raise ParseError(mats[tag][0][0], 1,
                              "%s must be a %dx%d matrix" % (tag, d, d))
-        setattr(df, tag if tag == "phi" else "N", [r for _, r in mats[tag]])
+        setattr(df, tag, [r for _, r in mats[tag]])
+    if df.phi is not None:
+        df.phi_line = mats["phi"][0][0]
 
     if coset["pattern"] is not None:
         if coset["pattern"] != "double_coset":
@@ -362,13 +365,36 @@ def build_coset_cosimplicial(df, N=2):
 
 
 def build_phin(df):
+    """The (phi, N) datum; broken axioms are a ParseError at the first
+    [phi] row."""
     p = df.p if df.p is not None else Fraction(2)
-    return PhiNGroup(df.L, df.phi, N=df.N, p=p)
+    try:
+        return PhiNGroup(df.L, df.phi, N=df.N, p=p)
+    except ValueError as e:
+        raise ParseError(df.phi_line, 1, "invalid (phi, N) data: %s" % e)
 
 
 def build_mhs(df):
     return MHSGroup(df.L, df.filtration_w, df.filtration_f, name=df.name,
                     check=False)
+
+
+def _filtration_verdict(M):
+    """The report line on the filtrations of M and whether they are
+    valid: the first failed check of ``validate_mhs``, or the graded
+    weights."""
+    if not M.report["ok"]:
+        bad = [c for c in M.report["checks"] if not c["ok"]][0]
+        return ("filtrations: INVALID (%s: %s)"
+                % (bad["name"], bad["detail"] or "failed")), False
+    gw = " ".join("%d:%d" % (m, M.report["graded_weights"][m])
+                  for m in sorted(M.report["graded_weights"]))
+    return "filtrations: valid; graded weights: %s" % gw, True
+
+
+class InvalidFiltrations(Exception):
+    """Filtrations that fail ``validate_mhs``; the message is the
+    ``_filtration_verdict`` line."""
 
 
 def _quotient_algebra(L, proj_rows):
@@ -432,8 +458,10 @@ def derive_phin_extension(df):
 
 
 def derive_mhs_extension(df):
+    """Z, U, Q and the maps of the [extension] section; filtrations that
+    fail validation, on U or as induced on Z and Q, raise
+    InvalidFiltrations."""
     MU = build_mhs(df)
-    assert MU.report["ok"], MU.report
     L = MU.L
     zcols = df.extension["incl"]
     proj_rows = df.extension["proj"]
@@ -448,7 +476,8 @@ def derive_mhs_extension(df):
         inter = subspace_intersect(lvl, basisZ_R)
         fz[p_] = [unrealify_vector(coords_in_basis(basisZ_R, v))
                   for v in inter]
-    MZ = MHSGroup(LZ, wz, fz, negative_weights=MU.negative_weights, name="Z")
+    MZ = MHSGroup(LZ, wz, fz, negative_weights=MU.negative_weights, name="Z",
+                  check=False)
     LQ, _ = _quotient_algebra(L, proj_rows)
     proj = LieMorphism(L, LQ, proj_rows)
     projR = realify_matrix(proj_rows, len(proj_rows), L.dim)
@@ -456,7 +485,12 @@ def derive_mhs_extension(df):
           for m, lvl in MU.weights.items()}
     fq = {p_: [unrealify_vector(mat_vec(projR, v)) for v in lvl]
           for p_, lvl in MU.hodge.items()}
-    MQ = MHSGroup(LQ, wq, fq, negative_weights=MU.negative_weights, name="Q")
+    MQ = MHSGroup(LQ, wq, fq, negative_weights=MU.negative_weights, name="Q",
+                  check=False)
+    for M in (MU, MZ, MQ):
+        line, ok = _filtration_verdict(M)
+        if not ok:
+            raise InvalidFiltrations(line)
     return MZ, MU, MQ, incl, proj
 
 
@@ -886,15 +920,10 @@ def cmd_validate(df, args):
         X = build_phin(df)
         lines.append("frobenius data: valid (p = %s)" % X.p)
     if df.filtration_w is not None or df.filtration_f is not None:
-        M = build_mhs(df)
-        if not M.report["ok"]:
-            bad = [c for c in M.report["checks"] if not c["ok"]][0]
-            lines.append("filtrations: INVALID (%s: %s)"
-                         % (bad["name"], bad["detail"] or "failed"))
+        line, ok = _filtration_verdict(build_mhs(df))
+        lines.append(line)
+        if not ok:
             return lines, 2
-        gw = " ".join("%d:%d" % (m, M.report["graded_weights"][m])
-                      for m in sorted(M.report["graded_weights"]))
-        lines.append("filtrations: valid; graded weights: %s" % gw)
     if df.extension is not None:
         lines.append("extension: Z dim %d, Q dim %d"
                      % (len(df.extension["incl"]), len(df.extension["proj"])))
@@ -973,7 +1002,9 @@ def cmd_hodge_classify(df, args):
     if df.filtration_w is None or df.filtration_f is None:
         raise ParseError(1, 1, "hodge-classify needs both filtrations")
     M = build_mhs(df)
-    assert M.report["ok"], M.report
+    line, ok = _filtration_verdict(M)
+    if not ok:
+        return lines + [line], 2
     toks = [t.strip() for t in args.element.split(",")]
     if len(toks) != M.L.dim:
         raise ParseError(1, 1, "--element needs %d coordinates" % M.L.dim)
@@ -991,7 +1022,10 @@ def cmd_hodge_les(df, args):
     lines = _header("hodge-les", df)
     if df.extension is None or df.filtration_f is None:
         raise ParseError(1, 1, "hodge-les needs filtrations and extension")
-    MZ, MU, MQ, incl, proj = derive_mhs_extension(df)
+    try:
+        MZ, MU, MQ, incl, proj = derive_mhs_extension(df)
+    except InvalidFiltrations as e:
+        return lines + [str(e)], 2
     res = mhs_les(MZ, MU, MQ, incl, proj)
     ok = res["report"]["ok"]
     lines.append("report: %s" % ("ok" if ok else "FAILED"))

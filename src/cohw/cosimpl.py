@@ -13,8 +13,9 @@ from itertools import product as iproduct
 
 from . import exactla
 from .exactla import (
-    kernel_basis, mat_mul, mat_vec, rank, vec_add, vec_is_zero, vec_sub,
-    zero_vec,
+    in_span, kernel_basis, mat_mul, mat_vec, rank, solve_affine,
+    span_echelon, subspace_intersect, transpose, vec_add, vec_is_zero,
+    vec_sub, zero_vec,
 )
 from .nilpotent import solve_graded_affine
 
@@ -76,7 +77,6 @@ class TableGroup:
                 if x in span:
                     continue
                 gens.append(x)
-                frontier = list(span | {x})
                 span = set()
                 queue = [self.ident]
                 span.add(self.ident)
@@ -696,9 +696,9 @@ def pi1_finite(U):
 
 
 def pi1_unipotent_deciders(U):
-    """Deciders for pi^1 of a unipotent cosimplicial group: triviality and
-    equivalence of cocycles by stabilizer descent, and exact tangent
-    dimensions."""
+    """Deciders for pi^1 of a unipotent cosimplicial group: triviality,
+    equivalence and a witness of equivalence of cocycles by stabilizer
+    descent, and exact tangent dimensions."""
     G0, G1 = U.objects[0], U.objects[1]
     assert is_linear_carrier(G0)
     L1 = G1.L
@@ -706,18 +706,24 @@ def pi1_unipotent_deciders(U):
     def is_cocycle(c):
         return cocycle_condition(U, tuple(c))
 
-    def equivalent(c, cprime):
-        assert is_cocycle(c) and is_cocycle(cprime), "malformed cocycle"
+    def witness(c, cprime=None):
+        """u0 in U^0 with u0 . c = c' (the identity when c' is None), or
+        None when the two cocycles are not equivalent."""
+        target = G1.identity() if cprime is None else tuple(cprime)
+        assert is_cocycle(c) and is_cocycle(target), "malformed cocycle"
 
         def residual(u0):
             lhs = twisted_conj(U, tuple(u0), tuple(c))
-            return list(G1.mul(lhs, G1.inv(tuple(cprime))))
+            return list(G1.mul(lhs, G1.inv(target)))
 
         sol, _ = solve_graded_affine(L1, residual, G0)
-        return sol is not None
+        return sol
+
+    def equivalent(c, cprime):
+        return witness(c, cprime) is not None
 
     def is_trivial(c):
-        return equivalent(c, G1.identity())
+        return witness(c) is not None
 
     def tangent_dimension_at(c):
         """dim T_c Z^1 minus the rank of the orbit map at the identity,
@@ -738,6 +744,7 @@ def pi1_unipotent_deciders(U):
             _jacobian(orbit_map, G0.identity(), L1.nilpotency_class))
 
     return {"is_trivial": is_trivial, "equivalent": equivalent,
+            "witness": witness,
             "tangent_dimension_at": tangent_dimension_at,
             "is_cocycle": is_cocycle}
 
@@ -1325,6 +1332,169 @@ def les_central_finite(Z, U, Q, incl, proj):
         return class_of(p1U, U.objects[1].mul(z, u))
 
     return MixedExactSequence(nodes, maps, j=0, k=3, action=action)
+
+
+def les_central_unipotent(Z, U, Q, incl, proj, samples=(), rng=None):
+    """Theorem part (3) for unipotent carriers: the sequence
+    1 -> pi0 Z -> pi0 U -> pi0 Q -> pi1 Z -> pi1 U -> pi1 Q (-> pi2 Z)
+    of a central extension, each clause decided once by exact solving.
+
+    incl[n]: Z^n -> U^n and proj[n]: U^n -> Q^n are linear homs on the
+    levels n < len(incl); Z must be abelian.  The pi^1 clauses run on the
+    basis of each space plus one ``rng`` combination, on the identity and
+    the cocycles of Z twisted by random points of U^0, and on the given
+    ``samples`` (cocycles of U^1).  pi1(Q) -> pi2(Z) is decided when Z
+    reaches level 3 and Q is abelian.  ``provenance`` labels each clause
+    "exact" (decided on a whole linear space) or "sampled(k)" (on k
+    sample elements)."""
+    import random
+    rng = rng or random.Random(0)
+    if not (check_cosimplicial_map(Z, U, incl)
+            and check_cosimplicial_map(U, Q, proj)):
+        raise AssertionError("levelwise maps of the extension do not "
+                             "commute with the structure maps")
+    for n in range(len(incl)):
+        Zn, Un = Z.objects[n], U.objects[n]
+        im = [list(incl[n].apply(e))
+              for e in exactla.identity_matrix(Zn.dim)]
+        if not (Zn.is_abelian() and rank(im) == Zn.dim
+                and rank(proj[n].matrix) == Q.objects[n].dim
+                and span_echelon(im) == span_echelon(
+                    kernel_basis(proj[n].matrix, Un.dim))
+                and all(Un.L.is_central(z) for z in im)):
+            raise AssertionError("not a central extension at level %d" % n)
+
+    def lift(h, v):
+        """A preimage of v under the linear hom h, or None."""
+        if h.target.dim == 0:
+            return zero_vec(h.source.dim)
+        return solve_affine(h.matrix, list(v))[0]
+
+    def sampled(basis):
+        """The basis, plus one rng combination of two or more vectors."""
+        out = [list(v) for v in basis]
+        if len(out) > 1:
+            out.append([sum(Fraction(rng.randint(-2, 2)) * v[i] for v in out)
+                        for i in range(len(out[0]))])
+        return out
+
+    clauses, provenance = {}, {}
+
+    def decide(name, ok, k=None):
+        clauses[name] = ok
+        provenance[name] = "exact" if k is None else "sampled(%d)" % k
+
+    p0Z, p0U, p0Q = ([list(v) for v in pi0(G)] for G in (Z, U, Q))
+    decU, decQ = pi1_unipotent_deciders(U), pi1_unipotent_deciders(Q)
+    MZ = moore_differentials(Z)
+    z_dims = complex_cohomology_dims([G.dim for G in Z.objects], MZ)
+    b1 = span_echelon(transpose(MZ[0]))
+    h1reps = []
+    for v in kernel_basis(MZ[1], Z.objects[1].dim):
+        if not in_span(b1 + h1reps, v):
+            h1reps.append(list(v))
+    assert len(h1reps) == z_dims[1]
+
+    def z_cocycle(z):
+        return z is not None and vec_is_zero(mat_vec(MZ[1], z))
+
+    U1 = U.objects[1]
+
+    def delta0(q):
+        """The connecting cocycle d^1(u0) d^0(u0)^-1 of a lift u0 of q."""
+        u0 = tuple(lift(proj[0], q))
+        z = lift(incl[1], U1.mul(U.d(1, 1).apply(u0),
+                                 U1.inv(U.d(1, 0).apply(u0))))
+        assert z_cocycle(z), "connecting cocycle not in Z^1 (bug)"
+        return z
+
+    im0 = span_echelon([list(incl[0].apply(z)) for z in p0Z])
+    ker0 = subspace_intersect(p0U, kernel_basis(proj[0].matrix,
+                                                U.objects[0].dim))
+    decide("exact at pi0(U)", im0 == span_echelon(ker0))
+
+    # a fixed point of Q lifts to one of U iff its connecting class dies
+    qs = [q for q in sampled(p0Q) if not vec_is_zero(q)]
+    deltas = [delta0(q) for q in qs]
+    pushed = transpose([list(proj[0].apply(u)) for u in p0U])
+    decide("exact at pi0(Q)", all(
+        (bool(p0U) and solve_affine(pushed, q)[0] is not None)
+        == in_span(b1, z) for q, z in zip(qs, deltas)),
+        len(qs) if p0Q else None)
+
+    # a class of Z dies in U iff it is a connecting class; the witness
+    # of its death projects to a fixed point of Q with that class
+    hs = sampled(h1reps)
+    denom = b1 + deltas
+    wits = [decU["witness"](incl[1].apply(h)) for h in hs]
+    ok = True
+    for h, u0 in zip(hs, wits):
+        if u0 is None:
+            ok = ok and not in_span(denom, h)
+        else:
+            q0 = proj[0].apply(u0)
+            ok = ok and Q.d(1, 0).apply(q0) == Q.d(1, 1).apply(q0) \
+                and in_span(b1, vec_sub(delta0(q0), h))
+    decide("exact at pi1(Z)", ok, len(hs) if h1reps else None)
+
+    # the fibers of pi1(Z) -> pi1(U) are the orbits of the connecting map
+    pairs = [(wits[i] is not None, h) for i, h in enumerate(h1reps)]
+    pairs += [(decU["equivalent"](incl[1].apply(h), incl[1].apply(g)),
+               vec_sub(h, g))
+              for i, h in enumerate(h1reps) for g in h1reps[i + 1:]]
+    decide("fibers at pi1(Z) are connecting orbits",
+           all(eq == in_span(denom, d) for eq, d in pairs),
+           len(pairs) if h1reps else None)
+
+    # a class of U dies in Q iff it comes from Z: lift the witness of its
+    # death in Q through proj^0, which moves the cocycle into incl^1(Z^1)
+    starts = [U1.identity()] + [incl[1].apply(h) for h in h1reps]
+    cocycles = [twisted_conj(U, tuple(Fraction(rng.randint(-1, 1))
+                                      for _ in range(U.objects[0].dim)), c)
+                for c in starts] + [tuple(c) for c in samples]
+    ok, tested = True, 0
+    for c in cocycles:
+        v0 = decQ["witness"](proj[1].apply(c))
+        if v0 is not None:
+            tested += 1
+            u0 = tuple(lift(proj[0], v0))
+            ok = ok and z_cocycle(lift(incl[1], twisted_conj(U, u0, c)))
+    decide("exact at pi1(U)", ok, tested)
+
+    h1_q_dim = None
+    if Z.N >= 3 and all(G.is_abelian() for G in Q.objects):
+        # a cocycle of Q lifts to one of U iff its obstruction
+        # d^2(u1)^-1 d^1(u1) d^0(u1)^-1 dies in pi2(Z)
+        MQ = moore_differentials(Q)
+        h1_q_dim = complex_cohomology_dims([G.dim for G in Q.objects],
+                                           MQ)[1]
+        z1Q = kernel_basis(MQ[1], Q.objects[1].dim)
+        kerp1 = kernel_basis(proj[1].matrix, U1.dim)
+        b2 = span_echelon(transpose(MZ[1]))
+        U2 = U.objects[2]
+        ok, qs = True, sampled(z1Q)
+        for q in qs:
+            u1 = lift(proj[1], q)
+
+            def residual(t):
+                u = tuple(vec_add(u1, [sum(s * v[i] for s, v in zip(t, kerp1))
+                                       for i in range(U1.dim)]))
+                return list(U2.mul(
+                    U2.inv(U.d(2, 2).apply(u)),
+                    U2.mul(U.d(2, 1).apply(u), U2.inv(U.d(2, 0).apply(u)))))
+
+            z2 = lift(incl[2], residual([0] * len(kerp1)))
+            assert z2 is not None, "lifting obstruction not in Z^2 (bug)"
+            # ker(proj) is central, so the residual is affine in t
+            sol, _ = solve_graded_affine(U2.L, residual,
+                                         VectorGroup(len(kerp1)))
+            ok = ok and in_span(b2, z2) == (sol is not None)
+        decide("exact at pi1(Q)", ok, len(qs) if z1Q else None)
+
+    return {"report": certificate_report(clauses), "clauses": clauses,
+            "provenance": provenance, "h1_z_dim": z_dims[1],
+            "z_dims": z_dims, "h1_q_dim": h1_q_dim,
+            "pi0": (p0Z, p0U, p0Q)}
 
 
 def codim_vanishing_check(Z, U, Q, incl, proj, q1):

@@ -165,23 +165,22 @@ def _is_cocycle_table(action, f):
     return True
 
 
-def _propagate(action, gens, values, require_full=True):
-    """Extend a candidate cocycle from values on generators along the
-    Cayley graph; returns the (possibly partial) table or None on
-    conflict."""
+def _propagate(action, gens, values, require_full=True, z2=None):
+    """Extend a cochain from its values on generators along the Cayley
+    graph by f(gs) = z2(g, s)^-1 f(g) (g.f(s)), with z2 trivial (a
+    candidate cocycle) when not given; returns the (possibly partial)
+    table or None on conflict."""
     G, U = action.G, action.carrier
     f = {G.identity(): U.identity()}
-    for s, v in zip(gens, values):
-        if s in f and f[s] != v:
-            return None
-        f[s] = v
-    frontier = list(f)
+    frontier = [G.identity()]
     while frontier:
         nxt = []
         for g in frontier:
             for s, v in zip(gens, values):
                 gs = G.mul(g, s)
                 val = U.mul(f[g], action.act(g, v))
+                if z2 is not None:
+                    val = U.mul(U.inv(z2[(g, s)]), val)
                 if gs in f:
                     if f[gs] != val:
                         return None
@@ -413,29 +412,8 @@ def _z2_is_coboundary(action, z2):
     generators and propagating c(gh) = (z2(g,h))^-1 c(g) (g.c(h))."""
     G, Z = action.G, action.carrier
     gens = G.generators()
-    ident = G.identity()
-
-    def propagate(values):
-        c = {ident: Z.identity()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s, v in zip(gens, values):
-                    gs = G.mul(g, s)
-                    val = Z.mul(Z.inv(z2[(g, s)]),
-                                Z.mul(c[g], action.act(g, v)))
-                    if gs in c:
-                        if c[gs] != val:
-                            return None
-                    else:
-                        c[gs] = val
-                        nxt.append(gs)
-            frontier = nxt
-        return c if len(c) == G.size() else None
-
     for values in iproduct(Z.elements(), repeat=len(gens)):
-        c = propagate(list(values))
+        c = _propagate(action, gens, list(values), z2=z2)
         if c is None:
             continue
         ok = all(

@@ -28,15 +28,14 @@ import random
 from fractions import Fraction
 
 from .exactla import (
-    Echelon, Gaussian, complement_basis, complex_span, coords_in_basis,
-    identity_matrix, in_span, kernel_basis, mat_eq, mat_mul, mat_vec, rank,
-    realify_vector, solve_affine, span_echelon, subspace_intersect,
-    transpose, unrealify_vector, vec_add, vec_is_zero, vec_neg, vec_scale,
-    vec_sub, zero_vec,
+    Echelon, Gaussian, complex_span, coords_in_basis, identity_matrix,
+    in_span, kernel_basis, mat_vec, rank, realify_vector, span_echelon,
+    subspace_intersect, transpose, unrealify_vector, vec_is_zero, vec_neg,
+    zero_vec,
 )
 from .cosimpl import (
     LinearHom, SemiCosimplicialGroup, StructuredHom, UnipotentCarrier,
-    _product_object, certificate_report, cogenerate, cogenerate_morphism, pi0,
+    _product_object, cogenerate, cogenerate_morphism, les_central_unipotent,
 )
 from .nilpotent import LieMorphism, NilpotentLieAlgebra, _descend
 
@@ -221,16 +220,22 @@ def validate_mhs(M):
         full = realify_matrix(Wm1 + comp, len(Wm1) + grdim, d)
         WmC = complex_span(Wm)
 
+        parts = {}
+
         def gr_part(p):
-            """F^p /\\ W_m in Gr_m W, realified."""
-            fp = M.f_basis(p)
-            inter = subspace_intersect(fp, WmC) if fp else []
-            quots = []
-            for x in inter:
-                co = coords_in_basis(full, x)
-                assert co is not None
-                quots.append(co[2 * len(Wm1):])
-            return span_echelon(quots)
+            """F^p /\\ W_m in Gr_m W, realified; computed once for each
+            stored level of F, as p and m + 1 - p revisit them."""
+            key = max((i for i in fidx if i <= p), default=None)
+            if key not in parts:
+                fp = M.f_basis(p)
+                inter = subspace_intersect(fp, WmC) if fp else []
+                quots = []
+                for x in inter:
+                    co = coords_in_basis(full, x)
+                    assert co is not None
+                    quots.append(co[2 * len(Wm1):])
+                parts[key] = span_echelon(quots)
+            return parts[key]
 
         for p in range(pmin, pmax + 2):
             A = gr_part(p)
@@ -404,49 +409,34 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
         1 -> fix(Z) -> fix(U) -> fix(Q) -> H1(Z) ~> H1(U) -> H1(Q) -> 1
 
     where fix = F0W0(R) real fixed points and H1 = double-coset classes,
-    realized on the cogenerated coset cosimplicial groups and verified
-    clause by clause with the deciders."""
+    realized on the cogenerated coset cosimplicial groups, whose clauses
+    ``les_central_unipotent`` decides; ``samples`` random points of U(C)
+    are its sample cocycles of U."""
     rng = rng or random.Random(0)
-    dZ, dU, dQ = MZ.L.dim, MU.L.dim, MQ.L.dim
+    dU, dQ = MU.L.dim, MQ.L.dim
     for M in (MZ, MU, MQ):
-        assert M.report["ok"], M.report
-        assert M.negative_weights
-    assert MZ.L.is_abelian(), "central kernel must be abelian"
-    assert rank(incl.matrix) == dZ and rank(proj.matrix) == dQ
-    zero = mat_mul(proj.matrix, incl.matrix)
-    assert all(not x for row in zero for x in row), "proj o incl nonzero"
-    incl_cols = [ [incl.matrix[r][c] for r in range(dU)] for c in range(dZ) ]
-    assert span_echelon(incl_cols) == kernel_basis(proj.matrix, dU)
-    for c in incl_cols:
-        for i in range(dU):
-            assert vec_is_zero(MU.L.bracket(MU.L.basis_vector(i), c)), \
-                "kernel not central"
-
-    # the maps on complex points, realified; the columns of inclR are a
-    # basis of Z(C) whose coordinates are realified complex coordinates
-    inclR = realify_matrix(incl.matrix, dU, dZ)
-    projR = realify_matrix(proj.matrix, dQ, dU)
-    inclR_cols = transpose(inclR)
+        if not (M.report["ok"] and M.negative_weights):
+            raise AssertionError("filtrations of %s are not valid with "
+                                 "negative weights" % M.name)
 
     # strict compatibility of the filtrations
-    f0Z, f0U, f0Q = MZ.f0(), MU.f0(), MQ.f0()
-    pushedF = [mat_vec(projR, f) for f in f0U]
-    assert span_echelon(pushedF) == f0Q, \
-        "non-strict filtration data: proj(F0 U) != F0 Q"
-    imgZ = span_echelon([mat_vec(inclR, f) for f in f0Z])
-    interU = subspace_intersect(f0U, inclR_cols)
-    assert imgZ == interU, \
-        "non-strict filtration data: F0 U /\\ Z != incl(F0 Z)"
+    inclR = realify_matrix(incl.matrix, dU, MZ.L.dim)
+    projR = realify_matrix(proj.matrix, dQ, dU)
+    if span_echelon([mat_vec(projR, f) for f in MU.f0()]) != MQ.f0():
+        raise AssertionError("non-strict filtration data: "
+                             "proj(F0 U) != F0 Q")
+    if span_echelon([mat_vec(inclR, f) for f in MZ.f0()]) != \
+            subspace_intersect(MU.f0(), transpose(inclR)):
+        raise AssertionError("non-strict filtration data: "
+                             "F0 U /\\ Z != incl(F0 Z)")
     for m in sorted(set(MZ.weights) | set(MU.weights) | set(MQ.weights)):
-        wU = MU.w_basis(m)
-        for w in MZ.w_basis(m):
-            assert not wU or in_span(wU, mat_vec(incl.matrix, list(w))) or \
-                vec_is_zero(mat_vec(incl.matrix, list(w)))
-        wQ = MQ.w_basis(m)
-        for w in wU:
-            pw = mat_vec(proj.matrix, list(w))
-            assert vec_is_zero(pw) or (wQ and in_span(wQ, pw)), \
-                "non-strict filtration data: weight level escapes"
+        wU, wQ = MU.w_basis(m), MQ.w_basis(m)
+        if not (all(in_span(wU, mat_vec(incl.matrix, list(w)))
+                    for w in MZ.w_basis(m))
+                and all(in_span(wQ, mat_vec(proj.matrix, list(w)))
+                        for w in wU)):
+            raise AssertionError("non-strict filtration data: "
+                                 "weight level escapes")
 
     # cosimplicial realization and levelwise maps
     GZ, GU, GQ = (coset_cosimplicial(M, 2) for M in (MZ, MU, MQ))
@@ -469,143 +459,46 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
             (k, LinearHom(Xa.factors[k], Xb.factors[k], block(kind)))
             for k, kind in enumerate(("f0_real", "w0_real"))])
         h1 = LinearHom(Ga.semi.objects[1], Gb.semi.objects[1], real)
-        for i in range(2):  # the factor maps commute with the cofaces
-            assert mat_eq(mat_mul(Gb.semi.cofaces[1][i].matrix, h0.matrix),
-                          mat_mul(real, Ga.semi.cofaces[1][i].matrix))
         return [h0, h1]
 
     maps_zu = cogenerate_morphism(GZ, GU, factor_maps(MZ, MU, incl))
     maps_uq = cogenerate_morphism(GU, GQ, factor_maps(MU, MQ, proj))
 
-    # fixed points
-    p0Z, p0U, p0Q = MZ.real_fixed(), MU.real_fixed(), MQ.real_fixed()
+    # a point u of U(C) is the cocycle of the coset object with u in the
+    # factor of the identity epi [1] ->> [1] and 0 in the other
+    k = GU.level_epis[1].index((1, (0, 1)))
+    off = GU.objects[1].offsets
+
+    def cocycle(u):
+        c = [Fraction(0)] * off[-1]
+        c[off[k]:off[k + 1]] = realify_vector(u)
+        return tuple(c)
+
+    points = [[Gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+               for _ in range(dU)] for _ in range(samples)]
+    les = les_central_unipotent(GZ, GU, GQ, maps_zu, maps_uq,
+                                [cocycle(u) for u in points], rng)
+
     # cross-check pi^0 of the cosimplicial realization against the
     # conjugation-fixed computation
-    for M, G in ((MZ, GZ), (MU, GU), (MQ, GQ)):
-        eq = pi0(G)
+    for M, G, eq in zip((MZ, MU, MQ), (GZ, GU, GQ), les["pi0"]):
         d1 = G.semi.cofaces[1][1].matrix
-        img = span_echelon([mat_vec(d1, list(v)) for v in eq])
+        img = span_echelon([mat_vec(d1, v) for v in eq])
         direct = span_echelon([realify_vector(v) for v in M.real_fixed()])
         assert img == direct, "pi0 disagrees with the fixed-point basis"
+    assert les["h1_z_dim"] == h1_dimension(MZ), \
+        "H1(Z) disagrees with the dimension formula"
 
-    clauses = {}
-
-    # exactness at fix(U)
-    img = span_echelon([mat_vec(incl.matrix, list(z)) for z in p0Z])
-    ker = subspace_intersect(p0U, kernel_basis(proj.matrix, dU)) \
-        if p0U else []
-    clauses["exact at fixed points of U"] = (img == span_echelon(ker))
-
-    # H1(Z) as a real vector space: Z(C)_R modulo the real form and F0
-    subZ = w0_f0_subgroups(MZ)
-    relZ = span_echelon([list(v) for v in subZ["w0_real"]]
-                        + [list(v) for v in subZ["f0_real"]])
-    h1Z_basis = complement_basis(relZ, 2 * dZ)
-    h1_z_dim = len(h1Z_basis)
-    assert h1_z_dim == h1_dimension(MZ)
-
-    LRU = MU.Lreal
-    proj_f0U = [[f[r] for f in pushedF] for r in range(2 * dQ)]
-
-    def hodge_lift(q):
-        """A point of F0U(C) over the point q of F0Q(C), both realified."""
-        x, _ = solve_affine(proj_f0U, q)
-        assert x is not None, "Hodge lift missing (strictness violated)"
-        out = zero_vec(2 * dU)
-        for coef, f in zip(x, f0U):
-            out = vec_add(out, vec_scale(coef, f))
-        return out
-
-    def delta(q0):
-        """Connecting class of a fixed point of Q: compare the Hodge lift
-        with the real lift; their difference is a complex point of Z,
-        returned in realified coordinates."""
-        ubar, _ = solve_affine(proj.matrix, q0)
-        assert ubar is not None
-        z = LRU.bch(vec_neg(realify_vector(ubar)),
-                    hodge_lift(realify_vector(q0)))
-        assert vec_is_zero(mat_vec(projR, z))
-        zc = coords_in_basis(inclR_cols, z)
-        assert zc is not None
-        return zc
-
-    delta_img = [delta(q0) for q0 in p0Q]
-
-    # exactness at fix(Q): liftable iff the connecting class vanishes
-    ok = True
-    for q0, dv in zip(p0Q, delta_img):
-        A = [[mat_vec(proj.matrix, list(v))[r] for v in p0U]
-             for r in range(dQ)] if p0U else [[] for _ in range(dQ)]
-        liftable = solve_affine(A, q0)[0] is not None
-        ok = ok and (liftable == in_span(relZ, dv))
-    clauses["exact at fixed points of Q"] = ok
-
-    def lift(z_real):
-        """The complex point of U of a realified point of Z(C)."""
-        return unrealify_vector(mat_vec(inclR, z_real))
-
-    # exactness at H1(Z): a class dies in U iff it is a connecting class
-    denom = span_echelon(relZ + delta_img)
-    ok = True
-    reps = list(h1Z_basis)
-    if len(h1Z_basis) >= 2:
-        reps.append(vec_add(h1Z_basis[0], h1Z_basis[1]))
-    for z in reps:
-        dies = classify_torsor(MU, lift(z)).is_base()
-        ok = ok and (dies == in_span(denom, z))
-    clauses["exact at class space of Z"] = ok
-
-    # the middle map is injective on class representatives exactly up to
-    # the connecting image (orbits = fibers)
-    inj = True
-    pairs = [(z1, z2) for i, z1 in enumerate(h1Z_basis)
-             for z2 in h1Z_basis[i + 1:]]
-    pairs += [(z, [Fraction(0)] * (2 * dZ)) for z in h1Z_basis]
-    for z1, z2 in pairs:
-        eq = equivalent(MU, lift(z1), lift(z2))
-        same = in_span(denom, vec_sub(list(z1), list(z2)))
-        inj = inj and (eq == same)
-    clauses["middle map fibers are connecting orbits"] = inj
-
-    # exactness at H1(U): a class dies in Q iff it comes from Z
-    ok = True
-    test_points = [zero_vec(dU)]
-    for _ in range(samples):
-        test_points.append([Gaussian(rng.randint(-2, 2),
-                                     rng.randint(-2, 2))
-                            for _ in range(dU)])
-    if h1Z_basis:
-        test_points.append(lift(h1Z_basis[0]))
-    checked_nontrivial = False
-    for u in test_points:
-        ur = realify_vector(u)
-        qcls = classify_torsor(MQ, unrealify_vector(mat_vec(projR, ur)))
-        if qcls.is_base():
-            # construct the Z-point explicitly from the reduction witness
-            wQ = qcls.left_witness
-            assert not any(wQ[1::2]), "real witness has imaginary part (bug)"
-            wU, _ = solve_affine(proj.matrix, wQ[0::2])
-            assert wU is not None
-            fU = hodge_lift(qcls.right_witness)
-            z_cand = LRU.bch(vec_neg(realify_vector(wU)), LRU.bch(ur, fU))
-            ok = ok and vec_is_zero(mat_vec(projR, z_cand))
-        elif not checked_nontrivial and h1Z_basis:
-            # nontrivial image in Q: no Z-class may hit it
-            eq = equivalent(MU, u, lift(h1Z_basis[0]))
-            ok = ok and not eq
-            checked_nontrivial = True
-    clauses["exact at class space of U"] = ok
-
-    # surjectivity onto H1(Q): every complex point of Q lifts through proj
-    clauses["classes of U surject onto classes of Q"] = rank(proj.matrix) == dQ
-
+    clauses = les["clauses"]
     h1Q = h1_dimension(MQ)
-    middle_bijective = (inj and clauses["exact at class space of U"]
-                        and h1Q == 0 and len(p0Q) == 0)
+    middle_bijective = (clauses["fibers at pi1(Z) are connecting orbits"]
+                        and clauses["exact at pi1(U)"]
+                        and h1Q == 0 and not les["pi0"][2])
 
-    return {"report": certificate_report(clauses), "clauses": clauses,
-            "middle_bijective": middle_bijective, "h1_z_dim": h1_z_dim,
-            "h1_q_dim": h1Q, "delta_classes": delta_img,
+    return {"report": les["report"], "clauses": clauses,
+            "provenance": les["provenance"],
+            "middle_bijective": middle_bijective,
+            "h1_z_dim": les["h1_z_dim"], "h1_q_dim": h1Q,
             "cosimplicial": (GZ, GU, GQ),
             "level_maps": (maps_zu, maps_uq)}
 

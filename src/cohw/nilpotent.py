@@ -94,7 +94,7 @@ class NilpotentLieAlgebra:
     [e_i, e_j] = sum coeff * e_k.  Elements are coordinate lists.
     """
 
-    def __init__(self, dim, structure, name="L", validate=True):
+    def __init__(self, dim, structure, name="L", validate=True, _lcs=None):
         self.dim = dim
         self.name = name
         self.structure = {}
@@ -105,7 +105,7 @@ class NilpotentLieAlgebra:
                 self.structure[(i, j)] = clean
         if validate:
             self.validate()
-        self.lcs = self._lower_central_series()
+        self.lcs = _lcs or self._lower_central_series()
         self.nilpotency_class = len(self.lcs) - 1
         self._depths = None
         self._adapted = None
@@ -143,6 +143,18 @@ class NilpotentLieAlgebra:
                 out[k] = out[k] + s
             return out
         return vec_neg(self.bracket_basis(j, i))
+
+    def is_central(self, z):
+        """Does z bracket to zero with every basis vector?  One pass over
+        the structure constants: [e_i, e_j] adds z_i times its row to
+        [z, e_j] and -z_j times it to [z, e_i]."""
+        out = {}
+        for (i, j), row in self.structure.items():
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                if z[a]:
+                    for k, c in row.items():
+                        out[b, k] = out.get((b, k), 0) + sign * z[a] * c
+        return not any(out.values())
 
     def validate(self):
         """Check the Jacobi identity on all basis triples (antisymmetry is
@@ -290,9 +302,27 @@ def heisenberg():
     return NilpotentLieAlgebra(3, {(0, 1): {2: 1}}, name="heis")
 
 
+def _block_series(algebras):
+    """Lower central series of the direct sum: term m is the sum of the
+    summands' terms m, and the summands' reduced echelon rows, shifted to
+    their blocks in order, are its reduced echelon rows."""
+    total = sum(a.dim for a in algebras)
+    series = []
+    for m in range(max((len(a.lcs) for a in algebras), default=1)):
+        rows, offset = [], 0
+        for a in algebras:
+            for row in (a.lcs[m] if m < len(a.lcs) else []):
+                out = [Fraction(0)] * total
+                out[offset:offset + a.dim] = row
+                rows.append(out)
+            offset += a.dim
+        series.append(rows)
+    return series
+
+
 def direct_sum(*algebras, name=None):
-    """Direct sum of any number of algebras, built in one step, so the
-    lower central series is computed once."""
+    """Direct sum of any number of algebras, built in one step; its lower
+    central series comes from the summands'."""
     structure = {}
     offset = 0
     for a in algebras:
@@ -304,7 +334,7 @@ def direct_sum(*algebras, name=None):
     # antisymmetry and Jacobi reduce to the (already checked) summands
     return NilpotentLieAlgebra(offset, structure,
                                name=name or "+".join(a.name for a in algebras),
-                               validate=False)
+                               validate=False, _lcs=_block_series(algebras))
 
 
 def central_extension(Q, z_dim, omega, name=None):

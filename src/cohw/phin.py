@@ -16,20 +16,18 @@ from fractions import Fraction
 
 from . import exactla
 from .exactla import (
-    in_span, kernel_basis, mat_eq, mat_mul, mat_vec, rank, solve_affine,
-    span_echelon, subspace_intersect, transpose, vec_add, vec_is_zero,
-    vec_sub, zero_matrix, zero_vec,
+    in_span, kernel_basis, mat_eq, mat_mul, mat_vec, rank, span_echelon,
+    transpose, vec_add, vec_sub, zero_matrix,
 )
 from .cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
     UnipotentCarrier, VectorGroup, _product_object, certificate_report,
-    check_cosimplicial_map, cogenerate, cogenerate_morphism,
-    complex_cohomology_dims, complex_embedding, diagonal_cogenerate,
-    moore_differentials, pi0, pi1_unipotent_deciders, pi_abelian_all,
-    twisted_conj,
+    cogenerate, cogenerate_morphism, complex_cohomology_dims,
+    complex_embedding, diagonal_cogenerate, les_central_unipotent, pi0,
+    pi1_unipotent_deciders, pi_abelian_all,
 )
 from .nilpotent import (
-    LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, direct_sum,
+    LieMorphism, NilpotentLieAlgebra, _block_series, direct_sum,
     solve_graded_affine,
 )
 
@@ -51,14 +49,21 @@ class PhiNGroup:
             N = zero_matrix(L.dim, L.dim)
         self.N = [list(row) for row in N]
         self.p = Fraction(p)
-        assert self.p > 1, "weight p must exceed 1"
         if check:
             self.validate()
 
     def validate(self):
+        """Raise ValueError naming the first axiom the data breaks."""
         L = self.L
-        phi_m = LieMorphism(L, L, self.phi, check=True)
-        assert phi_m.is_automorphism(), "phi is not invertible"
+        if self.p <= 1:
+            raise ValueError("weight p must exceed 1")
+        phi_m = LieMorphism(L, L, self.phi, check=False)
+        bad = phi_m.bracket_defect()
+        if bad is not None:
+            raise ValueError("phi is not a Lie algebra morphism at (%d,%d)"
+                             % bad)
+        if not phi_m.is_automorphism():
+            raise ValueError("phi is not invertible")
         # N is a bracket derivation: N[x, y] = [Nx, y] + [x, Ny]
         for i in range(L.dim):
             for j in range(i + 1, L.dim):
@@ -68,10 +73,13 @@ class PhiNGroup:
                               L.basis_vector(j)),
                     L.bracket(L.basis_vector(i),
                               mat_vec(self.N, L.basis_vector(j))))
-                assert lhs == rhs, "N is not a derivation at (%d,%d)" % (i, j)
+                if lhs != rhs:
+                    raise ValueError("N is not a derivation at (%d,%d)"
+                                     % (i, j))
         lhs = mat_mul(self.N, self.phi)
         rhs = [[self.p * v for v in row] for row in mat_mul(self.phi, self.N)]
-        assert mat_eq(lhs, rhs), "N phi != p phi N"
+        if not mat_eq(lhs, rhs):
+            raise ValueError("N phi != p phi N")
 
     @property
     def dim(self):
@@ -127,7 +135,9 @@ def epsilon_lie_algebra(L, n, name=None):
     """L tensor Q[eps_1..eps_n]/(eps_i eps_j = 0): block 0 carries the
     main part, blocks 1..n the epsilon coefficients.  Brackets pair main
     with main (into main) and main with epsilon (into the same epsilon
-    block); epsilon-epsilon brackets vanish."""
+    block); epsilon-epsilon brackets vanish.  Jacobi holds because it
+    holds on L, and each term of the lower central series is that of L
+    in every block."""
     d = L.dim
     structure = {}
     for (i, j), row in L.structure.items():
@@ -137,7 +147,9 @@ def epsilon_lie_algebra(L, n, name=None):
             structure[(i, j + off)] = {k + off: c for k, c in row.items()}
             structure[(j, i + off)] = {k + off: -c for k, c in row.items()}
     return NilpotentLieAlgebra(d * (n + 1), structure,
-                               name=name or ("%s[eps^%d]" % (L.name, n)))
+                               name=name or ("%s[eps^%d]" % (L.name, n)),
+                               validate=False,
+                               _lcs=_block_series([L] * (n + 1)))
 
 
 def epsilon_denormalize(p, n, nu=0):
@@ -411,24 +423,6 @@ def phin_torsor_equivalent(T1, T2):
 # ---------------------------------------------------------------------------
 # long exact sequence of quotient patterns
 
-def _lin_combo(rng, basis):
-    out = zero_vec(len(basis[0]))
-    for v in basis:
-        out = vec_add(out, [Fraction(rng.randint(-2, 2)) * x for x in v])
-    return out
-
-
-def _twist_witness(S, c):
-    """Witness u0 with d^1(u0)^-1 c d^0(u0) = identity, or None."""
-    L1 = S.objects[1].L
-
-    def residual(u0):
-        return list(twisted_conj(S, tuple(u0), tuple(c)))
-
-    sol, _ = solve_graded_affine(L1, residual, S.objects[0])
-    return sol
-
-
 def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
     """Verified long exact sequence of quotient-pattern cohomotopy for a
     central extension of Frobenius-monodromy groups:
@@ -438,32 +432,21 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
 
     (all for the "g/e" pattern), with an abelian continuation through
     pi2(U) -> pi2(Q) -> 1 when the whole extension is abelian.  The
-    linear clauses are verified exactly; the unipotent clauses by exact
-    solving on basis and sampled elements.
+    clauses of the sequence are decided by ``les_central_unipotent`` on
+    the quotient patterns; the dual formula for pi2(Z) and the Euler
+    characteristic of the continuation are checked here.
 
     Z is truncated at level 3 (for pi2); U and Q only need levels up to
     2, which keeps the construction fast for nonabelian carriers."""
-    import random
-    rng = rng or random.Random(0)
-    LZ, LU, LQ = XZ.L, XU.L, XQ.L
     p = XZ.p
-    assert XU.p == p and XQ.p == p
     inclM, projM0 = incl.matrix, proj.matrix
-    # compatibility with phi and N
-    assert mat_eq(mat_mul(XU.phi, inclM), mat_mul(inclM, XZ.phi))
-    assert mat_eq(mat_mul(XU.N, inclM), mat_mul(inclM, XZ.N))
-    assert mat_eq(mat_mul(XQ.phi, projM0), mat_mul(projM0, XU.phi))
-    assert mat_eq(mat_mul(XQ.N, projM0), mat_mul(projM0, XU.N))
-    # short exactness and centrality
-    assert rank(inclM) == LZ.dim, "Z -> U not injective"
-    assert rank(projM0) == LQ.dim, "U -> Q not surjective"
-    im_incl = [mat_vec(inclM, e) for e in LZ.basis()]
-    assert span_echelon(im_incl) == \
-        span_echelon(kernel_basis(projM0, LU.dim)), "not exact at U"
-    for z in im_incl:
-        for e in LU.basis():
-            assert vec_is_zero(LU.bracket(z, e)), "Z not central in U"
-    assert LZ.is_abelian()
+    if not (XU.p == p == XQ.p
+            and mat_eq(mat_mul(XU.phi, inclM), mat_mul(inclM, XZ.phi))
+            and mat_eq(mat_mul(XU.N, inclM), mat_mul(inclM, XZ.N))
+            and mat_eq(mat_mul(XQ.phi, projM0), mat_mul(projM0, XU.phi))
+            and mat_eq(mat_mul(XQ.N, projM0), mat_mul(projM0, XU.N))):
+        raise AssertionError("the extension does not commute with p, phi "
+                             "and N")
 
     SZ = selmer_quotient_cosimplicial(XZ, "g/e", max(N, 3))
     SU = selmer_quotient_cosimplicial(XU, "g/e", 2)
@@ -480,217 +463,40 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
                                             range(len(H.factors))]))
         return out
 
-    inclL = level_maps(SZ, SU, inclM)
-    projL = level_maps(SU, SQ, projM0)
-    # the levelwise maps must commute with every coface and codegeneracy
-    if not (check_cosimplicial_map(SZ, SU, inclL)
-            and check_cosimplicial_map(SU, SQ, projL)):
-        raise AssertionError("levelwise maps of the extension do not "
-                             "commute with the structure maps")
-    # levelwise exactness and centrality upstairs
-    for n in range(3):
-        imn = [mat_vec(inclL[n].matrix, list(e))
-               for e in exactla.identity_matrix(SZ.objects[n].dim)]
-        assert span_echelon(imn) == span_echelon(
-            kernel_basis(projL[n].matrix, SU.objects[n].dim))
-        A = SU.objects[n].L
-        for z in imn:
-            for e in A.basis():
-                assert vec_is_zero(A.bracket(list(z), e))
-
-    clauses = {}
-    p0Z = [list(v) for v in pi0(SZ)]
-    p0U = [list(v) for v in pi0(SU)]
-    p0Q = [list(v) for v in pi0(SQ)]
-    decU = pi1_unipotent_deciders(SU)
-    decQ = pi1_unipotent_deciders(SQ)
-
-    MZ = moore_differentials(SZ)
-    dimsZ = pi_abelian_all(SZ)
-    dZ1 = SZ.objects[1].dim
-    z1Z = kernel_basis(MZ[1], dZ1)
-    b1Z = span_echelon([list(col) for col in transpose(MZ[0])])
-    h1reps = []
-    acc = [list(v) for v in b1Z]
-    for v in z1Z:
-        if not in_span(acc, list(v)):
-            h1reps.append(list(v))
-            acc.append(list(v))
-    h1_z_dim = dimsZ[1]
-    assert len(h1reps) == h1_z_dim
-
-    def z_is_cocycle(z):
-        return vec_is_zero(mat_vec(MZ[1], list(z)))
-
-    def z_trivial(z):
-        assert z_is_cocycle(z)
-        return in_span(b1Z, list(z))
-
-    # exactness at pi0(U): linear
-    im0 = span_echelon([mat_vec(inclL[0].matrix, z) for z in p0Z]) \
-        if p0Z else []
-    ker0 = subspace_intersect(p0U, kernel_basis(projL[0].matrix,
-                                                SU.objects[0].dim)) \
-        if p0U else []
-    clauses["exact at pi0(U)"] = span_echelon([list(v) for v in im0]) == \
-        span_echelon([list(v) for v in ker0])
-
-    def delta0(q0):
-        u0, _ = solve_affine(projL[0].matrix, list(q0))
-        assert u0 is not None
-        G1 = SU.objects[1]
-        w = G1.mul(SU.d(1, 1).apply(tuple(u0)),
-                   G1.inv(SU.d(1, 0).apply(tuple(u0))))
-        z, _ = solve_affine(inclL[1].matrix, list(w))
-        assert z is not None, "connecting cocycle not in Z (bug)"
-        assert z_is_cocycle(z)
-        return z
-
-    # exactness at pi0(Q): preimage exists iff the connecting class dies
-    ok = True
-    samples0 = [list(q) for q in p0Q]
-    if len(p0Q) > 1:
-        samples0.append(_lin_combo(rng, p0Q))
-    for q in samples0:
-        if vec_is_zero(q):
-            continue
-        if p0U:
-            A = transpose([mat_vec(projL[0].matrix, list(u)) for u in p0U])
-            sol, _ = solve_affine(A, list(q))
-            has_pre = sol is not None
-        else:
-            has_pre = False
-        ok = ok and (has_pre == z_trivial(delta0(q)))
-    clauses["exact at pi0(Q)"] = ok
-
-    # image of delta0 inside H^1(Z)
-    delta0_img = [delta0(q) for q in samples0 if not vec_is_zero(q)]
-
-    # exactness at pi1(Z)
-    ok = True
-    samplesh = [list(h) for h in h1reps]
-    if len(h1reps) > 1:
-        samplesh.append(_lin_combo(rng, h1reps))
-    for h in samplesh:
-        cu = tuple(mat_vec(inclL[1].matrix, h))
-        dies = decU["is_trivial"](cu)
-        if dies:
-            u0 = _twist_witness(SU, cu)
-            ok = ok and u0 is not None
-            if u0 is not None:
-                q0 = mat_vec(projL[0].matrix, list(u0))
-                fixed = SQ.d(1, 0).apply(tuple(q0)) == \
-                    SQ.d(1, 1).apply(tuple(q0))
-                ok = ok and fixed
-                ok = ok and z_trivial(vec_sub(delta0(q0), h))
-        else:
-            ok = ok and not in_span(b1Z + delta0_img, h)
-    clauses["exact at pi1(Z)"] = ok
-
-    # exactness at pi1(U): fibers of the projection are H^1(Z)-orbits
-    LU1 = SU.objects[1].L
-    nz = len(z1Z)
-    n0 = SU.objects[0].dim
-    # incl(Z) is central, so (z, u0) acts as incl(z) (u0 . c): a right
-    # action of the direct product of Z^1(Z)-coefficients and U^0
-    acting = UnipotentCarrier(direct_sum(abelian_lie_algebra(nz),
-                                         SU.objects[0].L))
-    ok = True
-    base_cocycles = [SU.objects[1].identity()]
-    for h in h1reps:
-        base_cocycles.append(tuple(mat_vec(inclL[1].matrix, list(h))))
-    pairs = []
-    for c in base_cocycles:
-        u0 = tuple(Fraction(rng.randint(-1, 1)) for _ in range(n0))
-        pairs.append((c, twisted_conj(SU, u0, c)))
-    for (c1, c2) in pairs:
-        assert decQ["equivalent"](
-            tuple(mat_vec(projL[1].matrix, list(c1))),
-            tuple(mat_vec(projL[1].matrix, list(c2))))
-
-        def residual(t):
-            zc = zero_vec(dZ1)
-            for s, v in zip(t[:nz], z1Z):
-                zc = vec_add(zc, [s * x for x in v])
-            u0 = t[nz:]
-            val = SU.objects[1].mul(
-                tuple(mat_vec(inclL[1].matrix, zc)),
-                twisted_conj(SU, tuple(u0), tuple(c1)))
-            return list(SU.objects[1].mul(val, SU.objects[1].inv(c2)))
-
-        sol, _ = solve_graded_affine(LU1, residual, acting)
-        ok = ok and sol is not None
-    clauses["exact at pi1(U)"] = ok
-
-    # exactness at pi1(Q) and the connecting map to pi2(Z)
-    pi2Z = dimsZ[2]
-    b2Z = span_echelon([list(col) for col in transpose(MZ[1])])
-    if LQ.is_abelian():
-        MQ = moore_differentials(SQ)
-        z1Q = kernel_basis(MQ[1], SQ.objects[1].dim)
-        kerp1 = kernel_basis(projL[1].matrix, SU.objects[1].dim)
-        LU2 = SU.objects[2].L
-        ok = True
-        samplesq = [list(q) for q in z1Q]
-        if len(z1Q) > 1:
-            samplesq.append(_lin_combo(rng, z1Q))
-        for q in samplesq:
-            u1, _ = solve_affine(projL[1].matrix, list(q))
-            assert u1 is not None
-            G2 = SU.objects[2]
-            z2 = G2.mul(G2.inv(SU.d(2, 2).apply(tuple(u1))),
-                        G2.mul(SU.d(2, 1).apply(tuple(u1)),
-                               G2.inv(SU.d(2, 0).apply(tuple(u1)))))
-            zz, _ = solve_affine(inclL[2].matrix, list(z2))
-            assert zz is not None
-            triv2 = in_span(b2Z, list(zz))
-
-            def residual(t):
-                u = list(u1)
-                for s, v in zip(t, kerp1):
-                    u = vec_add(u, [s * x for x in v])
-                G2 = SU.objects[2]
-                lhs = SU.d(2, 1).apply(tuple(u))
-                rhs = G2.mul(SU.d(2, 2).apply(tuple(u)),
-                             SU.d(2, 0).apply(tuple(u)))
-                return list(G2.mul(lhs, G2.inv(rhs)))
-
-            # ker(proj) is central, so the lift residual is affine in t
-            sol, _ = solve_graded_affine(LU2, residual,
-                                         VectorGroup(len(kerp1)))
-            liftable = sol is not None
-            ok = ok and (triv2 == liftable)
-        clauses["exact at pi1(Q)"] = ok
-        h1_q_dim = pi_abelian_all(SQ)[1]
-    else:
-        h1_q_dim = None
+    les = les_central_unipotent(SZ, SU, SQ, level_maps(SZ, SU, inclM),
+                                level_maps(SU, SQ, projM0), rng=rng)
+    clauses, provenance = les["clauses"], les["provenance"]
+    p0Z, p0U, p0Q = (len(b) for b in les["pi0"])
+    dimsZ = les["z_dims"]
 
     # dual formula for pi2(Z)
     dz = XZ.dim
     pphit = [[p * v for v in row] for row in transpose(XZ.phi)]
     rows = exactla.mat_sub(pphit, exactla.identity_matrix(dz)) + \
         transpose(XZ.N)
-    clauses["pi2(Z) dual formula"] = pi2Z == len(kernel_basis(rows, dz))
+    clauses["pi2(Z) dual formula"] = dimsZ[2] == len(kernel_basis(rows, dz))
+    provenance["pi2(Z) dual formula"] = "exact"
 
     # abelian continuation
-    if LU.is_abelian() and LQ.is_abelian():
+    if XU.is_abelian() and XQ.is_abelian():
         # pi^2 read off a truncation-top level is inflated, so take the
         # degreewise dims from the independent total-complex oracle
         dimsU = _total_complex_dims(XU)
         dimsQ = _total_complex_dims(XQ)
-        euler = (len(p0Z) - len(p0U) + len(p0Q) - dimsZ[1] + dimsU[1]
-                 - dimsQ[1] + dimsZ[2] - dimsU[2] + dimsQ[2])
-        clauses["abelian continuation (Euler characteristic)"] = euler == 0
+        euler = (p0Z - p0U + p0Q - dimsZ[1] + dimsU[1] - dimsQ[1]
+                 + dimsZ[2] - dimsU[2] + dimsQ[2])
+        name = "abelian continuation (Euler characteristic)"
+        clauses[name] = euler == 0
+        provenance[name] = "exact"
 
     middle_bijective = None
-    if len(p0Q) == 0 and h1_q_dim == 0:
-        inj = all(not decU["is_trivial"](tuple(mat_vec(inclL[1].matrix, h)))
-                  for h in h1reps)
-        # surjectivity: endpoints vanish, so the orbit clause at pi1(U)
-        # already identifies every sampled cocycle with one from Z
-        middle_bijective = inj and clauses["exact at pi1(U)"]
+    if p0Q == 0 and les["h1_q_dim"] == 0:
+        # the endpoints vanish: the fibers clause gives injectivity and
+        # exactness at pi1(U) surjectivity
+        middle_bijective = (clauses["fibers at pi1(Z) are connecting orbits"]
+                            and clauses["exact at pi1(U)"])
 
     return {"report": certificate_report(clauses),
             "middle_bijective": middle_bijective,
-            "h1_z_dim": h1_z_dim, "clauses": clauses,
-            "cosimplicial": (SZ, SU, SQ)}
+            "h1_z_dim": les["h1_z_dim"], "clauses": clauses,
+            "provenance": provenance, "cosimplicial": (SZ, SU, SQ)}

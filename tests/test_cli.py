@@ -9,8 +9,11 @@ import pytest
 import cohw
 from cohw.exactla import Gaussian, parse_scalar
 from cohw.cli import (
-    ParseError, load_description, main, parse_description, run_verify,
+    ParseError, derive_mhs_extension, derive_phin_extension,
+    load_description, main, parse_description, run_verify,
 )
+from cohw.hodge import mhs_les
+from cohw.phin import quotient_les
 
 CORPUS = pathlib.Path(cohw.__file__).parent / "corpus"
 
@@ -189,6 +192,111 @@ def test_hodge_les_flagship(capsys):
     assert code == 0
     assert "middle map bijective: yes; H1(Z) dim 1" in out
     assert "h1 dimensions: Z 1, U 1, Q 0" in out
+
+
+def test_les_clause_provenance_on_the_corpus():
+    """Each clause of both corpus sequences holds and is labelled: exact
+    when decided on a whole linear space (here also a zero pi0(Q)),
+    sampled(k) when decided on k sample elements."""
+    shared = {"exact at pi0(U)": "exact", "exact at pi0(Q)": "exact",
+              "exact at pi1(Z)": "sampled(1)",
+              "fibers at pi1(Z) are connecting orbits": "sampled(1)"}
+    res = quotient_les(*derive_phin_extension(
+        load_description(str(CORPUS / "heisenberg_isocrystal.alg"))))
+    assert res["provenance"] == dict(
+        shared, **{"exact at pi1(U)": "sampled(2)",
+                   "exact at pi1(Q)": "sampled(3)",
+                   "pi2(Z) dual formula": "exact"})
+    assert all(res["clauses"].values())
+    res = mhs_les(*derive_mhs_extension(
+        load_description(str(CORPUS / "heisenberg_mhs.alg"))))
+    assert res["provenance"] == dict(shared,
+                                     **{"exact at pi1(U)": "sampled(4)"})
+    assert all(res["clauses"].values())
+
+
+def _run_optimized_and_not(tmp_path, files, commands):
+    """Exit code and output of each command on each file, from one plain
+    and one ``python -O`` interpreter."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    argvs = []
+    for name, text in files.items():
+        path = tmp_path / (name + ".alg")
+        path.write_text(text)
+        argvs += [command + [str(path)] for command in commands]
+    child = ("import contextlib, io, json, sys\n"
+             "from cohw.cli import main\n"
+             "out = []\n"
+             "for argv in json.load(sys.stdin):\n"
+             "    buf = io.StringIO()\n"
+             "    with contextlib.redirect_stdout(buf):\n"
+             "        code = main(argv)\n"
+             "    out.append([code, buf.getvalue()])\n"
+             "json.dump(out, sys.stdout)\n")
+    results = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", child],
+                              cwd=root, input=json.dumps(argvs),
+                              env=dict(os.environ,
+                                       PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    assert results[0] == results[1]
+    return zip(argvs, results[0])
+
+
+def test_invalid_phin_data_exits_2_also_under_optimization(tmp_path):
+    # each broken (phi, N) axiom is an input error at the first [phi]
+    # row (line 12 of the corpus file), with or without asserts
+    base = (CORPUS / "heisenberg_isocrystal.alg").read_text()
+    rows = "row 0 -1/2 0\nrow 1 1/2 0\nrow 0 0 1/2\n"
+    assert rows in base
+
+    def variant(phi, extra=""):
+        return base.replace(rows, phi + extra)
+
+    files = {
+        "zero": variant("row 0 0 0\nrow 0 0 0\nrow 0 0 0\n"),
+        "singular": variant("row 1 0 0\nrow 0 0 0\nrow 0 0 0\n"),
+        "not_morphism": variant("row 2 0 0\nrow 0 3 0\nrow 0 0 5\n"),
+        "not_derivation": variant("row 1 0 0\nrow 0 1 0\nrow 0 0 1\n",
+                                  "[N]\nrow 1 0 0\nrow 0 1 0\n"
+                                  "row 0 0 1\n"),
+        "not_p_compatible": variant("row 1 0 0\nrow 0 1 0\nrow 0 0 1\n",
+                                    "[N]\nrow 0 1 0\nrow 0 0 0\n"
+                                    "row 0 0 0\n"),
+        "weight": base.replace("p 2", "p 1"),
+    }
+    reasons = {"zero": "phi is not invertible",
+               "singular": "phi is not invertible",
+               "not_morphism": "phi is not a Lie algebra morphism at (0,1)",
+               "not_derivation": "N is not a derivation at (0,1)",
+               "not_p_compatible": "N phi != p phi N",
+               "weight": "weight p must exceed 1"}
+    for argv, (code, out) in _run_optimized_and_not(
+            tmp_path, files, [["phin-classify"], ["phin-les"],
+                              ["validate"]]):
+        name = pathlib.Path(argv[-1]).stem
+        assert code == 2, (argv, out)
+        assert out == "error: %s:12:1: invalid (phi, N) data: %s\n" % (
+            argv[-1], reasons[name]), (argv, out)
+
+
+def test_invalid_filtrations_exit_2_in_every_hodge_command(tmp_path):
+    # F^0 spanned by a real vector breaks the Hodge decomposition of the
+    # weight -1 plane; every command reports it as validate does
+    base = (CORPUS / "heisenberg_mhs.alg").read_text()
+    assert "vector 1 i 0\n" in base
+    files = {"real_f0": base.replace("vector 1 i 0\n", "vector 1 0 0\n")}
+    verdict = ("filtrations: INVALID (Hodge decomposition at weight -1, "
+               "p=0: failed Hodge decomposition)\n")
+    for argv, (code, out) in _run_optimized_and_not(
+            tmp_path, files, [["validate"], ["hodge-les"],
+                              ["hodge-classify", "--element", "0,0,1"]]):
+        assert code == 2, (argv, out)
+        assert out.endswith(verdict), (argv, out)
+        assert out.startswith("command: %s\n" % argv[0]), (argv, out)
 
 
 def test_h1_finite_action(tmp_path, capsys):

@@ -178,3 +178,20 @@ def test_cochain_identities_verified():
     act = _inversion_action(3)
     C = cochain_cosimplicial(act, N=2)
     assert C.N == 2
+
+
+def test_z2_coboundary_propagates_its_cochain():
+    # C2 acting trivially: on C3 the coboundary of c(1) = 1 is found again
+    # by propagation along the Cayley graph; on C2 the 2-cocycle with
+    # z2(1, 1) = 1 is the nontrivial class of H^2(C2, Z/2)
+    from cohw.gcohom import _z2_is_coboundary
+    G = cyclic_group(2)
+    act = trivial_action(G, cyclic_group(3))
+    z2 = {(g, h): (g * h * 2) % 3 for g in G.elements() for h in G.elements()}
+    c = _z2_is_coboundary(act, z2)
+    assert c is not None
+    assert all(z2[(g, h)] == (c[g] + c[h] - c[G.mul(g, h)]) % 3
+               for g in G.elements() for h in G.elements())
+    act2 = trivial_action(G, cyclic_group(2))
+    z2 = {(g, h): g * h for g in G.elements() for h in G.elements()}
+    assert _z2_is_coboundary(act2, z2) is None

@@ -144,6 +144,39 @@ def test_lower_central_series_heisenberg():
     assert [len(l) for l in layers] == [2, 1]
 
 
+def test_direct_sum_inherits_the_lower_central_series():
+    """The series of a direct sum is built from the summands' reduced
+    echelon rows, shifted to their blocks: row for row what a
+    recomputation from the brackets gives."""
+    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
+                               name="fil3")
+    skew = NilpotentLieAlgebra(4, {(0, 1): {2: 1, 3: 1}}, name="skew")
+    H, A, point = heisenberg(), abelian_lie_algebra(2), abelian_lie_algebra(0)
+    for summands in [(H, A), (A, H, fil3), (fil3, fil3), (point,),
+                     (point, H), (skew, H, skew), ()]:
+        S = direct_sum(*summands)
+        assert S.lcs == S._lower_central_series(), summands
+        assert all(type(x) is F for g in S.lcs for row in g for x in row)
+
+
+def test_is_central_matches_brackets_with_the_basis():
+    rng = random.Random(5)
+    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    skew = NilpotentLieAlgebra(4, {(0, 1): {2: 1, 3: 1}})
+    # [e0, e1] = [e1, e2] = e3: e0 + e2 is central by cancellation
+    twin = NilpotentLieAlgebra(4, {(0, 1): {3: 1}, (1, 2): {3: 1}})
+    assert twin.is_central([F(1), 0, F(1), 0])
+    verdicts = set()
+    for L in (heisenberg(), fil3, skew, twin, direct_sum(heisenberg(), skew)):
+        for _ in range(100):
+            z = [F(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(L.dim)]
+            central = all(exactla.vec_is_zero(L.bracket(z, e))
+                          for e in L.basis())
+            assert L.is_central(z) == central, (L, z)
+            verdicts.add(central)
+    assert verdicts == {True, False}
+
+
 def test_central_extension_gives_heisenberg():
     H = heisenberg_from_symplectic()
     assert H.dim == 3 and H.nilpotency_class == 2

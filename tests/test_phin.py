@@ -50,10 +50,10 @@ def test_validation():
     X = PhiNGroup(H, [[F(2), 0, 0], [0, F(3), 0], [0, 0, F(6)]], p=2)
     assert X.dim == 3
     # non-multiplicative phi rejected: diag(2, 3, 5) breaks [x, y] = z
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         PhiNGroup(H, [[F(2), 0, 0], [0, F(3), 0], [0, 0, F(5)]], p=2)
     # N phi = p phi N enforced: phi = 1, N = 1 fails for any p > 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         PhiNGroup(abelian_lie_algebra(1), [[F(1)]], N=[[F(1)]], p=2)
     _st_curve()  # valid
 
@@ -75,6 +75,17 @@ def test_epsilon_lie_algebra_and_points():
     ab = a.mul(b)
     assert ab.main == H.bch([F(1), 0, 0], [0, F(1), 0])
     assert ab.eps_parts[0][2] == F(3)
+
+
+def test_epsilon_lie_algebra_inherits_jacobi_and_series():
+    """L tensor Q[eps] skips the Jacobi check and takes its lower central
+    series from L; both agree with a check and a recomputation."""
+    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    for L in (heisenberg(), fil3, abelian_lie_algebra(2)):
+        for n in range(3):
+            A = epsilon_lie_algebra(L, n)
+            A.validate()
+            assert A.lcs == A._lower_central_series()
 
 
 def test_epsilon_denormalize():
@@ -356,6 +367,35 @@ def test_quotient_les_abelian_continuation():
     res = quotient_les(XZ, XU, XQ, incl, proj)
     assert res["report"]["ok"], res["report"]
     assert res["clauses"]["abelian continuation (Euler characteristic)"]
+
+
+def test_quotient_les_connecting_class_of_a_fixed_point():
+    # phi = [[1, 1], [0, 1]] on the plane: the fixed line of Q lifts to
+    # no fixed point of U, so its connecting class is the class of Z
+    # that dies in U; the fixed-point and pi1(Z) clauses run through it
+    A2 = abelian_lie_algebra(2)
+    XU = PhiNGroup(A2, [[F(1), F(1)], [0, F(1)]], p=2)
+    XZ = PhiNGroup(abelian_lie_algebra(1), [[F(1)]], p=2)
+    XQ = PhiNGroup(abelian_lie_algebra(1), [[F(1)]], p=2)
+    res = quotient_les(XZ, XU, XQ, LieMorphism(XZ.L, A2, [[F(1)], [0]]),
+                       LieMorphism(A2, XQ.L, [[0, F(1)]]))
+    assert res["report"]["ok"], res["report"]
+    assert res["h1_z_dim"] == 1
+    assert res["provenance"]["exact at pi0(Q)"] == "sampled(1)"
+    assert res["middle_bijective"] is None  # pi0(Q) is not trivial
+
+
+def test_quotient_les_rejects_a_noncentral_kernel():
+    # span(e0, e2) is an abelian ideal of the Heisenberg algebra with
+    # quotient span(e1), but e0 is not central: no central extension
+    H = heisenberg()
+    XU = PhiNGroup(H, [[F(1), 0, 0], [0, F(1), 0], [0, 0, F(1)]], p=2)
+    XZ = PhiNGroup(abelian_lie_algebra(2), [[F(1), 0], [0, F(1)]], p=2)
+    XQ = PhiNGroup(abelian_lie_algebra(1), [[F(1)]], p=2)
+    incl = LieMorphism(XZ.L, H, [[F(1), 0], [0, 0], [0, F(1)]])
+    proj = LieMorphism(H, XQ.L, [[0, F(1), 0]])
+    with pytest.raises(AssertionError, match="not a central extension"):
+        quotient_les(XZ, XU, XQ, incl, proj)
 
 
 def test_torsor_compatibility_constraint():
