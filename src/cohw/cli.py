@@ -9,7 +9,6 @@ verification failure (a guaranteed identity failed - always a bug).
 """
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -59,11 +58,12 @@ class ParseError(Exception):
 class DescriptionFile:
     """Parsed and cross-validated model of one input file."""
 
-    def __init__(self, name, digest):
+    def __init__(self, name, text):
         self.name = name
-        self.digest = digest
+        self.text = text
         self.field = "rational"
         self.p = None
+        self.p_line = None
         self.L = None
         self.L_class = None
         self.group = None
@@ -132,8 +132,7 @@ def _group_order(kind, tok, lineno):
 def parse_description(text, name="<input>"):
     """Total parse with located diagnostics; builds and validates the
     referenced objects (delegating invariants to the module validators)."""
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    df = DescriptionFile(name, digest)
+    df = DescriptionFile(name, text)
     section = None
     lie = {"dim": None, "brackets": []}
     grp = {"kind": None, "n": None, "rows": []}
@@ -169,6 +168,7 @@ def parse_description(text, name="<input>"):
                 df.field = toks[1]
             elif key == "p":
                 df.p = _parse_frac(_value(toks, lineno), lineno)
+                df.p_line = lineno
             else:
                 raise ParseError(lineno, 1, "statement outside any section: %r"
                                  % key)
@@ -365,13 +365,15 @@ def build_coset_cosimplicial(df, N=2):
 
 
 def build_phin(df):
-    """The (phi, N) datum; broken axioms are a ParseError at the first
-    [phi] row."""
+    """The (phi, N) datum; a broken axiom is a ParseError at the first
+    [phi] row, and a weight p <= 1 one at the ``p`` line (the validator
+    checks the weight first)."""
     p = df.p if df.p is not None else Fraction(2)
     try:
         return PhiNGroup(df.L, df.phi, N=df.N, p=p)
     except ValueError as e:
-        raise ParseError(df.phi_line, 1, "invalid (phi, N) data: %s" % e)
+        line = df.p_line if p <= 1 else df.phi_line
+        raise ParseError(line, 1, "invalid (phi, N) data: %s" % e)
 
 
 def build_mhs(df):
@@ -904,7 +906,9 @@ def _fmt_vec(v):
 def _header(command, df=None):
     lines = ["command: %s" % command]
     if df is not None:
-        lines.append("input: %s sha256=%s" % (df.name, df.digest))
+        import hashlib  # only reports with an input print its digest
+        digest = hashlib.sha256(df.text.encode()).hexdigest()[:16]
+        lines.append("input: %s sha256=%s" % (df.name, digest))
     return lines
 
 
@@ -1108,7 +1112,8 @@ def main(argv=None):
         print("error: %s:%d:%d: %s"
               % (getattr(args, "file", "<input>"), e.line, e.col, e.message))
         return 2
-    except AssertionError as e:
+    except (AssertionError, ValueError, RuntimeError) as e:
+        # a guaranteed identity failed, or internal data was malformed
         print("error: internal verification failure: %s" % e)
         return 3
 

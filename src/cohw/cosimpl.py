@@ -160,7 +160,8 @@ class ProductGroup:
         return n
 
     def elements(self):
-        assert self.size() <= ENUM_CAP, "product too large to enumerate"
+        if self.size() > ENUM_CAP:
+            raise ValueError("product too large to enumerate")
         return [tuple(e) for e in
                 iproduct(*[f.elements() for f in self.factors])]
 
@@ -245,17 +246,13 @@ class FiniteHom:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        if check:
-            assert self.is_homomorphism(), "not a homomorphism"
+        if check and not self.is_homomorphism():
+            raise ValueError("not a homomorphism")
 
     def is_homomorphism(self):
         S, T, m = self.source, self.target, self.mapping
-        elements = S.elements()
-        for a in elements:
-            for b in elements:
-                if m[S.mul(a, b)] != T.mul(m[a], m[b]):
-                    return False
-        return True
+        return _product_defect(
+            S, lambda a, s: m[S.mul(a, s)] == T.mul(m[a], m[s])) is None
 
     def apply(self, x):
         return self.mapping[x]
@@ -336,6 +333,24 @@ class StructuredHom:
                     rows.append(row)
             self._matrix = rows
         return self._matrix
+
+
+def _product_defect(S, holds):
+    """The first pair (a, s) of the finite group S where the product rule
+    of a map fails, or None: holds(a, s) says whether m(a s) = m(a) m(s)
+    (or a crossed form of it).  It is asked at (e, e), which forces
+    m(e) = e, and at every element a with every generator s.  That is
+    exact: S is generated by its generators as a monoid, so induction on
+    the length of a word w in them gives the rule at every pair (a, w)."""
+    e = S.identity()
+    if not holds(e, e):
+        return (e, e)
+    gens = S.generators()
+    for a in S.elements():
+        for s in gens:
+            if not holds(a, s):
+                return (a, s)
+    return None
 
 
 def identity_hom(G):
@@ -650,12 +665,57 @@ def cocycle_condition(U, u):
 
 
 def z1_elements(U):
+    """The 1-cocycles of a finite U, in the order of U^1.elements().
+
+    The cocycle condition d^1(u) = d^2(u) d^0(u) is decided one block of
+    U^2 at a time: a block reads at most three blocks of U^1, through the
+    parts of the three block cofaces.  U^1 is enumerated depth first in
+    factor order, and each block of U^2 is checked as soon as the blocks
+    of U^1 it reads are chosen, so a failing prefix is never extended.
+    A level without blocks, or cofaces that are not block maps, count as
+    one block."""
     G1 = U.objects[1]
-    assert G1.size() is not None and G1.size() <= ENUM_CAP, \
-        "U^1 too large to enumerate"
-    if U.N >= 2:
-        return [u for u in G1.elements() if cocycle_condition(U, u)]
-    return list(G1.elements())
+    size = G1.size()
+    if size is None or size > ENUM_CAP:
+        raise ValueError("U^1 too large to enumerate")
+    if U.N < 2:
+        return list(G1.elements())
+    G2 = U.objects[2]
+    ds = [U.d(2, i) for i in range(3)]
+    if hasattr(G1, "factors") and all(isinstance(h, StructuredHom)
+                                      for h in ds):
+        blocks, muls = G1.factors, [f.mul for f in G2.factors]
+        parts = [h.parts for h in ds]
+        element = tuple
+    else:
+        blocks, muls = [G1], [G2.mul]
+        parts = [[(0, h)] for h in ds]
+        element = lambda x: x[0]
+    # checks[k]: the blocks of U^2 decided once block k of U^1 is chosen
+    checks = [[] for _ in blocks]
+    for (i0, h0), (i1, h1), (i2, h2), mul in zip(*parts, muls):
+        checks[max(i0, i1, i2)].append(
+            (i0, h0.apply, i1, h1.apply, i2, h2.apply, mul))
+    choices = [b.elements() for b in blocks]
+    x = [None] * len(blocks)
+    out = []
+    # stack[k] iterates the choices for block k below the chosen x[:k]
+    stack = [iter(choices[0])]
+    while stack:
+        k = len(stack) - 1
+        for v in stack[k]:
+            x[k] = v
+            if all(d1(x[i1]) == mul(d2(x[i2]), d0(x[i0]))
+                   for (i0, d0, i1, d1, i2, d2, mul) in checks[k]):
+                break
+        else:
+            stack.pop()
+            continue
+        if k + 1 < len(blocks):
+            stack.append(iter(choices[k + 1]))
+        else:
+            out.append(element(x))
+    return out
 
 
 def twisted_conj(U, u0, u1):
@@ -670,9 +730,13 @@ def pi1_finite(U):
     Returns dict with class representatives and the distinguished class."""
     Z1 = z1_elements(U)
     zset = set(Z1)
-    G0 = U.objects[0]
+    G0, G1 = U.objects[0], U.objects[1]
+    d0, d1 = U.d(1, 0), U.d(1, 1)
     gens = G0.generators()
     gens = gens + [G0.inv(g) for g in gens]
+    # g . v = d^1(g)^-1 v d^0(g): one pair per generator
+    pairs = [(G1.inv(d1.apply(g)), d0.apply(g)) for g in gens]
+    mul = G1.mul
     seen = set()
     classes = []
     for u in Z1:
@@ -682,9 +746,10 @@ def pi1_finite(U):
         queue = [u]
         while queue:
             v = queue.pop()
-            for g in gens:
-                w = twisted_conj(U, g, v)
-                assert w in zset, "twisted conjugation left Z^1 (bug)"
+            for a, b in pairs:
+                w = mul(mul(a, v), b)
+                if w not in zset:
+                    raise RuntimeError("twisted conjugation left Z^1 (bug)")
                 if w not in orbit:
                     orbit.add(w)
                     queue.append(w)
@@ -827,7 +892,8 @@ def pi_abelian_all(A):
 def twist(U, beta):
     """Twist of a cosimplicial group by a 1-cocycle: only the d^0 maps
     change, to u |-> c_n d^0(u) c_n^{-1} with c_n = d^n...d^2(beta)."""
-    assert cocycle_condition(U, beta), "twisting datum is not a cocycle"
+    if not cocycle_condition(U, beta):
+        raise ValueError("twisting datum is not a cocycle")
     cofaces = {n: list(ds) for n, ds in U.cofaces.items()}
     c = beta
     for n in range(1, U.N + 1):

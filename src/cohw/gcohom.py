@@ -14,9 +14,8 @@ from itertools import product as iproduct
 from . import exactla
 from .cosimpl import (
     CosimplicialGroup, FiniteHom, MixedExactSequence, StructuredHom,
-    TableGroup, UnipotentCarrier, _product_object, hom_equal,
-    identity_hom, pi0, pi1_finite, pi1_unipotent_deciders, twist,
-    twisted_conj, z1_elements,
+    TableGroup, UnipotentCarrier, _product_defect, _product_object,
+    hom_equal, identity_hom, pi0, pi1_finite, pi1_unipotent_deciders, twist,
 )
 
 COCHAIN_CHECK_CAP = 300  # verify identities when levels have few factors
@@ -37,16 +36,15 @@ class GroupAction:
 
     def defect(self):
         """Why the maps are not an action -- the identity acts
-        nontrivially, or a(b(u)) != (ab)(u) for a first pair (a, b) --
-        or None when they are one."""
-        G = self.G
-        if not hom_equal(self.maps[G.identity()], identity_hom(self.carrier)):
+        nontrivially, or a(b(u)) != (ab)(u) for a first pair (a, b), b a
+        generator (``_product_defect``) -- or None when they are one."""
+        G, maps = self.G, self.maps
+        if not hom_equal(maps[G.identity()], identity_hom(self.carrier)):
             return "the identity acts nontrivially"
-        for a in G.elements():
-            for b in G.elements():
-                lhs = self.maps[a].compose(self.maps[b])
-                if not hom_equal(lhs, self.maps[G.mul(a, b)]):
-                    return "(ab).u != a.(b.u) at a = %r, b = %r" % (a, b)
+        bad = _product_defect(G, lambda a, s: hom_equal(
+            maps[a].compose(maps[s]), maps[G.mul(a, s)]))
+        if bad is not None:
+            return "(ab).u != a.(b.u) at a = %r, b = %r" % bad
         return None
 
     @classmethod
@@ -157,12 +155,11 @@ def h0_fixed_points(action):
 
 
 def _is_cocycle_table(action, f):
+    """Whether f(gh) = f(g) (g.f(h)) for all g, h, checked on generators
+    h as ``_product_defect`` explains (the action is by automorphisms)."""
     G, U = action.G, action.carrier
-    for g in G.elements():
-        for h in G.elements():
-            if f[G.mul(g, h)] != U.mul(f[g], action.act(g, f[h])):
-                return False
-    return True
+    return _product_defect(G, lambda g, s: f[G.mul(g, s)] == U.mul(
+        f[g], action.act(g, f[s]))) is None
 
 
 def _propagate(action, gens, values, require_full=True, z2=None):

@@ -68,6 +68,53 @@ def test_corpus_commands_match_the_golden_output_under_optimization():
     assert json.loads(proc.stdout) == golden
 
 
+def test_finite_checks_raise_under_optimization():
+    # the homomorphism, cocycle, size and Z^1 checks of the finite engine
+    # raise explicitly, so python -O keeps them; the CLI reports them as
+    # internal failures (exit 3 with the message), without a traceback
+    root = pathlib.Path(__file__).resolve().parent.parent
+    child = (
+        "import contextlib, io, json\n"
+        "from cohw import cli, cosimpl\n"
+        "from cohw.cosimpl import FiniteHom, cyclic_group, twist\n"
+        "df = cli.load_description('src/cohw/corpus/s3_double_coset.alg')\n"
+        "U = cli.build_coset_cosimplicial(df)\n"
+        "C3 = cyclic_group(3)\n"
+        "def raised(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except Exception as e:\n"
+        "        return [type(e).__name__, str(e)]\n"
+        "out = {}\n"
+        "out['hom'] = raised(lambda: FiniteHom(C3, C3, {0: 1, 1: 2, 2: 0}))\n"
+        "e = U.objects[1].identity()\n"
+        "X0 = U.objects[1].factors[0]\n"
+        "bad = (next(x for x in X0.elements() if x != e[0]), e[1])\n"
+        "out['twist'] = raised(lambda: twist(U, bad))\n"
+        "cosimpl.ENUM_CAP = U.objects[1].size() - 1\n"
+        "out['cap'] = raised(lambda: cosimpl.z1_elements(U))\n"
+        "cosimpl.ENUM_CAP = 10 ** 6\n"
+        "cosimpl.z1_elements = lambda U: [U.objects[1].identity()]\n"
+        "out['orbit'] = raised(lambda: cosimpl.pi1_finite(U))\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = cli.main(['pi', 'src/cohw/corpus/s3_double_coset.alg'])\n"
+        "out['cli'] = [code, buf.getvalue()]\n"
+        "print(json.dumps(out))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == {
+        "hom": ["ValueError", "not a homomorphism"],
+        "twist": ["ValueError", "twisting datum is not a cocycle"],
+        "cap": ["ValueError", "U^1 too large to enumerate"],
+        "orbit": ["RuntimeError", "twisted conjugation left Z^1 (bug)"],
+        "cli": [3, "error: internal verification failure: twisted "
+                   "conjugation left Z^1 (bug)\n"],
+    }
+
+
 def test_pi_s3_double_cosets(capsys):
     code, out = run(capsys, ["pi", "--degree", "1",
                              str(CORPUS / "s3_double_coset.alg")])
@@ -248,7 +295,8 @@ def _run_optimized_and_not(tmp_path, files, commands):
 
 def test_invalid_phin_data_exits_2_also_under_optimization(tmp_path):
     # each broken (phi, N) axiom is an input error at the first [phi]
-    # row (line 12 of the corpus file), with or without asserts
+    # row (line 12 of the corpus file), and a weight p <= 1 one at the
+    # p line (line 5), with or without asserts
     base = (CORPUS / "heisenberg_isocrystal.alg").read_text()
     rows = "row 0 -1/2 0\nrow 1 1/2 0\nrow 0 0 1/2\n"
     assert rows in base
@@ -278,9 +326,10 @@ def test_invalid_phin_data_exits_2_also_under_optimization(tmp_path):
             tmp_path, files, [["phin-classify"], ["phin-les"],
                               ["validate"]]):
         name = pathlib.Path(argv[-1]).stem
+        line = 5 if name == "weight" else 12
         assert code == 2, (argv, out)
-        assert out == "error: %s:12:1: invalid (phi, N) data: %s\n" % (
-            argv[-1], reasons[name]), (argv, out)
+        assert out == "error: %s:%d:1: invalid (phi, N) data: %s\n" % (
+            argv[-1], line, reasons[name]), (argv, out)
 
 
 def test_invalid_filtrations_exit_2_in_every_hodge_command(tmp_path):

@@ -8,15 +8,17 @@ from cohw import exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
-    VectorGroup, codim_vanishing_check, cogenerate, cogenerate_morphism,
-    complex_cohomology_dims, compose_monotone, constant_cosimplicial,
-    cyclic_group, delta_map, diagonal_cogenerate, eilenberg_zilber_oracle,
-    epi_mono_factor, epis, hom_equal, identity_hom, les_central_finite,
+    VectorGroup, cocycle_condition, codim_vanishing_check, cogenerate,
+    cogenerate_morphism, complex_cohomology_dims, compose_monotone,
+    constant_cosimplicial, cyclic_group, delta_map, diagonal_cogenerate,
+    eilenberg_zilber_oracle, epi_mono_factor, epis, hom_equal, identity_hom,
+    inner_automorphism, les_central_finite,
     moore_differentials, pi0, pi1_finite, pi1_unipotent_deciders,
     pi_abelian_all, random_bisemicosimplicial, random_linear_semicosimplicial,
     sigma_map, subgroup_table, symmetric_group, twist,
     trivial_twist_isomorphism, twisted_conj, z1_elements,
 )
+from cohw.cli import _random_double_coset
 from cohw.nilpotent import LieMorphism, heisenberg
 
 F = Fraction
@@ -217,6 +219,112 @@ def test_trivial_twist_isomorphism():
     u0 = U.objects[0].elements()[3]
     Ubp, Ub, maps, ok = trivial_twist_isomorphism(U, beta, u0)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# Z^1 block by block, product checks on generators
+
+def _z1_by_filter(U):
+    return [u for u in U.objects[1].elements() if cocycle_condition(U, u)]
+
+
+def test_z1_blockwise_matches_elementwise_filter():
+    # same cocycles in the same order, on random double-coset objects and
+    # on their twists by a random cocycle
+    rng = random.Random(2026)
+    for _ in range(200):
+        G, left, right = _random_double_coset(rng, 20000, 2)
+        U = cogenerate(_double_coset_object(G, left, right), N=2)
+        Z1 = z1_elements(U)
+        assert Z1 == _z1_by_filter(U), (G.size(), left, right)
+        Ub = twist(U, rng.choice(Z1))
+        assert z1_elements(Ub) == _z1_by_filter(Ub), (G.size(), left, right)
+
+
+def _flattened(U):
+    """Levels 0..2 of U as TableGroups with FiniteHom cofaces: the same
+    group without blocks, elements numbered in the order of elements()."""
+    levels = []
+    for G in U.objects[:3]:
+        elems = G.elements()
+        index = {x: i for i, x in enumerate(elems)}
+        table = [[index[G.mul(a, b)] for b in elems] for a in elems]
+        levels.append((TableGroup(table, check=False), elems, index))
+    cofaces = {n: [FiniteHom(levels[n - 1][0], levels[n][0],
+                             {i: levels[n][2][h.apply(x)]
+                              for i, x in enumerate(levels[n - 1][1])})
+                   for h in U.cofaces[n]]
+               for n in (1, 2)}
+    return SemiCosimplicialGroup([T for T, _, _ in levels], cofaces,
+                                 check=True), levels[1][2]
+
+
+def test_z1_of_an_object_without_blocks():
+    S3 = symmetric_group(3)
+    swap01 = S3.perms.index((1, 0, 2))
+    swap02 = S3.perms.index((2, 1, 0))
+    for G, left, right in [(S3, [0, swap01], [0, swap02]),
+                           (cyclic_group(4), [0, 2], [0, 2]),
+                           (cyclic_group(6), [0, 3], [0, 2, 4])]:
+        U = cogenerate(_double_coset_object(G, left, right), N=2)
+        for V in (U, twist(U, z1_elements(U)[-1])):
+            T, index = _flattened(V)
+            Z1 = z1_elements(T)
+            assert Z1 == _z1_by_filter(T)
+            assert Z1 == [index[u] for u in z1_elements(V)]
+            assert pi1_finite(T)["count"] == pi1_finite(V)["count"]
+
+
+def _is_hom_all_pairs(h):
+    S, T = h.source, h.target
+    return all(h.apply(S.mul(a, b)) == T.mul(h.apply(a), h.apply(b))
+               for a in S.elements() for b in S.elements())
+
+
+def test_homomorphism_check_on_generators_matches_all_pairs():
+    rng = random.Random(11)
+    S3, C2 = symmetric_group(3), cyclic_group(2)
+    sign = {i: int(sum(p[a] > p[b] for a in range(3)
+                       for b in range(a + 1, 3)) % 2)
+            for i, p in enumerate(S3.perms)}
+    homs = [FiniteHom(S3, C2, sign), FiniteHom(S3, C2, {x: 0 for x in
+                                                       S3.elements()})]
+    homs += [inner_automorphism(S3, c) for c in S3.elements()]
+    for n, m in [(4, 8), (6, 3), (12, 4), (9, 3)]:
+        Cn, Cm = cyclic_group(n), cyclic_group(m)
+        homs += [FiniteHom(Cn, Cm, {x: k * x % m for x in Cn.elements()})
+                 for k in range(m) if k * n % m == 0]
+    P = ProductGroup([cyclic_group(2), cyclic_group(3)])
+    homs.append(FiniteHom(P, cyclic_group(6),
+                          {x: (3 * x[0] + 2 * x[1]) % 6
+                           for x in P.elements()}))
+    seen = {True: 0, False: 0}
+    for h in homs:
+        assert h.is_homomorphism() and _is_hom_all_pairs(h)
+        seen[True] += 1
+        for _ in range(6):
+            # one changed value, or a random map
+            mapping = dict(h.mapping)
+            if rng.random() < 0.5:
+                mapping[rng.choice(h.source.elements())] = \
+                    rng.choice(h.target.elements())
+            else:
+                mapping = {x: rng.choice(h.target.elements())
+                           for x in h.source.elements()}
+            g = FiniteHom(h.source, h.target, mapping, check=False)
+            expected = _is_hom_all_pairs(g)
+            assert g.is_homomorphism() == expected, mapping
+            seen[expected] += 1
+            if not expected:
+                with pytest.raises(ValueError, match="not a homomorphism"):
+                    FiniteHom(h.source, h.target, mapping)
+    assert seen[False] > 50
+    # the trivial group has no generators: only m(e) = e is left to check
+    C1 = cyclic_group(1)
+    assert C1.generators() == []
+    assert FiniteHom(C1, S3, {0: 0}).is_homomorphism()
+    bad = FiniteHom(C1, S3, {0: 1}, check=False)
+    assert not bad.is_homomorphism() and not _is_hom_all_pairs(bad)
 
 
 # ---------------------------------------------------------------------------

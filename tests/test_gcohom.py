@@ -1,15 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cohw import exactla
 from cohw.cosimpl import (
-    FiniteHom, TableGroup, UnipotentCarrier, cyclic_group, symmetric_group,
+    FiniteHom, TableGroup, UnipotentCarrier, cyclic_group, hom_equal,
+    identity_hom, inner_automorphism, symmetric_group,
 )
 from cohw.gcohom import (
-    GroupAction, cochain_cosimplicial, h0_fixed_points, h0_h1, h1_classes,
-    inflation_restriction, les_group_cohomology, serre_twist,
-    serre_twist_matches_cosimplicial, trivial_action, z1_enumerate,
+    GroupAction, _is_cocycle_table, cochain_cosimplicial, h0_fixed_points,
+    h0_h1, h1_classes, inflation_restriction, les_group_cohomology,
+    serre_twist, serre_twist_matches_cosimplicial, trivial_action,
+    z1_enumerate,
 )
 from cohw.nilpotent import heisenberg
 
@@ -195,3 +198,81 @@ def test_z2_coboundary_propagates_its_cochain():
     act2 = trivial_action(G, cyclic_group(2))
     z2 = {(g, h): g * h for g in G.elements() for h in G.elements()}
     assert _z2_is_coboundary(act2, z2) is None
+
+
+# ---------------------------------------------------------------------------
+# product checks on generators
+
+def _action_all_pairs(act):
+    G = act.G
+    return hom_equal(act.maps[G.identity()], identity_hom(act.carrier)) \
+        and all(hom_equal(act.maps[a].compose(act.maps[b]),
+                          act.maps[G.mul(a, b)])
+                for a in G.elements() for b in G.elements())
+
+
+def _cocycle_all_pairs(act, f):
+    G, U = act.G, act.carrier
+    return all(f[G.mul(g, h)] == U.mul(f[g], act.act(g, f[h]))
+               for g in G.elements() for h in G.elements())
+
+
+def _multiplications(G, U, mults):
+    n = U.size()
+    return {g: FiniteHom(U, U, {u: u * mults[g] % n for u in U.elements()})
+            for g in G.elements()}
+
+
+def test_action_and_cocycle_checks_on_generators_match_all_pairs():
+    rng = random.Random(5)
+    S3 = symmetric_group(3)
+    swap = S3.perms.index((1, 0, 2))
+    cases = []
+    for m, n, a in [(2, 3, 2), (4, 5, 2), (6, 7, 3), (2, 8, 3), (2, 8, 7)]:
+        G, U = cyclic_group(m), cyclic_group(n)
+        cases.append((G, U, _multiplications(
+            G, U, {g: pow(a, g, n) for g in G.elements()})))
+    # S3 acting on C3 through the sign, and C2 on S3 by a transposition
+    C3 = cyclic_group(3)
+    cases.append((S3, C3, GroupAction.from_generator_images(S3, C3, {
+        swap: FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1}),
+        S3.perms.index((1, 2, 0)): identity_hom(C3)}).maps))
+    cases.append((cyclic_group(2), S3, {
+        0: identity_hom(S3), 1: inner_automorphism(S3, swap)}))
+    seen = {"action": set(), "cocycle": set()}
+    for G, U, maps in cases:
+        act = GroupAction(G, U, maps)
+        assert act.defect() is None and _action_all_pairs(act)
+        cocycles = z1_enumerate(act)
+        assert cocycles
+        for f in cocycles:
+            assert _cocycle_all_pairs(act, f) and _is_cocycle_table(act, f)
+        for _ in range(12):
+            # an action with one map exchanged for another automorphism
+            broken = dict(maps)
+            broken[rng.choice(G.elements())] = maps[rng.choice(
+                G.elements())]
+            other = GroupAction(G, U, broken, check=False)
+            expected = _action_all_pairs(other)
+            assert (other.defect() is None) == expected
+            seen["action"].add(expected)
+            # a cocycle with one changed value, or a random map
+            f = dict(rng.choice(cocycles))
+            if rng.random() < 0.5:
+                f[rng.choice(G.elements())] = rng.choice(U.elements())
+            else:
+                f = {g: rng.choice(U.elements()) for g in G.elements()}
+            expected = _cocycle_all_pairs(act, f)
+            assert _is_cocycle_table(act, f) == expected, f
+            seen["cocycle"].add(expected)
+    assert seen == {"action": {True, False}, "cocycle": {True, False}}
+    # the trivial group has no generators: f(e) = e is what is left
+    C1, C3 = cyclic_group(1), cyclic_group(3)
+    act = trivial_action(C1, C3)
+    assert C1.generators() == [] and act.defect() is None
+    assert _is_cocycle_table(act, {0: 0})
+    assert not _is_cocycle_table(act, {0: 1})
+    assert not _cocycle_all_pairs(act, {0: 1})
+    flip = GroupAction(C1, C3, {0: FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1})},
+                       check=False)
+    assert flip.defect() == "the identity acts nontrivially"
