@@ -280,11 +280,19 @@ def parse_description(text, name="<input>"):
         if len(grp["rows"]) != n:
             lineno = grp["rows"][-1][0] if grp["rows"] else 1
             raise ParseError(lineno, 1, "expected %d table rows" % n)
+        for lineno, r in grp["rows"]:
+            if len(r) != n:
+                raise ParseError(lineno, 1, "row needs %d entries, got %d"
+                                 % (n, len(r)))
+            bad = [x for x in r if not 0 <= x < n]
+            if bad:
+                raise ParseError(lineno, 1, "table entry %d out of range "
+                                 "0..%d" % (bad[0], n - 1))
         table = [r for _, r in grp["rows"]]
         from .cosimpl import TableGroup
         try:
             df.group = TableGroup(table, check=True)
-        except AssertionError as e:
+        except ValueError as e:
             raise ParseError(grp["rows"][0][0], 1, "invalid table: %s" % e)
 
     for tag, target in (("W", "filtration_w"), ("F", "filtration_f")):

@@ -39,20 +39,23 @@ class TableGroup:
                    for x in range(self.n)):
                 ident = e
                 break
-        assert ident is not None, "no identity element"
+        if ident is None:
+            raise ValueError("no identity element")
         self.ident = ident
         self._inv = [None] * self.n
         for a in range(self.n):
             for b in range(self.n):
                 if self.table[a][b] == ident:
                     self._inv[a] = b
-        assert all(v is not None for v in self._inv), "missing inverses"
+        if None in self._inv:
+            raise ValueError("missing inverses")
         if check:
             for a in range(self.n):
                 for b in range(self.n):
                     for c in range(self.n):
-                        assert self.table[self.table[a][b]][c] == \
-                            self.table[a][self.table[b][c]], "not associative"
+                        if self.table[self.table[a][b]][c] != \
+                                self.table[a][self.table[b][c]]:
+                            raise ValueError("not associative")
         self._gens = None
 
     def identity(self):
@@ -143,12 +146,13 @@ class ProductGroup:
 
     def __init__(self, factors):
         self.factors = list(factors)
+        self._muls = [f.mul for f in self.factors]
 
     def identity(self):
         return tuple(f.identity() for f in self.factors)
 
     def mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
+        return tuple([m(x, y) for m, x, y in zip(self._muls, a, b)])
 
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
@@ -246,6 +250,8 @@ class FiniteHom:
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        # apply(x) is a plain table lookup
+        self.apply = self.mapping.__getitem__
         if check and not self.is_homomorphism():
             raise ValueError("not a homomorphism")
 
@@ -254,14 +260,25 @@ class FiniteHom:
         return _product_defect(
             S, lambda a, s: m[S.mul(a, s)] == T.mul(m[a], m[s])) is None
 
-    def apply(self, x):
-        return self.mapping[x]
-
     def compose(self, other):
-        return FiniteHom(other.source, self.target,
-                         {x: self.mapping[other.apply(x)]
-                          for x in other.source.elements()},
-                         check=False)
+        """self after other, its table filled only where it is read."""
+        h = FiniteHom.__new__(FiniteHom)
+        h.source, h.target = other.source, self.target
+        h.mapping = _Composite(self.mapping, other.apply)
+        h.apply = h.mapping.__getitem__
+        return h
+
+
+class _Composite(dict):
+    """Lookup table of outer after inner, each entry computed on its
+    first read."""
+
+    def __init__(self, outer, inner):
+        self.outer, self.inner = outer, inner
+
+    def __missing__(self, x):
+        v = self[x] = self.outer[self.inner(x)]
+        return v
 
 
 class LinearHom:
@@ -312,10 +329,15 @@ class StructuredHom:
 
     def compose(self, other):
         if isinstance(other, StructuredHom):
-            parts = []
+            # each distinct pair of factor maps is composed once
+            done, parts, inner = {}, [], other.parts
             for (i, h) in self.parts:
-                (i0, h0) = other.parts[i]
-                parts.append((i0, h.compose(h0)))
+                (i0, h0) = inner[i]
+                key = (id(h), id(h0))
+                c = done.get(key)
+                if c is None:
+                    c = done[key] = h.compose(h0)
+                parts.append((i0, c))
             return StructuredHom(other.source, self.target, parts)
         return LinearHom(other.source, self.target,
                          mat_mul(self.matrix, other.matrix))
@@ -383,12 +405,20 @@ def hom_equal(h1, h2):
     homomorphisms agree iff they agree on a generating set of the
     source.  Linear maps compare on coordinates, whichever linear
     carriers they are declared on."""
+    if h1 is h2:
+        return True
     assert h1.source is h2.source or type(h1.source) is type(h2.source) \
         or is_linear_carrier(h1.source) and is_linear_carrier(h2.source)
     if isinstance(h1, StructuredHom) and isinstance(h2, StructuredHom):
+        # each distinct pair of factor maps is compared once; fed from
+        # different source blocks, a target block agrees only where both
+        # factor maps are trivial
+        done = set()
         for (i1, f1), (i2, f2) in zip(h1.parts, h2.parts):
-            # fed from different source blocks, a target block agrees only
-            # where both factor maps are trivial
+            key = (i1 == i2, id(f1), id(f2))
+            if key in done:
+                continue
+            done.add(key)
             if not (hom_equal(f1, f2) if i1 == i2
                     else _is_trivial(f1) and _is_trivial(f2)):
                 return False
@@ -665,57 +695,102 @@ def cocycle_condition(U, u):
 
 
 def z1_elements(U):
-    """The 1-cocycles of a finite U, in the order of U^1.elements().
+    """The 1-cocycles of a finite U, in the order of U^1.elements()."""
+    return _cocycle_walk(U)
 
-    The cocycle condition d^1(u) = d^2(u) d^0(u) is decided one block of
-    U^2 at a time: a block reads at most three blocks of U^1, through the
-    parts of the three block cofaces.  U^1 is enumerated depth first in
-    factor order, and each block of U^2 is checked as soon as the blocks
-    of U^1 it reads are chosen, so a failing prefix is never extended.
-    A level without blocks, or cofaces that are not block maps, count as
-    one block."""
+
+def _cocycle_walk(U, target=None, first=False):
+    """The u in U^1 with d^1(u) = d^2(u) t d^0(u), t the target in U^2
+    (the identity when None), in the order of U^1.elements(); with
+    first, the first of them or None.  For an abelian U and t a
+    2-cochain, there is one exactly when t is a coboundary: t =
+    d^2(u)^-1 d^1(u) d^0(u)^-1.
+
+    The condition is decided one block of U^2 at a time: a block reads
+    at most three blocks of U^1, through the parts of the three block
+    cofaces.  U^1 is walked depth first in factor order, and each block
+    of U^2 is checked as soon as the blocks of U^1 it reads are chosen,
+    so a failing prefix is never extended.  A block k of U^1 that some
+    check reads only through an injective d^1 part, its other two parts
+    reading earlier blocks, is solved from that check (one inverse table
+    per distinct part map) instead of enumerated.  ENUM_CAP bounds the
+    product of the sizes of the enumerated blocks, which is at most
+    |U^1|.  A level without blocks, or cofaces that are not block maps,
+    count as one block."""
     G1 = U.objects[1]
-    size = G1.size()
-    if size is None or size > ENUM_CAP:
+    if G1.size() is None:
         raise ValueError("U^1 too large to enumerate")
-    if U.N < 2:
-        return list(G1.elements())
-    G2 = U.objects[2]
-    ds = [U.d(2, i) for i in range(3)]
+    ds = [U.d(2, i) for i in range(3)] if U.N >= 2 else []
     if hasattr(G1, "factors") and all(isinstance(h, StructuredHom)
                                       for h in ds):
-        blocks, muls = G1.factors, [f.mul for f in G2.factors]
+        blocks, element = G1.factors, tuple
         parts = [h.parts for h in ds]
-        element = tuple
+        rows = U.objects[2].factors if ds else []
+        targets = [None] * len(rows) if target is None else target
     else:
-        blocks, muls = [G1], [G2.mul]
+        blocks, element = [G1], lambda x: x[0]
         parts = [[(0, h)] for h in ds]
-        element = lambda x: x[0]
+        rows = [U.objects[2]] if ds else []
+        targets = [target]
     # checks[k]: the blocks of U^2 decided once block k of U^1 is chosen
     checks = [[] for _ in blocks]
-    for (i0, h0), (i1, h1), (i2, h2), mul in zip(*parts, muls):
+    for (i0, h0), (i1, h1), (i2, h2), row, t in zip(*parts, rows, targets):
+        mul, d2 = row.mul, h2.apply
+        if t is not None:
+            d2 = lambda v, d2=d2, t=t, mul=mul: mul(d2(v), t)
         checks[max(i0, i1, i2)].append(
-            (i0, h0.apply, i1, h1.apply, i2, h2.apply, mul))
-    choices = [b.elements() for b in blocks]
+            (i0, h0.apply, i1, h1.apply, i2, d2, mul, h1))
+    inverses, solvers = {}, [None] * len(blocks)
+    for k, cs in enumerate(checks):
+        for c in cs:
+            i0, d0, i1, _, i2, d2, mul, h1 = c
+            if i1 != k or k <= max(i0, i2):
+                continue
+            if id(h1) not in inverses:
+                inv = {h1.apply(v): v for v in h1.source.elements()}
+                inverses[id(h1)] = inv.get if len(inv) == h1.source.size() \
+                    else None
+            if inverses[id(h1)] is not None:
+                solvers[k] = (i0, d0, i2, d2, mul, inverses[id(h1)])
+                cs.remove(c)
+                break
+    size = 1
+    for b, solver in zip(blocks, solvers):
+        if solver is None:
+            size *= b.size()
+    if size > ENUM_CAP:
+        raise ValueError("U^1 too large to enumerate")
+    choices = [None if solver else b.elements()
+               for b, solver in zip(blocks, solvers)]
     x = [None] * len(blocks)
     out = []
-    # stack[k] iterates the choices for block k below the chosen x[:k]
-    stack = [iter(choices[0])]
+
+    def candidates(k):
+        if solvers[k] is None:
+            return iter(choices[k])
+        i0, d0, i2, d2, mul, solve = solvers[k]
+        v = solve(mul(d2(x[i2]), d0(x[i0])))
+        return iter(() if v is None else (v,))
+
+    # stack[k] iterates the candidates for block k below the chosen x[:k]
+    stack = [candidates(0)]
     while stack:
         k = len(stack) - 1
         for v in stack[k]:
             x[k] = v
             if all(d1(x[i1]) == mul(d2(x[i2]), d0(x[i0]))
-                   for (i0, d0, i1, d1, i2, d2, mul) in checks[k]):
+                   for (i0, d0, i1, d1, i2, d2, mul, _) in checks[k]):
                 break
         else:
             stack.pop()
             continue
         if k + 1 < len(blocks):
-            stack.append(iter(choices[k + 1]))
+            stack.append(candidates(k + 1))
+        elif first:
+            return element(x)
         else:
             out.append(element(x))
-    return out
+    return None if first else out
 
 
 def twisted_conj(U, u0, u1):
@@ -1262,140 +1337,139 @@ def certificate_report(clauses):
                         for name, val in clauses.items()]}
 
 
+def _level_factors(i, p):
+    """The factor maps Z -> U -> Q of one level of an extension: the
+    pairs of parts, when incl and proj are block maps that feed each
+    block from the block of the same index, else the level maps
+    themselves as one pair.  Also says which of the two it gave."""
+    if isinstance(i, StructuredHom) and isinstance(p, StructuredHom) \
+            and len(i.source.factors) == len(i.parts) == len(p.parts) \
+            and all(a == b == t for t, ((a, _), (b, _))
+                    in enumerate(zip(i.parts, p.parts))):
+        return [(f, g) for (_, f), (_, g) in zip(i.parts, p.parts)], True
+    return [(i, p)], False
+
+
 def les_central_finite(Z, U, Q, incl, proj):
-    """Theorem part (3) for finite carriers: the 7-term sequence
+    """Theorem part (3) for finite carriers: the seven-term sequence
     1 -> pi0 Z -> pi0 U -> pi0 Q -> pi1 Z -> pi1 U -> pi1 Q -> pi2 Z
-    with everything enumerated and verified.
+    of a central extension, with its nodes enumerated for
+    ``MixedExactSequence.verify``.
 
-    incl[n]: Z^n -> U^n and proj[n]: U^n -> Q^n are homs; the extension
-    must be degree-wise exact and central."""
-    # degree-wise checks
-    for n in range(min(Z.N, U.N, Q.N) + 1):
-        Zn, Un, Qn = Z.objects[n], U.objects[n], Q.objects[n]
-        img = {incl[n].apply(z) for z in Zn.elements()}
-        assert len(img) == Zn.size(), "Z -> U not injective at level %d" % n
-        ker = {u for u in Un.elements()
-               if proj[n].apply(u) == Qn.identity()}
-        assert img == ker, "not exact at level %d" % n
-        for z in img:
-            for u in Un.elements():
-                assert Un.mul(z, u) == Un.mul(u, z), \
-                    "Z not central at level %d" % n
-        surj = {proj[n].apply(u) for u in Un.elements()}
-        assert len(surj) == Qn.size(), "U -> Q not surjective at level %d" % n
+    incl[n]: Z^n -> U^n and proj[n]: U^n -> Q^n (n = 0..2 at least) are
+    homs that commute with the structure maps.  Each level is checked
+    to be central exact, and is inverted, factor by factor
+    (``_level_factors``); centrality is checked on generators.  The
+    pi^1 nodes are class indices, looked up by dict.  The pi^2 node
+    holds only the connecting images: label 0 is the trivial class, and
+    two obstructions share a label when their quotient is a coboundary,
+    which ``_cocycle_walk`` on Z decides.  Bad data raises ValueError."""
+    if min(len(incl), len(proj), Z.N + 1, U.N + 1, Q.N + 1) < 3:
+        raise ValueError("the extension needs levels 0..2")
+    if not (check_cosimplicial_map(Z, U, incl)
+            and check_cosimplicial_map(U, Q, proj)):
+        raise ValueError("levelwise maps of the extension do not "
+                         "commute with the structure maps")
+    levels = [_level_factors(i, p) for i, p in zip(incl, proj)]
+    checked = set()
+    for n, (pairs, _) in enumerate(levels):
+        for f, g in pairs:
+            if (id(f), id(g)) in checked:
+                continue
+            checked.add((id(f), id(g)))
+            Zf, Uf, Qf = f.source, f.target, g.target
+            img = {f.apply(z) for z in Zf.elements()}
+            if len(img) != Zf.size():
+                raise ValueError("Z -> U not injective at level %d" % n)
+            e = Qf.identity()
+            if img != {u for u in Uf.elements() if g.apply(u) == e}:
+                raise ValueError("not exact at level %d" % n)
+            gens = Uf.generators()
+            if any(Uf.mul(z, s) != Uf.mul(s, z) for z in img for s in gens):
+                raise ValueError("Z not central at level %d" % n)
+            if len({g.apply(u) for u in Uf.elements()}) != Qf.size():
+                raise ValueError("U -> Q not surjective at level %d" % n)
 
-    p0Z, p0U, p0Q = pi0(Z), pi0(U), pi0(Q)
-    p1Z = pi1_finite(Z)
-    p1U = pi1_finite(U)
-    p1Q = pi1_finite(Q)
+    tables = {}
 
-    # pi1 elements as frozensets (orbits); class lookup helpers
-    def class_of(p1, elt):
-        for c in p1["classes"]:
-            if elt in c["orbit"]:
-                return frozenset(c["orbit"])
-        raise AssertionError("element not in any class")
+    def pull(n, side, y):
+        """A preimage of y under incl[n] (side 0) or proj[n] (side 1),
+        factor by factor: the first in the order of elements()."""
+        pairs, blocked = levels[n]
+        out = []
+        for pair, v in zip(pairs, y if blocked else (y,)):
+            h = pair[side]
+            if id(h) not in tables:
+                tables[id(h)] = t = {}
+                for x in h.source.elements():
+                    t.setdefault(h.apply(x), x)
+            out.append(tables[id(h)][v])
+        return tuple(out) if blocked else out[0]
 
-    def classes(p1):
-        return [frozenset(c["orbit"]) for c in p1["classes"]]
+    def pi1(X):
+        """Class index of each cocycle, and the class representatives."""
+        index, reps = {}, []
+        for c in pi1_finite(X)["classes"]:
+            for v in c["orbit"]:
+                index[v] = len(reps)
+            reps.append(c["rep"])
+        return index, reps
 
-    base1Z = class_of(p1Z, Z.objects[1].identity())
-    base1U = class_of(p1U, U.objects[1].identity())
-    base1Q = class_of(p1Q, Q.objects[1].identity())
-
-    # pi2(Z): Z abelian (central in U and we verify); Moore-style H^2 by
-    # enumeration: ker(delta_2)/im(delta_1) with delta additive alternating
-    # "sums" written multiplicatively since Z is abelian
-    Z1, Z2, Z3 = Z.objects[1], Z.objects[2], Z.objects[3]
-
-    def z_delta(n, x):
-        Gn1 = Z.objects[n + 1]
-        out = Gn1.identity()
-        for i in range(n + 2):
-            v = Z.d(n + 1, i).apply(x)
-            if i % 2 == 1:
-                v = Gn1.inv(v)
-            out = Gn1.mul(out, v)
-        return out
-
-    ker2 = [x for x in Z2.elements()
-            if z_delta(2, x) == Z3.identity()]
-    im1 = {z_delta(1, x) for x in Z1.elements()}
-    # pi2 classes: cosets of im1 in ker2
-    pi2_classes = []
-    seen = set()
-    for x in ker2:
-        if x in seen:
-            continue
-        coset = frozenset(Z2.mul(x, y) for y in im1)
-        seen |= coset
-        pi2_classes.append(coset)
-    base2Z = next(c for c in pi2_classes if Z2.identity() in c)
-
-    # connecting map pi0 Q -> pi1 Z: delta(q0) = [d^1(u0) d^0(u0)^-1]
-    U0, U1, Q0 = U.objects[0], U.objects[1], Q.objects[0]
-    lift0 = {}
-    for u in U0.elements():
-        lift0.setdefault(proj[0].apply(u), u)
-
-    incl1_inv = {}
-    for z in Z.objects[1].elements():
-        incl1_inv[incl[1].apply(z)] = z
+    (iZ, rZ), (iU, rU), (iQ, rQ) = pi1(Z), pi1(U), pi1(Q)
+    Z1, U1, U2, Z2 = Z.objects[1], U.objects[1], U.objects[2], Z.objects[2]
+    inclZ = [incl[1].apply(z) for z in rZ]
 
     def delta0(q0):
-        u0 = lift0[q0]
-        w = U1.mul(U.d(1, 1).apply(u0), U1.inv(U.d(1, 0).apply(u0)))
-        return class_of(p1Z, incl1_inv[w])
+        # the connecting cocycle d^1(u0)^-1 d^0(u0) of a lift u0 of q0
+        u0 = pull(0, 1, q0)
+        return iZ[pull(1, 0, U1.mul(U1.inv(U.d(1, 1).apply(u0)),
+                                    U.d(1, 0).apply(u0)))]
 
-    # second connecting pi1 Q -> pi2 Z:
-    # z2 = d^2(u1)^-1 d^1(u1) d^0(u1)^-1 for any lift u1 of a cocycle q1
-    lift1 = {}
-    for u in U.objects[1].elements():
-        lift1.setdefault(proj[1].apply(u), u)
-    incl2_inv = {}
-    for z in Z2.elements():
-        incl2_inv[incl[2].apply(z)] = z
-    U2 = U.objects[2]
+    def obstruction(q1):
+        # d^2(u1)^-1 d^1(u1) d^0(u1)^-1 of a lift u1 of the cocycle q1
+        u1 = pull(1, 1, q1)
+        return pull(2, 0, U2.mul(U2.inv(U.d(2, 2).apply(u1)), U2.mul(
+            U.d(2, 1).apply(u1), U2.inv(U.d(2, 0).apply(u1)))))
 
-    def delta1(q1_class):
-        q1 = next(iter(q1_class))
-        u1 = lift1[q1]
-        w = U2.mul(U2.inv(U.d(2, 2).apply(u1)),
-                   U2.mul(U.d(2, 1).apply(u1),
-                          U2.inv(U.d(2, 0).apply(u1))))
-        z2 = incl2_inv[w]
-        return next(c for c in pi2_classes if z2 in c)
+    reps2 = [None]  # label 0: the trivial class
 
-    # assemble nodes
-    def group_node(elems, ident, mul):
-        return {"kind": "group", "elements": list(elems), "base": ident,
-                "mul": mul}
+    def label(z2):
+        for i, r in enumerate(reps2):
+            t = z2 if r is None else Z2.mul(z2, Z2.inv(r))
+            if _cocycle_walk(Z, t, first=True) is not None:
+                return i
+        reps2.append(z2)
+        return len(reps2) - 1
 
-    nodes = [
-        group_node(p0Z, Z.objects[0].identity(), Z.objects[0].mul),
-        group_node(p0U, U.objects[0].identity(), U.objects[0].mul),
-        group_node(p0Q, Q.objects[0].identity(), Q.objects[0].mul),
-        {"kind": "group", "elements": classes(p1Z), "base": base1Z,
-         "mul": lambda a, b: frozenset(
-             Z.objects[1].mul(next(iter(a)), y) for y in b)},
-        {"kind": "pointed", "elements": classes(p1U), "base": base1U},
-        {"kind": "pointed", "elements": classes(p1Q), "base": base1Q},
-        {"kind": "pointed", "elements": pi2_classes, "base": base2Z},
+    delta1 = {c: label(obstruction(q1)) for c, q1 in enumerate(rQ)}
+
+    def node(kind, elements, base, mul=None):
+        out = {"kind": kind, "elements": list(elements), "base": base}
+        if mul is not None:
+            out["mul"] = mul
+        return out
+
+    nodes = [node("group", pi0(X), X.objects[0].identity(), X.objects[0].mul)
+             for X in (Z, U, Q)]
+    nodes += [
+        node("group", range(len(rZ)), iZ[Z1.identity()],
+             lambda a, b: iZ[Z1.mul(rZ[a], rZ[b])]),
+        node("pointed", range(len(rU)), iU[U1.identity()]),
+        node("pointed", range(len(rQ)), iQ[Q.objects[1].identity()]),
+        node("pointed", range(len(reps2)), 0),
     ]
     maps = [
         lambda z0: incl[0].apply(z0),
         lambda u0: proj[0].apply(u0),
         delta0,
-        lambda zc: class_of(p1U, incl[1].apply(next(iter(zc)))),
-        lambda uc: class_of(p1Q, proj[1].apply(next(iter(uc)))),
+        {c: iU[u] for c, u in enumerate(inclZ)},
+        {c: iQ[proj[1].apply(u)] for c, u in enumerate(rU)},
         delta1,
     ]
 
-    # action of pi1 Z on pi1 U by multiplication of cocycles
+    # pi1 Z acts on pi1 U by multiplying cocycles
     def action(zc, uc):
-        z = incl[1].apply(next(iter(zc)))
-        u = next(iter(uc))
-        return class_of(p1U, U.objects[1].mul(z, u))
+        return iU[U1.mul(inclZ[zc], rU[uc])]
 
     return MixedExactSequence(nodes, maps, j=0, k=3, action=action)
 

@@ -6,16 +6,20 @@ cofaces act on arguments (with the G-action entering only through the
 outer face) and its codegeneracies insert the identity.  Low-degree
 cohomology is computed either through the cosimplicial machinery (small
 instances) or by generator-propagation enumeration of cocycles, and the
-two paths are cross-checked in the tests.
+two paths are cross-checked in the tests.  The seven-term sequence of a
+central extension of G-groups is ``cosimpl.les_central_finite`` on the
+three cochain objects: group cohomology is one more cosimplicial model,
+with no engine of its own.
 """
 
 from itertools import product as iproduct
 
 from . import exactla
 from .cosimpl import (
-    CosimplicialGroup, FiniteHom, MixedExactSequence, StructuredHom,
-    TableGroup, UnipotentCarrier, _product_defect, _product_object,
-    hom_equal, identity_hom, pi0, pi1_finite, pi1_unipotent_deciders, twist,
+    CosimplicialGroup, FiniteHom, StructuredHom, TableGroup,
+    UnipotentCarrier, _product_defect, _product_object, hom_equal,
+    identity_hom, les_central_finite, pi0, pi1_finite,
+    pi1_unipotent_deciders, twist,
 )
 
 COCHAIN_CHECK_CAP = 300  # verify identities when levels have few factors
@@ -29,10 +33,12 @@ class GroupAction:
         self.G = G
         self.carrier = carrier
         self.maps = dict(maps)
-        assert set(self.maps) == set(G.elements()), "need a map per element"
+        if set(self.maps) != set(G.elements()):
+            raise ValueError("need a map per element")
         if check:
             bad = self.defect()
-            assert bad is None, bad
+            if bad is not None:
+                raise ValueError(bad)
 
     def defect(self):
         """Why the maps are not an action -- the identity acts
@@ -162,10 +168,9 @@ def _is_cocycle_table(action, f):
         f[g], action.act(g, f[s]))) is None
 
 
-def _propagate(action, gens, values, require_full=True, z2=None):
-    """Extend a cochain from its values on generators along the Cayley
-    graph by f(gs) = z2(g, s)^-1 f(g) (g.f(s)), with z2 trivial (a
-    candidate cocycle) when not given; returns the (possibly partial)
+def _propagate(action, gens, values, require_full=True):
+    """Extend a candidate cocycle from its values on generators along the
+    Cayley graph by f(gs) = f(g) (g.f(s)); returns the (possibly partial)
     table or None on conflict."""
     G, U = action.G, action.carrier
     f = {G.identity(): U.identity()}
@@ -176,8 +181,6 @@ def _propagate(action, gens, values, require_full=True, z2=None):
             for s, v in zip(gens, values):
                 gs = G.mul(g, s)
                 val = U.mul(f[g], action.act(g, v))
-                if z2 is not None:
-                    val = U.mul(U.inv(z2[(g, s)]), val)
                 if gs in f:
                     if f[gs] != val:
                         return None
@@ -227,7 +230,8 @@ def h1_classes(action):
         for u in U.elements():
             fu = {g: U.mul(U.mul(U.inv(u), f[g]),
                            action.act(g, u)) for g in G.elements()}
-            assert _is_cocycle_table(action, fu)
+            if not _is_cocycle_table(action, fu):
+                raise RuntimeError("H^1 orbit left Z^1 (bug)")
             orbit[key(fu)] = fu
         for k in orbit:
             remaining.pop(k, None)
@@ -255,9 +259,11 @@ def h0_h1(action, N=3):
                "h1_count": p1["count"], "cochain": C}
         # cross-check against the from-definition enumeration
         direct = h1_classes(action)
-        assert len(direct) == p1["count"], \
-            "cocycle enumeration disagrees with cosimplicial computation"
-        assert sorted(res["h0"]) == sorted(h0_fixed_points(action))
+        if len(direct) != p1["count"]:
+            raise RuntimeError("cocycle enumeration disagrees with "
+                               "cosimplicial computation")
+        if sorted(res["h0"]) != sorted(h0_fixed_points(action)):
+            raise RuntimeError("fixed points disagree with pi^0")
         res["h1_classes"] = direct
         return res
     classes = h1_classes(action)
@@ -271,7 +277,8 @@ def h0_h1(action, N=3):
 def serre_twist(action, alpha):
     """Twist of the action by a 1-cocycle alpha: the new action is
     u -> alpha(g) (g.u) alpha(g)^{-1}."""
-    assert _is_cocycle_table(action, alpha), "twisting datum must be a cocycle"
+    if not _is_cocycle_table(action, alpha):
+        raise ValueError("twisting datum must be a cocycle")
     G, U = action.G, action.carrier
     maps = {}
     for g in G.elements():
@@ -305,7 +312,9 @@ def serre_twist_matches_cosimplicial(action, alpha, N=2):
     for c in tw:
         f = c["rep"]
         g_img = {g: U.mul(f[g], alpha[g]) for g in G.elements()}
-        assert _is_cocycle_table(action, g_img)
+        if not _is_cocycle_table(action, g_img):
+            raise RuntimeError("twisted cocycle times alpha is no "
+                               "cocycle (bug)")
         k = tuple(g_img[g] for g in G.elements())
         matches = [i for i, c2 in enumerate(orig) if k in c2["orbit"]]
         if len(matches) != 1:
@@ -341,10 +350,10 @@ def inflation_restriction(action, normal):
     the fixed subgroup.  Returns a report with the verified clauses."""
     from .cosimpl import subgroup_table
     G, U = action.G, action.carrier
-    for n in normal:
-        for g in G.elements():
-            assert G.mul(G.mul(g, n), G.inv(g)) in set(normal), \
-                "subgroup is not normal"
+    members = set(normal)
+    if any(G.mul(G.mul(g, n), G.inv(g)) not in members
+           for n in normal for g in G.elements()):
+        raise ValueError("subgroup is not normal")
     I, incl = subgroup_table(G, normal)
     act_I = GroupAction(I, U, {i: action.maps[incl[i]] for i in I.elements()},
                         check=False)
@@ -371,7 +380,8 @@ def inflation_restriction(action, normal):
     def find_class(classes, keyfun, f):
         k = keyfun(f)
         matches = [i for i, c in enumerate(classes) if k in c["orbit"]]
-        assert len(matches) == 1
+        if len(matches) != 1:
+            raise RuntimeError("H^1 class lookup failed (bug)")
         return matches[0]
 
     gkey = lambda f: tuple(f[g] for g in G.elements())
@@ -382,7 +392,8 @@ def inflation_restriction(action, normal):
     for c in hq:
         f = c["rep"]
         g_f = {g: uincl[f[coset_of(g)]] for g in G.elements()}
-        assert _is_cocycle_table(action, g_f)
+        if not _is_cocycle_table(action, g_f):
+            raise RuntimeError("inflated class is no cocycle (bug)")
         inf_images.append(find_class(hg, gkey, g_f))
     injective = len(set(inf_images)) == len(hq)
 
@@ -391,7 +402,8 @@ def inflation_restriction(action, normal):
     for c in hg:
         f = c["rep"]
         i_f = {i: f[incl[i]] for i in I.elements()}
-        assert _is_cocycle_table(act_I, i_f)
+        if not _is_cocycle_table(act_I, i_f):
+            raise RuntimeError("restricted class is no cocycle (bug)")
         res_images.append(find_class(hi, ikey, i_f))
     base_i = next(i for i, c in enumerate(hi) if c["distinguished"])
     kernel = {i for i, img in enumerate(res_images) if img == base_i}
@@ -403,141 +415,18 @@ def inflation_restriction(action, normal):
 # ---------------------------------------------------------------------------
 # the long exact sequence for a central extension of G-groups
 
-def _z2_is_coboundary(action, z2):
-    """Decide whether a 2-cocycle G x G -> Z (Z the abelian carrier of the
-    action) is the coboundary of a 1-cochain, by assigning the cochain on
-    generators and propagating c(gh) = (z2(g,h))^-1 c(g) (g.c(h))."""
-    G, Z = action.G, action.carrier
-    gens = G.generators()
-    for values in iproduct(Z.elements(), repeat=len(gens)):
-        c = _propagate(action, gens, list(values), z2=z2)
-        if c is None:
-            continue
-        ok = all(
-            z2[(g, h)] == Z.mul(Z.mul(c[g], action.act(g, c[h])),
-                                Z.inv(c[G.mul(g, h)]))
-            for g in G.elements() for h in G.elements())
-        if ok:
-            return c
-    return None
-
-
 def les_group_cohomology(actZ, actU, actQ, incl, proj):
     """Seven-term sequence H^0(Z) -> H^0(U) -> H^0(Q) -> H^1(Z) -> H^1(U)
     -> H^1(Q) -> H^2(Z) for a central extension 1 -> Z -> U -> Q -> 1 of
-    groups with compatible G-action, as a verified mixed exact sequence."""
-    G = actZ.G
-    Z, U, Q = actZ.carrier, actU.carrier, actQ.carrier
-    # degreewise sanity: central exact, action-compatible
-    img = {incl[z] for z in Z.elements()}
-    assert len(img) == Z.size()
-    assert img == {u for u in U.elements()
-                   if proj[u] == Q.identity()}, "not exact"
-    for z in img:
-        for u in U.elements():
-            assert U.mul(z, u) == U.mul(u, z), "Z not central"
-    for g in G.elements():
-        for z in Z.elements():
-            assert incl[actZ.act(g, z)] == actU.act(g, incl[z])
-        for u in U.elements():
-            assert proj[actU.act(g, u)] == actQ.act(g, proj[u])
-
-    incl_inv = {incl[z]: z for z in Z.elements()}
-    lift = {}
-    for u in U.elements():
-        lift.setdefault(proj[u], u)
-
-    h0Z = h0_fixed_points(actZ)
-    h0U = h0_fixed_points(actU)
-    h0Q = h0_fixed_points(actQ)
-    h1Z = h1_classes(actZ)
-    h1U = h1_classes(actU)
-    h1Q = h1_classes(actQ)
-
-    def find_class(classes, G_elems, f):
-        k = tuple(f[g] for g in G_elems)
-        matches = [i for i, c in enumerate(classes) if k in c["orbit"]]
-        assert len(matches) == 1, "class lookup failed"
-        return matches[0]
-
-    Ge = G.elements()
-
-    def delta0(q0):
-        u0 = lift[q0]
-        f = {g: incl_inv[U.mul(U.inv(u0), actU.act(g, u0))] for g in Ge}
-        assert _is_cocycle_table(actZ, f)
-        return find_class(h1Z, Ge, f)
-
-    def z2_of(qf):
-        u = {g: lift[qf[g]] for g in Ge}
-        z2 = {}
-        for g in Ge:
-            for h in Ge:
-                w = U.mul(U.mul(u[g], actU.act(g, u[h])),
-                          U.inv(u[G.mul(g, h)]))
-                z2[(g, h)] = incl_inv[w]
-        return z2
-
-    # H^2(Z) node: canonical labels for the delta images (coboundary
-    # classes), with label 0 the trivial class
-    h2_reps = [None]  # label 0: trivial class (None = zero cocycle)
-
-    def z2_sub(a, b):
-        return {k: Z.mul(a[k], Z.inv(b[k])) for k in a}
-
-    def h2_label(z2):
-        if _z2_is_coboundary(actZ, z2) is not None:
-            return 0
-        for i, r in enumerate(h2_reps[1:], start=1):
-            if _z2_is_coboundary(actZ, z2_sub(z2, r)) is not None:
-                return i
-        h2_reps.append(z2)
-        return len(h2_reps) - 1
-
-    def delta1(ci):
-        return h2_label(z2_of(h1Q[ci]["rep"]))
-
-    nodes = [
-        {"kind": "group", "elements": list(h0Z), "base": Z.identity(),
-         "mul": Z.mul},
-        {"kind": "group", "elements": list(h0U), "base": U.identity(),
-         "mul": U.mul},
-        {"kind": "group", "elements": list(h0Q), "base": Q.identity(),
-         "mul": Q.mul},
-        {"kind": "group", "elements": list(range(len(h1Z))),
-         "base": next(i for i, c in enumerate(h1Z) if c["distinguished"]),
-         "mul": lambda a, b: find_class(h1Z, Ge, {
-             g: Z.mul(h1Z[a]["rep"][g], h1Z[b]["rep"][g]) for g in Ge})},
-        {"kind": "pointed", "elements": list(range(len(h1U))),
-         "base": next(i for i, c in enumerate(h1U) if c["distinguished"])},
-        {"kind": "pointed", "elements": list(range(len(h1Q))),
-         "base": next(i for i, c in enumerate(h1Q) if c["distinguished"])},
-        {"kind": "pointed",
-         "elements": None,  # filled after the maps are evaluated
-         "base": 0},
-    ]
-
-    maps = [
-        lambda z0: incl[z0],
-        lambda u0: proj[u0],
-        delta0,
-        lambda zi: find_class(h1U, Ge, {g: incl[h1Z[zi]["rep"][g]]
-                                        for g in Ge}),
-        lambda ui: find_class(h1Q, Ge, {g: proj[h1U[ui]["rep"][g]]
-                                        for g in Ge}),
-        delta1,
-    ]
-
-    def action(zi, ui):
-        f = {g: U.mul(incl[h1Z[zi]["rep"][g]], h1U[ui]["rep"][g]) for g in Ge}
-        assert _is_cocycle_table(actU, f)
-        return find_class(h1U, Ge, f)
-
-    # materialize the H^2 labels reachable from H^1(Q)
-    for ci in range(len(h1Q)):
-        delta1(ci)
-    nodes[6]["elements"] = list(range(len(h2_reps)))
-
-    seq = MixedExactSequence(nodes, maps, j=0, k=3, action=action)
-    seq.h1 = {"Z": h1Z, "U": h1U, "Q": h1Q}
-    return seq
+    groups with compatible G-action: ``les_central_finite`` on the three
+    cochain objects, with the carrier maps incl and proj (dicts) on
+    every block of every level."""
+    if not actZ.G.size() == actU.G.size() == actQ.G.size():
+        raise ValueError("the three actions need one group")
+    C = [cochain_cosimplicial(a, N=2, check=False) for a in (actZ, actU, actQ)]
+    level_maps = []
+    for X, Y, table in ((C[0], C[1], incl), (C[1], C[2], proj)):
+        h = FiniteHom(X.action.carrier, Y.action.carrier, table)
+        level_maps.append([StructuredHom(X.objects[n], Y.objects[n], [
+            (t, h) for t in range(len(X.tuples[n]))]) for n in range(3)])
+    return les_central_finite(*C, *level_maps)

@@ -157,19 +157,35 @@ class NilpotentLieAlgebra:
         return not any(out.values())
 
     def validate(self):
-        """Check the Jacobi identity on all basis triples (antisymmetry is
-        structural).  Nilpotency is checked by the central series bottoming
-        out, in the constructor."""
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                for c in range(b + 1, self.dim):
-                    ea, eb, ec = (self.basis_vector(t) for t in (a, b, c))
-                    s = vec_add(
-                        self.bracket(ea, self.bracket(eb, ec)),
-                        vec_add(self.bracket(eb, self.bracket(ec, ea)),
-                                self.bracket(ec, self.bracket(ea, eb))))
-                    assert vec_is_zero(s), \
-                        "Jacobi identity fails on basis (%d,%d,%d)" % (a, b, c)
+        """Check the Jacobi identity on basis triples (antisymmetry is
+        structural), raising ValueError at the lexicographically first
+        failing one.  J(a, b, c) can be nonzero only where one of its
+        inner brackets is, so only triples that contain a ``structure``
+        key are evaluated, on sparse brackets.  Nilpotency is checked by
+        the central series bottoming out, in the constructor."""
+        triples = sorted({tuple(sorted((i, j, c))) for (i, j) in self.structure
+                          for c in range(self.dim) if c not in (i, j)})
+        for a, b, c in triples:
+            s = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for k, v in self._bracket_sparse(x, self._bracket_sparse(
+                        y, {z: 1})).items():
+                    s[k] = s.get(k, 0) + v
+            if any(s.values()):
+                raise ValueError("Jacobi identity fails on basis (%d,%d,%d)"
+                                 % (a, b, c))
+
+    def _bracket_sparse(self, i, v):
+        """[e_i, v] for v given as {coordinate: coefficient}."""
+        out = {}
+        for k, c in v.items():
+            row = self.structure.get((i, k)) if i < k else \
+                self.structure.get((k, i))
+            if row:
+                sign = c if i < k else -c
+                for m, t in row.items():
+                    out[m] = out.get(m, 0) + sign * t
+        return out
 
     def _lower_central_series(self):
         """[full algebra, [L,L], [L,[L,L]], ..., 0] as echelon bases."""

@@ -332,6 +332,32 @@ def test_invalid_phin_data_exits_2_also_under_optimization(tmp_path):
             argv[-1], line, reasons[name]), (argv, out)
 
 
+def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
+    # a table entry out of range, a short row and a non-associative table
+    # are reported at their row, and a Jacobi failure at the first
+    # bracket, with or without asserts
+    table = "[finite_group]\nelements 3\nrow 0 1 2\n%s\nrow 2 %s\n"
+    files = {
+        "out_of_range": table % ("row 1 7 0", "0 1"),
+        "short_row": table % ("row 1 2", "0 1"),
+        "not_associative": table % ("row 1 0 1", "2 0"),
+        "jacobi": "[lie_algebra]\ndim 5\nbracket 0 1 2 1\n"
+                  "bracket 2 3 4 1\n",
+    }
+    reasons = {
+        "out_of_range": "4:1: table entry 7 out of range 0..2",
+        "short_row": "4:1: row needs 3 entries, got 2",
+        "not_associative": "3:1: invalid table: not associative",
+        "jacobi": "3:1: invalid Lie algebra: Jacobi identity fails on "
+                  "basis (0,1,3)",
+    }
+    for argv, (code, out) in _run_optimized_and_not(tmp_path, files,
+                                                     [["validate"]]):
+        name = pathlib.Path(argv[-1]).stem
+        assert code == 2, (argv, out)
+        assert out == "error: %s:%s\n" % (argv[-1], reasons[name]), out
+
+
 def test_invalid_filtrations_exit_2_in_every_hodge_command(tmp_path):
     # F^0 spanned by a real vector breaks the Hodge decomposition of the
     # weight -1 plane; every command reports it as validate does

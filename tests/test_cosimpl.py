@@ -8,8 +8,8 @@ from cohw import exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
-    VectorGroup, cocycle_condition, codim_vanishing_check, cogenerate,
-    cogenerate_morphism, complex_cohomology_dims, compose_monotone,
+    VectorGroup, _cocycle_walk, cocycle_condition, codim_vanishing_check,
+    cogenerate, cogenerate_morphism, complex_cohomology_dims, compose_monotone,
     constant_cosimplicial, cyclic_group, delta_map, diagonal_cogenerate,
     eilenberg_zilber_oracle, epi_mono_factor, epis, hom_equal, identity_hom,
     inner_automorphism, les_central_finite,
@@ -239,6 +239,49 @@ def test_z1_blockwise_matches_elementwise_filter():
         assert Z1 == _z1_by_filter(U), (G.size(), left, right)
         Ub = twist(U, rng.choice(Z1))
         assert z1_elements(Ub) == _z1_by_filter(Ub), (G.size(), left, right)
+
+
+def _cyclic_hom(rng, S, T):
+    """A random homomorphism x -> k x of cyclic groups."""
+    m, n = S.size(), T.size()
+    k = rng.choice([k for k in range(n) if k * m % n == 0])
+    return FiniteHom(S, T, {x: k * x % n for x in S.elements()})
+
+
+def test_cocycle_walk_matches_filter_on_random_block_data():
+    # random block cofaces U^1 -> U^2 and random targets t: the walk finds
+    # the u with d^1(u) = d^2(u) t d^0(u) that the filter finds, in its
+    # order, whether a block is solved through an injective d^1 part,
+    # passed over for a non-injective one, or enumerated
+    rng = random.Random(31)
+    cyclic = [cyclic_group(n) for n in (1, 2, 3, 4, 6)]
+    solved = set()
+    for _ in range(300):
+        G1 = ProductGroup([rng.choice(cyclic)
+                           for _ in range(rng.randint(1, 3))])
+        rows, parts = [], [[], [], []]
+        for _ in range(rng.randint(1, 4)):
+            blocks = [rng.randrange(len(G1.factors)) for _ in range(3)]
+            T = G1.factors[blocks[1]] if rng.random() < 0.7 \
+                else rng.choice(cyclic)
+            rows.append(T)
+            for i, j in enumerate(blocks):
+                parts[i].append((j, _cyclic_hom(rng, G1.factors[j], T)))
+            h1 = parts[1][-1][1]
+            if blocks[1] > max(blocks[0], blocks[2]):
+                solved.add(len(set(h1.mapping.values())) == h1.source.size())
+        G2 = ProductGroup(rows)
+        ds = [StructuredHom(G1, G2, p) for p in parts]
+        U = SemiCosimplicialGroup([cyclic[0], G1, G2], {2: ds}, check=False)
+        t = rng.choice(G2.elements()) if rng.random() < 0.5 else None
+        rhs = [G2.mul(G2.mul(ds[2].apply(u), t or G2.identity()),
+                      ds[0].apply(u)) for u in G1.elements()]
+        expected = [u for u, r in zip(G1.elements(), rhs)
+                    if ds[1].apply(u) == r]
+        assert _cocycle_walk(U, t) == expected
+        assert _cocycle_walk(U, t, first=True) == \
+            (expected[0] if expected else None)
+    assert solved == {True, False}
 
 
 def _flattened(U):
@@ -630,6 +673,25 @@ def test_trivial_blocks_from_different_sources_are_equal():
     one = LinearHom(G1.factors[1], G1.factors[0], [[F(1), F(0)]])
     c = StructuredHom(G1, G1, [(1, one), (0, zero(0, 1))])
     assert not hom_equal(a, c) and not hom_equal(c, a)
+
+
+def test_block_maps_compare_and_compose_like_their_tables():
+    # a factor-map pair met twice, once from the same source block and
+    # once from different ones, is decided for each; composites and
+    # comparisons agree with the element tables
+    C3 = cyclic_group(3)
+    G = ProductGroup([C3, C3])
+    ident, double = identity_hom(C3), FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1})
+    maps = [StructuredHom(G, G, [(i, f), (j, g)])
+            for i in (0, 1) for j in (0, 1)
+            for f in (ident, double) for g in (ident, double)]
+    for a in maps:
+        for b in maps:
+            table = [a.apply(a.apply(b.apply(x))) for x in G.elements()]
+            assert hom_equal(a, b) == all(
+                a.apply(x) == b.apply(x) for x in G.elements())
+            assert [a.compose(a).compose(b).apply(x)
+                    for x in G.elements()] == table
 
 
 def test_perturbed_cogenerated_coface_fails_identities():

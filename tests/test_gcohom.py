@@ -1,12 +1,19 @@
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
-from cohw import exactla
+from cohw import cli, cosimpl, exactla
 from cohw.cosimpl import (
-    FiniteHom, TableGroup, UnipotentCarrier, cyclic_group, hom_equal,
-    identity_hom, inner_automorphism, symmetric_group,
+    FiniteHom, TableGroup, UnipotentCarrier, _cocycle_walk, cocycle_condition,
+    constant_cosimplicial, cyclic_group, hom_equal, identity_hom,
+    inner_automorphism, les_central_finite, symmetric_group, z1_elements,
 )
 from cohw.gcohom import (
     GroupAction, _is_cocycle_table, cochain_cosimplicial, h0_fixed_points,
@@ -185,19 +192,27 @@ def test_cochain_identities_verified():
 
 def test_z2_coboundary_propagates_its_cochain():
     # C2 acting trivially: on C3 the coboundary of c(1) = 1 is found again
-    # by propagation along the Cayley graph; on C2 the 2-cocycle with
-    # z2(1, 1) = 1 is the nontrivial class of H^2(C2, Z/2)
-    from cohw.gcohom import _z2_is_coboundary
+    # by the cocycle walk with the 2-cochain as its target; on C2 the
+    # 2-cocycle with z2(1, 1) = 1 is the nontrivial class of H^2(C2, Z/2)
     G = cyclic_group(2)
+
+    def walk(act, z2):
+        # c with d^1(c) = d^2(c) z2^-1 d^0(c), i.e. z2 = c(g) (g.c(h)) c(gh)^-1
+        C = cochain_cosimplicial(act, N=2)
+        Z = act.carrier
+        t = tuple(Z.inv(z2[gh]) for gh in C.tuples[2])
+        c = _cocycle_walk(C, t, first=True)
+        return c and {g: c[C.tuple_index[1][(g,)]] for g in G.elements()}
+
     act = trivial_action(G, cyclic_group(3))
     z2 = {(g, h): (g * h * 2) % 3 for g in G.elements() for h in G.elements()}
-    c = _z2_is_coboundary(act, z2)
+    c = walk(act, z2)
     assert c is not None
     assert all(z2[(g, h)] == (c[g] + c[h] - c[G.mul(g, h)]) % 3
                for g in G.elements() for h in G.elements())
     act2 = trivial_action(G, cyclic_group(2))
     z2 = {(g, h): g * h for g in G.elements() for h in G.elements()}
-    assert _z2_is_coboundary(act2, z2) is None
+    assert walk(act2, z2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +291,197 @@ def test_action_and_cocycle_checks_on_generators_match_all_pairs():
     flip = GroupAction(C1, C3, {0: FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1})},
                        check=False)
     assert flip.defect() == "the identity acts nontrivially"
+
+
+# ---------------------------------------------------------------------------
+# one Z^1 walk, one seven-term engine
+
+def _cyclic_action(m, n, a):
+    """C_m acting on C_n by multiplication with powers of the unit a."""
+    G, U = cyclic_group(m), cyclic_group(n)
+    return GroupAction(G, U, _multiplications(
+        G, U, {g: pow(a, g, n) for g in G.elements()}))
+
+
+def test_cocycle_walk_matches_elementwise_filter_on_cochain_objects():
+    # same cocycles in the same order as the filter over all of U^1, on
+    # cyclic actions and on C2 acting on S3 by conjugation
+    S3 = symmetric_group(3)
+    swap = S3.perms.index((1, 0, 2))
+    actions = [_cyclic_action(m, n, a) for m, n, a in
+               [(1, 5, 1), (2, 3, 2), (2, 8, 7), (3, 7, 2), (4, 5, 2),
+                (4, 10, 3), (6, 4, 3)]]
+    actions.append(GroupAction(cyclic_group(2), S3, {
+        0: identity_hom(S3), 1: inner_automorphism(S3, swap)}))
+    for act in actions:
+        C = cochain_cosimplicial(act, N=2)
+        Z1 = z1_elements(C)
+        assert Z1 == [u for u in C.objects[1].elements()
+                      if cocycle_condition(C, u)], act.G.size()
+        # one cocycle per cocycle table, in the order of the values on the
+        # generator
+        if act.G.size() > 1 and act.G.generators() == [1]:
+            assert Z1 == [tuple(f[g] for g in act.G.elements())
+                          for f in z1_enumerate(act)]
+
+
+def test_cocycle_walk_enumerates_only_the_unsolved_blocks(monkeypatch):
+    # C8 acting on C64 through the unit 7 of order 8: |U^1| = 64^8, but
+    # only the blocks of e and of the generator are enumerated
+    act = _cyclic_action(8, 64, 7)
+    C = cochain_cosimplicial(act, N=2, check=False)
+    assert C.objects[1].size() == 64 ** 8
+    monkeypatch.setattr(cosimpl, "ENUM_CAP", 64 ** 2)
+    assert z1_elements(C) == [tuple(f[g] for g in act.G.elements())
+                              for f in z1_enumerate(act)]
+    # on the Klein four group the blocks of e and of both generators are
+    # enumerated: 64^3 candidates exceed the cap, so the walk refuses to
+    # start, and under a cap of 64^3 it finds Hom(V4, C64)
+    V4 = TableGroup([[a ^ b for b in range(4)] for a in range(4)])
+    K = cochain_cosimplicial(trivial_action(V4, cyclic_group(64)), N=2,
+                             check=False)
+    with pytest.raises(ValueError, match="U\\^1 too large to enumerate"):
+        z1_elements(K)
+    monkeypatch.setattr(cosimpl, "ENUM_CAP", 64 ** 3)
+    assert z1_elements(K) == [(0, 0, 0, 0), (0, 0, 32, 32), (0, 32, 0, 32),
+                              (0, 32, 32, 0)]
+
+
+def _suite_les_instances(count, seed):
+    """The arguments of les_group_cohomology on ``count`` instances of the
+    les suite."""
+    out = []
+    original = cli.les_group_cohomology
+
+    def record(*args):
+        out.append(args)
+        return original(*args)
+    cli.les_group_cohomology = record
+    try:
+        cli.suite_les_finite(random.Random(seed), count)
+    finally:
+        cli.les_group_cohomology = original
+    return out
+
+
+def _brute_h2_image(actZ, actQ, incl, proj, actU):
+    """The number of classes in H^2(G, Z) hit by the connecting map,
+    from all 1-cochains of Z and all classes of H^1(Q)."""
+    G, Z, U = actZ.G, actZ.carrier, actU.carrier
+    Ge = G.elements()
+    pairs = [(g, h) for g in Ge for h in Ge]
+
+    def coboundary(c):
+        return tuple(Z.mul(Z.mul(c[g], actZ.act(g, c[h])),
+                           Z.inv(c[G.mul(g, h)])) for g, h in pairs)
+    B = {coboundary(dict(zip(Ge, vals)))
+         for vals in iproduct(Z.elements(), repeat=len(Ge))}
+    lift = {}
+    for u in U.elements():
+        lift.setdefault(proj[u], u)
+    incl_inv = {incl[z]: z for z in Z.elements()}
+    images = set()
+    for c in h1_classes(actQ):
+        u = {g: lift[c["rep"][g]] for g in Ge}
+        z2 = [incl_inv[U.mul(U.mul(u[g], actU.act(g, u[h])),
+                             U.inv(u[G.mul(g, h)]))] for g, h in pairs]
+        images.add(frozenset(tuple(Z.mul(a, b) for a, b in zip(z2, w))
+                             for w in B))
+    return len(images)
+
+
+def _les_instance(n, d, a):
+    """C_d -> C_n -> C_(n/d), with C_m acting through the unit a of order
+    m, as the les suite builds it."""
+    m = next(k for k in range(1, n + 1) if pow(a, k, n) == 1)
+    q = n // d
+    return (_cyclic_action(m, d, a % d), _cyclic_action(m, n, a),
+            _cyclic_action(m, q, a % q), {z: z * q for z in range(d)},
+            {u: u % q for u in range(n)})
+
+
+def test_les_nodes_match_the_direct_references():
+    # 200 suite instances, and two where six classes of H^1(Q) share the
+    # two nontrivial connecting classes in H^2(Z)
+    brute = 0
+    instances = _suite_les_instances(200, 8)
+    for actZ, actU, actQ, incl, proj in instances + [
+            _les_instance(36, 3, 7), _les_instance(36, 3, 31)]:
+        seq = les_group_cohomology(actZ, actU, actQ, incl, proj)
+        assert seq.verify()["ok"]
+        sizes = [len(node["elements"]) for node in seq.nodes]
+        assert sizes[:6] == [len(h0_fixed_points(a))
+                             for a in (actZ, actU, actQ)] + [
+            len(h1_classes(a)) for a in (actZ, actU, actQ)]
+        if actZ.carrier.size() ** actZ.G.size() <= 4096:
+            brute += 1
+            assert sizes[6] == _brute_h2_image(actZ, actQ, incl, proj, actU)
+    assert len(instances) == 200 and brute >= 50
+    assert seq.maps[5] == {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
+
+
+def test_les_rejects_non_equivariant_and_non_central_extensions():
+    # Z = C3 inside C6 with C2 inverting C6 but acting trivially on Z
+    G, C6, C3, C2 = cyclic_group(2), cyclic_group(6), cyclic_group(3), \
+        cyclic_group(2)
+    actU = _cyclic_action(2, 6, 5)
+    incl = {z: 2 * z for z in C3.elements()}
+    proj = {u: u % 2 for u in C6.elements()}
+    with pytest.raises(ValueError, match="do not commute"):
+        les_group_cohomology(trivial_action(G, C3), actU,
+                             trivial_action(G, C2), incl, proj)
+    # with C3 inverted too the same extension is fine
+    seq = les_group_cohomology(_cyclic_action(2, 3, 2), actU,
+                               trivial_action(G, C2), incl, proj)
+    assert seq.verify()["ok"]
+    # A3 in S3 is normal but not central
+    S3, C1 = symmetric_group(3), cyclic_group(1)
+    r = S3.perms.index((1, 2, 0))
+    a3 = {0: 0, 1: r, 2: S3.mul(r, r)}
+    sign = {u: int(u not in a3.values()) for u in S3.elements()}
+    with pytest.raises(ValueError, match="Z not central at level 0"):
+        les_group_cohomology(trivial_action(C1, C3), trivial_action(C1, S3),
+                             trivial_action(C1, C2), a3, sign)
+    # pi^2 needs level 2
+    X = constant_cosimplicial(C2, 1)
+    with pytest.raises(ValueError, match="needs levels 0..2"):
+        les_central_finite(X, X, X, [identity_hom(C2)] * 2,
+                           [identity_hom(C2)] * 2)
+
+
+def test_gcohom_checks_raise_under_optimization():
+    # input checks raise ValueError and broken identities RuntimeError,
+    # so python -O keeps them
+    root = pathlib.Path(__file__).resolve().parent.parent
+    child = (
+        "import json\n"
+        "from cohw import gcohom\n"
+        "from cohw.cosimpl import FiniteHom, cyclic_group, identity_hom\n"
+        "from cohw.gcohom import GroupAction, h1_classes, serre_twist, "
+        "trivial_action\n"
+        "C2, C3 = cyclic_group(2), cyclic_group(3)\n"
+        "inv = FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1})\n"
+        "def raised(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except Exception as e:\n"
+        "        return [type(e).__name__, str(e)]\n"
+        "out = {}\n"
+        "out['action'] = raised(lambda: GroupAction(\n"
+        "    C2, C3, {0: inv, 1: identity_hom(C3)}, check=True))\n"
+        "out['maps'] = raised(lambda: GroupAction(C2, C3, {0: inv}))\n"
+        "act = trivial_action(C2, C3)\n"
+        "out['twist'] = raised(lambda: serre_twist(act, {0: 0, 1: 1}))\n"
+        "gcohom.z1_enumerate = lambda a: [{0: 0, 1: 1}]\n"
+        "out['orbit'] = raised(lambda: h1_classes(act))\n"
+        "print(json.dumps(out))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == {
+        "action": ["ValueError", "the identity acts nontrivially"],
+        "maps": ["ValueError", "need a map per element"],
+        "twist": ["ValueError", "twisting datum must be a cocycle"],
+        "orbit": ["RuntimeError", "H^1 orbit left Z^1 (bug)"],
+    }

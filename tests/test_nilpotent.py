@@ -129,11 +129,58 @@ def test_non_nilpotent_rejected():
 
 def test_jacobi_violation_rejected():
     # [e0,e1]=e2 and [e1,e2]=e1 give cyclic sum [e0,[e1,e2]] = e2 != 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"Jacobi identity fails on basis "
+                                         r"\(0,1,2\)"):
         NilpotentLieAlgebra(3, {
             (0, 1): {2: 1},
             (1, 2): {1: 1},
         })
+
+
+def _first_jacobi_failure_dense(L):
+    """The first basis triple a < b < c where the cyclic Jacobi sum of
+    dense brackets is nonzero, or None."""
+    for a in range(L.dim):
+        for b in range(a + 1, L.dim):
+            for c in range(b + 1, L.dim):
+                e = [L.basis_vector(t) for t in (a, b, c)]
+                s = [sum(v) for v in zip(*(
+                    L.bracket(e[x], L.bracket(e[y], e[z]))
+                    for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1))))]
+                if any(s):
+                    return (a, b, c)
+    return None
+
+
+def test_sparse_jacobi_check_matches_all_triples(monkeypatch):
+    # random structure constants, most of them not Lie algebras: the sparse
+    # check fails exactly when the dense one does, at the same first triple
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(150):
+        d = rng.randint(3, 6)
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        structure = {p: {rng.randrange(d): rng.randint(-1, 1)}
+                     for p in rng.sample(pairs, rng.randint(1, 3))}
+        L = NilpotentLieAlgebra(d, structure, validate=False, _lcs=[[]])
+        bad = _first_jacobi_failure_dense(L)
+        seen.add(bad is None)
+        if bad is None:
+            L.validate()
+        else:
+            with pytest.raises(ValueError, match=r"basis \(%d,%d,%d\)$"
+                               % bad):
+                L.validate()
+    assert seen == {True, False}
+    # one bracket in dimension 100: only the 98 triples that hold it are
+    # evaluated, three sparse double brackets each
+    calls = []
+    original = NilpotentLieAlgebra._bracket_sparse
+    monkeypatch.setattr(NilpotentLieAlgebra, "_bracket_sparse",
+                        lambda self, i, v: calls.append(i) or
+                        original(self, i, v))
+    NilpotentLieAlgebra(100, {(0, 1): {2: 1}})
+    assert len(calls) == 98 * 6
 
 
 def test_lower_central_series_heisenberg():
