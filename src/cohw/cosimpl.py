@@ -49,14 +49,17 @@ class TableGroup:
                     self._inv[a] = b
         if None in self._inv:
             raise ValueError("missing inverses")
-        if check:
-            for a in range(self.n):
-                for b in range(self.n):
-                    for c in range(self.n):
-                        if self.table[self.table[a][b]][c] != \
-                                self.table[a][self.table[b][c]]:
-                            raise ValueError("not associative")
         self._gens = None
+        if check:
+            # the c with (ab)c = a(bc) for all a, b contain e and are
+            # closed under products, and every element is a product of
+            # generators: checking the generators decides associativity
+            t = self.table
+            for s in self.generators():
+                for a, row in enumerate(t):
+                    for b in range(self.n):
+                        if t[row[b]][s] != row[t[b][s]]:
+                            raise ValueError("not associative")
 
     def identity(self):
         return self.ident
@@ -128,12 +131,12 @@ def symmetric_group(n):
 
 def subgroup_table(G, subset):
     """Subgroup of G on the given closed subset; returns (H, inclusion dict
-    H-element -> G-element)."""
+    H-element -> G-element).  A subset that is not closed raises
+    ValueError."""
     subset = sorted(set(subset))
     pos = {g: i for i, g in enumerate(subset)}
-    for a in subset:
-        for b in subset:
-            assert G.mul(a, b) in pos, "subset not closed"
+    if any(G.mul(a, b) not in pos for a in subset for b in subset):
+        raise ValueError("subset not closed")
     table = [[pos[G.mul(a, b)] for b in subset] for a in subset]
     H = TableGroup(table, check=False)
     incl = {i: g for i, g in enumerate(subset)}
@@ -466,8 +469,10 @@ class SemiCosimplicialGroup:
                 for j in range(i + 1, n + 1):
                     lhs = self.d(n, j).compose(self.d(n - 1, i))
                     rhs = self.d(n, i).compose(self.d(n - 1, j - 1))
-                    assert hom_equal(lhs, rhs), \
-                        "coface identity fails at n=%d i=%d j=%d" % (n, i, j)
+                    if not hom_equal(lhs, rhs):
+                        raise RuntimeError(
+                            "coface identity fails at n=%d i=%d j=%d"
+                            % (n, i, j))
 
 
 class CosimplicialGroup(SemiCosimplicialGroup):
@@ -494,8 +499,10 @@ class CosimplicialGroup(SemiCosimplicialGroup):
                         continue
                     lhs = self.s(n, j).compose(self.s(n + 1, i))
                     rhs = self.s(n, i).compose(self.s(n + 1, j + 1))
-                    assert hom_equal(lhs, rhs), \
-                        "codegeneracy identity fails at n=%d i=%d j=%d" % (n, i, j)
+                    if not hom_equal(lhs, rhs):
+                        raise RuntimeError(
+                            "codegeneracy identity fails at n=%d i=%d j=%d"
+                            % (n, i, j))
         # mixed identities
         for n in range(self.N):
             for j in range(n + 1):
@@ -507,8 +514,10 @@ class CosimplicialGroup(SemiCosimplicialGroup):
                         rhs = identity_hom(self.objects[n])
                     else:
                         rhs = self.d(n, i - 1).compose(self.s(n - 1, j))
-                    assert hom_equal(lhs, rhs), \
-                        "mixed identity fails at n=%d i=%d j=%d" % (n, i, j)
+                    if not hom_equal(lhs, rhs):
+                        raise RuntimeError(
+                            "mixed identity fails at n=%d i=%d j=%d"
+                            % (n, i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +811,8 @@ def twisted_conj(U, u0, u1):
 
 def pi1_finite(U):
     """Full orbit enumeration of Z^1 under twisted conjugation by U^0.
-    Returns dict with class representatives and the distinguished class."""
+    Returns dict with the classes (representative, orbit, whether it is
+    the distinguished class) and the ``index`` of each cocycle's class."""
     Z1 = z1_elements(U)
     zset = set(Z1)
     G0, G1 = U.objects[0], U.objects[1]
@@ -812,10 +822,10 @@ def pi1_finite(U):
     # g . v = d^1(g)^-1 v d^0(g): one pair per generator
     pairs = [(G1.inv(d1.apply(g)), d0.apply(g)) for g in gens]
     mul = G1.mul
-    seen = set()
+    index = {}
     classes = []
     for u in Z1:
-        if u in seen:
+        if u in index:
             continue
         orbit = {u}
         queue = [u]
@@ -828,11 +838,11 @@ def pi1_finite(U):
                 if w not in orbit:
                     orbit.add(w)
                     queue.append(w)
-        seen |= orbit
+        index.update(dict.fromkeys(orbit, len(classes)))
         classes.append({"rep": u, "orbit": orbit,
                         "distinguished": U.objects[1].identity() in orbit})
     return {"classes": classes, "count": len(classes),
-            "z1_size": len(Z1)}
+            "z1_size": len(Z1), "index": index}
 
 
 def pi1_unipotent_deciders(U):
@@ -1225,113 +1235,11 @@ def random_bisemicosimplicial(rng, hdims, vdims):
 
 
 # ---------------------------------------------------------------------------
-# mixed exact sequences
-
-class MixedExactSequence:
-    """An exact sequence of abelian groups, groups, and pointed sets with
-    distinguished indices j < k and an action of node k on node k+1.
-
-    Nodes are dicts.  Enumerated nodes carry {"kind", "elements", "base",
-    "mul"(optional)}; maps are dicts or callables on node elements; the
-    action is a callable (x_k, x_{k+1}) -> x_{k+1}.
-    """
-
-    def __init__(self, nodes, maps, j, k, action=None):
-        self.nodes = nodes
-        self.maps = maps
-        self.j = j
-        self.k = k
-        self.action = action
-
-    def _apply(self, idx, x):
-        m = self.maps[idx]
-        return m[x] if isinstance(m, dict) else m(x)
-
-    def verify(self):
-        """Check the four exactness clauses pointwise on enumerated nodes.
-        Returns a report; raises nothing (failures are reported)."""
-        rep = {"ok": True, "clauses": []}
-
-        def fail(msg):
-            rep["ok"] = False
-            rep["clauses"].append(("FAIL", msg))
-
-        def note(msg):
-            rep["clauses"].append(("ok", msg))
-
-        n = len(self.nodes)
-        # abelian-ness for r <= j
-        for r in range(min(self.j + 1, n)):
-            node = self.nodes[r]
-            if "mul" in node and "elements" in node:
-                mul = node["mul"]
-                ab = all(mul(a, b) == mul(b, a)
-                         for a in node["elements"] for b in node["elements"])
-                (note if ab else fail)("node %d abelian" % r)
-        # group-segment exactness at nodes 1..k-1 and centrality at j+1
-        for r in range(1, min(self.k, n - 1)):
-            if "elements" not in self.nodes[r]:
-                continue
-            img = {self._apply(r - 1, x) for x in self.nodes[r - 1]["elements"]}
-            base_next = self.nodes[r + 1]["base"]
-            ker = {x for x in self.nodes[r]["elements"]
-                   if self._apply(r, x) == base_next}
-            (note if img == ker else fail)(
-                "exactness at node %d (image = kernel)" % r)
-        if self.j + 1 < n and "elements" in self.nodes[self.j + 1] and \
-                "mul" in self.nodes[self.j + 1]:
-            node = self.nodes[self.j + 1]
-            img = {self._apply(self.j, x)
-                   for x in self.nodes[self.j]["elements"]}
-            mul = node["mul"]
-            central = all(mul(z, x) == mul(x, z)
-                          for z in img for x in node["elements"])
-            (note if central else fail)(
-                "image of node %d central in node %d" % (self.j, self.j + 1))
-        # stabilizer clause at k / k+1
-        if self.action is not None and self.k + 1 < n and \
-                "elements" in self.nodes[self.k]:
-            base = self.nodes[self.k + 1]["base"]
-            stab = {x for x in self.nodes[self.k]["elements"]
-                    if self.action(x, base) == base}
-            img = {self._apply(self.k - 1, x)
-                   for x in self.nodes[self.k - 1]["elements"]}
-            (note if stab == img else fail)(
-                "stabilizer of basepoint = image at node %d" % self.k)
-            # orbit = fiber clause
-            if self.k + 2 < n:
-                orbits = {}
-                for y in self.nodes[self.k + 1]["elements"]:
-                    orbit = frozenset(
-                        self.action(x, y)
-                        for x in self.nodes[self.k]["elements"])
-                    orbits[y] = orbit
-                ok = True
-                for y in self.nodes[self.k + 1]["elements"]:
-                    fiber = {z for z in self.nodes[self.k + 1]["elements"]
-                             if self._apply(self.k + 1, z)
-                             == self._apply(self.k + 1, y)}
-                    if orbits[y] != fiber:
-                        ok = False
-                (note if ok else fail)("orbits = fibers at node %d" %
-                                       (self.k + 1))
-        # pointed exactness beyond k+1
-        for r in range(self.k + 2, n - 1):
-            if "elements" not in self.nodes[r]:
-                continue
-            img = {self._apply(r - 1, x) for x in self.nodes[r - 1]["elements"]}
-            base_next = self.nodes[r + 1]["base"]
-            pre = {x for x in self.nodes[r]["elements"]
-                   if self._apply(r, x) == base_next}
-            (note if img == pre else fail)(
-                "pointed exactness at node %d" % r)
-        return rep
-
+# the seven-term sequence of a central extension
 
 def certificate_report(clauses):
-    """Report, in the form of MixedExactSequence.verify, of a sequence
-    whose clauses were decided by exact solving rather than enumeration:
-    one ("ok" | "FAIL", "certificate: <name>") entry per clause."""
+    """Report of a sequence from its named clauses: ok when all hold,
+    and one ("ok" | "FAIL", "certificate: <name>") entry per clause."""
     return {"ok": all(clauses.values()),
             "clauses": [("ok" if val else "FAIL", "certificate: %s" % name)
                         for name, val in clauses.items()]}
@@ -1353,17 +1261,23 @@ def _level_factors(i, p):
 def les_central_finite(Z, U, Q, incl, proj):
     """Theorem part (3) for finite carriers: the seven-term sequence
     1 -> pi0 Z -> pi0 U -> pi0 Q -> pi1 Z -> pi1 U -> pi1 Q -> pi2 Z
-    of a central extension, with its nodes enumerated for
-    ``MixedExactSequence.verify``.
+    of a central extension, each clause decided on its enumerated nodes.
 
     incl[n]: Z^n -> U^n and proj[n]: U^n -> Q^n (n = 0..2 at least) are
     homs that commute with the structure maps.  Each level is checked
     to be central exact, and is inverted, factor by factor
     (``_level_factors``); centrality is checked on generators.  The
-    pi^1 nodes are class indices, looked up by dict.  The pi^2 node
-    holds only the connecting images: label 0 is the trivial class, and
-    two obstructions share a label when their quotient is a coboundary,
-    which ``_cocycle_walk`` on Z decides.  Bad data raises ValueError."""
+    pi^1 nodes are class numbers, looked up in the ``index`` of
+    ``pi1_finite``.  The pi^2 node holds only the connecting images:
+    label 0 is the trivial class, and two obstructions share a label
+    when their quotient is a coboundary, which ``_cocycle_walk`` on Z
+    decides.  Bad data raises ValueError.
+
+    Returns the ``report``, ``clauses`` and ``provenance`` (every
+    clause "enumerated") of ``les_central_unipotent``, with the nodes:
+    ``pi0`` (three element lists), ``pi1`` (three lists of class
+    representatives), ``pi2`` (the connecting-image representatives)
+    and ``delta1`` (class of pi1(Q) -> label in pi2)."""
     if min(len(incl), len(proj), Z.N + 1, U.N + 1, Q.N + 1) < 3:
         raise ValueError("the extension needs levels 0..2")
     if not (check_cosimplicial_map(Z, U, incl)
@@ -1406,16 +1320,9 @@ def les_central_finite(Z, U, Q, incl, proj):
             out.append(tables[id(h)][v])
         return tuple(out) if blocked else out[0]
 
-    def pi1(X):
-        """Class index of each cocycle, and the class representatives."""
-        index, reps = {}, []
-        for c in pi1_finite(X)["classes"]:
-            for v in c["orbit"]:
-                index[v] = len(reps)
-            reps.append(c["rep"])
-        return index, reps
-
-    (iZ, rZ), (iU, rU), (iQ, rQ) = pi1(Z), pi1(U), pi1(Q)
+    p1 = [pi1_finite(X) for X in (Z, U, Q)]
+    iZ, iU, iQ = (p["index"] for p in p1)
+    rZ, rU, rQ = ([c["rep"] for c in p["classes"]] for p in p1)
     Z1, U1, U2, Z2 = Z.objects[1], U.objects[1], U.objects[2], Z.objects[2]
     inclZ = [incl[1].apply(z) for z in rZ]
 
@@ -1431,47 +1338,49 @@ def les_central_finite(Z, U, Q, incl, proj):
         return pull(2, 0, U2.mul(U2.inv(U.d(2, 2).apply(u1)), U2.mul(
             U.d(2, 1).apply(u1), U2.inv(U.d(2, 0).apply(u1)))))
 
-    reps2 = [None]  # label 0: the trivial class
+    reps2 = [Z2.identity()]  # label 0: the trivial class
 
     def label(z2):
         for i, r in enumerate(reps2):
-            t = z2 if r is None else Z2.mul(z2, Z2.inv(r))
-            if _cocycle_walk(Z, t, first=True) is not None:
+            if _cocycle_walk(Z, Z2.mul(z2, Z2.inv(r)), first=True) is not None:
                 return i
         reps2.append(z2)
         return len(reps2) - 1
 
     delta1 = {c: label(obstruction(q1)) for c, q1 in enumerate(rQ)}
 
-    def node(kind, elements, base, mul=None):
-        out = {"kind": kind, "elements": list(elements), "base": base}
-        if mul is not None:
-            out["mul"] = mul
-        return out
-
-    nodes = [node("group", pi0(X), X.objects[0].identity(), X.objects[0].mul)
-             for X in (Z, U, Q)]
-    nodes += [
-        node("group", range(len(rZ)), iZ[Z1.identity()],
-             lambda a, b: iZ[Z1.mul(rZ[a], rZ[b])]),
-        node("pointed", range(len(rU)), iU[U1.identity()]),
-        node("pointed", range(len(rQ)), iQ[Q.objects[1].identity()]),
-        node("pointed", range(len(reps2)), 0),
-    ]
-    maps = [
-        lambda z0: incl[0].apply(z0),
-        lambda u0: proj[0].apply(u0),
-        delta0,
-        {c: iU[u] for c, u in enumerate(inclZ)},
-        {c: iQ[proj[1].apply(u)] for c, u in enumerate(rU)},
-        delta1,
-    ]
-
-    # pi1 Z acts on pi1 U by multiplying cocycles
-    def action(zc, uc):
-        return iU[U1.mul(inclZ[zc], rU[uc])]
-
-    return MixedExactSequence(nodes, maps, j=0, k=3, action=action)
+    p0Z, p0U, p0Q = (pi0(X) for X in (Z, U, Q))
+    Z0, U0 = Z.objects[0], U.objects[0]
+    img0 = {incl[0].apply(z) for z in p0Z}
+    e0 = Q.objects[0].identity()
+    e1, base = iZ[Z1.identity()], iU[U1.identity()]
+    # act[c][k]: the class c of pi1(Z) acting on the class k of pi1(U) by
+    # multiplying cocycles; to_q[k]: the image of k in pi1(Q)
+    act = [[iU[U1.mul(z, u)] for u in rU] for z in inclZ]
+    to_q = [iQ[proj[1].apply(u)] for u in rU]
+    clauses = {
+        "pi0(Z) abelian": all(Z0.mul(a, b) == Z0.mul(b, a)
+                              for a in p0Z for b in p0Z),
+        "exact at pi0(U)": img0 == {u for u in p0U
+                                    if proj[0].apply(u) == e0},
+        "image of pi0(Z) central in pi0(U)": all(
+            U0.mul(z, u) == U0.mul(u, z) for z in img0 for u in p0U),
+        "exact at pi0(Q)": {proj[0].apply(u) for u in p0U}
+        == {q for q in p0Q if delta0(q) == e1},
+        "exact at pi1(Z)": {c for c, row in enumerate(act)
+                            if row[base] == base}
+        == {delta0(q) for q in p0Q},
+        "pi1(Z)-orbits are the fibers at pi1(U)": all(
+            {row[k] for row in act} == {j for j, q in enumerate(to_q)
+                                        if q == to_q[k]}
+            for k in range(len(rU))),
+        "exact at pi1(Q)": set(to_q) == {c for c, l in delta1.items()
+                                         if l == 0},
+    }
+    return {"report": certificate_report(clauses), "clauses": clauses,
+            "provenance": dict.fromkeys(clauses, "enumerated"),
+            "pi0": (p0Z, p0U, p0Q), "pi1": (rZ, rU, rQ), "pi2": reps2,
+            "delta1": delta1}
 
 
 def les_central_unipotent(Z, U, Q, incl, proj, samples=(), rng=None):

@@ -420,7 +420,7 @@ def les_group_cohomology(actZ, actU, actQ, incl, proj):
     -> H^1(Q) -> H^2(Z) for a central extension 1 -> Z -> U -> Q -> 1 of
     groups with compatible G-action: ``les_central_finite`` on the three
     cochain objects, with the carrier maps incl and proj (dicts) on
-    every block of every level."""
+    every block of every level, and its certificate returned."""
     if not actZ.G.size() == actU.G.size() == actQ.G.size():
         raise ValueError("the three actions need one group")
     C = [cochain_cosimplicial(a, N=2, check=False) for a in (actZ, actU, actQ)]

@@ -334,15 +334,21 @@ def test_invalid_phin_data_exits_2_also_under_optimization(tmp_path):
 
 def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
     # a table entry out of range, a short row and a non-associative table
-    # are reported at their row, and a Jacobi failure at the first
-    # bracket, with or without asserts
+    # are reported at their row, a Jacobi failure at the first bracket,
+    # and a double-coset subset that is out of range, empty or not closed
+    # at its line (line 12 of the corpus file), with or without asserts
     table = "[finite_group]\nelements 3\nrow 0 1 2\n%s\nrow 2 %s\n"
+    coset = (CORPUS / "s3_double_coset.alg").read_text()
+    assert coset.splitlines()[11] == "left 0 2"
     files = {
         "out_of_range": table % ("row 1 7 0", "0 1"),
         "short_row": table % ("row 1 2", "0 1"),
         "not_associative": table % ("row 1 0 1", "2 0"),
         "jacobi": "[lie_algebra]\ndim 5\nbracket 0 1 2 1\n"
                   "bracket 2 3 4 1\n",
+        "left_out_of_range": coset.replace("left 0 2", "left 0 9"),
+        "left_empty": coset.replace("left 0 2", "left"),
+        "left_not_closed": coset.replace("left 0 2", "left 1 2"),
     }
     reasons = {
         "out_of_range": "4:1: table entry 7 out of range 0..2",
@@ -350,9 +356,12 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
         "not_associative": "3:1: invalid table: not associative",
         "jacobi": "3:1: invalid Lie algebra: Jacobi identity fails on "
                   "basis (0,1,3)",
+        "left_out_of_range": "12:1: left element 9 out of range",
+        "left_empty": "12:1: left subset is empty",
+        "left_not_closed": "12:1: left subset not closed",
     }
-    for argv, (code, out) in _run_optimized_and_not(tmp_path, files,
-                                                     [["validate"]]):
+    for argv, (code, out) in _run_optimized_and_not(
+            tmp_path, files, [["validate"], ["pi", "--degree", "1"]]):
         name = pathlib.Path(argv[-1]).stem
         assert code == 2, (argv, out)
         assert out == "error: %s:%s\n" % (argv[-1], reasons[name]), out
@@ -450,19 +459,26 @@ def test_located_parse_errors(tmp_path, capsys):
 
 def test_group_orders_and_dims_are_bounded_at_their_line(tmp_path, capsys,
                                                           monkeypatch):
-    # each input is rejected at its line, with exit 2, before any group is
-    # built: the constructors fail if called at all
+    # each input is rejected at its line, with exit 2, before any group or
+    # Lie algebra is built: the constructors fail if called at all
     import cohw.cli as cli
 
     def refuse(n):
         raise AssertionError("group of order %d built" % n)
 
+    def refuse_algebra(d, *args, **kwargs):
+        raise AssertionError("Lie algebra of dim %d built" % d)
+
     monkeypatch.setattr(cli, "cyclic_group", refuse)
     monkeypatch.setattr(cli, "symmetric_group", refuse)
+    monkeypatch.setattr(cli, "NilpotentLieAlgebra", refuse_algebra)
     cases = [
         ("[finite_group]\ncyclic 0\n", 2, "at least 1"),
         ("[finite_group]\ncyclic -1\n", 2, "at least 1"),
         ("# comment\n[lie_algebra]\ndim -2\n", 3, ">= 0"),
+        ("[lie_algebra]\ndim 129\nbracket 0 1 2 1\n", 2,
+         "dimension 129 exceeds 128"),
+        ("[lie_algebra]\ndim 99999\nbracket 0 1 2 1\n", 2, "exceeds 128"),
         ("[finite_group]\ncyclic 1001\n", 2, "exceeds"),
         ("[finite_group]\nsymmetric 7\n", 2, "exceeds"),
         ("[finite_group]\nsymmetric 1000000000\n", 2, "exceeds"),
@@ -491,11 +507,17 @@ def test_group_orders_and_dims_are_bounded_at_their_line(tmp_path, capsys,
         built.append(n)
         return cohw.cosimpl.cyclic_group(1)
 
+    def record_algebra(d, *args, **kwargs):
+        built.append(d)
+        return cohw.nilpotent.abelian_lie_algebra(1)
+
     monkeypatch.setattr(cli, "cyclic_group", record)
     monkeypatch.setattr(cli, "symmetric_group", record)
+    monkeypatch.setattr(cli, "NilpotentLieAlgebra", record_algebra)
     parse_description("[finite_group]\ncyclic 1000\n")
     parse_description("[finite_group]\nsymmetric 6\n")
-    assert built == [1000, 6]
+    parse_description("[lie_algebra]\ndim 128\nbracket 0 1 2 1\n")
+    assert built == [1000, 6, 128]
 
 
 def test_keyword_without_value_is_a_located_input_error(tmp_path, capsys):

@@ -1,4 +1,9 @@
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -180,7 +185,8 @@ def test_diagonal_cogenerate_identities():
     # a horizontal coface that breaks the bi-semi-cosimplicial identities
     # breaks those of the diagonal
     A.dh[1][0][0][0][0] += 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError,
+                       match="coface identity fails at n=2 i=0 j=1"):
         diagonal_cogenerate(A, 3).check_identities()
 
 
@@ -370,6 +376,67 @@ def test_homomorphism_check_on_generators_matches_all_pairs():
     assert not bad.is_homomorphism() and not _is_hom_all_pairs(bad)
 
 
+def _random_loop(rng, n):
+    """A random Latin square on 0..n-1 with identity 0: the cells off the
+    first row and column filled by backtracking in random value order."""
+    t = [[b if a == 0 else a if b == 0 else None for b in range(n)]
+         for a in range(n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        a, b = cells[k]
+        values = [v for v in range(n)
+                  if v not in t[a] and all(row[b] != v for row in t)]
+        rng.shuffle(values)
+        for v in values:
+            t[a][b] = v
+            if fill(k + 1):
+                return True
+        t[a][b] = None
+        return False
+    assert fill(0)
+    return t
+
+
+def test_associativity_check_on_generators_matches_all_triples():
+    # random Latin squares with an identity (loops), associative or not,
+    # with their elements relabelled so the identity is anywhere; in a
+    # product of a group and a loop some generators associate and others
+    # may not
+    rng = random.Random(12)
+    tables = [_random_loop(rng, rng.randint(1, 7)) for _ in range(150)]
+    tables += [G.table for G in (cyclic_group(6), symmetric_group(3),
+                                 _quaternion_group())]
+    for _ in range(40):
+        A = cyclic_group(rng.randint(2, 3)).table
+        B = _random_loop(rng, rng.randint(4, 6))
+        m = len(B)
+        tables.append([[A[x // m][y // m] * m + B[x % m][y % m]
+                        for y in range(len(A) * m)]
+                       for x in range(len(A) * m)])
+    seen = {True: 0, False: 0}
+    for t in tables:
+        n = len(t)
+        p = list(range(n))
+        rng.shuffle(p)
+        table = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[p[a]][p[b]] = p[t[a][b]]
+        expected = all(table[table[a][b]][c] == table[a][table[b][c]]
+                       for a in range(n) for b in range(n)
+                       for c in range(n))
+        seen[expected] += 1
+        if expected:
+            assert TableGroup(table).size() == n
+        else:
+            with pytest.raises(ValueError, match="not associative"):
+                TableGroup(table)
+    assert seen[True] > 20 and seen[False] > 20, seen
+
+
 # ---------------------------------------------------------------------------
 # unipotent pi1 deciders
 
@@ -474,9 +541,8 @@ def test_les_central_constant_quaternion():
     incl_hom = FiniteHom(Zc, Q8, inclz, check=True)
     proj_hom = FiniteHom(Q8, Qg, {g: coset_of(g) for g in Q8.elements()},
                          check=True)
-    seq = les_central_finite(Z, U, Q, [incl_hom] * (N + 1),
-                             [proj_hom] * (N + 1))
-    rep = seq.verify()
+    rep = les_central_finite(Z, U, Q, [incl_hom] * (N + 1),
+                             [proj_hom] * (N + 1))["report"]
     assert rep["ok"], rep
 
 
@@ -704,5 +770,38 @@ def test_perturbed_cogenerated_coface_fails_identities():
     M[0][0] += 1
     parts[0] = (i0, LinearHom(f.source, f.target, M))
     G.cofaces[2][1] = StructuredHom(h.source, h.target, parts)
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError,
+                       match="coface identity fails at n=2 i=0 j=1"):
         G.check_identities()
+
+
+def test_cosimplicial_identities_raise_under_optimization():
+    # a zero coface at level 2, a zero codegeneracy at level 1 and a zero
+    # one at level 0 over C2 each break one identity, also under python -O
+    root = pathlib.Path(__file__).resolve().parent.parent
+    child = (
+        "import json\n"
+        "from cohw.cosimpl import CosimplicialGroup, FiniteHom, "
+        "SemiCosimplicialGroup, cyclic_group, identity_hom\n"
+        "C2 = cyclic_group(2)\n"
+        "one, zero = identity_hom(C2), FiniteHom(C2, C2, {0: 0, 1: 0})\n"
+        "def raised(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except Exception as e:\n"
+        "        return [type(e).__name__, str(e)]\n"
+        "print(json.dumps([\n"
+        "    raised(lambda: SemiCosimplicialGroup([C2] * 3, {\n"
+        "        1: [one, one], 2: [zero, one, one]})),\n"
+        "    raised(lambda: CosimplicialGroup([C2] * 3, {\n"
+        "        1: [one] * 2, 2: [one] * 3}, {0: [one], 1: [zero, one]})),\n"
+        "    raised(lambda: CosimplicialGroup([C2] * 2, {1: [one] * 2},\n"
+        "                                     {0: [zero]}))]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["RuntimeError", "coface identity fails at n=2 i=0 j=1"],
+        ["RuntimeError", "codegeneracy identity fails at n=0 i=0 j=0"],
+        ["RuntimeError", "mixed identity fails at n=0 i=0 j=0"]]

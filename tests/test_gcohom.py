@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import pathlib
@@ -168,18 +169,16 @@ def test_les_trivial_action_nontrivial_connecting():
     act = trivial_action(cyclic_group(2), cyclic_group(4))
     actZ, actU, actQ, incl, proj = _mod4_extension(act)
     seq = les_group_cohomology(actZ, actU, actQ, incl, proj)
-    rep = seq.verify()
-    assert rep["ok"], rep
+    assert seq["report"]["ok"], seq["report"]
     # the nontrivial hom C2 -> Z/2 does not lift to Z/4 with odd values,
     # so its connecting image in H^2 is nontrivial
-    assert len(seq.nodes[6]["elements"]) == 2
+    assert len(seq["pi2"]) == 2
 
 
 def test_les_inversion_action():
     act = _inversion_action(4)
     actZ, actU, actQ, incl, proj = _mod4_extension(act)
-    seq = les_group_cohomology(actZ, actU, actQ, incl, proj)
-    rep = seq.verify()
+    rep = les_group_cohomology(actZ, actU, actQ, incl, proj)["report"]
     assert rep["ok"], rep
 
 
@@ -408,8 +407,9 @@ def test_les_nodes_match_the_direct_references():
     for actZ, actU, actQ, incl, proj in instances + [
             _les_instance(36, 3, 7), _les_instance(36, 3, 31)]:
         seq = les_group_cohomology(actZ, actU, actQ, incl, proj)
-        assert seq.verify()["ok"]
-        sizes = [len(node["elements"]) for node in seq.nodes]
+        assert seq["report"]["ok"]
+        sizes = [len(node) for node in seq["pi0"] + seq["pi1"]] + [
+            len(seq["pi2"])]
         assert sizes[:6] == [len(h0_fixed_points(a))
                              for a in (actZ, actU, actQ)] + [
             len(h1_classes(a)) for a in (actZ, actU, actQ)]
@@ -417,7 +417,7 @@ def test_les_nodes_match_the_direct_references():
             brute += 1
             assert sizes[6] == _brute_h2_image(actZ, actQ, incl, proj, actU)
     assert len(instances) == 200 and brute >= 50
-    assert seq.maps[5] == {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
+    assert seq["delta1"] == {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
 
 
 def test_les_rejects_non_equivariant_and_non_central_extensions():
@@ -433,7 +433,7 @@ def test_les_rejects_non_equivariant_and_non_central_extensions():
     # with C3 inverted too the same extension is fine
     seq = les_group_cohomology(_cyclic_action(2, 3, 2), actU,
                                trivial_action(G, C2), incl, proj)
-    assert seq.verify()["ok"]
+    assert seq["report"]["ok"]
     # A3 in S3 is normal but not central
     S3, C1 = symmetric_group(3), cyclic_group(1)
     r = S3.perms.index((1, 2, 0))
@@ -447,6 +447,79 @@ def test_les_rejects_non_equivariant_and_non_central_extensions():
     with pytest.raises(ValueError, match="needs levels 0..2"):
         les_central_finite(X, X, X, [identity_hom(C2)] * 2,
                            [identity_hom(C2)] * 2)
+
+
+def _failed_clauses(seq):
+    return {name for name, ok in seq["clauses"].items() if not ok}
+
+
+def test_les_faults_fail_named_clauses(monkeypatch):
+    # faults injected into the engine's inputs on les-suite instances:
+    # with no 2-cochain a coboundary, no obstruction has the trivial
+    # label, so exactness at pi1(Q) fails everywhere; with the first two
+    # pi^1 classes of every object merged, 58 of the 120 instances fail
+    # exactness at pi0(Q) and one the orbit clause; with each pi^0 cut to
+    # one element, 58 fail exactness at pi1(Z)
+    instances = _suite_les_instances(120, 1)
+    for args in instances:
+        seq = les_group_cohomology(*args)
+        assert seq["report"]["ok"] and not _failed_clauses(seq)
+        assert set(seq["provenance"].values()) == {"enumerated"}
+        assert len(seq["clauses"]) == 7
+    walk = cosimpl._cocycle_walk
+
+    def no_coboundary(U, target=None, first=False):
+        return walk(U) if target is None else (None if first else [])
+    monkeypatch.setattr(cosimpl, "_cocycle_walk", no_coboundary)
+    for args in instances:
+        seq = les_group_cohomology(*args)
+        assert _failed_clauses(seq) == {"exact at pi1(Q)"}
+        assert not seq["report"]["ok"]
+        assert ("FAIL", "certificate: exact at pi1(Q)") in \
+            seq["report"]["clauses"]
+    monkeypatch.setattr(cosimpl, "_cocycle_walk", walk)
+    pi1 = cosimpl.pi1_finite
+
+    def merged(X):
+        p = pi1(X)
+        if p["count"] < 2:
+            return p
+        c0, c1 = p["classes"][:2]
+        classes = [dict(c0, orbit=c0["orbit"] | c1["orbit"])] + \
+            p["classes"][2:]
+        return dict(p, classes=classes, count=len(classes), index={
+            v: k - (k > 0) for v, k in p["index"].items()})
+    monkeypatch.setattr(cosimpl, "pi1_finite", merged)
+    failed = collections.Counter(
+        name for args in instances
+        for name in _failed_clauses(les_group_cohomology(*args)))
+    assert failed == {"exact at pi0(Q)": 58,
+                      "pi1(Z)-orbits are the fibers at pi1(U)": 1}
+    monkeypatch.setattr(cosimpl, "pi1_finite", pi1)
+    pi0 = cosimpl.pi0
+    monkeypatch.setattr(cosimpl, "pi0", lambda X: pi0(X)[:1])
+    failed = collections.Counter(
+        name for args in instances
+        for name in _failed_clauses(les_group_cohomology(*args)))
+    assert failed == {"exact at pi1(Z)": 58}
+
+
+def test_pi1_index_numbers_each_cocycle_by_its_orbit():
+    # on double-coset objects and on cochain objects of group actions,
+    # every cocycle is indexed, by the class whose orbit holds it
+    rng = random.Random(5)
+    objects = [cosimpl.cogenerate(cli._coset_object(
+        *cli._random_double_coset(rng, 20000, 2)), N=2) for _ in range(6)]
+    objects += [cochain_cosimplicial(_cyclic_action(m, n, a), N=2)
+                for m, n, a in [(2, 3, 2), (2, 8, 7), (4, 10, 3), (6, 4, 3)]]
+    for X in objects:
+        p = cosimpl.pi1_finite(X)
+        Z1 = z1_elements(X)
+        assert sorted(p["index"]) == sorted(Z1)
+        for v in Z1:
+            assert [k for k, c in enumerate(p["classes"])
+                    if v in c["orbit"]] == [p["index"][v]]
+    assert max(cosimpl.pi1_finite(X)["count"] for X in objects) > 1
 
 
 def test_gcohom_checks_raise_under_optimization():
