@@ -362,6 +362,9 @@ def parse_description(text, name="<input>"):
             except ValueError as e:
                 raise ParseError(at, 1, "%s %s" % (side, e))
             df.coset[side] = elems
+    elif coset["left"] or coset["right"]:
+        at = min(v[0] for v in (coset["left"], coset["right"]) if v)
+        raise ParseError(at, 1, "left/right need a pattern line")
 
     if action["carrier"] is not None or action["generators"]:
         df.action = action
@@ -375,8 +378,10 @@ def parse_description(text, name="<input>"):
                 if len(v) != d:
                     raise ParseError(lineno, 1,
                                      "%s vector length != dim %d" % (key, d))
-        df.extension = {"incl": [v for _, v in ext["incl"]],
-                        "proj": [v for _, v in ext["proj"]]}
+        df.extension = {key: [v for _, v in rows]
+                        for key, rows in ext.items()}
+        df.extension["lines"] = {key: rows[0][0] if rows else 1
+                                 for key, rows in ext.items()}
     return df
 
 
@@ -428,15 +433,26 @@ class InvalidFiltrations(Exception):
     ``_filtration_verdict`` line."""
 
 
-def _quotient_algebra(L, proj_rows):
-    """Quotient Lie algebra presented by the rows of a surjection with
-    central kernel, with a section used to transport structure."""
+def _extension_error(df, key, message):
+    """A ParseError at the first ``key`` line of the [extension] section."""
+    return ParseError(df.extension["lines"][key], 1,
+                      "invalid extension: %s" % message)
+
+
+def _quotient_algebra(df, L):
+    """The quotient Lie algebra presented by the proj rows of the
+    [extension] section (a surjection with central kernel), a section
+    used to transport structure, and proj as a Lie morphism; rows that
+    are not onto or no Lie morphism are a ParseError at the first proj
+    line."""
+    proj_rows = df.extension["proj"]
     dQ = len(proj_rows)
     section = []
     for j in range(dQ):
         q = [Fraction(int(r == j)) for r in range(dQ)]
         s, _ = solve_affine(proj_rows, q)
-        assert s is not None, "projection is not surjective"
+        if s is None:
+            raise _extension_error(df, "proj", "proj is not surjective")
         section.append(s)
     structure = {}
     for i in range(dQ):
@@ -445,8 +461,11 @@ def _quotient_algebra(L, proj_rows):
             row = {k: c for k, c in enumerate(br) if c}
             if row:
                 structure[(i, j)] = row
-    LQ = NilpotentLieAlgebra(dQ, structure, name=L.name + "_quot")
-    return LQ, section
+    try:
+        LQ = NilpotentLieAlgebra(dQ, structure, name=L.name + "_quot")
+        return LQ, section, LieMorphism(L, LQ, proj_rows)
+    except ValueError as e:
+        raise _extension_error(df, "proj", "proj: %s" % e)
 
 
 def _restrict_matrix(A, cols):
@@ -465,14 +484,17 @@ def derive_phin_extension(df):
     L = XU.L
     zcols = df.extension["incl"]
     proj_rows = df.extension["proj"]
-    dZ, dQ = len(zcols), len(proj_rows)
-    incl = LieMorphism(abelian_lie_algebra(dZ), L, transpose(zcols))
+    try:
+        incl = LieMorphism(abelian_lie_algebra(len(zcols)), L,
+                           transpose(zcols))
+    except ValueError:
+        raise _extension_error(df, "incl", "the incl vectors do not commute")
     phiZ = _restrict_matrix(XU.phi, zcols)
     NZ = _restrict_matrix(XU.N, zcols) if df.N else None
     if phiZ is None or (df.N and NZ is None):
-        raise ParseError(1, 1, "phi/N do not restrict to the kernel")
-    LQ, section = _quotient_algebra(L, proj_rows)
-    proj = LieMorphism(L, LQ, proj_rows)
+        raise _extension_error(df, "incl",
+                               "phi/N do not restrict to the kernel")
+    LQ, section, proj = _quotient_algebra(df, L)
 
     def induce(A):
         out = transpose([mat_vec(proj_rows, mat_vec(A, s)) for s in section])
@@ -482,7 +504,8 @@ def derive_phin_extension(df):
     phiQ = induce(XU.phi)
     NQ = induce(XU.N) if df.N else None
     if phiQ is None or (df.N and NQ is None):
-        raise ParseError(1, 1, "phi/N do not descend to the quotient")
+        raise _extension_error(df, "proj",
+                               "phi/N do not descend to the quotient")
     XZ = PhiNGroup(incl.source, phiZ, N=NZ, p=XU.p)
     XQ = PhiNGroup(LQ, phiQ, N=NQ, p=XU.p)
     return XZ, XU, XQ, incl, proj
@@ -496,7 +519,11 @@ def derive_mhs_extension(df):
     L = MU.L
     zcols = df.extension["incl"]
     proj_rows = df.extension["proj"]
-    LZ, basisZ, incl = subalgebra_on_basis(L, zcols, name="Z")
+    try:
+        LZ, basisZ, incl = subalgebra_on_basis(L, zcols, name="Z")
+    except ValueError:
+        raise _extension_error(df, "incl",
+                               "the incl vectors are not bracket-closed")
     # the Hodge levels are realified: so are Z's basis and coordinates
     basisZ_R = realify_matrix(basisZ, len(basisZ), L.dim)
     wz, fz = {}, {}
@@ -509,8 +536,7 @@ def derive_mhs_extension(df):
                   for v in inter]
     MZ = MHSGroup(LZ, wz, fz, negative_weights=MU.negative_weights, name="Z",
                   check=False)
-    LQ, _ = _quotient_algebra(L, proj_rows)
-    proj = LieMorphism(L, LQ, proj_rows)
+    LQ, _, proj = _quotient_algebra(df, L)
     projR = realify_matrix(proj_rows, len(proj_rows), L.dim)
     wq = {m: [mat_vec(proj_rows, v) for v in lvl]
           for m, lvl in MU.weights.items()}

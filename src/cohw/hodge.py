@@ -24,14 +24,12 @@ has the same classes as its pi^1, and carries the exact sequence of a
 central extension.
 """
 
-import random
 from fractions import Fraction
 
 from .exactla import (
-    Echelon, Gaussian, complex_span, coords_in_basis, identity_matrix,
-    in_span, kernel_basis, mat_vec, rank, realify_vector, span_echelon,
+    Echelon, complex_span, coords_in_basis, identity_matrix, in_span,
+    kernel_basis, mat_vec, rank, realify_vector, span_echelon,
     subspace_intersect, transpose, unrealify_vector, vec_is_zero, vec_neg,
-    zero_vec,
 )
 from .cosimpl import (
     LinearHom, SemiCosimplicialGroup, StructuredHom, UnipotentCarrier,
@@ -79,7 +77,8 @@ def subalgebra_on_basis(L, vectors, name="sub"):
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             coords = coords_in_basis(basis, L.bracket(basis[i], basis[j]))
-            assert coords is not None, "family is not bracket-closed"
+            if coords is None:
+                raise ValueError("family is not bracket-closed")
             row = {k: c for k, c in enumerate(coords) if c}
             if row:
                 structure[(i, j)] = row
@@ -155,6 +154,37 @@ def _conj(v):
     return [-x if k % 2 else x for k, x in enumerate(v)]
 
 
+def _graded_piece(M, m):
+    """(dim Gr_m W, gr_part) for a nonzero graded piece, else None;
+    gr_part(p) is F^p /\\ W_m in Gr_m W, realified, computed once for
+    each stored level of F, as p and m + 1 - p revisit them."""
+    Wm, Wm1 = M.weights[m], M.w_basis(m - 1)
+    comp = []
+    for v in Wm:
+        if not in_span(Wm1 + comp, v):
+            comp.append(v)
+    if not comp:
+        return None
+    # realified, so coordinates in it are realified complex ones
+    full = realify_matrix(Wm1 + comp, len(Wm1) + len(comp), M.L.dim)
+    WmC = complex_span(Wm)
+    parts = {}
+
+    def gr_part(p):
+        key = max((i for i in M.hodge if i <= p), default=None)
+        if key not in parts:
+            fp = M.f_basis(p)
+            inter = subspace_intersect(fp, WmC) if fp else []
+            quots = []
+            for x in inter:
+                co = coords_in_basis(full, x)
+                assert co is not None
+                quots.append(co[2 * len(Wm1):])
+            parts[key] = span_echelon(quots)
+        return parts[key]
+    return len(comp), gr_part
+
+
 def validate_mhs(M):
     """Check every filtration invariant exactly; report graded weights.
     Failures are named ("non-ideal W level", "non-multiplicative F",
@@ -201,49 +231,35 @@ def validate_mhs(M):
             add("[F^%d, F^%d] in F^%d" % (a, b, a + b), good,
                 "" if good else "non-multiplicative F")
 
-    # Hodge decomposition on each pure-weight graded piece
-    graded = {}
+    # Hodge decomposition on each pure-weight graded piece.  F^p is full
+    # below pmin and F^pmax above pmax, so the pairs (F^p, conj F^(m+1-p))
+    # repeat outside [min(pmin, m+1-pmax) - 1, max(pmax, m+1-pmin) + 1];
+    # the p of that range outside [pmin, pmax + 1] are checked last
     pmin = min(fidx) if fidx else 0
     pmax = max(fidx) if fidx else 0
+    pieces = {}
+
+    def decomposition(m, p):
+        grdim, gr_part = pieces[m]
+        A = gr_part(p)
+        B = [_conj(v) for v in gr_part(m + 1 - p)]
+        direct = (len(A) + len(B) == 2 * grdim
+                  and len(span_echelon(A + B)) == 2 * grdim)
+        add("Hodge decomposition at weight %d, p=%d" % (m, p), direct,
+            "" if direct else "failed Hodge decomposition")
+
     for m in widx:
-        Wm = M.weights[m]
-        Wm1 = M.w_basis(m - 1)
-        comp = []
-        for v in Wm:
-            if not in_span(Wm1 + comp, v):
-                comp.append(v)
-        grdim = len(comp)
-        if grdim == 0:
-            continue
-        graded[m] = grdim
-        # realified, so coordinates in it are realified complex ones
-        full = realify_matrix(Wm1 + comp, len(Wm1) + grdim, d)
-        WmC = complex_span(Wm)
-
-        parts = {}
-
-        def gr_part(p):
-            """F^p /\\ W_m in Gr_m W, realified; computed once for each
-            stored level of F, as p and m + 1 - p revisit them."""
-            key = max((i for i in fidx if i <= p), default=None)
-            if key not in parts:
-                fp = M.f_basis(p)
-                inter = subspace_intersect(fp, WmC) if fp else []
-                quots = []
-                for x in inter:
-                    co = coords_in_basis(full, x)
-                    assert co is not None
-                    quots.append(co[2 * len(Wm1):])
-                parts[key] = span_echelon(quots)
-            return parts[key]
-
-        for p in range(pmin, pmax + 2):
-            A = gr_part(p)
-            B = [_conj(v) for v in gr_part(m + 1 - p)]
-            direct = (len(A) + len(B) == 2 * grdim
-                      and len(span_echelon(A + B)) == 2 * grdim)
-            add("Hodge decomposition at weight %d, p=%d" % (m, p), direct,
-                "" if direct else "failed Hodge decomposition")
+        piece = _graded_piece(M, m)
+        if piece is not None:
+            pieces[m] = piece
+            for p in range(pmin, pmax + 2):
+                decomposition(m, p)
+    for m in pieces:
+        for p in range(min(pmin, m + 1 - pmax) - 1,
+                       max(pmax, m + 1 - pmin) + 2):
+            if not pmin <= p <= pmax + 1:
+                decomposition(m, p)
+    graded = {m: grdim for m, (grdim, _) in pieces.items()}
     return {"ok": all(c["ok"] for c in checks), "checks": checks,
             "graded_weights": graded}
 
@@ -345,7 +361,7 @@ def classify_torsor(M, u):
         w, f = witnesses(g)
         return LR.bch(LR.bch(vec_neg(w), ur), f)
 
-    g, layers = _descend(LR, act, group)
+    g, layers, _ = _descend(LR, act, group)
     w, f = witnesses(g)
     return MHSTorsorClass(M, unrealify_vector(act(g)),
                           [reduced for _, reduced in layers], w, f)
@@ -357,30 +373,26 @@ def equivalent(M, u, uprime):
     return classify_torsor(M, u) == classify_torsor(M, uprime)
 
 
-def h1_dimension(M, freeness_samples=3):
+def h1_dimension(M):
     """dim_R U(C) - dim_R F0U(C) - dim_R U(R), the dimension of the
     double-coset space (dim_R F0U(C) is the length of the realified F0
-    basis); a freeness certificate is produced alongside and a nontrivial
-    stabilizer is treated as a bug."""
-    assert M.negative_weights, "dimension formula needs negative weights"
+    basis), for valid filtrations with negative weights, else ValueError.
+    The action (w, f) . u = w^-1 u f is then free: Ad(u^-1) w = f moves w
+    only by deeper weight, so the leading graded part of a stabilizing w,
+    a real vector, lies in F^0 Gr_m /\\ conj F^0 Gr_m, which is 0 because
+    the Hodge decomposition holds at p = 0 and m < 0."""
+    if not (M.report["ok"] and M.negative_weights):
+        raise ValueError("the dimension formula needs valid filtrations "
+                         "with negative weights")
     d = M.L.dim
-    dim = 2 * d - len(M.f0()) - d
-    cert = freeness_check(M, freeness_samples)
-    assert cert["all_trivial"], ("freeness failure (bug signal)", cert)
-    return dim
+    return 2 * d - len(M.f0()) - d
 
 
-def freeness_check(M, samples, rng=None):
-    """Stabilizer of each sampled point under (w, f) . u = w^-1 u f: the
+def freeness_check(M, samples):
+    """Stabilizer of each given point under (w, f) . u = w^-1 u f: the
     linear system Ad(u^-1) w in F0 over the real form must have only the
-    zero solution.  Properness is out of scope; freeness only."""
-    if isinstance(samples, int):
-        rng = rng or random.Random(0)
-        pts = [zero_vec(M.L.dim)]
-        while len(pts) < samples:
-            pts.append([Gaussian(rng.randint(-3, 3), rng.randint(-3, 3))
-                        for _ in range(M.L.dim)])
-        samples = pts
+    zero solution.  A reference for tests, which ``h1_dimension`` no
+    longer needs.  Properness is out of scope; freeness only."""
     LR = M.Lreal
     sub = w0_f0_subgroups(M)
     wgens = sub["w0_real"]
@@ -402,7 +414,7 @@ def freeness_check(M, samples, rng=None):
 # ---------------------------------------------------------------------------
 # the exact sequence of a central extension
 
-def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
+def mhs_les(MZ, MU, MQ, incl, proj):
     """For a central extension 1 -> Z -> U -> Q -> 1 of filtered groups
     with strictly compatible filtrations: the sequence
 
@@ -410,9 +422,7 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
 
     where fix = F0W0(R) real fixed points and H1 = double-coset classes,
     realized on the cogenerated coset cosimplicial groups, whose clauses
-    ``les_central_unipotent`` decides; ``samples`` random points of U(C)
-    are its sample cocycles of U."""
-    rng = rng or random.Random(0)
+    ``les_central_unipotent`` decides."""
     dU, dQ = MU.L.dim, MQ.L.dim
     for M in (MZ, MU, MQ):
         if not (M.report["ok"] and M.negative_weights):
@@ -464,20 +474,7 @@ def mhs_les(MZ, MU, MQ, incl, proj, samples=2, rng=None):
     maps_zu = cogenerate_morphism(GZ, GU, factor_maps(MZ, MU, incl))
     maps_uq = cogenerate_morphism(GU, GQ, factor_maps(MU, MQ, proj))
 
-    # a point u of U(C) is the cocycle of the coset object with u in the
-    # factor of the identity epi [1] ->> [1] and 0 in the other
-    k = GU.level_epis[1].index((1, (0, 1)))
-    off = GU.objects[1].offsets
-
-    def cocycle(u):
-        c = [Fraction(0)] * off[-1]
-        c[off[k]:off[k + 1]] = realify_vector(u)
-        return tuple(c)
-
-    points = [[Gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
-               for _ in range(dU)] for _ in range(samples)]
-    les = les_central_unipotent(GZ, GU, GQ, maps_zu, maps_uq,
-                                [cocycle(u) for u in points], rng)
+    les = les_central_unipotent(GZ, GU, GQ, maps_zu, maps_uq)
 
     # cross-check pi^0 of the cosimplicial realization against the
     # conjugation-fixed computation

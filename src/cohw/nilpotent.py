@@ -394,7 +394,8 @@ class LieMorphism:
 
     def check_bracket(self):
         bad = self.bracket_defect()
-        assert bad is None, "not a Lie algebra morphism at (%d,%d)" % bad
+        if bad is not None:
+            raise ValueError("not a Lie algebra morphism at (%d,%d)" % bad)
 
     def bracket_defect(self):
         """The first pair (i, j) of basis indices whose bracket the map
@@ -448,7 +449,7 @@ def solve_graded_affine(L, residual, group):
     Returns (solution or None, certificate dict); on failure the
     certificate names the first non-zero layer and its residual.
     """
-    g, layers = _descend(L, residual, group, stop_at_nonzero=True)
+    g, layers, _ = _descend(L, residual, group, stop_at_nonzero=True)
     for layer, (r0, reduced) in enumerate(layers):
         if not vec_is_zero(reduced):
             return None, {"status": "obstructed", "layer": layer,
@@ -471,9 +472,11 @@ def _descend(L, act, group, stop_at_nonzero=False):
     (with -r0 as right side when it reduces to 0) and gives the next g,
     with the kernel as the next h.
 
-    Returns (g, layers), layers[m] = (r0, reduced value) in adapted
+    Returns (g, layers, h), layers[m] = (r0, reduced value) in adapted
     coordinates; with ``stop_at_nonzero``, up to the first layer that
-    does not reduce to 0.
+    does not reduce to 0.  After the last layer, h is a basis of the Lie
+    algebra of the u with act(g u) = act(g): for the orbit map of a left
+    action, the stabilizer of act(0).
     """
     g = zero = zero_vec(group.dim)
     h = exactla.identity_matrix(group.dim)
@@ -488,7 +491,7 @@ def _descend(L, act, group, stop_at_nonzero=False):
         reduced = Echelon(transpose(A)).reduce(r0)
         layers.append((r0, reduced))
         if stop_at_nonzero and not vec_is_zero(reduced):
-            return g, layers
+            return g, layers, h
         sol, kernel = solve_affine(A, vec_sub(reduced, r0))
         g = list(group.mul(g, _combine(sol, h, zero)))
         h = [_combine(k, h, zero) for k in kernel]
@@ -498,7 +501,7 @@ def _descend(L, act, group, stop_at_nonzero=False):
         raise AssertionError("stabilizer descent left a layer off its "
                              "normal form: the action breaks the "
                              "descent's preconditions")
-    return g, layers
+    return g, layers, h
 
 
 def _combine(coeffs, vectors, zero):

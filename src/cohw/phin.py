@@ -423,7 +423,7 @@ def phin_torsor_equivalent(T1, T2):
 # ---------------------------------------------------------------------------
 # long exact sequence of quotient patterns
 
-def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
+def quotient_les(XZ, XU, XQ, incl, proj, N=3):
     """Verified long exact sequence of quotient-pattern cohomotopy for a
     central extension of Frobenius-monodromy groups:
 
@@ -463,8 +463,8 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
                                             range(len(H.factors))]))
         return out
 
-    les = les_central_unipotent(SZ, SU, SQ, level_maps(SZ, SU, inclM),
-                                level_maps(SU, SQ, projM0), rng=rng)
+    maps = (level_maps(SZ, SU, inclM), level_maps(SU, SQ, projM0))
+    les = les_central_unipotent(SZ, SU, SQ, *maps)
     clauses, provenance = les["clauses"], les["provenance"]
     p0Z, p0U, p0Q = (len(b) for b in les["pi0"])
     dimsZ = les["z_dims"]
@@ -499,4 +499,5 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3, rng=None):
     return {"report": certificate_report(clauses),
             "middle_bijective": middle_bijective,
             "h1_z_dim": les["h1_z_dim"], "clauses": clauses,
-            "provenance": provenance, "cosimplicial": (SZ, SU, SQ)}
+            "provenance": provenance, "cosimplicial": (SZ, SU, SQ),
+            "level_maps": maps}

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import cohw
-from cohw.exactla import Gaussian, parse_scalar
+from cohw import cosimpl
+from cohw.exactla import Gaussian, identity_matrix, parse_scalar
 from cohw.cli import (
     ParseError, derive_mhs_extension, derive_phin_extension,
     load_description, main, parse_description, run_verify,
@@ -242,24 +243,41 @@ def test_hodge_les_flagship(capsys):
 
 
 def test_les_clause_provenance_on_the_corpus():
-    """Each clause of both corpus sequences holds and is labelled: exact
-    when decided on a whole linear space (here also a zero pi0(Q)),
-    sampled(k) when decided on k sample elements."""
-    shared = {"exact at pi0(U)": "exact", "exact at pi0(Q)": "exact",
-              "exact at pi1(Z)": "sampled(1)",
-              "fibers at pi1(Z) are connecting orbits": "sampled(1)"}
+    """Each clause of both corpus sequences holds and is labelled exact:
+    decided on a whole linear space (here also a zero pi0(Q))."""
+    shared = dict.fromkeys([
+        "exact at pi0(U)", "exact at pi0(Q)", "exact at pi1(Z)",
+        "fibers at pi1(Z) are connecting orbits", "exact at pi1(U)"],
+        "exact")
     res = quotient_les(*derive_phin_extension(
         load_description(str(CORPUS / "heisenberg_isocrystal.alg"))))
     assert res["provenance"] == dict(
-        shared, **{"exact at pi1(U)": "sampled(2)",
-                   "exact at pi1(Q)": "sampled(3)",
+        shared, **{"exact at pi1(Q)": "exact",
                    "pi2(Z) dual formula": "exact"})
     assert all(res["clauses"].values())
     res = mhs_les(*derive_mhs_extension(
         load_description(str(CORPUS / "heisenberg_mhs.alg"))))
-    assert res["provenance"] == dict(shared,
-                                     **{"exact at pi1(U)": "sampled(4)"})
+    assert res["provenance"] == shared
     assert all(res["clauses"].values())
+
+
+def test_a_whole_stabilizer_fails_exactly_the_pi1_z_clauses(monkeypatch):
+    """A stabilizer descent that returned the whole acting group would
+    say every class of Z dies in U; on both corpus sequences, where none
+    does, exactly the two clauses it decides fail."""
+    descend = cosimpl._descend
+
+    def whole(L, act, group):
+        g, layers, _ = descend(L, act, group)
+        return g, layers, identity_matrix(group.dim)
+    monkeypatch.setattr(cosimpl, "_descend", whole)
+    phin = quotient_les(*derive_phin_extension(
+        load_description(str(CORPUS / "heisenberg_isocrystal.alg"))))
+    hodge = mhs_les(*derive_mhs_extension(
+        load_description(str(CORPUS / "heisenberg_mhs.alg"))))
+    for res in (phin, hodge):
+        assert {k for k, ok in res["clauses"].items() if not ok} == {
+            "exact at pi1(Z)", "fibers at pi1(Z) are connecting orbits"}
 
 
 def _run_optimized_and_not(tmp_path, files, commands):
@@ -332,11 +350,59 @@ def test_invalid_phin_data_exits_2_also_under_optimization(tmp_path):
             argv[-1], line, reasons[name]), (argv, out)
 
 
+def test_invalid_extension_data_exits_2_also_under_optimization(tmp_path):
+    # incl vectors that do not commute (phin) or are not bracket-closed
+    # (hodge), or that phi does not preserve, are input errors at the
+    # first incl line; proj rows that are not onto or no Lie morphism, or
+    # to which phi does not descend, at the first proj line; with or
+    # without asserts
+    block = "incl 0 0 1\nproj 1 0 0\nproj 0 1 0\n"
+    cases = {
+        "not_closed": ("incl 1 0 0\nincl 0 1 0\nproj 0 0 1\n", 0),
+        "not_morphism": ("incl 0 0 1\nproj 0 0 1\n", 1),
+        "not_restricting": ("incl 1 0 0\nproj 0 1 0\nproj 0 0 1\n", 0),
+        "not_descending": ("incl 0 0 1\nproj 1 0 0\n", 1),
+        "not_onto": ("incl 0 0 1\nproj 1 0 0\nproj 1 0 0\n", 1),
+    }
+    reasons = {
+        ("phin-les", "not_closed"): "the incl vectors do not commute",
+        ("hodge-les", "not_closed"): "the incl vectors are not "
+                                     "bracket-closed",
+        ("phin-les", "not_morphism"): "proj: not a Lie algebra morphism "
+                                      "at (0,1)",
+        ("hodge-les", "not_morphism"): "proj: not a Lie algebra morphism "
+                                       "at (0,1)",
+        ("phin-les", "not_restricting"): "phi/N do not restrict to the "
+                                         "kernel",
+        ("phin-les", "not_descending"): "phi/N do not descend to the "
+                                        "quotient",
+        ("phin-les", "not_onto"): "proj is not surjective",
+        ("hodge-les", "not_onto"): "proj is not surjective",
+    }
+    for command, corpus in (("phin-les", "heisenberg_isocrystal.alg"),
+                            ("hodge-les", "heisenberg_mhs.alg")):
+        base = (CORPUS / corpus).read_text()
+        assert base.endswith(block)
+        first = len(base.splitlines()) - 2  # the incl line, 1-based
+        files = {name: base.replace(block, text)
+                 for name, (text, _) in cases.items()
+                 if (command, name) in reasons}
+        for argv, (code, out) in _run_optimized_and_not(
+                tmp_path, files, [[command]]):
+            name = pathlib.Path(argv[-1]).stem
+            assert code == 2, (argv, out)
+            assert out == "error: %s:%d:1: invalid extension: %s\n" % (
+                argv[-1], first + cases[name][1],
+                reasons[command, name]), (argv, out)
+
+
 def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
     # a table entry out of range, a short row and a non-associative table
     # are reported at their row, a Jacobi failure at the first bracket,
     # and a double-coset subset that is out of range, empty or not closed
-    # at its line (line 12 of the corpus file), with or without asserts
+    # at its line (line 12 of the corpus file), as are left/right lines
+    # without a pattern line (left moves to line 11), with or without
+    # asserts
     table = "[finite_group]\nelements 3\nrow 0 1 2\n%s\nrow 2 %s\n"
     coset = (CORPUS / "s3_double_coset.alg").read_text()
     assert coset.splitlines()[11] == "left 0 2"
@@ -349,6 +415,7 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
         "left_out_of_range": coset.replace("left 0 2", "left 0 9"),
         "left_empty": coset.replace("left 0 2", "left"),
         "left_not_closed": coset.replace("left 0 2", "left 1 2"),
+        "no_pattern": coset.replace("pattern double_coset\n", ""),
     }
     reasons = {
         "out_of_range": "4:1: table entry 7 out of range 0..2",
@@ -359,6 +426,7 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
         "left_out_of_range": "12:1: left element 9 out of range",
         "left_empty": "12:1: left subset is empty",
         "left_not_closed": "12:1: left subset not closed",
+        "no_pattern": "11:1: left/right need a pattern line",
     }
     for argv, (code, out) in _run_optimized_and_not(
             tmp_path, files, [["validate"], ["pi", "--degree", "1"]]):
@@ -369,18 +437,26 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
 
 def test_invalid_filtrations_exit_2_in_every_hodge_command(tmp_path):
     # F^0 spanned by a real vector breaks the Hodge decomposition of the
-    # weight -1 plane; every command reports it as validate does
+    # weight -1 plane; every command reports it as validate does.  So
+    # does a line pure of weight -1 with only F^1 = 0 stored, whose
+    # decomposition fails at p = 0, below the stored levels
     base = (CORPUS / "heisenberg_mhs.alg").read_text()
     assert "vector 1 i 0\n" in base
-    files = {"real_f0": base.replace("vector 1 i 0\n", "vector 1 0 0\n")}
     verdict = ("filtrations: INVALID (Hodge decomposition at weight -1, "
                "p=0: failed Hodge decomposition)\n")
-    for argv, (code, out) in _run_optimized_and_not(
-            tmp_path, files, [["validate"], ["hodge-les"],
-                              ["hodge-classify", "--element", "0,0,1"]]):
-        assert code == 2, (argv, out)
-        assert out.endswith(verdict), (argv, out)
-        assert out.startswith("command: %s\n" % argv[0]), (argv, out)
+    odd = ("field gaussian\n[lie_algebra]\ndim 1\n[filtration_W]\n"
+           "level -1\nvector 1\n[filtration_F]\nlevel 1\n")
+    for files, commands in (
+            ({"real_f0": base.replace("vector 1 i 0\n", "vector 1 0 0\n")},
+             [["validate"], ["hodge-les"],
+              ["hodge-classify", "--element", "0,0,1"]]),
+            ({"odd": odd},
+             [["validate"], ["hodge-classify", "--element", "1"]])):
+        for argv, (code, out) in _run_optimized_and_not(
+                tmp_path, files, commands):
+            assert code == 2, (argv, out)
+            assert out.endswith(verdict), (argv, out)
+            assert out.startswith("command: %s\n" % argv[0]), (argv, out)
 
 
 def test_h1_finite_action(tmp_path, capsys):

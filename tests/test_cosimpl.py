@@ -777,7 +777,8 @@ def test_perturbed_cogenerated_coface_fails_identities():
 
 def test_cosimplicial_identities_raise_under_optimization():
     # a zero coface at level 2, a zero codegeneracy at level 1 and a zero
-    # one at level 0 over C2 each break one identity, also under python -O
+    # one at level 0 over C2 each break one identity, also under python -O;
+    # so do a missing coface and a missing codegeneracy
     root = pathlib.Path(__file__).resolve().parent.parent
     child = (
         "import json\n"
@@ -796,7 +797,10 @@ def test_cosimplicial_identities_raise_under_optimization():
         "    raised(lambda: CosimplicialGroup([C2] * 3, {\n"
         "        1: [one] * 2, 2: [one] * 3}, {0: [one], 1: [zero, one]})),\n"
         "    raised(lambda: CosimplicialGroup([C2] * 2, {1: [one] * 2},\n"
-        "                                     {0: [zero]}))]))\n")
+        "                                     {0: [zero]})),\n"
+        "    raised(lambda: SemiCosimplicialGroup([C2] * 2, {1: [one]})),\n"
+        "    raised(lambda: CosimplicialGroup([C2] * 3, {\n"
+        "        1: [one] * 2, 2: [one] * 3}, {0: [one], 1: [one]}))]))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
                           env=dict(os.environ, PYTHONPATH=str(root / "src")),
                           capture_output=True, text=True, timeout=600)
@@ -804,4 +808,6 @@ def test_cosimplicial_identities_raise_under_optimization():
     assert json.loads(proc.stdout) == [
         ["RuntimeError", "coface identity fails at n=2 i=0 j=1"],
         ["RuntimeError", "codegeneracy identity fails at n=0 i=0 j=0"],
-        ["RuntimeError", "mixed identity fails at n=0 i=0 j=0"]]
+        ["RuntimeError", "mixed identity fails at n=0 i=0 j=0"],
+        ["ValueError", "level 1 needs 2 cofaces"],
+        ["ValueError", "level 1 needs 2 codegeneracies"]]

@@ -254,6 +254,18 @@ def test_h1_dimensions():
     assert h1_dimension(_heis()) == 1    # 6 - 2 - 3
 
 
+def test_validate_checks_every_p_and_h1_dimension_needs_a_valid_mhs():
+    # a line pure of weight -1 with F^1 = 0 stored alone: F^0 is then
+    # full, so the decomposition fails at p = 0, below the stored levels
+    # (no Hodge structure of odd weight has dimension 1); the dimension
+    # formula, whose freeness rests on a valid MHS, refuses it
+    M = MHSGroup(abelian_lie_algebra(1), {-1: [[1]]}, {1: []}, check=False)
+    assert [c["name"] for c in M.report["checks"] if not c["ok"]] == [
+        "Hodge decomposition at weight -1, p=0"]
+    with pytest.raises(ValueError, match="valid filtrations"):
+        h1_dimension(M)
+
+
 def test_freeness():
     M = _heis()
     rng = random.Random(23)
@@ -262,7 +274,8 @@ def test_freeness():
     cert = freeness_check(M, pts)
     assert cert["all_trivial"] and cert["points"] == 50
     assert freeness_check(_r1(), [[Gaussian(0)]])["all_trivial"]
-    assert freeness_check(_v(), 5)["all_trivial"]
+    assert freeness_check(_v(), [[Gaussian(0)] * 2]
+                          + [u[:2] for u in pts[:4]])["all_trivial"]
 
 
 def test_mhs_les_heisenberg():

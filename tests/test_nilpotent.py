@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -293,7 +297,7 @@ def test_morphism_checks_brackets():
     proj = LieMorphism(H, A, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]])
     assert proj.apply([F(1), F(2), F(5)]) == [F(1), F(2)]
     # swapping x and z is not (it kills the bracket relation)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"not a Lie algebra morphism"):
         LieMorphism(H, H, [[F(0), F(0), F(1)],
                            [F(0), F(1), F(0)],
                            [F(1), F(0), F(0)]])
@@ -446,7 +450,26 @@ def test_check_bracket_checks_every_pair():
                 for i, e in enumerate(entries)]
 
     LieMorphism(L, L, diag(2, 3, 6, 12))
-    with pytest.raises(AssertionError, match=r"\(0,1\)"):
+    with pytest.raises(ValueError, match=r"\(0,1\)"):
         LieMorphism(L, L, diag(2, 3, 5, 10))
-    with pytest.raises(AssertionError, match=r"\(0,2\)"):
+    with pytest.raises(ValueError, match=r"\(0,2\)"):
         LieMorphism(L, L, diag(2, 3, 6, 11))
+
+
+def test_check_bracket_raises_under_optimization():
+    # swapping x and z of the Heisenberg algebra is refused under
+    # python -O too
+    root = pathlib.Path(__file__).resolve().parent.parent
+    child = ("from fractions import Fraction as F\n"
+             "from cohw.nilpotent import LieMorphism, heisenberg\n"
+             "H = heisenberg()\n"
+             "try:\n"
+             "    LieMorphism(H, H, [[0, 0, F(1)], [0, F(1), 0], "
+             "[F(1), 0, 0]])\n"
+             "except ValueError as e:\n"
+             "    print(e)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "not a Lie algebra morphism at (0,1)\n"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import cohw
-from cohw import exactla
+from cohw import cosimpl, exactla
 from cohw.cli import load_description, parse_description
 from cohw.cosimpl import (
     LinearHom, StructuredHom, UnipotentCarrier, VectorGroup, _product_object,
@@ -14,8 +14,8 @@ from cohw.cosimpl import (
     delta_map, epi_mono_factor, epis, pi0, pi_abelian_all, sigma_map,
 )
 from cohw.exactla import (
-    coords_in_basis, identity_matrix, mat_mul, mat_vec, span_echelon,
-    vec_add, vec_is_zero,
+    Echelon, coords_in_basis, identity_matrix, kernel_basis, mat_mul,
+    mat_vec, span_echelon, transpose, vec_add, vec_is_zero,
 )
 from cohw.nilpotent import (
     LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, direct_sum,
@@ -369,20 +369,107 @@ def test_quotient_les_abelian_continuation():
     assert res["clauses"]["abelian continuation (Euler characteristic)"]
 
 
+def _fixed_point_extension(phi):
+    """Z = e0 -> U = the plane with Frobenius phi -> Q = e1, N = 0."""
+    A2 = abelian_lie_algebra(2)
+    XZ = PhiNGroup(abelian_lie_algebra(1), [[phi[0][0]]], p=2)
+    XQ = PhiNGroup(abelian_lie_algebra(1), [[phi[1][1]]], p=2)
+    return (XZ, PhiNGroup(A2, phi, p=2), XQ,
+            LieMorphism(XZ.L, A2, [[F(1)], [0]]),
+            LieMorphism(A2, XQ.L, [[0, F(1)]]))
+
+
+def _failed(res):
+    return {name for name, ok in res["clauses"].items() if not ok}
+
+
 def test_quotient_les_connecting_class_of_a_fixed_point():
     # phi = [[1, 1], [0, 1]] on the plane: the fixed line of Q lifts to
     # no fixed point of U, so its connecting class is the class of Z
     # that dies in U; the fixed-point and pi1(Z) clauses run through it
-    A2 = abelian_lie_algebra(2)
-    XU = PhiNGroup(A2, [[F(1), F(1)], [0, F(1)]], p=2)
-    XZ = PhiNGroup(abelian_lie_algebra(1), [[F(1)]], p=2)
-    XQ = PhiNGroup(abelian_lie_algebra(1), [[F(1)]], p=2)
-    res = quotient_les(XZ, XU, XQ, LieMorphism(XZ.L, A2, [[F(1)], [0]]),
-                       LieMorphism(A2, XQ.L, [[0, F(1)]]))
+    res = quotient_les(*_fixed_point_extension([[F(1), F(1)], [0, F(1)]]))
     assert res["report"]["ok"], res["report"]
     assert res["h1_z_dim"] == 1
-    assert res["provenance"]["exact at pi0(Q)"] == "sampled(1)"
+    assert res["provenance"]["exact at pi0(Q)"] == "exact"
     assert res["middle_bijective"] is None  # pi0(Q) is not trivial
+
+
+def test_quotient_les_on_seeded_extensions_matches_the_witnesses():
+    """Every clause holds on seeded extensions: Heisenberg over a plane
+    with phi = (M, det M), and the plane with an upper triangular phi.
+    On each basis cocycle of Z and three seeded combinations, a class of
+    Z dies in U (the stabilizer of the exact decision) exactly when the
+    descent of pi1(U) finds a witness of its death."""
+    rng = random.Random(7)
+    H = heisenberg()
+    seen = {"pi0(Q) != 0": 0, "a class dies": 0}
+    for k in range(24):
+        if k % 2:
+            a, c = (rng.choice([F(1), F(2), F(1, 2)]) for _ in range(2))
+            ext = _fixed_point_extension([[a, F(rng.randint(-1, 1))],
+                                          [0, c]])
+        else:
+            M = [[0, 0], [0, 0]]
+            while M[0][0] * M[1][1] == M[0][1] * M[1][0]:
+                M = [[F(rng.randint(-2, 2)) for _ in range(2)]
+                     for _ in range(2)]
+            det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+            XQ = PhiNGroup(abelian_lie_algebra(2), M, p=2)
+            XZ = PhiNGroup(abelian_lie_algebra(1), [[det]], p=2)
+            ext = (XZ, PhiNGroup(H, [M[0] + [0], M[1] + [0], [0, 0, det]],
+                                 p=2), XQ,
+                   LieMorphism(XZ.L, H, [[0], [0], [F(1)]]),
+                   LieMorphism(H, XQ.L, [[F(1), 0, 0], [0, F(1), 0]]))
+        res = quotient_les(*ext)
+        assert res["report"]["ok"], res["report"]
+        assert set(res["provenance"].values()) == {"exact"}
+        SZ, SU, SQ = res["cosimplicial"]
+        les = cosimpl.les_central_unipotent(SZ, SU, SQ, *res["level_maps"])
+        MZ = cosimpl.moore_differentials(SZ)
+        z1 = kernel_basis(MZ[1], SZ.objects[1].dim)
+        cocycles = [list(z) for z in z1]
+        for _ in range(3 if z1 else 0):
+            coeffs = [F(rng.randint(-2, 2)) for _ in z1]
+            cocycles.append([sum(a * z[i] for a, z in zip(coeffs, z1))
+                             for i in range(len(z1[0]))])
+        dies = Echelon(les["dies_in_u"])
+        witness = cosimpl.pi1_unipotent_deciders(SU)["witness"]
+        incl1 = res["level_maps"][0][1]
+        for z in cocycles:
+            assert dies.contains(z) == (
+                witness(incl1.apply(z)) is not None), (k, z)
+        seen["pi0(Q) != 0"] += bool(les["pi0"][2])
+        seen["a class dies"] += len(les["dies_in_u"]) > len(
+            span_echelon(transpose(MZ[0])))
+    assert min(seen.values()) > 0, seen
+
+
+def test_an_empty_stabilizer_fails_exactly_the_pi1_z_clauses(monkeypatch):
+    """A stabilizer descent that returned the trivial group would say no
+    class of Z dies in U; where one does, exactly the two clauses it
+    decides fail."""
+    descend = cosimpl._descend
+
+    def empty(L, act, group):
+        g, layers, _ = descend(L, act, group)
+        return g, layers, []
+    ext = _fixed_point_extension([[F(1), F(1)], [0, F(1)]])
+    assert quotient_les(*ext)["report"]["ok"]
+    monkeypatch.setattr(cosimpl, "_descend", empty)
+    assert _failed(quotient_les(*ext)) == {
+        "exact at pi1(Z)", "fibers at pi1(Z) are connecting orbits"}
+
+
+def test_a_cut_pi0_fails_exactness_at_pi0_q(monkeypatch):
+    """On the split plane with phi = 1 every pi0 is the whole level; cut
+    to its first basis vector, pi0(U) no longer reaches pi0(Q), and the
+    fixed-point clause and the Euler characteristic fail."""
+    full = cosimpl.pi0
+    ext = _fixed_point_extension([[F(1), 0], [0, F(1)]])
+    assert quotient_les(*ext)["report"]["ok"]
+    monkeypatch.setattr(cosimpl, "pi0", lambda U: full(U)[:1])
+    assert _failed(quotient_les(*ext)) == {
+        "exact at pi0(Q)", "abelian continuation (Euler characteristic)"}
 
 
 def test_quotient_les_rejects_a_noncentral_kernel():
