@@ -14,11 +14,10 @@ import random
 import sys
 from fractions import Fraction
 
-from . import exactla
 from .exactla import (
     coords_in_basis, format_scalar, mat_eq, mat_mul, mat_vec, parse_scalar,
-    solve_affine, span_echelon, subspace_intersect, transpose,
-    unrealify_vector, vec_is_zero,
+    solve_affine, subspace_intersect, transpose, unrealify_vector,
+    vec_is_zero,
 )
 from .cosimpl import (
     ENUM_CAP, FiniteHom, LinearHom, ProductGroup, SemiCosimplicialGroup,
@@ -880,24 +879,20 @@ def suite_twisted_conjugation(rng, instances):
 def suite_hopf(rng, instances=10):
     """Symmetrization carries the weighted filtration onto the power
     filtration on the three reference algebras; graded trivialization
-    independence over 10 trivialization changes per torsor."""
+    independence, decided on a basis, over 10 trivialization changes per
+    torsor."""
     failures = []
-    examples = [(abelian_lie_algebra(3), 2), (heisenberg(), 3),
-                (central_extension(heisenberg(), 1, {(0, 2): [F(1)]}), 4)]
-    for L, order in examples:
-        rep = symmetrization_check(TruncatedEnvelope(L, order=order))
-        if not rep["ok"]:
-            failures.append("symmetrization: %s" % L.name)
     env = TruncatedEnvelope(heisenberg(), order=3)
+    examples = [TruncatedEnvelope(abelian_lie_algebra(3), order=2), env,
+                TruncatedEnvelope(central_extension(
+                    heisenberg(), 1, {(0, 2): [F(1)]}), order=4)]
+    for example in examples:
+        if not symmetrization_check(example)["ok"]:
+            failures.append("symmetrization: %s" % example.L.name)
     for t in range(instances):
-        samples = [env.one(), env.gen(t % 3)]
-        for _ in range(3):
-            v = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-            samples.append(env.exp_coords(v))
-        samples.append(env.mul(env.gen(0), env.gen(1)))
         for _ in range(10):
             q = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-            if not graded_trivialization_check(env, q, samples):
+            if not graded_trivialization_check(env, q):
                 failures.append("trivialization dependence: torsor %d q=%s"
                                 % (t, q))
     return {"instances": instances, "failures": failures}

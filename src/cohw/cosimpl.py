@@ -1417,9 +1417,7 @@ def les_central_unipotent(Z, U, Q, incl, proj):
 
     def lift(h, v):
         """A preimage of v under the linear hom h, or None."""
-        if h.target.dim == 0:
-            return zero_vec(h.source.dim)
-        return solve_affine(h.matrix, list(v))[0]
+        return solve_affine(h.matrix, list(v), h.source.dim)[0]
 
     p0Z, p0U, p0Q = ([list(v) for v in pi0(G)] for G in (Z, U, Q))
     MZ = moore_differentials(Z)
@@ -1549,7 +1547,7 @@ def codim_vanishing_check(Z, U, Q, incl, proj, q1):
     U1, U2 = U.objects[1], U.objects[2]
     if is_linear_carrier(U1):
         # solve proj(u1) = q1 linearly
-        u1, _ = exactla.solve_affine(proj[1].matrix, list(q1))
+        u1, _ = exactla.solve_affine(proj[1].matrix, list(q1), U1.dim)
         assert u1 is not None
         u1 = tuple(u1)
     else:

@@ -302,16 +302,18 @@ def rank(A):
     return len(rref(A)[0])
 
 
-def solve_affine(A, b):
+def solve_affine(A, b, ncols=None):
     """Solve A x = b exactly.  Returns (particular solution or None,
-    kernel basis).  The kernel basis always spans ker(A)."""
-    m = len(A)
-    if m == 0:
-        n = 0
-    else:
+    kernel basis).  The kernel basis always spans ker(A).  As for
+    :func:`kernel_basis`, the number of unknowns ``ncols`` is read off A
+    unless given, and must be given when A has no rows."""
+    m, n = len(A), ncols
+    if n is None:
+        if not A:
+            raise ValueError("need ncols for empty matrix")
         n = len(A[0])
-        if any(len(row) != n for row in A):
-            raise ValueError("ragged matrix")
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged matrix")
     if len(b) != m:
         raise ValueError("dimension mismatch between A and b")
     aug = [list(row) + [bi] for row, bi in zip(A, b)]
@@ -406,7 +408,7 @@ def coords_in_basis(basis, v):
     if not basis:
         return [] if vec_is_zero(v) else None
     A = transpose(basis)
-    x, _ = solve_affine(A, list(v))
+    x, _ = solve_affine(A, list(v), len(basis))
     return x
 
 

@@ -6,15 +6,17 @@ at word degree N, i.e. we compute in U(L)/(span of words longer than N),
 which surjects onto U(L)/J^{N+1} for the augmentation ideal J.  The
 J-power filtration itself is computed honestly as iterated ideal-power
 spans inside the monomial coordinate space.
+
+Each envelope compiles its product once, on demand: the normal-ordered
+product of two basis monomials is kept as a tuple of (monomial,
+coefficient) terms, and every product of elements reads those terms.
 """
 
 from fractions import Fraction
 from itertools import permutations
 import math
 
-from .exactla import (
-    Echelon, span_echelon, vec_is_zero, zero_vec,
-)
+from .exactla import Echelon, span_echelon, zero_vec
 
 DEFAULT_ORDER = 3
 # largest PBW monomial basis a TruncatedEnvelope may have
@@ -43,6 +45,18 @@ def _monomials(weights, order, cap):
     return found
 
 
+def _integral(a):
+    """(den, terms): a common denominator of the coefficients of the
+    element a, and a's terms as (monomial, integer numerator over den)."""
+    den = 1
+    for c in a.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    return den, [(m, c.numerator * (den // c.denominator))
+                 for m, c in a.items()]
+
+
 class TruncatedEnvelope:
     """U(L) truncated at word degree ``order`` with the PBW monomial basis."""
 
@@ -60,11 +74,17 @@ class TruncatedEnvelope:
         self.weights = [d + 1 for d in L.depth_of_coordinate()]
         self.monomials = _monomials(self.weights, order, MAX_BASIS)
         self.index = {m: k for k, m in enumerate(self.monomials)}
+        self._wdeg = {m: sum(e * w for e, w in zip(m, self.weights))
+                      for m in self.monomials}
         self._no_cache = {}
+        # (m1, m2) -> the terms of the product of two basis monomials
+        self._table = {}
         self._j_echelons = None
+        self._graded_basis = None
 
     def wdeg(self, m):
-        return sum(e * w for e, w in zip(m, self.weights))
+        """Weighted degree of a basis monomial."""
+        return self._wdeg[m]
 
     def _word_wdeg(self, word):
         return sum(self.weights[i] for i in word)
@@ -156,16 +176,36 @@ class TruncatedEnvelope:
             word.extend([i] * e)
         return tuple(word)
 
+    def _product(self, m1, m2):
+        """The product of two basis monomials, compiled on first use: a
+        tuple of (monomial, coefficient) terms, each coefficient an ``int``
+        where it is integral; empty past the truncation."""
+        terms = self._table.get((m1, m2))
+        if terms is None:
+            prod = self.normal_order(self._monomial_word(m1)
+                                     + self._monomial_word(m2))
+            terms = tuple((m, c.numerator if c.denominator == 1 else c)
+                          for m, c in prod.items())
+            self._table[(m1, m2)] = terms
+        return terms
+
     def mul(self, a, b):
-        out = {}
-        for m1, c1 in a.items():
-            w1 = self._monomial_word(m1)
-            for m2, c2 in b.items():
-                if self.wdeg(m1) + self.wdeg(m2) > self.order:
-                    continue
-                prod = self.normal_order(w1 + self._monomial_word(m2))
-                out = self.add(out, self.scale(c1 * c2, prod))
-        return out
+        """The product ab from the compiled monomial products, summed in
+        integers over the common denominator of a and b."""
+        den_a, terms_a = _integral(a)
+        den_b, terms_b = _integral(b)
+        table = self._table
+        acc = {}
+        for m1, c1 in terms_a:
+            for m2, c2 in terms_b:
+                terms = table.get((m1, m2))
+                if terms is None:
+                    terms = self._product(m1, m2)
+                c = c1 * c2
+                for m, t in terms:
+                    acc[m] = acc.get(m, 0) + c * t
+        den = den_a * den_b
+        return {m: Fraction(c, den) for m, c in acc.items() if c}
 
     def power(self, a, k):
         out = self.one()
@@ -184,12 +224,10 @@ class TruncatedEnvelope:
                 if (self.wdeg(l1) + self.wdeg(l2)
                         + self.wdeg(r1) + self.wdeg(r2)) > self.order:
                     continue
-                left = self.normal_order(
-                    self._monomial_word(l1) + self._monomial_word(l2))
-                right = self.normal_order(
-                    self._monomial_word(r1) + self._monomial_word(r2))
-                for lm, lc in left.items():
-                    for rm, rc in right.items():
+                left = self._product(l1, l2)
+                right = self._product(r1, r2)
+                for lm, lc in left:
+                    for rm, rc in right:
                         if self.wdeg(lm) + self.wdeg(rm) > self.order:
                             continue
                         key = (lm, rm)
@@ -253,7 +291,8 @@ class TruncatedEnvelope:
     # -- exponentials -------------------------------------------------------
 
     def exp(self, a):
-        assert self.counit(a) == 0, "exp needs augmentation-zero input"
+        if self.counit(a) != 0:
+            raise ValueError("exp needs augmentation-zero input")
         out = self.one()
         term = self.one()
         for k in range(1, self.order + 1):
@@ -262,7 +301,8 @@ class TruncatedEnvelope:
         return out
 
     def log(self, u):
-        assert self.counit(u) == 1, "log needs counit-one input"
+        if self.counit(u) != 1:
+            raise ValueError("log needs counit-one input")
         a = self.sub(u, self.one())
         out = self.zero()
         term = self.one()
@@ -276,9 +316,11 @@ class TruncatedEnvelope:
         return self.exp(self.from_lie(q))
 
     def log_coords(self, u):
-        """Lie coordinates of log(u); asserts log(u) is primitive."""
+        """Lie coordinates of log(u); raises RuntimeError unless log(u) is
+        primitive."""
         a = self.log(u)
-        assert self.is_primitive(a), "logarithm is not primitive"
+        if not self.is_primitive(a):
+            raise RuntimeError("logarithm is not primitive")
         x = self.L.zero()
         for m, c in a.items():
             i = [k for k, e in enumerate(m) if e][0]
@@ -303,28 +345,47 @@ class TruncatedEnvelope:
 
     def j_echelons(self):
         """The J-powers of :meth:`j_powers` as immutable
-        :class:`~cohw.exactla.Echelon` objects, computed once per envelope."""
+        :class:`~cohw.exactla.Echelon` objects, computed once per envelope.
+
+        J^m is spanned by the products J^{m-1} x_i over the basis x_i of
+        L.  That span is the ideal power J^{m-1} J: every PBW monomial of
+        positive degree ends in a generator, so J = U L; and J^{m-1} U =
+        J^{m-1}, as J^{m-1} is an ideal and U holds 1.  Hence J^{m-1} J =
+        J^{m-1} U L = J^{m-1} L.  The truncation is a two-sided ideal, so
+        the same holds in the truncated model."""
         if self._j_echelons is not None:
             return self._j_echelons
         full = Echelon([self.to_vector({m: Fraction(1)})
                         for m in self.monomials])
-        j1_elems = [{m: Fraction(1)} for m in self.monomials if sum(m) >= 1]
-        powers = [full]
-        current = j1_elems
-        powers.append(Echelon([self.to_vector(a) for a in current]))
+        powers = [full, Echelon([self.to_vector({m: Fraction(1)})
+                                 for m in self.monomials if sum(m) >= 1])]
+        gens = [self.gen(i) for i in range(self.L.dim)]
         for _ in range(2, self.order + 1):
-            nxt = []
-            for a in current:
-                for b in j1_elems:
-                    p = self.mul(a, b)
-                    if p:
-                        nxt.append(p)
-            basis = Echelon([self.to_vector(p) for p in nxt])
-            powers.append(basis)
-            current = [self.from_vector(v) for v in basis.rows]
+            powers.append(Echelon([
+                self.to_vector(self.mul(self.from_vector(row), x))
+                for row in powers[-1].rows for x in gens]))
         powers.append(Echelon([]))  # J^{order+1} = 0 in the truncated model
         self._j_echelons = tuple(powers)
         return self._j_echelons
+
+    def _graded_j_basis(self):
+        """For each level m = 0..order, the rows of J^m whose pivots are not
+        pivots of J^{m+1}, as elements; computed once per envelope.
+
+        The pivots of a reduced echelon basis are the leading positions of
+        the vectors of its span, so those of J^{m+1} are among those of
+        J^m.  The rows chosen at level m are independent modulo J^{m+1}:
+        a nonzero combination of them has its leading position at one of
+        their pivots, which no vector of J^{m+1} has.  There are dim J^m -
+        dim J^{m+1} of them, so together with J^{m+1} they span J^m."""
+        if self._graded_basis is None:
+            powers = self.j_echelons()
+            self._graded_basis = tuple(
+                tuple(self.from_vector(row)
+                      for row, p in zip(powers[m].rows, powers[m].pivots)
+                      if p not in powers[m + 1].pivots)
+                for m in range(self.order + 1))
+        return self._graded_basis
 
     def j_filtration_dual_dims(self):
         """dim of the level-m quotient U/J^{m+1}, for m = 0..order."""
@@ -342,12 +403,14 @@ def symmetrize(env, exponents):
     exponent tuple: average of all normal-ordered word permutations."""
     word = env._monomial_word(tuple(exponents))
     seen = set(permutations(word))
-    out = env.zero()
+    acc = {}
     for w in seen:
-        out = env.add(out, env.normal_order(w))
+        for m, c in env.normal_order(w).items():
+            acc[m] = acc.get(m, 0) + c
     # averaging over distinct permutations equals averaging over all k!
     # orderings because duplicate letters give identical words
-    return env.scale(Fraction(1, len(seen)), out)
+    n = len(seen)
+    return {m: c / n for m, c in acc.items() if c}
 
 
 def weighted_filtration_levels(env):
@@ -364,18 +427,12 @@ def symmetrization_check(env):
     onto the J-filtration level by level (equal dimensions, containment).
     Returns a report dict; on failure names the first violating level."""
     powers = env.j_echelons()
-    levels = weighted_filtration_levels(env)
-    max_level = env.order
+    sym = {w: [env.to_vector(symmetrize(env, mono)) for mono in monos]
+           for w, monos in weighted_filtration_levels(env).items()}
     report = {"ok": True, "levels": []}
-    for m in range(max_level + 1):
-        sym_vecs = []
-        for w, monos in levels.items():
-            if w >= m:
-                for mono in monos:
-                    if sum(mono) == 0 and m > 0:
-                        continue
-                    sym_vecs.append(env.to_vector(symmetrize(env, mono)))
-        image = span_echelon(sym_vecs)
+    for m in range(env.order + 1):
+        image = span_echelon([v for w, vecs in sym.items() if w >= m
+                              for v in vecs])
         jm = powers[m]
         contained = all(jm.contains(v) for v in image)
         entry = {"level": m, "sym_dim": len(image), "j_dim": len(jm.rows),
@@ -388,29 +445,19 @@ def symmetrization_check(env):
     return report
 
 
-def graded_trivialization_check(env, q, samples):
-    """Left multiplication by the grouplike exp(q) acts as the identity on
-    every J-graded piece.  Verified on the given sample elements; returns
-    True only if each sample's class in gr^J_m is preserved for all m."""
-    g = env.exp_coords(q)
+def graded_trivialization_check(env, q):
+    """Left multiplication by the grouplike g = exp(q) acts as the identity
+    on every J-graded piece: g a - a lies in J^{m+1} for every a in J^m.
+
+    Decided exactly: g a - a = (g - 1) a is linear in a, and J^m is
+    spanned by the levels m, m+1, ..., order of the envelope's graded
+    basis of the J-filtration, so it holds for all a exactly when (g - 1)
+    b lies in J^{m+1} for every basis element b of each level m."""
+    g_minus_one = env.sub(env.exp_coords(q), env.one())
     powers = env.j_echelons()
-    for a in samples:
-        ga = env.mul(g, a)
-        diff = env.to_vector(env.sub(ga, a))
-        # the difference must drop one level: if a has leading J-degree m,
-        # g*a - a must lie in J^{m+1}
-        va = env.to_vector(a)
-        lead = None
-        for m in range(len(powers) - 1, -1, -1):
-            if powers[m].rows and powers[m].contains(va):
-                lead = m
-                break
-        if lead is None:
-            lead = 0
-        # powers[-1] is J^{order+1} = 0, so lead + 1 is always in range
-        target = powers[lead + 1]
-        if vec_is_zero(diff):
-            continue
-        if not target.contains(diff):
-            return False
+    for m, level in enumerate(env._graded_j_basis()):
+        for b in level:
+            if not powers[m + 1].contains(
+                    env.to_vector(env.mul(g_minus_one, b))):
+                return False
     return True

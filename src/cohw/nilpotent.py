@@ -492,7 +492,7 @@ def _descend(L, act, group, stop_at_nonzero=False):
         layers.append((r0, reduced))
         if stop_at_nonzero and not vec_is_zero(reduced):
             return g, layers, h
-        sol, kernel = solve_affine(A, vec_sub(reduced, r0))
+        sol, kernel = solve_affine(A, vec_sub(reduced, r0), len(h))
         g = list(group.mul(g, _combine(sol, h, zero)))
         h = [_combine(k, h, zero) for k in kernel]
     final = read(act(g))

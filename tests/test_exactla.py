@@ -58,6 +58,19 @@ def test_solve_underdetermined():
         assert mat_vec(A, v) == [F(0)]
 
 
+def test_solve_with_no_equations_needs_ncols():
+    # with no rows A cannot tell the number of unknowns, as in kernel_basis
+    with pytest.raises(ValueError, match="ncols"):
+        solve_affine([], [])
+    x, ker = solve_affine([], [], 3)
+    assert x == [F(0)] * 3
+    assert ker == identity_matrix(3)
+    x, ker = solve_affine([], [], 0)
+    assert x == [] and ker == []
+    with pytest.raises(ValueError, match="ragged"):
+        solve_affine([[F(1), F(2)]], [F(1)], 3)
+
+
 def _realify_matrix(A):
     """The rational matrix of z -> A z on realified coordinates, for a
     Gaussian matrix A: rows Re(a z) and Im(a z) for each row a."""

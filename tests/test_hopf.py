@@ -208,10 +208,186 @@ def test_weighted_levels_group_by_the_envelope_weights():
 
 def test_graded_trivialization():
     env = TruncatedEnvelope(heisenberg(), order=3)
-    q = [F(1), F(2), F(-1)]
-    samples = [env.gen(0), env.gen(2), env.mul(env.gen(0), env.gen(1)),
-               env.one(), env.add(env.gen(1), env.gen(2))]
-    assert graded_trivialization_check(env, q, samples)
+    for q in ([F(1), F(2), F(-1)], [F(0), F(0), F(0)], [F(-2), F(1, 3), F(5)]):
+        assert graded_trivialization_check(env, q)
+
+
+def test_graded_basis_spans_each_level_modulo_the_next():
+    L = central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
+    env = TruncatedEnvelope(L, order=4)
+    powers = env.j_echelons()
+    levels = env._graded_j_basis()
+    assert len(levels) == env.order + 1
+    for m, level in enumerate(levels):
+        rows = [env.to_vector(b) for b in level]
+        assert all(powers[m].contains(v) for v in rows)
+        together = exactla.span_echelon(rows + list(powers[m + 1].rows))
+        assert len(together) == len(powers[m].rows)
+        assert len(rows) == len(powers[m].rows) - len(powers[m + 1].rows)
+
+
+def test_trivialization_certificate_refuses_a_non_grouplike(monkeypatch):
+    # g with counit 2: (g - 1) 1 = g - 1 is not in J
+    env = TruncatedEnvelope(heisenberg(), order=3)
+    exp_coords = env.exp_coords
+    monkeypatch.setattr(env, "exp_coords",
+                        lambda q: env.add(exp_coords(q), env.one()))
+    assert env.counit(env.exp_coords([F(1), F(0), F(0)])) == 2
+    assert not graded_trivialization_check(env, [F(1), F(0), F(0)])
+    assert not graded_trivialization_check(env, [F(0), F(0), F(0)])
+
+
+def test_trivialization_certificate_refuses_a_too_small_j_power():
+    # J^2 without its x^2 row: (g - 1) x holds q_0 x^2, which leaves it
+    env = TruncatedEnvelope(heisenberg(), order=3)
+    powers = list(env.j_echelons())
+    x2 = env.index[(2, 0, 0)]
+    rows = [row for row in powers[2].rows if row[x2] == 0]
+    assert len(rows) == len(powers[2].rows) - 1
+    powers[2] = exactla.Echelon(rows)
+    assert all(env.j_echelons()[2].contains(v) for v in powers[2].rows)
+    env._j_echelons = tuple(powers)
+    assert not graded_trivialization_check(env, [F(1), F(0), F(0)])
+    # the same q passes on an envelope with the true J^2
+    assert graded_trivialization_check(TruncatedEnvelope(heisenberg(), 3),
+                                       [F(1), F(0), F(0)])
+
+
+def test_exp_needs_counit_zero():
+    env = TruncatedEnvelope(heisenberg(), order=3)
+    with pytest.raises(ValueError, match="augmentation-zero"):
+        env.exp(env.add(env.one(), env.gen(0)))
+
+
+def test_log_needs_counit_one():
+    env = TruncatedEnvelope(heisenberg(), order=3)
+    with pytest.raises(ValueError, match="counit-one"):
+        env.log(env.gen(0))
+
+
+def test_log_coords_refuses_a_non_primitive_logarithm():
+    env = TruncatedEnvelope(heisenberg(), order=3)
+    u = env.add(env.one(), env.mul(env.gen(0), env.gen(1)))
+    with pytest.raises(RuntimeError, match="not primitive"):
+        env.log_coords(u)
+
+
+def test_hopf_checks_hold_under_optimization():
+    # python -O strips assert statements; these checks are not asserts
+    code = ("from cohw.hopf import TruncatedEnvelope\n"
+            "from cohw.nilpotent import heisenberg\n"
+            "env = TruncatedEnvelope(heisenberg(), order=3)\n"
+            "u = env.add(env.one(), env.mul(env.gen(0), env.gen(1)))\n"
+            "for f, a, e in ((env.exp, env.one(), ValueError),\n"
+            "                (env.log, env.gen(0), ValueError),\n"
+            "                (env.log_coords, u, RuntimeError)):\n"
+            "    try:\n"
+            "        f(a)\n"
+            "    except e:\n"
+            "        print('refused')\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "refused\n" * 3, proc.stderr
+
+
+def _class_three():
+    return central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
+
+
+@pytest.mark.parametrize("L, order", [(heisenberg(), 3), (_class_three(), 4)])
+def test_compiled_table_matches_normal_order(L, order):
+    env = TruncatedEnvelope(L, order=order)
+    for m1 in env.monomials:
+        for m2 in env.monomials:
+            want = env.normal_order(env._monomial_word(m1)
+                                    + env._monomial_word(m2))
+            terms = env._product(m1, m2)
+            assert dict(terms) == want
+            assert all(type(c) is int for _, c in terms
+                       if F(c).denominator == 1)
+            if env.wdeg(m1) + env.wdeg(m2) > order:
+                assert terms == ()
+            assert env.mul({m1: F(1)}, {m2: F(1)}) == want
+
+
+def test_compiled_product_is_associative_on_basis_triples():
+    env = TruncatedEnvelope(_class_three(), order=4)
+    basis = [{m: F(1)} for m in env.monomials]
+    for a in basis:
+        for b in basis:
+            ab = env.mul(a, b)
+            for c in basis:
+                assert env.mul(ab, c) == env.mul(a, env.mul(b, c))
+
+
+def _reference_coproduct(env, a):
+    # Delta on words through normal_order alone, as before the table
+    one = env.unit_monomial()
+    out = {}
+    for m, c in a.items():
+        acc = {(one, one): F(1)}
+        for i in env._monomial_word(m):
+            e = env._word_to_monomial((i,))
+            nxt = {}
+            for (l1, r1), c1 in acc.items():
+                for l2, r2 in ((e, one), (one, e)):
+                    left = env.normal_order(env._monomial_word(l1)
+                                            + env._monomial_word(l2))
+                    right = env.normal_order(env._monomial_word(r1)
+                                             + env._monomial_word(r2))
+                    for lm, lc in left.items():
+                        for rm, rc in right.items():
+                            if env.wdeg(lm) + env.wdeg(rm) <= env.order:
+                                k = (lm, rm)
+                                nxt[k] = nxt.get(k, 0) + c1 * lc * rc
+            acc = nxt
+        for k, x in acc.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def test_coproduct_of_a_grouplike_is_unchanged():
+    for L, order, q in ((heisenberg(), 3, [F(1), F(-2), F(1, 3)]),
+                        (_class_three(), 4, [F(1), F(1, 2), F(-1), F(2)])):
+        env = TruncatedEnvelope(L, order=order)
+        g = env.exp_coords(q)
+        delta = env.coproduct(g)
+        assert delta == _reference_coproduct(env, g)
+        assert all(type(c) is F for c in delta.values())
+        # and it is g (x) g, truncated
+        want = {}
+        for m1, c1 in g.items():
+            for m2, c2 in g.items():
+                if env.wdeg(m1) + env.wdeg(m2) <= order:
+                    want[(m1, m2)] = c1 * c2
+        assert delta == want
+
+
+def _ideal_powers(env):
+    # J^m as J^{m-1} J with J spanned by every monomial of positive degree
+    vec = env.to_vector
+    j1 = [{m: F(1)} for m in env.monomials if sum(m) >= 1]
+    powers = [exactla.span_echelon([vec({m: F(1)}) for m in env.monomials]),
+              exactla.span_echelon([vec(a) for a in j1])]
+    for _ in range(2, env.order + 1):
+        current = [env.from_vector(v) for v in powers[-1]]
+        powers.append(exactla.span_echelon(
+            [vec(env.mul(a, b)) for a in current for b in j1]))
+    return powers + [[]]
+
+
+@pytest.mark.parametrize("L, order, dims", [
+    (heisenberg(), 2, [7, 6, 4, 0]),
+    (abelian_lie_algebra(2), 2, [6, 5, 3, 0]),
+    (heisenberg(), 3, [13, 12, 10, 6, 0]),
+    (_class_three(), 4, [25, 24, 22, 18, 11, 0]),
+])
+def test_j_powers_are_ideal_powers(L, order, dims):
+    env = TruncatedEnvelope(L, order=order)
+    assert [len(p) for p in env.j_powers()] == dims
+    assert env.j_powers() == _ideal_powers(env)
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -241,8 +417,7 @@ def test_j_powers_copy_protects_cache():
     before = symmetrization_check(env)
     dims = env.j_filtration_dual_dims()
     q = [F(1), F(-1), F(2)]
-    samples = [env.gen(0), env.gen(2), env.mul(env.gen(0), env.gen(1))]
-    assert graded_trivialization_check(env, q, samples)
+    assert graded_trivialization_check(env, q)
     powers = env.j_powers()
     # wreck every level of the returned copy
     for basis in powers:
@@ -252,5 +427,5 @@ def test_j_powers_copy_protects_cache():
     powers.append([])
     assert symmetrization_check(env) == before
     assert env.j_filtration_dual_dims() == dims
-    assert graded_trivialization_check(env, q, samples)
+    assert graded_trivialization_check(env, q)
     assert env.j_powers() == TruncatedEnvelope(heisenberg(), order=3).j_powers()
