@@ -274,7 +274,7 @@ def parse_description(text, name="<input>"):
             structure[(i, j)][k] = structure[(i, j)].get(k, Fraction(0)) + c
         try:
             df.L = NilpotentLieAlgebra(d, structure, name="input")
-        except (ValueError, AssertionError) as e:
+        except ValueError as e:
             raise ParseError(lie["brackets"][0][0] if lie["brackets"] else 1,
                              1, "invalid Lie algebra: %s" % e)
         df.L_class = df.L.nilpotency_class

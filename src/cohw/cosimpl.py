@@ -293,8 +293,9 @@ class LinearHom:
         self.source = source
         self.target = target
         self.matrix = [list(row) for row in matrix]
-        assert len(self.matrix) == target.dim
-        assert all(len(r) == source.dim for r in self.matrix)
+        if len(self.matrix) != target.dim or any(
+                len(r) != source.dim for r in self.matrix):
+            raise ValueError("matrix is not %dx%d" % (target.dim, source.dim))
 
     def apply(self, x):
         return tuple(mat_vec(self.matrix, list(x)))
@@ -318,7 +319,8 @@ class StructuredHom:
         self.source = source
         self.target = target
         self.parts = list(parts)  # (source factor index, hom on factors)
-        assert len(self.parts) == len(target.factors)
+        if len(self.parts) != len(target.factors):
+            raise ValueError("need one part per target factor")
         self._linear = is_linear_carrier(source)
         self._matrix = None
 
@@ -411,8 +413,10 @@ def hom_equal(h1, h2):
     carriers they are declared on."""
     if h1 is h2:
         return True
-    assert h1.source is h2.source or type(h1.source) is type(h2.source) \
-        or is_linear_carrier(h1.source) and is_linear_carrier(h2.source)
+    if not (h1.source is h2.source or type(h1.source) is type(h2.source)
+            or is_linear_carrier(h1.source)
+            and is_linear_carrier(h2.source)):
+        raise ValueError("homs on unrelated carriers do not compare")
     if isinstance(h1, StructuredHom) and isinstance(h2, StructuredHom):
         # each distinct pair of factor maps is compared once; fed from
         # different source blocks, a target block agrees only where both
@@ -610,8 +614,8 @@ def _product_object(factors, linear):
     if all(a is not None for a in algs):
         G = UnipotentCarrier(direct_sum(*algs) if len(algs) > 1 else algs[0])
     else:
-        assert all(isinstance(f, VectorGroup) for f in factors), \
-            "cannot mix vector and unipotent factors"
+        if not all(isinstance(f, VectorGroup) for f in factors):
+            raise ValueError("cannot mix vector and unipotent factors")
         G = VectorGroup(sum(f.dim for f in factors))
     G.factors = list(factors)
     G.offsets = [0]
@@ -670,7 +674,8 @@ def cogenerate_morphism(GX, GY, factor_maps):
     factor maps commute with the cofaces."""
     out = []
     for n in range(min(GX.N, GY.N) + 1):
-        assert GX.level_epis[n] == GY.level_epis[n]
+        if GX.level_epis[n] != GY.level_epis[n]:
+            raise ValueError("level %d epis differ" % n)
         parts = [(i, factor_maps[k])
                  for i, (k, _) in enumerate(GX.level_epis[n])]
         out.append(StructuredHom(GX.objects[n], GY.objects[n], parts))
@@ -854,7 +859,8 @@ def pi1_unipotent_deciders(U):
     equivalence and a witness of equivalence of cocycles by stabilizer
     descent, and exact tangent dimensions."""
     G0, G1 = U.objects[0], U.objects[1]
-    assert is_linear_carrier(G0)
+    if not is_linear_carrier(G0):
+        raise ValueError("unipotent deciders need a linear carrier")
     L1 = G1.L
 
     def is_cocycle(c):
@@ -864,7 +870,8 @@ def pi1_unipotent_deciders(U):
         """u0 in U^0 with u0 . c = c' (the identity when c' is None), or
         None when the two cocycles are not equivalent."""
         target = G1.identity() if cprime is None else tuple(cprime)
-        assert is_cocycle(c) and is_cocycle(target), "malformed cocycle"
+        if not (is_cocycle(c) and is_cocycle(target)):
+            raise ValueError("malformed cocycle")
 
         def residual(u0):
             lhs = twisted_conj(U, tuple(u0), tuple(c))
@@ -882,7 +889,8 @@ def pi1_unipotent_deciders(U):
     def tangent_dimension_at(c):
         """dim T_c Z^1 minus the rank of the orbit map at the identity,
         both from exact linearizations."""
-        assert is_cocycle(c)
+        if not is_cocycle(c):
+            raise ValueError("malformed cocycle")
         G2 = U.objects[2]
 
         def cocycle_map(u):
@@ -1138,7 +1146,8 @@ def eilenberg_zilber_oracle(A, jmax=2, N=None):
 
     report = {"diagonal": diag_h[:jmax + 1], "total": tot_h[:jmax + 1],
               "match": diag_h[:jmax + 1] == tot_h[:jmax + 1]}
-    assert report["match"], "Eilenberg-Zilber mismatch (bug): %r" % report
+    if not report["match"]:
+        raise RuntimeError("Eilenberg-Zilber mismatch (bug): %r" % report)
     return report
 
 
@@ -1548,7 +1557,8 @@ def codim_vanishing_check(Z, U, Q, incl, proj, q1):
     if is_linear_carrier(U1):
         # solve proj(u1) = q1 linearly
         u1, _ = exactla.solve_affine(proj[1].matrix, list(q1), U1.dim)
-        assert u1 is not None
+        if u1 is None:
+            raise RuntimeError("q1 has no preimage under proj (bug)")
         u1 = tuple(u1)
     else:
         u1 = next(u for u in U1.elements() if proj[1].apply(u) == q1)
@@ -1556,10 +1566,11 @@ def codim_vanishing_check(Z, U, Q, incl, proj, q1):
                 U2.mul(U.d(2, 1).apply(u1),
                        U2.inv(U.d(2, 0).apply(u1))))
     corrected = U1.mul(u1, U.s(1, 0).apply(z2))
-    assert cocycle_condition(U, corrected), \
-        "s^0-corrected lift is not a cocycle (bug)"
-    assert proj[1].apply(corrected) == tuple(q1) if is_linear_carrier(U1) \
-        else proj[1].apply(corrected) == q1
+    if not cocycle_condition(U, corrected):
+        raise RuntimeError("s^0-corrected lift is not a cocycle (bug)")
+    if proj[1].apply(corrected) != (tuple(q1) if is_linear_carrier(U1)
+                                    else q1):
+        raise RuntimeError("s^0-corrected lift does not map to q1 (bug)")
     report["preimage"] = corrected
     return corrected, report
 

@@ -20,7 +20,7 @@ conversions ``realify_vector``/``unrealify_vector``).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class Gaussian:
@@ -238,18 +238,18 @@ def rref(rows):
 
 
 def _primitive_int_row(row):
-    """The row scaled to integers with no common factor, or None if zero."""
-    den = 1
-    for x in row:
-        if x:
-            d = x.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    if not g:
+    """The row scaled to integers with no common factor, or None if zero.
+    Only the nonzero entries are read."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    if not nonzero:
         return None
-    return [x // g for x in ints] if g != 1 else ints
+    den = lcm(*[x.denominator for _, x in nonzero])
+    nums = [x.numerator * (den // x.denominator) for _, x in nonzero]
+    g = gcd(*nums)
+    ints = [0] * len(row)
+    for (j, _), n in zip(nonzero, nums):
+        ints[j] = n // g
+    return ints
 
 
 def _rref_integer(rows):

@@ -93,7 +93,7 @@ def _tuples(G, n):
     return [tuple(t) for t in iproduct(G.elements(), repeat=n)]
 
 
-def cochain_cosimplicial(action, N=3, check=None):
+def cochain_cosimplicial(action, N=2, check=None):
     """Cosimplicial group with level n the maps G^n -> U: a product of
     copies of U indexed by argument tuples (a direct sum of copies of the
     algebra for a unipotent U), with block structure maps.
@@ -241,18 +241,19 @@ def h1_classes(action):
     return classes
 
 
-def h0_h1(action, N=3):
+def h0_h1(action):
     """H^0 and H^1, through the cosimplicial machinery when the cochain
     levels are enumerable and by direct cocycle enumeration otherwise.
-    Unipotent coefficients get deciders instead of a finite answer."""
+    Unipotent coefficients get deciders instead of a finite answer.  Both
+    read the cochain object up to level 2 only."""
     G, U = action.G, action.carrier
     if not action.is_finite():
-        C = cochain_cosimplicial(action, N=max(N, 2))
+        C = cochain_cosimplicial(action)
         return {"mode": "unipotent", "h0_basis": h0_fixed_points(action),
                 "deciders": pi1_unipotent_deciders(C), "cochain": C}
     small = U.size() ** G.size() <= 20000
     if small:
-        C = cochain_cosimplicial(action, N=max(N, 2))
+        C = cochain_cosimplicial(action)
         p1 = pi1_finite(C)
         fixed = pi0(C)
         res = {"mode": "cosimplicial", "h0": [t[0] for t in fixed],

@@ -13,6 +13,7 @@ per class.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import exactla
 from .exactla import (
@@ -49,7 +50,8 @@ _BCH_TABLES = {}
 def bch_word_table(degree):
     """Word coefficients of log(exp X exp Y) in the free associative algebra
     on letters 0, 1, up to total degree ``degree``.  Cached."""
-    assert 1 <= degree <= MAX_BCH_CLASS, degree
+    if not 1 <= degree <= MAX_BCH_CLASS:
+        raise ValueError("BCH degree out of range: %r" % (degree,))
     if degree in _BCH_TABLES:
         return _BCH_TABLES[degree]
     # exp X exp Y - 1, truncated
@@ -99,7 +101,8 @@ class NilpotentLieAlgebra:
         self.name = name
         self.structure = {}
         for (i, j), row in structure.items():
-            assert i < j, "structure constants keyed by i < j"
+            if not i < j:
+                raise ValueError("structure constants keyed by i < j")
             clean = {k: Fraction(c) for k, c in row.items() if c}
             if clean:
                 self.structure[(i, j)] = clean
@@ -109,8 +112,9 @@ class NilpotentLieAlgebra:
         self.nilpotency_class = len(self.lcs) - 1
         self._depths = None
         self._adapted = None
-        assert self.nilpotency_class <= MAX_BCH_CLASS, \
-            "nilpotency class above supported BCH truncation depth"
+        if self.nilpotency_class > MAX_BCH_CLASS:
+            raise ValueError("nilpotency class above supported BCH "
+                             "truncation depth")
 
     def zero(self):
         return zero_vec(self.dim)
@@ -145,16 +149,10 @@ class NilpotentLieAlgebra:
         return vec_neg(self.bracket_basis(j, i))
 
     def is_central(self, z):
-        """Does z bracket to zero with every basis vector?  One pass over
-        the structure constants: [e_i, e_j] adds z_i times its row to
-        [z, e_j] and -z_j times it to [z, e_i]."""
-        out = {}
-        for (i, j), row in self.structure.items():
-            for a, b, sign in ((i, j, 1), (j, i, -1)):
-                if z[a]:
-                    for k, c in row.items():
-                        out[b, k] = out.get((b, k), 0) + sign * z[a] * c
-        return not any(out.values())
+        """Does z bracket to zero with every basis vector?"""
+        z = {k: x for k, x in enumerate(z) if x}
+        return not any(any(self._bracket_sparse(i, z).values())
+                       for i in range(self.dim))
 
     def validate(self):
         """Check the Jacobi identity on basis triples (antisymmetry is
@@ -362,7 +360,8 @@ def central_extension(Q, z_dim, omega, name=None):
     for (i, j), row in Q.structure.items():
         structure[(i, j)] = dict(row)
     for (i, j), zvec in omega.items():
-        assert i < j
+        if not i < j:
+            raise ValueError("cocycle keyed by i < j")
         row = structure.setdefault((i, j), {})
         for k, c in enumerate(zvec):
             if c:
@@ -387,8 +386,9 @@ class LieMorphism:
         self.source = source
         self.target = target
         self.matrix = [list(row) for row in matrix]
-        assert len(self.matrix) == target.dim
-        assert all(len(row) == source.dim for row in self.matrix)
+        if len(self.matrix) != target.dim or any(
+                len(row) != source.dim for row in self.matrix):
+            raise ValueError("matrix is not %dx%d" % (target.dim, source.dim))
         if check:
             self.check_bracket()
 
@@ -398,15 +398,23 @@ class LieMorphism:
             raise ValueError("not a Lie algebra morphism at (%d,%d)" % bad)
 
     def bracket_defect(self):
-        """The first pair (i, j) of basis indices whose bracket the map
-        does not respect, or None."""
-        images = [self.apply(self.source.basis_vector(i))
-                  for i in range(self.source.dim)]
-        for i in range(self.source.dim):
-            for j in range(i + 1, self.source.dim):
-                lhs = self.apply(self.source.bracket_basis(i, j))
-                if lhs != self.target.bracket(images[i], images[j]):
-                    return i, j
+        """The first pair (i, j), i < j in lexicographic order, of basis
+        indices whose bracket the map does not respect, or None.  On
+        sparse images: f[e_i, e_j] from the source's structure row, and
+        [f e_i, f e_j] summed over the support a of f e_i from the
+        target's [e_a, f e_j]."""
+        images = [{r: row[c] for r, row in enumerate(self.matrix) if row[c]}
+                  for c in range(self.source.dim)]
+        for i, j in combinations(range(self.source.dim), 2):
+            defect = {}
+            for k, c in self.source.structure.get((i, j), {}).items():
+                for r, x in images[k].items():
+                    defect[r] = defect.get(r, 0) + c * x
+            for a, x in images[i].items():
+                for r, y in self.target._bracket_sparse(a, images[j]).items():
+                    defect[r] = defect.get(r, 0) - x * y
+            if any(defect.values()):
+                return i, j
         return None
 
     def apply(self, x):
@@ -414,7 +422,8 @@ class LieMorphism:
 
     def compose(self, other):
         """self o other."""
-        assert other.target is self.source or other.target.dim == self.source.dim
+        if other.target.dim != self.source.dim:
+            raise ValueError("composite dims do not match")
         return LieMorphism(other.source, self.target,
                            mat_mul(self.matrix, other.matrix), check=False)
 
@@ -545,14 +554,15 @@ class UnipotentTorsor:
     automorphism labeling (``auto``: a LieMorphism acting on L)."""
 
     def __init__(self, L, transitions=None, auto=None):
-        assert (transitions is None) != (auto is None)
+        if (transitions is None) == (auto is None):
+            raise ValueError("give exactly one of transitions and auto")
         self.L = L
         self.auto = auto
         if transitions is not None:
             self.transitions = {k: list(v) for k, v in transitions.items()}
-            assert 0 in self.transitions
-            assert vec_is_zero(self.transitions[0]), \
-                "chart 0 carries the identity transition"
+            if 0 not in self.transitions or \
+                    not vec_is_zero(self.transitions[0]):
+                raise ValueError("chart 0 carries the identity transition")
         else:
             self.transitions = None
 
@@ -573,7 +583,9 @@ class UnipotentTorsor:
             charts = {k: L.bch(t, g) for k, t in self.transitions.items()}
             # round trip: the transitions are recovered from the point
             for k, t in self.transitions.items():
-                assert L.bch(charts[k], L.inverse(charts[0])) == t
+                if L.bch(charts[k], L.inverse(charts[0])) != t:
+                    raise RuntimeError("transition %r not recovered from "
+                                       "the trivializing point" % (k,))
             return g, {"status": "trivialized", "charts": charts}
         # automorphism labeling
         cert = {"status": "trivialized", "point": "identity"}
@@ -605,7 +617,8 @@ class UnipotentTorsor:
 
 def torsor_pushout(torsor, f):
     """Push a transition-presented torsor along a group morphism f."""
-    assert torsor.transitions is not None
+    if torsor.transitions is None:
+        raise ValueError("pushout needs a transition-presented torsor")
     return UnipotentTorsor(
         f.target,
         transitions={k: f.apply(t) for k, t in torsor.transitions.items()})

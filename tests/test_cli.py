@@ -401,8 +401,8 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
     # are reported at their row, a Jacobi failure at the first bracket,
     # and a double-coset subset that is out of range, empty or not closed
     # at its line (line 12 of the corpus file), as are left/right lines
-    # without a pattern line (left moves to line 11), with or without
-    # asserts
+    # without a pattern line (left moves to line 11) and an algebra of
+    # class 7, above the BCH truncation depth, with or without asserts
     table = "[finite_group]\nelements 3\nrow 0 1 2\n%s\nrow 2 %s\n"
     coset = (CORPUS / "s3_double_coset.alg").read_text()
     assert coset.splitlines()[11] == "left 0 2"
@@ -412,6 +412,8 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
         "not_associative": table % ("row 1 0 1", "2 0"),
         "jacobi": "[lie_algebra]\ndim 5\nbracket 0 1 2 1\n"
                   "bracket 2 3 4 1\n",
+        "class_7": "[lie_algebra]\ndim 8\n" + "".join(
+            "bracket 0 %d %d 1\n" % (k, k + 1) for k in range(1, 7)),
         "left_out_of_range": coset.replace("left 0 2", "left 0 9"),
         "left_empty": coset.replace("left 0 2", "left"),
         "left_not_closed": coset.replace("left 0 2", "left 1 2"),
@@ -423,6 +425,8 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
         "not_associative": "3:1: invalid table: not associative",
         "jacobi": "3:1: invalid Lie algebra: Jacobi identity fails on "
                   "basis (0,1,3)",
+        "class_7": "3:1: invalid Lie algebra: nilpotency class above "
+                   "supported BCH truncation depth",
         "left_out_of_range": "12:1: left element 9 out of range",
         "left_empty": "12:1: left subset is empty",
         "left_not_closed": "12:1: left subset not closed",

@@ -811,3 +811,35 @@ def test_cosimplicial_identities_raise_under_optimization():
         ["RuntimeError", "mixed identity fails at n=0 i=0 j=0"],
         ["ValueError", "level 1 needs 2 cofaces"],
         ["ValueError", "level 1 needs 2 codegeneracies"]]
+
+
+def test_unipotent_deciders_and_hom_shapes_raise_under_optimization():
+    # a non-cocycle of the constant Heisenberg object has no answer from
+    # the deciders, and a 1x2 matrix is no hom on a line, also under
+    # python -O
+    root = pathlib.Path(__file__).resolve().parent.parent
+    child = (
+        "import json\n"
+        "from cohw.cosimpl import LinearHom, UnipotentCarrier, VectorGroup, "
+        "constant_cosimplicial, pi1_unipotent_deciders\n"
+        "from cohw.nilpotent import heisenberg\n"
+        "D = pi1_unipotent_deciders(constant_cosimplicial(\n"
+        "    UnipotentCarrier(heisenberg()), 2))\n"
+        "def raised(call):\n"
+        "    try:\n"
+        "        return ['returned', repr(call())]\n"
+        "    except Exception as e:\n"
+        "        return [type(e).__name__, str(e)]\n"
+        "line = VectorGroup(1)\n"
+        "print(json.dumps([\n"
+        "    raised(lambda: D['is_trivial']((1, 0, 0))),\n"
+        "    raised(lambda: D['tangent_dimension_at']((1, 0, 0))),\n"
+        "    raised(lambda: LinearHom(line, line, [[1, 2]]))]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["ValueError", "malformed cocycle"],
+        ["ValueError", "malformed cocycle"],
+        ["ValueError", "matrix is not 1x1"]]

@@ -83,6 +83,8 @@ def test_unipotent_trivial_action_h1_single_class():
     assert len(res["h0_basis"]) == 3
     dec = res["deciders"]
     C = res["cochain"]
+    # the deciders read levels up to 2, and no level above is built
+    assert C.N == 2
     ident = C.objects[1].identity()
     assert dec["is_trivial"](ident)
     # uniquely divisible target: H^1 of a finite group is a single class,

@@ -16,6 +16,7 @@ from cohw.nilpotent import (
     heisenberg_from_symplectic, identity_morphism, solve_graded_affine,
     torsor_pushout,
 )
+from cohw.phin import epsilon_lie_algebra
 
 F = Fraction
 
@@ -454,6 +455,49 @@ def test_check_bracket_checks_every_pair():
         LieMorphism(L, L, diag(2, 3, 5, 10))
     with pytest.raises(ValueError, match=r"\(0,2\)"):
         LieMorphism(L, L, diag(2, 3, 6, 11))
+
+
+def _first_bracket_failure_dense(f):
+    """The first pair (i, j), i < j, where f[e_i, e_j] != [f e_i, f e_j],
+    by dense brackets: the reference for the sparse check."""
+    images = [f.apply(f.source.basis_vector(i)) for i in range(f.source.dim)]
+    for i in range(f.source.dim):
+        for j in range(i + 1, f.source.dim):
+            if f.apply(f.source.bracket_basis(i, j)) != \
+                    f.target.bracket(images[i], images[j]):
+                return i, j
+    return None
+
+
+def test_sparse_bracket_defect_matches_dense_brackets():
+    # inclusions, projections and identities between direct sums and
+    # epsilon algebras, with a few entries changed, and sparse random
+    # matrices: the sparse check returns the pair the dense rule does
+    rng = random.Random(23)
+    H = heisenberg()
+    fil3 = central_extension(H, 1, {(0, 2): [F(1)]})
+    skew = NilpotentLieAlgebra(4, {(0, 1): {2: 1, 3: 1}})
+    HH, Heps = direct_sum(H, H), epsilon_lie_algebra(H, 2)
+    pairs = [(H, H), (fil3, fil3), (skew, skew), (HH, HH), (Heps, Heps),
+             (H, HH), (HH, H), (H, Heps), (Heps, H), (fil3, HH),
+             (epsilon_lie_algebra(fil3, 1), direct_sum(fil3, skew))]
+    seen = set()
+    for A, B in pairs:
+        for _ in range(40):
+            if rng.random() < 0.8:
+                M = [[F(int(r == c)) for c in range(A.dim)]
+                     for r in range(B.dim)]
+                for _ in range(rng.randint(0, 2)):
+                    M[rng.randrange(B.dim)][rng.randrange(A.dim)] = \
+                        rng.choice([F(0), F(1), F(-1), F(2), F(1, 2)])
+            else:
+                M = [[F(rng.choice([0, 0, 0, 1, -1])) for _ in range(A.dim)]
+                     for _ in range(B.dim)]
+            f = LieMorphism(A, B, M, check=False)
+            bad = _first_bracket_failure_dense(f)
+            assert f.bracket_defect() == bad, (A, B, M)
+            seen.add(bad)
+    assert None in seen and len(seen) > 8, seen
 
 
 def test_check_bracket_raises_under_optimization():

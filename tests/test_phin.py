@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 import cohw
-from cohw import cosimpl, exactla
+from cohw import cosimpl, exactla, phin
 from cohw.cli import load_description, parse_description
 from cohw.cosimpl import (
-    LinearHom, StructuredHom, UnipotentCarrier, VectorGroup, _product_object,
-    cogenerate, cogenerate_morphism, complex_embedding, compose_monotone,
-    delta_map, epi_mono_factor, epis, pi0, pi_abelian_all, sigma_map,
+    CosimplicialGroup, LinearHom, StructuredHom, UnipotentCarrier,
+    VectorGroup, _product_object, cogenerate, cogenerate_morphism,
+    complex_embedding, compose_monotone, delta_map, epi_mono_factor, epis,
+    pi0, pi_abelian_all, sigma_map,
 )
 from cohw.exactla import (
     Echelon, coords_in_basis, identity_matrix, kernel_basis, mat_mul,
@@ -22,7 +23,7 @@ from cohw.nilpotent import (
     heisenberg,
 )
 from cohw.phin import (
-    EpsilonPoint, PhiNGroup, PhiNTorsor, d_phi1, epsilon_denormalize,
+    PhiNGroup, PhiNTorsor, d_phi1, epsilon_denormalize,
     epsilon_lie_algebra, h1_quotient, phin_torsor_equivalent, quotient_les,
     selmer_quotient_cosimplicial, twisted_conj_classify,
     twisted_conj_equivalent, twisted_conj_residual,
@@ -55,6 +56,12 @@ def test_validation():
     # N phi = p phi N enforced: phi = 1, N = 1 fails for any p > 1
     with pytest.raises(ValueError):
         PhiNGroup(abelian_lie_algebra(1), [[F(1)]], N=[[F(1)]], p=2)
+    # N = 1 on the second of two Heisenberg summands doubles its bracket:
+    # the derivation rule first fails there, as the pair-by-pair rule says
+    with pytest.raises(ValueError,
+                       match=r"^N is not a derivation at \(3,4\)$"):
+        PhiNGroup(direct_sum(H, H), identity_matrix(6),
+                  N=_diag([0, 0, 0, 1, 1, 1]), p=2)
     _st_curve()  # valid
 
 
@@ -68,13 +75,12 @@ def test_epsilon_lie_algebra_and_points():
     ey = A.basis_vector(3 + 1)
     assert A.bracket(x, ey) == A.basis_vector(3 + 2)
     assert exactla.vec_is_zero(A.bracket(A.basis_vector(3), A.basis_vector(7)))
-    # EpsilonPoint multiplication: main parts multiply by BCH, epsilon
-    # parts of central elements add
-    a = EpsilonPoint(H, [F(1), 0, 0], [[0, 0, F(1)]])
-    b = EpsilonPoint(H, [0, F(1), 0], [[0, 0, F(2)]])
-    ab = a.mul(b)
-    assert ab.main == H.bch([F(1), 0, 0], [0, F(1), 0])
-    assert ab.eps_parts[0][2] == F(3)
+    # the group law of U(L[eps]) in log coordinates: main parts multiply
+    # by BCH, epsilon parts of central elements add
+    A1 = epsilon_lie_algebra(H, 1)
+    ab = A1.bch([F(1), 0, 0, 0, 0, F(1)], [0, F(1), 0, 0, 0, F(2)])
+    assert ab[:3] == H.bch([F(1), 0, 0], [0, F(1), 0])
+    assert ab[5] == F(3)
 
 
 def test_epsilon_lie_algebra_inherits_jacobi_and_series():
@@ -167,8 +173,35 @@ def test_selmer_structure_maps_match_reference_assembly(variant, N):
         for (n, i), M in codegens.items():
             assert repr(S.s(n, i).matrix) == repr(M), (n, i)
         assert len(S.cofaces) == N and len(S.codegens) == N
-        for A, B in zip(S.level_algebras, algs):
+        for A, B in zip([G.L for G in S.objects], algs):
             assert (A.dim, A.name, A.structure) == (B.dim, B.name, B.structure)
+
+
+def test_every_selmer_structure_map_is_checked_block_by_block(monkeypatch):
+    # one row block of the codegeneracy U^2 -> U^1 (dim 27 -> 12) of the
+    # corpus extension gets its main bracket coordinate doubled; with the
+    # cosimplicial identities (which would catch it too) not checked, the
+    # Lie-morphism check of that block refuses it
+    df = load_description(str(CORPUS / "heisenberg_isocrystal.alg"))
+    XU = PhiNGroup(df.L, df.phi, p=df.p)
+    S = selmer_quotient_cosimplicial(XU, "g/e", 2)
+    assert (S.objects[2].dim, S.objects[1].dim) == (27, 12)
+    original = phin.diagonal_cogenerate
+
+    def corrupted(A, N):
+        diag = original(A, N)
+        parts = diag.codegens[1][0].parts
+        i, part = parts[-1]
+        M = [list(row) for row in part.matrix]
+        M[2] = [2 * x for x in M[2]]
+        parts[-1] = (i, LinearHom(part.source, part.target, M))
+        return diag
+
+    monkeypatch.setattr(phin, "diagonal_cogenerate", corrupted)
+    monkeypatch.setattr(CosimplicialGroup, "check_identities",
+                        lambda self: None)
+    with pytest.raises(ValueError, match="not a Lie algebra morphism"):
+        selmer_quotient_cosimplicial(XU, "g/e", 2)
 
 
 def test_pi0_equals_d_phi1():
