@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from .exactla import (
-    coords_in_basis, format_scalar, mat_eq, mat_mul, mat_vec, parse_scalar,
-    solve_affine, subspace_intersect, transpose, unrealify_vector,
-    vec_is_zero,
+    coords_in_basis, format_scalar, kernel_basis, mat_eq, mat_mul, mat_vec,
+    parse_scalar, rank, solve_affine, span_echelon, subspace_intersect,
+    transpose, unrealify_vector, vec_is_zero,
 )
 from .cosimpl import (
     ENUM_CAP, FiniteHom, LinearHom, ProductGroup, SemiCosimplicialGroup,
@@ -379,7 +379,9 @@ def parse_description(text, name="<input>"):
                                      "%s vector length != dim %d" % (key, d))
         df.extension = {key: [v for _, v in rows]
                         for key, rows in ext.items()}
-        df.extension["lines"] = {key: rows[0][0] if rows else 1
+        # a key without lines is located at the first line of the other
+        first = min(rows[0][0] for rows in ext.values() if rows)
+        df.extension["lines"] = {key: rows[0][0] if rows else first
                                  for key, rows in ext.items()}
     return df
 
@@ -438,6 +440,22 @@ def _extension_error(df, key, message):
                       "invalid extension: %s" % message)
 
 
+def _check_central_kernel(df, L):
+    """The incl vectors are a basis of the kernel of the proj rows and
+    central in L, or a ParseError at the first incl line.  Run after the
+    command's own checks of the section, which name the fault more
+    precisely where they apply."""
+    zcols, proj_rows = df.extension["incl"], df.extension["proj"]
+    if rank(zcols) != len(zcols):
+        raise _extension_error(df, "incl",
+                               "the incl vectors are linearly dependent")
+    if span_echelon(zcols) != span_echelon(kernel_basis(proj_rows, L.dim)):
+        raise _extension_error(df, "incl", "the incl vectors do not span "
+                                           "the kernel of proj")
+    if not all(L.is_central(z) for z in zcols):
+        raise _extension_error(df, "incl", "the incl vectors are not central")
+
+
 def _quotient_algebra(df, L):
     """The quotient Lie algebra presented by the proj rows of the
     [extension] section (a surjection with central kernel), a section
@@ -485,7 +503,7 @@ def derive_phin_extension(df):
     proj_rows = df.extension["proj"]
     try:
         incl = LieMorphism(abelian_lie_algebra(len(zcols)), L,
-                           transpose(zcols))
+                           [[z[r] for z in zcols] for r in range(L.dim)])
     except ValueError:
         raise _extension_error(df, "incl", "the incl vectors do not commute")
     phiZ = _restrict_matrix(XU.phi, zcols)
@@ -505,6 +523,7 @@ def derive_phin_extension(df):
     if phiQ is None or (df.N and NQ is None):
         raise _extension_error(df, "proj",
                                "phi/N do not descend to the quotient")
+    _check_central_kernel(df, L)
     XZ = PhiNGroup(incl.source, phiZ, N=NZ, p=XU.p)
     XQ = PhiNGroup(LQ, phiQ, N=NQ, p=XU.p)
     return XZ, XU, XQ, incl, proj
@@ -536,6 +555,7 @@ def derive_mhs_extension(df):
     MZ = MHSGroup(LZ, wz, fz, negative_weights=MU.negative_weights, name="Z",
                   check=False)
     LQ, _, proj = _quotient_algebra(df, L)
+    _check_central_kernel(df, L)
     projR = realify_matrix(proj_rows, len(proj_rows), L.dim)
     wq = {m: [mat_vec(proj_rows, v) for v in lvl]
           for m, lvl in MU.weights.items()}
@@ -896,19 +916,6 @@ def suite_hopf(rng, instances=10):
                 failures.append("trivialization dependence: torsor %d q=%s"
                                 % (t, q))
     return {"instances": instances, "failures": failures}
-
-
-def suite_distribution_check():
-    """The random generators really cover the pinned ranges: algebra
-    dimension up to 6 and class up to 4, finite group order up to 48."""
-    pool = _bch_pool()
-    assert max(L.dim for L in pool) == 6
-    assert max(L.nilpotency_class for L in pool) == 4
-    rng = random.Random("distribution")
-    orders = {_random_double_coset(rng, 20000, 2)[0].size()
-              for _ in range(200)}
-    assert max(orders) == 48 and 24 in orders
-    return True
 
 
 # name, function, default instances standalone / in the full battery

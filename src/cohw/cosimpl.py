@@ -333,17 +333,16 @@ class StructuredHom:
             out.extend(h.apply(x[off[i]:off[i + 1]]))
         return tuple(out)
 
-    def compose(self, other):
+    def compose(self, other, memo=None):
+        """self after other.  Two block maps compose block by block, each
+        distinct pair of factor maps once per ``memo`` (see
+        ``_compose``): a fresh one unless the caller shares its own."""
         if isinstance(other, StructuredHom):
-            # each distinct pair of factor maps is composed once
-            done, parts, inner = {}, [], other.parts
-            for (i, h) in self.parts:
-                (i0, h0) = inner[i]
-                key = (id(h), id(h0))
-                c = done.get(key)
-                if c is None:
-                    c = done[key] = h.compose(h0)
-                parts.append((i0, c))
+            if memo is None:
+                memo = {}
+            inner = other.parts
+            parts = [(inner[i][0], _compose(h, inner[i][1], memo))
+                     for (i, h) in self.parts]
             return StructuredHom(other.source, self.target, parts)
         return LinearHom(other.source, self.target,
                          mat_mul(self.matrix, other.matrix))
@@ -361,6 +360,20 @@ class StructuredHom:
                     rows.append(row)
             self._matrix = rows
         return self._matrix
+
+
+def _compose(h, h0, memo):
+    """h after h0, composed once per pair of operands for as long as the
+    dict ``memo`` lives; nested block maps share it.  An entry keeps both
+    operands alive with the composite, so no id in a key is reused while
+    the memo exists."""
+    key = (id(h), id(h0))
+    hit = memo.get(key)
+    if hit is None:
+        c = h.compose(h0, memo) if isinstance(h, StructuredHom) \
+            else h.compose(h0)
+        hit = memo[key] = (c, h, h0)
+    return hit[0]
 
 
 def _product_defect(S, holds):
@@ -405,12 +418,15 @@ def inner_automorphism(G, c):
                      check=False)
 
 
-def hom_equal(h1, h2):
+def hom_equal(h1, h2, memo=None):
     """Decidable equality of homomorphisms.  Two block maps compare block
     by block; other linear homs compare matrices; otherwise two verified
     homomorphisms agree iff they agree on a generating set of the
     source.  Linear maps compare on coordinates, whichever linear
-    carriers they are declared on."""
+    carriers they are declared on.  Each distinct pair of blocks is
+    decided once per ``memo``, which keeps the verdict with both blocks
+    (as ``_compose`` does): a fresh one unless the caller shares its
+    own."""
     if h1 is h2:
         return True
     if not (h1.source is h2.source or type(h1.source) is type(h2.source)
@@ -418,17 +434,18 @@ def hom_equal(h1, h2):
             and is_linear_carrier(h2.source)):
         raise ValueError("homs on unrelated carriers do not compare")
     if isinstance(h1, StructuredHom) and isinstance(h2, StructuredHom):
-        # each distinct pair of factor maps is compared once; fed from
-        # different source blocks, a target block agrees only where both
-        # factor maps are trivial
-        done = set()
+        # fed from different source blocks, a target block agrees only
+        # where both factor maps are trivial
+        if memo is None:
+            memo = {}
         for (i1, f1), (i2, f2) in zip(h1.parts, h2.parts):
             key = (i1 == i2, id(f1), id(f2))
-            if key in done:
-                continue
-            done.add(key)
-            if not (hom_equal(f1, f2) if i1 == i2
-                    else _is_trivial(f1) and _is_trivial(f2)):
+            hit = memo.get(key)
+            if hit is None:
+                ok = hom_equal(f1, f2, memo) if i1 == i2 \
+                    else _is_trivial(f1) and _is_trivial(f2)
+                hit = memo[key] = (ok, f1, f2)
+            if not hit[0]:
                 return False
         return True
     if is_linear_carrier(h1.source):
@@ -470,12 +487,18 @@ class SemiCosimplicialGroup:
         return self.cofaces[n][i]
 
     def check_coface_identities(self):
+        self._check_cofaces({})
+
+    def _check_cofaces(self, memo):
+        """d^j d^i = d^i d^{j-1} for i < j.  All identities of one check
+        share ``memo``, so each distinct pair of factor maps is composed,
+        and each distinct pair of blocks compared, once per check."""
         for n in range(2, self.N + 1):
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
-                    lhs = self.d(n, j).compose(self.d(n - 1, i))
-                    rhs = self.d(n, i).compose(self.d(n - 1, j - 1))
-                    if not hom_equal(lhs, rhs):
+                    lhs = _compose(self.d(n, j), self.d(n - 1, i), memo)
+                    rhs = _compose(self.d(n, i), self.d(n - 1, j - 1), memo)
+                    if not hom_equal(lhs, rhs, memo):
                         raise RuntimeError(
                             "coface identity fails at n=%d i=%d j=%d"
                             % (n, i, j))
@@ -498,31 +521,37 @@ class CosimplicialGroup(SemiCosimplicialGroup):
         return self.codegens[n][i]
 
     def check_identities(self):
-        self.check_coface_identities()
+        """All cosimplicial identities, with one memo shared across them
+        (see ``_check_cofaces``) and one identity hom per level."""
+        memo = {}
+        self._check_cofaces(memo)
         # s^j s^i = s^i s^{j+1} for i <= j
         for n in range(self.N - 1):
             for i in range(n + 2):
                 for j in range(i, n + 1):
                     if n + 1 not in self.codegens:
                         continue
-                    lhs = self.s(n, j).compose(self.s(n + 1, i))
-                    rhs = self.s(n, i).compose(self.s(n + 1, j + 1))
-                    if not hom_equal(lhs, rhs):
+                    lhs = _compose(self.s(n, j), self.s(n + 1, i), memo)
+                    rhs = _compose(self.s(n, i), self.s(n + 1, j + 1), memo)
+                    if not hom_equal(lhs, rhs, memo):
                         raise RuntimeError(
                             "codegeneracy identity fails at n=%d i=%d j=%d"
                             % (n, i, j))
         # mixed identities
+        ident = [identity_hom(G) for G in self.objects[:self.N]]
         for n in range(self.N):
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = self.s(n, j).compose(self.d(n + 1, i))
+                    lhs = _compose(self.s(n, j), self.d(n + 1, i), memo)
                     if i < j:
-                        rhs = self.d(n, i).compose(self.s(n - 1, j - 1))
+                        rhs = _compose(self.d(n, i), self.s(n - 1, j - 1),
+                                       memo)
                     elif i in (j, j + 1):
-                        rhs = identity_hom(self.objects[n])
+                        rhs = ident[n]
                     else:
-                        rhs = self.d(n, i - 1).compose(self.s(n - 1, j))
-                    if not hom_equal(lhs, rhs):
+                        rhs = _compose(self.d(n, i - 1), self.s(n - 1, j),
+                                       memo)
+                    if not hom_equal(lhs, rhs, memo):
                         raise RuntimeError(
                             "mixed identity fails at n=%d i=%d j=%d"
                             % (n, i, j))
@@ -628,7 +657,11 @@ def cogenerate(X, N=None):
     """Cosimplicial group cogenerated by a truncated semi-cosimplicial
     group: Gamma^n = product of X^k over order-preserving surjections
     [n] ->> [k] (k within the truncation), with maps induced by epi-mono
-    factorization.  Identities are verified post-construction."""
+    factorization.  Identities are verified post-construction, by one
+    ``check_identities`` whose memo lives for that call: each distinct
+    pair of factor maps (the shared mono composites) is composed, and
+    each distinct pair of blocks compared, once; nothing is cached past
+    the check."""
     if N is None:
         N = X.N + 1
     linear = all(is_linear_carrier(G) for G in X.objects)
@@ -1005,19 +1038,21 @@ def twist(U, beta):
 
 def check_cosimplicial_map(U, V, maps):
     """Verify that per-level maps U^n -> V^n, n = 0..len(maps) - 1,
-    commute with all cofaces and codegeneracies between those levels."""
+    commute with all cofaces and codegeneracies between those levels.
+    One memo serves every square, as in ``check_identities``."""
     top = len(maps) - 1
+    memo = {}
     for n in range(1, top + 1):
         for i in range(n + 1):
-            lhs = maps[n].compose(U.d(n, i))
-            rhs = V.d(n, i).compose(maps[n - 1])
-            if not hom_equal(lhs, rhs):
+            lhs = _compose(maps[n], U.d(n, i), memo)
+            rhs = _compose(V.d(n, i), maps[n - 1], memo)
+            if not hom_equal(lhs, rhs, memo):
                 return False
     for n in range(top):
         for i in range(n + 1):
-            lhs = maps[n].compose(U.s(n, i))
-            rhs = V.s(n, i).compose(maps[n + 1])
-            if not hom_equal(lhs, rhs):
+            lhs = _compose(maps[n], U.s(n, i), memo)
+            rhs = _compose(V.s(n, i), maps[n + 1], memo)
+            if not hom_equal(lhs, rhs, memo):
                 return False
     return True
 
@@ -1404,15 +1439,16 @@ def les_central_unipotent(Z, U, Q, incl, proj):
 
     incl[n]: Z^n -> U^n and proj[n]: U^n -> Q^n (n = 0..2 at least) are
     linear homs; Z must be abelian.  pi1(Q) -> pi2(Z) is decided when Z
-    reaches level 3 and Q is abelian.  Also returns ``dies_in_u``, the
-    echelon basis of the cocycles of Z whose class dies in U."""
+    reaches level 3 and Q is abelian.  Bad data raises ValueError.  Also
+    returns ``dies_in_u``, the echelon basis of the cocycles of Z whose
+    class dies in U."""
     if min(len(incl), len(proj), Z.N + 1, U.N + 1, Q.N + 1) < 3:
-        raise AssertionError("the extension needs levels 0..2")
+        raise ValueError("the extension needs levels 0..2")
     maps_ok = (check_cosimplicial_map(Z, U, incl)
                and check_cosimplicial_map(U, Q, proj))
     if not maps_ok:
-        raise AssertionError("levelwise maps of the extension do not "
-                             "commute with the structure maps")
+        raise ValueError("levelwise maps of the extension do not "
+                         "commute with the structure maps")
     for n in range(len(incl)):
         Zn, Un = Z.objects[n], U.objects[n]
         im = [list(incl[n].apply(e))
@@ -1422,7 +1458,7 @@ def les_central_unipotent(Z, U, Q, incl, proj):
                 and span_echelon(im) == span_echelon(
                     kernel_basis(proj[n].matrix, Un.dim))
                 and all(Un.L.is_central(z) for z in im)):
-            raise AssertionError("not a central extension at level %d" % n)
+            raise ValueError("not a central extension at level %d" % n)
 
     def lift(h, v):
         """A preimage of v under the linear hom h, or None."""

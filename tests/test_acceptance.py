@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 from cohw.cli import (
-    run_verify, suite_bch, suite_distribution_check, suite_dold_kan,
+    _bch_pool, _random_double_coset, run_verify, suite_bch, suite_dold_kan,
     suite_double_coset, suite_eilenberg_zilber, suite_hopf, suite_les_finite,
     suite_twist, suite_twisted_conjugation,
 )
@@ -172,6 +172,12 @@ def test_criterion_11_end_to_end_determinism():
 
 
 def test_suite_distribution_is_as_pinned():
-    # the generators really exercise the stated ranges (group orders up
-    # to 48, algebra dims up to 6, class up to 4, ...)
-    assert suite_distribution_check()
+    # the generators really exercise the stated ranges: algebra dims up
+    # to 6 and class up to 4, finite group orders up to 48
+    pool = _bch_pool()
+    assert max(L.dim for L in pool) == 6
+    assert max(L.nilpotency_class for L in pool) == 4
+    rng = random.Random("distribution")
+    orders = {_random_double_coset(rng, 20000, 2)[0].size()
+              for _ in range(200)}
+    assert max(orders) == 48 and 24 in orders

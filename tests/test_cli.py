@@ -396,6 +396,38 @@ def test_invalid_extension_data_exits_2_also_under_optimization(tmp_path):
                 reasons[command, name]), (argv, out)
 
 
+def test_extension_that_is_no_central_extension_exits_2_at_its_line(
+        tmp_path):
+    # incl vectors that are dependent, that miss the kernel of proj or
+    # that are not central are input errors at the first incl line, or
+    # at the first proj line when there is none; with or without asserts
+    block = "incl 0 0 1\nproj 1 0 0\nproj 0 1 0\n"
+    cases = {
+        ("phin-les", "heisenberg_isocrystal.alg"): {
+            "zero_incl": ("incl 0 0 0\nproj 1 0 0\nproj 0 1 0\n",
+                          "the incl vectors are linearly dependent"),
+            "no_incl": ("proj 1 0 0\nproj 0 1 0\n",
+                        "the incl vectors do not span the kernel of proj")},
+        ("hodge-les", "heisenberg_mhs.alg"): {
+            "no_incl": ("proj 1 0 0\nproj 0 1 0\n",
+                        "the incl vectors do not span the kernel of proj"),
+            "not_central": ("incl 1 0 0\nincl 0 0 1\nproj 0 1 0\n",
+                            "the incl vectors are not central")},
+    }
+    for (command, corpus), variants in cases.items():
+        base = (CORPUS / corpus).read_text()
+        assert base.endswith(block)
+        first = len(base.splitlines()) - 2  # the first [extension] line
+        files = {name: base.replace(block, text)
+                 for name, (text, _) in variants.items()}
+        for argv, (code, out) in _run_optimized_and_not(
+                tmp_path, files, [[command]]):
+            assert code == 2, (argv, out)
+            assert out == "error: %s:%d:1: invalid extension: %s\n" % (
+                argv[-1], first,
+                variants[pathlib.Path(argv[-1]).stem][1]), (argv, out)
+
+
 def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
     # a table entry out of range, a short row and a non-associative table
     # are reported at their row, a Jacobi failure at the first bracket,

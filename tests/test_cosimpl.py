@@ -775,6 +775,111 @@ def test_perturbed_cogenerated_coface_fails_identities():
         G.check_identities()
 
 
+def _first_identity_failure_dense(G):
+    """The message of the first cosimplicial identity of G that fails,
+    in the order ``check_identities`` tries them, decided on the dense
+    matrices of the structure maps without any memo; None if all hold."""
+    def prod(f, g):
+        return exactla.mat_mul(f.matrix, g.matrix)
+    for n in range(2, G.N + 1):
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                if not exactla.mat_eq(prod(G.d(n, j), G.d(n - 1, i)),
+                                      prod(G.d(n, i), G.d(n - 1, j - 1))):
+                    return "coface identity fails at n=%d i=%d j=%d" % (
+                        n, i, j)
+    for n in range(G.N - 1):
+        for i in range(n + 2):
+            for j in range(i, n + 1):
+                if not exactla.mat_eq(prod(G.s(n, j), G.s(n + 1, i)),
+                                      prod(G.s(n, i), G.s(n + 1, j + 1))):
+                    return "codegeneracy identity fails at n=%d i=%d j=%d" \
+                        % (n, i, j)
+    for n in range(G.N):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    rhs = prod(G.d(n, i), G.s(n - 1, j - 1))
+                elif i in (j, j + 1):
+                    rhs = exactla.identity_matrix(G.objects[n].dim)
+                else:
+                    rhs = prod(G.d(n, i - 1), G.s(n - 1, j))
+                if not exactla.mat_eq(prod(G.s(n, j), G.d(n + 1, i)), rhs):
+                    return "mixed identity fails at n=%d i=%d j=%d" % (
+                        n, i, j)
+    return None
+
+
+def _perturbed_block(h, t):
+    """h with the factor map of its target block t changed in one entry."""
+    parts = list(h.parts)
+    i, f = parts[t]
+    M = [list(row) for row in f.matrix]
+    M[0][0] += 1
+    parts[t] = (i, LinearHom(f.source, f.target, M))
+    return StructuredHom(h.source, h.target, parts)
+
+
+def _dold_kan_object(seed):
+    X = random_linear_semicosimplicial(random.Random(seed), [1, 2, 1, 1])
+    return cogenerate(X, N=4)
+
+
+def test_perturbed_cogenerated_codegeneracy_fails_identities():
+    # one block of s^0: Gamma^2 -> Gamma^1 off by one entry; the check,
+    # sharing its memo across identities, stops where the dense one does
+    G = _dold_kan_object(5)
+    assert _first_identity_failure_dense(G) is None
+    G.codegens[1][0] = _perturbed_block(G.s(1, 0), 1)
+    expected = _first_identity_failure_dense(G)
+    assert expected.startswith("codegeneracy identity fails")
+    with pytest.raises(RuntimeError, match="^%s$" % expected):
+        G.check_identities()
+
+
+def test_perturbed_block_fails_only_a_mixed_identity():
+    # every codegeneracy out of the top level precomposed with A, the
+    # identity but for one perturbed block: A cancels from each
+    # codegeneracy identity, so only a mixed identity can catch it
+    G = _dold_kan_object(5)
+    top = G.objects[G.N]
+    A = _perturbed_block(identity_hom(top), 0)
+    G.codegens[G.N - 1] = [s.compose(A) for s in G.codegens[G.N - 1]]
+    expected = _first_identity_failure_dense(G)
+    assert expected.startswith("mixed identity fails")
+    with pytest.raises(RuntimeError, match="^%s$" % expected):
+        G.check_identities()
+
+
+def test_a_passed_check_leaves_no_verdict_behind():
+    # the memo lives for one check: a coface replaced after a passing
+    # check is composed and compared afresh by the next one
+    G = _dold_kan_object(5)
+    G.check_identities()
+    G.cofaces[2][1] = _perturbed_block(G.d(2, 1), 0)
+    expected = _first_identity_failure_dense(G)
+    assert expected.startswith("coface identity fails")
+    with pytest.raises(RuntimeError, match="^%s$" % expected):
+        G.check_identities()
+    with pytest.raises(RuntimeError, match="^%s$" % expected):
+        G.check_coface_identities()
+
+
+def test_one_check_composes_each_factor_pair_once(monkeypatch):
+    X = random_linear_semicosimplicial(random.Random(3), [2, 3, 2, 3])
+    G = cogenerate(X, N=4)
+    pairs, operands = [], []
+    compose = LinearHom.compose
+
+    def counted(self, other):
+        pairs.append((id(self), id(other)))
+        operands.append((self, other))  # keeps each id unique meanwhile
+        return compose(self, other)
+    monkeypatch.setattr(LinearHom, "compose", counted)
+    G.check_identities()
+    assert pairs and len(pairs) == len(set(pairs))
+
+
 def test_cosimplicial_identities_raise_under_optimization():
     # a zero coface at level 2, a zero codegeneracy at level 1 and a zero
     # one at level 0 over C2 each break one identity, also under python -O;

@@ -514,7 +514,7 @@ def test_quotient_les_rejects_a_noncentral_kernel():
     XQ = PhiNGroup(abelian_lie_algebra(1), [[F(1)]], p=2)
     incl = LieMorphism(XZ.L, H, [[F(1), 0], [0, 0], [0, F(1)]])
     proj = LieMorphism(H, XQ.L, [[0, F(1), 0]])
-    with pytest.raises(AssertionError, match="not a central extension"):
+    with pytest.raises(ValueError, match="not a central extension"):
         quotient_les(XZ, XU, XQ, incl, proj)
 
 
