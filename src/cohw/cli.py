@@ -980,6 +980,8 @@ def cmd_validate(df, args):
         if not ok:
             return lines, 2
     if df.extension is not None:
+        _quotient_algebra(df, df.L)
+        _check_central_kernel(df, df.L)
         lines.append("extension: Z dim %d, Q dim %d"
                      % (len(df.extension["incl"]), len(df.extension["proj"])))
     lines.append("verdict: ok")

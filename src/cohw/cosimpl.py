@@ -921,47 +921,35 @@ def pi1_unipotent_deciders(U):
 
     def tangent_dimension_at(c):
         """dim T_c Z^1 minus the rank of the orbit map at the identity,
-        both from exact linearizations."""
+        both exact, by the chain rule on the columns of the face maps.
+        Differentiating exp(z) = exp(x) exp(y) gives dexp_z(z') =
+        Ad_{-y} dexp_x(x') + dexp_y(y'), and each dexp is invertible.  So
+        the orbit map u0 -> d^1(u0)^-1 c d^0(u0) has the rank of
+        d^0 e - Ad_{-c} d^1 e over a basis e of U^0.  The cocycle map
+        u -> d^1 u - bch(d^2 u, d^0 u) at c, with a = d^2 c, b = d^0 c
+        and z = d^1 c = bch(a, b), has a Jacobian J that dexp_z takes to
+        dexp_z(d^1 e) - Ad_{-b} dexp_a(d^2 e) - dexp_b(d^0 e) over a basis
+        e of U^1; as dexp_z is invertible, these have the rank of J."""
         if not is_cocycle(c):
             raise ValueError("malformed cocycle")
-        G2 = U.objects[2]
+        L2 = U.objects[2].L
 
-        def cocycle_map(u):
-            return vec_sub(U.d(2, 1).apply(u),
-                           G2.mul(U.d(2, 2).apply(u), U.d(2, 0).apply(u)))
+        def columns(n, i):
+            return transpose(U.d(n, i).matrix)
 
-        def orbit_map(u0):
-            return twisted_conj(U, u0, tuple(c))
-
-        z_tangent = G1.dim - rank(
-            _jacobian(cocycle_map, tuple(c), G2.L.nilpotency_class))
-        return z_tangent - rank(
-            _jacobian(orbit_map, G0.identity(), L1.nilpotency_class))
+        a, b, z = (list(U.d(2, i).apply(c)) for i in (2, 0, 1))
+        b_inv, c_inv = L2.inverse(b), L1.inverse(list(c))
+        cocycle = [vec_sub(L2.dexp(z, x1), vec_add(
+            L2.Ad(b_inv, L2.dexp(a, x2)), L2.dexp(b, x0)))
+            for x0, x1, x2 in zip(*(columns(2, i) for i in range(3)))]
+        orbit = [vec_sub(x0, L1.Ad(c_inv, x1))
+                 for x0, x1 in zip(columns(1, 0), columns(1, 1))]
+        return G1.dim - rank(cocycle) - rank(orbit)
 
     return {"is_trivial": is_trivial, "equivalent": equivalent,
             "witness": witness,
             "tangent_dimension_at": tangent_dimension_at,
             "is_cocycle": is_cocycle}
-
-
-def _jacobian(F, point, degree):
-    """Columns of the Jacobian at ``point`` of a polynomial map F of
-    degree at most ``degree`` (at least 1): the derivative along each
-    coordinate from Newton forward differences at t = 0..degree, which is
-    exact for such polynomials."""
-    degree = max(degree, 1)
-    cols = []
-    for i in range(len(point)):
-        diffs = [list(F(tuple(x + t if k == i else x
-                              for k, x in enumerate(point))))
-                 for t in range(degree + 1)]
-        col = zero_vec(len(diffs[0]))
-        for j in range(1, degree + 1):
-            diffs = [vec_sub(b, a) for a, b in zip(diffs, diffs[1:])]
-            col = vec_add(col, [Fraction((-1) ** (j + 1), j) * x
-                                for x in diffs[0]])
-        cols.append(col)
-    return cols
 
 
 # ---------------------------------------------------------------------------

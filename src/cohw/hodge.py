@@ -400,9 +400,9 @@ def freeness_check(M, samples):
     dims = []
     for u in samples:
         ur = realify_vector(u)
-        Ad = LR.Ad_matrix(LR.inverse(ur))
-        cols = [mat_vec(Ad, w) for w in wgens] + [vec_neg(list(f))
-                                                  for f in fgens]
+        g = LR.inverse(ur)
+        cols = [LR.Ad(g, w) for w in wgens] + [vec_neg(list(f))
+                                               for f in fgens]
         A = [[cols[c][r] for c in range(len(cols))] for r in range(LR.dim)]
         ker = kernel_basis(A, len(cols)) if cols else []
         wpart = [k[:len(wgens)] for k in ker]
@@ -509,8 +509,8 @@ def twist_mhs(M, alpha):
     right multiplication by alpha.  Re-validation must succeed (the
     graded pieces are untouched by a unipotent adjoint)."""
     LR = M.Lreal
-    Ad = LR.Ad_matrix(LR.inverse(realify_vector(alpha)))
-    hodge = {p: [unrealify_vector(mat_vec(Ad, f)) for f in basis]
+    g = LR.inverse(realify_vector(alpha))
+    hodge = {p: [unrealify_vector(LR.Ad(g, f)) for f in basis]
              for p, basis in M.hodge.items()}
     return MHSGroup(M.L, M.weights, hodge,
                     negative_weights=M.negative_weights,

@@ -10,6 +10,10 @@ associative algebra on two letters (as the word-coefficient table of
 log(exp X exp Y) truncated in degree), then evaluated in a concrete algebra
 through the Dynkin right-nested-bracket projection.  The table is cached
 per class.
+
+Its linearization comes from the algebra too: the adjoint action ``Ad``
+and the left log derivative ``dexp`` are finite ad-series on vectors, and
+the chain rule gives the exact derivative of any word in the group law.
 """
 
 from fractions import Fraction
@@ -130,7 +134,10 @@ class NilpotentLieAlgebra:
     def bracket(self, x, y):
         out = self.zero()
         for (i, j), row in self.structure.items():
-            c = x[i] * y[j] - x[j] * y[i]
+            xi, xj = x[i], x[j]
+            if not (xi or xj):
+                continue
+            c = xi * y[j] - xj * y[i]
             if not c:
                 continue
             for k, s in row.items():
@@ -280,24 +287,33 @@ class NilpotentLieAlgebra:
         """g * x * g^-1 in group coordinates."""
         return self.bch(self.bch(g, x), self.inverse(g))
 
-    def ad_matrix(self, x):
-        """Matrix of ad_x = [x, -] in the standard basis (columns = images)."""
-        cols = [self.bracket(x, e) for e in self.basis()]
-        return transpose(cols)
+    def Ad(self, g, v):
+        """Adjoint action of the group element exp(g) on v: exp(ad_g) v,
+        which is the conjugate ``conjugate(g, v)``."""
+        return self._ad_series(g, v, 0, 1)
+
+    def dexp(self, u, v):
+        """Left log derivative d/dt log(exp(u)^-1 exp(u + t v)) at t = 0:
+        sum_k (-ad_u)^k v / (k+1)!, a unipotent, so invertible, linear
+        map of v."""
+        return self._ad_series(u, v, 1, -1)
+
+    def _ad_series(self, x, v, shift, sign):
+        """sum_k (sign ad_x)^k v / (k + shift)!, up to the first zero
+        term (ad_x is nilpotent); shift is 0 or 1, sign +-1."""
+        out = term = list(v)
+        fact, k = 1, shift
+        while True:
+            term = self.bracket(x, term)
+            if vec_is_zero(term):
+                return out
+            k += 1
+            fact *= sign * k
+            out = vec_add(out, [c / fact for c in term])
 
     def Ad_matrix(self, g):
-        """Adjoint action of the group element exp(g): Ad = exp(ad_g)."""
-        n = self.dim
-        A = self.ad_matrix(g)
-        out = exactla.identity_matrix(n)
-        power = out
-        fact = Fraction(1)
-        for k in range(1, self.nilpotency_class + 1):
-            power = mat_mul(A, power)
-            fact = fact / k
-            term = [[fact * x for x in row] for row in power]
-            out = exactla.mat_add(out, term)
-        return out
+        """Matrix of Ad_g: its columns are the images of the basis."""
+        return transpose([self.Ad(g, e) for e in self.basis()])
 
     def is_abelian(self):
         return not self.structure
@@ -507,9 +523,9 @@ def _descend(L, act, group, stop_at_nonzero=False):
     final = read(act(g))
     if any([final[c] for c in coords] != reduced for coords, (_, reduced)
            in zip(coords_by_layer, layers)):
-        raise AssertionError("stabilizer descent left a layer off its "
-                             "normal form: the action breaks the "
-                             "descent's preconditions")
+        raise ValueError("stabilizer descent left a layer off its normal "
+                         "form: the action breaks the descent's "
+                         "preconditions")
     return g, layers, h
 
 

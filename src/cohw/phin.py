@@ -284,41 +284,27 @@ def twisted_conj_classify(L, phi, extra_targets=()):
     eye = exactla.identity_matrix(d)
     stab = kernel_basis(exactla.mat_sub(phi, eye), d)
     transitive = rank(exactla.mat_sub(phi, eye)) == d
-    assert transitive == (len(stab) == 0), \
-        "transitivity must match triviality of the stabilizer"
+    if transitive != (len(stab) == 0):
+        raise RuntimeError("transitivity must match triviality of the "
+                           "stabilizer")
     certificates = []
     targets = [list(v) for v in eye] + [list(t) for t in extra_targets]
     for w in targets:
         witness = twisted_conj_equivalent(L, phi, w, L.zero())
         certificates.append({"target": list(w), "solvable": witness is not None,
                              "witness": witness})
-        if transitive:
-            assert witness is not None, \
-                "transitive action failed to reach a sample target"
-    if not transitive:
-        assert any(not c["solvable"] for c in certificates), \
-            "intransitive action with no unreachable sample target"
+        if transitive and witness is None:
+            raise RuntimeError("transitive action failed to reach a sample "
+                               "target")
+    if not transitive and all(c["solvable"] for c in certificates):
+        raise RuntimeError("intransitive action with no unreachable sample "
+                           "target")
     return {"stabilizer_basis": stab, "transitive": transitive,
             "certificates": certificates}
 
 
 # ---------------------------------------------------------------------------
 # torsors
-
-def _left_log_derivative(L, u, v):
-    """d/dt log(exp(u)^-1 exp(u + t v)) at t = 0, by the exact series
-    sum_k (-ad_u)^k / (k+1)!  applied to v."""
-    A = L.ad_matrix(list(u))
-    negA = [[-x for x in row] for row in A]
-    out = list(v)
-    term = list(v)
-    fact = 1
-    for k in range(1, L.nilpotency_class + 1):
-        term = mat_vec(negA, term)
-        fact = fact * (k + 1)
-        out = vec_add(out, [x / fact for x in term])
-    return out
-
 
 class PhiNTorsor:
     """Torsor under the unipotent group of a PhiNGroup, presented by a
@@ -332,15 +318,16 @@ class PhiNTorsor:
         self.frobenius = list(frobenius)
         self.monodromy = list(monodromy) if monodromy is not None \
             else X.L.zero()
-        assert len(self.frobenius) == X.dim
-        assert len(self.monodromy) == X.dim
+        if len(self.frobenius) != X.dim or len(self.monodromy) != X.dim:
+            raise ValueError("torsor data must have length %d" % X.dim)
         if check and X.is_abelian():
             d = X.dim
             pphi = [[X.p * v for v in row] for row in X.phi]
             lhs = mat_vec(exactla.mat_sub(pphi, exactla.identity_matrix(d)),
                           self.monodromy)
             rhs = mat_vec(X.N, self.frobenius)
-            assert lhs == rhs, "(p phi - 1) nu != N w"
+            if lhs != rhs:
+                raise ValueError("(p phi - 1) nu != N w")
 
     def gauge(self, u):
         """Transport along the gauge transformation by the group element
@@ -349,8 +336,8 @@ class PhiNTorsor:
         L = X.L
         u = list(u)
         w = L.bch(L.bch(L.inverse(u), self.frobenius), mat_vec(X.phi, u))
-        nu = vec_add(mat_vec(L.Ad_matrix(L.inverse(u)), self.monodromy),
-                     _left_log_derivative(L, u, mat_vec(X.N, u)))
+        nu = vec_add(L.Ad(L.inverse(u), self.monodromy),
+                     L.dexp(u, mat_vec(X.N, u)))
         return PhiNTorsor(X, w, nu)
 
 
@@ -358,7 +345,8 @@ def phin_torsor_equivalent(T1, T2):
     """Decide whether a single gauge transformation carries T1 to T2, by
     stabilizer descent on the doubled algebra.  Returns (bool, witness or
     None)."""
-    assert T1.X is T2.X
+    if T1.X is not T2.X:
+        raise ValueError("torsors under different groups")
     L = T1.X.L
 
     def residual(u):

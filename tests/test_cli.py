@@ -400,7 +400,8 @@ def test_extension_that_is_no_central_extension_exits_2_at_its_line(
         tmp_path):
     # incl vectors that are dependent, that miss the kernel of proj or
     # that are not central are input errors at the first incl line, or
-    # at the first proj line when there is none; with or without asserts
+    # at the first proj line when there is none; with or without asserts,
+    # and in validate as in the -les command
     block = "incl 0 0 1\nproj 1 0 0\nproj 0 1 0\n"
     cases = {
         ("phin-les", "heisenberg_isocrystal.alg"): {
@@ -421,7 +422,7 @@ def test_extension_that_is_no_central_extension_exits_2_at_its_line(
         files = {name: base.replace(block, text)
                  for name, (text, _) in variants.items()}
         for argv, (code, out) in _run_optimized_and_not(
-                tmp_path, files, [[command]]):
+                tmp_path, files, [[command], ["validate"]]):
             assert code == 2, (argv, out)
             assert out == "error: %s:%d:1: invalid extension: %s\n" % (
                 argv[-1], first,

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -90,6 +91,19 @@ def test_unipotent_trivial_action_h1_single_class():
     # uniquely divisible target: H^1 of a finite group is a single class,
     # so the tangent space at the base cocycle vanishes
     assert dec["tangent_dimension_at"](ident) == 0
+
+
+def test_tangent_dimension_at_c16_is_within_budget():
+    # C16 acting trivially on the Heisenberg algebra: U^1 has 48 and U^2
+    # 768 coordinates, and the exact tangent dimension at the base
+    # cocycle must come out within 1.5 s
+    act = trivial_action(cyclic_group(16), UnipotentCarrier(heisenberg()))
+    res = h0_h1(act)
+    ident = res["cochain"].objects[1].identity()
+    t0 = time.perf_counter()
+    assert res["deciders"]["tangent_dimension_at"](ident) == 0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.5, "took %.2f s, budget 1.5 s" % elapsed
 
 
 def test_unipotent_sign_action():

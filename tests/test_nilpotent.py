@@ -352,7 +352,7 @@ def test_solve_graded_affine_raises_when_preconditions_break():
     def residual(u):
         return [u[0] * u[0] + 1, F(0), F(0)]
 
-    with pytest.raises(AssertionError, match="preconditions"):
+    with pytest.raises(ValueError, match="preconditions"):
         solve_graded_affine(H, residual, UnipotentCarrier(H))
 
 

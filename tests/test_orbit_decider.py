@@ -1,5 +1,7 @@
 """The stabilizer-descent orbit decider against an independent sympy
-reference (``nilpotent.solve_symbolic`` on the same numeric residual)."""
+reference (``nilpotent.solve_symbolic`` on the same numeric residual),
+and the exact linearizations of the group law (``Ad``, ``dexp`` and the
+tangent dimensions built on them) against sympy derivatives."""
 
 import random
 from fractions import Fraction
@@ -9,8 +11,12 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from cohw import exactla
-from cohw.cosimpl import _jacobian, pi1_unipotent_deciders, twisted_conj
+from cohw.cosimpl import (
+    LinearHom, UnipotentCarrier, cyclic_group, pi1_unipotent_deciders,
+    twisted_conj,
+)
 from cohw.exactla import kernel_basis, mat_mul, mat_vec, vec_is_zero
+from cohw.gcohom import GroupAction, cochain_cosimplicial
 from cohw.nilpotent import (
     NilpotentLieAlgebra, abelian_lie_algebra, direct_sum, heisenberg,
     solve_graded_affine, solve_symbolic,
@@ -118,7 +124,8 @@ def _central_cocycles(S):
     condition d^1 c = d^2 c + d^0 c is linear."""
     A = S.objects[1].L
     n = A.dim
-    ads = [row for e in A.basis() for row in A.ad_matrix(e)]
+    ads = [row for e in A.basis() for row in exactla.transpose(
+        [A.bracket(e, f) for f in A.basis()])]
     centre = kernel_basis(ads, n)
     if not centre:
         return []
@@ -197,9 +204,20 @@ def _sympy_jacobian(F_map, point):
         sympy.Matrix(xs)).subs({x: 0 for x in xs})
 
 
-def _columns(J):
-    return [[F(int(J[r, c].p), int(J[r, c].q)) for r in range(J.rows)]
-            for c in range(J.cols)]
+def _tangent_dimension_by_sympy(S, c):
+    """dim Z^1 at the cocycle c minus the orbit rank, both from sympy
+    Jacobians of the cocycle and orbit maps."""
+    G0, G1, G2 = S.objects[0], S.objects[1], S.objects[2]
+
+    def cocycle_map(u):
+        prod = G2.mul(S.d(2, 2).apply(u), S.d(2, 0).apply(u))
+        return [a - b for a, b in zip(S.d(2, 1).apply(u), prod)]
+
+    def orbit_map(u0):
+        return twisted_conj(S, u0, c)
+
+    return (G1.dim - _sympy_jacobian(cocycle_map, c).rank()
+            - _sympy_jacobian(orbit_map, G0.identity()).rank())
 
 
 def test_tangent_dimensions_match_sympy_jacobian():
@@ -207,40 +225,72 @@ def test_tangent_dimensions_match_sympy_jacobian():
     checked = 0
     for S in _selmer_patterns(rng):
         dec = pi1_unipotent_deciders(S)
-        G0, G1, G2 = S.objects[0], S.objects[1], S.objects[2]
         points = []
         for pair in _cocycle_pairs(S, rng):
             points += [c for c in pair if c not in points]
         for c in points[:4]:
-            def cocycle_map(u):
-                prod = G2.mul(S.d(2, 2).apply(u), S.d(2, 0).apply(u))
-                return [a - b for a, b in zip(S.d(2, 1).apply(u), prod)]
-
-            def orbit_map(u0):
-                return twisted_conj(S, u0, c)
-
-            Jz = _sympy_jacobian(cocycle_map, c)
-            Jo = _sympy_jacobian(orbit_map, G0.identity())
-            # the forward-difference linearizations are the derivatives
-            assert _jacobian(cocycle_map, c, G2.L.nilpotency_class) == \
-                _columns(Jz)
-            assert _jacobian(orbit_map, G0.identity(),
-                             G1.L.nilpotency_class) == _columns(Jo)
             assert dec["tangent_dimension_at"](c) == \
-                G1.dim - Jz.rank() - Jo.rank()
+                _tangent_dimension_by_sympy(S, c)
             checked += 1
     assert checked >= 12
 
 
-def test_forward_difference_jacobian_matches_sympy():
-    # twisted conjugation u -> u^-1 w phi(u) at a random point: of degree
-    # up to the nilpotency class along each coordinate axis (class 3 on
-    # fil3), where the Selmer cofaces above stay affine along the axes
+def test_group_cohomology_tangent_dimensions_match_sympy_jacobian():
+    # the cochain object of C2 acting on the Heisenberg algebra by an
+    # involution sigma, at cocycles other than the base point: f(1) = a
+    # with sigma(a) = -a is a cocycle, and so is each twisted conjugate
+    rng = random.Random(13)
+    H = heisenberg()
+    D = UnipotentCarrier(H)
+    seen = set()
+    for sigma, anti in (
+            ([[F(-1), 0, 0], [0, F(1), 0], [0, 0, F(-1)]],
+             lambda s, t: [s, F(0), t]),
+            ([[0, F(1), 0], [F(1), 0, 0], [0, 0, F(-1)]],
+             lambda s, t: [s, -s, t])):
+        act = GroupAction.from_generator_images(
+            cyclic_group(2), D, {1: LinearHom(D, D, sigma)})
+        S = cochain_cosimplicial(act)
+        dec = pi1_unipotent_deciders(S)
+        G0, G1 = S.objects[0], S.objects[1]
+        block = S.tuple_index[1][(1,)] * H.dim
+        for k in range(4):
+            c = [F(0)] * G1.dim
+            c[block:block + H.dim] = anti(F(rng.randint(1, 3)),
+                                          F(rng.randint(-2, 2)))
+            c = tuple(c)
+            if k % 2:
+                c = twisted_conj(S, tuple(_rand_vec(rng, G0.dim)), c)
+            assert c != G1.identity() and dec["is_cocycle"](c)
+            got = dec["tangent_dimension_at"](c)
+            assert got == _tangent_dimension_by_sympy(S, c)
+            seen.add(got)
+    # H^1 of a finite group in a unipotent group over Q is one point, so
+    # the orbit map is onto the tangent space of Z^1 at every cocycle
+    assert seen == {0}
+
+
+def _sym(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def test_ad_and_dexp_match_sympy_and_conjugation():
+    # dexp(u, v) is the t-derivative at 0 of bch(-u, u + t v), computed by
+    # sympy on the BCH product, and Ad(g, v) is the conjugate of v by g:
+    # at random points of each algebra, and at the Heisenberg point where
+    # the monodromy x -> z moves u = (1, 2, -1)
     rng = random.Random(3)
-    for name, L in _algebras().items():
-        phi = _graded_times_unipotent(L, _graded_diag(name, rng), rng)
-        F_map = twisted_conj_residual(L, phi, _rand_vec(rng, L.dim),
-                                      L.zero())
-        point = tuple(_rand_vec(rng, L.dim))
-        assert _jacobian(F_map, point, L.nilpotency_class) == \
-            _columns(_sympy_jacobian(F_map, point))
+    t = sympy.Symbol("t")
+    H = heisenberg()
+    u = [F(1), F(2), F(-1)]
+    cases = [(H, u, mat_vec([[0, 0, 0], [0, 0, 0], [F(1), 0, 0]], u))]
+    for L in _algebras().values():
+        cases += [(L, _rand_vec(rng, L.dim), _rand_vec(rng, L.dim))
+                  for _ in range(3)]
+    for L, u, v in cases:
+        curve = L.bch([-_sym(x) for x in u],
+                      [_sym(a) + t * _sym(b) for a, b in zip(u, v)])
+        expect = [sympy.diff(sympy.expand(c), t).subs({t: 0})
+                  for c in curve]
+        assert [_sym(x) for x in L.dexp(u, v)] == expect
+        assert L.Ad(u, v) == L.conjugate(u, v)
