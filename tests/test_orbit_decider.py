@@ -15,7 +15,9 @@ from cohw.cosimpl import (
     LinearHom, UnipotentCarrier, cyclic_group, pi1_unipotent_deciders,
     twisted_conj,
 )
-from cohw.exactla import kernel_basis, mat_mul, mat_vec, vec_is_zero
+from cohw.exactla import (
+    kernel_basis, mat_mul, mat_vec, vec_add, vec_is_zero, vec_sub,
+)
 from cohw.gcohom import GroupAction, cochain_cosimplicial
 from cohw.nilpotent import (
     NilpotentLieAlgebra, abelian_lie_algebra, direct_sum, heisenberg,
@@ -274,16 +276,62 @@ def _sym(x):
     return sympy.Rational(x.numerator, x.denominator)
 
 
+def _columns(J):
+    return [[F(int(J[r, c].p), int(J[r, c].q)) for r in range(J.rows)]
+            for c in range(J.cols)]
+
+
+def _forward_difference_jacobian(F_map, point, degree):
+    """Columns of the Jacobian at ``point`` of a map that is a polynomial
+    of degree at most ``degree`` along each coordinate axis: Newton
+    forward differences at t = 0..degree give the derivative exactly."""
+    cols = []
+    for i in range(len(point)):
+        diffs = [list(F_map(tuple(x + t if k == i else x
+                                  for k, x in enumerate(point))))
+                 for t in range(degree + 1)]
+        col = [F(0)] * len(diffs[0])
+        for j in range(1, degree + 1):
+            diffs = [vec_sub(b, a) for a, b in zip(diffs, diffs[1:])]
+            col = vec_add(col, [F((-1) ** (j + 1), j) * x
+                                for x in diffs[0]])
+        cols.append(col)
+    return cols
+
+
+def test_forward_difference_jacobian_matches_sympy():
+    # twisted conjugation u -> u^-1 w phi(u) at a random point: of degree
+    # up to the nilpotency class along each coordinate axis (class 3 on
+    # fil3), so forward differences give its Jacobian exactly.  Both it
+    # and the sympy Jacobian obey the chain rule the tangent dimensions
+    # are built on: with z = u^-1 w phi(u) and y = w phi(u), a column J e
+    # has dexp_z(J e) = Ad_{-y} dexp_{-u}(-e) + dexp_{phi u}(phi e)
+    rng = random.Random(3)
+    for name, L in _algebras().items():
+        phi = _graded_times_unipotent(L, _graded_diag(name, rng), rng)
+        w = _rand_vec(rng, L.dim)
+        F_map = twisted_conj_residual(L, phi, w, L.zero())
+        point = tuple(_rand_vec(rng, L.dim))
+        cols = _forward_difference_jacobian(F_map, point,
+                                            max(L.nilpotency_class, 1))
+        assert cols == _columns(_sympy_jacobian(F_map, point))
+        u = list(point)
+        z = F_map(point)
+        y = L.bch(w, mat_vec(phi, u))
+        for e, col in zip(L.basis(), cols):
+            chain = vec_add(
+                L.Ad(L.inverse(y), L.dexp(L.inverse(u), L.inverse(e))),
+                L.dexp(mat_vec(phi, u), mat_vec(phi, e)))
+            assert L.dexp(z, col) == chain
+
+
 def test_ad_and_dexp_match_sympy_and_conjugation():
     # dexp(u, v) is the t-derivative at 0 of bch(-u, u + t v), computed by
-    # sympy on the BCH product, and Ad(g, v) is the conjugate of v by g:
-    # at random points of each algebra, and at the Heisenberg point where
-    # the monodromy x -> z moves u = (1, 2, -1)
+    # sympy on the BCH product, and Ad(g, v) is the conjugate of v by g,
+    # at random points of each algebra
     rng = random.Random(3)
     t = sympy.Symbol("t")
-    H = heisenberg()
-    u = [F(1), F(2), F(-1)]
-    cases = [(H, u, mat_vec([[0, 0, 0], [0, 0, 0], [F(1), 0, 0]], u))]
+    cases = []
     for L in _algebras().values():
         cases += [(L, _rand_vec(rng, L.dim), _rand_vec(rng, L.dim))
                   for _ in range(3)]

@@ -553,3 +553,20 @@ def test_torsor_equivalence_relation():
         assert phin_torsor_equivalent(T2, T1)[0]
         assert phin_torsor_equivalent(T1, T3)[0]
         assert phin_torsor_equivalent(T1, T1)[0]
+
+
+def test_left_log_derivative_matches_symbolic():
+    import sympy
+    H = heisenberg()
+    # derivation x -> z on the Heisenberg algebra
+    Nmat = [[0, 0, 0], [0, 0, 0], [F(1), 0, 0]]
+    u = [F(1), F(2), F(-1)]
+    v = mat_vec(Nmat, u)
+    t = sympy.Symbol("t")
+    curve = H.bch([-sympy.Rational(x.numerator, x.denominator) for x in u],
+                  [sympy.Rational(a.numerator, a.denominator)
+                   + t * sympy.Rational(b.numerator, b.denominator)
+                   for a, b in zip(u, v)])
+    expect = [sympy.diff(sympy.expand(c), t).subs({t: 0}) for c in curve]
+    got = H.dexp(u, v)
+    assert [sympy.Rational(g.numerator, g.denominator) for g in got] == expect
