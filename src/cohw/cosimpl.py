@@ -1422,19 +1422,26 @@ def les_central_finite(Z, U, Q, incl, proj):
 def les_central_unipotent(Z, U, Q, incl, proj):
     """Theorem part (3) for unipotent carriers: the sequence
     1 -> pi0 Z -> pi0 U -> pi0 Q -> pi1 Z -> pi1 U -> pi1 Q (-> pi2 Z)
-    of a central extension, each clause decided once by exact solving on
-    a whole linear space, so every clause is labelled "exact".
+    of a central extension.  incl[n]: Z^n -> U^n and proj[n]: U^n -> Q^n
+    (n = 0..2 at least) are linear homs, checked to be cosimplicial and
+    central exact with Z abelian; bad data raises ValueError.
 
-    incl[n]: Z^n -> U^n and proj[n]: U^n -> Q^n (n = 0..2 at least) are
-    linear homs; Z must be abelian.  pi1(Q) -> pi2(Z) is decided when Z
-    reaches level 3 and Q is abelian.  Bad data raises ValueError.  Also
-    returns ``dies_in_u``, the echelon basis of the cocycles of Z whose
-    class dies in U."""
+    The clauses at pi0(U), pi0(Q) and pi1(Z) are decided once by exact
+    solving on a whole linear space ("exact").  Three follow ("derived"):
+    the fibers at pi1(Z) from the stabilizer that decides exactness
+    there; exactness at pi1(U) because the witness of a class of U dying
+    in Q, lifted through proj^0, moves it into ker(proj^1) = incl^1(Z^1),
+    where it is a cocycle of Z as incl^2 is injective and cosimplicial;
+    and exactness at pi1(Q) because the pi^2(Z) obstruction of a lift of
+    a cocycle of Q moves by a coboundary under a central correction
+    incl^1(z), so the cocycle lifts exactly when its obstruction class
+    vanishes.  Also returns the Moore dims of Z, the pi^0 bases and
+    ``dies_in_u``, the echelon basis of the cocycles of Z whose class
+    dies in U."""
     if min(len(incl), len(proj), Z.N + 1, U.N + 1, Q.N + 1) < 3:
         raise ValueError("the extension needs levels 0..2")
-    maps_ok = (check_cosimplicial_map(Z, U, incl)
-               and check_cosimplicial_map(U, Q, proj))
-    if not maps_ok:
+    if not (check_cosimplicial_map(Z, U, incl)
+            and check_cosimplicial_map(U, Q, proj)):
         raise ValueError("levelwise maps of the extension do not "
                          "commute with the structure maps")
     for n in range(len(incl)):
@@ -1497,44 +1504,16 @@ def les_central_unipotent(Z, U, Q, incl, proj):
     _, _, stab = _descend(U1.L, act, group)
     dies = span_echelon(b1 + [_combine(X[n0:], z1Z, zz) for X in stab])
     clauses["exact at pi1(Z)"] = dies == span_echelon(b1 + deltas)
-    clauses["fibers at pi1(Z) are connecting orbits"] = \
-        clauses["exact at pi1(Z)"]
-
-    # a class of U dies in Q iff it comes from Z: lifting the witness of
-    # its death in Q through proj^0 moves the cocycle into
-    # ker(proj^1) = incl^1(Z^1), and there it is a cocycle of Z, because
-    # incl^2 is injective and incl commutes with the cofaces.  So the
-    # clause holds exactly when proj^0 is onto, levels 1 and 2 are
-    # central exact and both maps are cosimplicial, all checked above
-    clauses["exact at pi1(U)"] = maps_ok and rank(proj[0].matrix) == \
-        Q.objects[0].dim
-
-    h1_q_dim = None
-    if Z.N >= 3 and all(G.is_abelian() for G in Q.objects):
-        # the obstruction d^2(u1)^-1 d^1(u1) d^0(u1)^-1 of a lift u1 + k,
-        # k in ker(proj^1) = incl^1(Z^1) central, is that of u1 plus that
-        # of k, linear in k; so a cocycle of Q lifts to a cocycle of U
-        # iff its obstruction dies in pi2(Z), for every cocycle at once,
-        # when the obstructions of the incl^1(e_j) span the coboundaries
-        MQ = moore_differentials(Q)
-        h1_q_dim = complex_cohomology_dims([G.dim for G in Q.objects],
-                                           MQ)[1]
-        U2 = U.objects[2]
-
-        def obstruction(u):
-            return lift(incl[2], U2.mul(
-                U2.inv(U.d(2, 2).apply(u)),
-                U2.mul(U.d(2, 1).apply(u), U2.inv(U.d(2, 0).apply(u)))))
-
-        obs = [obstruction(incl[1].apply(e))
-               for e in exactla.identity_matrix(Z1.dim)]
-        clauses["exact at pi1(Q)"] = None not in obs and \
-            span_echelon(obs) == span_echelon(transpose(MZ[1]))
+    provenance = dict.fromkeys(clauses, "exact")
+    derived = {"fibers at pi1(Z) are connecting orbits":
+               clauses["exact at pi1(Z)"],
+               "exact at pi1(U)": True, "exact at pi1(Q)": True}
+    clauses.update(derived)
+    provenance.update(dict.fromkeys(derived, "derived"))
 
     return {"report": certificate_report(clauses), "clauses": clauses,
-            "provenance": dict.fromkeys(clauses, "exact"),
-            "h1_z_dim": z_dims[1], "z_dims": z_dims, "h1_q_dim": h1_q_dim,
-            "pi0": (p0Z, p0U, p0Q), "dies_in_u": dies}
+            "provenance": provenance, "h1_z_dim": z_dims[1],
+            "z_dims": z_dims, "pi0": (p0Z, p0U, p0Q), "dies_in_u": dies}
 
 
 def codim_vanishing_check(Z, U, Q, incl, proj, q1):

@@ -22,8 +22,6 @@ from .cosimpl import (
     pi1_unipotent_deciders, twist,
 )
 
-COCHAIN_CHECK_CAP = 300  # verify identities when levels have few factors
-
 
 class GroupAction:
     """Left action of a finite group on a carrier group by automorphisms,
@@ -93,14 +91,15 @@ def _tuples(G, n):
     return [tuple(t) for t in iproduct(G.elements(), repeat=n)]
 
 
-def cochain_cosimplicial(action, N=2, check=None):
+def cochain_cosimplicial(action, N=2, check=True):
     """Cosimplicial group with level n the maps G^n -> U: a product of
     copies of U indexed by argument tuples (a direct sum of copies of the
     algebra for a unipotent U), with block structure maps.
 
     Cofaces: the outer face lets the first argument act, the middle faces
     merge adjacent arguments, the last face drops the last argument.
-    Codegeneracies insert the identity argument.
+    Codegeneracies insert the identity argument.  The cosimplicial
+    identities are checked unless ``check`` is False.
     """
     G, U = action.G, action.carrier
     linear = isinstance(U, UnipotentCarrier)
@@ -135,9 +134,6 @@ def cochain_cosimplicial(action, N=2, check=None):
     cofaces = {n: [coface(n, i) for i in range(n + 1)]
                for n in range(1, N + 1)}
     codegens = {n: [codegen(n, i) for i in range(n + 1)] for n in range(N)}
-    if check is None:
-        check = len(tuples[N]) * (U.dim if linear else 1) \
-            <= COCHAIN_CHECK_CAP
     C = CosimplicialGroup(objects, cofaces, codegens, check=check)
     C.tuples = tuples
     C.tuple_index = index

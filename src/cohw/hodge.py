@@ -422,31 +422,33 @@ def mhs_les(MZ, MU, MQ, incl, proj):
 
     where fix = F0W0(R) real fixed points and H1 = double-coset classes,
     realized on the cogenerated coset cosimplicial groups, whose clauses
-    ``les_central_unipotent`` decides."""
+    ``les_central_unipotent`` decides or derives.  Filtrations that are
+    invalid or not strictly compatible raise ValueError; a failed
+    cross-check of pi^0 or of H1(Z) raises RuntimeError."""
     dU, dQ = MU.L.dim, MQ.L.dim
     for M in (MZ, MU, MQ):
         if not (M.report["ok"] and M.negative_weights):
-            raise AssertionError("filtrations of %s are not valid with "
-                                 "negative weights" % M.name)
+            raise ValueError("filtrations of %s are not valid with "
+                             "negative weights" % M.name)
 
     # strict compatibility of the filtrations
     inclR = realify_matrix(incl.matrix, dU, MZ.L.dim)
     projR = realify_matrix(proj.matrix, dQ, dU)
     if span_echelon([mat_vec(projR, f) for f in MU.f0()]) != MQ.f0():
-        raise AssertionError("non-strict filtration data: "
-                             "proj(F0 U) != F0 Q")
+        raise ValueError("non-strict filtration data: "
+                         "proj(F0 U) != F0 Q")
     if span_echelon([mat_vec(inclR, f) for f in MZ.f0()]) != \
             subspace_intersect(MU.f0(), transpose(inclR)):
-        raise AssertionError("non-strict filtration data: "
-                             "F0 U /\\ Z != incl(F0 Z)")
+        raise ValueError("non-strict filtration data: "
+                         "F0 U /\\ Z != incl(F0 Z)")
     for m in sorted(set(MZ.weights) | set(MU.weights) | set(MQ.weights)):
         wU, wQ = MU.w_basis(m), MQ.w_basis(m)
         if not (all(in_span(wU, mat_vec(incl.matrix, list(w)))
                     for w in MZ.w_basis(m))
                 and all(in_span(wQ, mat_vec(proj.matrix, list(w)))
                         for w in wU)):
-            raise AssertionError("non-strict filtration data: "
-                                 "weight level escapes")
+            raise ValueError("non-strict filtration data: "
+                             "weight level escapes")
 
     # cosimplicial realization and levelwise maps
     GZ, GU, GQ = (coset_cosimplicial(M, 2) for M in (MZ, MU, MQ))
@@ -460,7 +462,8 @@ def mhs_les(MZ, MU, MQ, incl, proj):
             bases."""
             bb = subb[kind]
             cols = [coords_in_basis(bb, mat_vec(real, v)) for v in suba[kind]]
-            assert None not in cols, "filtration map does not restrict"
+            if None in cols:
+                raise RuntimeError("filtration map does not restrict")
             return [[co[r] for co in cols] for r in range(len(bb))]
         Ga = coset_cosimplicial(Ma, 2)
         Gb = coset_cosimplicial(Mb, 2)
@@ -482,9 +485,10 @@ def mhs_les(MZ, MU, MQ, incl, proj):
         d1 = G.semi.cofaces[1][1].matrix
         img = span_echelon([mat_vec(d1, v) for v in eq])
         direct = span_echelon([realify_vector(v) for v in M.real_fixed()])
-        assert img == direct, "pi0 disagrees with the fixed-point basis"
-    assert les["h1_z_dim"] == h1_dimension(MZ), \
-        "H1(Z) disagrees with the dimension formula"
+        if img != direct:
+            raise RuntimeError("pi0 disagrees with the fixed-point basis")
+    if les["h1_z_dim"] != h1_dimension(MZ):
+        raise RuntimeError("H1(Z) disagrees with the dimension formula")
 
     clauses = les["clauses"]
     h1Q = h1_dimension(MQ)

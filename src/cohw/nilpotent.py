@@ -21,7 +21,7 @@ from itertools import combinations
 
 from . import exactla
 from .exactla import (
-    Echelon, in_span, mat_mul, mat_vec, rank, solve_affine, span_echelon,
+    Echelon, in_span, mat_vec, rank, solve_affine, span_echelon,
     transpose, vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vec,
 )
 
@@ -436,24 +436,9 @@ class LieMorphism:
     def apply(self, x):
         return mat_vec(self.matrix, x)
 
-    def compose(self, other):
-        """self o other."""
-        if other.target.dim != self.source.dim:
-            raise ValueError("composite dims do not match")
-        return LieMorphism(other.source, self.target,
-                           mat_mul(self.matrix, other.matrix), check=False)
-
     def is_automorphism(self):
         return (self.source.dim == self.target.dim
                 and rank(self.matrix) == self.source.dim)
-
-    def __eq__(self, other):
-        return (isinstance(other, LieMorphism)
-                and exactla.mat_eq(self.matrix, other.matrix))
-
-
-def identity_morphism(L):
-    return LieMorphism(L, L, exactla.identity_matrix(L.dim), check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
     UnipotentCarrier, VectorGroup, _product_object, certificate_report,
     cogenerate, cogenerate_morphism, complex_cohomology_dims,
-    complex_embedding, diagonal_cogenerate, les_central_unipotent, pi0,
-    pi1_unipotent_deciders, pi_abelian_all,
+    complex_embedding, diagonal_cogenerate, les_central_unipotent,
+    moore_differentials, pi0, pi1_unipotent_deciders, pi_abelian_all,
 )
 from .nilpotent import (
     LieMorphism, NilpotentLieAlgebra, _block_series, direct_sum,
@@ -373,8 +373,12 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3):
     (all for the "g/e" pattern), with an abelian continuation through
     pi2(U) -> pi2(Q) -> 1 when the whole extension is abelian.  The
     clauses of the sequence are decided by ``les_central_unipotent`` on
-    the quotient patterns; the dual formula for pi2(Z) and the Euler
-    characteristic of the continuation are checked here.
+    the quotient patterns (three of them derived from its checks); the
+    dual formula for pi2(Z) and the Euler characteristic of the
+    continuation are checked here.  ``middle_bijective`` is decided when
+    pi0(Q) and H^1(Q) vanish; H^1(Q) is the Moore H^1 of the quotient
+    pattern, computed here when it is abelian.  Data that does not
+    commute with p, phi and N raises ValueError.
 
     Z is truncated at level 3 (for pi2); U and Q only need levels up to
     2, which keeps the construction fast for nonabelian carriers."""
@@ -385,8 +389,8 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3):
             and mat_eq(mat_mul(XU.N, inclM), mat_mul(inclM, XZ.N))
             and mat_eq(mat_mul(XQ.phi, projM0), mat_mul(projM0, XU.phi))
             and mat_eq(mat_mul(XQ.N, projM0), mat_mul(projM0, XU.N))):
-        raise AssertionError("the extension does not commute with p, phi "
-                             "and N")
+        raise ValueError("the extension does not commute with p, phi "
+                         "and N")
 
     SZ = selmer_quotient_cosimplicial(XZ, "g/e", max(N, 3))
     SU = selmer_quotient_cosimplicial(XU, "g/e", 2)
@@ -429,8 +433,12 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3):
         clauses[name] = euler == 0
         provenance[name] = "exact"
 
+    h1_q_dim = None
+    if all(G.is_abelian() for G in SQ.objects):
+        h1_q_dim = complex_cohomology_dims([G.dim for G in SQ.objects],
+                                           moore_differentials(SQ))[1]
     middle_bijective = None
-    if p0Q == 0 and les["h1_q_dim"] == 0:
+    if p0Q == 0 and h1_q_dim == 0:
         # the endpoints vanish: the fibers clause gives injectivity and
         # exactness at pi1(U) surjectivity
         middle_bijective = (clauses["fibers at pi1(Z) are connecting orbits"]

@@ -13,9 +13,10 @@ import pytest
 
 from cohw import cli, cosimpl, exactla
 from cohw.cosimpl import (
-    FiniteHom, TableGroup, UnipotentCarrier, _cocycle_walk, cocycle_condition,
-    constant_cosimplicial, cyclic_group, hom_equal, identity_hom,
-    inner_automorphism, les_central_finite, symmetric_group, z1_elements,
+    FiniteHom, LinearHom, TableGroup, UnipotentCarrier, _cocycle_walk,
+    cocycle_condition, constant_cosimplicial, cyclic_group, hom_equal,
+    identity_hom, inner_automorphism, les_central_finite, pi0, pi1_finite,
+    symmetric_group, trivial_twist_isomorphism, twist, z1_elements,
 )
 from cohw.gcohom import (
     GroupAction, _is_cocycle_table, cochain_cosimplicial, h0_fixed_points,
@@ -107,7 +108,6 @@ def test_tangent_dimension_at_c16_is_within_budget():
 
 
 def test_unipotent_sign_action():
-    from cohw.cosimpl import LinearHom
     from cohw.nilpotent import abelian_lie_algebra
     G = cyclic_group(2)
     D = UnipotentCarrier(abelian_lie_algebra(1))
@@ -123,6 +123,26 @@ def test_unipotent_sign_action():
     cand = tuple(cand)
     assert dec["is_cocycle"](cand)
     assert dec["is_trivial"](cand)
+
+
+def test_twist_of_a_unipotent_cochain_object():
+    # C2 acting on the Heisenberg algebra by (x, y, z) -> (-x, -y, z),
+    # twisted by the cocycle f(g) = (0, 1, 0): every level is one
+    # unipotent carrier, so the twist conjugates by its Ad matrix
+    H = heisenberg()
+    D = UnipotentCarrier(H)
+    sigma = LinearHom(D, D, [[F(-1), 0, 0], [0, F(-1), 0], [0, 0, F(1)]])
+    act = GroupAction.from_generator_images(cyclic_group(2), D, {1: sigma})
+    S = cochain_cosimplicial(act)
+    assert all(isinstance(G, UnipotentCarrier) for G in S.objects)
+    beta = [F(0)] * S.objects[1].dim
+    beta[S.tuple_index[1][(1,)] * H.dim + 1] = F(1)
+    beta = tuple(beta)
+    assert cocycle_condition(S, beta)
+    Ub = twist(S, beta)
+    assert Ub.d(1, 0).matrix != S.d(1, 0).matrix
+    Ub.check_identities()
+    assert trivial_twist_isomorphism(S, beta, (F(1), F(0), F(2)))[3]
 
 
 def test_serre_twist_abelian():
@@ -338,6 +358,19 @@ def test_cocycle_walk_matches_elementwise_filter_on_cochain_objects():
         if act.G.size() > 1 and act.G.generators() == [1]:
             assert Z1 == [tuple(f[g] for g in act.G.elements())
                           for f in z1_enumerate(act)]
+
+
+def test_h0_h1_enumeration_matches_the_cochain_object():
+    # |U|^|G| is past the cosimplicial path's limit, so h0_h1 enumerates
+    # cocycles from their definition; pi0 and pi1_finite of the cochain
+    # object give the same fixed points and class count
+    for act, count in ((trivial_action(cyclic_group(16), cyclic_group(16)),
+                        16), (_cyclic_action(8, 64, 7), 1)):
+        res = h0_h1(act)
+        assert res["mode"] == "enumeration"
+        C = cochain_cosimplicial(act)
+        assert sorted(res["h0"]) == sorted(t[0] for t in pi0(C))
+        assert res["h1_count"] == pi1_finite(C)["count"] == count
 
 
 def test_cocycle_walk_enumerates_only_the_unsolved_blocks(monkeypatch):

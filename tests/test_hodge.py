@@ -320,7 +320,7 @@ def test_mhs_les_rejects_nonstrict_data():
     MQ = MHSGroup(abelian_lie_algebra(2), {-1: [[1, 0], [0, 1]]},
                   {-1: [[1, 0], [0, 1]], 0: [[Gaussian(1), -I]], 1: []},
                   name="Vflip")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="non-strict filtration data"):
         mhs_les(MZ, MU, MQ, LieMorphism(MZ.L, MU.L, [[0], [0], [F(1)]]),
                 LieMorphism(MU.L, MQ.L, [[F(1), 0, 0], [0, F(1), 0]]))
 

@@ -13,7 +13,7 @@ from cohw.cosimpl import UnipotentCarrier
 from cohw.nilpotent import (
     LieMorphism, NilpotentLieAlgebra, UnipotentTorsor, abelian_lie_algebra,
     bch_word_table, central_extension, direct_sum, heisenberg,
-    heisenberg_from_symplectic, identity_morphism, solve_graded_affine,
+    heisenberg_from_symplectic, solve_graded_affine,
     torsor_pushout,
 )
 from cohw.phin import epsilon_lie_algebra

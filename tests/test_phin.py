@@ -455,7 +455,7 @@ def test_quotient_les_on_seeded_extensions_matches_the_witnesses():
                    LieMorphism(H, XQ.L, [[F(1), 0, 0], [0, F(1), 0]]))
         res = quotient_les(*ext)
         assert res["report"]["ok"], res["report"]
-        assert set(res["provenance"].values()) == {"exact"}
+        assert set(res["provenance"].values()) == {"exact", "derived"}
         SZ, SU, SQ = res["cosimplicial"]
         les = cosimpl.les_central_unipotent(SZ, SU, SQ, *res["level_maps"])
         MZ = cosimpl.moore_differentials(SZ)
