@@ -1516,68 +1516,6 @@ def les_central_unipotent(Z, U, Q, incl, proj):
             "z_dims": z_dims, "pi0": (p0Z, p0U, p0Q), "dies_in_u": dies}
 
 
-def codim_vanishing_check(Z, U, Q, incl, proj, q1):
-    """Check the degree-<=1 cogeneration hypothesis on Z and construct an
-    explicit preimage in Z^1(U) of the cocycle q1 of Q by the s^0
-    correction.  Returns (preimage or None, report)."""
-    # hypothesis: Z^n -> Gamma^n(Z_{<=1}) injective for n <= 2
-    report = {"hypothesis": True}
-    for n in range(2, Z.N + 1):
-        # comparison map component at an epi g: [n] ->> [k] is Z(g), a
-        # composite of codegeneracies
-        comp_parts = []
-        for (k, g) in _gamma_epis(n, 1):
-            h = identity_hom(Z.objects[n])
-            level = n
-            val = tuple(g)
-            while level > k:
-                # find i with val[i] == val[i+1]; peel off sigma^i
-                i = next(t for t in range(level) if val[t] == val[t + 1])
-                h = Z.s(level - 1, i).compose(h)
-                val = val[:i] + val[i + 1:]
-                level -= 1
-            comp_parts.append(h)
-        # injectivity: intersection of kernels trivial
-        Zn = Z.objects[n]
-        if is_linear_carrier(Zn):
-            rows = []
-            for h in comp_parts:
-                rows.extend(h.matrix)
-            if len(kernel_basis(rows, Zn.dim)) != 0:
-                report["hypothesis"] = False
-                report["failed_degree"] = n
-        else:
-            kernel = [x for x in Zn.elements()
-                      if all(h.apply(x) ==
-                             h.target.identity() for h in comp_parts)]
-            if len(kernel) != 1:
-                report["hypothesis"] = False
-                report["failed_degree"] = n
-    if not report["hypothesis"]:
-        return None, report
-    # construct the preimage: lift q1 to u1, correct by s^0(z2)
-    U1, U2 = U.objects[1], U.objects[2]
-    if is_linear_carrier(U1):
-        # solve proj(u1) = q1 linearly
-        u1, _ = exactla.solve_affine(proj[1].matrix, list(q1), U1.dim)
-        if u1 is None:
-            raise RuntimeError("q1 has no preimage under proj (bug)")
-        u1 = tuple(u1)
-    else:
-        u1 = next(u for u in U1.elements() if proj[1].apply(u) == q1)
-    z2 = U2.mul(U2.inv(U.d(2, 2).apply(u1)),
-                U2.mul(U.d(2, 1).apply(u1),
-                       U2.inv(U.d(2, 0).apply(u1))))
-    corrected = U1.mul(u1, U.s(1, 0).apply(z2))
-    if not cocycle_condition(U, corrected):
-        raise RuntimeError("s^0-corrected lift is not a cocycle (bug)")
-    if proj[1].apply(corrected) != (tuple(q1) if is_linear_carrier(U1)
-                                    else q1):
-        raise RuntimeError("s^0-corrected lift does not map to q1 (bug)")
-    report["preimage"] = corrected
-    return corrected, report
-
-
 def _gamma_epis(n, j):
     out = []
     for k in range(min(n, j) + 1):

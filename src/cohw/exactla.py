@@ -6,10 +6,13 @@ tuples/lists of scalars; subspaces are canonically represented by
 reduced-row-echelon bases with a fixed global coordinate order.  No
 floating point anywhere.
 
-Row reduction is fraction-free: each row is cleared of denominators,
-elimination runs on Python integers and the pivots are divided out once at
-the end, giving ``Fraction`` entries.  :class:`Echelon` keeps a reduced
-basis for repeated membership tests.
+Row reduction is fraction-free: each row is cleared of denominators and
+elimination runs on Python integers, one core shared by :func:`rref`
+(and so :func:`rank`) and :class:`Echelon`.  :func:`rref` divides the
+pivots out once at the end, giving ``Fraction`` entries.
+:class:`Echelon` keeps a reduced basis for repeated membership tests as
+primitive integer rows, builds its ``Fraction`` rows only when they are
+read, and decides membership in integers.
 
 Points and subspaces over Q(i) are computed on realified coordinates: a
 Gaussian vector (z_1..z_n) is the rational vector (re z_1, im z_1, ...,
@@ -231,15 +234,21 @@ def rref(rows):
     """Reduced row echelon form of rational rows (``int`` and ``Fraction``
     entries).  Returns (rows, pivot column list); zero rows dropped, and
     every entry a ``Fraction``."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    return _rref_integer(rows)
+    work, pivots = _eliminate(rows)
+    return [_fraction_row(row, p) for row, p in zip(work, pivots)], pivots
+
+
+_INT = frozenset([int])
 
 
 def _primitive_int_row(row):
     """The row scaled to integers with no common factor, or None if zero.
-    Only the nonzero entries are read."""
+    Only the nonzero entries of a row that is not all ``int`` are read."""
+    if _INT.issuperset(map(type, row)):
+        g = gcd(*row)
+        if not g:
+            return None
+        return [x // g for x in row] if g > 1 else list(row)
     nonzero = [(j, x) for j, x in enumerate(row) if x]
     if not nonzero:
         return None
@@ -252,14 +261,25 @@ def _primitive_int_row(row):
     return ints
 
 
-def _rref_integer(rows):
-    """Gauss-Jordan elimination on integer rows: each row is cleared of
+def _fraction_row(row, p):
+    """The primitive integer row of pivot column p divided by its pivot."""
+    d = row[p]
+    return [Fraction(x, d) if x else _ZERO_Q for x in row]
+
+
+def _eliminate(rows):
+    """Gauss-Jordan elimination on integer rows, the one core of
+    :func:`rref` and :class:`Echelon`: each row is cleared of
     denominators, every elimination step scales by the pivot instead of
-    dividing and then divides the row by its content, and only the final
-    rows are divided by their pivots.  Reduced echelon form is unique, so
-    the result equals that of field elimination."""
-    ncols = len(rows[0])
+    dividing and then divides the row by its content.  Returns (rows,
+    pivots): one primitive integer row per pivot column, zero on the other
+    pivot columns, so dividing each by its pivot gives the reduced echelon
+    form.  That form is unique, so it equals the result of field
+    elimination."""
     work = [ints for ints in map(_primitive_int_row, rows) if ints is not None]
+    if not work:
+        return [], []
+    ncols = len(work[0])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -291,11 +311,7 @@ def _rref_integer(rows):
             work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    out = []
-    for row, c in zip(work, pivots):
-        p = row[c]
-        out.append([Fraction(x, p) if x else _ZERO_Q for x in row])
-    return out, pivots
+    return work[:r], pivots
 
 
 def rank(A):
@@ -356,34 +372,55 @@ def span_echelon(vectors):
 class Echelon:
     """The reduced echelon basis of a span, kept for membership tests.
 
-    ``rows`` and ``pivots`` are tuples, so the basis cannot be changed
-    after it is built."""
+    ``int_rows`` are the rows of the basis scaled to primitive integer
+    rows, and ``pivots`` their pivot columns; both are tuples, so the
+    basis cannot be changed after it is built.  ``rows``, the reduced
+    rows with ``Fraction`` entries, is built from them on first read."""
 
-    __slots__ = ("rows", "pivots", "_free")
+    __slots__ = ("int_rows", "pivots", "_rows", "_free", "_scales", "_den")
 
     def __init__(self, vectors):
-        rows, pivots = rref(vectors)
-        self.rows = tuple(tuple(row) for row in rows)
+        rows, pivots = _eliminate(vectors)
+        self.int_rows = tuple(tuple(row) for row in rows)
         self.pivots = tuple(pivots)
+        self._rows = None
         ncols = len(rows[0]) if rows else 0
         self._free = tuple(j for j in range(ncols) if j not in pivots)
+        # the row with pivot p times den // row[p] has the common pivot
+        # value den, for every p
+        self._den = lcm(*[row[p] for row, p in zip(rows, pivots)])
+        self._scales = tuple(self._den // row[p]
+                             for row, p in zip(rows, pivots))
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = tuple(tuple(_fraction_row(row, p))
+                               for row, p in zip(self.int_rows, self.pivots))
+        return self._rows
 
     def contains(self, v):
         """Is v in the span?  In reduced echelon form the only combination
         of the rows that can equal v takes v[p] times the row with pivot p,
         and it agrees with v on every pivot column; so v lies in the span
-        exactly when it also agrees on the free columns."""
-        if not self.rows:
+        exactly when it also agrees on the free columns.  Decided in
+        integers: v is cleared of denominators, and each integer row is
+        scaled to the common pivot value ``_den``, which multiplies the
+        combination by ``_den``."""
+        if not self.pivots:
             return vec_is_zero(v)
-        terms = [(v[p], row) for p, row in zip(self.pivots, self.rows)
-                 if v[p]]
+        den = lcm(*[x.denominator for x in v if x])
+        v = [x.numerator * (den // x.denominator) if x else 0 for x in v]
+        terms = [(v[p] * s, row) for p, s, row
+                 in zip(self.pivots, self._scales, self.int_rows) if v[p]]
+        common = self._den
         for j in self._free:
             acc = 0
             for c, row in terms:
                 y = row[j]
                 if y:
                     acc += c * y
-            if acc != v[j]:
+            if acc != common * v[j]:
                 return False
         return True
 

@@ -116,8 +116,10 @@ class MHSGroup:
         self.Lreal = realify_algebra(L)
         self._cache = {}
         self.report = validate_mhs(self)
-        if check:
-            assert self.report["ok"], self.report
+        if check and not self.report["ok"]:
+            bad = next(c for c in self.report["checks"] if not c["ok"])
+            raise ValueError("invalid filtrations of %s: %s (%s)"
+                             % (name, bad["name"], bad["detail"] or "failed"))
 
     def w_basis(self, m):
         stored = [i for i in self.weights if i <= m]
@@ -178,7 +180,9 @@ def _graded_piece(M, m):
             quots = []
             for x in inter:
                 co = coords_in_basis(full, x)
-                assert co is not None
+                if co is None:
+                    raise RuntimeError("F^%d /\\ W_%d has no coordinates "
+                                       "in W_%d" % (p, m, m))
                 quots.append(co[2 * len(Wm1):])
             parts[key] = span_echelon(quots)
         return parts[key]

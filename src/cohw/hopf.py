@@ -10,13 +10,17 @@ spans inside the monomial coordinate space.
 Each envelope compiles its product once, on demand: the normal-ordered
 product of two basis monomials is kept as a tuple of (monomial,
 coefficient) terms, and every product of elements reads those terms.
+From them it compiles right multiplication by each generator as an
+integer operator on monomial indices, over one common denominator when a
+structure constant is not integral.  The J-filtration, symmetrization and
+the filtration checks run on integer coordinate rows with these
+operators: a scaled vector spans the same line.
 """
 
 from fractions import Fraction
-from itertools import permutations
 import math
 
-from .exactla import Echelon, span_echelon, zero_vec
+from .exactla import Echelon, zero_vec
 
 DEFAULT_ORDER = 3
 # largest PBW monomial basis a TruncatedEnvelope may have
@@ -43,6 +47,17 @@ def _monomials(weights, order, cap):
     rec([], order, 0)
     found.sort(key=lambda m: (sum(e * w for e, w in zip(m, weights)), m))
     return found
+
+
+def _apply(v, op):
+    """sum_k v[k] op[k] for an integer coordinate vector v and an operator
+    given by its integer (index, coefficient) terms on each monomial."""
+    out = [0] * len(v)
+    for k, x in enumerate(v):
+        if x:
+            for j, c in op[k]:
+                out[j] += x * c
+    return out
 
 
 def _integral(a):
@@ -79,6 +94,7 @@ class TruncatedEnvelope:
         self._no_cache = {}
         # (m1, m2) -> the terms of the product of two basis monomials
         self._table = {}
+        self._right = None
         self._j_echelons = None
         self._graded_basis = None
 
@@ -352,25 +368,77 @@ class TruncatedEnvelope:
         positive degree ends in a generator, so J = U L; and J^{m-1} U =
         J^{m-1}, as J^{m-1} is an ideal and U holds 1.  Hence J^{m-1} J =
         J^{m-1} U L = J^{m-1} L.  The truncation is a two-sided ideal, so
-        the same holds in the truncated model."""
+        the same holds in the truncated model.  The products are taken on
+        the integer rows of J^{m-1} with the compiled right
+        multiplications; both scale each product, which changes no
+        span."""
         if self._j_echelons is not None:
             return self._j_echelons
-        full = Echelon([self.to_vector({m: Fraction(1)})
-                        for m in self.monomials])
-        powers = [full, Echelon([self.to_vector({m: Fraction(1)})
-                                 for m in self.monomials if sum(m) >= 1])]
-        gens = [self.gen(i) for i in range(self.L.dim)]
+        n = len(self.monomials)
+
+        def unit(k):
+            row = [0] * n
+            row[k] = 1
+            return row
+        powers = [Echelon([unit(k) for k in range(n)]),
+                  Echelon([unit(k) for k, m in enumerate(self.monomials)
+                           if sum(m) >= 1])]
+        _, ops = self._right_multiplications()
         for _ in range(2, self.order + 1):
-            powers.append(Echelon([
-                self.to_vector(self.mul(self.from_vector(row), x))
-                for row in powers[-1].rows for x in gens]))
+            powers.append(Echelon([_apply(row, op)
+                                   for row in powers[-1].int_rows
+                                   for op in ops]))
         powers.append(Echelon([]))  # J^{order+1} = 0 in the truncated model
         self._j_echelons = tuple(powers)
         return self._j_echelons
 
+    def _right_multiplications(self):
+        """(den, ops), compiled once per envelope from the monomial
+        products: ops[i][k] holds the terms (index, integer coefficient)
+        of den times the product of monomial k with the generator x_i.
+        ``den`` is the least common denominator of those products, 1 when
+        every structure constant they meet is integral."""
+        if self._right is None:
+            gens = [self._word_to_monomial((i,)) for i in range(self.L.dim)]
+            products = [[self._product(m, e) for m in self.monomials]
+                        for e in gens]
+            den = math.lcm(*[c.denominator for row in products
+                             for terms in row for _, c in terms])
+            index = self.index
+            self._right = (den, [
+                [tuple((index[m], c.numerator * (den // c.denominator))
+                       for m, c in terms) for terms in row]
+                for row in products])
+        return self._right
+
+    def _left_multiplication(self, a):
+        """The operator b -> a b as integer terms on each monomial index,
+        all scaled by one positive integer.  The product a m of a with a
+        monomial m = m' x_i, x_i the last letter of its PBW word, is
+        (a m') x_i, from the compiled right multiplications."""
+        den, ops = self._right_multiplications()
+        n = len(self.monomials)
+        images = [None] * n
+        # m' has the lower weighted degree, so its image comes first
+        for k, m in enumerate(self.monomials):
+            if any(m):
+                i = max(j for j, e in enumerate(m) if e)
+                prev = m[:i] + (m[i] - 1,) + m[i + 1:]
+                images[k] = _apply(images[self.index[prev]], ops[i])
+            else:
+                images[k] = [0] * n
+                for mono, c in _integral(a)[1]:
+                    images[k][self.index[mono]] = c
+        if den != 1:
+            # a m carries den^(degree of m); bring all to the largest one
+            top = max(sum(m) for m in self.monomials)
+            images = [[x * den ** (top - sum(m)) for x in v]
+                      for v, m in zip(images, self.monomials)]
+        return [tuple((j, x) for j, x in enumerate(v) if x) for v in images]
+
     def _graded_j_basis(self):
-        """For each level m = 0..order, the rows of J^m whose pivots are not
-        pivots of J^{m+1}, as elements; computed once per envelope.
+        """For each level m = 0..order, the integer rows of J^m whose
+        pivots are not pivots of J^{m+1}; computed once per envelope.
 
         The pivots of a reduced echelon basis are the leading positions of
         the vectors of its span, so those of J^{m+1} are among those of
@@ -381,8 +449,8 @@ class TruncatedEnvelope:
         if self._graded_basis is None:
             powers = self.j_echelons()
             self._graded_basis = tuple(
-                tuple(self.from_vector(row)
-                      for row, p in zip(powers[m].rows, powers[m].pivots)
+                tuple(row for row, p in zip(powers[m].int_rows,
+                                            powers[m].pivots)
                       if p not in powers[m + 1].pivots)
                 for m in range(self.order + 1))
         return self._graded_basis
@@ -390,8 +458,8 @@ class TruncatedEnvelope:
     def j_filtration_dual_dims(self):
         """dim of the level-m quotient U/J^{m+1}, for m = 0..order."""
         powers = self.j_echelons()
-        total = len(powers[0].rows)
-        return [total - len(powers[m + 1].rows)
+        total = len(powers[0].pivots)
+        return [total - len(powers[m + 1].pivots)
                 for m in range(self.order + 1)]
 
 
@@ -401,16 +469,42 @@ class TruncatedEnvelope:
 def symmetrize(env, exponents):
     """PBW symmetrization of the commutative monomial with the given
     exponent tuple: average of all normal-ordered word permutations."""
-    word = env._monomial_word(tuple(exponents))
-    seen = set(permutations(word))
-    acc = {}
-    for w in seen:
-        for m, c in env.normal_order(w).items():
-            acc[m] = acc.get(m, 0) + c
-    # averaging over distinct permutations equals averaging over all k!
-    # orderings because duplicate letters give identical words
-    n = len(seen)
-    return {m: c / n for m, c in acc.items() if c}
+    scale, row = _symmetrized_row(env, exponents)
+    return {env.monomials[k]: Fraction(x, scale)
+            for k, x in enumerate(row) if x}
+
+
+def _symmetrized_row(env, exponents):
+    """(scale, row): the integer coordinate vector ``row`` is ``scale``
+    times the symmetrization of the monomial.  The sum over the distinct
+    orderings of its word is multiplied out with the compiled right
+    multiplications, sharing common prefixes; every ordering takes one
+    multiplication per letter, so each carries the same power of their
+    common denominator.  Averaging over the distinct orderings equals
+    averaging over all k! of them, as duplicate letters give identical
+    words."""
+    den, ops = env._right_multiplications()
+    counts = list(exponents)
+    degree = sum(counts)
+    row = [0] * len(env.monomials)
+
+    def walk(v, left):
+        if not left:
+            for k, x in enumerate(v):
+                row[k] += x
+            return
+        for i, c in enumerate(counts):
+            if c:
+                counts[i] -= 1
+                walk(_apply(v, ops[i]), left - 1)
+                counts[i] += 1
+    start = [0] * len(env.monomials)
+    start[env.index[env.unit_monomial()]] = 1
+    walk(start, degree)
+    orderings = math.factorial(degree)
+    for e in exponents:
+        orderings //= math.factorial(e)
+    return den ** degree * orderings, row
 
 
 def weighted_filtration_levels(env):
@@ -425,20 +519,23 @@ def weighted_filtration_levels(env):
 def symmetrization_check(env):
     """Check that symmetrization carries the weighted polynomial filtration
     onto the J-filtration level by level (equal dimensions, containment).
-    Returns a report dict; on failure names the first violating level."""
+    Returns a report dict; on failure names the first violating level.
+
+    Decided on integer multiples of the symmetrized monomials, which span
+    the same image and lie in J^m together with it."""
     powers = env.j_echelons()
-    sym = {w: [env.to_vector(symmetrize(env, mono)) for mono in monos]
+    sym = {w: [_symmetrized_row(env, mono)[1] for mono in monos]
            for w, monos in weighted_filtration_levels(env).items()}
     report = {"ok": True, "levels": []}
     for m in range(env.order + 1):
-        image = span_echelon([v for w, vecs in sym.items() if w >= m
-                              for v in vecs])
+        vectors = [v for w, vecs in sym.items() if w >= m for v in vecs]
         jm = powers[m]
-        contained = all(jm.contains(v) for v in image)
-        entry = {"level": m, "sym_dim": len(image), "j_dim": len(jm.rows),
+        contained = all(jm.contains(v) for v in vectors)
+        sym_dim = len(Echelon(vectors).pivots)
+        entry = {"level": m, "sym_dim": sym_dim, "j_dim": len(jm.pivots),
                  "contained": contained}
         report["levels"].append(entry)
-        if not contained or len(image) != len(jm.rows):
+        if not contained or sym_dim != len(jm.pivots):
             report["ok"] = False
             report["first_violation"] = m
             return report
@@ -452,12 +549,15 @@ def graded_trivialization_check(env, q):
     Decided exactly: g a - a = (g - 1) a is linear in a, and J^m is
     spanned by the levels m, m+1, ..., order of the envelope's graded
     basis of the J-filtration, so it holds for all a exactly when (g - 1)
-    b lies in J^{m+1} for every basis element b of each level m."""
+    b lies in J^{m+1} for every basis element b of each level m.  The
+    basis elements are integer rows, and left multiplication by g - 1 an
+    integer operator up to one positive scale, which changes no
+    membership."""
     g_minus_one = env.sub(env.exp_coords(q), env.one())
+    left = env._left_multiplication(g_minus_one)
     powers = env.j_echelons()
     for m, level in enumerate(env._graded_j_basis()):
         for b in level:
-            if not powers[m + 1].contains(
-                    env.to_vector(env.mul(g_minus_one, b))):
+            if not powers[m + 1].contains(_apply(b, left)):
                 return False
     return True

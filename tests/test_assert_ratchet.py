@@ -10,7 +10,7 @@ import pathlib
 
 import cohw
 
-CEILINGS = {"cli": 1, "hodge": 2, "phin": 7}
+CEILINGS = {"cli": 1, "phin": 7}
 
 
 def _raises_assertion_error(node):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,3 +377,48 @@ def test_echelon_contains_agrees_with_rank(data, M):
     assert Echelon(M).contains(v) == member
     assert in_span(M, v) == member
     assert Echelon([]).contains(v) == vec_is_zero(v)
+
+
+int_entries = st.one_of(st.just(0), st.just(0), st.integers(-4, 4),
+                        st.integers(-10 ** 12, 10 ** 12))
+
+
+@st.composite
+def integer_matrix(draw):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    M = [draw(st.lists(int_entries, min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    # zero rows, copies and integer multiples of other rows
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.integers(-3, 3))
+        M.insert(draw(st.integers(0, rows - 1)),
+                 [c * x for x in M[draw(st.integers(0, rows - 1))]])
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.one_of(integer_matrix(), rational_matrix()))
+def test_echelon_and_rank_share_rref(data, M):
+    # rref, rank and Echelon run one integer elimination; Echelon keeps
+    # its primitive integer rows and builds the Fraction rows from them
+    rows, pivots = rref(M)
+    E = Echelon(M)
+    assert _typed(E.rows) == _typed(rows)
+    assert E.rows == tuple(tuple(row) for row in rows)
+    assert E.pivots == tuple(pivots)
+    assert rank(M) == len(rows)
+    for ints, row, p in zip(E.int_rows, rows, pivots):
+        assert all(type(x) is int for x in ints) and gcd(*ints) == 1
+        assert [F(x, ints[p]) for x in ints] == list(row)
+    n = len(M[0])
+    v = data.draw(st.one_of(
+        st.sampled_from([[0] * n, [F(0)] * n]),
+        st.lists(int_entries, min_size=n, max_size=n),
+        st.lists(rational_entries, min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=len(M), max_size=len(M)).map(
+            lambda cs: [sum(c * row[j] for c, row in zip(cs, M))
+                        for j in range(n)])))
+    assert E.contains(v) == (rank(M + [v]) == rank(M))
+    assert Echelon([]).contains(v) == (rank([v]) == 0)
+    assert E.contains([0] * n) and E.contains([F(0)] * n)

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -118,10 +121,28 @@ def test_validate_named_violations():
                       0: [[1, 0, 0], [0, 1, 0]], 1: []}, check=False)
     details = [c["detail"] for c in bad_f.report["checks"] if not c["ok"]]
     assert "non-multiplicative F" in details
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="W_-2 is an ideal"):
         MHSGroup(heisenberg(),
                  {-2: [[1, 0, 0]], -1: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
                  {-1: [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0: []})
+
+
+def test_invalid_filtrations_are_refused_under_optimization():
+    # python -O strips assert statements; the check=True refusal is not one
+    code = ("from cohw.hodge import MHSGroup\n"
+            "from cohw.nilpotent import heisenberg\n"
+            "full = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+            "try:\n"
+            "    MHSGroup(heisenberg(), {-2: [[1, 0, 0]], -1: full},\n"
+            "             {-1: full, 0: []})\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == ("invalid filtrations of M: W_-2 is an ideal "
+                           "(non-ideal W level)\n"), proc.stderr
 
 
 def test_w0_f0_subgroups():

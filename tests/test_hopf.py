@@ -219,7 +219,7 @@ def test_graded_basis_spans_each_level_modulo_the_next():
     levels = env._graded_j_basis()
     assert len(levels) == env.order + 1
     for m, level in enumerate(levels):
-        rows = [env.to_vector(b) for b in level]
+        rows = [list(b) for b in level]
         assert all(powers[m].contains(v) for v in rows)
         together = exactla.span_echelon(rows + list(powers[m + 1].rows))
         assert len(together) == len(powers[m].rows)
@@ -296,7 +296,13 @@ def _class_three():
     return central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
 
 
-@pytest.mark.parametrize("L, order", [(heisenberg(), 3), (_class_three(), 4)])
+def _half_heisenberg():
+    # a structure constant that is not integral: [x, y] = z / 2
+    return NilpotentLieAlgebra(3, {(0, 1): {2: F(1, 2)}}, name="half")
+
+
+@pytest.mark.parametrize("L, order", [(heisenberg(), 3), (_class_three(), 4),
+                                      (_half_heisenberg(), 3)])
 def test_compiled_table_matches_normal_order(L, order):
     env = TruncatedEnvelope(L, order=order)
     for m1 in env.monomials:
@@ -383,11 +389,37 @@ def _ideal_powers(env):
     (abelian_lie_algebra(2), 2, [6, 5, 3, 0]),
     (heisenberg(), 3, [13, 12, 10, 6, 0]),
     (_class_three(), 4, [25, 24, 22, 18, 11, 0]),
+    (_half_heisenberg(), 3, [13, 12, 10, 6, 0]),
 ])
 def test_j_powers_are_ideal_powers(L, order, dims):
     env = TruncatedEnvelope(L, order=order)
     assert [len(p) for p in env.j_powers()] == dims
     assert env.j_powers() == _ideal_powers(env)
+
+
+def test_checks_on_a_non_integral_structure_constant():
+    env = TruncatedEnvelope(_half_heisenberg(), order=3)
+    # the compiled right multiplications take the common denominator 2
+    assert env._right_multiplications()[0] == 2
+    assert symmetrize(env, (1, 1, 0)) == {(1, 1, 0): F(1), (0, 0, 1): F(-1, 4)}
+    assert symmetrization_check(env)["ok"]
+    q = [F(1), F(-2), F(1, 3)]
+    assert graded_trivialization_check(env, q)
+    # left multiplication by g - 1 is one positive multiple of env.mul on
+    # a row that mixes monomials of every degree
+    g_minus_one = env.sub(env.exp_coords(q), env.one())
+    b = list(range(1, len(env.monomials) + 1))
+    got = hopf._apply(b, env._left_multiplication(g_minus_one))
+    want = env.to_vector(env.mul(g_minus_one, env.from_vector(b)))
+    scale = next(F(x) / y for x, y in zip(got, want) if y)
+    assert scale > 0 and [F(x) for x in got] == [scale * y for y in want]
+    # and refuses, as on the Heisenberg algebra, without the x^2 row of J^2
+    powers = list(env.j_echelons())
+    x2 = env.index[(2, 0, 0)]
+    powers[2] = exactla.Echelon([row for row in powers[2].rows
+                                 if row[x2] == 0])
+    env._j_echelons = tuple(powers)
+    assert not graded_trivialization_check(env, q)
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
