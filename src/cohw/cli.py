@@ -576,7 +576,8 @@ def build_action(df):
     homomorphism one at its generator line, and images that do not
     generate the group or define no action one at the carrier line."""
     G = df.group
-    assert G is not None, "action needs a finite_group"
+    if G is None:
+        raise ParseError(1, 1, "h1 needs finite_group and action sections")
     gens = df.action["generators"]
     if df.action["carrier"] is None:
         raise ParseError(gens[0][0], 1, "generator before a carrier line")

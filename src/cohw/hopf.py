@@ -1,23 +1,25 @@
 """Truncated universal enveloping algebras of nilpotent Lie algebras.
 
-The enveloping algebra U(L) is modelled through words in the basis of L,
-normal ordered into Poincare-Birkhoff-Witt monomials; everything is cut off
-at word degree N, i.e. we compute in U(L)/(span of words longer than N),
-which surjects onto U(L)/J^{N+1} for the augmentation ideal J.  The
-J-power filtration itself is computed honestly as iterated ideal-power
-spans inside the monomial coordinate space.
+The enveloping algebra U(L) is modelled in its Poincare-Birkhoff-Witt
+basis of ascending monomials in the basis of L, cut off at weighted degree
+N: we compute in U(L)/(span of monomials of weighted degree > N), which
+surjects onto U(L)/J^{N+1} for the augmentation ideal J.  The J-power
+filtration itself is computed honestly as iterated ideal-power spans
+inside the monomial coordinate space.
 
-Each envelope compiles its product once, on demand: the normal-ordered
-product of two basis monomials is kept as a tuple of (monomial,
-coefficient) terms, and every product of elements reads those terms.
-From them it compiles right multiplication by each generator as an
-integer operator on monomial indices, over one common denominator when a
-structure constant is not integral.  The J-filtration, symmetrization and
-the filtration checks run on integer coordinate rows with these
-operators: a scaled vector spans the same line.
+The envelope has one product: right multiplication by each generator,
+compiled once per envelope straight from the bracket as an integer
+operator on monomial indices, over one common denominator when a
+structure constant is not integral.  Every other product walks the
+prefixes of a monomial, a m = (a m') x_i with x_i the last letter of m.
+The J-filtration, symmetrization and the filtration checks run on integer
+coordinate rows with these operators: a scaled vector spans the same
+line.  The coproduct is a closed formula on monomials, the binomial
+expansion of Delta(x^e).
 """
 
 from fractions import Fraction
+import itertools
 import math
 
 from .exactla import Echelon, zero_vec
@@ -73,7 +75,8 @@ def _integral(a):
 
 
 class TruncatedEnvelope:
-    """U(L) truncated at word degree ``order`` with the PBW monomial basis."""
+    """U(L) truncated at weighted degree ``order``, with the PBW monomial
+    basis."""
 
     def __init__(self, L, order=DEFAULT_ORDER):
         self.L = L
@@ -91,9 +94,13 @@ class TruncatedEnvelope:
         self.index = {m: k for k, m in enumerate(self.monomials)}
         self._wdeg = {m: sum(e * w for e, w in zip(m, self.weights))
                       for m in self.monomials}
-        self._no_cache = {}
-        # (m1, m2) -> the terms of the product of two basis monomials
-        self._table = {}
+        # monomial k = m' x_i, x_i the last letter of its word: (i, index
+        # of m'); None for the unit
+        self._prefix = []
+        for m in self.monomials:
+            i = max((j for j, e in enumerate(m) if e), default=None)
+            self._prefix.append(i if i is None else (
+                i, self.index[m[:i] + (m[i] - 1,) + m[i + 1:]]))
         self._right = None
         self._j_echelons = None
         self._graded_basis = None
@@ -101,9 +108,6 @@ class TruncatedEnvelope:
     def wdeg(self, m):
         """Weighted degree of a basis monomial."""
         return self._wdeg[m]
-
-    def _word_wdeg(self, word):
-        return sum(self.weights[i] for i in word)
 
     # -- elements are dicts {exponent tuple: Fraction}, zero entries dropped
 
@@ -122,13 +126,7 @@ class TruncatedEnvelope:
         return {tuple(e): Fraction(1)}
 
     def from_lie(self, x):
-        out = {}
-        for i, c in enumerate(x):
-            if c:
-                e = [0] * self.L.dim
-                e[i] = 1
-                out[tuple(e)] = c
-        return out
+        return {m: c for i, c in enumerate(x) if c for m in self.gen(i)}
 
     def add(self, a, b):
         out = dict(a)
@@ -152,132 +150,81 @@ class TruncatedEnvelope:
     def counit(self, a):
         return a.get(self.unit_monomial(), Fraction(0))
 
-    # -- normal ordering ----------------------------------------------------
+    # -- products -----------------------------------------------------------
 
-    def _word_to_monomial(self, word):
-        e = [0] * self.L.dim
-        for i in word:
-            e[i] += 1
-        return tuple(e)
+    def _row(self, a):
+        """(den, row): the integer coordinate row of den times the element a."""
+        den, terms = _integral(a)
+        row = [0] * len(self.monomials)
+        for m, c in terms:
+            row[self.index[m]] = c
+        return den, row
 
-    def normal_order(self, word):
-        """Word (tuple of basis indices) -> element, rewriting x_a x_b with
-        a > b into x_b x_a + [x_a, x_b] until ascending.  Memoized."""
-        if self._word_wdeg(word) > self.order:
-            return {}
-        if word in self._no_cache:
-            return self._no_cache[word]
-        k = None
-        for t in range(len(word) - 1):
-            if word[t] > word[t + 1]:
-                k = t
-                break
-        if k is None:
-            out = {self._word_to_monomial(word): Fraction(1)}
-        else:
-            a, b = word[k], word[k + 1]
-            swapped = word[:k] + (b, a) + word[k + 2:]
-            out = dict(self.normal_order(swapped))
-            br = self.L.bracket_basis(a, b)
-            for i, c in enumerate(br):
-                if c:
-                    shorter = word[:k] + (i,) + word[k + 2:]
-                    out = self.add(out, self.scale(c, self.normal_order(shorter)))
-        self._no_cache[word] = out
-        return out
+    def _element(self, row, den):
+        return {self.monomials[k]: Fraction(x, den)
+                for k, x in enumerate(row) if x}
 
-    def _monomial_word(self, m):
-        word = []
-        for i, e in enumerate(m):
-            word.extend([i] * e)
-        return tuple(word)
+    def _walk(self, row, ks):
+        """(scale, images): images[t] is scale times row m, for the integer
+        row of an element and the monomial m at index ks[t].  row m = (row
+        m') x_i, x_i the last letter of m, from the compiled right
+        multiplications; each prefix's image is computed once.  row m
+        carries den^d, d the length of m's word; all are brought to the
+        largest."""
+        den, ops = self._right_multiplications()
+        prefix, images = self._prefix, {}
 
-    def _product(self, m1, m2):
-        """The product of two basis monomials, compiled on first use: a
-        tuple of (monomial, coefficient) terms, each coefficient an ``int``
-        where it is integral; empty past the truncation."""
-        terms = self._table.get((m1, m2))
-        if terms is None:
-            prod = self.normal_order(self._monomial_word(m1)
-                                     + self._monomial_word(m2))
-            terms = tuple((m, c.numerator if c.denominator == 1 else c)
-                          for m, c in prod.items())
-            self._table[(m1, m2)] = terms
-        return terms
+        def image(k):
+            v = images.get(k)
+            if v is None:
+                if prefix[k] is None:
+                    v = row
+                else:
+                    i, p = prefix[k]
+                    v = _apply(image(p), ops[i])
+                images[k] = v
+            return v
+        lengths = [sum(self.monomials[k]) for k in ks]
+        top = max(lengths, default=0)
+        return den ** top, [[x * den ** (top - d) for x in image(k)]
+                            for k, d in zip(ks, lengths)]
+
+    def _multiply(self, row, terms):
+        """(scale, out): out is scale times row b, for the integer row of
+        an element and the (index, integer coefficient) terms of b."""
+        scale, images = self._walk(row, [k for k, _ in terms])
+        out = [0] * len(row)
+        for (_, c), v in zip(terms, images):
+            for j, x in enumerate(v):
+                if x:
+                    out[j] += c * x
+        return scale, out
 
     def mul(self, a, b):
-        """The product ab from the compiled monomial products, summed in
-        integers over the common denominator of a and b."""
-        den_a, terms_a = _integral(a)
-        den_b, terms_b = _integral(b)
-        table = self._table
-        acc = {}
-        for m1, c1 in terms_a:
-            for m2, c2 in terms_b:
-                terms = table.get((m1, m2))
-                if terms is None:
-                    terms = self._product(m1, m2)
-                c = c1 * c2
-                for m, t in terms:
-                    acc[m] = acc.get(m, 0) + c * t
-        den = den_a * den_b
-        return {m: Fraction(c, den) for m, c in acc.items() if c}
-
-    def power(self, a, k):
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
+        """The product ab, by the prefix walk on the integer rows of a and
+        b over their common denominators."""
+        den_a, row = self._row(a)
+        den_b, terms = _integral(b)
+        scale, out = self._multiply(
+            row, [(self.index[m], c) for m, c in terms])
+        return self._element(out, den_a * den_b * scale)
 
     # -- coproduct and Hopf structure ---------------------------------------
 
-    def tensor_mul(self, A, B):
-        """(a (x) b)(c (x) d) = ac (x) bd on tensor dicts
-        {(mono, mono): coeff}, truncated at combined degree."""
-        out = {}
-        for (l1, r1), c1 in A.items():
-            for (l2, r2), c2 in B.items():
-                if (self.wdeg(l1) + self.wdeg(l2)
-                        + self.wdeg(r1) + self.wdeg(r2)) > self.order:
-                    continue
-                left = self._product(l1, l2)
-                right = self._product(r1, r2)
-                for lm, lc in left:
-                    for rm, rc in right:
-                        if self.wdeg(lm) + self.wdeg(rm) > self.order:
-                            continue
-                        key = (lm, rm)
-                        out[key] = out.get(key, Fraction(0)) + c1 * c2 * lc * rc
-                        if not out[key]:
-                            del out[key]
-        return out
-
-    def tensor_add(self, A, B):
-        out = dict(A)
-        for k, c in B.items():
-            out[k] = out.get(k, Fraction(0)) + c
-            if not out[k]:
-                del out[k]
-        return out
-
-    def tensor_scale(self, c, A):
-        if not c:
-            return {}
-        return {k: c * x for k, x in A.items()}
-
     def coproduct(self, a):
-        """Multiplicative extension of Delta(x) = x (x) 1 + 1 (x) x on
-        generators, truncated at combined degree <= order."""
-        one = self.unit_monomial()
+        """Delta(x^e) = sum over f <= e of prod_i C(e_i, f_i) x^f (x)
+        x^(e-f).  Delta(x_i) = x_i (x) 1 + 1 (x) x_i, whose two terms
+        commute, so each power x_i^(e_i) expands by the binomial theorem,
+        and the ascending product of those expansions is a sum of
+        ascending PBW monomials.  Both sides of each term have weighted
+        degrees summing to that of e, so the truncation at combined
+        degree <= order drops nothing."""
         out = {}
-        for m, c in a.items():
-            word = self._monomial_word(m)
-            acc = {(one, one): Fraction(1)}
-            for i in word:
-                e = self._word_to_monomial((i,))
-                prim = {(e, one): Fraction(1), (one, e): Fraction(1)}
-                acc = self.tensor_mul(acc, prim)
-            out = self.tensor_add(out, self.tensor_scale(c, acc))
+        for e, c in a.items():
+            for f in itertools.product(*(range(k + 1) for k in e)):
+                rest = tuple(k - j for k, j in zip(e, f))
+                out[(f, rest)] = c * math.prod(math.comb(k, j)
+                                               for k, j in zip(e, f))
         return out
 
     def is_primitive(self, a):
@@ -293,39 +240,41 @@ class TruncatedEnvelope:
     def is_grouplike(self, a):
         if self.counit(a) != 1:
             return False
-        want = {}
-        for m1, c1 in a.items():
-            for m2, c2 in a.items():
-                if self.wdeg(m1) + self.wdeg(m2) > self.order:
-                    continue
-                key = (m1, m2)
-                want[key] = want.get(key, Fraction(0)) + c1 * c2
-                if not want[key]:
-                    del want[key]
-        return self.coproduct(a) == want
+        return self.coproduct(a) == {
+            (m1, m2): c1 * c2 for m1, c1 in a.items() for m2, c2 in a.items()
+            if self.wdeg(m1) + self.wdeg(m2) <= self.order}
 
     # -- exponentials -------------------------------------------------------
+
+    def _series(self, a, coeffs):
+        """sum_k coeffs[k] a^k over k = 0..order, with a^k = a^(k-1) a by
+        the prefix walk, summed in integers over one common denominator."""
+        den_a, row = self._row(a)
+        terms = [(k, c) for k, c in enumerate(row) if c]
+        power_den, power = self._row(self.one())
+        total, total_den = [0] * len(row), 1
+        for k, coeff in enumerate(coeffs):
+            if k:
+                scale, power = self._multiply(power, terms)
+                power_den *= den_a * scale
+            c = Fraction(coeff) / power_den
+            den = math.lcm(total_den, c.denominator)
+            s, t = den // total_den, c.numerator * (den // c.denominator)
+            total = [x * s + y * t for x, y in zip(total, power)]
+            total_den = den
+        return self._element(total, total_den)
 
     def exp(self, a):
         if self.counit(a) != 0:
             raise ValueError("exp needs augmentation-zero input")
-        out = self.one()
-        term = self.one()
-        for k in range(1, self.order + 1):
-            term = self.mul(term, a)
-            out = self.add(out, self.scale(Fraction(1, math.factorial(k)), term))
-        return out
+        return self._series(a, [Fraction(1, math.factorial(k))
+                                for k in range(self.order + 1)])
 
     def log(self, u):
         if self.counit(u) != 1:
             raise ValueError("log needs counit-one input")
-        a = self.sub(u, self.one())
-        out = self.zero()
-        term = self.one()
-        for k in range(1, self.order + 1):
-            term = self.mul(term, a)
-            out = self.add(out, self.scale(Fraction((-1) ** (k + 1), k), term))
-        return out
+        return self._series(self.sub(u, self.one()), [0] + [
+            Fraction((-1) ** (k + 1), k) for k in range(1, self.order + 1)])
 
     def exp_coords(self, q):
         """Grouplike element exp(sum q_i x_i) from Lie coordinates."""
@@ -393,47 +342,57 @@ class TruncatedEnvelope:
         return self._j_echelons
 
     def _right_multiplications(self):
-        """(den, ops), compiled once per envelope from the monomial
-        products: ops[i][k] holds the terms (index, integer coefficient)
-        of den times the product of monomial k with the generator x_i.
-        ``den`` is the least common denominator of those products, 1 when
-        every structure constant they meet is integral."""
+        """(den, ops), compiled once per envelope from the bracket:
+        ops[i][k] holds the terms (index, integer coefficient) of den times
+        the product of monomial k with the generator x_i.  For monomial k
+        = m' x_j with j > i, m' x_j x_i = (m' x_i) x_j + m' [x_j, x_i].
+        One term of m' x_i has the length of m' x_j and a last letter at
+        most j, so it takes x_j by appending; its other terms are shorter,
+        so the recursion ends.  Every other product appends x_i, or
+        vanishes past the truncation.  ``den`` is the least common
+        denominator of the products, 1 when every structure constant they
+        meet is integral."""
         if self._right is None:
-            gens = [self._word_to_monomial((i,)) for i in range(self.L.dim)]
-            products = [[self._product(m, e) for m in self.monomials]
-                        for e in gens]
+            monomials, index, prefix = self.monomials, self.index, self._prefix
+            table = {}
+
+            def times(k, i):
+                out = table.get((k, i))
+                if out is not None:
+                    return out
+                out = {}
+                if prefix[k] is None or prefix[k][0] <= i:
+                    m = monomials[k]
+                    s = index.get(m[:i] + (m[i] + 1,) + m[i + 1:])
+                    if s is not None:
+                        out[s] = 1
+                else:
+                    j, p = prefix[k]
+                    for t, c in times(p, i).items():
+                        for s, d in times(t, j).items():
+                            out[s] = out.get(s, 0) + c * d
+                    for l, b in enumerate(self.L.bracket_basis(j, i)):
+                        if b:
+                            b = b.numerator if b.denominator == 1 else b
+                            for s, d in times(p, l).items():
+                                out[s] = out.get(s, 0) + b * d
+                    out = {s: c for s, c in out.items() if c}
+                table[(k, i)] = out
+                return out
+            products = [[times(k, i) for k in range(len(monomials))]
+                        for i in range(self.L.dim)]
             den = math.lcm(*[c.denominator for row in products
-                             for terms in row for _, c in terms])
-            index = self.index
+                             for terms in row for c in terms.values()])
             self._right = (den, [
-                [tuple((index[m], c.numerator * (den // c.denominator))
-                       for m, c in terms) for terms in row]
+                [tuple((s, c.numerator * (den // c.denominator))
+                       for s, c in terms.items()) for terms in row]
                 for row in products])
         return self._right
 
     def _left_multiplication(self, a):
         """The operator b -> a b as integer terms on each monomial index,
-        all scaled by one positive integer.  The product a m of a with a
-        monomial m = m' x_i, x_i the last letter of its PBW word, is
-        (a m') x_i, from the compiled right multiplications."""
-        den, ops = self._right_multiplications()
-        n = len(self.monomials)
-        images = [None] * n
-        # m' has the lower weighted degree, so its image comes first
-        for k, m in enumerate(self.monomials):
-            if any(m):
-                i = max(j for j, e in enumerate(m) if e)
-                prev = m[:i] + (m[i] - 1,) + m[i + 1:]
-                images[k] = _apply(images[self.index[prev]], ops[i])
-            else:
-                images[k] = [0] * n
-                for mono, c in _integral(a)[1]:
-                    images[k][self.index[mono]] = c
-        if den != 1:
-            # a m carries den^(degree of m); bring all to the largest one
-            top = max(sum(m) for m in self.monomials)
-            images = [[x * den ** (top - sum(m)) for x in v]
-                      for v, m in zip(images, self.monomials)]
+        all scaled by one positive integer, from the prefix walk."""
+        _, images = self._walk(self._row(a)[1], range(len(self.monomials)))
         return [tuple((j, x) for j, x in enumerate(v) if x) for v in images]
 
     def _graded_j_basis(self):

@@ -124,8 +124,9 @@ def epsilon_denormalize(p, n, nu=0):
     dims = pi_abelian_all(E)
     h = 1 if nu == 0 else 0
     expected = [h, h] + [0] * (n - 1)
-    assert dims[:n + 1] == expected[:n + 1], \
-        "denormalized cohomotopy disagrees with the complex: %r" % (dims,)
+    if dims[:n + 1] != expected[:n + 1]:
+        raise RuntimeError("denormalized cohomotopy disagrees with the "
+                           "complex: %r" % (dims,))
     cofaces = {m: [E.d(m, i).matrix for i in range(m + 1)]
                for m in range(1, n + 1)}
     codegens = {m: [E.s(m, i).matrix for i in range(m + 1)]
@@ -153,7 +154,9 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
     per epi [n] ->> [b], is the epsilon carrier on L with one epsilon per
     b = 1.  The "f/e" variant has column 0 only (no epsilon direction, so
     N plays no role)."""
-    assert variant in ("f/e", "g/e")
+    if variant not in ("f/e", "g/e"):
+        raise ValueError("variant must be 'f/e' or 'g/e', not %r"
+                         % (variant,))
     L, phi, p = X.L, X.phi, X.p
     D = VectorGroup(L.dim)
     eye = exactla.identity_matrix(L.dim)
@@ -205,8 +208,8 @@ def d_phi1(X):
     basis = kernel_basis(rows, d)
     for a in basis:
         for b in basis:
-            assert in_span(basis, X.L.bracket(list(a), list(b))), \
-                "fixed points not closed under bracket (bug)"
+            if not in_span(basis, X.L.bracket(list(a), list(b))):
+                raise RuntimeError("fixed points not closed under bracket")
     return basis
 
 
@@ -231,25 +234,27 @@ def h1_quotient(X, variant="g/e", N=3):
     S = selmer_quotient_cosimplicial(X, variant, N)
     out = {"cosimplicial": S, "deciders": pi1_unipotent_deciders(S),
            "pi0_basis": pi0(S)}
-    assert span_echelon([list(v) for v in out["pi0_basis"]]) == \
-        span_echelon([list(v) for v in d_phi1(X)]), \
-        "pi0 of the quotient pattern disagrees with the direct computation"
+    if span_echelon([list(v) for v in out["pi0_basis"]]) != \
+            span_echelon([list(v) for v in d_phi1(X)]):
+        raise RuntimeError("pi0 of the quotient pattern disagrees with the "
+                           "direct computation")
     if X.is_abelian():
         dims = pi_abelian_all(S)[:3]
         out["moore_dims"] = dims
         if variant == "g/e":
-            assert dims == _total_complex_dims(X), \
-                "Moore dims disagree with the total-complex oracle"
+            if dims != _total_complex_dims(X):
+                raise RuntimeError("Moore dims disagree with the "
+                                   "total-complex oracle")
             # dual description of pi^2: fixed vectors of weight p for the
             # transposed Frobenius, killed by the transposed monodromy
             d = X.dim
             pphit = [[X.p * v for v in row] for row in transpose(X.phi)]
             rows = exactla.mat_sub(pphit, exactla.identity_matrix(d)) + \
                 transpose(X.N)
-            assert dims[2] == len(kernel_basis(rows, d)), \
-                "pi^2 disagrees with the dual formula"
-        else:
-            assert dims[2] == 0, "f/e pattern must vanish above degree 1"
+            if dims[2] != len(kernel_basis(rows, d)):
+                raise RuntimeError("pi^2 disagrees with the dual formula")
+        elif dims[2] != 0:
+            raise RuntimeError("f/e pattern must vanish above degree 1")
     return out
 
 

@@ -1,16 +1,15 @@
 """No module of ``cohw`` gains ``assert`` statements or ``raise
 AssertionError``: ``python -O`` drops the first, and the second reads as
 "internal bug" where bad input is meant.  A check that decides an answer
-or rejects bad input raises an error of its own kind.  Each ceiling is
-the module's current count of both; lower it as the remaining ones are
-converted."""
+or rejects bad input raises an error of its own kind.  Every module's
+ceiling is zero: ``src/cohw`` holds neither form."""
 
 import ast
 import pathlib
 
 import cohw
 
-CEILINGS = {"cli": 1, "phin": 7}
+CEILINGS = {}
 
 
 def _raises_assertion_error(node):

@@ -10,7 +10,7 @@ import cohw
 from cohw import cosimpl
 from cohw.exactla import Gaussian, identity_matrix, parse_scalar
 from cohw.cli import (
-    ParseError, derive_mhs_extension, derive_phin_extension,
+    ParseError, build_action, derive_mhs_extension, derive_phin_extension,
     load_description, main, parse_description, run_verify,
 )
 from cohw.hodge import mhs_les
@@ -506,6 +506,14 @@ def test_h1_finite_action(tmp_path, capsys):
     assert code == 0
     assert "h0 size: 1" in out
     assert "h1 classes: 1" in out
+
+
+def test_an_action_without_a_finite_group_is_a_parse_error(capsys):
+    # build_action raises the error that cmd_h1 raises, not an assert
+    df = parse_description("[action]\ncarrier cyclic 3\n")
+    with pytest.raises(ParseError, match="needs finite_group") as e:
+        build_action(df)
+    assert (e.value.line, e.value.col) == (1, 1)
 
 
 def test_located_parse_errors(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import functools
+import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +20,80 @@ from cohw.nilpotent import (
 )
 
 F = Fraction
+
+
+class _WordReference:
+    """The envelope's former product, kept as a reference: words in the
+    basis of L normal ordered by rewriting, memoized per word."""
+
+    def __init__(self, env):
+        self.L, self.order, self.weights = env.L, env.order, env.weights
+        self.add, self.scale = env.add, env.scale
+        self._no_cache = {}
+
+    def _word_wdeg(self, word):
+        return sum(self.weights[i] for i in word)
+
+    def _word_to_monomial(self, word):
+        e = [0] * self.L.dim
+        for i in word:
+            e[i] += 1
+        return tuple(e)
+
+    def normal_order(self, word):
+        """Word (tuple of basis indices) -> element, rewriting x_a x_b with
+        a > b into x_b x_a + [x_a, x_b] until ascending.  Memoized."""
+        if self._word_wdeg(word) > self.order:
+            return {}
+        if word in self._no_cache:
+            return self._no_cache[word]
+        k = None
+        for t in range(len(word) - 1):
+            if word[t] > word[t + 1]:
+                k = t
+                break
+        if k is None:
+            out = {self._word_to_monomial(word): Fraction(1)}
+        else:
+            a, b = word[k], word[k + 1]
+            swapped = word[:k] + (b, a) + word[k + 2:]
+            out = dict(self.normal_order(swapped))
+            br = self.L.bracket_basis(a, b)
+            for i, c in enumerate(br):
+                if c:
+                    shorter = word[:k] + (i,) + word[k + 2:]
+                    out = self.add(out, self.scale(c, self.normal_order(shorter)))
+        self._no_cache[word] = out
+        return out
+
+    def _monomial_word(self, m):
+        word = []
+        for i, e in enumerate(m):
+            word.extend([i] * e)
+        return tuple(word)
+
+    def mul(self, a, b):
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                out = self.add(out, self.scale(c1 * c2, self.normal_order(
+                    self._monomial_word(m1) + self._monomial_word(m2))))
+        return out
+
+
+def _class_three():
+    return central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
+
+
+def _half_heisenberg():
+    # a structure constant that is not integral: [x, y] = z / 2
+    return NilpotentLieAlgebra(3, {(0, 1): {2: F(1, 2)}}, name="half")
+
+
+# the algebras, with their orders, that the envelope is compared on
+# against the word reference
+REFERENCE_ALGEBRAS = [(heisenberg(), 3), (_class_three(), 4),
+                      (_half_heisenberg(), 3), (abelian_lie_algebra(3), 2)]
 
 
 def test_monomial_count():
@@ -69,6 +146,7 @@ def test_associativity_against_matrix_model():
     # independent oracle: words of generators agree with 3x3 strictly upper
     # triangular matrix products under x -> E12, y -> E23, z -> E13
     env = TruncatedEnvelope(heisenberg(), order=2)
+    ref = _WordReference(env)
     E = {0: (0, 1), 1: (1, 2), 2: (0, 2)}
 
     def word_matrix(word):
@@ -83,10 +161,12 @@ def test_associativity_against_matrix_model():
     # the rep factors through U so normal ordering must not change the image
     for word in [(1, 0), (1, 2), (2, 1), (1, 1), (0, 1)]:
         direct = word_matrix(word)
-        no = env.normal_order(word)
+        no = ref.normal_order(word)
+        # the envelope's product of the letters is the normal-ordered word
+        assert functools.reduce(env.mul, [env.gen(i) for i in word]) == no
         img = exactla.zero_matrix(3, 3)
         for m, c in no.items():
-            w = env._monomial_word(m)
+            w = ref._monomial_word(m)
             img = exactla.mat_add(img, [[c * e for e in row]
                                         for row in word_matrix(w)])
         # compare only the strictly-upper part reachable at degree <= 2
@@ -101,12 +181,28 @@ def test_coproduct_primitive_generators():
     assert not env.is_primitive(env.mul(env.gen(0), env.gen(0)))
 
 
+def _tensor_mul(env, A, B):
+    # (a (x) b)(c (x) d) = ac (x) bd on tensor dicts {(mono, mono): coeff},
+    # truncated at combined degree
+    out = {}
+    for (l1, r1), c1 in A.items():
+        for (l2, r2), c2 in B.items():
+            left = env.mul({l1: F(1)}, {l2: F(1)})
+            right = env.mul({r1: F(1)}, {r2: F(1)})
+            for lm, lc in left.items():
+                for rm, rc in right.items():
+                    if env.wdeg(lm) + env.wdeg(rm) <= env.order:
+                        key = (lm, rm)
+                        out[key] = out.get(key, 0) + c1 * c2 * lc * rc
+    return {k: x for k, x in out.items() if x}
+
+
 def test_coproduct_multiplicative():
     env = TruncatedEnvelope(heisenberg(), order=3)
     a = env.add(env.gen(0), env.scale(F(2), env.gen(2)))
     b = env.sub(env.gen(1), env.one())
     lhs = env.coproduct(env.mul(a, b))
-    rhs = env.tensor_mul(env.coproduct(a), env.coproduct(b))
+    rhs = _tensor_mul(env, env.coproduct(a), env.coproduct(b))
     assert lhs == rhs
 
 
@@ -292,30 +388,34 @@ def test_hopf_checks_hold_under_optimization():
     assert proc.stdout == "refused\n" * 3, proc.stderr
 
 
-def _class_three():
-    return central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
-
-
-def _half_heisenberg():
-    # a structure constant that is not integral: [x, y] = z / 2
-    return NilpotentLieAlgebra(3, {(0, 1): {2: F(1, 2)}}, name="half")
-
-
-@pytest.mark.parametrize("L, order", [(heisenberg(), 3), (_class_three(), 4),
-                                      (_half_heisenberg(), 3)])
+@pytest.mark.parametrize("L, order", REFERENCE_ALGEBRAS)
 def test_compiled_table_matches_normal_order(L, order):
     env = TruncatedEnvelope(L, order=order)
+    ref = _WordReference(env)
     for m1 in env.monomials:
         for m2 in env.monomials:
-            want = env.normal_order(env._monomial_word(m1)
-                                    + env._monomial_word(m2))
-            terms = env._product(m1, m2)
-            assert dict(terms) == want
-            assert all(type(c) is int for _, c in terms
-                       if F(c).denominator == 1)
+            want = ref.normal_order(ref._monomial_word(m1)
+                                    + ref._monomial_word(m2))
+            got = env.mul({m1: F(1)}, {m2: F(1)})
+            assert got == want
+            assert all(type(c) is F for c in got.values())
             if env.wdeg(m1) + env.wdeg(m2) > order:
-                assert terms == ()
-            assert env.mul({m1: F(1)}, {m2: F(1)}) == want
+                assert got == {}
+
+
+@pytest.mark.parametrize("L, order", REFERENCE_ALGEBRAS)
+def test_right_multiplications_match_normal_order(L, order):
+    # compiled from the bracket, not from words: den times m x_i in integers
+    env = TruncatedEnvelope(L, order=order)
+    ref = _WordReference(env)
+    den, ops = env._right_multiplications()
+    assert type(den) is int and den >= 1
+    for k, m in enumerate(env.monomials):
+        for i in range(L.dim):
+            want = ref.normal_order(ref._monomial_word(m) + (i,))
+            assert all(type(c) is int and c for _, c in ops[i][k])
+            assert {env.monomials[j]: F(c, den)
+                    for j, c in ops[i][k]} == want
 
 
 def test_compiled_product_is_associative_on_basis_triples():
@@ -329,20 +429,22 @@ def test_compiled_product_is_associative_on_basis_triples():
 
 
 def _reference_coproduct(env, a):
-    # Delta on words through normal_order alone, as before the table
+    # Delta(x_i) = x_i (x) 1 + 1 (x) x_i, extended multiplicatively on
+    # words through the word reference alone
+    ref = _WordReference(env)
     one = env.unit_monomial()
     out = {}
     for m, c in a.items():
         acc = {(one, one): F(1)}
-        for i in env._monomial_word(m):
-            e = env._word_to_monomial((i,))
+        for i in ref._monomial_word(m):
+            e = ref._word_to_monomial((i,))
             nxt = {}
             for (l1, r1), c1 in acc.items():
                 for l2, r2 in ((e, one), (one, e)):
-                    left = env.normal_order(env._monomial_word(l1)
-                                            + env._monomial_word(l2))
-                    right = env.normal_order(env._monomial_word(r1)
-                                             + env._monomial_word(r2))
+                    left = ref.normal_order(ref._monomial_word(l1)
+                                            + ref._monomial_word(l2))
+                    right = ref.normal_order(ref._monomial_word(r1)
+                                             + ref._monomial_word(r2))
                     for lm, lc in left.items():
                         for rm, rc in right.items():
                             if env.wdeg(lm) + env.wdeg(rm) <= env.order:
@@ -371,17 +473,65 @@ def test_coproduct_of_a_grouplike_is_unchanged():
         assert delta == want
 
 
+@pytest.mark.parametrize("L, order", REFERENCE_ALGEBRAS)
+def test_coproduct_of_random_elements_matches_the_words(L, order):
+    env = TruncatedEnvelope(L, order=order)
+    rng = random.Random(order * 10 + L.dim)
+    for _ in range(15):
+        a = {m: F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+             for m in rng.sample(env.monomials, rng.randint(1, 5))}
+        assert not env.is_grouplike(a) or a == env.one()
+        delta = env.coproduct(a)
+        assert delta == _reference_coproduct(env, a)
+        assert all(type(c) is F for c in delta.values())
+
+
 def _ideal_powers(env):
-    # J^m as J^{m-1} J with J spanned by every monomial of positive degree
+    # J^m as J^{m-1} J with J spanned by every monomial of positive degree,
+    # multiplied by the word reference
     vec = env.to_vector
+    mul = _WordReference(env).mul
     j1 = [{m: F(1)} for m in env.monomials if sum(m) >= 1]
     powers = [exactla.span_echelon([vec({m: F(1)}) for m in env.monomials]),
               exactla.span_echelon([vec(a) for a in j1])]
     for _ in range(2, env.order + 1):
         current = [env.from_vector(v) for v in powers[-1]]
         powers.append(exactla.span_echelon(
-            [vec(env.mul(a, b)) for a in current for b in j1]))
+            [vec(mul(a, b)) for a in current for b in j1]))
     return powers + [[]]
+
+
+def _reference_symmetrization_report(env):
+    # symmetrize by averaging every normal-ordered ordering of the word,
+    # and compare with the J-powers of the word reference in Fractions
+    ref = _WordReference(env)
+    powers = _ideal_powers(env)
+
+    def sym(e):
+        words = list(itertools.permutations(ref._monomial_word(e)))
+        acc = {}
+        for w in words:
+            acc = env.add(acc, ref.normal_order(w))
+        return env.to_vector(env.scale(F(1, len(words)), acc))
+    report = {"ok": True, "levels": []}
+    for m in range(env.order + 1):
+        vectors = [sym(e) for e in env.monomials if env.wdeg(e) >= m]
+        contained = all(exactla.in_span(powers[m], v) for v in vectors)
+        sym_dim = len(exactla.span_echelon(vectors))
+        report["levels"].append({"level": m, "sym_dim": sym_dim,
+                                 "j_dim": len(powers[m]),
+                                 "contained": contained})
+        if not contained or sym_dim != len(powers[m]):
+            report["ok"] = False
+            report["first_violation"] = m
+            break
+    return report
+
+
+@pytest.mark.parametrize("L, order", REFERENCE_ALGEBRAS)
+def test_symmetrization_report_matches_the_word_reference(L, order):
+    env = TruncatedEnvelope(L, order=order)
+    assert symmetrization_check(env) == _reference_symmetrization_report(env)
 
 
 @pytest.mark.parametrize("L, order, dims", [
@@ -390,6 +540,7 @@ def _ideal_powers(env):
     (heisenberg(), 3, [13, 12, 10, 6, 0]),
     (_class_three(), 4, [25, 24, 22, 18, 11, 0]),
     (_half_heisenberg(), 3, [13, 12, 10, 6, 0]),
+    (abelian_lie_algebra(3), 2, [10, 9, 6, 0]),
 ])
 def test_j_powers_are_ideal_powers(L, order, dims):
     env = TruncatedEnvelope(L, order=order)

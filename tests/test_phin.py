@@ -1,5 +1,7 @@
+import os
 import pathlib
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -247,6 +249,27 @@ def test_f_e_variant_vanishes_above_degree_one():
     assert h1_quotient(_q_one(), "f/e")["moore_dims"] == [0, 0, 0]
     X = PhiNGroup(abelian_lie_algebra(2), identity_matrix(2), p=2)
     assert h1_quotient(X, "f/e")["moore_dims"] == [2, 2, 0]
+
+
+def test_a_bogus_variant_is_refused_also_under_optimization():
+    # python -O strips assert statements; the variant check is not one
+    child = ("from fractions import Fraction as F\n"
+             "from cohw.nilpotent import heisenberg\n"
+             "from cohw.phin import PhiNGroup, selmer_quotient_cosimplicial\n"
+             "X = PhiNGroup(heisenberg(), [[F(2), 0, 0], [0, F(3), 0],\n"
+             "                             [0, 0, F(6)]], p=2)\n"
+             "try:\n"
+             "    selmer_quotient_cosimplicial(X, 'bogus', N=2)\n"
+             "except ValueError as e:\n"
+             "    print(e)\n")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", child],
+                              cwd=root, env=dict(os.environ,
+                                                 PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.stdout == \
+            "variant must be 'f/e' or 'g/e', not 'bogus'\n", proc.stderr
 
 
 def test_twisted_conjugation_classification():
