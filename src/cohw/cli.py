@@ -2,8 +2,11 @@
 computations, run the verification suites, emit deterministic reports.
 
 The input format is line-oriented with named ``[sections]``; the grammar
-is documented in the README and parse errors carry (line, column)
-locations.  Reports are byte-identical for identical (input, seed).
+is documented in the README and in ``_GRAMMAR``.  Input errors carry a
+(line, column) location: the column is where the offending token starts,
+or the keyword for an error about the statement as a whole; requirements
+on the whole file are located at 1:1.  Reports are byte-identical for
+identical (input, seed).
 Exit codes: 0 success, 1 negative certificate, 2 input error, 3 internal
 verification failure (a guaranteed identity failed - always a bug).
 """
@@ -11,7 +14,9 @@ verification failure (a guaranteed identity failed - always a bug).
 import argparse
 import json
 import random
+import re
 import sys
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .exactla import (
@@ -59,6 +64,10 @@ class ParseError(Exception):
         self.message = message
 
 
+class _ArgumentError(Exception):
+    """A bad command-line argument, reported as ``<option>: <message>``."""
+
+
 class DescriptionFile:
     """Parsed and cross-validated model of one input file."""
 
@@ -67,70 +76,142 @@ class DescriptionFile:
         self.text = text
         self.field = "rational"
         self.p = None
-        self.p_line = None
         self.L = None
-        self.L_class = None
         self.group = None
         self.filtration_w = None
         self.filtration_f = None
         self.phi = None
-        self.phi_line = None
         self.N = None
         self.coset = None
         self.action = None
         self.extension = None
+        # section name (None before the first header) -> its statements
+        self.statements = defaultdict(list)
+
+    def _find(self, section, *keys):
+        """The statements of section with one of the keywords, in order."""
+        return [st for st in self.statements[section] if st.values[0] in keys]
 
 
-def _tokens(line):
-    return line.split()
+class _Statement(namedtuple("_Statement", "line cols values")):
+    """One statement: its line, the column of each token and its values
+    (the keyword first, then each token converted to its kind)."""
+    __slots__ = ()
+
+    def error(self, message, k=0):
+        """A ParseError at token k, by default the keyword."""
+        return ParseError(self.line, self.cols[k], message)
 
 
-def _value(toks, lineno):
-    """The one value of a keyword line."""
-    if len(toks) != 2:
-        raise ParseError(lineno, 1, "%s takes one value" % toks[0])
-    return toks[1]
+_KINDS = dict.fromkeys(("dimension", "index", "order", "entry", "level",
+                        "element", "generator index", "permutation image"),
+                       int)
+_KINDS.update(word=str, rational=Fraction,
+              scalar=lambda text: parse_scalar(text, field="gaussian"))
+
+# section -> keyword -> shape: (kinds of the tokens after the keyword, kind
+# of any further tokens, message for a wrong token count).  Further tokens
+# given as a dict are read by the shape it maps the last fixed token to, a
+# word that then acts as the keyword.  A message None stands for
+# "<keyword> takes one value".
+_CARRIER = "carrier must be cyclic n, symmetric n or lie_algebra"
+_ORDER = (("order",), None, None)
+_ROW = ((), "rational", None)
+_GRAMMAR = {
+    None: {"field": (("word",), None, "field must be rational or gaussian"),
+           "p": (("rational",), None, None)},
+    "lie_algebra": {"dim": (("dimension",), None, None),
+                    "bracket": (("index", "index", "index", "rational"),
+                                None, "bracket needs: i j k coefficient")},
+    "finite_group": {"cyclic": _ORDER, "symmetric": _ORDER,
+                     "elements": _ORDER, "row": ((), "entry", None)},
+    "filtration_W": {"level": (("level",), None, None), "vector": _ROW},
+    "filtration_F": {"level": (("level",), None, None),
+                     "vector": ((), "scalar", None)},
+    "phi": {"row": _ROW},
+    "N": {"row": _ROW},
+    "cosimplicial": {"pattern": (("word",), None, None),
+                     "left": ((), "element", None),
+                     "right": ((), "element", None)},
+    "action": {
+        "carrier": (("word",), {"cyclic": _ORDER, "symmetric": _ORDER,
+                                "lie_algebra": ((), None, _CARRIER)},
+                    _CARRIER),
+        "generator": (("generator index", "word"),
+                      {"permutation": ((), "permutation image", None),
+                       "matrix": _ROW},
+                      "generator needs an index and an image "
+                      "(permutation or matrix)")},
+    "extension": {"incl": _ROW, "proj": _ROW},
+}
+_TOKEN = re.compile(r"\S+")
 
 
-def _parse_int(tok, lineno, what):
+def _tokenize(text):
+    """The tokens (text, line, column) of each line that has any, one list
+    per line; ``#`` starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = [(m.group(), lineno, m.start() + 1)
+                for m in _TOKEN.finditer(raw.split("#", 1)[0])]
+        if toks:
+            yield toks
+
+
+def _convert(tok, kind):
+    text, line, col = tok
     try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(lineno, 1, "bad %s: %r" % (what, tok))
-
-
-def _parse_frac(tok, lineno):
-    try:
-        return Fraction(tok)
+        return _KINDS[kind](text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, 1, "bad rational: %r" % tok)
+        raise ParseError(line, col, "bad %s: %r" % (kind, text)) from None
 
 
-def _parse_gauss(tok, lineno):
-    try:
-        return parse_scalar(tok, field="gaussian")
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, 1, "bad scalar: %r" % tok)
+def _statement(section, toks):
+    """The typed statement of one line of the given section."""
+    key, line, col = toks[0]
+    if key not in _GRAMMAR[section]:
+        raise ParseError(line, col, "unknown %s line %r" % (section, key)
+                         if section else "statement outside any section: %r"
+                         % key)
+    cols = [c for _, _, c in toks]
+    shape, head, kinds = _GRAMMAR[section][key], 0, []
+    while True:
+        fixed, rest, message = shape
+        message = message or "%s takes one value" % toks[head][0]
+        kinds += fixed
+        n = len(kinds) + 1
+        if len(toks) < n:
+            raise ParseError(line, cols[head], message)
+        if not isinstance(rest, dict):
+            break
+        head = n - 1
+        if toks[head][0] not in rest:
+            raise ParseError(line, cols[head], message)
+        shape = rest[toks[head][0]]
+    if rest is None and len(toks) > n:
+        raise ParseError(line, cols[n], message)
+    kinds += [rest] * (len(toks) - n)
+    return _Statement(line, cols, [key] + [_convert(t, k) for t, k
+                                           in zip(toks[1:], kinds)])
 
 
-def _group_order(kind, tok, lineno):
-    """Order n of a ``cyclic``, ``symmetric`` or ``elements`` group, checked
-    before any table is built: n >= 1, and at most ENUM_CAP table cells
-    (n^2, or n!^2 for the symmetric group)."""
-    n = _parse_int(tok, lineno, "order")
+def _group_order(st, k):
+    """Check the order n at token k of a ``cyclic``, ``symmetric`` or
+    ``elements`` group (its kind is token k - 1) before any table is
+    built: n >= 1, and at most ENUM_CAP table cells (n^2, or n!^2 for the
+    symmetric group)."""
+    kind, n = st.values[k - 1:k + 1]
     if n < 1:
-        raise ParseError(lineno, 1, "%s order must be at least 1" % kind)
+        raise st.error("%s order must be at least 1" % kind, k)
     size = n
     if kind == "symmetric":
         size = 1
-        for k in range(2, n + 1):
-            size *= k
+        for m in range(2, n + 1):
+            size *= m
             if size * size > ENUM_CAP:
                 break
     if size * size > ENUM_CAP:
-        raise ParseError(lineno, 1, "%s %d: group table exceeds %d cells"
-                         % (kind, n, ENUM_CAP))
-    return n
+        raise st.error("%s %d: group table exceeds %d cells"
+                       % (kind, n, ENUM_CAP), k)
 
 
 def parse_description(text, name="<input>"):
@@ -138,136 +219,60 @@ def parse_description(text, name="<input>"):
     referenced objects (delegating invariants to the module validators)."""
     df = DescriptionFile(name, text)
     section = None
-    lie = {"dim": None, "brackets": []}
-    grp = {"kind": None, "n": None, "rows": []}
-    filts = {"W": [], "F": []}
-    mats = {"phi": [], "N": []}
-    coset = {"pattern": None, "left": None, "right": None}
-    action = {"carrier": None, "generators": []}
-    ext = {"incl": [], "proj": []}
-    saw_content = False
-
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        saw_content = True
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError(lineno, len(line), "unterminated section header")
-            section = line[1:-1].strip()
-            known = {"lie_algebra", "finite_group", "action", "filtration_W",
-                     "filtration_F", "phi", "N", "cosimplicial", "extension"}
-            if section not in known:
-                raise ParseError(lineno, 2, "unknown section %r" % section)
-            continue
-        toks = _tokens(line)
-        key = toks[0]
-        if section is None:
-            if key == "field":
-                if len(toks) != 2 or toks[1] not in ("rational", "gaussian"):
-                    raise ParseError(lineno, 1,
-                                     "field must be rational or gaussian")
-                df.field = toks[1]
-            elif key == "p":
-                df.p = _parse_frac(_value(toks, lineno), lineno)
-                df.p_line = lineno
-            else:
-                raise ParseError(lineno, 1, "statement outside any section: %r"
-                                 % key)
-        elif section == "lie_algebra":
-            if key == "dim":
-                lie["dim"] = _parse_int(_value(toks, lineno), lineno,
-                                       "dimension")
-                if lie["dim"] < 0:
-                    raise ParseError(lineno, 1, "dimension must be >= 0")
-                if lie["dim"] > DIM_CAP:
-                    raise ParseError(lineno, 1, "dimension %d exceeds %d"
-                                     % (lie["dim"], DIM_CAP))
-            elif key == "bracket":
-                if len(toks) != 5:
-                    raise ParseError(lineno, 1,
-                                     "bracket needs: i j k coefficient")
-                i, j, k = (_parse_int(t, lineno, "index") for t in toks[1:4])
-                c = _parse_frac(toks[4], lineno)
-                lie["brackets"].append((lineno, raw, i, j, k, c))
-            else:
-                raise ParseError(lineno, 1, "unknown lie_algebra line %r" % key)
-        elif section == "finite_group":
-            if key in ("cyclic", "symmetric", "elements"):
-                grp["kind"] = "table" if key == "elements" else key
-                grp["n"] = _group_order(key, _value(toks, lineno), lineno)
-            elif key == "row":
-                grp["rows"].append((lineno,
-                                    [_parse_int(t, lineno, "entry")
-                                     for t in toks[1:]]))
-            else:
-                raise ParseError(lineno, 1, "unknown finite_group line %r" % key)
-        elif section in ("filtration_W", "filtration_F"):
-            tag = "W" if section == "filtration_W" else "F"
-            if key == "level":
-                filts[tag].append(
-                    (_parse_int(_value(toks, lineno), lineno, "level"), []))
-            elif key == "vector":
-                if not filts[tag]:
-                    raise ParseError(lineno, 1, "vector before any level")
-                filts[tag][-1][1].append((lineno, toks[1:]))
-            else:
-                raise ParseError(lineno, 1, "unknown filtration line %r" % key)
-        elif section in ("phi", "N"):
-            if key != "row":
-                raise ParseError(lineno, 1, "matrix sections hold 'row' lines")
-            mats[section].append((lineno,
-                                  [_parse_frac(t, lineno) for t in toks[1:]]))
-        elif section == "cosimplicial":
-            if key == "pattern":
-                coset["pattern"] = (lineno, _value(toks, lineno))
-            elif key in ("left", "right"):
-                coset[key] = (lineno, [_parse_int(t, lineno, "element")
-                                       for t in toks[1:]])
-            else:
-                raise ParseError(lineno, 1, "unknown cosimplicial line %r" % key)
-        elif section == "action":
-            if key == "carrier":
-                kind = toks[1] if len(toks) > 1 else None
-                if kind in ("cyclic", "symmetric"):
-                    n = _group_order(kind, _value(toks[1:], lineno), lineno)
-                elif kind == "lie_algebra" and len(toks) == 2:
-                    n = None
-                else:
-                    raise ParseError(lineno, 1, "carrier must be cyclic n, "
-                                     "symmetric n or lie_algebra")
-                action["carrier"] = (lineno, kind, n)
-            elif key == "generator":
-                action["generators"].append((lineno, toks[1:]))
-            else:
-                raise ParseError(lineno, 1, "unknown action line %r" % key)
-        elif section == "extension":
-            if key not in ("incl", "proj"):
-                raise ParseError(lineno, 1, "extension lines are incl/proj")
-            ext[key].append((lineno,
-                             [_parse_frac(t, lineno) for t in toks[1:]]))
-
-    if not saw_content:
+    lines = list(_tokenize(text))
+    if not lines:
         raise ParseError(1, 1, "empty description")
+    for toks in lines:
+        key, lineno, col = toks[0]
+        if key.startswith("["):
+            header = " ".join(t for t, _, _ in toks)
+            if not header.endswith("]"):
+                raise ParseError(lineno, col, "unterminated section header")
+            section = header[1:-1].strip()
+            if section not in _GRAMMAR:
+                raise ParseError(lineno, col, "unknown section %r" % section)
+            continue
+        df.statements[section].append(_statement(section, toks))
 
-    # -- resolve and validate
-    if lie["dim"] is not None or lie["brackets"]:
-        d = lie["dim"]
-        if d is None:
-            first = lie["brackets"][0][0] if lie["brackets"] else 1
-            raise ParseError(first, 1, "lie_algebra needs a dim line")
+    for st in df.statements[None]:
+        if st.values[0] == "field":
+            if st.values[1] not in ("rational", "gaussian"):
+                raise st.error("field must be rational or gaussian", 1)
+            df.field = st.values[1]
+        else:
+            df.p = st.values[1]
+
+    # sizes are checked before any algebra or group is built
+    dims = df._find("lie_algebra", "dim")
+    for st in dims:
+        if st.values[1] < 0:
+            raise st.error("dimension must be >= 0", 1)
+        if st.values[1] > DIM_CAP:
+            raise st.error("dimension %d exceeds %d"
+                           % (st.values[1], DIM_CAP), 1)
+    orders = df._find("finite_group", "cyclic", "symmetric", "elements")
+    for st in orders:
+        _group_order(st, 1)
+    for st in df._find("action", "carrier"):
+        if st.values[1] != "lie_algebra":
+            _group_order(st, 2)
+    df.action = df.statements["action"] or None
+
+    lie = df.statements["lie_algebra"]
+    if lie:
+        if not dims:
+            raise lie[0].error("lie_algebra needs a dim line")
+        d = dims[-1].values[1]
+        brackets = df._find("lie_algebra", "bracket")
         structure = {}
-        for lineno, raw, i, j, k, c in lie["brackets"]:
-            for idx in (i, j, k):
-                if not 0 <= idx < d:
-                    col = raw.find(str(idx)) + 1
-                    raise ParseError(lineno, max(col, 1),
-                                     "basis index %d out of range (dim %d)"
-                                     % (idx, d))
+        for st in brackets:
+            _, i, j, k, c = st.values
+            for pos in (1, 2, 3):
+                if not 0 <= st.values[pos] < d:
+                    raise st.error("basis index %d out of range (dim %d)"
+                                   % (st.values[pos], d), pos)
             if i == j:
-                raise ParseError(lineno, 1, "bracket of a vector with itself")
+                raise st.error("bracket of a vector with itself")
             if i > j:
                 i, j, c = j, i, -c
             structure.setdefault((i, j), {})
@@ -275,114 +280,100 @@ def parse_description(text, name="<input>"):
         try:
             df.L = NilpotentLieAlgebra(d, structure, name="input")
         except ValueError as e:
-            raise ParseError(lie["brackets"][0][0] if lie["brackets"] else 1,
-                             1, "invalid Lie algebra: %s" % e)
-        df.L_class = df.L.nilpotency_class
+            raise (brackets or dims)[0].error("invalid Lie algebra: %s" % e)
 
-    if grp["kind"] == "cyclic":
-        df.group = cyclic_group(grp["n"])
-    elif grp["kind"] == "symmetric":
-        df.group = symmetric_group(grp["n"])
-    elif grp["kind"] == "table":
-        n = grp["n"]
-        if len(grp["rows"]) != n:
-            lineno = grp["rows"][-1][0] if grp["rows"] else 1
-            raise ParseError(lineno, 1, "expected %d table rows" % n)
-        for lineno, r in grp["rows"]:
-            if len(r) != n:
-                raise ParseError(lineno, 1, "row needs %d entries, got %d"
-                                 % (n, len(r)))
-            bad = [x for x in r if not 0 <= x < n]
-            if bad:
-                raise ParseError(lineno, 1, "table entry %d out of range "
-                                 "0..%d" % (bad[0], n - 1))
-        table = [r for _, r in grp["rows"]]
-        from .cosimpl import TableGroup
-        try:
-            df.group = TableGroup(table, check=True)
-        except ValueError as e:
-            raise ParseError(grp["rows"][0][0], 1, "invalid table: %s" % e)
+    if orders:
+        kind, n = orders[-1].values
+        if kind != "elements":
+            df.group = (cyclic_group if kind == "cyclic"
+                        else symmetric_group)(n)
+        else:
+            rows = df._find("finite_group", "row")
+            if len(rows) != n:
+                raise (rows or orders)[-1].error("expected %d table rows" % n)
+            for st in rows:
+                if len(st.values) != n + 1:
+                    raise st.error("row needs %d entries, got %d"
+                                   % (n, len(st.values) - 1))
+                for k, x in enumerate(st.values[1:], start=1):
+                    if not 0 <= x < n:
+                        raise st.error("table entry %d out of range 0..%d"
+                                       % (x, n - 1), k)
+            from .cosimpl import TableGroup
+            try:
+                df.group = TableGroup([st.values[1:] for st in rows],
+                                      check=True)
+            except ValueError as e:
+                raise rows[0].error("invalid table: %s" % e)
 
     for tag, target in (("W", "filtration_w"), ("F", "filtration_f")):
-        if not filts[tag]:
+        body = df.statements["filtration_" + tag]
+        if not body:
             continue
         if df.L is None:
-            raise ParseError(1, 1, "filtrations need a lie_algebra section")
-        out = {}
-        for level, vecs in filts[tag]:
-            basis = []
-            for lineno, toks in vecs:
-                if len(toks) != df.L.dim:
-                    raise ParseError(lineno, 1, "vector length != dim %d"
-                                     % df.L.dim)
-                if tag == "W":
-                    basis.append([_parse_frac(t, lineno) for t in toks])
-                else:
-                    basis.append([_parse_gauss(t, lineno) for t in toks])
-            out[level] = basis
+            raise body[0].error("filtrations need a lie_algebra section")
+        out, basis = {}, None
+        for st in body:
+            if st.values[0] == "level":
+                basis = out[st.values[1]] = []
+            elif basis is None:
+                raise st.error("vector before any level")
+            elif len(st.values) != df.L.dim + 1:
+                raise st.error("vector length != dim %d" % df.L.dim)
+            else:
+                basis.append(st.values[1:])
         setattr(df, target, out)
 
     for tag in ("phi", "N"):
-        if not mats[tag]:
+        rows = df.statements[tag]
+        if not rows:
             continue
         if df.L is None:
-            raise ParseError(mats[tag][0][0], 1,
-                             "%s needs a lie_algebra section" % tag)
+            raise rows[0].error("%s needs a lie_algebra section" % tag)
         d = df.L.dim
-        if len(mats[tag]) != d or any(len(r) != d for _, r in mats[tag]):
-            raise ParseError(mats[tag][0][0], 1,
-                             "%s must be a %dx%d matrix" % (tag, d, d))
-        setattr(df, tag, [r for _, r in mats[tag]])
-    if df.phi is not None:
-        df.phi_line = mats["phi"][0][0]
+        if len(rows) != d or any(len(st.values) != d + 1 for st in rows):
+            raise rows[0].error("%s must be a %dx%d matrix" % (tag, d, d))
+        setattr(df, tag, [st.values[1:] for st in rows])
 
-    if coset["pattern"] is not None:
-        lineno, pattern = coset["pattern"]
-        if pattern != "double_coset":
-            raise ParseError(lineno, 1, "unknown cosimplicial pattern %r"
-                             % pattern)
+    patterns = df._find("cosimplicial", "pattern")
+    if patterns:
+        st = patterns[-1]
+        if st.values[1] != "double_coset":
+            raise st.error("unknown cosimplicial pattern %r" % st.values[1], 1)
         if df.group is None:
-            raise ParseError(lineno, 1,
-                             "double_coset pattern needs a finite_group")
-        df.coset = {"pattern": pattern}
+            raise st.error("double_coset pattern needs a finite_group")
+        df.coset = {"pattern": st.values[1]}
         for side in ("left", "right"):
-            if coset[side] is None:
-                raise ParseError(lineno, 1, "double_coset pattern needs a "
-                                 "%s line" % side)
-            at, elems = coset[side]
-            for e in elems:
+            sides = df._find("cosimplicial", side)
+            if not sides:
+                raise st.error("double_coset pattern needs a %s line" % side)
+            at = sides[-1]
+            elems = at.values[1:]
+            for k, e in enumerate(elems, start=1):
                 if not 0 <= e < df.group.size():
-                    raise ParseError(at, 1, "%s element %d out of range"
-                                     % (side, e))
+                    raise at.error("%s element %d out of range" % (side, e), k)
             if not elems:
-                raise ParseError(at, 1, "%s subset is empty" % side)
+                raise at.error("%s subset is empty" % side)
             try:
                 subgroup_table(df.group, elems)
             except ValueError as e:
-                raise ParseError(at, 1, "%s %s" % (side, e))
+                raise at.error("%s %s" % (side, e))
             df.coset[side] = elems
-    elif coset["left"] or coset["right"]:
-        at = min(v[0] for v in (coset["left"], coset["right"]) if v)
-        raise ParseError(at, 1, "left/right need a pattern line")
+    elif df.statements["cosimplicial"]:
+        raise df.statements["cosimplicial"][0].error(
+            "left/right need a pattern line")
 
-    if action["carrier"] is not None or action["generators"]:
-        df.action = action
-
-    if ext["incl"] or ext["proj"]:
+    ext = df.statements["extension"]
+    if ext:
         if df.L is None:
-            raise ParseError(1, 1, "extension needs a lie_algebra section")
-        d = df.L.dim
-        for key, rows in ext.items():
-            for lineno, v in rows:
-                if len(v) != d:
-                    raise ParseError(lineno, 1,
-                                     "%s vector length != dim %d" % (key, d))
-        df.extension = {key: [v for _, v in rows]
-                        for key, rows in ext.items()}
-        # a key without lines is located at the first line of the other
-        first = min(rows[0][0] for rows in ext.values() if rows)
-        df.extension["lines"] = {key: rows[0][0] if rows else first
-                                 for key, rows in ext.items()}
+            raise ext[0].error("extension needs a lie_algebra section")
+        for st in ext:
+            if len(st.values) != df.L.dim + 1:
+                raise st.error("%s vector length != dim %d"
+                               % (st.values[0], df.L.dim))
+        df.extension = {key: [st.values[1:] for st in ext
+                              if st.values[0] == key]
+                        for key in ("incl", "proj")}
     return df
 
 
@@ -407,8 +398,8 @@ def build_phin(df):
     try:
         return PhiNGroup(df.L, df.phi, N=df.N, p=p)
     except ValueError as e:
-        line = df.p_line if p <= 1 else df.phi_line
-        raise ParseError(line, 1, "invalid (phi, N) data: %s" % e)
+        at = df._find(None, "p")[-1] if p <= 1 else df.statements["phi"][0]
+        raise at.error("invalid (phi, N) data: %s" % e)
 
 
 def build_mhs(df):
@@ -435,9 +426,10 @@ class InvalidFiltrations(Exception):
 
 
 def _extension_error(df, key, message):
-    """A ParseError at the first ``key`` line of the [extension] section."""
-    return ParseError(df.extension["lines"][key], 1,
-                      "invalid extension: %s" % message)
+    """A ParseError at the first ``key`` line of the [extension] section,
+    or at its first line when there is none."""
+    at = (df._find("extension", key) or df.statements["extension"])[0]
+    return at.error("invalid extension: %s" % message)
 
 
 def _check_central_kernel(df, L):
@@ -571,71 +563,63 @@ def derive_mhs_extension(df):
 
 
 def build_action(df):
-    """The group action of the [action] section; each malformed line is a
-    ParseError at that line, a generator image that is not a
-    homomorphism one at its generator line, and images that do not
-    generate the group or define no action one at the carrier line."""
+    """The group action of the [action] section; a generator image that is
+    malformed or not a homomorphism is a ParseError at its generator line,
+    and images that do not generate the group or define no action one at
+    the carrier line."""
     G = df.group
-    if G is None:
+    if G is None or df.action is None:
         raise ParseError(1, 1, "h1 needs finite_group and action sections")
-    gens = df.action["generators"]
-    if df.action["carrier"] is None:
-        raise ParseError(gens[0][0], 1, "generator before a carrier line")
-    carrier_line, kind, n = df.action["carrier"]
-    if kind == "cyclic":
-        carrier = cyclic_group(n)
-    elif kind == "symmetric":
-        carrier = symmetric_group(n)
+    carriers = df._find("action", "carrier")
+    if not carriers:
+        raise df.action[0].error("generator before a carrier line")
+    at = carriers[-1]
+    kind = at.values[1]
+    if kind != "lie_algebra":
+        carrier = (cyclic_group if kind == "cyclic"
+                   else symmetric_group)(at.values[2])
+    elif df.L is None:
+        raise at.error("carrier lie_algebra needs the lie_algebra section", 1)
     else:
-        if df.L is None:
-            raise ParseError(carrier_line, 1, "carrier lie_algebra needs the "
-                                              "lie_algebra section")
         carrier = UnipotentCarrier(df.L)
     images = {}
-    for lineno, toks in gens:
-        if len(toks) < 2:
-            raise ParseError(lineno, 1, "generator needs an index and an "
-                                        "image")
-        g = _parse_int(toks[0], lineno, "generator index")
+    for st in df._find("action", "generator"):
+        _, g, image, *entries = st.values
         if not 0 <= g < G.size():
-            raise ParseError(lineno, 1, "generator index %d out of range" % g)
-        if toks[1] == "permutation" and kind != "lie_algebra":
-            mapping = {u: _parse_int(t, lineno, "permutation image")
-                       for u, t in enumerate(toks[2:])}
-            if sorted(mapping.values()) != list(range(carrier.size())):
-                raise ParseError(lineno, 1, "permutation must list the %d "
-                                 "carrier elements" % carrier.size())
-            h = FiniteHom(carrier, carrier, mapping, check=False)
+            raise st.error("generator index %d out of range" % g, 1)
+        if image == "permutation" and kind != "lie_algebra":
+            if sorted(entries) != list(range(carrier.size())):
+                raise st.error("permutation must list the %d carrier "
+                               "elements" % carrier.size(), 2)
+            h = FiniteHom(carrier, carrier, dict(enumerate(entries)),
+                          check=False)
             homomorphism = h.is_homomorphism()
-        elif toks[1] == "matrix" and kind == "lie_algebra":
+        elif image == "matrix" and kind == "lie_algebra":
             d = df.L.dim
-            entries = [_parse_frac(t, lineno) for t in toks[2:]]
             if len(entries) != d * d:
-                raise ParseError(lineno, 1, "matrix needs %d entries" % (d * d))
+                raise st.error("matrix needs %d entries" % (d * d), 2)
             mat = [entries[r * d:(r + 1) * d] for r in range(d)]
             h = LinearHom(carrier, carrier, mat)
             homomorphism = LieMorphism(df.L, df.L, mat, check=False) \
                 .bracket_defect() is None
         else:
-            raise ParseError(lineno, 1, "generator image must be a "
-                                        "permutation of a finite carrier "
-                                        "or a matrix on a lie_algebra")
+            raise st.error("generator image must be a permutation of a "
+                           "finite carrier or a matrix on a lie_algebra", 2)
         if not homomorphism:
-            raise ParseError(lineno, 1, "generator image is not a "
-                                        "homomorphism of the carrier")
+            raise st.error("generator image is not a homomorphism of the "
+                           "carrier", 2)
         if g == G.identity() and not hom_equal(h, identity_hom(carrier)):
-            raise ParseError(lineno, 1, "the identity must act trivially")
+            raise st.error("the identity must act trivially", 1)
         images[g] = h
     try:
         action = GroupAction.from_generator_images(G, carrier, images,
                                                    check=False)
     except ValueError:
-        raise ParseError(carrier_line, 1, "generator images do not generate "
-                                          "the group") from None
+        raise at.error("generator images do not generate the group") \
+            from None
     bad = action.defect()
     if bad is not None:
-        raise ParseError(carrier_line, 1, "generator images do not define "
-                                          "an action: %s" % bad)
+        raise at.error("generator images do not define an action: %s" % bad)
     return action
 
 
@@ -980,6 +964,8 @@ def cmd_validate(df, args):
         lines.append(line)
         if not ok:
             return lines, 2
+    if df.action is not None and df.group is not None:
+        build_action(df)
     if df.extension is not None:
         _quotient_algebra(df, df.L)
         _check_central_kernel(df, df.L)
@@ -994,21 +980,19 @@ def cmd_pi(df, args):
     lines.append("degree: %d" % args.degree)
     if df.coset is None:
         raise ParseError(1, 1, "pi needs a cosimplicial section")
+    if args.degree not in (0, 1):
+        raise _ArgumentError("--degree: %d is not supported for finite "
+                             "patterns (0 or 1)" % args.degree)
     Gam = build_coset_cosimplicial(df, N=2)
     if args.degree == 0:
         lines.append("pi0 size: %d" % len(pi0(Gam)))
-    elif args.degree == 1:
-        lines.append("pi1 classes: %d" % pi1_finite(Gam)["count"])
     else:
-        raise ParseError(1, 1, "degree %d not supported for finite patterns"
-                         % args.degree)
+        lines.append("pi1 classes: %d" % pi1_finite(Gam)["count"])
     return lines, 0
 
 
 def cmd_h1(df, args):
     lines = _header("h1", df)
-    if df.action is None or df.group is None:
-        raise ParseError(1, 1, "h1 needs finite_group and action sections")
     act = build_action(df)
     res = h0_h1(act)
     if res["mode"] == "unipotent":
@@ -1036,23 +1020,26 @@ def cmd_phin_classify(df, args):
     return lines, 1
 
 
+def _les_report(lines, res, h1_z, summary=()):
+    """The report of a -les command: the failed clauses and exit 3, or the
+    summary lines, whether the middle map is bijective and H1 of the
+    kernel (named h1_z), with exit 0 if it is and 1 if not."""
+    if not res["report"]["ok"]:
+        return lines + ["report: FAILED"] + [
+            "  failed: %s" % msg for status, msg in res["report"]["clauses"]
+            if status == "FAIL"], 3
+    return lines + ["report: ok"] + list(summary) + [
+        "middle map bijective: %s; %s dim %d"
+        % ("yes" if res["middle_bijective"] else "no", h1_z,
+           res["h1_z_dim"])], 0 if res["middle_bijective"] else 1
+
+
 def cmd_phin_les(df, args):
     lines = _header("phin-les", df)
     if df.extension is None or df.phi is None:
         raise ParseError(1, 1, "phin-les needs phi and extension sections")
-    XZ, XU, XQ, incl, proj = derive_phin_extension(df)
-    res = quotient_les(XZ, XU, XQ, incl, proj)
-    ok = res["report"]["ok"]
-    lines.append("report: %s" % ("ok" if ok else "FAILED"))
-    if not ok:
-        for status, msg in res["report"]["clauses"]:
-            if status == "FAIL":
-                lines.append("  failed: %s" % msg)
-        return lines, 3
-    lines.append("middle map bijective: %s; H1_{g/e}(Z) dim %d"
-                 % ("yes" if res["middle_bijective"] else "no",
-                    res["h1_z_dim"]))
-    return lines, 0 if res["middle_bijective"] else 1
+    res = quotient_les(*derive_phin_extension(df))
+    return _les_report(lines, res, "H1_{g/e}(Z)")
 
 
 def cmd_hodge_classify(df, args):
@@ -1065,8 +1052,12 @@ def cmd_hodge_classify(df, args):
         return lines + [line], 2
     toks = [t.strip() for t in args.element.split(",")]
     if len(toks) != M.L.dim:
-        raise ParseError(1, 1, "--element needs %d coordinates" % M.L.dim)
-    u = [_parse_gauss(t, 1) for t in toks]
+        raise _ArgumentError("--element: needs %d coordinates, got %d"
+                             % (M.L.dim, len(toks)))
+    try:
+        u = [_convert((t, 0, 0), "scalar") for t in toks]
+    except ParseError as e:
+        raise _ArgumentError("--element: %s" % e.message) from None
     cls = classify_torsor(M, u)
     lines.append("element: %s" % _fmt_vec(u))
     lines.append("normal form: %s" % _fmt_vec(cls.representative))
@@ -1085,19 +1076,9 @@ def cmd_hodge_les(df, args):
     except InvalidFiltrations as e:
         return lines + [str(e)], 2
     res = mhs_les(MZ, MU, MQ, incl, proj)
-    ok = res["report"]["ok"]
-    lines.append("report: %s" % ("ok" if ok else "FAILED"))
-    if not ok:
-        for status, msg in res["report"]["clauses"]:
-            if status == "FAIL":
-                lines.append("  failed: %s" % msg)
-        return lines, 3
-    lines.append("h1 dimensions: Z %d, U %d, Q %d"
-                 % (res["h1_z_dim"], h1_dimension(MU), res["h1_q_dim"]))
-    lines.append("middle map bijective: %s; H1(Z) dim %d"
-                 % ("yes" if res["middle_bijective"] else "no",
-                    res["h1_z_dim"]))
-    return lines, 0 if res["middle_bijective"] else 1
+    return _les_report(lines, res, "H1(Z)", [
+        "h1 dimensions: Z %d, U %d, Q %d"
+        % (res["h1_z_dim"], h1_dimension(MU), res["h1_q_dim"])])
 
 
 def cmd_verify(args):
@@ -1165,6 +1146,9 @@ def main(argv=None):
     except ParseError as e:
         print("error: %s:%d:%d: %s"
               % (getattr(args, "file", "<input>"), e.line, e.col, e.message))
+        return 2
+    except _ArgumentError as e:
+        print("error: %s" % e)
         return 2
     except (AssertionError, ValueError, RuntimeError) as e:
         # a guaranteed identity failed, or internal data was malformed

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import random
+import re
+import signal
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cohw
 from cohw import cosimpl
@@ -125,10 +131,12 @@ def test_pi_s3_double_cosets(capsys):
                              str(CORPUS / "s3_double_coset.alg")])
     assert code == 0
     assert "pi0 size: 1" in out
-    # higher degrees are not defined for finite patterns
+    # higher degrees are not defined for finite patterns: an error in the
+    # argument, not in the file
     code, out = run(capsys, ["pi", "--degree", "2",
                              str(CORPUS / "s3_double_coset.alg")])
     assert code == 2
+    assert out.startswith("error: --degree: 2 is not supported"), out
 
 
 def test_phin_les_flagship(capsys):
@@ -172,6 +180,12 @@ def test_hodge_classify_flagship(capsys):
                              str(CORPUS / "heisenberg_mhs.alg")])
     assert code == 0
     assert "base class" in out
+    # a bad coordinate or count is an error in the argument, not the file
+    for element, message in (("0,x,0", "bad scalar: 'x'"),
+                             ("0,0", "needs 3 coordinates, got 2")):
+        code, out = run(capsys, ["hodge-classify", "--element", element,
+                                 str(CORPUS / "heisenberg_mhs.alg")])
+        assert (code, out) == (2, "error: --element: %s\n" % message)
 
 
 HEIS_SKEW = """field gaussian
@@ -280,15 +294,10 @@ def test_a_whole_stabilizer_fails_exactly_the_pi1_z_clauses(monkeypatch):
             "exact at pi1(Z)", "fibers at pi1(Z) are connecting orbits"}
 
 
-def _run_optimized_and_not(tmp_path, files, commands):
-    """Exit code and output of each command on each file, from one plain
-    and one ``python -O`` interpreter."""
+def _run_child(argvs, flags):
+    """[exit code, output] of each argv, from one interpreter started with
+    the given flags."""
     root = pathlib.Path(__file__).resolve().parent.parent
-    argvs = []
-    for name, text in files.items():
-        path = tmp_path / (name + ".alg")
-        path.write_text(text)
-        argvs += [command + [str(path)] for command in commands]
     child = ("import contextlib, io, json, sys\n"
              "from cohw.cli import main\n"
              "out = []\n"
@@ -298,15 +307,23 @@ def _run_optimized_and_not(tmp_path, files, commands):
              "        code = main(argv)\n"
              "    out.append([code, buf.getvalue()])\n"
              "json.dump(out, sys.stdout)\n")
-    results = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable] + flags + ["-c", child],
-                              cwd=root, input=json.dumps(argvs),
-                              env=dict(os.environ,
-                                       PYTHONPATH=str(root / "src")),
-                              capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        results.append(json.loads(proc.stdout))
+    proc = subprocess.run([sys.executable] + flags + ["-c", child],
+                          cwd=root, input=json.dumps(argvs),
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _run_optimized_and_not(tmp_path, files, commands):
+    """Exit code and output of each command on each file, from one plain
+    and one ``python -O`` interpreter."""
+    argvs = []
+    for name, text in files.items():
+        path = tmp_path / (name + ".alg")
+        path.write_text(text)
+        argvs += [command + [str(path)] for command in commands]
+    results = [_run_child(argvs, flags) for flags in ([], ["-O"])]
     assert results[0] == results[1]
     return zip(argvs, results[0])
 
@@ -430,10 +447,11 @@ def test_extension_that_is_no_central_extension_exits_2_at_its_line(
 
 
 def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
-    # a table entry out of range, a short row and a non-associative table
-    # are reported at their row, a Jacobi failure at the first bracket,
-    # and a double-coset subset that is out of range, empty or not closed
-    # at its line (line 12 of the corpus file), as are left/right lines
+    # a table entry out of range is reported at that entry, a short row
+    # and a non-associative table at their row, a Jacobi failure at the
+    # first bracket, a double-coset element out of range at that element,
+    # and a double-coset subset that is empty or not closed at its line
+    # (line 12 of the corpus file), as are left/right lines
     # without a pattern line (left moves to line 11) and an algebra of
     # class 7, above the BCH truncation depth, with or without asserts
     table = "[finite_group]\nelements 3\nrow 0 1 2\n%s\nrow 2 %s\n"
@@ -453,14 +471,14 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
         "no_pattern": coset.replace("pattern double_coset\n", ""),
     }
     reasons = {
-        "out_of_range": "4:1: table entry 7 out of range 0..2",
+        "out_of_range": "4:7: table entry 7 out of range 0..2",
         "short_row": "4:1: row needs 3 entries, got 2",
         "not_associative": "3:1: invalid table: not associative",
         "jacobi": "3:1: invalid Lie algebra: Jacobi identity fails on "
                   "basis (0,1,3)",
         "class_7": "3:1: invalid Lie algebra: nilpotency class above "
                    "supported BCH truncation depth",
-        "left_out_of_range": "12:1: left element 9 out of range",
+        "left_out_of_range": "12:8: left element 9 out of range",
         "left_empty": "12:1: left subset is empty",
         "left_not_closed": "12:1: left subset not closed",
         "no_pattern": "11:1: left/right need a pattern line",
@@ -520,11 +538,19 @@ def test_located_parse_errors(tmp_path, capsys):
     with pytest.raises(ParseError) as e:
         parse_description("")
     assert (e.value.line, e.value.col) == (1, 1)
-    with pytest.raises(ParseError) as e:
-        parse_description("[lie_algebra]\ndim 3\nbracket 0 1 7 1\n")
-    assert e.value.line == 3
-    assert e.value.col == 13
-    assert "out of range" in e.value.message
+    # each error names the line and the column where the offending token
+    # starts, the first surplus token of a statement with too many
+    for text, line, col, message in [
+            ("[lie_algebra]\ndim 3\nbracket 0 1 7 1\n", 3, 13, "out of range"),
+            ("[lie_algebra]\ndim 2\nbracket 0 1 +2 1\n", 3, 13,
+             "out of range"),
+            ("[lie_algebra]\ndim 3\nbracket 0 1 2 x\n", 3, 15,
+             "bad rational: 'x'"),
+            ("[lie_algebra]\ndim 3 4\n", 2, 7, "dim takes one value")]:
+        with pytest.raises(ParseError) as e:
+            parse_description(text)
+        assert (e.value.line, e.value.col) == (line, col), text
+        assert message in e.value.message, text
     with pytest.raises(ParseError) as e:
         parse_description("[no_such_section]\n")
     assert e.value.line == 1
@@ -537,50 +563,56 @@ def test_located_parse_errors(tmp_path, capsys):
     # non-antisymmetric / non-Jacobi data is rejected by the validator
     with pytest.raises(ParseError):
         parse_description("[lie_algebra]\ndim 2\nbracket 0 0 1 1\n")
-    # the [action] section is read when h1 builds the action: each bad
-    # line is an input error at that line, never a traceback
+    # the [action] section is typed by the parser and built by validate
+    # as by h1: each bad line is an input error at that line, never a
+    # traceback, located at the generator index (column 11), the image
+    # (column 13) or the offending token
     c2 = "[finite_group]\ncyclic 2\n[action]\n"
     c2_on_c3 = c2 + "carrier cyclic 3\n"
     c2_on_line = "[lie_algebra]\ndim 1\n" + c2 + "carrier lie_algebra\n"
     cases = [
-        (c2 + "generator 1 permutation 0 2 1\n", 4, "before a carrier"),
-        (c2_on_c3 + "generator x permutation 0 2 1\n", 5,
+        (c2 + "generator 1 permutation 0 2 1\n", 4, 1, "before a carrier"),
+        (c2_on_c3 + "generator x permutation 0 2 1\n", 5, 11,
          "bad generator index"),
-        (c2_on_c3 + "generator 1 permutation 0 two 1\n", 5,
+        (c2_on_c3 + "generator 1 permutation 0 two 1\n", 5, 27,
          "bad permutation image"),
-        (c2_on_c3 + "generator 1 permutation 0 2 5\n", 5,
+        (c2_on_c3 + "generator 1 permutation 0 2 5\n", 5, 13,
          "must list the 3 carrier elements"),
-        (c2_on_c3 + "generator 2 permutation 0 2 1\n", 5, "out of range"),
-        (c2_on_c3 + "generator 1\n", 5, "needs an index and an image"),
-        (c2_on_c3 + "generator 1 matrix 1\n", 5, "image must be"),
-        (c2_on_line + "generator 1 matrix x\n", 7, "bad rational"),
-        (c2_on_line + "generator 1 permutation 0\n", 7, "image must be"),
+        (c2_on_c3 + "generator 2 permutation 0 2 1\n", 5, 11, "out of range"),
+        (c2_on_c3 + "generator 1\n", 5, 1, "needs an index and an image"),
+        (c2_on_c3 + "generator 1 matrix 1\n", 5, 13, "image must be"),
+        (c2_on_line + "generator 1 matrix x\n", 7, 20, "bad rational"),
+        (c2_on_line + "generator 1 permutation 0\n", 7, 13, "image must be"),
         # well-formed lines whose images are not automorphisms, or do not
         # make an action of the whole group
-        (c2_on_c3 + "generator 1 permutation 1 2 0\n", 5,
+        (c2_on_c3 + "generator 1 permutation 1 2 0\n", 5, 13,
          "not a homomorphism"),
         (c2_on_line.replace("dim 1", "dim 3\nbracket 0 1 2 1")
-         + "generator 1 matrix -1 0 0 0 1 0 0 0 1\n", 8,
+         + "generator 1 matrix -1 0 0 0 1 0 0 0 1\n", 8, 13,
          "not a homomorphism"),
         ("[finite_group]\ncyclic 3\n[action]\ncarrier cyclic 3\n"
-         "generator 1 permutation 0 2 1\n", 4, "do not define an action"),
-        (c2_on_c3 + "generator 0 permutation 0 2 1\n", 5,
+         "generator 1 permutation 0 2 1\n", 4, 1, "do not define an action"),
+        (c2_on_c3 + "generator 0 permutation 0 2 1\n", 5, 11,
          "identity must act trivially"),
-        (c2_on_c3, 4, "do not generate the group"),
+        (c2_on_c3, 4, 1, "do not generate the group"),
     ]
     path = tmp_path / "action.alg"
-    for text, line, message in cases:
+    for text, line, col, message in cases:
         path.write_text(text)
-        code, out = run(capsys, ["h1", str(path)])
-        assert code == 2, (text, out)
-        assert ":%d:1: " % line in out and message in out, (text, out)
+        for command in ("validate", "h1"):
+            code, out = run(capsys, [command, str(path)])
+            assert code == 2, (command, text, out)
+            assert ":%d:%d: " % (line, col) in out and message in out, \
+                (command, text, out)
     path.write_text(c2_on_line + "generator 1 matrix -1\n")
     assert run(capsys, ["h1", str(path)])[0] == 0
+    assert run(capsys, ["validate", str(path)])[0] == 0
 
 
 def test_group_orders_and_dims_are_bounded_at_their_line(tmp_path, capsys,
                                                           monkeypatch):
-    # each input is rejected at its line, with exit 2, before any group or
+    # each input is rejected at its offending token (at the word that
+    # lacks a value when one is missing), with exit 2, before any group or
     # Lie algebra is built: the constructors fail if called at all
     import cohw.cli as cli
 
@@ -594,32 +626,34 @@ def test_group_orders_and_dims_are_bounded_at_their_line(tmp_path, capsys,
     monkeypatch.setattr(cli, "symmetric_group", refuse)
     monkeypatch.setattr(cli, "NilpotentLieAlgebra", refuse_algebra)
     cases = [
-        ("[finite_group]\ncyclic 0\n", 2, "at least 1"),
-        ("[finite_group]\ncyclic -1\n", 2, "at least 1"),
-        ("# comment\n[lie_algebra]\ndim -2\n", 3, ">= 0"),
-        ("[lie_algebra]\ndim 129\nbracket 0 1 2 1\n", 2,
+        ("[finite_group]\ncyclic 0\n", 2, 8, "at least 1"),
+        ("[finite_group]\ncyclic -1\n", 2, 8, "at least 1"),
+        ("# comment\n[lie_algebra]\ndim -2\n", 3, 5, ">= 0"),
+        ("[lie_algebra]\ndim 129\nbracket 0 1 2 1\n", 2, 5,
          "dimension 129 exceeds 128"),
-        ("[lie_algebra]\ndim 99999\nbracket 0 1 2 1\n", 2, "exceeds 128"),
-        ("[finite_group]\ncyclic 1001\n", 2, "exceeds"),
-        ("[finite_group]\nsymmetric 7\n", 2, "exceeds"),
-        ("[finite_group]\nsymmetric 1000000000\n", 2, "exceeds"),
-        ("[finite_group]\nelements 1001\n", 2, "exceeds"),
-        ("[finite_group]\nelements 0\n", 2, "at least 1"),
+        ("[lie_algebra]\ndim 99999\nbracket 0 1 2 1\n", 2, 5,
+         "exceeds 128"),
+        ("[finite_group]\ncyclic 1001\n", 2, 8, "exceeds"),
+        ("[finite_group]\nsymmetric 7\n", 2, 11, "exceeds"),
+        ("[finite_group]\nsymmetric 1000000000\n", 2, 11, "exceeds"),
+        ("[finite_group]\nelements 1001\n", 2, 10, "exceeds"),
+        ("[finite_group]\nelements 0\n", 2, 10, "at least 1"),
         ("[finite_group]\ncyclic 2\n[action]\ncarrier symmetric 9\n", 4,
-         "exceeds"),
+         19, "exceeds"),
         ("[finite_group]\ncyclic 2\n[action]\ncarrier cyclic 0\n", 4,
-         "at least 1"),
-        ("[finite_group]\ncyclic 2\n[action]\ncarrier cyclic\n", 4,
-         "one value"),
-        ("[finite_group]\ncyclic 2\n[action]\ncarrier torus 3\n", 4,
+         16, "at least 1"),
+        ("[finite_group]\ncyclic 2\n[action]\ncarrier cyclic\n", 4, 9,
+         "cyclic takes one value"),
+        ("[finite_group]\ncyclic 2\n[action]\ncarrier torus 3\n", 4, 9,
          "carrier must be"),
     ]
     path = tmp_path / "bad.alg"
-    for text, line, message in cases:
+    for text, line, col, message in cases:
         path.write_text(text)
         code, out = run(capsys, ["validate", str(path)])
         assert code == 2, (text, out)
-        assert ":%d:1: " % line in out and message in out, (text, out)
+        assert ":%d:%d: " % (line, col) in out and message in out, \
+            (text, out)
         assert "Traceback" not in out
     # the largest tables within the cap are accepted by the parser
     built = []
@@ -668,6 +702,114 @@ def test_keyword_without_value_is_a_located_input_error(tmp_path, capsys):
         with pytest.raises(ParseError) as e:
             parse_description("[finite_group]\n%s\n" % key)
         assert (e.value.line, e.value.col) == (2, 1)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the 10 corpus commands of the benchmark, each naming its file last
+CORPUS_COMMANDS = sorted(json.loads(
+    (ROOT / "perfbench" / "golden.json").read_text()))
+MUTATION_TOKENS = sorted(
+    {tok for f in CORPUS.glob("*.alg") for line in f.read_text().splitlines()
+     for tok in line.split("#", 1)[0].split()}
+    | {"x", "-1", "99", "1/0", "[", "carrier", "generator", "permutation"})
+# requirements on the whole file, located at 1:1 rather than at a token
+WHOLE_FILE_ERRORS = ("empty description", "pi needs ", "h1 needs ",
+                     "phin-classify needs ", "phin-les needs ",
+                     "hodge-classify needs ", "hodge-les needs ")
+CASE_SECONDS = 10
+
+
+def _mutant(command, op, line, pos, token, path):
+    """The argv of a corpus command on a copy of its file with one line
+    deleted, or one token of a statement replaced or inserted; the copy is
+    written to path."""
+    argv = command.split()
+    lines = (ROOT / argv[-1]).read_text().splitlines()
+    if op == "delete":
+        del lines[line % len(lines)]
+    else:
+        statements = [i for i, x in enumerate(lines)
+                      if x.split("#", 1)[0].split()]
+        i = statements[line % len(statements)]
+        toks = lines[i].split("#", 1)[0].split()
+        if op == "replace":
+            toks[pos % len(toks)] = token
+        else:
+            toks.insert(pos % (len(toks) + 1), token)
+        lines[i] = " ".join(toks)
+    path.write_text("".join(x + "\n" for x in lines))
+    return argv[:-1] + [str(path)]
+
+
+def _check_exit(argv, code, out):
+    """Exit 0, 1 or 2 without a traceback, and every input error located
+    where a token starts on its line, unless it is about the whole file."""
+    assert code in (0, 1, 2) and "Traceback" not in out, (argv, out)
+    text = pathlib.Path(argv[-1]).read_text().splitlines()
+    for m in re.finditer(r"^error: (.*):(\d+):(\d+): (.*)$", out, re.M):
+        name, line, col, message = m.groups()
+        assert name == argv[-1], (argv, out)
+        if message.startswith(WHOLE_FILE_ERRORS):
+            assert (line, col) == ("1", "1"), (argv, out)
+            continue
+        starts = [t.start() + 1 for t in re.finditer(
+            r"\S+", text[int(line) - 1].split("#", 1)[0])]
+        assert int(col) in starts, (argv, out)
+
+
+class _Timeout(BaseException):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout("a case took more than %d s" % CASE_SECONDS)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(command=st.sampled_from(CORPUS_COMMANDS),
+       op=st.sampled_from(["delete", "replace", "insert"]),
+       line=st.integers(0, 40), pos=st.integers(0, 12),
+       token=st.sampled_from(MUTATION_TOKENS))
+# the [extension] data of the -les commands: a zero incl vector, no incl
+# line and proj rows that are not onto
+@example(command="phin-les src/cohw/corpus/heisenberg_isocrystal.alg",
+         op="replace", line=16, pos=3, token="0")
+@example(command="hodge-les src/cohw/corpus/heisenberg_mhs.alg",
+         op="delete", line=27, pos=0, token="0")
+@example(command="phin-les src/cohw/corpus/heisenberg_isocrystal.alg",
+         op="replace", line=18, pos=2, token="0")
+def test_one_token_mutations_of_the_corpus(tmp_path_factory, command, op,
+                                           line, pos, token):
+    # each corpus command on its file changed by one line or token exits
+    # 0, 1 or 2 in bounded time, and locates each input error at a token
+    argv = _mutant(command, op, line, pos, token,
+                   tmp_path_factory.getbasetemp() / "mutant.alg")
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    _check_exit(argv, code, out.getvalue())
+
+
+def test_one_token_mutations_of_the_corpus_under_optimization(tmp_path,
+                                                              capsys):
+    # python -O changes no exit code and no output on corpus mutations
+    rng = random.Random(20)
+    argvs, results = [], []
+    for k in range(12):
+        argv = _mutant(rng.choice(CORPUS_COMMANDS),
+                       rng.choice(["delete", "replace", "insert"]),
+                       rng.randrange(40), rng.randrange(12),
+                       rng.choice(MUTATION_TOKENS), tmp_path / ("%d.alg" % k))
+        argvs.append(argv)
+        results.append(list(run(capsys, argv)))
+        _check_exit(argv, *results[-1])
+    assert _run_child(argvs, ["-O"]) == results
 
 
 def test_parse_round_trip_objects():
