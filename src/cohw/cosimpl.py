@@ -10,11 +10,12 @@ verified exactly.
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd, lcm
 
 from . import exactla
 from .exactla import (
-    kernel_basis, mat_mul, mat_vec, rank, solve_affine, span_echelon,
-    subspace_intersect, transpose, vec_add, vec_is_zero, vec_sub, zero_vec,
+    kernel_basis, mat_vec, rank, solve_affine, span_echelon,
+    subspace_intersect, transpose, vec_add, vec_sub, zero_vec,
 )
 from .nilpotent import (
     _combine, _descend, abelian_lie_algebra, solve_graded_affine,
@@ -285,27 +286,76 @@ class _Composite(dict):
         return v
 
 
-class LinearHom:
+class _IntMatrix:
+    """A linear hom's matrix as ``int_form = (den, rows)``: integer rows
+    over den, the lcm of the entries' denominators, so equal matrices
+    have equal int forms.  ``matrix`` (``Fraction`` entries) is a view
+    built on first read, as ``exactla.Echelon.rows`` is."""
+
+    _matrix = None
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = _fractions(*self.int_form)
+        return self._matrix
+
+    def compose(self, other):
+        """self after other, on integer rows (see ``_int_product``)."""
+        h = LinearHom.__new__(LinearHom)
+        h.source, h.target = other.source, self.target
+        h.int_form = _int_product(self.int_form, other.int_form,
+                                  other.source.dim)
+        return h
+
+
+class LinearHom(_IntMatrix):
     """Homomorphism between linear-mode carriers given by a matrix acting
-    on log/linear coordinates."""
+    on log/linear coordinates, kept in integer form (``_IntMatrix``)."""
 
     def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
-        self.matrix = [list(row) for row in matrix]
-        if len(self.matrix) != target.dim or any(
-                len(r) != source.dim for r in self.matrix):
+        matrix = [list(row) for row in matrix]
+        if len(matrix) != target.dim or any(
+                len(r) != source.dim for r in matrix):
             raise ValueError("matrix is not %dx%d" % (target.dim, source.dim))
+        den = lcm(*[x.denominator for row in matrix for x in row])
+        self.int_form = (den, tuple(
+            tuple([x.numerator * (den // x.denominator) for x in row])
+            for row in matrix))
 
     def apply(self, x):
         return tuple(mat_vec(self.matrix, list(x)))
 
-    def compose(self, other):
-        return LinearHom(other.source, self.target,
-                         mat_mul(self.matrix, other.matrix))
+
+def _fractions(den, rows):
+    """The matrix of integer rows over den, with ``Fraction`` entries."""
+    zero = Fraction(0)
+    return [[Fraction(x, den) if x else zero for x in row] for row in rows]
 
 
-class StructuredHom:
+def _int_product(a, b, ncols):
+    """The int form of the product of the int forms a = (da, A) and
+    b = (db, B), B with ncols columns: the integer product over D = da db,
+    zero terms skipped, with D and the entries divided by their gcd.
+    That is canonical, as the lcm of the reduced denominators
+    D / gcd(x_i, D) is D / gcd(D, x_1, ..., x_n)."""
+    (da, A), (db, B) = a, b
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in B]
+    rows = []
+    for row in A:
+        acc = [0] * ncols
+        for x, brow in zip(row, nonzero):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        rows.append(acc)
+    g = gcd(da * db, *[gcd(*row) for row in rows])
+    return da * db // g, tuple(tuple([x // g for x in row]) for row in rows)
+
+
+class StructuredHom(_IntMatrix):
     """Block homomorphism between product-shaped carriers.
 
     One type serves finite products (ProductGroup) and linear direct sums
@@ -313,7 +363,7 @@ class StructuredHom:
     lists its summands in ``factors``).  Target block t is fed from source
     block parts[t][0] through the factor homomorphism parts[t][1].
     Applying, composing and comparing work block by block; for linear
-    carriers the dense matrix is built only on demand, and cached."""
+    carriers the int form is assembled only on demand, and cached."""
 
     def __init__(self, source, target, parts):
         self.source = source
@@ -322,7 +372,7 @@ class StructuredHom:
         if len(self.parts) != len(target.factors):
             raise ValueError("need one part per target factor")
         self._linear = is_linear_carrier(source)
-        self._matrix = None
+        self._ints = None
 
     def apply(self, x):
         if not self._linear:
@@ -344,22 +394,16 @@ class StructuredHom:
             parts = [(inner[i][0], _compose(h, inner[i][1], memo))
                      for (i, h) in self.parts]
             return StructuredHom(other.source, self.target, parts)
-        return LinearHom(other.source, self.target,
-                         mat_mul(self.matrix, other.matrix))
+        return super().compose(other)
 
     @property
-    def matrix(self):
-        """Dense matrix of a linear block map, assembled on first use."""
-        if self._matrix is None:
-            off = self.source.offsets
-            rows = []
-            for (i, h) in self.parts:
-                for r in h.matrix:
-                    row = [Fraction(0)] * off[-1]
-                    row[off[i]:off[i + 1]] = r
-                    rows.append(row)
-            self._matrix = rows
-        return self._matrix
+    def int_form(self):
+        # the blocks' rows over the lcm of their denominators: canonical
+        if self._ints is None:
+            den, rows = _signed_sum(self.target.dim, self.source.dim,
+                                    [(1, self, 0, 0)])
+            self._ints = (den, tuple(map(tuple, rows)))
+        return self._ints
 
 
 def _compose(h, h0, memo):
@@ -422,7 +466,7 @@ def hom_equal(h1, h2, memo=None):
     """Decidable equality of homomorphisms.  Two block maps compare block
     by block; other linear homs compare matrices; otherwise two verified
     homomorphisms agree iff they agree on a generating set of the
-    source.  Linear maps compare on coordinates, whichever linear
+    source.  Linear maps compare their int forms, whichever linear
     carriers they are declared on.  Each distinct pair of blocks is
     decided once per ``memo``, which keeps the verdict with both blocks
     (as ``_compose`` does): a fresh one unless the caller shares its
@@ -449,7 +493,7 @@ def hom_equal(h1, h2, memo=None):
                 return False
         return True
     if is_linear_carrier(h1.source):
-        return exactla.mat_eq(h1.matrix, h2.matrix)
+        return h1.int_form == h2.int_form
     for g in h1.source.generators():
         if h1.apply(g) != h2.apply(g):
             return False
@@ -461,7 +505,7 @@ def _is_trivial(h):
     if isinstance(h, StructuredHom):
         return all(_is_trivial(f) for (_, f) in h.parts)
     if is_linear_carrier(h.source):
-        return all(vec_is_zero(row) for row in h.matrix)
+        return not any(map(any, h.int_form[1]))
     e = h.target.identity()
     return all(h.apply(g) == e for g in h.source.generators())
 
@@ -957,32 +1001,43 @@ def pi1_unipotent_deciders(U):
 
 def moore_differentials(A):
     """Unnormalized Moore complex differentials (alternating sums of the
-    coface matrices) of a linear-mode (semi-)cosimplicial object."""
-    out = []
-    for n in range(1, A.N + 1):
-        M = exactla.zero_matrix(A.objects[n].dim, A.objects[n - 1].dim)
-        for i in range(n + 1):
-            _add_signed(M, (-1) ** i, A.d(n, i))
-        out.append(M)
-    return out
+    coface matrices) of a linear-mode (semi-)cosimplicial object, with
+    ``Fraction`` entries."""
+    return [_fractions(*form) for form in _moore_int_forms(A)]
 
 
-def _add_signed(M, sign, h, r0=0, c0=0):
-    """Add sign times the matrix of the linear hom h into M in place, with
-    its top left corner at row r0 and column c0; block maps go block by
-    block, so no dense matrix of theirs is built."""
-    if isinstance(h, StructuredHom):
-        off = h.source.offsets
-        r = r0
-        for (i, f) in h.parts:
-            _add_signed(M, sign, f, r, c0 + off[i])
-            r += f.target.dim
-        return
-    for r, row in enumerate(h.matrix):
-        out = M[r0 + r]
-        for c, v in enumerate(row):
-            if v:
-                out[c0 + c] += sign * v
+def _moore_int_forms(A):
+    return [_signed_sum(A.objects[n].dim, A.objects[n - 1].dim,
+                        [((-1) ** i, A.d(n, i), 0, 0) for i in range(n + 1)])
+            for n in range(1, A.N + 1)]
+
+
+def _signed_sum(nrows, ncols, terms):
+    """(den, rows): the nrows x ncols sum of sign times the matrix of h,
+    with its top left corner at row r0 and column c0, over the terms
+    (sign, h, r0, c0).  Block maps are split into blocks, and the signs
+    of each distinct block at one place summed: each block with a
+    nonzero sum is added once, over the lcm of their denominators."""
+    coeffs, stack = {}, list(terms)
+    while stack:
+        sign, h, r0, c0 = stack.pop()
+        if isinstance(h, StructuredHom):
+            for (i, f) in h.parts:
+                stack.append((sign, f, r0, c0 + h.source.offsets[i]))
+                r0 += f.target.dim
+        else:
+            coeffs.setdefault((id(h), r0, c0), [0, h, r0, c0])[0] += sign
+    blocks = [(c, h.int_form, r0, c0)
+              for c, h, r0, c0 in coeffs.values() if c]
+    den = lcm(*[d for _, (d, _), _, _ in blocks])
+    out = [[0] * ncols for _ in range(nrows)]
+    for c, (d, rows), r0, c0 in blocks:
+        s = c * (den // d)
+        for row, acc in zip(rows, out[r0:]):
+            for j, y in enumerate(row, c0):
+                if y:
+                    acc[j] += s * y
+    return den, out
 
 
 def complex_cohomology_dims(dims, diffs):
@@ -999,9 +1054,10 @@ def complex_cohomology_dims(dims, diffs):
 
 
 def pi_abelian_all(A):
-    diffs = moore_differentials(A)
-    dims = [G.dim for G in A.objects]
-    return complex_cohomology_dims(dims, diffs)
+    """Cohomotopy dims of a linear-mode object, ranked on the integer rows
+    of its Moore differentials (a denominator changes no rank)."""
+    return complex_cohomology_dims([G.dim for G in A.objects],
+                                   [rows for _, rows in _moore_int_forms(A)])
 
 
 # ---------------------------------------------------------------------------
@@ -1152,18 +1208,16 @@ def eilenberg_zilber_oracle(A, jmax=2, N=None):
     # alternating sum of its cofaces
     tot_diffs = []
     for n in range(N):
-        M = exactla.zero_matrix(tot_dims[n + 1], tot_dims[n])
         dst_off = tot[n + 1][0]
+        terms = []
         for (p, q), so in tot[n][0].items():
             if (p + 1, q) in dst_off:
-                for i in range(p + 2):
-                    _add_signed(M, (-1) ** i, A.h(p + 1, q, i),
-                                dst_off[(p + 1, q)], so)
+                terms += [((-1) ** i, A.h(p + 1, q, i), dst_off[p + 1, q], so)
+                          for i in range(p + 2)]
             if (p, q + 1) in dst_off:
-                for i in range(q + 2):
-                    _add_signed(M, (-1) ** (p + i), A.v(p, q + 1, i),
-                                dst_off[(p, q + 1)], so)
-        tot_diffs.append(M)
+                terms += [((-1) ** (p + i), A.v(p, q + 1, i),
+                           dst_off[p, q + 1], so) for i in range(q + 2)]
+        tot_diffs.append(_signed_sum(tot_dims[n + 1], tot_dims[n], terms)[1])
     tot_h = complex_cohomology_dims(tot_dims, tot_diffs)
     diag_h = pi_abelian_all(diagonal_cogenerate(A, N))
 
@@ -1221,18 +1275,23 @@ def random_linear_semicosimplicial(rng, dims):
                 B = mats[n - 1][j - 1]
                 for r in range(rn):
                     for c in range(dims[n - 2]):
-                        row = [Fraction(0)] * nvars
+                        row = [0] * nvars
                         for m in range(cn):
-                            row[var(j, r, m)] += A[m][c]
-                            row[var(i, r, m)] -= B[m][c]
+                            if A[m][c]:
+                                row[var(j, r, m)] += A[m][c]
+                            if B[m][c]:
+                                row[var(i, r, m)] -= B[m][c]
                         rows.append(row)
         ker = kernel_basis(rows, nvars) if rows else \
             [[Fraction(int(t == s)) for t in range(nvars)]
              for s in range(nvars)]
         flat = [Fraction(0)] * nvars
         for v in ker:
-            coeff = Fraction(rng.randint(-2, 2))
-            flat = [a + coeff * b for a, b in zip(flat, v)]
+            coeff = rng.randint(-2, 2)
+            if coeff:
+                for t, b in enumerate(v):
+                    if b:
+                        flat[t] += coeff * b
         mats[n] = [[[flat[var(i, r, c)] for c in range(cn)]
                     for r in range(rn)] for i in range(n + 1)]
     for n in range(1, N + 1):

@@ -118,8 +118,11 @@ def format_scalar(x):
 
 def parse_scalar(text, field="rational"):
     """Parse "a/b" (``field`` "rational") or, for ``field`` "gaussian",
-    also "a/b+c/d*i" / "a/b-c/d*i" / "c/d*i"."""
+    also "a/b+c/d*i" / "a/b-c/d*i" / "c/d*i".  An exponent ("1e9") is
+    refused: ``Fraction`` would build its power of ten unbounded."""
     text = text.strip().replace(" ", "")
+    if "e" in text or "E" in text:
+        raise ValueError("exponent in scalar literal: %r" % text)
     if field == "rational":
         return Fraction(text)
     if not text.endswith("*i") and "i" not in text:
@@ -203,9 +206,6 @@ def mat_mul(A, B):
                     acc[j] = acc[j] + a * b
         out.append(acc)
     return out
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
@@ -449,10 +449,6 @@ def coords_in_basis(basis, v):
     return x
 
 
-def subspace_sum(U, V):
-    return span_echelon(list(U) + list(V))
-
-
 def subspace_intersect(U, V):
     """Echelon basis of span(U) n span(V)."""
     U = span_echelon(U)
@@ -471,18 +467,6 @@ def subspace_intersect(U, V):
             v = vec_add(v, vec_scale(k[i], U[i]))
         vecs.append(v)
     return span_echelon(vecs)
-
-
-def complement_basis(U, ambient_dim):
-    """Canonical complement of span(U): the non-pivot coordinate subspace."""
-    _, pivots = rref(U)
-    basis = []
-    for c in range(ambient_dim):
-        if c not in pivots:
-            v = zero_vec(ambient_dim)
-            v[c] = Fraction(1)
-            basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------

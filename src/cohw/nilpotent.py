@@ -386,13 +386,6 @@ def central_extension(Q, z_dim, omega, name=None):
                                name=name or (Q.name + "-ext"))
 
 
-def heisenberg_from_symplectic():
-    """The Heisenberg algebra as the central extension of the abelian plane
-    by the standard symplectic form."""
-    Q = abelian_lie_algebra(2, name="plane")
-    return central_extension(Q, 1, {(0, 1): [Fraction(1)]}, name="heis")
-
-
 class LieMorphism:
     """Linear map between nilpotent Lie algebras, verified to respect
     brackets on the basis.  Doubles as a unipotent group morphism in

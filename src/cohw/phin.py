@@ -23,9 +23,8 @@ from .exactla import (
 from .cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
     UnipotentCarrier, VectorGroup, _product_object, certificate_report,
-    cogenerate, cogenerate_morphism, complex_cohomology_dims,
-    complex_embedding, diagonal_cogenerate, les_central_unipotent,
-    moore_differentials, pi0, pi1_unipotent_deciders, pi_abelian_all,
+    complex_cohomology_dims, complex_embedding, diagonal_cogenerate,
+    les_central_unipotent, pi0, pi1_unipotent_deciders, pi_abelian_all,
 )
 from .nilpotent import (
     LieMorphism, NilpotentLieAlgebra, _block_series, direct_sum,
@@ -108,37 +107,6 @@ def epsilon_lie_algebra(L, n, name=None):
                                name=name or ("%s[eps^%d]" % (L.name, n)),
                                validate=False,
                                _lcs=_block_series([L] * (n + 1)))
-
-
-def epsilon_denormalize(p, n, nu=0):
-    """The epsilon-variable pattern R[eps_1..eps_n] for a one-dimensional
-    base with formal monodromy nu: the cosimplicial module denormalizing
-    the complex R --nu--> R, with Frobenius 1 on the unit and p on every
-    epsilon coordinate.  The structure maps are produced by cogeneration
-    (so the cosimplicial identities are machine-verified) and the
-    cohomotopy is cross-checked against the cohomology of the two-term
-    complex."""
-    p = Fraction(p)
-    nu = Fraction(nu)
-    E = cogenerate(complex_embedding([1, 1], [[[nu]]]), N=n + 1)
-    dims = pi_abelian_all(E)
-    h = 1 if nu == 0 else 0
-    expected = [h, h] + [0] * (n - 1)
-    if dims[:n + 1] != expected[:n + 1]:
-        raise RuntimeError("denormalized cohomotopy disagrees with the "
-                           "complex: %r" % (dims,))
-    cofaces = {m: [E.d(m, i).matrix for i in range(m + 1)]
-               for m in range(1, n + 1)}
-    codegens = {m: [E.s(m, i).matrix for i in range(m + 1)]
-                for m in range(n)}
-    unit = VectorGroup(1)
-    frobenius = [h.matrix for h in cogenerate_morphism(
-        E, E, [LinearHom(unit, unit, [[Fraction(1)]]),
-               LinearHom(unit, unit, [[p]])])[:n + 1]]
-    return {"levels": n, "p": p, "nu": nu, "cofaces": cofaces,
-            "codegens": codegens, "frobenius": frobenius,
-            "carrier_dims": [m + 1 for m in range(n + 1)],
-            "cosimplicial": E, "cohomotopy": dims[:n + 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +408,7 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3):
 
     h1_q_dim = None
     if all(G.is_abelian() for G in SQ.objects):
-        h1_q_dim = complex_cohomology_dims([G.dim for G in SQ.objects],
-                                           moore_differentials(SQ))[1]
+        h1_q_dim = pi_abelian_all(SQ)[1]
     middle_bijective = None
     if p0Q == 0 and h1_q_dim == 0:
         # the endpoints vanish: the fibers clause gives injectivity and

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -609,6 +610,40 @@ def test_located_parse_errors(tmp_path, capsys):
     assert run(capsys, ["validate", str(path)])[0] == 0
 
 
+def test_exponent_literals_exit_2_at_their_token_also_under_optimization(
+        tmp_path):
+    # Fraction reads "1e5000" as a 5001-digit integer, and printing it
+    # failed; a rational or Gaussian token with an exponent is refused at
+    # its column, while decimals keep their value
+    iso = (CORPUS / "heisenberg_isocrystal.alg").read_text()
+    mhs = (CORPUS / "heisenberg_mhs.alg").read_text()
+    files = {
+        "p": iso.replace("p 2\n", "p 1e5000\n"),
+        "bracket": iso.replace("bracket 0 1 2 1\n", "bracket 0 1 2 2.5E3\n"),
+        "gaussian": mhs.replace("vector 1 i 0\n", "vector 1 1e2*i 0\n"),
+        "decimal": iso.replace("p 2\n", "p 2.5\n"),
+    }
+    where = {"p": ("5:3", "rational: '1e5000'"),
+             "bracket": ("9:15", "rational: '2.5E3'"),
+             "gaussian": ("24:10", "scalar: '1e2*i'")}
+    for argv, (code, out) in _run_optimized_and_not(tmp_path, files,
+                                                    [["validate"]]):
+        name = pathlib.Path(argv[-1]).stem
+        if name == "decimal":
+            assert code == 0 and "frobenius data: valid (p = 5/2)" in out
+            continue
+        loc, what = where[name]
+        assert code == 2, (argv, out)
+        assert out == "error: %s:%s: bad %s\n" % (argv[-1], loc, what)
+    for text, field in [("1e5", "rational"), ("2.5E-3", "rational"),
+                        ("1e2*i", "gaussian"), ("1+1e2*i", "gaussian")]:
+        with pytest.raises(ValueError, match="exponent"):
+            parse_scalar(text, field)
+    assert parse_scalar("-2.5") == Fraction(-5, 2)
+    assert parse_scalar("0.5-1/3*i", "gaussian") == Gaussian(
+        Fraction(1, 2), Fraction(-1, 3))
+
+
 def test_group_orders_and_dims_are_bounded_at_their_line(tmp_path, capsys,
                                                           monkeypatch):
     # each input is rejected at its offending token (at the word that
@@ -852,6 +887,19 @@ def test_verify_deterministic(capsys):
     _, out1 = run(capsys, args)
     _, out2 = run(capsys, args)
     assert out1 == out2
+
+
+def test_linear_verify_suites_pass_also_under_optimization():
+    # the Moore-complex suites, on integer rows, print the same report in
+    # a plain and in a python -O interpreter, and pass
+    argvs = [["verify", "--suite", suite, "--seed", "3", "--instances", "3"]
+             for suite in ("dold-kan", "eilenberg-zilber")]
+    results = [_run_child(argvs, flags) for flags in ([], ["-O"])]
+    assert results[0] == results[1]
+    for argv, (code, out) in zip(argvs, results[0]):
+        assert code == 0, (argv, out)
+        assert "suite %s: pass (3 instances)" % argv[2] in out
+        assert out.endswith("verdict: pass\n")
 
 
 def test_run_verify_all_suites_smoke():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import random
@@ -13,10 +14,11 @@ from cohw import exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
-    VectorGroup, _cocycle_walk, cocycle_condition, cogenerate, cogenerate_morphism, complex_cohomology_dims, compose_monotone,
-    constant_cosimplicial, cyclic_group, delta_map, diagonal_cogenerate,
-    eilenberg_zilber_oracle, epi_mono_factor, epis, hom_equal, identity_hom,
-    inner_automorphism, les_central_finite,
+    VectorGroup, _cocycle_walk, _product_object, cocycle_condition,
+    cogenerate, cogenerate_morphism, complex_cohomology_dims,
+    compose_monotone, constant_cosimplicial, cyclic_group, delta_map,
+    diagonal_cogenerate, eilenberg_zilber_oracle, epi_mono_factor, epis,
+    hom_equal, identity_hom, inner_automorphism, les_central_finite,
     moore_differentials, pi0, pi1_finite, pi1_unipotent_deciders,
     pi_abelian_all, random_bisemicosimplicial, random_linear_semicosimplicial,
     sigma_map, subgroup_table, symmetric_group, twist,
@@ -587,6 +589,10 @@ def _codim_vanishing_check(Z, U, Q, incl, proj, q1):
     return corrected, report
 
 
+def _mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def test_codim_vanishing_linear():
     # levelwise split extension of 1-truncated vector objects
     rng = random.Random(9)
@@ -627,8 +633,7 @@ def test_codim_vanishing_linear():
     # a cocycle of GQ at level 1 (linear cocycle condition)
     d0, d1, d2 = GQ.d(2, 0), GQ.d(2, 1), GQ.d(2, 2)
     n1 = GQ.objects[1].dim
-    rows = exactla.mat_sub(d1.matrix,
-                           exactla.mat_add(d2.matrix, d0.matrix))
+    rows = exactla.mat_sub(d1.matrix, _mat_add(d2.matrix, d0.matrix))
     kb = exactla.kernel_basis(rows, n1)
     assert kb, "no nonzero cocycle in this instance"
     q1 = kb[0]
@@ -989,3 +994,269 @@ def test_unipotent_deciders_and_hom_shapes_raise_under_optimization():
         ["ValueError", "malformed cocycle"],
         ["ValueError", "malformed cocycle"],
         ["ValueError", "matrix is not 1x1"]]
+
+
+# ---------------------------------------------------------------------------
+# linear homs on integer rows
+
+def _entries():
+    # mostly zeros, of both types, and fractions with denominators up to
+    # 10^6
+    return st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3),
+                     st.fractions(min_value=-1000, max_value=1000,
+                                  max_denominator=10 ** 6))
+
+
+def _matrix(data, rows, cols):
+    M = data.draw(st.lists(st.lists(_entries(), min_size=cols,
+                                    max_size=cols),
+                           min_size=rows, max_size=rows))
+    # a zero row and a zero column, of mixed types
+    if rows and cols and data.draw(st.booleans()):
+        r, c = data.draw(st.integers(0, rows - 1)), \
+            data.draw(st.integers(0, cols - 1))
+        M[r] = [0] * cols
+        for row in M:
+            row[c] = F(0)
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+def test_integer_compose_matches_mat_mul(data, m, k, n):
+    A, B = _matrix(data, m, k), _matrix(data, k, n)
+    U, V, W = VectorGroup(n), VectorGroup(k), VectorGroup(m)
+    a, b = LinearHom(V, W, A), LinearHom(U, V, B)
+    ab = a.compose(b)
+    # mat_mul reads the column count off B, which has none when k = 0
+    product = exactla.mat_mul(A, B) if k else exactla.zero_matrix(m, n)
+    assert _typed(ab.matrix) == _typed(product)
+    assert _typed(a.matrix) == _typed(exactla.mat_mul(
+        A, exactla.identity_matrix(k)))
+    # the composite's int form is canonical: the one built from its
+    # matrix, with the lcm of its entries' denominators
+    den, rows = ab.int_form
+    assert ab.int_form == LinearHom(U, W, product).int_form
+    assert den == math.lcm(*[x.denominator for row in product for x in row])
+    assert all(type(x) is int for row in rows for x in row)
+    # equal matrices of either entry type compare equal, and a random one
+    # or a shifted one compares as mat_eq does
+    same = [[int(x) if x.denominator == 1 else x for x in row]
+            for row in product]
+    assert hom_equal(ab, LinearHom(U, W, same))
+    C = _matrix(data, m, n)
+    assert hom_equal(ab, LinearHom(U, W, C)) == exactla.mat_eq(product, C)
+    half = LinearHom(U, W, [[x / 2 for x in row] for row in product])
+    assert hom_equal(ab, half) == (not any(map(any, product)))
+    if m and n:
+        same[0][0] += F(1, 10 ** 6)
+        assert not hom_equal(ab, LinearHom(U, W, same))
+    # a block map composes with a dense hom through the same integer form
+    block = StructuredHom(_product_object([V], True),
+                          _product_object([W], True), [(0, a)])
+    assert _typed(block.compose(b).matrix) == _typed(product)
+    assert hom_equal(block.compose(b), ab)
+
+
+def _add_signed(M, sign, h, r0=0, c0=0):
+    """Add sign times the matrix of the linear hom h into M in place, with
+    its top left corner at row r0 and column c0; block maps go block by
+    block, so no dense matrix of theirs is built."""
+    # the reference: Fraction sums, entry by entry
+    if isinstance(h, StructuredHom):
+        off = h.source.offsets
+        r = r0
+        for (i, f) in h.parts:
+            _add_signed(M, sign, f, r, c0 + off[i])
+            r += f.target.dim
+        return
+    for r, row in enumerate(h.matrix):
+        out = M[r0 + r]
+        for c, v in enumerate(row):
+            if v:
+                out[c0 + c] += sign * v
+
+
+def _dense_moore(A):
+    out = []
+    for n in range(1, A.N + 1):
+        M = exactla.zero_matrix(A.objects[n].dim, A.objects[n - 1].dim)
+        for i in range(n + 1):
+            _add_signed(M, (-1) ** i, A.d(n, i))
+        out.append(M)
+    return out
+
+
+def _dense_total_dims(A, N):
+    """H^j of the total Moore complex of a bi-semi-cosimplicial A, from
+    the Fraction sums of ``_add_signed``."""
+    tot = []
+    for m in range(N + 1):
+        off, out = 0, {}
+        for p in range(max(0, m - A.Q), min(m, A.P) + 1):
+            out[(p, m - p)] = off
+            off += A.objects[p][m - p].dim
+        tot.append((out, off))
+    diffs = []
+    for n in range(N):
+        M = exactla.zero_matrix(tot[n + 1][1], tot[n][1])
+        dst = tot[n + 1][0]
+        for (p, q), so in tot[n][0].items():
+            if (p + 1, q) in dst:
+                for i in range(p + 2):
+                    _add_signed(M, (-1) ** i, A.h(p + 1, q, i),
+                                dst[(p + 1, q)], so)
+            if (p, q + 1) in dst:
+                for i in range(q + 2):
+                    _add_signed(M, (-1) ** (p + i), A.v(p, q + 1, i),
+                                dst[(p, q + 1)], so)
+        diffs.append(M)
+    return complex_cohomology_dims([total for _, total in tot], diffs)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       st.lists(st.integers(1, 2), min_size=3, max_size=3),
+       st.lists(st.integers(1, 2), min_size=2, max_size=3),
+       st.integers(0, 10 ** 6))
+def test_moore_sums_match_the_fraction_sums(dims, hdims, vdims, seed):
+    rng = random.Random(seed)
+    X = random_linear_semicosimplicial(rng, dims)
+    A = random_bisemicosimplicial(rng, hdims, vdims)
+    N = max(A.P, A.Q) + 1
+    for Y in (X, cogenerate(X), diagonal_cogenerate(A, N)):
+        dense = _dense_moore(Y)
+        assert _typed(moore_differentials(Y)) == _typed(dense)
+        assert pi_abelian_all(Y) == complex_cohomology_dims(
+            [G.dim for G in Y.objects], dense)
+    report = eilenberg_zilber_oracle(A, jmax=2)
+    assert report["total"] == _dense_total_dims(A, N)[:3]
+
+
+def test_a_coface_shifted_by_a_seventh_is_refused_also_under_optimization():
+    # one entry of one block of a cogenerated coface moves by 1/7; the
+    # integer forms of the composites then differ in their denominators
+    root = pathlib.Path(__file__).resolve().parent.parent
+    child = (
+        "import json, random\n"
+        "from fractions import Fraction\n"
+        "from cohw.cosimpl import LinearHom, StructuredHom, cogenerate, "
+        "random_linear_semicosimplicial\n"
+        "X = random_linear_semicosimplicial(random.Random(4), [2, 2, 1])\n"
+        "G = cogenerate(X)\n"
+        "h = G.d(2, 1)\n"
+        "parts = list(h.parts)\n"
+        "i0, f = parts[0]\n"
+        "M = [list(row) for row in f.matrix]\n"
+        "M[0][0] += Fraction(1, 7)\n"
+        "parts[0] = (i0, LinearHom(f.source, f.target, M))\n"
+        "G.cofaces[2][1] = StructuredHom(h.source, h.target, parts)\n"
+        "try:\n"
+        "    G.check_identities()\n"
+        "    out = None\n"
+        "except RuntimeError as e:\n"
+        "    out = str(e)\n"
+        "print(json.dumps([out, G.d(2, 1).int_form[0] % 7]))\n")
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", child],
+                              cwd=root, capture_output=True, text=True,
+                              env=dict(os.environ,
+                                       PYTHONPATH=str(root / "src")),
+                              timeout=600)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert json.loads(proc.stdout) == [
+            "coface identity fails at n=2 i=0 j=1", 0], flags
+
+
+def test_linear_homs_share_no_matrix():
+    # changing the list a hom was built from, or the matrix it returns,
+    # changes no other hom
+    D, E = VectorGroup(2), VectorGroup(1)
+    M = [[F(1), 2], [F(0), F(1, 3)]]
+    h = LinearHom(D, D, M)
+    g = h.compose(identity_hom(D))
+    M[0][0] = F(5)
+    M.append([F(7), F(7)])
+    assert _typed(h.matrix) == _typed([[F(1), F(2)], [F(0), F(1, 3)]])
+    view = h.matrix
+    view[1][1] = F(9)
+    view.append([F(0), F(0)])
+    form = (3, ((3, 6), (0, 1)))
+    assert h.int_form == g.int_form == form
+    assert identity_hom(D).compose(h).int_form == form
+    assert _typed(g.matrix) == _typed([[F(1), F(2)], [F(0), F(1, 3)]])
+    assert _typed(h.compose(h).matrix) == _typed(
+        [[F(1), F(8, 3)], [F(0), F(1, 9)]])
+    assert hom_equal(g, LinearHom(D, D, [[1, 2], [0, F(1, 3)]]))
+    # a block map's matrix is its own too
+    S = _product_object([D, E], True)
+    line = LinearHom(E, E, [[2]])
+    block = StructuredHom(S, S, [(0, g), (1, line)])
+    block.matrix[0][0] = F(11)
+    block.matrix.pop()
+    assert _typed(line.matrix) == _typed([[F(2)]])
+    assert g.matrix[0][0] == 1
+    assert block.int_form == (3, ((3, 6, 0), (0, 1, 0), (0, 0, 6)))
+    assert hom_equal(block.compose(block), StructuredHom(
+        S, S, [(0, g.compose(g)), (1, line.compose(line))]))
+
+
+def _random_linear_semicosimplicial_reference(rng, dims):
+    """Random truncated semi-cosimplicial rational vector space with the
+    given level dimensions: level-1 cofaces are free, higher cofaces are
+    sampled from the affine space cut out by the coface identities."""
+    # the reference: every term of the random combination in Fractions
+    N = len(dims) - 1
+    objects = [VectorGroup(d) for d in dims]
+    cofaces = {}
+    mats = {}
+    if N >= 1:
+        mats[1] = [[[Fraction(rng.randint(-2, 2)) for _ in range(dims[0])]
+                    for _ in range(dims[1])] for _ in range(2)]
+    for n in range(2, N + 1):
+        rn, cn = dims[n], dims[n - 1]
+        per = rn * cn
+        nvars = (n + 1) * per
+
+        def var(i, r, c):
+            return i * per + r * cn + c
+
+        rows = []
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                # d(n,j) d(n-1,i) = d(n,i) d(n-1,j-1)
+                A = mats[n - 1][i]
+                B = mats[n - 1][j - 1]
+                for r in range(rn):
+                    for c in range(dims[n - 2]):
+                        row = [Fraction(0)] * nvars
+                        for m in range(cn):
+                            row[var(j, r, m)] += A[m][c]
+                            row[var(i, r, m)] -= B[m][c]
+                        rows.append(row)
+        ker = exactla.kernel_basis(rows, nvars) if rows else \
+            [[Fraction(int(t == s)) for t in range(nvars)]
+             for s in range(nvars)]
+        flat = [Fraction(0)] * nvars
+        for v in ker:
+            coeff = Fraction(rng.randint(-2, 2))
+            flat = [a + coeff * b for a, b in zip(flat, v)]
+        mats[n] = [[[flat[var(i, r, c)] for c in range(cn)]
+                    for r in range(rn)] for i in range(n + 1)]
+    for n in range(1, N + 1):
+        cofaces[n] = [LinearHom(objects[n - 1], objects[n], M)
+                      for M in mats[n]]
+    return SemiCosimplicialGroup(objects, cofaces, check=True)
+
+
+def test_random_instances_match_the_fraction_generator():
+    for seed in range(200):
+        shape = random.Random(-seed)
+        dims = [shape.randint(1, 3) for _ in range(shape.randint(1, 5))]
+        new, old = random.Random(seed), random.Random(seed)
+        X = random_linear_semicosimplicial(new, dims)
+        Y = _random_linear_semicosimplicial_reference(old, dims)
+        assert new.getstate() == old.getstate(), seed
+        for n in range(1, X.N + 1):
+            for i in range(n + 1):
+                assert _typed(X.d(n, i).matrix) == _typed(Y.d(n, i).matrix)

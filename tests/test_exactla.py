@@ -5,14 +5,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohw.exactla import (
-    Echelon, Gaussian, I, complement_basis, complex_span, coords_in_basis,
-    format_scalar, identity_matrix, in_span, kernel_basis, mat_mul, mat_vec,
-    parse_scalar, rank, realify_vector, rref, solve_affine, span_echelon,
-    subspace_intersect, subspace_sum, unrealify_vector, vec_add, vec_is_zero,
-    vec_scale,
+    Echelon, Gaussian, I, complex_span, coords_in_basis, format_scalar,
+    identity_matrix, in_span, kernel_basis, mat_mul, mat_vec, parse_scalar,
+    rank, realify_vector, rref, solve_affine, span_echelon,
+    subspace_intersect, unrealify_vector, vec_add, vec_is_zero, vec_scale,
+    zero_vec,
 )
 
 F = Fraction
+
+
+def subspace_sum(U, V):
+    return span_echelon(list(U) + list(V))
+
+
+def complement_basis(U, ambient_dim):
+    """Canonical complement of span(U): the non-pivot coordinate subspace."""
+    _, pivots = rref(U)
+    basis = []
+    for c in range(ambient_dim):
+        if c not in pivots:
+            v = zero_vec(ambient_dim)
+            v[c] = Fraction(1)
+            basis.append(v)
+    return basis
 
 
 def test_gaussian_arithmetic():

