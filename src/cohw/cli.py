@@ -20,9 +20,9 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .exactla import (
-    coords_in_basis, format_scalar, kernel_basis, mat_eq, mat_mul, mat_vec,
-    parse_scalar, rank, solve_affine, span_echelon, subspace_intersect,
-    transpose, unrealify_vector, vec_is_zero,
+    Echelon, complex_span, coords_in_basis, format_scalar, kernel_basis,
+    mat_eq, mat_mul, mat_vec, parse_scalar, rank, solve_affine, transpose,
+    unrealify_vector, vec_is_zero,
 )
 from .cosimpl import (
     ENUM_CAP, FiniteHom, LinearHom, ProductGroup, SemiCosimplicialGroup,
@@ -441,7 +441,7 @@ def _check_central_kernel(df, L):
     if rank(zcols) != len(zcols):
         raise _extension_error(df, "incl",
                                "the incl vectors are linearly dependent")
-    if span_echelon(zcols) != span_echelon(kernel_basis(proj_rows, L.dim)):
+    if Echelon(zcols) != Echelon(kernel_basis(proj_rows, L.dim)):
         raise _extension_error(df, "incl", "the incl vectors do not span "
                                            "the kernel of proj")
     if not all(L.is_central(z) for z in zcols):
@@ -530,28 +530,25 @@ def derive_mhs_extension(df):
     zcols = df.extension["incl"]
     proj_rows = df.extension["proj"]
     try:
-        LZ, basisZ, incl = subalgebra_on_basis(L, zcols, name="Z")
+        LZ, Z, incl = subalgebra_on_basis(L, zcols, name="Z")
     except ValueError:
         raise _extension_error(df, "incl",
                                "the incl vectors are not bracket-closed")
-    # the Hodge levels are realified: so are Z's basis and coordinates
-    basisZ_R = realify_matrix(basisZ, len(basisZ), L.dim)
-    wz, fz = {}, {}
-    for m, lvl in MU.weights.items():
-        inter = subspace_intersect(lvl, basisZ) if lvl else []
-        wz[m] = [coords_in_basis(basisZ, v) for v in inter]
-    for p_, lvl in MU.hodge.items():
-        inter = subspace_intersect(lvl, basisZ_R)
-        fz[p_] = [unrealify_vector(coords_in_basis(basisZ_R, v))
-                  for v in inter]
+    # the Hodge levels are realified: so is Z, whose realified reduced rows
+    # are those of its complex span, with the realified coordinates
+    ZC = complex_span(Z.rows)
+    wz = {m: [Z.coords(v) for v in lvl.meet(Z).rows]
+          for m, lvl in MU.weights.items()}
+    fz = {p_: [unrealify_vector(ZC.coords(v)) for v in lvl.meet(ZC).rows]
+          for p_, lvl in MU.hodge.items()}
     MZ = MHSGroup(LZ, wz, fz, negative_weights=MU.negative_weights, name="Z",
                   check=False)
     LQ, _, proj = _quotient_algebra(df, L)
     _check_central_kernel(df, L)
     projR = realify_matrix(proj_rows, len(proj_rows), L.dim)
-    wq = {m: [mat_vec(proj_rows, v) for v in lvl]
+    wq = {m: [mat_vec(proj_rows, v) for v in lvl.rows]
           for m, lvl in MU.weights.items()}
-    fq = {p_: [unrealify_vector(mat_vec(projR, v)) for v in lvl]
+    fq = {p_: [unrealify_vector(mat_vec(projR, v)) for v in lvl.rows]
           for p_, lvl in MU.hodge.items()}
     MQ = MHSGroup(LQ, wq, fq, negative_weights=MU.negative_weights, name="Q",
                   check=False)
@@ -1082,6 +1079,10 @@ def cmd_hodge_les(df, args):
 
 
 def cmd_verify(args):
+    # a pass over no samples would be a verdict with nothing behind it
+    if args.instances is not None and args.instances < 1:
+        raise _ArgumentError("--instances: %d is not a positive count"
+                             % args.instances)
     lines = _header("verify")
     lines.append("seed: %s" % args.seed)
     results = run_verify(args.suite, args.seed, args.instances)

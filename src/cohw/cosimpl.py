@@ -14,8 +14,8 @@ from math import gcd, lcm
 
 from . import exactla
 from .exactla import (
-    kernel_basis, mat_vec, rank, solve_affine, span_echelon,
-    subspace_intersect, transpose, vec_add, vec_sub, zero_vec,
+    Echelon, kernel_basis, mat_vec, rank, solve_affine, span_echelon,
+    transpose, vec_add, vec_sub, zero_vec,
 )
 from .nilpotent import (
     _combine, _descend, abelian_lie_algebra, solve_graded_affine,
@@ -1495,8 +1495,8 @@ def les_central_unipotent(Z, U, Q, incl, proj):
     a cocycle of Q moves by a coboundary under a central correction
     incl^1(z), so the cocycle lifts exactly when its obstruction class
     vanishes.  Also returns the Moore dims of Z, the pi^0 bases and
-    ``dies_in_u``, the echelon basis of the cocycles of Z whose class
-    dies in U."""
+    ``dies_in_u``, the :class:`~cohw.exactla.Echelon` of the cocycles of
+    Z whose class dies in U."""
     if min(len(incl), len(proj), Z.N + 1, U.N + 1, Q.N + 1) < 3:
         raise ValueError("the extension needs levels 0..2")
     if not (check_cosimplicial_map(Z, U, incl)
@@ -1509,7 +1509,7 @@ def les_central_unipotent(Z, U, Q, incl, proj):
               for e in exactla.identity_matrix(Zn.dim)]
         if not (Zn.is_abelian() and rank(im) == Zn.dim
                 and rank(proj[n].matrix) == Q.objects[n].dim
-                and span_echelon(im) == span_echelon(
+                and Echelon(im) == Echelon(
                     kernel_basis(proj[n].matrix, Un.dim))
                 and all(Un.L.is_central(z) for z in im)):
             raise ValueError("not a central extension at level %d" % n)
@@ -1531,9 +1531,9 @@ def les_central_unipotent(Z, U, Q, incl, proj):
         return lift(incl[1], U1.mul(U.d(1, 1).apply(u0),
                                     U1.inv(U.d(1, 0).apply(u0))))
 
-    im0 = span_echelon([list(incl[0].apply(z)) for z in p0Z])
-    ker0 = subspace_intersect(p0U, kernel_basis(proj[0].matrix, U0.dim))
-    clauses = {"exact at pi0(U)": im0 == span_echelon(ker0)}
+    im0 = Echelon([incl[0].apply(z) for z in p0Z])
+    ker0 = Echelon(p0U).meet(Echelon(kernel_basis(proj[0].matrix, U0.dim)))
+    clauses = {"exact at pi0(U)": im0 == ker0}
 
     # Z is central, so the connecting class is a homomorphism from pi0(Q)
     # to the vector group pi1(Z), linear in log coordinates: its kernel
@@ -1542,8 +1542,8 @@ def les_central_unipotent(Z, U, Q, incl, proj):
     coeffs = kernel_basis(transpose(deltas + b1), len(deltas) + len(b1))
     zq = zero_vec(Q.objects[0].dim)
     clauses["exact at pi0(Q)"] = \
-        span_echelon([_combine(a, p0Q, zq) for a in coeffs]) \
-        == span_echelon([list(proj[0].apply(u)) for u in p0U])
+        Echelon([_combine(a, p0Q, zq) for a in coeffs]) \
+        == Echelon([proj[0].apply(u) for u in p0U])
 
     # (u0, z) . c = (u0 . c) incl(z)^-1 is an action of U^0 x Z^1(Z) on
     # U^1, since incl(z) is central; the Z^1 part of the stabilizer of
@@ -1561,8 +1561,8 @@ def les_central_unipotent(Z, U, Q, incl, proj):
                            U1.inv(incl[1].apply(z))))
 
     _, _, stab = _descend(U1.L, act, group)
-    dies = span_echelon(b1 + [_combine(X[n0:], z1Z, zz) for X in stab])
-    clauses["exact at pi1(Z)"] = dies == span_echelon(b1 + deltas)
+    dies = Echelon(b1 + [_combine(X[n0:], z1Z, zz) for X in stab])
+    clauses["exact at pi1(Z)"] = dies == Echelon(b1 + deltas)
     provenance = dict.fromkeys(clauses, "exact")
     derived = {"fibers at pi1(Z) are connecting orbits":
                clauses["exact at pi1(Z)"],

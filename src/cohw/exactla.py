@@ -2,17 +2,18 @@
 boundary.
 
 Scalars are ``fractions.Fraction``.  All vectors and matrices are plain
-tuples/lists of scalars; subspaces are canonically represented by
-reduced-row-echelon bases with a fixed global coordinate order.  No
-floating point anywhere.
+tuples/lists of scalars; a subspace is an :class:`Echelon`, its reduced
+row echelon basis in a fixed global coordinate order, which decides
+membership, reduces modulo the space, reads coordinates, meets another
+space and compares spaces by ``==``.  No floating point anywhere.
 
 Row reduction is fraction-free: each row is cleared of denominators and
 elimination runs on Python integers, one core shared by :func:`rref`
 (and so :func:`rank`) and :class:`Echelon`.  :func:`rref` divides the
 pivots out once at the end, giving ``Fraction`` entries.
-:class:`Echelon` keeps a reduced basis for repeated membership tests as
-primitive integer rows, builds its ``Fraction`` rows only when they are
-read, and decides membership in integers.
+:class:`Echelon` keeps its basis as primitive integer rows, builds its
+``Fraction`` rows only when they are read, and decides membership and
+meets in integers.
 
 Points and subspaces over Q(i) are computed on realified coordinates: a
 Gaussian vector (z_1..z_n) is the rational vector (re z_1, im z_1, ...,
@@ -370,27 +371,37 @@ def span_echelon(vectors):
 
 
 class Echelon:
-    """The reduced echelon basis of a span, kept for membership tests.
-
-    ``int_rows`` are the rows of the basis scaled to primitive integer
-    rows, and ``pivots`` their pivot columns; both are tuples, so the
-    basis cannot be changed after it is built.  ``rows``, the reduced
-    rows with ``Fraction`` entries, is built from them on first read."""
+    """A subspace, kept as its reduced echelon basis: ``int_rows``, its rows
+    scaled to primitive integer rows with a positive pivot, and
+    ``pivots``, their columns.  Both are tuples and unique to the space,
+    so ``==`` compares spaces.  ``rows``, the reduced rows with
+    ``Fraction`` entries, is built on first read; ``len`` is the
+    dimension."""
 
     __slots__ = ("int_rows", "pivots", "_rows", "_free", "_scales", "_den")
 
     def __init__(self, vectors):
         rows, pivots = _eliminate(vectors)
-        self.int_rows = tuple(tuple(row) for row in rows)
+        self.int_rows = tuple(tuple(row) if row[p] > 0
+                              else tuple(-x for x in row)
+                              for row, p in zip(rows, pivots))
         self.pivots = tuple(pivots)
         self._rows = None
         ncols = len(rows[0]) if rows else 0
         self._free = tuple(j for j in range(ncols) if j not in pivots)
         # the row with pivot p times den // row[p] has the common pivot
         # value den, for every p
-        self._den = lcm(*[row[p] for row, p in zip(rows, pivots)])
+        self._den = lcm(*[row[p] for row, p in zip(self.int_rows, pivots)])
         self._scales = tuple(self._den // row[p]
-                             for row, p in zip(rows, pivots))
+                             for row, p in zip(self.int_rows, pivots))
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def __eq__(self, other):
+        if not isinstance(other, Echelon):
+            return NotImplemented
+        return self.int_rows == other.int_rows
 
     @property
     def rows(self):
@@ -424,6 +435,12 @@ class Echelon:
                 return False
         return True
 
+    def coords(self, v):
+        """The coordinates of v in the basis ``rows``, or None when v is
+        not in the span: its entries at the pivots, as the row with pivot
+        p is the only row nonzero there, and is 1 there."""
+        return [v[p] for p in self.pivots] if self.contains(v) else None
+
     def reduce(self, v):
         """The canonical representative of v modulo the span: zero on the
         pivot columns, so it depends only on the class of v."""
@@ -433,6 +450,20 @@ class Echelon:
             if c:
                 out = [x - c * y for x, y in zip(out, row)]
         return out
+
+    def meet(self, other):
+        """The intersection with another subspace, by Zassenhaus' method:
+        the rows (u | u) and (v | 0) over the two bases are independent and
+        span the pairs (u + v | u).  Their reduced rows with a pivot in the
+        second half are (0 | u), u = -v, and there are dim U + dim V -
+        dim(U + V) of them: their second halves are a basis of the meet."""
+        if not (self.pivots and other.pivots):
+            return Echelon([])
+        n = len(self.int_rows[0])
+        zero = (0,) * n
+        rows, pivots = _eliminate([u + u for u in self.int_rows]
+                                  + [v + zero for v in other.int_rows])
+        return Echelon([row[n:] for row, p in zip(rows, pivots) if p >= n])
 
 
 def in_span(vectors, v):
@@ -447,26 +478,6 @@ def coords_in_basis(basis, v):
     A = transpose(basis)
     x, _ = solve_affine(A, list(v), len(basis))
     return x
-
-
-def subspace_intersect(U, V):
-    """Echelon basis of span(U) n span(V)."""
-    U = span_echelon(U)
-    V = span_echelon(V)
-    if not U or not V:
-        return []
-    n = len(U[0])
-    # solve sum a_i u_i - sum b_j v_j = 0
-    A = [[U[i][c] for i in range(len(U))] + [-V[j][c] for j in range(len(V))]
-         for c in range(n)]
-    ker = kernel_basis(A, len(U) + len(V))
-    vecs = []
-    for k in ker:
-        v = zero_vec(n)
-        for i in range(len(U)):
-            v = vec_add(v, vec_scale(k[i], U[i]))
-        vecs.append(v)
-    return span_echelon(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +499,8 @@ def unrealify_vector(v):
 
 def complex_span(W):
     """The complex span of the vectors W (Gaussian or rational entries) in
-    realified coordinates: the reduced echelon basis of the rational span
-    of realify(w) and realify(i w) over w in W.  It has twice the complex
+    realified coordinates: the :class:`Echelon` of the rational span of
+    realify(w) and realify(i w) over w in W.  It has twice the complex
     dimension.  Its real points, the conjugation-fixed vectors of span(W),
     are its meet with the real coordinate plane (odd coordinates zero):
     a rational vector of span(W) is its own conjugate."""
@@ -497,4 +508,4 @@ def complex_span(W):
     for w in W:
         rows.append(realify_vector(w))
         rows.append(realify_vector(vec_scale(I, list(w))))
-    return span_echelon(rows)
+    return Echelon(rows)

@@ -10,10 +10,10 @@ filtrations and conjugation, so the rational/Gaussian pair is an exact
 stand-in for R/C.  A mixed Hodge structure is an ascending weight
 filtration by ideals together with a descending, bracket-multiplicative
 Hodge filtration over the Gaussian field satisfying the degreewise
-direct-sum condition on each pure-weight layer; each Hodge level is kept
-as the realified echelon basis of its complex span.  Gaussian vectors
-appear only at the boundary: the spanning families of the Hodge levels,
-the points classified, and their normal forms.
+direct-sum condition on each pure-weight layer; each level is kept as an
+``Echelon``, a Hodge level as that of its realified complex span.
+Gaussian vectors appear only at the boundary: the spanning families of
+the Hodge levels, the points classified, and their normal forms.
 
 Torsor classes are double cosets W0U(R) \\ U(C) / F0U(C).  The
 stabilizer descent of ``nilpotent``, run on w^-1 u f over (f, w) in
@@ -27,9 +27,8 @@ central extension.
 from fractions import Fraction
 
 from .exactla import (
-    Echelon, complex_span, coords_in_basis, identity_matrix, in_span,
-    kernel_basis, mat_vec, rank, realify_vector, span_echelon,
-    subspace_intersect, transpose, unrealify_vector, vec_is_zero, vec_neg,
+    Echelon, complex_span, identity_matrix, mat_vec, realify_vector,
+    transpose, unrealify_vector, vec_is_zero, vec_neg,
 )
 from .cosimpl import (
     LinearHom, SemiCosimplicialGroup, StructuredHom, UnipotentCarrier,
@@ -69,14 +68,15 @@ def realify_matrix(A, rows, cols):
 
 
 def subalgebra_on_basis(L, vectors, name="sub"):
-    """Abstract Lie algebra on the span of a bracket-closed family, with
-    the reduced echelon basis of the span.  Returns (algebra, basis,
-    inclusion morphism)."""
-    basis = span_echelon([list(v) for v in vectors])
+    """Abstract Lie algebra on the span of a bracket-closed family, whose
+    basis is the ``rows`` of the span's :class:`Echelon`.  Returns
+    (algebra, echelon, inclusion morphism)."""
+    span = Echelon(vectors)
+    basis = span.rows
     structure = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            coords = coords_in_basis(basis, L.bracket(basis[i], basis[j]))
+            coords = span.coords(L.bracket(basis[i], basis[j]))
             if coords is None:
                 raise ValueError("family is not bracket-closed")
             row = {k: c for k, c in enumerate(coords) if c}
@@ -84,7 +84,7 @@ def subalgebra_on_basis(L, vectors, name="sub"):
                 structure[(i, j)] = row
     alg = NilpotentLieAlgebra(len(basis), structure, name=name)
     mat = [[basis[c][r] for c in range(len(basis))] for r in range(L.dim)]
-    return alg, basis, LieMorphism(alg, L, mat, check=True)
+    return alg, span, LieMorphism(alg, L, mat, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +95,14 @@ class MHSGroup:
     (ascending, by ideals) and a Hodge filtration F (descending, over the
     Gaussian field, bracket-multiplicative).
 
-    ``weights`` maps an integer m to a basis of W_m (cumulative, rational
-    vectors); ``hodge`` maps an integer p to a spanning family of F^p
-    (Gaussian or rational vectors), stored as ``complex_span`` of it: the
-    realified echelon basis, twice as long as the complex dimension.
-    Unstored indices take the value at the largest stored index below them
-    (empty below all stored W indices, full below all stored F indices).
-    Immutable after construction; deciders are reentrant.
+    ``weights`` maps an integer m to the :class:`Echelon` of W_m
+    (cumulative, given by rational vectors); ``hodge`` maps an integer p
+    to the ``complex_span`` of F^p (given by Gaussian or rational vectors),
+    realified, of twice the complex dimension.  In ``w_basis`` and
+    ``f_basis`` unstored indices take the value at the largest stored
+    index below them (empty below all stored W indices, full below all
+    stored F indices).  Immutable after construction; deciders are
+    reentrant.
     """
 
     def __init__(self, L, weights, hodge, negative_weights=True, name="M",
@@ -109,7 +110,7 @@ class MHSGroup:
         self.L = L
         self.name = name
         self.negative_weights = negative_weights
-        self.weights = {int(m): span_echelon(basis)
+        self.weights = {int(m): Echelon(basis)
                         for m, basis in weights.items()}
         self.hodge = {int(p): complex_span(basis)
                       for p, basis in hodge.items()}
@@ -123,12 +124,12 @@ class MHSGroup:
 
     def w_basis(self, m):
         stored = [i for i in self.weights if i <= m]
-        return self.weights[max(stored)] if stored else []
+        return self.weights[max(stored)] if stored else Echelon([])
 
     def f_basis(self, p):
         stored = [i for i in self.hodge if i <= p]
         if not stored:
-            return identity_matrix(2 * self.L.dim)
+            return Echelon(identity_matrix(2 * self.L.dim))
         return self.hodge[max(stored)]
 
     def w0(self):
@@ -143,9 +144,9 @@ class MHSGroup:
         coordinate plane, so its meet with F0 is the realified answer, a
         reduced echelon basis that stays one without its zero imaginary
         columns."""
-        inter = subspace_intersect(self.f0(),
-                                   [realify_vector(w) for w in self.w0()])
-        return [v[0::2] for v in inter]
+        inter = self.f0().meet(
+            Echelon([realify_vector(w) for w in self.w0().rows]))
+        return [list(v[0::2]) for v in inter.rows]
 
     def __repr__(self):
         return "MHSGroup(%s, dim=%d)" % (self.name, self.L.dim)
@@ -158,35 +159,25 @@ def _conj(v):
 
 def _graded_piece(M, m):
     """(dim Gr_m W, gr_part) for a nonzero graded piece, else None;
-    gr_part(p) is F^p /\\ W_m in Gr_m W, realified, computed once for
-    each stored level of F, as p and m + 1 - p revisit them."""
+    gr_part(p) is F^p /\\ W_m in Gr_m W, realified, as vectors reduced
+    modulo W_m-1 (``Echelon.reduce``).  Conjugation preserves the complex
+    span of a rational space and its pivot columns, so it commutes with
+    the reduction.  Computed once for each stored level of F, as p and
+    m + 1 - p revisit them."""
     Wm, Wm1 = M.weights[m], M.w_basis(m - 1)
-    comp = []
-    for v in Wm:
-        if not in_span(Wm1 + comp, v):
-            comp.append(v)
-    if not comp:
+    grdim = len(Echelon([Wm1.reduce(v) for v in Wm.rows]))
+    if not grdim:
         return None
-    # realified, so coordinates in it are realified complex ones
-    full = realify_matrix(Wm1 + comp, len(Wm1) + len(comp), M.L.dim)
-    WmC = complex_span(Wm)
+    WmC, Wm1C = complex_span(Wm.rows), complex_span(Wm1.rows)
     parts = {}
 
     def gr_part(p):
         key = max((i for i in M.hodge if i <= p), default=None)
         if key not in parts:
-            fp = M.f_basis(p)
-            inter = subspace_intersect(fp, WmC) if fp else []
-            quots = []
-            for x in inter:
-                co = coords_in_basis(full, x)
-                if co is None:
-                    raise RuntimeError("F^%d /\\ W_%d has no coordinates "
-                                       "in W_%d" % (p, m, m))
-                quots.append(co[2 * len(Wm1):])
-            parts[key] = span_echelon(quots)
+            parts[key] = Echelon([Wm1C.reduce(x)
+                                  for x in M.f_basis(p).meet(WmC).rows])
         return parts[key]
-    return len(comp), gr_part
+    return grdim, gr_part
 
 
 def validate_mhs(M):
@@ -204,15 +195,15 @@ def validate_mhs(M):
     fidx = sorted(M.hodge)
 
     # W nested ascending
-    add("W nested", all(in_span(M.weights[b], v)
+    add("W nested", all(M.weights[b].contains(v)
                         for a, b in zip(widx, widx[1:])
-                        for v in M.weights[a]))
+                        for v in M.weights[a].rows))
 
     # W levels are ideals
     for m in widx:
         lvl = M.weights[m]
-        ideal = all(in_span(lvl, L.bracket(L.basis_vector(i), w))
-                    for i in range(d) for w in lvl)
+        ideal = all(lvl.contains(L.bracket(L.basis_vector(i), w))
+                    for i in range(d) for w in lvl.rows)
         add("W_%d is an ideal" % m, ideal,
             "" if ideal else "non-ideal W level")
 
@@ -221,17 +212,17 @@ def validate_mhs(M):
         add("negative weights: W_-1 is everything", neg)
 
     # F nested descending
-    add("F nested", all(in_span(M.hodge[a], v)
+    add("F nested", all(M.hodge[a].contains(v)
                         for a, b in zip(fidx, fidx[1:])
-                        for v in M.hodge[b]))
+                        for v in M.hodge[b].rows))
 
     # F bracket-multiplicative: the bracket is real bilinear, so real
     # bases of the levels suffice
     for a in fidx:
         for b in fidx:
-            target = Echelon(M.f_basis(a + b))
+            target = M.f_basis(a + b)
             good = all(target.contains(LR.bracket(u, v))
-                       for u in M.hodge[a] for v in M.hodge[b])
+                       for u in M.hodge[a].rows for v in M.hodge[b].rows)
             add("[F^%d, F^%d] in F^%d" % (a, b, a + b), good,
                 "" if good else "non-multiplicative F")
 
@@ -245,10 +236,10 @@ def validate_mhs(M):
 
     def decomposition(m, p):
         grdim, gr_part = pieces[m]
-        A = gr_part(p)
-        B = [_conj(v) for v in gr_part(m + 1 - p)]
+        A = gr_part(p).rows
+        B = [_conj(v) for v in gr_part(m + 1 - p).rows]
         direct = (len(A) + len(B) == 2 * grdim
-                  and len(span_echelon(A + B)) == 2 * grdim)
+                  and len(Echelon([*A, *B])) == 2 * grdim)
         add("Hodge decomposition at weight %d, p=%d" % (m, p), direct,
             "" if direct else "failed Hodge decomposition")
 
@@ -276,9 +267,9 @@ def w0_f0_subgroups(M):
     if "sub" in M._cache:
         return M._cache["sub"]
     LR = M.Lreal
-    w_real = [realify_vector(w) for w in M.w0()]
+    w_real = [realify_vector(w) for w in M.w0().rows]
     walg, wb, wincl = subalgebra_on_basis(LR, w_real, name=M.name + "_W0")
-    falg, fb, fincl = subalgebra_on_basis(LR, M.f0(), name=M.name + "_F0")
+    falg, fb, fincl = subalgebra_on_basis(LR, M.f0().rows, M.name + "_F0")
     out = {"w0_basis": M.w0(), "f0_basis": M.f0(),
            "w0_real": wb, "f0_real": fb,
            "w0_algebra": walg, "f0_algebra": falg,
@@ -392,29 +383,6 @@ def h1_dimension(M):
     return 2 * d - len(M.f0()) - d
 
 
-def freeness_check(M, samples):
-    """Stabilizer of each given point under (w, f) . u = w^-1 u f: the
-    linear system Ad(u^-1) w in F0 over the real form must have only the
-    zero solution.  A reference for tests, which ``h1_dimension`` no
-    longer needs.  Properness is out of scope; freeness only."""
-    LR = M.Lreal
-    sub = w0_f0_subgroups(M)
-    wgens = sub["w0_real"]
-    fgens = sub["f0_real"]
-    dims = []
-    for u in samples:
-        ur = realify_vector(u)
-        g = LR.inverse(ur)
-        cols = [LR.Ad(g, w) for w in wgens] + [vec_neg(list(f))
-                                               for f in fgens]
-        A = [[cols[c][r] for c in range(len(cols))] for r in range(LR.dim)]
-        ker = kernel_basis(A, len(cols)) if cols else []
-        wpart = [k[:len(wgens)] for k in ker]
-        dims.append(rank(wpart) if wpart else 0)
-    return {"points": len(samples), "stabilizer_dims": dims,
-            "all_trivial": all(x == 0 for x in dims)}
-
-
 # ---------------------------------------------------------------------------
 # the exact sequence of a central extension
 
@@ -438,19 +406,19 @@ def mhs_les(MZ, MU, MQ, incl, proj):
     # strict compatibility of the filtrations
     inclR = realify_matrix(incl.matrix, dU, MZ.L.dim)
     projR = realify_matrix(proj.matrix, dQ, dU)
-    if span_echelon([mat_vec(projR, f) for f in MU.f0()]) != MQ.f0():
+    if Echelon([mat_vec(projR, f) for f in MU.f0().rows]) != MQ.f0():
         raise ValueError("non-strict filtration data: "
                          "proj(F0 U) != F0 Q")
-    if span_echelon([mat_vec(inclR, f) for f in MZ.f0()]) != \
-            subspace_intersect(MU.f0(), transpose(inclR)):
+    if Echelon([mat_vec(inclR, f) for f in MZ.f0().rows]) != \
+            MU.f0().meet(Echelon(transpose(inclR))):
         raise ValueError("non-strict filtration data: "
                          "F0 U /\\ Z != incl(F0 Z)")
     for m in sorted(set(MZ.weights) | set(MU.weights) | set(MQ.weights)):
         wU, wQ = MU.w_basis(m), MQ.w_basis(m)
-        if not (all(in_span(wU, mat_vec(incl.matrix, list(w)))
-                    for w in MZ.w_basis(m))
-                and all(in_span(wQ, mat_vec(proj.matrix, list(w)))
-                        for w in wU)):
+        if not (all(wU.contains(mat_vec(incl.matrix, w))
+                    for w in MZ.w_basis(m).rows)
+                and all(wQ.contains(mat_vec(proj.matrix, w))
+                        for w in wU.rows)):
             raise ValueError("non-strict filtration data: "
                              "weight level escapes")
 
@@ -465,7 +433,7 @@ def mhs_les(MZ, MU, MQ, incl, proj):
             """The matrix of the map on one factor, in the subalgebra
             bases."""
             bb = subb[kind]
-            cols = [coords_in_basis(bb, mat_vec(real, v)) for v in suba[kind]]
+            cols = [bb.coords(mat_vec(real, v)) for v in suba[kind].rows]
             if None in cols:
                 raise RuntimeError("filtration map does not restrict")
             return [[co[r] for co in cols] for r in range(len(bb))]
@@ -487,8 +455,8 @@ def mhs_les(MZ, MU, MQ, incl, proj):
     # conjugation-fixed computation
     for M, G, eq in zip((MZ, MU, MQ), (GZ, GU, GQ), les["pi0"]):
         d1 = G.semi.cofaces[1][1].matrix
-        img = span_echelon([mat_vec(d1, v) for v in eq])
-        direct = span_echelon([realify_vector(v) for v in M.real_fixed()])
+        img = Echelon([mat_vec(d1, v) for v in eq])
+        direct = Echelon([realify_vector(v) for v in M.real_fixed()])
         if img != direct:
             raise RuntimeError("pi0 disagrees with the fixed-point basis")
     if les["h1_z_dim"] != h1_dimension(MZ):
@@ -518,8 +486,8 @@ def twist_mhs(M, alpha):
     graded pieces are untouched by a unipotent adjoint)."""
     LR = M.Lreal
     g = LR.inverse(realify_vector(alpha))
-    hodge = {p: [unrealify_vector(LR.Ad(g, f)) for f in basis]
-             for p, basis in M.hodge.items()}
-    return MHSGroup(M.L, M.weights, hodge,
+    hodge = {p: [unrealify_vector(LR.Ad(g, f)) for f in level.rows]
+             for p, level in M.hodge.items()}
+    return MHSGroup(M.L, {m: w.rows for m, w in M.weights.items()}, hodge,
                     negative_weights=M.negative_weights,
                     name=M.name + "_tw", check=True)

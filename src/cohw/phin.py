@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import exactla
 from .exactla import (
-    in_span, kernel_basis, mat_eq, mat_mul, mat_vec, rank, span_echelon,
-    transpose, vec_add, vec_sub, zero_matrix,
+    Echelon, kernel_basis, mat_eq, mat_mul, mat_vec, rank, transpose,
+    vec_add, vec_sub, zero_matrix,
 )
 from .cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
@@ -174,9 +174,10 @@ def d_phi1(X):
     eye = exactla.identity_matrix(d)
     rows = exactla.mat_sub(X.phi, eye) + [list(r) for r in X.N]
     basis = kernel_basis(rows, d)
+    span = Echelon(basis)
     for a in basis:
         for b in basis:
-            if not in_span(basis, X.L.bracket(list(a), list(b))):
+            if not span.contains(X.L.bracket(a, b)):
                 raise RuntimeError("fixed points not closed under bracket")
     return basis
 
@@ -202,8 +203,7 @@ def h1_quotient(X, variant="g/e", N=3):
     S = selmer_quotient_cosimplicial(X, variant, N)
     out = {"cosimplicial": S, "deciders": pi1_unipotent_deciders(S),
            "pi0_basis": pi0(S)}
-    if span_echelon([list(v) for v in out["pi0_basis"]]) != \
-            span_echelon([list(v) for v in d_phi1(X)]):
+    if Echelon(out["pi0_basis"]) != Echelon(d_phi1(X)):
         raise RuntimeError("pi0 of the quotient pattern disagrees with the "
                            "direct computation")
     if X.is_abelian():

@@ -13,11 +13,10 @@ from cohw.cli import (
     suite_twist, suite_twisted_conjugation,
 )
 from cohw.exactla import Gaussian
-from cohw.hodge import (
-    MHSGroup, classify_torsor, freeness_check, h1_dimension, mhs_les,
-)
+from cohw.hodge import MHSGroup, classify_torsor, h1_dimension, mhs_les
 from cohw.nilpotent import LieMorphism, abelian_lie_algebra, heisenberg
 from cohw.phin import PhiNGroup, d_phi1, h1_quotient, quotient_les
+from test_hodge import freeness_check
 
 F = Fraction
 I = Gaussian(0, 1)

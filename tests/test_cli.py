@@ -864,6 +864,17 @@ def test_exit_codes(capsys):
     assert "unknown suite" in out
 
 
+def test_verify_refuses_fewer_than_one_instance():
+    # an argument error, in text and json format, with or without asserts
+    argvs = [["verify", "--suite", "hopf", "--instances", n, "--format", f]
+             for n in ("0", "-1") for f in ("text", "json")]
+    results = [_run_child(argvs, flags) for flags in ([], ["-O"])]
+    assert results[0] == results[1]
+    assert results[0] == [
+        [2, "error: --instances: %s is not a positive count\n" % argv[4]]
+        for argv in argvs]
+
+
 def test_json_format(capsys):
     code, out = run(capsys, ["validate", str(CORPUS / "heisenberg.alg"),
                              "--format", "json"])

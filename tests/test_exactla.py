@@ -8,8 +8,7 @@ from cohw.exactla import (
     Echelon, Gaussian, I, complex_span, coords_in_basis, format_scalar,
     identity_matrix, in_span, kernel_basis, mat_mul, mat_vec, parse_scalar,
     rank, realify_vector, rref, solve_affine, span_echelon,
-    subspace_intersect, unrealify_vector, vec_add, vec_is_zero, vec_scale,
-    zero_vec,
+    unrealify_vector, vec_add, vec_is_zero, vec_scale, zero_vec,
 )
 
 F = Fraction
@@ -17,6 +16,31 @@ F = Fraction
 
 def subspace_sum(U, V):
     return span_echelon(list(U) + list(V))
+
+
+def subspace_intersect(U, V):
+    """Echelon basis of span(U) n span(V), from the kernel of
+    [U | -V]: the reference for ``Echelon.meet``."""
+    U = span_echelon(U)
+    V = span_echelon(V)
+    if not U or not V:
+        return []
+    n = len(U[0])
+    # solve sum a_i u_i - sum b_j v_j = 0
+    A = [[U[i][c] for i in range(len(U))] + [-V[j][c] for j in range(len(V))]
+         for c in range(n)]
+    ker = kernel_basis(A, len(U) + len(V))
+    vecs = []
+    for k in ker:
+        v = zero_vec(n)
+        for i in range(len(U)):
+            v = vec_add(v, vec_scale(k[i], U[i]))
+        vecs.append(v)
+    return span_echelon(vecs)
+
+
+def _rows(E):
+    return [list(row) for row in E.rows]
 
 
 def complement_basis(U, ambient_dim):
@@ -104,8 +128,9 @@ def _real_points(S):
     meet with the real coordinate plane, imaginary columns dropped."""
     if not S:
         return []
-    plane = [realify_vector(e) for e in identity_matrix(len(S[0]) // 2)]
-    return [v[0::2] for v in subspace_intersect(S, plane)]
+    n = len(S.int_rows[0]) // 2
+    plane = Echelon([realify_vector(e) for e in identity_matrix(n)])
+    return [list(v[0::2]) for v in S.meet(plane).rows]
 
 
 def test_gaussian_kernel():
@@ -117,7 +142,7 @@ def test_gaussian_kernel():
         assert vec_is_zero(mat_vec(A, v))
     # canonicalized: the complex span of (1, i), the echelon scaling of
     # (-i, 1), with pivot coordinate 1
-    assert ker == complex_span([[-I, Gaussian(1)]])
+    assert ker == _rows(complex_span([[-I, Gaussian(1)]]))
     assert unrealify_vector(ker[0]) == [Gaussian(1), I]
 
 
@@ -155,6 +180,20 @@ def vectors(n):
     return st.lists(small_fracs, min_size=n, max_size=n)
 
 
+@st.composite
+def respanned(draw, M):
+    """Another spanning set of span(M): its rows negated or scaled by
+    nonzero rationals, some duplicated, all reordered."""
+    scales = st.one_of(st.just(-1), small_fracs.filter(bool))
+    rows = []
+    for row in M:
+        c = draw(scales)
+        rows.append([c * x for x in row])
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return draw(st.permutations(rows))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -172,26 +211,40 @@ def test_solve_affine_exact(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4).flatmap(
+@given(st.data(), st.integers(2, 4).flatmap(
     lambda n: st.tuples(
         st.lists(vectors(n), min_size=0, max_size=3),
         st.lists(vectors(n), min_size=0, max_size=3))))
-def test_dimension_formula(data):
-    U, V = data
+def test_dimension_formula(data, UV):
+    # V is drawn independently or as another spanning set of span(U)
+    U, V = UV
+    V = data.draw(st.one_of(st.just(V), respanned(U)))
     s = subspace_sum(U, V)
     i = subspace_intersect(U, V)
-    assert len(span_echelon(U)) + len(span_echelon(V)) == len(s) + len(i)
-    for v in i:
+    EU, EV = Echelon(U), Echelon(V)
+    meet = EU.meet(EV)
+    assert _rows(meet) == i
+    assert len(EU) + len(EV) == len(s) + len(meet)
+    assert (EU == EV) == (len(EU) == len(EV) == len(s))
+    for v in meet.rows:
         assert in_span(U, v) and in_span(V, v)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(vectors(3), min_size=1, max_size=3), vectors(3))
-def test_coords_reconstruct(basis, v):
+@given(st.data(), st.lists(vectors(3), min_size=1, max_size=3))
+def test_coords_reconstruct(data, basis):
+    # a random vector, or a combination of the basis
+    v = data.draw(st.one_of(vectors(3), st.lists(
+        small_fracs, min_size=len(basis), max_size=len(basis)).map(
+            lambda cs: [sum((c * b[j] for c, b in zip(cs, basis)), F(0))
+                        for j in range(3)])))
     eb = span_echelon(basis)
-    if not in_span(eb, v):
-        return
+    E = Echelon(basis)
     coords = coords_in_basis(eb, v)
+    assert E.coords(v) == coords
+    if not in_span(eb, v):
+        assert coords is None
+        return
     assert coords is not None
     acc = [F(0)] * 3
     for c, b in zip(coords, eb):
@@ -358,17 +411,19 @@ def test_complex_span_matches_complex_elimination(data, W):
     S = complex_span(W)
     r = _complex_rank(W)
     assert len(S) == 2 * r
+    assert S == complex_span(data.draw(respanned(W)))
     # membership: random vectors and Gaussian combinations of the rows
     v = data.draw(st.one_of(gaussian_vectors, st.lists(
         gaussian_entries, min_size=len(W), max_size=len(W)).map(
             lambda cs: [sum((c * row[j] for c, row in zip(cs, W)), F(0))
                         for j in range(n)])))
-    assert Echelon(S).contains(realify_vector(v)) == \
-        (_complex_rank(W + [v]) == r)
+    assert S.contains(realify_vector(v)) == (_complex_rank(W + [v]) == r)
     # intersection with a second span
     V = data.draw(st.lists(gaussian_vectors, max_size=3))
-    assert len(subspace_intersect(S, complex_span(V))) == \
-        2 * (r + _complex_rank(V) - _complex_rank(W + V))
+    meet = S.meet(complex_span(V))
+    assert _rows(meet) == subspace_intersect(_rows(S),
+                                             _rows(complex_span(V)))
+    assert len(meet) == 2 * (r + _complex_rank(V) - _complex_rank(W + V))
     # real points: rational vectors of span(W), as many as the complex
     # dimension of span(W) /\ conj span(W)
     conj = [[(Gaussian(1) * x).conj() for x in row] for row in W]
@@ -426,6 +481,7 @@ def test_echelon_and_rank_share_rref(data, M):
     assert rank(M) == len(rows)
     for ints, row, p in zip(E.int_rows, rows, pivots):
         assert all(type(x) is int for x in ints) and gcd(*ints) == 1
+        assert ints[p] > 0
         assert [F(x, ints[p]) for x in ints] == list(row)
     n = len(M[0])
     v = data.draw(st.one_of(
@@ -437,4 +493,8 @@ def test_echelon_and_rank_share_rref(data, M):
                         for j in range(n)])))
     assert E.contains(v) == (rank(M + [v]) == rank(M))
     assert Echelon([]).contains(v) == (rank([v]) == 0)
+    # == compares spaces: any spanning set of span(M) gives E, and adding
+    # v gives E exactly when v is already in the span
+    assert Echelon(data.draw(respanned(M))) == E
+    assert (Echelon(M + [v]) == E) == E.contains(v)
     assert E.contains([0] * n) and E.contains([F(0)] * n)

@@ -8,18 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from cohw.exactla import Gaussian, realify_vector, unrealify_vector, vec_add, \
-    vec_neg, vec_scale
+from cohw.exactla import Echelon, Gaussian, complex_span, coords_in_basis, \
+    kernel_basis, mat_vec, rank, realify_vector, span_echelon, \
+    unrealify_vector, vec_add, vec_neg, vec_scale
 from cohw.cli import derive_mhs_extension, load_description
 from cohw.cosimpl import check_cosimplicial_map, pi0, pi1_unipotent_deciders
 from cohw.hodge import (
-    MHSGroup, classify_torsor, coset_cosimplicial, equivalent,
-    freeness_check, h1_dimension, mhs_les, twist_mhs, validate_mhs,
-    w0_f0_subgroups,
+    MHSGroup, classify_torsor, coset_cosimplicial, equivalent, h1_dimension,
+    mhs_les, twist_mhs, validate_mhs, w0_f0_subgroups,
 )
 from cohw.nilpotent import (
     LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, heisenberg,
 )
+from test_exactla import subspace_intersect
 
 F = Fraction
 I = Gaussian(0, 1)
@@ -81,10 +82,10 @@ def _move(M, rng, u):
     LR = M.Lreal
     sub = w0_f0_subgroups(M)
     w = LR.zero()
-    for g in sub["w0_real"]:
+    for g in sub["w0_real"].rows:
         w = vec_add(w, vec_scale(F(rng.randint(-3, 3)), g))
     f = LR.zero()
-    for g in sub["f0_real"]:
+    for g in sub["f0_real"].rows:
         f = vec_add(f, vec_scale(F(rng.randint(-3, 3)), g))
     return unrealify_vector(LR.bch(LR.bch(vec_neg(w), realify_vector(u)), f))
 
@@ -147,7 +148,7 @@ def test_invalid_filtrations_are_refused_under_optimization():
 
 def test_w0_f0_subgroups():
     r1 = w0_f0_subgroups(_r1())
-    assert len(r1["w0_basis"]) == 1 and r1["f0_basis"] == []
+    assert len(r1["w0_basis"]) == 1 and len(r1["f0_basis"]) == 0
     assert r1["real_fixed"] == []
     v = w0_f0_subgroups(_v())
     # F^0 is one complex dimension: two real ones, abelian
@@ -204,10 +205,10 @@ def test_equivalent_constructed_pairs():
         u = [Gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
              for _ in range(3)]
         w = LR.zero()
-        for g in sub["w0_real"]:
+        for g in sub["w0_real"].rows:
             w = vec_add(w, vec_scale(F(rng.randint(-2, 2)), g))
         f = LR.zero()
-        for g in sub["f0_real"]:
+        for g in sub["f0_real"].rows:
             f = vec_add(f, vec_scale(F(rng.randint(-2, 2)), g))
         v = unrealify_vector(LR.bch(LR.bch(vec_neg(w), realify_vector(u)), f))
         assert equivalent(M, u, v)
@@ -285,6 +286,28 @@ def test_validate_checks_every_p_and_h1_dimension_needs_a_valid_mhs():
         "Hodge decomposition at weight -1, p=0"]
     with pytest.raises(ValueError, match="valid filtrations"):
         h1_dimension(M)
+
+
+def freeness_check(M, samples):
+    """Stabilizer of each given point under (w, f) . u = w^-1 u f: the
+    linear system Ad(u^-1) w in F0 over the real form must have only the
+    zero solution.  A reference that ``h1_dimension`` does not need.
+    Properness is out of scope; freeness only."""
+    LR = M.Lreal
+    sub = w0_f0_subgroups(M)
+    wgens = sub["w0_real"].rows
+    fgens = sub["f0_real"].rows
+    dims = []
+    for u in samples:
+        ur = realify_vector(u)
+        g = LR.inverse(ur)
+        cols = [LR.Ad(g, w) for w in wgens] + [vec_neg(f) for f in fgens]
+        A = [[cols[c][r] for c in range(len(cols))] for r in range(LR.dim)]
+        ker = kernel_basis(A, len(cols)) if cols else []
+        wpart = [k[:len(wgens)] for k in ker]
+        dims.append(rank(wpart) if wpart else 0)
+    return {"points": len(samples), "stabilizer_dims": dims,
+            "all_trivial": all(x == 0 for x in dims)}
 
 
 def test_freeness():
@@ -420,6 +443,84 @@ def test_validate_reports_are_pinned():
             "checks": [[c["name"], c["ok"], c["detail"]]
                        for c in report["checks"]]}
     assert got == expected
+
+
+SHEARED_EXTENSION = """\
+# Heisenberg plus a central plane, [e0, e1] = e2, written in the basis
+# b0 = e0, b1 = e1, b2 = e0 + e2, b3 = e1 + e3, b4 = e2 - e3 + e4.  W_-2
+# is span(e2), F^0 is spanned by e0 + i e1 and e3 + i e4, and Z is the
+# centre span(e2, e3, e4), given by incl vectors that are neither
+# coordinate vectors nor an echelon basis.  W_-2 and F^0 meet Z in
+# proper subspaces, so Z's coordinates show in its filtrations.
+field gaussian
+
+[lie_algebra]
+dim 5
+bracket 0 1 0 -1
+bracket 0 1 2 1
+bracket 0 3 0 -1
+bracket 0 3 2 1
+bracket 1 2 0 1
+bracket 1 2 2 -1
+bracket 2 3 0 -1
+bracket 2 3 2 1
+
+[filtration_W]
+level -2
+vector -1 0 1 0 0
+level -1
+vector 1 0 0 0 0
+vector 0 1 0 0 0
+vector -1 0 1 0 0
+vector 0 -1 0 1 0
+vector 1 -1 -1 1 1
+
+[filtration_F]
+level -1
+vector 1 0 0 0 0
+vector 0 1 0 0 0
+vector -1 0 1 0 0
+vector 0 -1 0 1 0
+vector 1 -1 -1 1 1
+level 0
+vector 1 i 0 0 0
+vector i -1-i -i 1+i i
+level 1
+
+[extension]
+incl -1 -1 1 1 0
+incl -1 0 1 0 -1
+incl 2 -2 -2 2 2
+proj 1 0 1 0 0
+proj 0 1 0 1 0
+"""
+
+
+def test_extension_with_a_sheared_centre(tmp_path):
+    """derive_mhs_extension reads Z's coordinates at the pivots of its
+    echelon basis; they agree with solving in that basis, and Q's levels
+    are the images of U's."""
+    path = tmp_path / "sheared.alg"
+    path.write_text(SHEARED_EXTENSION)
+    df = load_description(str(path))
+    MZ, MU, MQ, incl, proj = derive_mhs_extension(df)
+    zb = span_echelon(df.extension["incl"])
+    zbR = [realify_vector(w) for z in zb for w in (z, [I * x for x in z])]
+    for m, lvl in MU.weights.items():
+        meet = subspace_intersect(lvl.rows, zb)
+        assert MZ.weights[m] == Echelon([coords_in_basis(zb, v)
+                                         for v in meet])
+        assert MQ.weights[m] == Echelon([mat_vec(df.extension["proj"], v)
+                                         for v in lvl.rows])
+    for p, lvl in MU.hodge.items():
+        meet = subspace_intersect(lvl.rows, zbR)
+        assert MZ.hodge[p] == complex_span(
+            [unrealify_vector(coords_in_basis(zbR, v)) for v in meet])
+    assert [len(MZ.weights[m]) for m in (-2, -1)] == [1, 3]
+    assert [len(MZ.hodge[p]) for p in (-1, 0, 1)] == [6, 2, 0]
+    res = mhs_les(MZ, MU, MQ, incl, proj)
+    assert res["report"]["ok"]
+    assert (res["h1_z_dim"], h1_dimension(MU), res["h1_q_dim"]) == (1, 1, 0)
 
 
 def test_validate_is_idempotent_and_reentrant():

@@ -518,7 +518,7 @@ def test_quotient_les_on_seeded_extensions_matches_the_witnesses():
             coeffs = [F(rng.randint(-2, 2)) for _ in z1]
             cocycles.append([sum(a * z[i] for a, z in zip(coeffs, z1))
                              for i in range(len(z1[0]))])
-        dies = Echelon(les["dies_in_u"])
+        dies = les["dies_in_u"]
         witness = cosimpl.pi1_unipotent_deciders(SU)["witness"]
         incl1 = res["level_maps"][0][1]
         for z in cocycles:
