@@ -12,6 +12,7 @@ verification failure (a guaranteed identity failed - always a bug).
 """
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -623,16 +624,17 @@ def build_action(df):
 # ---------------------------------------------------------------------------
 # verification suites
 
+@functools.cache
 def _bch_pool():
     fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
                                name="fil3")
     fil4 = NilpotentLieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1},
                                    (0, 3): {4: 1}}, name="fil4")
-    return [abelian_lie_algebra(1), abelian_lie_algebra(4),
+    return (abelian_lie_algebra(1), abelian_lie_algebra(4),
             abelian_lie_algebra(6), heisenberg(),
             direct_sum(heisenberg(), abelian_lie_algebra(3)),
             fil3, direct_sum(fil3, abelian_lie_algebra(2)), fil4,
-            direct_sum(fil4, abelian_lie_algebra(1))]
+            direct_sum(fil4, abelian_lie_algebra(1)))
 
 
 def suite_bch(rng, instances):
@@ -878,23 +880,29 @@ def suite_twisted_conjugation(rng, instances):
     return {"instances": instances, "failures": failures}
 
 
+@functools.cache
+def _hopf_envelopes():
+    return (TruncatedEnvelope(abelian_lie_algebra(3), order=2),
+            TruncatedEnvelope(heisenberg(), order=3),
+            TruncatedEnvelope(central_extension(
+                heisenberg(), 1, {(0, 2): [F(1)]}), order=4))
+
+
 def suite_hopf(rng, instances=10):
     """Symmetrization carries the weighted filtration onto the power
     filtration on the three reference algebras; graded trivialization
     independence, decided on a basis, over 10 trivialization changes per
-    torsor."""
+    torsor.  The three envelopes are built once per process, and with
+    them their compiled products, J-filtrations and graded bases; every
+    call runs every check on them."""
     failures = []
-    env = TruncatedEnvelope(heisenberg(), order=3)
-    examples = [TruncatedEnvelope(abelian_lie_algebra(3), order=2), env,
-                TruncatedEnvelope(central_extension(
-                    heisenberg(), 1, {(0, 2): [F(1)]}), order=4)]
-    for example in examples:
+    for example in _hopf_envelopes():
         if not symmetrization_check(example)["ok"]:
             failures.append("symmetrization: %s" % example.L.name)
     for t in range(instances):
         for _ in range(10):
             q = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
-            if not graded_trivialization_check(env, q):
+            if not graded_trivialization_check(_hopf_envelopes()[1], q):
                 failures.append("trivialization dependence: torsor %d q=%s"
                                 % (t, q))
     return {"instances": instances, "failures": failures}
@@ -1141,16 +1149,13 @@ def main(argv=None):
             try:
                 df = load_description(args.file)
             except OSError as e:
-                print("error: %s" % e)
-                return 2
+                raise _ArgumentError(e) from None
             lines, code = COMMANDS[args.command](df, args)
     except ParseError as e:
-        print("error: %s:%d:%d: %s"
-              % (getattr(args, "file", "<input>"), e.line, e.col, e.message))
-        return 2
+        lines, code = ["error: %s:%d:%d: %s" % (getattr(
+            args, "file", "<input>"), e.line, e.col, e.message)], 2
     except _ArgumentError as e:
-        print("error: %s" % e)
-        return 2
+        lines, code = ["error: %s" % e], 2
     except (AssertionError, ValueError, RuntimeError) as e:
         # a guaranteed identity failed, or internal data was malformed
         print("error: internal verification failure: %s" % e)

@@ -506,6 +506,6 @@ def complex_span(W):
     a rational vector of span(W) is its own conjugate."""
     rows = []
     for w in W:
-        rows.append(realify_vector(w))
-        rows.append(realify_vector(vec_scale(I, list(w))))
+        v = realify_vector(w)
+        rows += [v, [x for re, im in zip(v[::2], v[1::2]) for x in (-im, re)]]
     return Echelon(rows)

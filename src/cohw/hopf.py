@@ -18,11 +18,12 @@ line.  The coproduct is a closed formula on monomials, the binomial
 expansion of Delta(x^e).
 """
 
+import bisect
 from fractions import Fraction
 import itertools
 import math
 
-from .exactla import Echelon, zero_vec
+from .exactla import Echelon, _eliminate, zero_vec
 
 DEFAULT_ORDER = 3
 # largest PBW monomial basis a TruncatedEnvelope may have
@@ -427,43 +428,42 @@ class TruncatedEnvelope:
 
 def symmetrize(env, exponents):
     """PBW symmetrization of the commutative monomial with the given
-    exponent tuple: average of all normal-ordered word permutations."""
-    scale, row = _symmetrized_row(env, exponents)
-    return {env.monomials[k]: Fraction(x, scale)
-            for k, x in enumerate(row) if x}
+    exponent tuple: average of all normal-ordered word permutations, that
+    is of the distinct orderings, as duplicate letters give equal words."""
+    k = env.index.get(tuple(exponents))
+    if k is None:  # every ordering lies past the truncation
+        return {}
+    d = sum(exponents)
+    scale = (env._right_multiplications()[0] ** d * math.factorial(d)
+             // math.prod(map(math.factorial, exponents)))
+    return {env.monomials[j]: Fraction(x, scale)
+            for j, x in enumerate(_symmetrized_rows(env)[k]) if x}
 
 
-def _symmetrized_row(env, exponents):
-    """(scale, row): the integer coordinate vector ``row`` is ``scale``
-    times the symmetrization of the monomial.  The sum over the distinct
-    orderings of its word is multiplied out with the compiled right
-    multiplications, sharing common prefixes; every ordering takes one
-    multiplication per letter, so each carries the same power of their
-    common denominator.  Averaging over the distinct orderings equals
-    averaging over all k! of them, as duplicate letters give identical
-    words."""
+def _symmetrized_rows(env):
+    """For every basis monomial e, the integer row of den^d S(e): S(e) is
+    the sum of the distinct orderings of e's word, d its length and den
+    that of the compiled right multiplications.  By the last letter, S(e)
+    = sum over e_i > 0 of S(e - e_i) x_i, on rows of lower weighted degree,
+    which come first, the unit first of all."""
     den, ops = env._right_multiplications()
-    counts = list(exponents)
-    degree = sum(counts)
-    row = [0] * len(env.monomials)
-
-    def walk(v, left):
-        if not left:
-            for k, x in enumerate(v):
-                row[k] += x
-            return
-        for i, c in enumerate(counts):
+    rows = [env._row(env.one())[1]]
+    for e in env.monomials[1:]:
+        row = [0] * len(env.monomials)
+        for i, c in enumerate(e):
             if c:
-                counts[i] -= 1
-                walk(_apply(v, ops[i]), left - 1)
-                counts[i] += 1
-    start = [0] * len(env.monomials)
-    start[env.index[env.unit_monomial()]] = 1
-    walk(start, degree)
-    orderings = math.factorial(degree)
-    for e in exponents:
-        orderings //= math.factorial(e)
-    return den ** degree * orderings, row
+                prev = rows[env.index[e[:i] + (c - 1,) + e[i + 1:]]]
+                row = [x + y for x, y in zip(row, _apply(prev, ops[i]))]
+        rows.append(row)
+    return rows
+
+
+def _prefix_ranks(rows):
+    """[rank of rows[:k] for k = 0..len(rows)]: the pivots of the reduced
+    transposed rows are the columns independent of those before them, so
+    the pivots among the first k columns are a basis of their span."""
+    _, pivots = _eliminate(list(zip(*rows)))
+    return [bisect.bisect_left(pivots, k) for k in range(len(rows) + 1)]
 
 
 def weighted_filtration_levels(env):
@@ -481,20 +481,25 @@ def symmetrization_check(env):
     Returns a report dict; on failure names the first violating level.
 
     Decided on integer multiples of the symmetrized monomials, which span
-    the same image and lie in J^m together with it."""
+    the same image and lie in J^m together with it.  The J-powers
+    decrease, so each row is tested against J^w, w its weighted degree,
+    and only if that fails against lower powers, down to the first that
+    holds it (-1 for none).  Rows of weighted degree >= m are a prefix of
+    the rows by decreasing degree, so their rank is a prefix rank."""
     powers = env.j_echelons()
-    sym = {w: [_symmetrized_row(env, mono)[1] for mono in monos]
-           for w, monos in weighted_filtration_levels(env).items()}
+    weights = [env.wdeg(e) for e in reversed(env.monomials)]
+    rows = _symmetrized_rows(env)[::-1]
+    reach = [next((m for m in range(w, -1, -1) if powers[m].contains(row)),
+                  -1) for w, row in zip(weights, rows)]
+    ranks = _prefix_ranks(rows)
     report = {"ok": True, "levels": []}
     for m in range(env.order + 1):
-        vectors = [v for w, vecs in sym.items() if w >= m for v in vecs]
-        jm = powers[m]
-        contained = all(jm.contains(v) for v in vectors)
-        sym_dim = len(Echelon(vectors).pivots)
-        entry = {"level": m, "sym_dim": sym_dim, "j_dim": len(jm.pivots),
-                 "contained": contained}
+        count = sum(w >= m for w in weights)
+        contained = all(r >= m for r in reach[:count])
+        entry = {"level": m, "sym_dim": ranks[count],
+                 "j_dim": len(powers[m].pivots), "contained": contained}
         report["levels"].append(entry)
-        if not contained or sym_dim != len(jm.pivots):
+        if not contained or ranks[count] != len(powers[m].pivots):
             report["ok"] = False
             report["first_violation"] = m
             return report

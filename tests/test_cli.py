@@ -864,6 +864,13 @@ def test_exit_codes(capsys):
     assert "unknown suite" in out
 
 
+def _exit_2_report(line, fmt):
+    # an exit-2 error as main prints it in the given format
+    if fmt == "json":
+        return json.dumps({"exit": 2, "lines": [line]}) + "\n"
+    return line + "\n"
+
+
 def test_verify_refuses_fewer_than_one_instance():
     # an argument error, in text and json format, with or without asserts
     argvs = [["verify", "--suite", "hopf", "--instances", n, "--format", f]
@@ -871,8 +878,28 @@ def test_verify_refuses_fewer_than_one_instance():
     results = [_run_child(argvs, flags) for flags in ([], ["-O"])]
     assert results[0] == results[1]
     assert results[0] == [
-        [2, "error: --instances: %s is not a positive count\n" % argv[4]]
-        for argv in argvs]
+        [2, _exit_2_report("error: --instances: %s is not a positive count"
+                           % argv[4], argv[6])] for argv in argvs]
+
+
+def test_exit_2_errors_follow_the_output_format(tmp_path, capsys):
+    # an argument error, an unreadable file and a located parse error are
+    # one JSON document under --format json, and one plain line otherwise
+    bad = tmp_path / "bad.alg"
+    bad.write_text("[lie_algebra]\ndim x\n")
+    cases = [
+        (["pi", "--degree", "2", str(CORPUS / "s3_double_coset.alg")],
+         "error: --degree: 2 is not supported for finite patterns (0 or 1)"),
+        (["validate", "/no/such/file.alg"], "error: [Errno 2] No such file "
+         "or directory: '/no/such/file.alg'"),
+        (["validate", str(bad)], "error: %s:2:5: bad dimension: 'x'" % bad),
+    ]
+    for argv, line in cases:
+        code, text = run(capsys, argv)
+        assert code == 2 and text == line + "\n"
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 2
+        assert out == _exit_2_report(line, "json")
 
 
 def test_json_format(capsys):

@@ -1,5 +1,7 @@
+import collections
 import functools
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -10,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohw import exactla, hopf
+from cohw import cli, exactla, hopf
 from cohw.hopf import (
     TruncatedEnvelope, graded_trivialization_check, symmetrization_check,
     symmetrize, weighted_filtration_levels,
@@ -536,6 +538,183 @@ def _reference_symmetrization_report(env):
 def test_symmetrization_report_matches_the_word_reference(L, order):
     env = TruncatedEnvelope(L, order=order)
     assert symmetrization_check(env) == _reference_symmetrization_report(env)
+
+
+def _walk_symmetrized_row(env, exponents):
+    # the former symmetrization, kept as a reference: (scale, row), the
+    # sum over the distinct orderings of the word multiplied out letter by
+    # letter with the compiled right multiplications, and scale the power
+    # of their denominator times the number of orderings
+    den, ops = env._right_multiplications()
+    counts = list(exponents)
+    degree = sum(counts)
+    row = [0] * len(env.monomials)
+
+    def walk(v, left):
+        if not left:
+            for k, x in enumerate(v):
+                row[k] += x
+            return
+        for i, c in enumerate(counts):
+            if c:
+                counts[i] -= 1
+                walk(hopf._apply(v, ops[i]), left - 1)
+                counts[i] += 1
+    start = [0] * len(env.monomials)
+    start[env.index[env.unit_monomial()]] = 1
+    walk(start, degree)
+    orderings = math.factorial(degree)
+    for e in exponents:
+        orderings //= math.factorial(e)
+    return den ** degree * orderings, row
+
+
+def _former_symmetrization_check(env):
+    # the former check, kept as a reference: every level tests all rows of
+    # weighted degree >= m against J^m and echelons them afresh
+    powers = env.j_echelons()
+    sym = {w: [_walk_symmetrized_row(env, mono)[1] for mono in monos]
+           for w, monos in weighted_filtration_levels(env).items()}
+    report = {"ok": True, "levels": []}
+    for m in range(env.order + 1):
+        vectors = [v for w, vecs in sym.items() if w >= m for v in vecs]
+        jm = powers[m]
+        contained = all(jm.contains(v) for v in vectors)
+        sym_dim = len(exactla.Echelon(vectors).pivots)
+        entry = {"level": m, "sym_dim": sym_dim, "j_dim": len(jm.pivots),
+                 "contained": contained}
+        report["levels"].append(entry)
+        if not contained or sym_dim != len(jm.pivots):
+            report["ok"] = False
+            report["first_violation"] = m
+            return report
+    return report
+
+
+# the reference algebras and abelian(3) at order 3: together they hold the
+# three envelopes of cli.suite_hopf and one with a denominator
+SYMMETRIZED_ALGEBRAS = REFERENCE_ALGEBRAS + [(abelian_lie_algebra(3), 3)]
+
+
+@pytest.mark.parametrize("L, order", SYMMETRIZED_ALGEBRAS)
+def test_symmetrized_rows_match_the_walk_over_orderings(L, order):
+    env = TruncatedEnvelope(L, order=order)
+    rows = hopf._symmetrized_rows(env)
+    assert len(rows) == len(env.monomials)
+    for e, row in zip(env.monomials, rows):
+        scale, want = _walk_symmetrized_row(env, e)
+        assert row == want and all(type(x) is int for x in row)
+        got = symmetrize(env, e)
+        assert got == {m: F(x, scale)
+                       for m, x in zip(env.monomials, want) if x}
+        assert all(type(c) is F for c in got.values())
+    # past the truncation every ordering vanishes, as in the walk
+    past = (order + 1,) + (0,) * (L.dim - 1)
+    assert _walk_symmetrized_row(env, past)[1] == [0] * len(env.monomials)
+    assert symmetrize(env, past) == {}
+
+
+def _with_smaller_j_power(L, order, m):
+    # the envelope with J^m replaced by the span of J^{m+1} and all but one
+    # of J^m's graded basis rows: smaller than J^m, and the J-powers still
+    # decrease
+    env = TruncatedEnvelope(L, order=order)
+    powers = list(env.j_echelons())
+    smaller = exactla.Echelon(list(powers[m + 1].int_rows)
+                              + list(env._graded_j_basis()[m][:-1]))
+    assert len(smaller) == len(powers[m]) - 1
+    powers[m] = smaller
+    env._j_echelons = tuple(powers)
+    return env
+
+
+@pytest.mark.parametrize("L, order", SYMMETRIZED_ALGEBRAS)
+def test_symmetrization_report_matches_the_former_check(L, order):
+    env = TruncatedEnvelope(L, order=order)
+    report = symmetrization_check(env)
+    assert report["ok"] and report == _former_symmetrization_check(env)
+    # a too small J^m fails first at level m, where some row of weighted
+    # degree m leaves it, in both checks
+    for m in range(order + 1):
+        env = _with_smaller_j_power(L, order, m)
+        report = symmetrization_check(env)
+        assert report == _former_symmetrization_check(env)
+        assert report["first_violation"] == m
+        assert report["levels"][m]["contained"] is False
+
+
+def _sheared(L, order):
+    # the envelope with every J-power moved by v -> v + v_z 1, z the first
+    # generator of weight 2: the J-powers still decrease and keep their
+    # dimensions, and the generators of weight 1 stay in J^1, but the row
+    # of z, of weighted degree 2, now lies in J^0 alone
+    env = TruncatedEnvelope(L, order=order)
+    one = env.index[env.unit_monomial()]
+    z = env.index[next(iter(env.gen(env.weights.index(2))))]
+    moved = []
+    for power in env.j_echelons():
+        rows = [list(row) for row in power.int_rows]
+        for row in rows:
+            row[one] += row[z]
+        moved.append(exactla.Echelon(rows))
+    env._j_echelons = tuple(moved)
+    return env
+
+
+@pytest.mark.parametrize("L, order", [
+    (L, order) for L, order in SYMMETRIZED_ALGEBRAS if L.nilpotency_class > 1])
+def test_a_row_of_higher_degree_outside_j_m_fails_level_m(L, order):
+    # level 1 holds the rows of weighted degree 1 and has its dimension;
+    # it fails only because a row of degree 2 leaves it
+    env = _sheared(L, order)
+    report = symmetrization_check(env)
+    assert report == _former_symmetrization_check(env)
+    assert report["first_violation"] == 1
+    assert report["levels"][1]["sym_dim"] == report["levels"][1]["j_dim"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefix_ranks_are_the_ranks_of_each_prefix(data):
+    n = data.draw(st.integers(1, 6))
+    entries = st.integers(-3, 3)
+    rows = []
+    for _ in range(data.draw(st.integers(0, 9))):
+        if rows and data.draw(st.booleans()):
+            # a combination of earlier rows: the set has dependent rows
+            i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in "ij")
+            a, b = data.draw(entries), data.draw(entries)
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    assert hopf._prefix_ranks(rows) == [len(exactla.Echelon(rows[:k]))
+                                        for k in range(len(rows) + 1)]
+
+
+def test_suite_hopf_reuses_its_envelopes_and_runs_every_check(monkeypatch):
+    calls = collections.Counter()
+    for name in ("symmetrization_check", "graded_trivialization_check"):
+        def counted(*args, _name=name, _check=getattr(cli, name)):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(cli, name, counted)
+    # the first call builds the envelopes, the later ones reuse them
+    cli._hopf_envelopes.cache_clear()
+    for n in (1, 3, 2):
+        calls.clear()
+        assert cli.suite_hopf(random.Random(n), n)["failures"] == []
+        assert calls == {"symmetrization_check": 3,
+                         "graded_trivialization_check": 10 * n}
+    # and no call changed them
+    shared = cli._hopf_envelopes()
+    assert shared is cli._hopf_envelopes()
+    fresh = [TruncatedEnvelope(abelian_lie_algebra(3), 2),
+             TruncatedEnvelope(heisenberg(), 3),
+             TruncatedEnvelope(_class_three(), 4)]
+    for env, new in zip(shared, fresh, strict=True):
+        assert env.j_echelons() == new.j_echelons()
+        assert env._right_multiplications() == new._right_multiplications()
+        assert env._graded_j_basis() == new._graded_j_basis()
 
 
 @pytest.mark.parametrize("L, order, dims", [
