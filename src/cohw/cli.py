@@ -1122,7 +1122,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cohw",
         description="exact cohomotopy computations on description files")
@@ -1140,7 +1142,11 @@ def main(argv=None):
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--instances", type=int, default=None)
     pv.add_argument("--format", choices=["text", "json"], default="text")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "verify":
@@ -1158,8 +1164,7 @@ def main(argv=None):
         lines, code = ["error: %s" % e], 2
     except (AssertionError, ValueError, RuntimeError) as e:
         # a guaranteed identity failed, or internal data was malformed
-        print("error: internal verification failure: %s" % e)
-        return 3
+        lines, code = ["error: internal verification failure: %s" % e], 3
 
     if args.format == "json":
         print(json.dumps({"lines": lines, "exit": code}, sort_keys=True))

@@ -8,6 +8,7 @@ so equality of maps is decidable and the cosimplicial identities can be
 verified exactly.
 """
 
+import functools
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
@@ -113,8 +114,10 @@ def cyclic_group(n):
                       check=False)
 
 
+@functools.cache
 def symmetric_group(n):
-    """S_n as a TableGroup; element 0 is the identity permutation."""
+    """S_n as a TableGroup; element 0 is the identity permutation.  Built
+    once per process and shared: no caller changes a group."""
     perms = sorted(set(iproduct(range(n), repeat=n)))
     perms = [p for p in perms if len(set(p)) == n]
     perms.sort(key=lambda p: (p != tuple(range(n)), p))
@@ -152,9 +155,11 @@ class ProductGroup:
     def __init__(self, factors):
         self.factors = list(factors)
         self._muls = [f.mul for f in self.factors]
+        self._ident = tuple(f.identity() for f in self.factors)
+        self._gens = None
 
     def identity(self):
-        return tuple(f.identity() for f in self.factors)
+        return self._ident
 
     def mul(self, a, b):
         return tuple([m(x, y) for m, x, y in zip(self._muls, a, b)])
@@ -175,14 +180,12 @@ class ProductGroup:
                 iproduct(*[f.elements() for f in self.factors])]
 
     def generators(self):
-        out = []
-        ident = self.identity()
-        for i, f in enumerate(self.factors):
-            for g in f.generators():
-                e = list(ident)
-                e[i] = g
-                out.append(tuple(e))
-        return out
+        if self._gens is None:
+            e = self._ident
+            self._gens = [e[:i] + (g,) + e[i + 1:]
+                          for i, f in enumerate(self.factors)
+                          for g in f.generators()]
+        return self._gens
 
     def __repr__(self):
         return "ProductGroup(%d factors, size=%s)" % (
@@ -807,11 +810,11 @@ def _cocycle_walk(U, target=None, first=False):
     of U^2 is checked as soon as the blocks of U^1 it reads are chosen,
     so a failing prefix is never extended.  A block k of U^1 that some
     check reads only through an injective d^1 part, its other two parts
-    reading earlier blocks, is solved from that check (one inverse table
-    per distinct part map) instead of enumerated.  ENUM_CAP bounds the
-    product of the sizes of the enumerated blocks, which is at most
-    |U^1|.  A level without blocks, or cofaces that are not block maps,
-    count as one block."""
+    reading earlier blocks, is solved from that check (through the
+    inverse table ``_inverse`` keeps on the part map) instead of
+    enumerated.  ENUM_CAP bounds the product of the sizes of the
+    enumerated blocks, which is at most |U^1|.  A level without blocks,
+    or cofaces that are not block maps, count as one block."""
     G1 = U.objects[1]
     if G1.size() is None:
         raise ValueError("U^1 too large to enumerate")
@@ -835,18 +838,15 @@ def _cocycle_walk(U, target=None, first=False):
             d2 = lambda v, d2=d2, t=t, mul=mul: mul(d2(v), t)
         checks[max(i0, i1, i2)].append(
             (i0, h0.apply, i1, h1.apply, i2, d2, mul, h1))
-    inverses, solvers = {}, [None] * len(blocks)
+    solvers = [None] * len(blocks)
     for k, cs in enumerate(checks):
         for c in cs:
             i0, d0, i1, _, i2, d2, mul, h1 = c
             if i1 != k or k <= max(i0, i2):
                 continue
-            if id(h1) not in inverses:
-                inv = {h1.apply(v): v for v in h1.source.elements()}
-                inverses[id(h1)] = inv.get if len(inv) == h1.source.size() \
-                    else None
-            if inverses[id(h1)] is not None:
-                solvers[k] = (i0, d0, i2, d2, mul, inverses[id(h1)])
+            solve = _inverse(h1)
+            if solve is not None:
+                solvers[k] = (i0, d0, i2, d2, mul, solve)
                 cs.remove(c)
                 break
     size = 1
@@ -888,6 +888,19 @@ def _cocycle_walk(U, target=None, first=False):
     return None if first else out
 
 
+def _inverse(h):
+    """The lookup of the inverse of the finite map h (``dict.get``), or
+    None when h is not injective.  Built on the first call and kept on
+    h, so every walk on U, or on a twist of U (which shares U's d^1
+    parts), reads one table per part map."""
+    try:
+        return h._inverse_table
+    except AttributeError:
+        inv = {h.apply(v): v for v in h.source.elements()}
+        h._inverse_table = inv.get if len(inv) == h.source.size() else None
+        return h._inverse_table
+
+
 def twisted_conj(U, u0, u1):
     """u0 . u1 = d^1(u0)^{-1} u1 d^0(u0)."""
     d0, d1 = U.d(1, 0), U.d(1, 1)
@@ -898,15 +911,18 @@ def twisted_conj(U, u0, u1):
 def pi1_finite(U):
     """Full orbit enumeration of Z^1 under twisted conjugation by U^0.
     Returns dict with the classes (representative, orbit, whether it is
-    the distinguished class) and the ``index`` of each cocycle's class."""
+    the distinguished class) and the ``index`` of each cocycle's class.
+
+    Each orbit is closed under the generators of U^0 alone: U^0 is
+    finite, so the inverse of a generator is a positive power of it, and
+    a set closed under the generators is closed under all of U^0.  Every
+    image computed is checked to lie in Z^1."""
     Z1 = z1_elements(U)
     zset = set(Z1)
     G0, G1 = U.objects[0], U.objects[1]
     d0, d1 = U.d(1, 0), U.d(1, 1)
-    gens = G0.generators()
-    gens = gens + [G0.inv(g) for g in gens]
     # g . v = d^1(g)^-1 v d^0(g): one pair per generator
-    pairs = [(G1.inv(d1.apply(g)), d0.apply(g)) for g in gens]
+    pairs = [(G1.inv(d1.apply(g)), d0.apply(g)) for g in G0.generators()]
     mul = G1.mul
     index = {}
     classes = []

@@ -466,15 +466,6 @@ def _prefix_ranks(rows):
     return [bisect.bisect_left(pivots, k) for k in range(len(rows) + 1)]
 
 
-def weighted_filtration_levels(env):
-    """Commutative monomials grouped by total weight, where the weight of
-    variable i is ``env.weights[i]``, 1 + its lower-central-series depth."""
-    levels = {}
-    for m in env.monomials:
-        levels.setdefault(env.wdeg(m), []).append(m)
-    return levels
-
-
 def symmetrization_check(env):
     """Check that symmetrization carries the weighted polynomial filtration
     onto the J-filtration level by level (equal dimensions, containment).

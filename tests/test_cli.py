@@ -902,6 +902,36 @@ def test_exit_2_errors_follow_the_output_format(tmp_path, capsys):
         assert out == _exit_2_report(line, "json")
 
 
+def test_exit_3_reports_follow_the_output_format(monkeypatch, capsys):
+    # an internal failure is one JSON document under --format json, and
+    # one plain line otherwise
+    def fail(df, args):
+        raise RuntimeError("twisted conjugation left Z^1 (bug)")
+    monkeypatch.setitem(cohw.cli.COMMANDS, "validate", fail)
+    argv = ["validate", str(CORPUS / "heisenberg.alg")]
+    line = ("error: internal verification failure: twisted conjugation "
+            "left Z^1 (bug)")
+    assert run(capsys, argv) == (3, line + "\n")
+    assert run(capsys, argv + ["--format", "json"]) == (
+        3, json.dumps({"exit": 3, "lines": [line]}) + "\n")
+
+
+def test_main_after_an_argparse_exit_prints_what_a_fresh_process_does(
+        capsys):
+    # the parser is built once per process; a usage error or --help,
+    # which exit through SystemExit, leave it as a fresh one
+    argvs = [["pi", "--degree", "1", str(CORPUS / "s3_double_coset.alg")],
+             ["validate", "--format", "json", str(CORPUS / "heisenberg.alg")],
+             ["verify", "--suite", "les", "--seed", "5", "--instances", "2"]]
+    fresh = [_run_child([argv], [])[0] for argv in argvs]
+    for bad in (["pi"], ["nope"], ["verify", "--seed", "x"], ["--help"],
+                ["pi", "--format", "xml", "f.alg"], ["verify", "--help"]):
+        with pytest.raises(SystemExit):
+            main(bad)
+    capsys.readouterr()
+    assert [list(run(capsys, argv)) for argv in argvs] == fresh
+
+
 def test_json_format(capsys):
     code, out = run(capsys, ["validate", str(CORPUS / "heisenberg.alg"),
                              "--format", "json"])
@@ -932,6 +962,19 @@ def test_linear_verify_suites_pass_also_under_optimization():
     # a plain and in a python -O interpreter, and pass
     argvs = [["verify", "--suite", suite, "--seed", "3", "--instances", "3"]
              for suite in ("dold-kan", "eilenberg-zilber")]
+    results = [_run_child(argvs, flags) for flags in ([], ["-O"])]
+    assert results[0] == results[1]
+    for argv, (code, out) in zip(argvs, results[0]):
+        assert code == 0, (argv, out)
+        assert "suite %s: pass (3 instances)" % argv[2] in out
+        assert out.endswith("verdict: pass\n")
+
+
+def test_finite_verify_suites_pass_also_under_optimization():
+    # the finite suites, whose checks raise explicitly, print the same
+    # report in a plain and in a python -O interpreter, and pass
+    argvs = [["verify", "--suite", suite, "--seed", "3", "--instances", "3"]
+             for suite in ("double-coset", "les", "twist")]
     results = [_run_child(argvs, flags) for flags in ([], ["-O"])]
     assert results[0] == results[1]
     for argv, (code, out) in zip(argvs, results[0]):

@@ -10,11 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohw import exactla
+from cohw import cli, exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
-    VectorGroup, _cocycle_walk, _product_object, cocycle_condition,
+    VectorGroup, _cocycle_walk, _inverse, _product_object, cocycle_condition,
     cogenerate, cogenerate_morphism, complex_cohomology_dims,
     compose_monotone, constant_cosimplicial, cyclic_group, delta_map,
     diagonal_cogenerate, eilenberg_zilber_oracle, epi_mono_factor, epis,
@@ -24,7 +24,7 @@ from cohw.cosimpl import (
     sigma_map, subgroup_table, symmetric_group, twist,
     trivial_twist_isomorphism, twisted_conj, z1_elements,
 )
-from cohw.cli import _random_double_coset
+from cohw.cli import _random_double_coset, run_verify
 from cohw.nilpotent import LieMorphism, heisenberg
 
 F = Fraction
@@ -323,6 +323,101 @@ def test_z1_of_an_object_without_blocks():
             assert Z1 == _z1_by_filter(T)
             assert Z1 == [index[u] for u in z1_elements(V)]
             assert pi1_finite(T)["count"] == pi1_finite(V)["count"]
+
+
+def _pi1_by_orbits_under_all_of_u0(U):
+    """pi^1 of a finite U as pi1_finite returns it, each orbit taken as
+    the image of its first cocycle under every element of U^0."""
+    Z1 = z1_elements(U)
+    index, classes = {}, []
+    for u in Z1:
+        if u in index:
+            continue
+        orbit = {twisted_conj(U, g, u) for g in U.objects[0].elements()}
+        index.update(dict.fromkeys(orbit, len(classes)))
+        classes.append({"rep": u, "orbit": orbit, "distinguished":
+                        U.objects[1].identity() in orbit})
+    return {"classes": classes, "count": len(classes), "z1_size": len(Z1),
+            "index": index}
+
+
+def test_pi1_orbits_under_generators_are_the_orbits_under_u0():
+    # classes, index, distinguished class and count, on random
+    # double-coset objects (cyclic groups up to C48, S3 and S4) and on
+    # their twists by up to three cocycles
+    rng = random.Random(2028)
+    orders = set()
+    for _ in range(40):
+        G, left, right = _random_double_coset(rng, 20000, 2)
+        orders.add(G.size())
+        U = cogenerate(_double_coset_object(G, left, right), N=2)
+        Z1 = z1_elements(U)
+        for V in [U] + [twist(U, beta)
+                        for beta in rng.sample(Z1, min(3, len(Z1)))]:
+            assert pi1_finite(V) == _pi1_by_orbits_under_all_of_u0(V), \
+                (G.size(), left, right)
+    assert {48, 24, 6} <= orders and orders & set(range(2, 11))
+
+
+def test_product_group_keeps_the_identity_and_generators_it_defines():
+    # the kept identity is the tuple of the factors' identities, and the
+    # kept generators are each factor's generators in its slot, with
+    # identities elsewhere, factor by factor
+    rng = random.Random(6)
+    pool = [cyclic_group(1), cyclic_group(4), symmetric_group(3),
+            ProductGroup([cyclic_group(2), cyclic_group(3)])]
+    for _ in range(30):
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        G = ProductGroup(factors)
+        e = tuple(f.identity() for f in factors)
+        expected = []
+        for i, f in enumerate(factors):
+            for g in f.generators():
+                x = list(e)
+                x[i] = g
+                expected.append(tuple(x))
+        assert G.identity() == e and G.generators() == expected
+        assert G.generators() is G.generators()
+        assert all(G.mul(G.identity(), x) == x for x in G.elements())
+
+
+def test_inverse_tables_are_kept_on_injective_maps_only():
+    C4 = cyclic_group(4)
+    double = FiniteHom(C4, C4, {x: 2 * x % 4 for x in C4.elements()})
+    triple = FiniteHom(C4, C4, {x: 3 * x % 4 for x in C4.elements()})
+    assert _inverse(double) is None
+    solve = _inverse(triple)
+    assert [solve(triple.apply(x)) for x in C4.elements()] == C4.elements()
+    assert _inverse(triple) is solve
+    # a walk on a twist reads the tables kept on U's d^1 parts
+    S3 = symmetric_group(3)
+    X = _double_coset_object(S3, [0, S3.perms.index((1, 0, 2))],
+                             [0, S3.perms.index((2, 1, 0))])
+    U = cogenerate(X, N=2)
+    Z1 = z1_elements(U)
+    tables = [_inverse(h) for _, h in U.d(2, 1).parts]
+    assert any(t is not None for t in tables)
+    Ub = twist(U, Z1[-1])
+    assert z1_elements(Ub) == _z1_by_filter(Ub)
+    assert all(_inverse(h) is t
+               for (_, h), t in zip(Ub.d(2, 1).parts, tables))
+
+
+def test_symmetric_groups_are_built_once_and_never_changed(monkeypatch):
+    S3 = symmetric_group(3)
+    table, perms = [list(row) for row in S3.table], list(S3.perms)
+    gens = list(S3.generators())
+    for suite in ("double-coset", "twist"):
+        drawn = []
+
+        def record(n):
+            drawn.append(n)
+            return symmetric_group(n)
+        monkeypatch.setattr(cli, "symmetric_group", record)
+        assert not run_verify(suite, 4, 6)[0][1]["failures"]
+        assert 3 in drawn, suite
+    assert symmetric_group(3) is S3
+    assert (S3.table, S3.perms, S3.generators()) == (table, perms, gens)
 
 
 def _is_hom_all_pairs(h):

@@ -15,13 +15,22 @@ from hypothesis import given, settings, strategies as st
 from cohw import cli, exactla, hopf
 from cohw.hopf import (
     TruncatedEnvelope, graded_trivialization_check, symmetrization_check,
-    symmetrize, weighted_filtration_levels,
+    symmetrize,
 )
 from cohw.nilpotent import (
     NilpotentLieAlgebra, abelian_lie_algebra, central_extension, heisenberg,
 )
 
 F = Fraction
+
+
+def weighted_filtration_levels(env):
+    """Commutative monomials grouped by total weight, where the weight of
+    variable i is ``env.weights[i]``, 1 + its lower-central-series depth."""
+    levels = {}
+    for m in env.monomials:
+        levels.setdefault(env.wdeg(m), []).append(m)
+    return levels
 
 
 class _WordReference:
