@@ -214,26 +214,36 @@ def z1_enumerate(action):
 
 
 def h1_classes(action):
-    """H^1 as orbits of Z^1 under f ~ (g -> u^-1 f(g) (g.u))."""
+    """H^1 as orbits of Z^1 under f ~ (g -> u^-1 f(g) (g.u)), a right
+    action of the finite U.  Each orbit is closed under the generators of
+    U alone, as the inverse of a generator is a positive power of it.
+    Every cocycle reached, the starting one included, is checked to lie
+    in Z^1."""
     G, U = action.G, action.carrier
-    cocycles = z1_enumerate(action)
-    key = lambda f: tuple(f[g] for g in G.elements())
-    remaining = {key(f): f for f in cocycles}
+    elements = G.elements()
+    key = lambda f: tuple(f[g] for g in elements)
+    remaining = {key(f): f for f in z1_enumerate(action)}
+    # one (u^-1, [g.u for g in G]) per generator u
+    moves = [(U.inv(u), [action.act(g, u) for g in elements])
+             for u in U.generators()]
     classes = []
     while remaining:
         _, f = next(iter(remaining.items()))
-        orbit = {}
-        for u in U.elements():
-            fu = {g: U.mul(U.mul(U.inv(u), f[g]),
-                           action.act(g, u)) for g in G.elements()}
-            if not _is_cocycle_table(action, fu):
+        orbit, queue = {key(f): f}, [f]
+        while queue:
+            h = queue.pop()
+            if not _is_cocycle_table(action, h):
                 raise RuntimeError("H^1 orbit left Z^1 (bug)")
-            orbit[key(fu)] = fu
+            for ui, gu in moves:
+                hu = {g: U.mul(U.mul(ui, h[g]), x)
+                      for g, x in zip(elements, gu)}
+                if orbit.setdefault(key(hu), hu) is hu:
+                    queue.append(hu)
         for k in orbit:
             remaining.pop(k, None)
         classes.append({"rep": f, "orbit": orbit,
                         "distinguished": key(
-                            {g: U.identity() for g in G.elements()}) in orbit})
+                            {g: U.identity() for g in elements}) in orbit})
     return classes
 
 

@@ -372,11 +372,10 @@ class TruncatedEnvelope:
                     for t, c in times(p, i).items():
                         for s, d in times(t, j).items():
                             out[s] = out.get(s, 0) + c * d
-                    for l, b in enumerate(self.L.bracket_basis(j, i)):
-                        if b:
-                            b = b.numerator if b.denominator == 1 else b
-                            for s, d in times(p, l).items():
-                                out[s] = out.get(s, 0) + b * d
+                    for l, b in self.L._bracket_sparse(j, {i: 1}).items():
+                        b = b.numerator if b.denominator == 1 else b
+                        for s, d in times(p, l).items():
+                            out[s] = out.get(s, 0) + b * d
                     out = {s: c for s, c in out.items() if c}
                 table[(k, i)] = out
                 return out

@@ -1,7 +1,9 @@
 """Nilpotent Lie algebras and the unipotent groups they exponentiate to.
 
 A nilpotent Lie algebra over the rationals is given by structure constants
-on a fixed basis.  The group law on the same coordinate space is truncated
+on a fixed basis; its lower central series, one ``exactla.Echelon`` per
+term, comes from the structure rows and sparse brackets with the basis.
+The group law on the same coordinate space is truncated
 Baker-Campbell-Hausdorff multiplication; since the algebra is nilpotent the
 series is a finite sum and everything stays exact.
 
@@ -16,13 +18,14 @@ and the left log derivative ``dexp`` are finite ad-series on vectors, and
 the chain rule gives the exact derivative of any word in the group law.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
 from . import exactla
 from .exactla import (
-    Echelon, in_span, mat_vec, rank, solve_affine, span_echelon,
-    transpose, vec_add, vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vec,
+    Echelon, _eliminate, mat_vec, rank, solve_affine, transpose, vec_add,
+    vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vec,
 )
 
 MAX_BCH_CLASS = 6
@@ -93,6 +96,12 @@ def _nested_bracket(L, word, values):
     return acc
 
 
+@functools.cache
+def _whole_space(n):
+    """Q^n as an ``Echelon``, shared: an Echelon is never changed."""
+    return Echelon([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 class NilpotentLieAlgebra:
     """A nilpotent Lie algebra given by structure constants.
 
@@ -100,7 +109,7 @@ class NilpotentLieAlgebra:
     [e_i, e_j] = sum coeff * e_k.  Elements are coordinate lists.
     """
 
-    def __init__(self, dim, structure, name="L", validate=True, _lcs=None):
+    def __init__(self, dim, structure, name="L", validate=True):
         self.dim = dim
         self.name = name
         self.structure = {}
@@ -112,7 +121,7 @@ class NilpotentLieAlgebra:
                 self.structure[(i, j)] = clean
         if validate:
             self.validate()
-        self.lcs = _lcs or self._lower_central_series()
+        self.lcs = self._lower_central_series()
         self.nilpotency_class = len(self.lcs) - 1
         self._depths = None
         self._adapted = None
@@ -143,17 +152,6 @@ class NilpotentLieAlgebra:
             for k, s in row.items():
                 out[k] = out[k] + c * s
         return out
-
-    def bracket_basis(self, i, j):
-        if i == j:
-            return self.zero()
-        if i < j:
-            row = self.structure.get((i, j), {})
-            out = self.zero()
-            for k, s in row.items():
-                out[k] = out[k] + s
-            return out
-        return vec_neg(self.bracket_basis(j, i))
 
     def is_central(self, z):
         """Does z bracket to zero with every basis vector?"""
@@ -193,33 +191,26 @@ class NilpotentLieAlgebra:
         return out
 
     def _lower_central_series(self):
-        """[full algebra, [L,L], [L,[L,L]], ..., 0] as echelon bases."""
-        series = [span_echelon(self.basis())]
-        current = series[0]
-        while current:
-            nxt = []
-            for e in self.basis():
-                for v in current:
-                    nxt.append(self.bracket(e, v))
-            nxt = span_echelon(nxt)
-            if len(nxt) == len(current):
+        """(Gamma_1 = L, Gamma_2, ..., 0) as ``Echelon``s.  Gamma_2 is
+        spanned by the structure rows, so an abelian algebra's series is
+        [L, 0]; Gamma_{m+1} by the sparse brackets [e_i, v] over the rows
+        v of Gamma_m and the i sharing a structure key with v's support."""
+        n = self.dim
+        partners = [set() for _ in range(n)]
+        for i, j in self.structure:
+            partners[i].add(j)
+            partners[j].add(i)
+        series = [_whole_space(n)]
+        brackets = list(self.structure.values())
+        while series[-1]:
+            nxt = Echelon([[b.get(k, 0) for k in range(n)] for b in brackets])
+            if len(nxt) == len(series[-1]):
                 raise ValueError("Lie algebra is not nilpotent")
             series.append(nxt)
-            current = nxt
-        return series
-
-    def adapted_basis(self):
-        """Basis vectors grouped by central-series depth: list of layers,
-        layer m spans a complement of gamma_{m+2} in gamma_{m+1}."""
-        layers = []
-        for g, g_next in zip(self.lcs, self.lcs[1:]):
-            layer = []
-            acc = list(g_next)
-            for v in g:
-                if not in_span(acc + layer, v):
-                    layer.append(v)
-            layers.append(layer)
-        return layers
+            rows = [{k: x for k, x in enumerate(v) if x} for v in nxt.int_rows]
+            brackets = [self._bracket_sparse(i, v) for v in rows
+                        for i in set().union(*[partners[k] for k in v])]
+        return tuple(series)
 
     def depth_of_coordinate(self):
         """For the standard basis: largest m with e_i in gamma_{m+1}
@@ -227,13 +218,11 @@ class NilpotentLieAlgebra:
         one of its rows is e_i.  Computed once per algebra; each call
         returns a fresh copy."""
         if self._depths is None:
-            depths = [0] * self.dim
+            self._depths = [0] * self.dim
             for m, g in enumerate(self.lcs):
-                for row in g:
-                    support = [i for i, x in enumerate(row) if x]
-                    if len(support) == 1:
-                        depths[support[0]] = m
-            self._depths = depths
+                for row, p in zip(g.int_rows, g.pivots):
+                    if row.count(0) == self.dim - 1:
+                        self._depths[p] = m
         return list(self._depths)
 
     def adapted_coordinates(self):
@@ -241,18 +230,27 @@ class NilpotentLieAlgebra:
         in a basis adapted to the central series, or is None when the
         standard basis is adapted (every gamma_m a coordinate subspace);
         layers[m] lists the coordinates spanning gamma_{m+1} modulo
-        gamma_{m+2}.  Computed once per algebra."""
+        gamma_{m+2}.  Computed once per algebra.
+
+        Layer m takes each reduced row of gamma_{m+1} independent of
+        gamma_{m+2} and of the rows before it: with the terms listed
+        deepest first, the pivots of one elimination of the transposed
+        rows."""
         if self._adapted is None:
             change, layers = None, [[] for _ in range(self.nilpotency_class)]
-            if all(sum(1 for x in row if x) == 1
-                   for g in self.lcs for row in g):
+            if all(row.count(0) == self.dim - 1
+                   for g in self.lcs for row in g.int_rows):
                 for i, d in enumerate(self.depth_of_coordinate()):
                     layers[d].append(i)
             else:
-                basis = []
-                for m, layer in enumerate(self.adapted_basis()):
-                    layers[m] = [len(basis) + k for k in range(len(layer))]
-                    basis += layer
+                rows = [(m, k) for m in reversed(range(len(layers)))
+                        for k in range(len(self.lcs[m]))]
+                _, pivots = _eliminate(list(zip(
+                    *[self.lcs[m].int_rows[k] for m, k in rows])))
+                picked = sorted(rows[p] for p in pivots)  # layer by layer
+                basis = [self.lcs[m].rows[k] for m, k in picked]
+                for t, (m, _) in enumerate(picked):
+                    layers[m].append(t)
                 # [B | I] reduces to [I | B^-1]
                 red, _ = exactla.rref([list(col) + e for col, e in
                                        zip(transpose(basis), self.basis())])
@@ -332,27 +330,9 @@ def heisenberg():
     return NilpotentLieAlgebra(3, {(0, 1): {2: 1}}, name="heis")
 
 
-def _block_series(algebras):
-    """Lower central series of the direct sum: term m is the sum of the
-    summands' terms m, and the summands' reduced echelon rows, shifted to
-    their blocks in order, are its reduced echelon rows."""
-    total = sum(a.dim for a in algebras)
-    series = []
-    for m in range(max((len(a.lcs) for a in algebras), default=1)):
-        rows, offset = [], 0
-        for a in algebras:
-            for row in (a.lcs[m] if m < len(a.lcs) else []):
-                out = [Fraction(0)] * total
-                out[offset:offset + a.dim] = row
-                rows.append(out)
-            offset += a.dim
-        series.append(rows)
-    return series
-
-
 def direct_sum(*algebras, name=None):
     """Direct sum of any number of algebras, built in one step; its lower
-    central series comes from the summands'."""
+    central series is computed from its brackets, as for any algebra."""
     structure = {}
     offset = 0
     for a in algebras:
@@ -364,7 +344,7 @@ def direct_sum(*algebras, name=None):
     # antisymmetry and Jacobi reduce to the (already checked) summands
     return NilpotentLieAlgebra(offset, structure,
                                name=name or "+".join(a.name for a in algebras),
-                               validate=False, _lcs=_block_series(algebras))
+                               validate=False)
 
 
 def central_extension(Q, z_dim, omega, name=None):

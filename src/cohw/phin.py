@@ -27,8 +27,7 @@ from .cosimpl import (
     les_central_unipotent, pi0, pi1_unipotent_deciders, pi_abelian_all,
 )
 from .nilpotent import (
-    LieMorphism, NilpotentLieAlgebra, _block_series, direct_sum,
-    solve_graded_affine,
+    LieMorphism, NilpotentLieAlgebra, direct_sum, solve_graded_affine,
 )
 
 
@@ -93,8 +92,8 @@ def epsilon_lie_algebra(L, n, name=None):
     main part, blocks 1..n the epsilon coefficients.  Brackets pair main
     with main (into main) and main with epsilon (into the same epsilon
     block); epsilon-epsilon brackets vanish.  Jacobi holds because it
-    holds on L, and each term of the lower central series is that of L
-    in every block."""
+    holds on L, so it is not checked again; the lower central series is
+    computed from the brackets, as for any algebra."""
     d = L.dim
     structure = {}
     for (i, j), row in L.structure.items():
@@ -105,8 +104,7 @@ def epsilon_lie_algebra(L, n, name=None):
             structure[(j, i + off)] = {k + off: -c for k, c in row.items()}
     return NilpotentLieAlgebra(d * (n + 1), structure,
                                name=name or ("%s[eps^%d]" % (L.name, n)),
-                               validate=False,
-                               _lcs=_block_series([L] * (n + 1)))
+                               validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +247,17 @@ def twisted_conj_equivalent(L, phi, w, wprime):
 
 def twisted_conj_classify(L, phi, extra_targets=()):
     """Classify the twisted conjugation action u . w = u^-1 w phi(u) of
-    the unipotent group on itself: stabilizer of the identity, and
-    transitivity decided layer by layer (phi - 1 invertible on every
-    central-series layer), cross-checked by explicit solving on basis
-    targets."""
+    the unipotent group on itself: the stabilizer of the identity, and
+    transitivity, decided exactly by rank(phi - 1) == dim L.  The fibres
+    of u -> u^-1 phi(u) are cosets of the fixed group exp(Fix phi), so a
+    nonzero stabilizer leaves an image of lower dimension, which is not
+    the whole group; with a trivial one, phi - 1 is invertible on every
+    layer of the central series and the descent reaches any target.
+
+    The basis targets (and ``extra_targets``) are solved too, and kept as
+    certificates labelled ``sampled``: a transitive action must reach
+    each of them, while an intransitive one may reach them all, so they
+    certify nothing beyond the rank."""
     d = L.dim
     eye = exactla.identity_matrix(d)
     stab = kernel_basis(exactla.mat_sub(phi, eye), d)
@@ -265,13 +270,10 @@ def twisted_conj_classify(L, phi, extra_targets=()):
     for w in targets:
         witness = twisted_conj_equivalent(L, phi, w, L.zero())
         certificates.append({"target": list(w), "solvable": witness is not None,
-                             "witness": witness})
+                             "witness": witness, "provenance": "sampled"})
         if transitive and witness is None:
             raise RuntimeError("transitive action failed to reach a sample "
                                "target")
-    if not transitive and all(c["solvable"] for c in certificates):
-        raise RuntimeError("intransitive action with no unreachable sample "
-                           "target")
     return {"stabilizer_basis": stab, "transitive": transitive,
             "certificates": certificates}
 

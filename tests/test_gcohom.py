@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
@@ -371,6 +372,71 @@ def test_h0_h1_enumeration_matches_the_cochain_object():
         C = cochain_cosimplicial(act)
         assert sorted(res["h0"]) == sorted(t[0] for t in pi0(C))
         assert res["h1_count"] == pi1_finite(C)["count"] == count
+
+
+def _h1_classes_by_walk_over_u(action):
+    """The reference for ``h1_classes``: the orbit of each first remaining
+    cocycle f as its images u^-1 f(g) (g.u) under every element u of U."""
+    G, U = action.G, action.carrier
+    key = lambda f: tuple(f[g] for g in G.elements())
+    remaining = {key(f): f for f in z1_enumerate(action)}
+    classes = []
+    while remaining:
+        f = next(iter(remaining.values()))
+        orbit = {}
+        for u in U.elements():
+            fu = {g: U.mul(U.mul(U.inv(u), f[g]), action.act(g, u))
+                  for g in G.elements()}
+            orbit[key(fu)] = fu
+        for k in orbit:
+            remaining.pop(k, None)
+        classes.append({"rep": f, "orbit": orbit, "distinguished": key(
+            {g: U.identity() for g in G.elements()}) in orbit})
+    return classes
+
+
+def test_h1_orbits_under_generators_are_the_orbits_under_u():
+    # seeded cyclic actions by units, and S3 carriers with two generators:
+    # the same classes, in the same order, with the same orbits
+    rng = random.Random(26)
+    actions = []
+    while len(actions) < 16:
+        m, n = rng.randint(1, 6), rng.randint(2, 12)
+        units = [a for a in range(1, n)
+                 if gcd(a, n) == 1 and pow(a, m, n) == 1]
+        actions.append(_cyclic_action(m, n, rng.choice(units)))
+    S3, C3 = symmetric_group(3), cyclic_group(3)
+    swap = S3.perms.index((1, 0, 2))
+    actions += [
+        GroupAction(cyclic_group(2), S3, {
+            0: identity_hom(S3), 1: inner_automorphism(S3, swap)}),
+        trivial_action(cyclic_group(3), S3),
+        trivial_action(cyclic_group(2), S3),
+        GroupAction.from_generator_images(S3, C3, {
+            swap: FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1}),
+            S3.perms.index((1, 2, 0)): identity_hom(C3)}),
+    ]
+    sizes = set()
+    for act in actions:
+        got = h1_classes(act)
+        assert got == _h1_classes_by_walk_over_u(act)
+        sizes.update(len(c["orbit"]) for c in got)
+    assert 1 in sizes and max(sizes) > 2
+
+
+def test_h1_of_the_trivial_c200_action_is_fast(tmp_path, capsys):
+    # C_200 acting trivially on C_200: 200 cocycles, each its own class;
+    # walking all of U for each took 10 s (2-core x86-64, Python 3.11)
+    f = tmp_path / "c200.alg"
+    f.write_text("[finite_group]\ncyclic 200\n[action]\ncarrier cyclic 200\n"
+                 "generator 1 permutation %s\n"
+                 % " ".join(map(str, range(200))))
+    t0 = time.perf_counter()
+    code = cli.main(["h1", str(f)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert "h1 classes: 200" in capsys.readouterr().out.splitlines()
+    assert elapsed < 3.0, "took %.2f s, budget 3.0 s" % elapsed
 
 
 def test_cocycle_walk_enumerates_only_the_unsolved_blocks(monkeypatch):

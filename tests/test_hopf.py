@@ -69,7 +69,8 @@ class _WordReference:
             a, b = word[k], word[k + 1]
             swapped = word[:k] + (b, a) + word[k + 2:]
             out = dict(self.normal_order(swapped))
-            br = self.L.bracket_basis(a, b)
+            br = self.L.bracket(self.L.basis_vector(a),
+                                self.L.basis_vector(b))
             for i, c in enumerate(br):
                 if c:
                     shorter = word[:k] + (i,) + word[k + 2:]

@@ -170,7 +170,11 @@ def test_sparse_jacobi_check_matches_all_triples(monkeypatch):
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         structure = {p: {rng.randrange(d): rng.randint(-1, 1)}
                      for p in rng.sample(pairs, rng.randint(1, 3))}
-        L = NilpotentLieAlgebra(d, structure, validate=False, _lcs=[[]])
+        # most of these are not nilpotent: build them with no series
+        with monkeypatch.context() as m:
+            m.setattr(NilpotentLieAlgebra, "_lower_central_series",
+                      lambda self: (exactla.Echelon([]),))
+            L = NilpotentLieAlgebra(d, structure, validate=False)
         bad = _first_jacobi_failure_dense(L)
         seen.add(bad is None)
         if bad is None:
@@ -182,36 +186,145 @@ def test_sparse_jacobi_check_matches_all_triples(monkeypatch):
     assert seen == {True, False}
     # one bracket in dimension 100: only the 98 triples that hold it are
     # evaluated, three sparse double brackets each
+    L = NilpotentLieAlgebra(100, {(0, 1): {2: 1}}, validate=False)
     calls = []
     original = NilpotentLieAlgebra._bracket_sparse
     monkeypatch.setattr(NilpotentLieAlgebra, "_bracket_sparse",
                         lambda self, i, v: calls.append(i) or
                         original(self, i, v))
-    NilpotentLieAlgebra(100, {(0, 1): {2: 1}})
+    L.validate()
     assert len(calls) == 98 * 6
 
 
 def test_lower_central_series_heisenberg():
     H = heisenberg()
+    assert type(H.lcs) is tuple
+    assert all(type(g) is exactla.Echelon for g in H.lcs)
     assert [len(g) for g in H.lcs] == [3, 1, 0]
+    assert H.lcs[1].rows == ((0, 0, 1),)
     assert H.nilpotency_class == 2
-    layers = H.adapted_basis()
+    _, layers = H.adapted_coordinates()
     assert [len(l) for l in layers] == [2, 1]
 
 
+def _reference_series(L):
+    """The lower central series by dense brackets of every basis vector
+    with every row of the term before, each term as its reduced echelon
+    rows: the reference for ``lcs``."""
+    series = [exactla.span_echelon(L.basis())]
+    while series[-1]:
+        nxt = exactla.span_echelon([L.bracket(e, v) for e in L.basis()
+                                    for v in series[-1]])
+        if len(nxt) == len(series[-1]):
+            raise ValueError("Lie algebra is not nilpotent")
+        series.append(nxt)
+    return series
+
+
+def _reference_adapted_coordinates(L):
+    """(change, layers) from the reference series: the standard basis when
+    every term is a coordinate subspace; otherwise layer m takes, one by
+    one, each reduced row of gamma_{m+1} outside the span of gamma_{m+2}
+    and of the rows taken before it, and ``change`` inverts the matrix
+    whose columns are the rows taken."""
+    series = _reference_series(L)
+    layers = [[] for _ in series[1:]]
+    if all(sum(1 for x in row if x) == 1 for g in series for row in g):
+        for i, d in enumerate(_reference_depths(L)):
+            layers[d].append(i)
+        return None, layers
+    basis = []
+    for m, (g, g_next) in enumerate(zip(series, series[1:])):
+        layer = []
+        for v in g:
+            if not exactla.in_span(g_next + layer, v):
+                layer.append(v)
+        layers[m] = [len(basis) + k for k in range(len(layer))]
+        basis += layer
+    columns = [exactla.coords_in_basis(basis, e) for e in L.basis()]
+    return exactla.transpose(columns), layers
+
+
+def _reference_depths(L):
+    """The largest m with e_i in gamma_{m+1}, by a span test."""
+    series = _reference_series(L)
+    return [max(m for m, g in enumerate(series)
+                if exactla.in_span(g, L.basis_vector(i)))
+            for i in range(L.dim)]
+
+
+def _assert_series_matches_the_reference(L):
+    ref = _reference_series(L)
+    assert type(L.lcs) is tuple
+    assert all(type(g) is exactla.Echelon for g in L.lcs)
+    assert [g.rows for g in L.lcs] == [tuple(map(tuple, g)) for g in ref]
+    assert L.nilpotency_class == len(ref) - 1
+    assert L.depth_of_coordinate() == _reference_depths(L)
+    assert L.adapted_coordinates() == _reference_adapted_coordinates(L)
+
+
+def _unimodular(rng, n):
+    """A seeded integer matrix of determinant 1: a product of elementary
+    row additions."""
+    P = exactla.identity_matrix(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        P[i] = [x + c * y for x, y in zip(P[i], P[j])]
+    return P
+
+
+def _in_basis(L, P):
+    """L in the basis given by the columns of the invertible P."""
+    cols = exactla.transpose(P)
+    structure = {}
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            row = exactla.coords_in_basis(cols, L.bracket(cols[i], cols[j]))
+            structure[(i, j)] = {k: c for k, c in enumerate(row) if c}
+    return NilpotentLieAlgebra(L.dim, structure)
+
+
+FIL3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}}, name="fil3")
+FIL4 = NilpotentLieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1},
+                               (0, 3): {4: 1}}, name="fil4")
+
+
 def test_direct_sum_inherits_the_lower_central_series():
-    """The series of a direct sum is built from the summands' reduced
-    echelon rows, shifted to their blocks: row for row what a
-    recomputation from the brackets gives."""
-    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
-                               name="fil3")
+    """Term m of the series of a direct sum is the sum of the summands'
+    terms m, shifted to their blocks; it matches the dense reference, as
+    do the adapted coordinates and depths."""
     skew = NilpotentLieAlgebra(4, {(0, 1): {2: 1, 3: 1}}, name="skew")
     H, A, point = heisenberg(), abelian_lie_algebra(2), abelian_lie_algebra(0)
-    for summands in [(H, A), (A, H, fil3), (fil3, fil3), (point,),
-                     (point, H), (skew, H, skew), ()]:
+    for summands in [(H, A), (A, H, FIL3), (FIL3, FIL3), (point,),
+                     (point, H), (skew, H, skew), (), (FIL4, skew)]:
         S = direct_sum(*summands)
-        assert S.lcs == S._lower_central_series(), summands
-        assert all(type(x) is F for g in S.lcs for row in g for x in row)
+        _assert_series_matches_the_reference(S)
+        for m, g in enumerate(S.lcs):
+            rows, offset = [], 0
+            for a in summands:
+                for row in (a.lcs[m].int_rows if m < len(a.lcs) else ()):
+                    rows.append([0] * offset + list(row)
+                                + [0] * (S.dim - offset - a.dim))
+                offset += a.dim
+            assert g == exactla.Echelon(rows), (summands, m)
+
+
+def test_series_and_adapted_coordinates_match_the_dense_reference():
+    """In seeded unimodular bases of heis, fil3, fil4, heis + A^2 and the
+    class-3 extension of heis, most of them not adapted to the series,
+    the series, depths, class and adapted coordinates are those of the
+    dense reference."""
+    rng = random.Random(26)
+    algebras = [heisenberg(), FIL3, FIL4,
+                direct_sum(heisenberg(), abelian_lie_algebra(2)),
+                central_extension(heisenberg(), 1, {(0, 2): [F(1)]})]
+    moved = 0
+    for k in range(50):
+        L = _in_basis(algebras[k % 5], _unimodular(rng, algebras[k % 5].dim))
+        _assert_series_matches_the_reference(L)
+        moved += L.adapted_coordinates()[0] is not None
+    assert moved >= 45
 
 
 def test_is_central_matches_brackets_with_the_basis():
@@ -242,7 +355,8 @@ def heisenberg_from_symplectic():
 def test_central_extension_gives_heisenberg():
     H = heisenberg_from_symplectic()
     assert H.dim == 3 and H.nilpotency_class == 2
-    assert H.bracket_basis(0, 1) == [F(0), F(0), F(1)]
+    assert H.bracket(H.basis_vector(0), H.basis_vector(1)) == \
+        [F(0), F(0), F(1)]
 
 
 def test_class_three_extension():
@@ -257,7 +371,7 @@ def test_class_three_extension():
 def test_depth_of_coordinate_cached_copy():
     L = central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
     fresh = [max(m for m, g in enumerate(L.lcs)
-                 if g and exactla.in_span(g, L.basis_vector(i)))
+                 if g.contains(L.basis_vector(i)))
              for i in range(L.dim)]
     assert fresh == [0, 0, 1, 2]
     first = L.depth_of_coordinate()
@@ -470,10 +584,11 @@ def test_check_bracket_checks_every_pair():
 def _first_bracket_failure_dense(f):
     """The first pair (i, j), i < j, where f[e_i, e_j] != [f e_i, f e_j],
     by dense brackets: the reference for the sparse check."""
-    images = [f.apply(f.source.basis_vector(i)) for i in range(f.source.dim)]
+    basis = f.source.basis()
+    images = [f.apply(e) for e in basis]
     for i in range(f.source.dim):
         for j in range(i + 1, f.source.dim):
-            if f.apply(f.source.bracket_basis(i, j)) != \
+            if f.apply(f.source.bracket(basis[i], basis[j])) != \
                     f.target.bracket(images[i], images[j]):
                 return i, j
     return None

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import random
@@ -29,6 +30,7 @@ from cohw.phin import (
     phin_torsor_equivalent, quotient_les, selmer_quotient_cosimplicial,
     twisted_conj_classify, twisted_conj_equivalent, twisted_conj_residual,
 )
+from test_nilpotent import _assert_series_matches_the_reference
 
 F = Fraction
 CORPUS = pathlib.Path(cohw.__file__).parent / "corpus"
@@ -85,14 +87,18 @@ def test_epsilon_lie_algebra_and_points():
 
 
 def test_epsilon_lie_algebra_inherits_jacobi_and_series():
-    """L tensor Q[eps] skips the Jacobi check and takes its lower central
-    series from L; both agree with a check and a recomputation."""
+    """L tensor Q[eps] skips the Jacobi check, which a check confirms.
+    Each term of its lower central series is that of L in every block,
+    and the series, depths and adapted coordinates match the dense
+    reference."""
     fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
-    for L in (heisenberg(), fil3, abelian_lie_algebra(2)):
+    skew = NilpotentLieAlgebra(4, {(0, 1): {2: 1, 3: 1}})
+    for L in (heisenberg(), fil3, abelian_lie_algebra(2), skew):
         for n in range(3):
             A = epsilon_lie_algebra(L, n)
             A.validate()
-            assert A.lcs == A._lower_central_series()
+            _assert_series_matches_the_reference(A)
+            assert A.lcs == direct_sum(*[L] * (n + 1)).lcs
 
 
 def epsilon_denormalize(p, n, nu=0):
@@ -388,6 +394,66 @@ def _change_basis(L, P):
             structure[(i, j)] = {k: c for k, c in enumerate(row) if c}
     Pinv = exactla.transpose([coords_in_basis(cols, e) for e in L.basis()])
     return NilpotentLieAlgebra(L.dim, structure), Pinv
+
+
+# Heisenberg with phi = diag(2, 1/2, 1) at p = 2, written in the standard
+# basis and in v1 = e0, v2 = e1, v3 = e0 + e1 - 3/2 e2, where
+# e2 = 2/3 (v1 + v2 - v3).  The orbit of 0, {u^-1 phi(u)} = {(x, -y/2,
+# 3xy/4)} in e-coordinates, holds v1, v2 and v3.
+HEIS_DIAG_PHI = {
+    "standard": "bracket 0 1 2 1\n"
+                "[phi]\nrow 2 0 0\nrow 0 1/2 0\nrow 0 0 1\n",
+    "orbit points": "bracket 0 1 0 2/3\nbracket 0 1 1 2/3\n"
+                    "bracket 0 1 2 -2/3\nbracket 0 2 0 2/3\n"
+                    "bracket 0 2 1 2/3\nbracket 0 2 2 -2/3\n"
+                    "bracket 1 2 0 -2/3\nbracket 1 2 1 -2/3\n"
+                    "bracket 1 2 2 2/3\n"
+                    "[phi]\nrow 2 0 1\nrow 0 1/2 -1/2\nrow 0 0 1\n",
+}
+
+
+def test_phin_classify_verdicts_do_not_depend_on_the_basis(tmp_path):
+    """An intransitive action may reach every basis target, so its
+    verdict rests on rank(phi - 1) alone: both files exit 1 with the same
+    basis-free lines, also under python -O."""
+    files = []
+    for name, body in sorted(HEIS_DIAG_PHI.items()):
+        f = tmp_path / (name.replace(" ", "_") + ".alg")
+        f.write_text("field rational\np 2\n[lie_algebra]\ndim 3\n" + body)
+        files.append(str(f))
+    child = ("import json, sys\n"
+             "from cohw import cli\n"
+             "for f in sys.argv[1:]:\n"
+             "    cli.main(['phin-classify', f, '--format', 'json'])\n")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable] + flags + ["-c", child]
+                              + files, cwd=root,
+                              env=dict(os.environ,
+                                       PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        reports = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(reports) == 2
+        for report in reports:
+            assert report["exit"] == 1, report
+            assert report["lines"][2:] == ["transitive: no",
+                                           "stabilizer dim: 1"], report
+
+
+def test_intransitive_classification_keeps_sampled_certificates():
+    """In the orbit-point basis every basis target is reached, yet the
+    action is intransitive; each certificate is labelled as a sample."""
+    df = parse_description("field rational\np 2\n[lie_algebra]\ndim 3\n"
+                           + HEIS_DIAG_PHI["orbit points"])
+    res = twisted_conj_classify(df.L, df.phi)
+    assert not res["transitive"] and len(res["stabilizer_basis"]) == 1
+    assert [c["solvable"] for c in res["certificates"]] == [True] * 3
+    assert {c["provenance"] for c in res["certificates"]} == {"sampled"}
+    for cert in res["certificates"]:
+        residual = twisted_conj_residual(df.L, df.phi, cert["target"],
+                                         df.L.zero())
+        assert vec_is_zero(residual(cert["witness"]))
 
 
 def test_twisted_conjugation_verdicts_do_not_depend_on_the_basis():
