@@ -31,7 +31,6 @@ from .cosimpl import (
     hom_equal, identity_hom, pi0, pi1_finite, pi_abelian_all,
     random_bisemicosimplicial, random_linear_semicosimplicial,
     subgroup_table, symmetric_group, trivial_twist_isomorphism, twist,
-    z1_elements,
 )
 from .gcohom import GroupAction, h0_h1, les_group_cohomology
 from .hodge import (
@@ -824,7 +823,7 @@ def suite_twist(rng, instances):
         U = cogenerate(_coset_object(G, left, right), N=2)
         p1 = pi1_finite(U)
         G1 = U.objects[1]
-        Z1 = z1_elements(U)
+        Z1 = p1["z1"]
         for beta in Z1:
             p1b = pi1_finite(twist(U, beta))
             # each twisted class lands in one class of U, one to one

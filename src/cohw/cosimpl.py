@@ -9,8 +9,9 @@ verified exactly.
 """
 
 import functools
+import operator
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct, repeat
 from math import gcd, lcm
 
 from . import exactla
@@ -149,43 +150,60 @@ def subgroup_table(G, subset):
 
 
 class ProductGroup:
-    """Finite (or unipotent-free) product of carrier groups; elements are
-    tuples, never enumerated unless the total size is within the cap."""
+    """Flat product of TableGroups and ProductGroups: elements are tuples
+    over the TableGroup ``leaves``, in nested order; factor i is on leaves
+    ``offsets[i]:offsets[i + 1]``, enumerated only within the cap."""
 
     def __init__(self, factors):
         self.factors = list(factors)
-        self._muls = [f.mul for f in self.factors]
-        self._ident = tuple(f.identity() for f in self.factors)
+        self.leaves, self.offsets, self._at = [], [0], []
+        for f in self.factors:  # _at: where f sits, an entry or a slice
+            n, nested = self.offsets[-1], isinstance(f, ProductGroup)
+            self.leaves += f.leaves if nested else [f]
+            self._at.append(slice(n, len(self.leaves)) if nested else n)
+            self.offsets.append(len(self.leaves))
+        self._flat = self.leaves == self.factors
+        self._tables = [f.table for f in self.leaves]
+        self._ident = tuple([f.ident for f in self.leaves])
         self._gens = None
 
     def identity(self):
         return self._ident
 
     def mul(self, a, b):
-        return tuple([m(x, y) for m, x, y in zip(self._muls, a, b)])
+        return tuple([t[x][y] for t, x, y in zip(self._tables, a, b)])
 
     def inv(self, a):
-        return tuple(f.inv(x) for f, x in zip(self.factors, a))
+        return tuple([f._inv[x] for f, x in zip(self.leaves, a)])
 
     def size(self):
         n = 1
-        for f in self.factors:
+        for f in self.leaves:
             n *= f.size()
         return n
 
     def elements(self):
         if self.size() > ENUM_CAP:
             raise ValueError("product too large to enumerate")
-        return [tuple(e) for e in
-                iproduct(*[f.elements() for f in self.factors])]
+        return list(iproduct(*[f.elements() for f in self.leaves]))
 
     def generators(self):
         if self._gens is None:
             e = self._ident
             self._gens = [e[:i] + (g,) + e[i + 1:]
-                          for i, f in enumerate(self.factors)
+                          for i, f in enumerate(self.leaves)
                           for g in f.generators()]
         return self._gens
+
+    def _split(self, x):
+        """The values of the element x on the factors."""
+        return x if self._flat else [x[at] for at in self._at]
+
+    def _join(self, values):
+        """The element with these values on the factors."""
+        return tuple(values) if self._flat else sum(
+            [v if isinstance(at, slice) else (v,)
+             for v, at in zip(values, self._at)], ())
 
     def __repr__(self):
         return "ProductGroup(%d factors, size=%s)" % (
@@ -272,7 +290,7 @@ class FiniteHom:
         """self after other, its table filled only where it is read."""
         h = FiniteHom.__new__(FiniteHom)
         h.source, h.target = other.source, self.target
-        h.mapping = _Composite(self.mapping, other.apply)
+        h.mapping = _Composite(self.apply, other.apply)
         h.apply = h.mapping.__getitem__
         return h
 
@@ -285,7 +303,7 @@ class _Composite(dict):
         self.outer, self.inner = outer, inner
 
     def __missing__(self, x):
-        v = self[x] = self.outer[self.inner(x)]
+        v = self[x] = self.outer(self.inner(x))
         return v
 
 
@@ -364,9 +382,10 @@ class StructuredHom(_IntMatrix):
     One type serves finite products (ProductGroup) and linear direct sums
     (a VectorGroup or UnipotentCarrier built by ``_product_object``, which
     lists its summands in ``factors``).  Target block t is fed from source
-    block parts[t][0] through the factor homomorphism parts[t][1].
-    Applying, composing and comparing work block by block; for linear
-    carriers the int form is assembled only on demand, and cached."""
+    block parts[t][0] through the factor homomorphism parts[t][1], read at
+    ``source._at[parts[t][0]]``.  Applying, composing and comparing work
+    block by block; for linear carriers the int form is assembled only
+    on demand, and cached."""
 
     def __init__(self, source, target, parts):
         self.source = source
@@ -374,16 +393,15 @@ class StructuredHom(_IntMatrix):
         self.parts = list(parts)  # (source factor index, hom on factors)
         if len(self.parts) != len(target.factors):
             raise ValueError("need one part per target factor")
-        self._linear = is_linear_carrier(source)
         self._ints = None
+        self._flat = getattr(source, "_flat", False) and target._flat
 
     def apply(self, x):
-        if not self._linear:
+        if self._flat:
             return tuple([h.apply(x[i]) for (i, h) in self.parts])
-        off = self.source.offsets
-        out = []
-        for (i, h) in self.parts:
-            out.extend(h.apply(x[off[i]:off[i + 1]]))
+        at, out = self.source._at, []
+        for (i, h), t in zip(self.parts, self.target._at):
+            (out.extend if type(t) is slice else out.append)(h.apply(x[at[i]]))
         return tuple(out)
 
     def compose(self, other, memo=None):
@@ -397,7 +415,9 @@ class StructuredHom(_IntMatrix):
             parts = [(inner[i][0], _compose(h, inner[i][1], memo))
                      for (i, h) in self.parts]
             return StructuredHom(other.source, self.target, parts)
-        return super().compose(other)
+        if is_linear_carrier(self.source):
+            return super().compose(other)
+        return FiniteHom.compose(self, other)
 
     @property
     def int_form(self):
@@ -442,12 +462,18 @@ def _product_defect(S, holds):
 
 
 def identity_hom(G):
-    if hasattr(G, "factors"):
-        return StructuredHom(G, G, [(i, identity_hom(f))
-                                    for i, f in enumerate(G.factors)])
-    if is_linear_carrier(G):
-        return LinearHom(G, G, exactla.identity_matrix(G.dim))
-    return FiniteHom(G, G, {x: x for x in G.elements()}, check=False)
+    """The identity of G, kept on G (so a direct sum's is asked only once
+    its ``factors`` are set): a table, a block map or a matrix."""
+    if "_identity" not in G.__dict__:
+        if not is_linear_carrier(G):
+            h = FiniteHom(G, G, {x: x for x in G.elements()}, check=False)
+        elif hasattr(G, "factors"):
+            h = StructuredHom(G, G, [(i, identity_hom(f))
+                                     for i, f in enumerate(G.factors)])
+        else:
+            h = LinearHom(G, G, exactla.identity_matrix(G.dim))
+        G._identity = h
+    return G._identity
 
 
 def inner_automorphism(G, c):
@@ -458,22 +484,18 @@ def inner_automorphism(G, c):
         return identity_hom(G)
     if isinstance(G, ProductGroup):
         return StructuredHom(G, G, [
-            (i, inner_automorphism(f, c[i]))
-            for i, f in enumerate(G.factors)])
+            (i, inner_automorphism(f, c[at]))
+            for i, (f, at) in enumerate(zip(G.factors, G._at))])
+    if c == G.identity():
+        return identity_hom(G)
     ci = G.inv(c)
     return FiniteHom(G, G, {x: G.mul(G.mul(c, x), ci) for x in G.elements()},
                      check=False)
 
 
-def hom_equal(h1, h2, memo=None):
-    """Decidable equality of homomorphisms.  Two block maps compare block
-    by block; other linear homs compare matrices; otherwise two verified
-    homomorphisms agree iff they agree on a generating set of the
-    source.  Linear maps compare their int forms, whichever linear
-    carriers they are declared on.  Each distinct pair of blocks is
-    decided once per ``memo``, which keeps the verdict with both blocks
-    (as ``_compose`` does): a fresh one unless the caller shares its
-    own."""
+def hom_equal(h1, h2):
+    """Decidable equality: block maps by ``_sides_agree``, other linear
+    maps by int form (on any linear carriers), finite ones on generators."""
     if h1 is h2:
         return True
     if not (h1.source is h2.source or type(h1.source) is type(h2.source)
@@ -481,36 +503,68 @@ def hom_equal(h1, h2, memo=None):
             and is_linear_carrier(h2.source)):
         raise ValueError("homs on unrelated carriers do not compare")
     if isinstance(h1, StructuredHom) and isinstance(h2, StructuredHom):
-        # fed from different source blocks, a target block agrees only
-        # where both factor maps are trivial
-        if memo is None:
-            memo = {}
-        for (i1, f1), (i2, f2) in zip(h1.parts, h2.parts):
-            key = (i1 == i2, id(f1), id(f2))
-            hit = memo.get(key)
-            if hit is None:
-                ok = hom_equal(f1, f2, memo) if i1 == i2 \
-                    else _is_trivial(f1) and _is_trivial(f2)
-                hit = memo[key] = (ok, f1, f2)
-            if not hit[0]:
-                return False
-        return True
+        return _sides_agree(h1.source, (h1,), (h2,), {})
     if is_linear_carrier(h1.source):
         return h1.int_form == h2.int_form
-    for g in h1.source.generators():
-        if h1.apply(g) != h2.apply(g):
+    return all(h1.apply(g) == h2.apply(g) for g in h1.source.generators())
+
+
+def _sides_agree(src, lhs, rhs, memo):
+    """Whether the composites of the maps lhs and rhs (listed in the order
+    they apply) agree on src, with no block map composed: per target
+    block, two chains of factor maps (``_chains``) agree when they read
+    one block and agree on its generators (finite, by evaluation) or int
+    forms (linear), or are both trivial; each pair once per ``memo``."""
+    c1, c2 = _chains(src, lhs), _chains(src, rhs)
+    if c1 is None or c2 is None:
+        c1, c2, blocks = [(0, lhs)], [(0, rhs)], [src]
+    else:
+        blocks = src.factors
+    for (b1, f1), (b2, f2) in zip(c1, c2):
+        key = (b1 == b2, blocks[b1], blocks[b2], f1, f2)
+        ok = memo.get(key)
+        if ok is None:
+            ok = memo[key] = _chains_agree(*key, memo)
+        if not ok:
             return False
     return True
 
 
-def _is_trivial(h):
-    """Whether h sends every element to the identity."""
-    if isinstance(h, StructuredHom):
-        return all(_is_trivial(f) for (_, f) in h.parts)
-    if is_linear_carrier(h.source):
-        return not any(map(any, h.int_form[1]))
-    e = h.target.identity()
-    return all(h.apply(g) == e for g in h.source.generators())
+def _chains(src, maps):
+    """(source block, factor maps) per target block, or None."""
+    if not hasattr(src, "factors") or not all(
+            isinstance(h, StructuredHom) for h in maps):
+        return None
+    chains = [(i, (f,)) for i, f in maps[0].parts] if maps else \
+        [(b, ()) for b in range(len(src.factors))]
+    for h in maps[1:]:
+        chains = [(chains[i][0], chains[i][1] + (f,)) for i, f in h.parts]
+    return chains
+
+
+def _chains_agree(same, S1, S2, f1, f2, memo):
+    if is_linear_carrier(S1):
+        h1, h2 = _fold(S1, f1, memo), _fold(S2, f2, memo)
+        if not same:
+            return not any(map(any, h1.int_form[1] + h2.int_form[1]))
+        if isinstance(h1, StructuredHom) and isinstance(h2, StructuredHom):
+            return _sides_agree(S1, (h1,), (h2,), memo)
+        return h1.int_form == h2.int_form
+    if same:
+        return all(_run(f1, g) == _run(f2, g) for g in S1.generators())
+    return all(_run(f, g) == (f[-1].target if f else S).identity()
+               for S, f in ((S1, f1), (S2, f2)) for g in S.generators())
+
+
+def _fold(S, maps, memo):
+    return functools.reduce(lambda h, f: _compose(f, h, memo), maps[1:],
+                            maps[0]) if maps else identity_hom(S)
+
+
+def _run(maps, x):
+    for f in maps:
+        x = f.apply(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -534,25 +588,22 @@ class SemiCosimplicialGroup:
         return self.cofaces[n][i]
 
     def check_coface_identities(self):
-        self._check_cofaces({})
+        _check(x for x in self._identities() if x[0] == "coface")
 
-    def _check_cofaces(self, memo):
-        """d^j d^i = d^i d^{j-1} for i < j.  All identities of one check
-        share ``memo``, so each distinct pair of factor maps is composed,
-        and each distinct pair of blocks compared, once per check."""
+    def _identities(self):
+        """(kind, n, i, j, X, lhs, rhs) per identity, each side the maps
+        from X in the order they apply.  d^j d^i = d^i d^{j-1}, i < j:"""
+        d, X = self.cofaces, self.objects
         for n in range(2, self.N + 1):
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
-                    lhs = _compose(self.d(n, j), self.d(n - 1, i), memo)
-                    rhs = _compose(self.d(n, i), self.d(n - 1, j - 1), memo)
-                    if not hom_equal(lhs, rhs, memo):
-                        raise RuntimeError(
-                            "coface identity fails at n=%d i=%d j=%d"
-                            % (n, i, j))
+                    yield ("coface", n, i, j, X[n - 2], (d[n - 1][i], d[n][j]),
+                           (d[n - 1][j - 1], d[n][i]))
 
 
 class CosimplicialGroup(SemiCosimplicialGroup):
-    """Adds codegeneracies s[n][i]: X^{n+1} -> X^n for 0 <= n <= N-1."""
+    """Adds codegeneracies s[n][i]: X^{n+1} -> X^n for 0 <= n <= N-1;
+    ``check_identities`` sets ``verified``, True once they all hold."""
 
     def __init__(self, objects, cofaces, codegens, check=True):
         super().__init__(objects, cofaces, check=False)
@@ -567,41 +618,50 @@ class CosimplicialGroup(SemiCosimplicialGroup):
     def s(self, n, i):
         return self.codegens[n][i]
 
-    def check_identities(self):
-        """All cosimplicial identities, with one memo shared across them
-        (see ``_check_cofaces``) and one identity hom per level."""
-        memo = {}
-        self._check_cofaces(memo)
+    def check_identities(self, parent=None):
+        """All cosimplicial identities, decided on block chains (finite
+        ones by evaluation, ``_check``), but those whose maps are all the
+        very maps (``is``) of the same identity of a verified parent."""
+        self.verified = False
+        _check(self._identities(), parent._identities()
+               if getattr(parent, "verified", False) else None)
+        self.verified = True
+
+    def _identities(self):
+        yield from super()._identities()
+        d, s, X = self.cofaces, self.codegens, self.objects
         # s^j s^i = s^i s^{j+1} for i <= j
         for n in range(self.N - 1):
             for i in range(n + 2):
                 for j in range(i, n + 1):
-                    if n + 1 not in self.codegens:
-                        continue
-                    lhs = _compose(self.s(n, j), self.s(n + 1, i), memo)
-                    rhs = _compose(self.s(n, i), self.s(n + 1, j + 1), memo)
-                    if not hom_equal(lhs, rhs, memo):
-                        raise RuntimeError(
-                            "codegeneracy identity fails at n=%d i=%d j=%d"
-                            % (n, i, j))
-        # mixed identities
-        ident = [identity_hom(G) for G in self.objects[:self.N]]
+                    if n + 1 in s:
+                        yield ("codegeneracy", n, i, j, X[n + 2],
+                               (s[n + 1][i], s[n][j]),
+                               (s[n + 1][j + 1], s[n][i]))
+        # s^j d^i
         for n in range(self.N):
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = _compose(self.s(n, j), self.d(n + 1, i), memo)
-                    if i < j:
-                        rhs = _compose(self.d(n, i), self.s(n - 1, j - 1),
-                                       memo)
-                    elif i in (j, j + 1):
-                        rhs = ident[n]
-                    else:
-                        rhs = _compose(self.d(n, i - 1), self.s(n - 1, j),
-                                       memo)
-                    if not hom_equal(lhs, rhs, memo):
-                        raise RuntimeError(
-                            "mixed identity fails at n=%d i=%d j=%d"
-                            % (n, i, j))
+                    rhs = (s[n - 1][j - 1], d[n][i]) if i < j \
+                        else () if i in (j, j + 1) \
+                        else (s[n - 1][j], d[n][i - 1])
+                    yield ("mixed", n, i, j, X[n], (d[n + 1][i], s[n][j]),
+                           rhs)
+
+
+def _check(identities, passed=None):
+    """Raise RuntimeError at the first identity whose sides differ (one
+    memo for all), skipping each whose maps are all its namesake's in
+    ``passed``."""
+    memo = {}
+    for (kind, n, i, j, src, lhs, rhs), old in zip(
+            identities, chain(passed or (), repeat(None))):
+        if old and old[:4] == (kind, n, i, j) and all(
+                map(operator.is_, lhs + rhs, old[5] + old[6])):
+            continue
+        if not _sides_agree(src, lhs, rhs, memo):
+            raise RuntimeError("%s identity fails at n=%d i=%d j=%d"
+                               % (kind, n, i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -697,18 +757,18 @@ def _product_object(factors, linear):
     G.offsets = [0]
     for f in factors:
         G.offsets.append(G.offsets[-1] + f.dim)
+    G._at = [slice(a, b) for a, b in zip(G.offsets, G.offsets[1:])]
     return G
 
 
 def cogenerate(X, N=None):
     """Cosimplicial group cogenerated by a truncated semi-cosimplicial
     group: Gamma^n = product of X^k over order-preserving surjections
-    [n] ->> [k] (k within the truncation), with maps induced by epi-mono
-    factorization.  Identities are verified post-construction, by one
-    ``check_identities`` whose memo lives for that call: each distinct
-    pair of factor maps (the shared mono composites) is composed, and
-    each distinct pair of blocks compared, once; nothing is cached past
-    the check."""
+    [n] ->> [k] (k within the truncation; a flat ProductGroup if finite),
+    with maps induced by epi-mono factorization.  Identities are verified
+    post-construction, by one ``check_identities`` whose memo lives for
+    that call: each distinct pair of block chains through the shared mono
+    composites is decided once; nothing is cached past the check."""
     if N is None:
         N = X.N + 1
     linear = all(is_linear_carrier(G) for G in X.objects)
@@ -762,14 +822,6 @@ def cogenerate_morphism(GX, GY, factor_maps):
     return out
 
 
-def constant_cosimplicial(G, N):
-    objects = [G] * (N + 1)
-    ident = identity_hom(G)
-    cofaces = {n: [ident] * (n + 1) for n in range(1, N + 1)}
-    codegens = {n: [ident] * (n + 1) for n in range(N)}
-    return CosimplicialGroup(objects, cofaces, codegens, check=False)
-
-
 # ---------------------------------------------------------------------------
 # cohomotopy
 
@@ -821,10 +873,11 @@ def _cocycle_walk(U, target=None, first=False):
     ds = [U.d(2, i) for i in range(3)] if U.N >= 2 else []
     if hasattr(G1, "factors") and all(isinstance(h, StructuredHom)
                                       for h in ds):
-        blocks, element = G1.factors, tuple
+        blocks, element = G1.factors, G1._join
         parts = [h.parts for h in ds]
         rows = U.objects[2].factors if ds else []
-        targets = [None] * len(rows) if target is None else target
+        targets = [None] * len(rows) if target is None else \
+            U.objects[2]._split(target)
     else:
         blocks, element = [G1], lambda x: x[0]
         parts = [[(0, h)] for h in ds]
@@ -911,7 +964,8 @@ def twisted_conj(U, u0, u1):
 def pi1_finite(U):
     """Full orbit enumeration of Z^1 under twisted conjugation by U^0.
     Returns dict with the classes (representative, orbit, whether it is
-    the distinguished class) and the ``index`` of each cocycle's class.
+    the distinguished class), the ``index`` of each cocycle's class and
+    ``z1``, the cocycles in the order of ``z1_elements``.
 
     Each orbit is closed under the generators of U^0 alone: U^0 is
     finite, so the inverse of a generator is a positive power of it, and
@@ -944,7 +998,7 @@ def pi1_finite(U):
         classes.append({"rep": u, "orbit": orbit,
                         "distinguished": U.objects[1].identity() in orbit})
     return {"classes": classes, "count": len(classes),
-            "z1_size": len(Z1), "index": index}
+            "z1_size": len(Z1), "index": index, "z1": Z1}
 
 
 def pi1_unipotent_deciders(U):
@@ -1080,8 +1134,12 @@ def pi_abelian_all(A):
 # twisting
 
 def twist(U, beta):
-    """Twist of a cosimplicial group by a 1-cocycle: only the d^0 maps
-    change, to u |-> c_n d^0(u) c_n^{-1} with c_n = d^n...d^2(beta)."""
+    """Twist of a cosimplicial group by a 1-cocycle beta (an element of
+    U^1, else ValueError): only the d^0 maps change, to u |-> c_n d^0(u)
+    c_n^{-1} with c_n = d^n...d^2(beta), so a verified U has only the
+    identities that read a d^0 re-checked (``check_identities``)."""
+    if not _is_element(U.objects[1], beta):
+        raise ValueError("twisting datum is not an element of U^1")
     if not cocycle_condition(U, beta):
         raise ValueError("twisting datum is not a cocycle")
     cofaces = {n: list(ds) for n, ds in U.cofaces.items()}
@@ -1091,44 +1149,42 @@ def twist(U, beta):
             c = U.d(n, n).apply(c)
         conj = inner_automorphism(U.objects[n], c)
         cofaces[n] = [conj.compose(U.d(n, 0))] + list(U.cofaces[n][1:])
-    return CosimplicialGroup(U.objects, cofaces,
-                             {n: list(ss) for n, ss in U.codegens.items()},
-                             check=True)
+    V = CosimplicialGroup(U.objects, cofaces, U.codegens, check=False)
+    V.check_identities(parent=U)
+    return V
+
+
+def _is_element(G, x):
+    if isinstance(G, TableGroup):
+        return isinstance(x, int) and 0 <= x < G.n
+    return isinstance(x, tuple) and (len(x) == G.dim if hasattr(G, "dim")
+                                     else len(x) == len(G.leaves)
+                                     and all(map(_is_element, G.leaves, x)))
 
 
 def check_cosimplicial_map(U, V, maps):
     """Verify that per-level maps U^n -> V^n, n = 0..len(maps) - 1,
     commute with all cofaces and codegeneracies between those levels.
-    One memo serves every square, as in ``check_identities``."""
-    top = len(maps) - 1
-    memo = {}
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            lhs = _compose(maps[n], U.d(n, i), memo)
-            rhs = _compose(V.d(n, i), maps[n - 1], memo)
-            if not hom_equal(lhs, rhs, memo):
-                return False
-    for n in range(top):
-        for i in range(n + 1):
-            lhs = _compose(maps[n], U.s(n, i), memo)
-            rhs = _compose(V.s(n, i), maps[n + 1], memo)
-            if not hom_equal(lhs, rhs, memo):
-                return False
-    return True
+    Each square is decided as an identity of ``check_identities`` is
+    (``_sides_agree``, finite block chains by evaluation), with one memo
+    for all of them."""
+    top, memo = len(maps) - 1, {}
+    squares = [(U.objects[n - 1], (U.d(n, i), maps[n]),
+                (maps[n - 1], V.d(n, i)))
+               for n in range(1, top + 1) for i in range(n + 1)]
+    squares += [(U.objects[n + 1], (U.s(n, i), maps[n]),
+                 (maps[n + 1], V.s(n, i)))
+                for n in range(top) for i in range(n + 1)]
+    return all(_sides_agree(*square, memo) for square in squares)
 
 
 def trivial_twist_isomorphism(U, beta, u0):
     """The canonical isomorphism from the twist by beta' =
     d^1(u0)^-1 beta d^0(u0) to the twist by beta: level n map is
     v |-> d^n...d^1(u0) v (d^n...d^1(u0))^{-1}."""
-    G1 = U.objects[1]
-    betap = twisted_conj(U, u0, beta)
-    Ub = twist(U, beta)
-    Ubp = twist(U, betap)
-    maps = [inner_automorphism(U.objects[0], u0)]
-    c = U.d(1, 1).apply(u0)
-    maps.append(inner_automorphism(U.objects[1], c))
-    for n in range(2, U.N + 1):
+    Ub, Ubp = twist(U, beta), twist(U, twisted_conj(U, u0, beta))
+    maps, c = [inner_automorphism(U.objects[0], u0)], u0
+    for n in range(1, U.N + 1):
         c = U.d(n, n).apply(c)
         maps.append(inner_automorphism(U.objects[n], c))
     ok = check_cosimplicial_map(Ubp, Ub, maps)
@@ -1421,15 +1477,17 @@ def les_central_finite(Z, U, Q, incl, proj):
         """A preimage of y under incl[n] (side 0) or proj[n] (side 1),
         factor by factor: the first in the order of elements()."""
         pairs, blocked = levels[n]
+        level = (incl, proj)[side][n]
         out = []
-        for pair, v in zip(pairs, y if blocked else (y,)):
+        for pair, v in zip(pairs, level.target._split(y) if blocked
+                           else (y,)):
             h = pair[side]
             if id(h) not in tables:
                 tables[id(h)] = t = {}
                 for x in h.source.elements():
                     t.setdefault(h.apply(x), x)
             out.append(tables[id(h)][v])
-        return tuple(out) if blocked else out[0]
+        return level.source._join(out) if blocked else out[0]
 
     p1 = [pi1_finite(X) for X in (Z, U, Q)]
     iZ, iU, iQ = (p["index"] for p in p1)

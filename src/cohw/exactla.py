@@ -376,19 +376,20 @@ class Echelon:
     ``pivots``, their columns.  Both are tuples and unique to the space,
     so ``==`` compares spaces.  ``rows``, the reduced rows with
     ``Fraction`` entries, is built on first read; ``len`` is the
-    dimension."""
+    dimension.  Given ``pivots``, the vectors are taken for the primitive
+    integer rows of the reduced form, with no elimination."""
 
     __slots__ = ("int_rows", "pivots", "_rows", "_free", "_scales", "_den")
 
-    def __init__(self, vectors):
-        rows, pivots = _eliminate(vectors)
+    def __init__(self, vectors, pivots=None):
+        rows, pivots = (vectors, pivots) if pivots else _eliminate(vectors)
         self.int_rows = tuple(tuple(row) if row[p] > 0
                               else tuple(-x for x in row)
                               for row, p in zip(rows, pivots))
         self.pivots = tuple(pivots)
         self._rows = None
         ncols = len(rows[0]) if rows else 0
-        self._free = tuple(j for j in range(ncols) if j not in pivots)
+        self._free = tuple(sorted(set(range(ncols)).difference(pivots)))
         # the row with pivot p times den // row[p] has the common pivot
         # value den, for every p
         self._den = lcm(*[row[p] for row, p in zip(self.int_rows, pivots)])

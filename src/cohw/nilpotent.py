@@ -98,8 +98,9 @@ def _nested_bracket(L, word, values):
 
 @functools.cache
 def _whole_space(n):
-    """Q^n as an ``Echelon``, shared: an Echelon is never changed."""
-    return Echelon([[int(i == j) for j in range(n)] for i in range(n)])
+    """Q^n as an ``Echelon`` of its reduced rows, shared (never changed)."""
+    return Echelon([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)],
+                   pivots=list(range(n)))
 
 
 class NilpotentLieAlgebra:

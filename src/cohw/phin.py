@@ -143,7 +143,7 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
         # copies of D: main part first, then one epsilon coefficient each
         row = G.factors[0]
         U = UnipotentCarrier(epsilon_lie_algebra(L, len(row.factors) - 1))
-        U.factors, U.offsets = row.factors, row.offsets
+        U.factors, U.offsets, U._at = row.factors, row.offsets, row._at
         objects.append(_product_object([U] * len(G.factors), True))
     cofaces = {n: [StructuredHom(objects[n - 1], objects[n], h.parts)
                    for h in hs] for n, hs in diag.cofaces.items()}

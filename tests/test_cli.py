@@ -77,8 +77,9 @@ def test_corpus_commands_match_the_golden_output_under_optimization():
 
 
 def test_finite_checks_raise_under_optimization():
-    # the homomorphism, cocycle, size and Z^1 checks of the finite engine
-    # raise explicitly, so python -O keeps them; the CLI reports them as
+    # the homomorphism, element, cocycle, size and Z^1 checks of the
+    # finite engine raise explicitly, so python -O keeps them (a twisting
+    # datum is a flat tuple over the leaves of U^1); the CLI reports them as
     # internal failures (exit 3 with the message), without a traceback
     root = pathlib.Path(__file__).resolve().parent.parent
     child = (
@@ -97,8 +98,12 @@ def test_finite_checks_raise_under_optimization():
         "out['hom'] = raised(lambda: FiniteHom(C3, C3, {0: 1, 1: 2, 2: 0}))\n"
         "e = U.objects[1].identity()\n"
         "X0 = U.objects[1].factors[0]\n"
-        "bad = (next(x for x in X0.elements() if x != e[0]), e[1])\n"
+        "bad = next(x for x in X0.elements() if x != e[:2]) + e[2:]\n"
         "out['twist'] = raised(lambda: twist(U, bad))\n"
+        "out['long'] = raised(lambda: twist(U, e + (0,)))\n"
+        "out['short'] = raised(lambda: twist(U, e[:1]))\n"
+        "out['nested'] = raised(lambda: twist(U, ((99, 0), 0)))\n"
+        "out['range'] = raised(lambda: twist(U, (99,) + e[1:]))\n"
         "cosimpl.ENUM_CAP = U.objects[1].size() - 1\n"
         "out['cap'] = raised(lambda: cosimpl.z1_elements(U))\n"
         "cosimpl.ENUM_CAP = 10 ** 6\n"
@@ -116,6 +121,10 @@ def test_finite_checks_raise_under_optimization():
     assert json.loads(proc.stdout) == {
         "hom": ["ValueError", "not a homomorphism"],
         "twist": ["ValueError", "twisting datum is not a cocycle"],
+        "long": ["ValueError", "twisting datum is not an element of U^1"],
+        "short": ["ValueError", "twisting datum is not an element of U^1"],
+        "nested": ["ValueError", "twisting datum is not an element of U^1"],
+        "range": ["ValueError", "twisting datum is not an element of U^1"],
         "cap": ["ValueError", "U^1 too large to enumerate"],
         "orbit": ["RuntimeError", "twisted conjugation left Z^1 (bug)"],
         "cli": [3, "error: internal verification failure: twisted "

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,10 @@ from cohw import cli, exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
-    VectorGroup, _cocycle_walk, _inverse, _product_object, cocycle_condition,
+    VectorGroup, _cocycle_walk, _compose, _inverse, _product_object,
+    check_cosimplicial_map, cocycle_condition,
     cogenerate, cogenerate_morphism, complex_cohomology_dims,
-    compose_monotone, constant_cosimplicial, cyclic_group, delta_map,
+    compose_monotone, cyclic_group, delta_map,
     diagonal_cogenerate, eilenberg_zilber_oracle, epi_mono_factor, epis,
     hom_equal, identity_hom, inner_automorphism, les_central_finite,
     moore_differentials, pi0, pi1_finite, pi1_unipotent_deciders,
@@ -25,6 +27,7 @@ from cohw.cosimpl import (
     trivial_twist_isomorphism, twisted_conj, z1_elements,
 )
 from cohw.cli import _random_double_coset, run_verify
+from cohw.gcohom import GroupAction, cochain_cosimplicial
 from cohw.nilpotent import LieMorphism, heisenberg
 
 F = Fraction
@@ -130,6 +133,15 @@ def test_random_double_cosets():
 
 # ---------------------------------------------------------------------------
 # constant objects
+
+def constant_cosimplicial(G, N):
+    """G at every level, with identity structure maps (unchecked)."""
+    ident = identity_hom(G)
+    return CosimplicialGroup([G] * (N + 1),
+                             {n: [ident] * (n + 1) for n in range(1, N + 1)},
+                             {n: [ident] * (n + 1) for n in range(N)},
+                             check=False)
+
 
 def test_constant_cosimplicial_pi():
     G = constant_cosimplicial(cyclic_group(4), 3)
@@ -338,7 +350,7 @@ def _pi1_by_orbits_under_all_of_u0(U):
         classes.append({"rep": u, "orbit": orbit, "distinguished":
                         U.objects[1].identity() in orbit})
     return {"classes": classes, "count": len(classes), "z1_size": len(Z1),
-            "index": index}
+            "index": index, "z1": Z1}
 
 
 def test_pi1_orbits_under_generators_are_the_orbits_under_u0():
@@ -359,16 +371,32 @@ def test_pi1_orbits_under_generators_are_the_orbits_under_u0():
     assert {48, 24, 6} <= orders and orders & set(range(2, 11))
 
 
-def test_product_group_keeps_the_identity_and_generators_it_defines():
-    # the kept identity is the tuple of the factors' identities, and the
-    # kept generators are each factor's generators in its slot, with
-    # identities elsewhere, factor by factor
+def _nested(factors, x):
+    """The flat element x of ProductGroup(factors) as a tuple with one
+    entry per factor: a product factor's entry is its own flat tuple."""
+    out, k = [], 0
+    for f in factors:
+        n = len(f.leaves) if isinstance(f, ProductGroup) else 1
+        out.append(x[k:k + n] if isinstance(f, ProductGroup) else x[k])
+        k += n
+    return tuple(out)
+
+
+def test_flat_products_list_the_nested_elements_and_generators():
+    # elements, generators and the identity of a flat product are those
+    # of the nested product, in the same order; the kept generators are
+    # each factor's generators in its slot, factor by factor, and mul and
+    # inv act factor by factor
     rng = random.Random(6)
     pool = [cyclic_group(1), cyclic_group(4), symmetric_group(3),
-            ProductGroup([cyclic_group(2), cyclic_group(3)])]
-    for _ in range(30):
+            ProductGroup([cyclic_group(2), cyclic_group(3)]),
+            ProductGroup([ProductGroup([cyclic_group(2)]), cyclic_group(3)])]
+    nested_seen = False
+    for _ in range(40):
         factors = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
         G = ProductGroup(factors)
+        nested_seen |= len(G.leaves) > len(factors)
+        assert all(isinstance(f, TableGroup) for f in G.leaves)
         e = tuple(f.identity() for f in factors)
         expected = []
         for i, f in enumerate(factors):
@@ -376,9 +404,20 @@ def test_product_group_keeps_the_identity_and_generators_it_defines():
                 x = list(e)
                 x[i] = g
                 expected.append(tuple(x))
-        assert G.identity() == e and G.generators() == expected
+        assert _nested(factors, G.identity()) == e
+        assert [_nested(factors, g) for g in G.generators()] == expected
         assert G.generators() is G.generators()
-        assert all(G.mul(G.identity(), x) == x for x in G.elements())
+        elements = G.elements()
+        assert [_nested(factors, x) for x in elements] == \
+            list(iproduct(*[f.elements() for f in factors]))
+        for _ in range(5):
+            a, b = rng.choice(elements), rng.choice(elements)
+            assert _nested(factors, G.mul(a, b)) == tuple(
+                f.mul(x, y) for f, x, y in
+                zip(factors, _nested(factors, a), _nested(factors, b)))
+            assert _nested(factors, G.inv(a)) == tuple(
+                f.inv(x) for f, x in zip(factors, _nested(factors, a)))
+    assert nested_seen
 
 
 def test_inverse_tables_are_kept_on_injective_maps_only():
@@ -1059,6 +1098,188 @@ def test_cosimplicial_identities_raise_under_optimization():
         ["ValueError", "level 1 needs 2 codegeneracies"]]
 
 
+# ---------------------------------------------------------------------------
+# finite identities decided on evaluated block chains
+
+def _composite_failures(G):
+    """The messages of the cosimplicial identities of G that fail, in the
+    order ``check_identities`` tries them, each decided by composing both
+    sides (``_compose``, one memo for the whole check) and comparing them
+    with ``hom_equal``."""
+    memo = {}
+
+    def differ(f, g, h, k=None):
+        lhs = _compose(f, g, memo)
+        return not hom_equal(lhs, h if k is None else _compose(h, k, memo))
+    for n in range(2, G.N + 1):
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                if differ(G.d(n, j), G.d(n - 1, i), G.d(n, i),
+                          G.d(n - 1, j - 1)):
+                    yield "coface identity fails at n=%d i=%d j=%d" % (
+                        n, i, j)
+    for n in range(G.N - 1):
+        for i in range(n + 2):
+            for j in range(i, n + 1):
+                if differ(G.s(n, j), G.s(n + 1, i), G.s(n, i),
+                          G.s(n + 1, j + 1)):
+                    yield "codegeneracy identity fails at n=%d i=%d j=%d" % (
+                        n, i, j)
+    for n in range(G.N):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                rhs = (G.d(n, i), G.s(n - 1, j - 1)) if i < j else \
+                    (identity_hom(G.objects[n]),) if i in (j, j + 1) else \
+                    (G.d(n, i - 1), G.s(n - 1, j))
+                if differ(G.s(n, j), G.d(n + 1, i), *rhs):
+                    yield "mixed identity fails at n=%d i=%d j=%d" % (
+                        n, i, j)
+
+
+def _composite_check(G):
+    """The first of ``_composite_failures``, or None."""
+    return next(_composite_failures(G), None)
+
+
+def _evaluated_check(G, parent=None):
+    try:
+        G.check_identities(parent)
+    except RuntimeError as e:
+        return str(e)
+    return None
+
+
+def _s3_coset_object(N=2):
+    S3 = symmetric_group(3)
+    return cogenerate(_double_coset_object(
+        S3, [0, S3.perms.index((1, 0, 2))], [0, S3.perms.index((2, 1, 0))]),
+        N=N)
+
+
+def _cochain_objects():
+    C2, C3, S3 = cyclic_group(2), cyclic_group(3), symmetric_group(3)
+    t = S3.perms.index((1, 0, 2))
+    inversion = FiniteHom(C3, C3, {u: C3.inv(u) for u in C3.elements()})
+    conj = inner_automorphism(S3, t)
+    return [cochain_cosimplicial(GroupAction.from_generator_images(
+        C2, U, {1: h}), N=N) for U, h, N in
+        ((C3, inversion, 2), (S3, conj, 2), (C3, inversion, 3))]
+
+
+def _broken_copies(U):
+    """(which map, copy of U with one part map of one structure map
+    changed, unchecked): to the trivial map, or to the map followed by an
+    inner automorphism of its target."""
+    for kind in ("cofaces", "codegens"):
+        for n, hs in getattr(U, kind).items():
+            for k, h in enumerate(hs):
+                for t, (i, f) in enumerate(h.parts):
+                    S, T = f.source, f.target
+                    changed = [FiniteHom(S, T, dict.fromkeys(
+                        S.elements(), T.identity()), check=False)]
+                    changed += [inner_automorphism(T, c).compose(f)
+                                for c in T.elements()[1:3]]
+                    for g in changed:
+                        parts = list(h.parts)
+                        parts[t] = (i, g)
+                        maps = {m: list(v)
+                                for m, v in getattr(U, kind).items()}
+                        maps[n][k] = StructuredHom(h.source, h.target, parts)
+                        cofaces = maps if kind == "cofaces" else U.cofaces
+                        codegens = maps if kind == "codegens" else U.codegens
+                        yield (kind, n, k), CosimplicialGroup(
+                            U.objects, cofaces, codegens, check=False)
+
+
+def test_evaluated_check_agrees_with_the_composite_check():
+    # seeded double-coset objects and every twist of them, cochain
+    # objects, and copies of both with one part map changed: the same
+    # first failing identity, or none
+    rng = random.Random(2029)
+    for _ in range(6):
+        G, left, right = _random_double_coset(rng, 20000, 2)
+        U = cogenerate(_double_coset_object(G, left, right), N=2)
+        assert U.verified and _composite_check(U) is None
+        for beta in z1_elements(U):
+            V = twist(U, beta)
+            assert V.verified and _composite_check(V) is None
+    verdicts = set()
+    for U in [_s3_coset_object()] + _cochain_objects():
+        assert _evaluated_check(U) is None and _composite_check(U) is None
+        for _, V in _broken_copies(U):
+            expected = _composite_check(V)
+            assert _evaluated_check(V) == expected
+            verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+def _reads_d0(message):
+    """Whether the identity a check message names reads a d^0 map: a
+    coface or mixed one with i = 0."""
+    return not message.startswith("codegeneracy") and " i=0 " in message
+
+
+def test_only_a_verified_parent_lets_a_twist_skip_identities():
+    # unchecked copies whose every broken identity reads no d^0: a twist
+    # by the identity cocycle (same maps, new d^0 objects) re-checks them
+    # and raises; were the copy verified, the twist would pass, having
+    # re-checked only the identities that read d^0
+    U = _s3_coset_object()
+    e = U.objects[1].identity()
+    found = 0
+    for _, P in _broken_copies(U):
+        failures = list(_composite_failures(P))
+        if not failures or any(map(_reads_d0, failures)):
+            continue
+        with pytest.raises(RuntimeError, match="^%s$" % failures[0]):
+            twist(P, e)
+        P.verified = True
+        assert twist(P, e).verified
+        found += 1
+    assert found
+
+
+def test_a_twist_of_a_verified_object_rechecks_the_identities_reading_d0(
+        monkeypatch):
+    # at N = 2, 5 of the 12 identities read a d^0: a twist of a verified
+    # object decides those, a twist of an unverified one all 12
+    import cohw.cosimpl as cosimpl
+    U = _s3_coset_object()
+    beta = z1_elements(U)[-1]
+    decided = []
+    sides_agree = cosimpl._sides_agree
+
+    def counted(src, lhs, rhs, memo):
+        decided.append((lhs, rhs))
+        return sides_agree(src, lhs, rhs, memo)
+    monkeypatch.setattr(cosimpl, "_sides_agree", counted)
+    twist(U, beta)
+    assert len(decided) == 5
+    decided.clear()
+    U.verified = False
+    twist(U, beta)
+    assert len(decided) == 12
+
+
+def test_finite_checks_build_no_block_map(monkeypatch):
+    # neither the identities nor the squares of a cosimplicial map build
+    # a composite block map on finite carriers
+    U = _s3_coset_object(N=3)
+    Ubp, Ub, maps, ok = trivial_twist_isomorphism(
+        U, z1_elements(U)[1], U.objects[0].elements()[3])
+    built = []
+    init = StructuredHom.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(StructuredHom, "__init__", counted)
+    U.check_identities()
+    Ub.check_identities()
+    assert ok and check_cosimplicial_map(Ubp, Ub, maps)
+    assert built == []
+
+
 def test_unipotent_deciders_and_hom_shapes_raise_under_optimization():
     # a non-cocycle of the constant Heisenberg object has no answer from
     # the deciders, and a 1x2 matrix is no hom on a line, also under
@@ -1066,11 +1287,15 @@ def test_unipotent_deciders_and_hom_shapes_raise_under_optimization():
     root = pathlib.Path(__file__).resolve().parent.parent
     child = (
         "import json\n"
-        "from cohw.cosimpl import LinearHom, UnipotentCarrier, VectorGroup, "
-        "constant_cosimplicial, pi1_unipotent_deciders\n"
+        "from cohw.cosimpl import CosimplicialGroup, LinearHom, "
+        "UnipotentCarrier, VectorGroup, identity_hom, "
+        "pi1_unipotent_deciders\n"
         "from cohw.nilpotent import heisenberg\n"
-        "D = pi1_unipotent_deciders(constant_cosimplicial(\n"
-        "    UnipotentCarrier(heisenberg()), 2))\n"
+        "H = UnipotentCarrier(heisenberg())\n"
+        "one = identity_hom(H)\n"
+        "D = pi1_unipotent_deciders(CosimplicialGroup(\n"
+        "    [H] * 3, {1: [one] * 2, 2: [one] * 3},\n"
+        "    {0: [one], 1: [one] * 2}, check=False))\n"
         "def raised(call):\n"
         "    try:\n"
         "        return ['returned', repr(call())]\n"

@@ -14,8 +14,8 @@ import pytest
 
 from cohw import cli, cosimpl, exactla
 from cohw.cosimpl import (
-    FiniteHom, LinearHom, TableGroup, UnipotentCarrier, _cocycle_walk,
-    cocycle_condition, constant_cosimplicial, cyclic_group, hom_equal,
+    CosimplicialGroup, FiniteHom, LinearHom, TableGroup, UnipotentCarrier,
+    _cocycle_walk, cocycle_condition, cyclic_group, hom_equal,
     identity_hom, inner_automorphism, les_central_finite, pi0, pi1_finite,
     symmetric_group, trivial_twist_isomorphism, twist, z1_elements,
 )
@@ -558,7 +558,8 @@ def test_les_rejects_non_equivariant_and_non_central_extensions():
         les_group_cohomology(trivial_action(C1, C3), trivial_action(C1, S3),
                              trivial_action(C1, C2), a3, sign)
     # pi^2 needs level 2
-    X = constant_cosimplicial(C2, 1)
+    one = identity_hom(C2)
+    X = CosimplicialGroup([C2] * 2, {1: [one] * 2}, {0: [one]}, check=False)
     with pytest.raises(ValueError, match="needs levels 0..2"):
         les_central_finite(X, X, X, [identity_hom(C2)] * 2,
                            [identity_hom(C2)] * 2)

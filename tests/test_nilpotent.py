@@ -207,6 +207,20 @@ def test_lower_central_series_heisenberg():
     assert [len(l) for l in layers] == [2, 1]
 
 
+def test_whole_space_is_the_echelon_of_the_identity_rows():
+    # built from its known reduced rows, with no elimination: equal to
+    # the eliminated space, with its pivots, free columns and containment
+    from cohw.nilpotent import _whole_space
+    for n in range(13):
+        W = _whole_space(n)
+        E = exactla.Echelon([[int(i == j) for j in range(n)]
+                             for i in range(n)])
+        assert W == E and W.pivots == E.pivots == tuple(range(n))
+        assert W.rows == E.rows and len(W) == n
+        assert W.contains([F(j, 3) for j in range(n)])
+    assert _whole_space(5) is _whole_space(5)
+
+
 def _reference_series(L):
     """The lower central series by dense brackets of every basis vector
     with every row of the term before, each term as its reduced echelon
