@@ -385,9 +385,9 @@ def load_description(path):
 # ---------------------------------------------------------------------------
 # derived structures
 
-def build_coset_cosimplicial(df, N=2):
+def build_coset_cosimplicial(df):
     return cogenerate(_coset_object(df.group, df.coset["left"],
-                                    df.coset["right"]), N)
+                                    df.coset["right"]), 2)
 
 
 def build_phin(df):
@@ -541,8 +541,7 @@ def derive_mhs_extension(df):
           for m, lvl in MU.weights.items()}
     fz = {p_: [unrealify_vector(ZC.coords(v)) for v in lvl.meet(ZC).rows]
           for p_, lvl in MU.hodge.items()}
-    MZ = MHSGroup(LZ, wz, fz, negative_weights=MU.negative_weights, name="Z",
-                  check=False)
+    MZ = MHSGroup(LZ, wz, fz, name="Z", check=False)
     LQ, _, proj = _quotient_algebra(df, L)
     _check_central_kernel(df, L)
     projR = realify_matrix(proj_rows, len(proj_rows), L.dim)
@@ -550,8 +549,7 @@ def derive_mhs_extension(df):
           for m, lvl in MU.weights.items()}
     fq = {p_: [unrealify_vector(mat_vec(projR, v)) for v in lvl.rows]
           for p_, lvl in MU.hodge.items()}
-    MQ = MHSGroup(LQ, wq, fq, negative_weights=MU.negative_weights, name="Q",
-                  check=False)
+    MQ = MHSGroup(LQ, wq, fq, name="Q", check=False)
     for M in (MU, MZ, MQ):
         line, ok = _filtration_verdict(M)
         if not ok:
@@ -749,7 +747,7 @@ def suite_eilenberg_zilber(rng, instances):
         hdims = [rng.randint(1, 2) for _ in range(3)]
         vdims = [rng.randint(1, 2) for _ in range(3)]
         A = random_bisemicosimplicial(rng, hdims, vdims)
-        report = eilenberg_zilber_oracle(A, jmax=2)
+        report = eilenberg_zilber_oracle(A)
         if not report["match"]:
             failures.append("dims %s x %s" % (hdims, vdims))
     return {"instances": instances, "failures": failures}
@@ -987,7 +985,7 @@ def cmd_pi(df, args):
     if args.degree not in (0, 1):
         raise _ArgumentError("--degree: %d is not supported for finite "
                              "patterns (0 or 1)" % args.degree)
-    Gam = build_coset_cosimplicial(df, N=2)
+    Gam = build_coset_cosimplicial(df)
     if args.degree == 0:
         lines.append("pi0 size: %d" % len(pi0(Gam)))
     else:

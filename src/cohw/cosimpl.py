@@ -31,12 +31,12 @@ ENUM_CAP = 10 ** 6
 
 class TableGroup:
     """Finite group given by a multiplication table (list of lists of
-    element indices).  Elements are integers 0..n-1."""
+    element indices).  Elements are integers 0..n-1, unnamed; ``check``
+    decides associativity."""
 
-    def __init__(self, table, names=None, check=True):
+    def __init__(self, table, check=True):
         self.table = [list(row) for row in table]
         self.n = len(self.table)
-        self.names = names
         ident = None
         for e in range(self.n):
             if all(self.table[e][x] == x and self.table[x][e] == x
@@ -130,7 +130,7 @@ def symmetric_group(n):
             comp = tuple(p[q[i]] for i in range(n))  # p after q
             row.append(index[comp])
         table.append(row)
-    G = TableGroup(table, names=[str(p) for p in perms], check=False)
+    G = TableGroup(table, check=False)
     G.perms = perms
     return G
 
@@ -792,7 +792,6 @@ def cogenerate(X, N=None):
                           check=True)
     G.level_epis = level_epis
     G.semi = X
-    G.linear_mode = linear
     return G
 
 
@@ -1259,12 +1258,11 @@ def diagonal_cogenerate(A, N):
                              check=False)
 
 
-def eilenberg_zilber_oracle(A, jmax=2, N=None):
+def eilenberg_zilber_oracle(A):
     """Compare pi^j of the diagonal of the doubly cogenerated object with
-    H^j of the total Moore bicomplex, for j <= jmax."""
-    if N is None:
-        N = max(A.P, A.Q) + 1
-        N = max(N, jmax + 1)
+    H^j of the total Moore bicomplex, for j = 0, 1, 2; both are truncated
+    at level max(P, Q, 2) + 1."""
+    N = max(A.P, A.Q, 2) + 1
 
     # -- total complex of the Moore bicomplex of A itself
     def offsets(m):
@@ -1293,8 +1291,8 @@ def eilenberg_zilber_oracle(A, jmax=2, N=None):
     tot_h = complex_cohomology_dims(tot_dims, tot_diffs)
     diag_h = pi_abelian_all(diagonal_cogenerate(A, N))
 
-    report = {"diagonal": diag_h[:jmax + 1], "total": tot_h[:jmax + 1],
-              "match": diag_h[:jmax + 1] == tot_h[:jmax + 1]}
+    report = {"diagonal": diag_h[:3], "total": tot_h[:3],
+              "match": diag_h[:3] == tot_h[:3]}
     if not report["match"]:
         raise RuntimeError("Eilenberg-Zilber mismatch (bug): %r" % report)
     return report

@@ -101,15 +101,14 @@ class MHSGroup:
     realified, of twice the complex dimension.  In ``w_basis`` and
     ``f_basis`` unstored indices take the value at the largest stored
     index below them (empty below all stored W indices, full below all
-    stored F indices).  Immutable after construction; deciders are
-    reentrant.
+    stored F indices).  The weights must be negative: W_-1 is the whole
+    algebra, which ``validate_mhs`` checks with the other invariants.
+    Immutable after construction; deciders are reentrant.
     """
 
-    def __init__(self, L, weights, hodge, negative_weights=True, name="M",
-                 check=True):
+    def __init__(self, L, weights, hodge, name="M", check=True):
         self.L = L
         self.name = name
-        self.negative_weights = negative_weights
         self.weights = {int(m): Echelon(basis)
                         for m, basis in weights.items()}
         self.hodge = {int(p): complex_span(basis)
@@ -207,9 +206,8 @@ def validate_mhs(M):
         add("W_%d is an ideal" % m, ideal,
             "" if ideal else "non-ideal W level")
 
-    if M.negative_weights:
-        neg = widx and max(widx) <= -1 and len(M.w_basis(-1)) == d
-        add("negative weights: W_-1 is everything", neg)
+    neg = widx and max(widx) <= -1 and len(M.w_basis(-1)) == d
+    add("negative weights: W_-1 is everything", neg)
 
     # F nested descending
     add("F nested", all(M.hodge[a].contains(v)
@@ -284,13 +282,13 @@ def w0_f0_subgroups(M):
 # ---------------------------------------------------------------------------
 # the double-coset cosimplicial group and its deciders
 
-def coset_cosimplicial(M, N=2):
+def coset_cosimplicial(M):
     """Cogenerate the pattern F0U(C) x W0U(R) => U(C) (d^0 = the Hodge
-    inclusion, d^1 = the real form), so that pi^0 is the real fixed
-    subgroup and pi^1 is the set of double cosets."""
-    key = ("coset", N)
-    if key in M._cache:
-        return M._cache[key]
+    inclusion, d^1 = the real form) up to level 2, so that pi^0 is the
+    real fixed subgroup and pi^1 is the set of double cosets.  Built once
+    per group and kept in its cache."""
+    if "coset" in M._cache:
+        return M._cache["coset"]
     sub = w0_f0_subgroups(M)
     LR = M.Lreal
     X0 = sub["group"]
@@ -304,8 +302,8 @@ def coset_cosimplicial(M, N=2):
     X = SemiCosimplicialGroup([X0, X1], {1: [LinearHom(X0, X1, d0),
                                              LinearHom(X0, X1, d1)]},
                               check=True)
-    G = cogenerate(X, N)
-    M._cache[key] = G
+    G = cogenerate(X, 2)
+    M._cache["coset"] = G
     return G
 
 
@@ -376,7 +374,7 @@ def h1_dimension(M):
     only by deeper weight, so the leading graded part of a stabilizing w,
     a real vector, lies in F^0 Gr_m /\\ conj F^0 Gr_m, which is 0 because
     the Hodge decomposition holds at p = 0 and m < 0."""
-    if not (M.report["ok"] and M.negative_weights):
+    if not M.report["ok"]:
         raise ValueError("the dimension formula needs valid filtrations "
                          "with negative weights")
     d = M.L.dim
@@ -399,7 +397,7 @@ def mhs_les(MZ, MU, MQ, incl, proj):
     cross-check of pi^0 or of H1(Z) raises RuntimeError."""
     dU, dQ = MU.L.dim, MQ.L.dim
     for M in (MZ, MU, MQ):
-        if not (M.report["ok"] and M.negative_weights):
+        if not M.report["ok"]:
             raise ValueError("filtrations of %s are not valid with "
                              "negative weights" % M.name)
 
@@ -423,7 +421,7 @@ def mhs_les(MZ, MU, MQ, incl, proj):
                              "weight level escapes")
 
     # cosimplicial realization and levelwise maps
-    GZ, GU, GQ = (coset_cosimplicial(M, 2) for M in (MZ, MU, MQ))
+    GZ, GU, GQ = (coset_cosimplicial(M) for M in (MZ, MU, MQ))
 
     def factor_maps(Ma, Mb, mor):
         suba, subb = w0_f0_subgroups(Ma), w0_f0_subgroups(Mb)
@@ -437,8 +435,8 @@ def mhs_les(MZ, MU, MQ, incl, proj):
             if None in cols:
                 raise RuntimeError("filtration map does not restrict")
             return [[co[r] for co in cols] for r in range(len(bb))]
-        Ga = coset_cosimplicial(Ma, 2)
-        Gb = coset_cosimplicial(Mb, 2)
+        Ga = coset_cosimplicial(Ma)
+        Gb = coset_cosimplicial(Mb)
         Xa, Xb = suba["group"], subb["group"]
         h0 = StructuredHom(Xa, Xb, [
             (k, LinearHom(Xa.factors[k], Xb.factors[k], block(kind)))
@@ -489,5 +487,4 @@ def twist_mhs(M, alpha):
     hodge = {p: [unrealify_vector(LR.Ad(g, f)) for f in level.rows]
              for p, level in M.hodge.items()}
     return MHSGroup(M.L, {m: w.rows for m, w in M.weights.items()}, hodge,
-                    negative_weights=M.negative_weights,
                     name=M.name + "_tw", check=True)

@@ -30,17 +30,17 @@ DEFAULT_ORDER = 3
 MAX_BASIS = 5000
 
 
-def _monomials(weights, order, cap):
+def _monomials(weights, order):
     """All exponent tuples with total weighted degree <= order, sorted by
     (weighted degree, lexicographic).  Raises ValueError on finding more
-    than ``cap`` of them, before enumerating the rest."""
+    than ``MAX_BASIS`` of them, before enumerating the rest."""
     dim = len(weights)
     found = []
     def rec(prefix, budget, slot):
         if slot == dim:
-            if len(found) == cap:
+            if len(found) == MAX_BASIS:
                 raise ValueError("monomial basis of weighted degree <= %d "
-                                 "exceeds cap %d" % (order, cap))
+                                 "exceeds cap %d" % (order, MAX_BASIS))
             found.append(tuple(prefix))
             return
         e = 0
@@ -91,7 +91,7 @@ class TruncatedEnvelope:
             raise ValueError("the standard basis of %s is not adapted to "
                              "its lower central series" % L.name)
         self.weights = [d + 1 for d in L.depth_of_coordinate()]
-        self.monomials = _monomials(self.weights, order, MAX_BASIS)
+        self.monomials = _monomials(self.weights, order)
         self.index = {m: k for k, m in enumerate(self.monomials)}
         self._wdeg = {m: sum(e * w for e, w in zip(m, self.weights))
                       for m in self.monomials}

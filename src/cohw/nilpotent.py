@@ -331,7 +331,7 @@ def heisenberg():
     return NilpotentLieAlgebra(3, {(0, 1): {2: 1}}, name="heis")
 
 
-def direct_sum(*algebras, name=None):
+def direct_sum(*algebras):
     """Direct sum of any number of algebras, built in one step; its lower
     central series is computed from its brackets, as for any algebra."""
     structure = {}
@@ -344,7 +344,7 @@ def direct_sum(*algebras, name=None):
     # block sums of valid algebras are valid: cross brackets vanish, so
     # antisymmetry and Jacobi reduce to the (already checked) summands
     return NilpotentLieAlgebra(offset, structure,
-                               name=name or "+".join(a.name for a in algebras),
+                               name="+".join(a.name for a in algebras),
                                validate=False)
 
 

@@ -39,15 +39,14 @@ class PhiNGroup:
     algebra automorphism matrix), a monodromy N (a bracket derivation
     matrix), and a formal prime weight p > 1, subject to N phi = p phi N."""
 
-    def __init__(self, L, phi, N=None, p=2, check=True):
+    def __init__(self, L, phi, N=None, p=2):
         self.L = L
         self.phi = [list(row) for row in phi]
         if N is None:
             N = zero_matrix(L.dim, L.dim)
         self.N = [list(row) for row in N]
         self.p = Fraction(p)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         """Raise ValueError naming the first axiom the data breaks."""
@@ -87,7 +86,7 @@ class PhiNGroup:
 # ---------------------------------------------------------------------------
 # epsilon-variable carriers
 
-def epsilon_lie_algebra(L, n, name=None):
+def epsilon_lie_algebra(L, n):
     """L tensor Q[eps_1..eps_n]/(eps_i eps_j = 0): block 0 carries the
     main part, blocks 1..n the epsilon coefficients.  Brackets pair main
     with main (into main) and main with epsilon (into the same epsilon
@@ -103,7 +102,7 @@ def epsilon_lie_algebra(L, n, name=None):
             structure[(i, j + off)] = {k + off: c for k, c in row.items()}
             structure[(j, i + off)] = {k + off: -c for k, c in row.items()}
     return NilpotentLieAlgebra(d * (n + 1), structure,
-                               name=name or ("%s[eps^%d]" % (L.name, n)),
+                               name="%s[eps^%d]" % (L.name, n),
                                validate=False)
 
 
@@ -194,11 +193,11 @@ def _total_complex_dims(X):
     return complex_cohomology_dims([d, 2 * d, d], [d0, d1])
 
 
-def h1_quotient(X, variant="g/e", N=3):
-    """Deciders for the first cohomotopy of the quotient pattern, plus
-    full Moore dimensions (with independent cross-checks) when the
-    underlying algebra is abelian."""
-    S = selmer_quotient_cosimplicial(X, variant, N)
+def h1_quotient(X, variant="g/e"):
+    """Deciders for the first cohomotopy of the quotient pattern, cut at
+    level 3, plus full Moore dimensions (with independent cross-checks)
+    when the underlying algebra is abelian."""
+    S = selmer_quotient_cosimplicial(X, variant, 3)
     out = {"cosimplicial": S, "deciders": pi1_unipotent_deciders(S),
            "pi0_basis": pi0(S)}
     if Echelon(out["pi0_basis"]) != Echelon(d_phi1(X)):
@@ -245,7 +244,7 @@ def twisted_conj_equivalent(L, phi, w, wprime):
     return sol
 
 
-def twisted_conj_classify(L, phi, extra_targets=()):
+def twisted_conj_classify(L, phi):
     """Classify the twisted conjugation action u . w = u^-1 w phi(u) of
     the unipotent group on itself: the stabilizer of the identity, and
     transitivity, decided exactly by rank(phi - 1) == dim L.  The fibres
@@ -254,7 +253,7 @@ def twisted_conj_classify(L, phi, extra_targets=()):
     the whole group; with a trivial one, phi - 1 is invertible on every
     layer of the central series and the descent reaches any target.
 
-    The basis targets (and ``extra_targets``) are solved too, and kept as
+    The basis vectors are solved as targets too, and kept as
     certificates labelled ``sampled``: a transitive action must reach
     each of them, while an intransitive one may reach them all, so they
     certify nothing beyond the rank."""
@@ -266,8 +265,7 @@ def twisted_conj_classify(L, phi, extra_targets=()):
         raise RuntimeError("transitivity must match triviality of the "
                            "stabilizer")
     certificates = []
-    targets = [list(v) for v in eye] + [list(t) for t in extra_targets]
-    for w in targets:
+    for w in eye:
         witness = twisted_conj_equivalent(L, phi, w, L.zero())
         certificates.append({"target": list(w), "solvable": witness is not None,
                              "witness": witness, "provenance": "sampled"})
@@ -288,14 +286,14 @@ class PhiNTorsor:
     (p phi - 1) nu = N w is enforced; it is gauge-invariant thanks to
     N phi = p phi N."""
 
-    def __init__(self, X, frobenius, monodromy=None, check=True):
+    def __init__(self, X, frobenius, monodromy=None):
         self.X = X
         self.frobenius = list(frobenius)
         self.monodromy = list(monodromy) if monodromy is not None \
             else X.L.zero()
         if len(self.frobenius) != X.dim or len(self.monodromy) != X.dim:
             raise ValueError("torsor data must have length %d" % X.dim)
-        if check and X.is_abelian():
+        if X.is_abelian():
             d = X.dim
             pphi = [[X.p * v for v in row] for row in X.phi]
             lhs = mat_vec(exactla.mat_sub(pphi, exactla.identity_matrix(d)),
@@ -338,7 +336,7 @@ def phin_torsor_equivalent(T1, T2):
 # ---------------------------------------------------------------------------
 # long exact sequence of quotient patterns
 
-def quotient_les(XZ, XU, XQ, incl, proj, N=3):
+def quotient_les(XZ, XU, XQ, incl, proj):
     """Verified long exact sequence of quotient-pattern cohomotopy for a
     central extension of Frobenius-monodromy groups:
 
@@ -367,13 +365,15 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3):
         raise ValueError("the extension does not commute with p, phi "
                          "and N")
 
-    SZ = selmer_quotient_cosimplicial(XZ, "g/e", max(N, 3))
+    SZ = selmer_quotient_cosimplicial(XZ, "g/e", 3)
     SU = selmer_quotient_cosimplicial(XU, "g/e", 2)
     SQ = selmer_quotient_cosimplicial(XQ, "g/e", 2)
 
-    def level_maps(S_src, S_dst, M):
-        # M on every copy of D in every row of the diagonal
-        h = LinearHom(VectorGroup(len(M[0])), VectorGroup(len(M)), M)
+    def level_maps(S_src, S_dst, f):
+        # f on every copy of D in every row of the diagonal (dims from f:
+        # a map into 0 has no rows)
+        h = LinearHom(VectorGroup(f.source.dim), VectorGroup(f.target.dim),
+                      f.matrix)
         out = []
         for G, H in zip(S_src.objects[:3], S_dst.objects[:3]):
             row = StructuredHom(G.factors[0], H.factors[0], [
@@ -382,7 +382,7 @@ def quotient_les(XZ, XU, XQ, incl, proj, N=3):
                                             range(len(H.factors))]))
         return out
 
-    maps = (level_maps(SZ, SU, inclM), level_maps(SU, SQ, projM0))
+    maps = (level_maps(SZ, SU, incl), level_maps(SU, SQ, proj))
     les = les_central_unipotent(SZ, SU, SQ, *maps)
     clauses, provenance = les["clauses"], les["provenance"]
     p0Z, p0U, p0Q = (len(b) for b in les["pi0"])

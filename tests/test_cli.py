@@ -266,6 +266,50 @@ def test_hodge_les_flagship(capsys):
     assert "h1 dimensions: Z 1, U 1, Q 0" in out
 
 
+ZERO_QUOTIENTS = {
+    "phin-les": ["field rational\np 2\n[lie_algebra]\ndim 1\n[phi]\nrow 1\n"
+                 "[extension]\nincl 1\n",
+                 "field rational\np 2\n[lie_algebra]\ndim 2\n[phi]\n"
+                 "row 1/2 0\nrow 0 1/4\n[extension]\nincl 1 0\nincl 0 1\n"],
+    "hodge-les": ["field gaussian\n[lie_algebra]\ndim 1\n[filtration_W]\n"
+                  "level -2\nvector 1\n[filtration_F]\nlevel -1\nvector 1\n"
+                  "level 0\n[extension]\nincl 1\n"],
+}
+
+
+def test_les_commands_accept_an_extension_with_a_zero_quotient(tmp_path,
+                                                               capsys):
+    # Z = U, so Q = 0: the maps out of U into Q have no rows, and the
+    # sequence still holds, with H1(Z) = H1(U) of dimension 1
+    for command, texts in ZERO_QUOTIENTS.items():
+        for i, text in enumerate(texts):
+            f = tmp_path / ("zero_quotient_%d.alg" % i)
+            f.write_text(text)
+            code, out = run(capsys, ["validate", str(f)])
+            assert code == 0 and "verdict: ok" in out, out
+            code, out = run(capsys, [command, str(f)])
+            assert code == 0, (command, i, out)
+            assert "report: ok" in out
+            assert "middle map bijective: yes; H1" in out
+            assert "(Z) dim 1" in out
+
+
+def test_hodge_commands_refuse_weights_that_are_not_negative(tmp_path,
+                                                             capsys):
+    # the corpus Heisenberg MHS with its plane moved from W_-1 to W_0
+    text = (CORPUS / "heisenberg_mhs.alg").read_text()
+    f = tmp_path / "weight_0.alg"
+    f.write_text(text.replace("level -1\nvector 1 0 0",
+                              "level 0\nvector 1 0 0", 1))
+    line = ("filtrations: INVALID (negative weights: W_-1 is everything: "
+            "failed)")
+    for argv in (["validate"], ["hodge-classify", "--element", "0,0,1"],
+                 ["hodge-les"]):
+        code, out = run(capsys, argv + [str(f)])
+        assert code == 2, (argv, out)
+        assert out.splitlines()[-1] == line, (argv, out)
+
+
 def test_les_clause_provenance_on_the_corpus():
     """Each clause of both corpus sequences holds.  Those decided on a
     whole linear space (here also a zero pi0(Q)) are labelled exact;

@@ -182,7 +182,7 @@ def test_eilenberg_zilber_random():
         hdims = [rng.randint(1, 2) for _ in range(3)]
         vdims = [rng.randint(1, 2) for _ in range(3)]
         A = random_bisemicosimplicial(rng, hdims, vdims)
-        report = eilenberg_zilber_oracle(A, jmax=2)
+        report = eilenberg_zilber_oracle(A)
         assert report["match"]
 
 
@@ -624,8 +624,6 @@ def test_pi1_unipotent_nontrivial_for_identity_phi():
 
 def _quaternion_group():
     # Q8 = {1,-1,i,-i,j,-j,k,-k} indexed 0..7
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
     def mul(a, b):
         # encode as (sign, axis) with axis in {1, i, j, k}
         def dec(x):
@@ -646,7 +644,7 @@ def _quaternion_group():
         return enc(sa * sb * s, x)
 
     table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return TableGroup(table, names=names)
+    return TableGroup(table)
 
 
 def test_les_central_constant_quaternion():
@@ -1449,7 +1447,7 @@ def test_moore_sums_match_the_fraction_sums(dims, hdims, vdims, seed):
         assert _typed(moore_differentials(Y)) == _typed(dense)
         assert pi_abelian_all(Y) == complex_cohomology_dims(
             [G.dim for G in Y.objects], dense)
-    report = eilenberg_zilber_oracle(A, jmax=2)
+    report = eilenberg_zilber_oracle(A)
     assert report["total"] == _dense_total_dims(A, N)[:3]
 
 

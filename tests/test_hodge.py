@@ -162,7 +162,7 @@ def test_w0_f0_subgroups():
 
 def test_fixed_points_match_cosimplicial():
     for M in (_r1(), _v(), _heis()):
-        G = coset_cosimplicial(M, 2)
+        G = coset_cosimplicial(M)
         # pi^0 of the coset pattern = conjugation-fixed F^0 /\ W0 points
         assert len(pi0(G)) == len(M.real_fixed())
 
@@ -248,7 +248,7 @@ def test_equivalent_matches_the_cosimplicial_decider():
     group, decided on its level-1 cochains."""
     rng = random.Random(31)
     for M in (_heis(), _heis_skew()):
-        G = coset_cosimplicial(M, 2)
+        G = coset_cosimplicial(M)
         dec = pi1_unipotent_deciders(G)
         # the level-1 factor indexed by the identity epi [1] ->> [1]
         k = [i for i, (n, _) in enumerate(G.level_epis[1]) if n == 1][0]
@@ -285,6 +285,13 @@ def test_validate_checks_every_p_and_h1_dimension_needs_a_valid_mhs():
     assert [c["name"] for c in M.report["checks"] if not c["ok"]] == [
         "Hodge decomposition at weight -1, p=0"]
     with pytest.raises(ValueError, match="valid filtrations"):
+        h1_dimension(M)
+    # a line of weight 0 (type (0, 0)) is a valid Hodge structure, but the
+    # weights must be negative: the formula refuses it too
+    M = MHSGroup(abelian_lie_algebra(1), {0: [[1]]}, {1: []}, check=False)
+    assert [c["name"] for c in M.report["checks"] if not c["ok"]] == [
+        "negative weights: W_-1 is everything"]
+    with pytest.raises(ValueError, match="negative weights"):
         h1_dimension(M)
 
 
