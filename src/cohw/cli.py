@@ -1025,15 +1025,17 @@ def cmd_phin_classify(df, args):
 def _les_report(lines, res, h1_z, summary=()):
     """The report of a -les command: the failed clauses and exit 3, or the
     summary lines, whether the middle map is bijective and H1 of the
-    kernel (named h1_z), with exit 0 if it is and 1 if not."""
+    kernel (named h1_z), with exit 1 if it is not and 0 if it is or the
+    verdict is undecided (None)."""
     if not res["report"]["ok"]:
         return lines + ["report: FAILED"] + [
             "  failed: %s" % msg for status, msg in res["report"]["clauses"]
             if status == "FAIL"], 3
+    verdict = res["middle_bijective"]
     return lines + ["report: ok"] + list(summary) + [
         "middle map bijective: %s; %s dim %d"
-        % ("yes" if res["middle_bijective"] else "no", h1_z,
-           res["h1_z_dim"])], 0 if res["middle_bijective"] else 1
+        % ({True: "yes", False: "no", None: "undecided"}[verdict], h1_z,
+           res["h1_z_dim"])], 1 if verdict is False else 0
 
 
 def cmd_phin_les(df, args):

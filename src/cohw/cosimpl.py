@@ -1,11 +1,12 @@
 """Cosimplicial groups over computable carriers and their cohomotopy.
 
 Carriers are finite groups (multiplication tables, lazy finite products)
-or linear-coordinate groups (rational vector groups, unipotent groups in
-log coordinates).  All structure maps are stored as explicit homomorphism
-data -- lookup tables, per-factor wiring, or matrices -- never closures,
-so equality of maps is decidable and the cosimplicial identities can be
-verified exactly.
+or unipotent groups in log coordinates; the rational vector group Q^n is
+the unipotent group of the abelian Lie algebra of dimension n.  All
+structure maps are stored as explicit homomorphism data -- lookup
+tables, per-factor wiring, or matrices -- never closures, so equality of
+maps is decidable and the cosimplicial identities can be verified
+exactly.
 """
 
 import functools
@@ -20,7 +21,7 @@ from .exactla import (
     transpose, vec_add, vec_sub, zero_vec,
 )
 from .nilpotent import (
-    _combine, _descend, abelian_lie_algebra, solve_graded_affine,
+    _combine, _descend, abelian_lie_algebra, direct_sum, solve_graded_affine,
 )
 
 ENUM_CAP = 10 ** 6
@@ -210,34 +211,9 @@ class ProductGroup:
             len(self.factors), self.size())
 
 
-class VectorGroup:
-    """The additive group of a rational coordinate space; a linear-mode
-    carrier (elements are tuples of Fractions)."""
-
-    def __init__(self, dim):
-        self.dim = dim
-
-    def identity(self):
-        return tuple([Fraction(0)] * self.dim)
-
-    def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a):
-        return tuple(-x for x in a)
-
-    def size(self):
-        return None if self.dim else 1
-
-    def is_abelian(self):
-        return True
-
-    def __repr__(self):
-        return "VectorGroup(dim=%d)" % self.dim
-
-
 class UnipotentCarrier:
-    """Unipotent group of a nilpotent Lie algebra, in log coordinates."""
+    """Unipotent group of a nilpotent Lie algebra, in log coordinates; the
+    linear carrier (Q^n is the one of ``abelian_lie_algebra(n)``)."""
 
     def __init__(self, L):
         self.L = L
@@ -263,7 +239,7 @@ class UnipotentCarrier:
 
 
 def is_linear_carrier(G):
-    return isinstance(G, (VectorGroup, UnipotentCarrier))
+    return isinstance(G, UnipotentCarrier)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +356,12 @@ class StructuredHom(_IntMatrix):
     """Block homomorphism between product-shaped carriers.
 
     One type serves finite products (ProductGroup) and linear direct sums
-    (a VectorGroup or UnipotentCarrier built by ``_product_object``, which
-    lists its summands in ``factors``).  Target block t is fed from source
-    block parts[t][0] through the factor homomorphism parts[t][1], read at
-    ``source._at[parts[t][0]]``.  Applying, composing and comparing work
-    block by block; for linear carriers the int form is assembled only
-    on demand, and cached."""
+    (a UnipotentCarrier built by ``_product_object``, which lists its
+    summands in ``factors``; vector groups are the abelian ones).  Target
+    block t is fed from source block parts[t][0] through the factor
+    homomorphism parts[t][1], read at ``source._at[parts[t][0]]``.
+    Applying, composing and comparing work block by block; for linear
+    carriers the int form is assembled only on demand, and cached."""
 
     def __init__(self, source, target, parts):
         self.source = source
@@ -480,8 +456,6 @@ def inner_automorphism(G, c):
     """Conjugation x -> c x c^-1 as explicit homomorphism data."""
     if isinstance(G, UnipotentCarrier):
         return LinearHom(G, G, G.L.Ad_matrix(list(c)))
-    if isinstance(G, VectorGroup):
-        return identity_hom(G)
     if isinstance(G, ProductGroup):
         return StructuredHom(G, G, [
             (i, inner_automorphism(f, c[at]))
@@ -495,12 +469,10 @@ def inner_automorphism(G, c):
 
 def hom_equal(h1, h2):
     """Decidable equality: block maps by ``_sides_agree``, other linear
-    maps by int form (on any linear carriers), finite ones on generators."""
+    maps by int form, finite ones on generators."""
     if h1 is h2:
         return True
-    if not (h1.source is h2.source or type(h1.source) is type(h2.source)
-            or is_linear_carrier(h1.source)
-            and is_linear_carrier(h2.source)):
+    if not (h1.source is h2.source or type(h1.source) is type(h2.source)):
         raise ValueError("homs on unrelated carriers do not compare")
     if isinstance(h1, StructuredHom) and isinstance(h2, StructuredHom):
         return _sides_agree(h1.source, (h1,), (h2,), {})
@@ -738,21 +710,14 @@ def _mono_composite(coface, start, image, k):
     return h
 
 
-def _product_object(factors, linear):
-    """Product of the factor carriers: a ProductGroup, or for linear
-    carriers their direct sum, which records its summands in ``factors``
-    and the coordinate where each starts in ``offsets``."""
-    if not linear:
+def _product_object(factors):
+    """Product of the factor carriers: a ProductGroup of finite ones, or
+    the direct sum of unipotent ones, which records its summands in
+    ``factors`` and the coordinate where each starts in ``offsets``."""
+    if not all(map(is_linear_carrier, factors)):
         return ProductGroup(factors)
-    from .nilpotent import direct_sum
-    algs = [f.L if isinstance(f, UnipotentCarrier) else None
-            for f in factors]
-    if all(a is not None for a in algs):
-        G = UnipotentCarrier(direct_sum(*algs) if len(algs) > 1 else algs[0])
-    else:
-        if not all(isinstance(f, VectorGroup) for f in factors):
-            raise ValueError("cannot mix vector and unipotent factors")
-        G = VectorGroup(sum(f.dim for f in factors))
+    G = UnipotentCarrier(factors[0].L if len(factors) == 1 else
+                         direct_sum(*[f.L for f in factors]))
     G.factors = list(factors)
     G.offsets = [0]
     for f in factors:
@@ -771,10 +736,8 @@ def cogenerate(X, N=None):
     composites is decided once; nothing is cached past the check."""
     if N is None:
         N = X.N + 1
-    linear = all(is_linear_carrier(G) for G in X.objects)
     level_epis = {n: _gamma_epis(n, X.N) for n in range(N + 1)}
-    objects = [_product_object([X.objects[k] for (k, _) in level_epis[n]],
-                               linear)
+    objects = [_product_object([X.objects[k] for (k, _) in level_epis[n]])
                for n in range(N + 1)]
     monos = {}
 
@@ -1195,7 +1158,8 @@ def trivial_twist_isomorphism(U, beta, u0):
 
 class BiSemiCosimplicial:
     """Bi-semi-cosimplicial abelian object in linear mode: objects[p][q]
-    are VectorGroups, dh[p][q][i]: (p-1,q) -> (p,q), dv[p][q][i]:
+    are vector groups (unipotent carriers of abelian algebras),
+    dh[p][q][i]: (p-1,q) -> (p,q), dv[p][q][i]:
     (p,q-1) -> (p,q), each a matrix."""
 
     def __init__(self, objects, dh, dv):
@@ -1226,9 +1190,9 @@ def diagonal_cogenerate(A, N):
     here; check_identities does that on demand."""
     hepis = [_gamma_epis(n, A.P) for n in range(N + 1)]
     vepis = [_gamma_epis(n, A.Q) for n in range(N + 1)]
-    rows = [[_product_object([A.objects[a][b] for (b, _) in vepis[n]], True)
+    rows = [[_product_object([A.objects[a][b] for (b, _) in vepis[n]])
              for a in range(A.P + 1)] for n in range(N + 1)]
-    objects = [_product_object([rows[n][a] for (a, _) in hepis[n]], True)
+    objects = [_product_object([rows[n][a] for (a, _) in hepis[n]])
                for n in range(N + 1)]
     hmonos, blocks = {}, {}
 
@@ -1304,7 +1268,7 @@ def complex_embedding(dims, diffs):
     differential.  Cogenerating it yields the denormalization of the
     complex, with matching cohomotopy in degrees up to the length."""
     N = len(dims) - 1
-    objects = [VectorGroup(d) for d in dims]
+    objects = [UnipotentCarrier(abelian_lie_algebra(d)) for d in dims]
     cofaces = {}
     for n in range(1, N + 1):
         zero = exactla.zero_matrix(dims[n], dims[n - 1])
@@ -1323,7 +1287,7 @@ def random_linear_semicosimplicial(rng, dims):
     given level dimensions: level-1 cofaces are free, higher cofaces are
     sampled from the affine space cut out by the coface identities."""
     N = len(dims) - 1
-    objects = [VectorGroup(d) for d in dims]
+    objects = [UnipotentCarrier(abelian_lie_algebra(d)) for d in dims]
     cofaces = {}
     mats = {}
     if N >= 1:
@@ -1384,8 +1348,8 @@ def random_bisemicosimplicial(rng, hdims, vdims):
     V = random_linear_semicosimplicial(rng, hdims)
     W = random_linear_semicosimplicial(rng, vdims)
     P, Q = V.N, W.N
-    objects = [[VectorGroup(hdims[p] * vdims[q]) for q in range(Q + 1)]
-               for p in range(P + 1)]
+    objects = [[UnipotentCarrier(abelian_lie_algebra(hdims[p] * vdims[q]))
+                for q in range(Q + 1)] for p in range(P + 1)]
     dh = [[None] * (Q + 1) for _ in range(P + 1)]
     dv = [[None] * (Q + 1) for _ in range(P + 1)]
     for p in range(1, P + 1):
@@ -1622,9 +1586,8 @@ def les_central_unipotent(Z, U, Q, incl, proj):
     # the identity is the cocycles whose class dies in U.  And incl(h) ~
     # incl(g) exactly when h - g lies there, so this one stabilizer also
     # decides the fibers of pi1(Z) -> pi1(U)
-    T = UnipotentCarrier(abelian_lie_algebra(len(z1Z))) \
-        if isinstance(U0, UnipotentCarrier) else VectorGroup(len(z1Z))
-    group = _product_object([U0, T], linear=True)
+    group = _product_object([U0, UnipotentCarrier(
+        abelian_lie_algebra(len(z1Z)))])
     n0, zz = U0.dim, zero_vec(Z1.dim)
 
     def act(g):

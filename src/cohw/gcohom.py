@@ -17,9 +17,8 @@ from itertools import product as iproduct
 from . import exactla
 from .cosimpl import (
     CosimplicialGroup, FiniteHom, StructuredHom, TableGroup,
-    UnipotentCarrier, _product_defect, _product_object, hom_equal,
-    identity_hom, les_central_finite, pi0, pi1_finite,
-    pi1_unipotent_deciders, twist,
+    _product_defect, _product_object, hom_equal, identity_hom,
+    les_central_finite, pi0, pi1_finite, pi1_unipotent_deciders, twist,
 )
 
 
@@ -102,10 +101,9 @@ def cochain_cosimplicial(action, N=2, check=True):
     identities are checked unless ``check`` is False.
     """
     G, U = action.G, action.carrier
-    linear = isinstance(U, UnipotentCarrier)
     tuples = {n: _tuples(G, n) for n in range(N + 1)}
     index = {n: {t: i for i, t in enumerate(tuples[n])} for n in tuples}
-    objects = [_product_object([U] * len(tuples[n]), linear)
+    objects = [_product_object([U] * len(tuples[n]))
                for n in range(N + 1)]
     uid = identity_hom(U)
 

@@ -273,7 +273,7 @@ def w0_f0_subgroups(M):
            "w0_algebra": walg, "f0_algebra": falg,
            "w0_inclusion": wincl, "f0_inclusion": fincl,
            "group": _product_object([UnipotentCarrier(falg),
-                                     UnipotentCarrier(walg)], linear=True),
+                                     UnipotentCarrier(walg)]),
            "real_fixed": M.real_fixed()}
     M._cache["sub"] = out
     return out

@@ -322,7 +322,12 @@ class NilpotentLieAlgebra:
             self.name, self.dim, self.nilpotency_class)
 
 
+@functools.cache
 def abelian_lie_algebra(dim, name="A"):
+    """Q^dim with the zero bracket: the algebra of the vector group Q^dim.
+    Built once per process and shared (no caller changes an algebra), so
+    the many vector carriers of a linear computation build no algebra
+    each."""
     return NilpotentLieAlgebra(dim, {}, name=name)
 
 
@@ -333,7 +338,11 @@ def heisenberg():
 
 def direct_sum(*algebras):
     """Direct sum of any number of algebras, built in one step; its lower
-    central series is computed from its brackets, as for any algebra."""
+    central series is computed from its brackets, as for any algebra.  A
+    sum of abelian algebras is the shared ``abelian_lie_algebra`` of the
+    total dimension."""
+    if not any(a.structure for a in algebras):
+        return abelian_lie_algebra(sum(a.dim for a in algebras))
     structure = {}
     offset = 0
     for a in algebras:

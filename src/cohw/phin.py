@@ -22,12 +22,13 @@ from .exactla import (
 )
 from .cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
-    UnipotentCarrier, VectorGroup, _product_object, certificate_report,
+    UnipotentCarrier, _product_object, certificate_report,
     complex_cohomology_dims, complex_embedding, diagonal_cogenerate,
     les_central_unipotent, pi0, pi1_unipotent_deciders, pi_abelian_all,
 )
 from .nilpotent import (
-    LieMorphism, NilpotentLieAlgebra, direct_sum, solve_graded_affine,
+    LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, direct_sum,
+    solve_graded_affine,
 )
 
 
@@ -123,7 +124,7 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
         raise ValueError("variant must be 'f/e' or 'g/e', not %r"
                          % (variant,))
     L, phi, p = X.L, X.phi, X.p
-    D = VectorGroup(L.dim)
+    D = UnipotentCarrier(abelian_lie_algebra(L.dim))
     eye = exactla.identity_matrix(L.dim)
     columns = [phi]
     vertical = None
@@ -143,7 +144,7 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
         row = G.factors[0]
         U = UnipotentCarrier(epsilon_lie_algebra(L, len(row.factors) - 1))
         U.factors, U.offsets, U._at = row.factors, row.offsets, row._at
-        objects.append(_product_object([U] * len(G.factors), True))
+        objects.append(_product_object([U] * len(G.factors)))
     cofaces = {n: [StructuredHom(objects[n - 1], objects[n], h.parts)
                    for h in hs] for n, hs in diag.cofaces.items()}
     codegens = {n: [StructuredHom(objects[n + 1], objects[n], h.parts)
@@ -348,10 +349,12 @@ def quotient_les(XZ, XU, XQ, incl, proj):
     clauses of the sequence are decided by ``les_central_unipotent`` on
     the quotient patterns (three of them derived from its checks); the
     dual formula for pi2(Z) and the Euler characteristic of the
-    continuation are checked here.  ``middle_bijective`` is decided when
-    pi0(Q) and H^1(Q) vanish; H^1(Q) is the Moore H^1 of the quotient
-    pattern, computed here when it is abelian.  Data that does not
-    commute with p, phi and N raises ValueError.
+    continuation are checked here.  ``middle_bijective`` (pi1(Z) ->
+    pi1(U)) is decided when the report holds and U is abelian, or when
+    pi0(Q) and H^1(Q) vanish (H^1(Q) is the Moore H^1 of the quotient
+    pattern, computed here when it is abelian); otherwise it is None,
+    undecided.  Data that does not commute with p, phi and N raises
+    ValueError.
 
     Z is truncated at level 3 (for pi2); U and Q only need levels up to
     2, which keeps the construction fast for nonabelian carriers."""
@@ -372,7 +375,8 @@ def quotient_les(XZ, XU, XQ, incl, proj):
     def level_maps(S_src, S_dst, f):
         # f on every copy of D in every row of the diagonal (dims from f:
         # a map into 0 has no rows)
-        h = LinearHom(VectorGroup(f.source.dim), VectorGroup(f.target.dim),
+        h = LinearHom(UnipotentCarrier(abelian_lie_algebra(f.source.dim)),
+                      UnipotentCarrier(abelian_lie_algebra(f.target.dim)),
                       f.matrix)
         out = []
         for G, H in zip(S_src.objects[:3], S_dst.objects[:3]):
@@ -408,11 +412,14 @@ def quotient_les(XZ, XU, XQ, incl, proj):
         clauses[name] = euler == 0
         provenance[name] = "exact"
 
-    h1_q_dim = None
-    if all(G.is_abelian() for G in SQ.objects):
-        h1_q_dim = pi_abelian_all(SQ)[1]
     middle_bijective = None
-    if p0Q == 0 and h1_q_dim == 0:
+    if XU.is_abelian() and all(clauses.values()):
+        # a linear map; exactness up to pi1(Z) makes its kernel, the image
+        # of pi0(Q), of dimension p0Q - (p0U - p0Z)
+        middle_bijective = (p0Z - p0U + p0Q == 0
+                            and dimsZ[1] == pi_abelian_all(SU)[1])
+    elif p0Q == 0 and all(G.is_abelian() for G in SQ.objects) \
+            and pi_abelian_all(SQ)[1] == 0:
         # the endpoints vanish: the fibers clause gives injectivity and
         # exactness at pi1(U) surjectivity
         middle_bijective = (clauses["fibers at pi1(Z) are connecting orbits"]

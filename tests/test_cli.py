@@ -156,6 +156,27 @@ def test_phin_les_flagship(capsys):
     assert "middle map bijective: yes; H1_{g/e}(Z) dim 1" in out
 
 
+@pytest.mark.parametrize("algebra,phi,extension,verdict", [
+    # U abelian: pi1(Z) -> pi1(U) is linear and decided exactly; here both
+    # are the line of e0
+    (["dim 2"], ["1/2 1", "0 1/2"], ["incl 1 0", "proj 0 1"], "yes"),
+    # U the Heisenberg group, with pi0(Q) nonzero: neither criterion
+    # applies, so the verdict is undecided, not a negative certificate
+    (["dim 3", "bracket 0 1 2 1"], ["1 0 0", "0 1/2 0", "0 0 1/2"],
+     ["incl 0 0 1", "proj 1 0 0", "proj 0 1 0"], "undecided"),
+])
+def test_phin_les_middle_map_verdicts(tmp_path, capsys, algebra, phi,
+                                      extension, verdict):
+    f = tmp_path / "extension.alg"
+    f.write_text("\n".join(
+        ["field rational", "p 2", "[lie_algebra]"] + algebra + ["[phi]"]
+        + ["row " + r for r in phi] + ["[extension]"] + extension) + "\n")
+    code, out = run(capsys, ["phin-les", str(f)])
+    assert "report: ok" in out
+    assert "middle map bijective: %s; H1_{g/e}(Z) dim 1" % verdict in out
+    assert code == 0
+
+
 def test_phin_classify(capsys):
     code, out = run(capsys, ["phin-classify",
                              str(CORPUS / "heisenberg_isocrystal.alg")])

@@ -13,7 +13,7 @@ from cohw import cosimpl, exactla, phin
 from cohw.cli import load_description, parse_description
 from cohw.cosimpl import (
     CosimplicialGroup, LinearHom, StructuredHom, UnipotentCarrier,
-    VectorGroup, _product_object, cogenerate, cogenerate_morphism,
+    _product_object, cogenerate, cogenerate_morphism,
     complex_embedding, compose_monotone, delta_map, epi_mono_factor, epis,
     pi0, pi_abelian_all, sigma_map,
 )
@@ -122,7 +122,7 @@ def epsilon_denormalize(p, n, nu=0):
                for m in range(1, n + 1)}
     codegens = {m: [E.s(m, i).matrix for i in range(m + 1)]
                 for m in range(n)}
-    unit = VectorGroup(1)
+    unit = UnipotentCarrier(abelian_lie_algebra(1))
     frobenius = [h.matrix for h in cogenerate_morphism(
         E, E, [LinearHom(unit, unit, [[Fraction(1)]]),
                LinearHom(unit, unit, [[p]])])[:n + 1]]
@@ -162,13 +162,13 @@ def _reference_selmer(X, variant, N):
     d = L.dim
     E = cogenerate(complex_embedding([d], []) if variant == "f/e"
                    else complex_embedding([d, d], [X.N]), N=N)
-    D = VectorGroup(d)
+    D = UnipotentCarrier(abelian_lie_algebra(d))
     frobenius = cogenerate_morphism(E, E, [
         LinearHom(D, D, phi),
         LinearHom(D, D, [[p * v for v in row] for row in phi])])
     factors = [[(k, g) for k in (0, 1) for g in epis(n, k)]
                for n in range(N + 1)]
-    objects = [_product_object([E.objects[n]] * len(factors[n]), True)
+    objects = [_product_object([E.objects[n]] * len(factors[n]))
                for n in range(N + 1)]
 
     def wire(f, np, n, factor_map):
@@ -193,7 +193,7 @@ def _reference_selmer(X, variant, N):
     n_eps = [sum(1 for (k, _) in E.level_epis[n] if k == 1)
              for n in range(N + 1)]
     algs = [_product_object([UnipotentCarrier(epsilon_lie_algebra(L, e))]
-                            * len(factors[n]), True).L
+                            * len(factors[n])).L
             for n, e in enumerate(n_eps)]
     return cofaces, codegens, algs
 
@@ -543,7 +543,8 @@ def test_quotient_les_connecting_class_of_a_fixed_point():
     assert res["report"]["ok"], res["report"]
     assert res["h1_z_dim"] == 1
     assert res["provenance"]["exact at pi0(Q)"] == "exact"
-    assert res["middle_bijective"] is None  # pi0(Q) is not trivial
+    # the connecting class is nonzero, so pi1(Z) -> pi1(U) is not injective
+    assert res["middle_bijective"] is False
 
 
 def test_quotient_les_on_seeded_extensions_matches_the_witnesses():
@@ -551,10 +552,13 @@ def test_quotient_les_on_seeded_extensions_matches_the_witnesses():
     with phi = (M, det M), and the plane with an upper triangular phi.
     On each basis cocycle of Z and three seeded combinations, a class of
     Z dies in U (the stabilizer of the exact decision) exactly when the
-    descent of pi1(U) finds a witness of its death."""
+    descent of pi1(U) finds a witness of its death.  With U abelian, the
+    middle map is bijective exactly when no class dies and H^1(Z) and
+    H^1(U) have one dimension."""
     rng = random.Random(7)
     H = heisenberg()
-    seen = {"pi0(Q) != 0": 0, "a class dies": 0}
+    seen = dict.fromkeys(("pi0(Q) != 0", "a class dies", "bijective",
+                          "not bijective"), 0)
     for k in range(24):
         if k % 2:
             a, c = (rng.choice([F(1), F(2), F(1, 2)]) for _ in range(2))
@@ -591,8 +595,15 @@ def test_quotient_les_on_seeded_extensions_matches_the_witnesses():
             assert dies.contains(z) == (
                 witness(incl1.apply(z)) is not None), (k, z)
         seen["pi0(Q) != 0"] += bool(les["pi0"][2])
-        seen["a class dies"] += len(les["dies_in_u"]) > len(
-            span_echelon(transpose(MZ[0])))
+        injective = len(dies) == len(span_echelon(transpose(MZ[0])))
+        seen["a class dies"] += not injective
+        if k % 2:
+            # U is abelian: the verdict from the pi0 dims agrees with the
+            # stabilizer's (injective) and the Moore H^1 dims (onto)
+            bijective = injective and \
+                res["h1_z_dim"] == pi_abelian_all(SU)[1]
+            assert res["middle_bijective"] is bijective, k
+            seen["bijective" if bijective else "not bijective"] += 1
     assert min(seen.values()) > 0, seen
 
 
