@@ -17,8 +17,8 @@ from math import gcd, lcm
 
 from . import exactla
 from .exactla import (
-    Echelon, kernel_basis, mat_vec, rank, solve_affine, span_echelon,
-    transpose, vec_add, vec_sub, zero_vec,
+    Echelon, _int_kernel, kernel_basis, mat_vec, rank, solve_affine,
+    span_echelon, transpose, vec_add, vec_sub, zero_vec,
 )
 from .nilpotent import (
     _combine, _descend, abelian_lie_algebra, direct_sum, solve_graded_affine,
@@ -683,18 +683,27 @@ def sigma_map(n, i):
 # ---------------------------------------------------------------------------
 # cogeneration
 
-def _wiring(f, src_epis, tgt_epis):
+@functools.cache
+def _gamma_epis(n, j):
+    """The factors of level n cogenerated from a j-truncated object: the
+    pairs (k, epi [n] ->> [k]), k <= j, as a tuple kept per process."""
+    return tuple((k, e) for k in range(min(n, j) + 1) for e in epis(n, k))
+
+
+@functools.cache
+def _wiring(f, n, j):
     """Epi-mono wiring of the map that a monotone f: [n'] -> [n] induces
-    on products indexed by epis: for each target epi g: [n] ->> [k],
-    factor g o f as an epi onto [k'] followed by a mono into [k].  Gives,
-    per target, the position of that epi among src_epis, the mono's
-    image and k."""
-    src_idx = {e: i for i, e in enumerate(src_epis)}
+    on the products indexed by _gamma_epis(n', j) and _gamma_epis(n, j):
+    for each target epi g: [n] ->> [k], factor g o f as an epi onto [k']
+    followed by a mono into [k].  Gives, per target, the position of that
+    epi among the source epis, the mono's image and k: a tuple, which
+    depends on the shape alone and is kept per process."""
+    src_idx = {e: i for i, e in enumerate(_gamma_epis(len(f) - 1, j))}
     out = []
-    for (k, g) in tgt_epis:
+    for (k, g) in _gamma_epis(n, j):
         epi, image = epi_mono_factor(compose_monotone(g, f), k)
         out.append((src_idx[(len(image) - 1, epi)], tuple(image), k))
-    return out
+    return tuple(out)
 
 
 def _mono_composite(coface, start, image, k):
@@ -730,10 +739,12 @@ def cogenerate(X, N=None):
     """Cosimplicial group cogenerated by a truncated semi-cosimplicial
     group: Gamma^n = product of X^k over order-preserving surjections
     [n] ->> [k] (k within the truncation; a flat ProductGroup if finite),
-    with maps induced by epi-mono factorization.  Identities are verified
-    post-construction, by one ``check_identities`` whose memo lives for
-    that call: each distinct pair of block chains through the shared mono
-    composites is decided once; nothing is cached past the check."""
+    with maps induced by epi-mono factorization, wired per process
+    (``_wiring``) and through mono composites built once per call.
+    Identities are verified post-construction, by one ``check_identities``
+    whose memo lives for that call: each distinct pair of block chains
+    through the shared mono composites is decided once; nothing is cached
+    past the check."""
     if N is None:
         N = X.N + 1
     level_epis = {n: _gamma_epis(n, X.N) for n in range(N + 1)}
@@ -744,7 +755,7 @@ def cogenerate(X, N=None):
     def gamma_map(f, np, n):
         """Hom Gamma^{n'} -> Gamma^n for monotone f: [n'] -> [n]."""
         parts = []
-        for (i, image, k) in _wiring(f, level_epis[np], level_epis[n]):
+        for (i, image, k) in _wiring(f, n, X.N):
             if (image, k) not in monos:
                 monos[image, k] = _mono_composite(
                     X.d, identity_hom(X.objects[len(image) - 1]), image, k)
@@ -1170,12 +1181,14 @@ class BiSemiCosimplicial:
         self.dv = dv
 
     def h(self, p, q, i):
-        """Horizontal coface d_h^i: A^{p-1,q} -> A^{p,q}."""
+        """Horizontal coface d_h^i: A^{p-1,q} -> A^{p,q}, built on each
+        call (``diagonal_cogenerate`` builds each one once)."""
         return LinearHom(self.objects[p - 1][q], self.objects[p][q],
                          self.dh[p][q][i])
 
     def v(self, p, q, i):
-        """Vertical coface d_v^i: A^{p,q-1} -> A^{p,q}."""
+        """Vertical coface d_v^i: A^{p,q-1} -> A^{p,q}, built on each
+        call (``diagonal_cogenerate`` builds each one once)."""
         return LinearHom(self.objects[p][q - 1], self.objects[p][q],
                          self.dv[p][q][i])
 
@@ -1186,14 +1199,17 @@ def diagonal_cogenerate(A, N):
     each epi [n] ->> [a], the product of A^{a,b} over the epis
     [n] ->> [b].  A monotone f feeds the block of (eh, ev) from the epi
     parts of eh o f and ev o f, through the horizontal mono of eh o f and
-    then the vertical mono of ev o f.  The identities are not verified
-    here; check_identities does that on demand."""
+    then the vertical mono of ev o f, wired per process (``_wiring``).
+    Each bi-coface A.h / A.v is built once per call, in a memo of the call
+    (not of A, whose matrices may change).  The identities are not
+    verified here; check_identities does that on demand."""
     hepis = [_gamma_epis(n, A.P) for n in range(N + 1)]
     vepis = [_gamma_epis(n, A.Q) for n in range(N + 1)]
     rows = [[_product_object([A.objects[a][b] for (b, _) in vepis[n]])
              for a in range(A.P + 1)] for n in range(N + 1)]
     objects = [_product_object([rows[n][a] for (a, _) in hepis[n]])
                for n in range(N + 1)]
+    h, v = functools.cache(A.h), functools.cache(A.v)
     hmonos, blocks = {}, {}
 
     def block(imh, a, imv, b):
@@ -1202,17 +1218,17 @@ def diagonal_cogenerate(A, N):
         ap, bp = len(imh) - 1, len(imv) - 1
         if (imh, a, bp) not in hmonos:
             hmonos[imh, a, bp] = _mono_composite(
-                lambda lev, m: A.h(lev, bp, m),
+                lambda lev, m: h(lev, bp, m),
                 identity_hom(A.objects[ap][bp]), imh, a)
         if (imh, a, imv, b) not in blocks:
             blocks[imh, a, imv, b] = _mono_composite(
-                lambda lev, m: A.v(a, lev, m), hmonos[imh, a, bp], imv, b)
+                lambda lev, m: v(a, lev, m), hmonos[imh, a, bp], imv, b)
         return blocks[imh, a, imv, b]
 
     def diagonal_map(f, np, n):
-        vwiring = _wiring(f, vepis[np], vepis[n])
+        vwiring = _wiring(f, n, A.Q)
         parts = []
-        for (i, imh, a) in _wiring(f, hepis[np], hepis[n]):
+        for (i, imh, a) in _wiring(f, n, A.P):
             row = [(j, block(imh, a, imv, b)) for (j, imv, b) in vwiring]
             parts.append((i, StructuredHom(rows[np][len(imh) - 1],
                                            rows[n][a], row)))
@@ -1285,14 +1301,16 @@ def complex_embedding(dims, diffs):
 def random_linear_semicosimplicial(rng, dims):
     """Random truncated semi-cosimplicial rational vector space with the
     given level dimensions: level-1 cofaces are free, higher cofaces are
-    sampled from the affine space cut out by the coface identities."""
+    sampled from the affine space cut out by the coface identities.
+    Drawn on integer rows: a level's cofaces are integer numerators over
+    one denominator, divided only to build the LinearHoms.  The rng draws,
+    in order, and the cofaces are those of the sampling in ``Fraction``s."""
     N = len(dims) - 1
     objects = [UnipotentCarrier(abelian_lie_algebra(d)) for d in dims]
-    cofaces = {}
-    mats = {}
+    mats = {}  # n -> (den, the integer matrices of the d(n, i) over den)
     if N >= 1:
-        mats[1] = [[[Fraction(rng.randint(-2, 2)) for _ in range(dims[0])]
-                    for _ in range(dims[1])] for _ in range(2)]
+        mats[1] = (1, [[[rng.randint(-2, 2) for _ in range(dims[0])]
+                        for _ in range(dims[1])] for _ in range(2)])
     for n in range(2, N + 1):
         rn, cn = dims[n], dims[n - 1]
         per = rn * cn
@@ -1301,36 +1319,32 @@ def random_linear_semicosimplicial(rng, dims):
         def var(i, r, c):
             return i * per + r * cn + c
 
+        ints = mats[n - 1][1]
         rows = []
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 # d(n,j) d(n-1,i) = d(n,i) d(n-1,j-1)
-                A = mats[n - 1][i]
-                B = mats[n - 1][j - 1]
+                A, B = ints[i], ints[j - 1]
                 for r in range(rn):
                     for c in range(dims[n - 2]):
                         row = [0] * nvars
                         for m in range(cn):
-                            if A[m][c]:
-                                row[var(j, r, m)] += A[m][c]
-                            if B[m][c]:
-                                row[var(i, r, m)] -= B[m][c]
+                            row[var(j, r, m)] += A[m][c]
+                            row[var(i, r, m)] -= B[m][c]
                         rows.append(row)
-        ker = kernel_basis(rows, nvars) if rows else \
-            [[Fraction(int(t == s)) for t in range(nvars)]
-             for s in range(nvars)]
-        flat = [Fraction(0)] * nvars
-        for v in ker:
-            coeff = rng.randint(-2, 2)
+        ker, pivots = _int_kernel(rows, nvars)
+        den = lcm(*[row[p] for row, p in zip(ker, pivots)])
+        flat = [0] * nvars
+        for row, p in zip(ker, pivots):
+            coeff = rng.randint(-2, 2) * (den // row[p])
             if coeff:
-                for t, b in enumerate(v):
+                for t, b in enumerate(row):
                     if b:
                         flat[t] += coeff * b
-        mats[n] = [[[flat[var(i, r, c)] for c in range(cn)]
-                    for r in range(rn)] for i in range(n + 1)]
-    for n in range(1, N + 1):
-        cofaces[n] = [LinearHom(objects[n - 1], objects[n], M)
-                      for M in mats[n]]
+        mats[n] = (den, [[[flat[var(i, r, c)] for c in range(cn)]
+                          for r in range(rn)] for i in range(n + 1)])
+    cofaces = {n: [LinearHom(objects[n - 1], objects[n], _fractions(den, M))
+                   for M in Ms] for n, (den, Ms) in mats.items()}
     return SemiCosimplicialGroup(objects, cofaces, check=True)
 
 
@@ -1609,10 +1623,3 @@ def les_central_unipotent(Z, U, Q, incl, proj):
             "provenance": provenance, "h1_z_dim": z_dims[1],
             "z_dims": z_dims, "pi0": (p0Z, p0U, p0Q), "dies_in_u": dies}
 
-
-def _gamma_epis(n, j):
-    out = []
-    for k in range(min(n, j) + 1):
-        for e in epis(n, k):
-            out.append((k, e))
-    return out

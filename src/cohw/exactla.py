@@ -345,24 +345,30 @@ def solve_affine(A, b, ncols=None):
     return particular, kernel
 
 
+def _int_kernel(A, ncols):
+    """ker(A) as ``_eliminate`` gives a space: its primitive integer rows
+    and pivots.  For each free column f of A, the vector e_f minus the
+    entries at f of A's reduced rows, on their pivots, is scaled to
+    integers by the lcm of the pivots; those are reduced again."""
+    red, pivots = _eliminate(A)
+    scale = lcm(*[row[p] for row, p in zip(red, pivots)])
+    basis = []
+    for f in [c for c in range(ncols) if c not in pivots]:
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(v)
+    return _eliminate(basis)
+
+
 def kernel_basis(A, ncols=None):
     """Echelon basis of ker(A)."""
     if ncols is None:
         if not A:
             raise ValueError("need ncols for empty matrix")
         ncols = len(A[0])
-    red, pivots = rref(A)
-    free = [c for c in range(ncols) if c not in pivots]
-    one = Fraction(1)
-    basis = []
-    for f in free:
-        v = zero_vec(ncols)
-        v[f] = one
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    eb, _ = rref(basis)
-    return eb
+    return [_fraction_row(row, p) for row, p in zip(*_int_kernel(A, ncols))]
 
 
 def span_echelon(vectors):
@@ -376,13 +382,12 @@ class Echelon:
     ``pivots``, their columns.  Both are tuples and unique to the space,
     so ``==`` compares spaces.  ``rows``, the reduced rows with
     ``Fraction`` entries, is built on first read; ``len`` is the
-    dimension.  Given ``pivots``, the vectors are taken for the primitive
-    integer rows of the reduced form, with no elimination."""
+    dimension."""
 
     __slots__ = ("int_rows", "pivots", "_rows", "_free", "_scales", "_den")
 
-    def __init__(self, vectors, pivots=None):
-        rows, pivots = (vectors, pivots) if pivots else _eliminate(vectors)
+    def __init__(self, vectors):
+        rows, pivots = _eliminate(vectors)
         self.int_rows = tuple(tuple(row) if row[p] > 0
                               else tuple(-x for x in row)
                               for row, p in zip(rows, pivots))
@@ -395,6 +400,22 @@ class Echelon:
         self._den = lcm(*[row[p] for row, p in zip(self.int_rows, pivots)])
         self._scales = tuple(self._den // row[p]
                              for row, p in zip(self.int_rows, pivots))
+
+    @classmethod
+    def whole(cls, n):
+        """Q^n, whose identity rows are built only when read."""
+        E = cls.__new__(cls)
+        E.pivots, E._free, E._rows = tuple(range(n)), (), None
+        E._den, E._scales = 1, (1,) * n
+        return E
+
+    def __getattr__(self, name):  # only ``whole`` leaves a slot unset
+        if name != "int_rows":
+            raise AttributeError(name)
+        n = len(self.pivots)
+        self.int_rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
+                              for i in range(n))
+        return self.int_rows
 
     def __len__(self):
         return len(self.pivots)

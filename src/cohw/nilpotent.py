@@ -98,9 +98,9 @@ def _nested_bracket(L, word, values):
 
 @functools.cache
 def _whole_space(n):
-    """Q^n as an ``Echelon`` of its reduced rows, shared (never changed)."""
-    return Echelon([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)],
-                   pivots=list(range(n)))
+    """Q^n as an ``Echelon`` whose rows are built on first read, shared
+    (never changed)."""
+    return Echelon.whole(n)
 
 
 class NilpotentLieAlgebra:

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -205,6 +206,56 @@ def test_a_repeated_linear_job_builds_no_algebra(monkeypatch):
         assert built == [], suite.__name__
 
 
+def test_a_repeated_job_reuses_the_wiring(monkeypatch):
+    # the epi-mono wiring depends on the shape alone and is kept per
+    # process: a job run a second time factors no monotone map
+    from cohw import cosimpl
+    calls, factor = [], cosimpl.epi_mono_factor
+
+    def counting_factor(h, k):
+        calls.append(h)
+        return factor(h, k)
+    monkeypatch.setattr(cosimpl, "epi_mono_factor", counting_factor)
+    for suite in (cli.suite_dold_kan, cli.suite_eilenberg_zilber,
+                  cli.suite_double_coset):
+        for _ in range(2):
+            del calls[:]
+            assert suite(random.Random(7), 2)["failures"] == []
+        assert calls == [], suite.__name__
+
+
+def _uncached_wiring(f, src_epis, tgt_epis):
+    # the wiring as each cogeneration computed it before it was kept
+    src_idx = {e: i for i, e in enumerate(src_epis)}
+    out = []
+    for (k, g) in tgt_epis:
+        epi, image = epi_mono_factor(compose_monotone(g, f), k)
+        out.append((src_idx[(len(image) - 1, epi)], tuple(image), k))
+    return out
+
+
+def test_the_kept_wiring_is_that_of_each_structure_map():
+    # every coface and codegeneracy up to level 4, truncations up to 3:
+    # the kept wiring and factors are tuples equal to the uncached ones
+    from cohw.cosimpl import _gamma_epis, _wiring
+    factors = {(n, j): [(k, e) for k in range(min(n, j) + 1)
+                        for e in epis(n, k)]
+               for n in range(5) for j in range(4)}
+    for (n, j), level in factors.items():
+        assert type(_gamma_epis(n, j)) is tuple
+        assert list(_gamma_epis(n, j)) == level
+    maps = [(delta_map(n, i), n - 1, n) for n in range(1, 5)
+            for i in range(n + 1)]
+    maps += [(sigma_map(n, i), n + 1, n) for n in range(4)
+             for i in range(n + 1)]
+    for j in range(4):
+        for f, np, n in maps:
+            kept = _wiring(f, n, j)
+            assert type(kept) is tuple
+            assert list(kept) == _uncached_wiring(f, factors[np, j],
+                                                  factors[n, j])
+
+
 def test_diagonal_cogenerate_identities():
     rng = random.Random(8)
     for _ in range(4):
@@ -220,6 +271,28 @@ def test_diagonal_cogenerate_identities():
     with pytest.raises(RuntimeError,
                        match="coface identity fails at n=2 i=0 j=1"):
         diagonal_cogenerate(A, 3).check_identities()
+
+
+def test_diagonal_cogenerate_builds_each_bi_coface_once(monkeypatch):
+    # one diagonal builds the LinearHom of each A.h(p, q, i) and
+    # A.v(p, q, i) once, however many mono composites read it
+    built = collections.Counter()
+
+    def counting(side):
+        coface = getattr(BiSemiCosimplicial, side)
+
+        def build(A, p, q, i):
+            built[side, p, q, i] += 1
+            return coface(A, p, q, i)
+        return build
+    for side in ("h", "v"):
+        monkeypatch.setattr(BiSemiCosimplicial, side, counting(side))
+    rng = random.Random(8)
+    for _ in range(3):
+        A = random_bisemicosimplicial(rng, [2, 2, 1], [2, 1, 2])
+        built.clear()
+        diagonal_cogenerate(A, 3).check_identities()
+        assert built and set(built.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -1619,4 +1692,37 @@ def test_random_instances_match_the_fraction_generator():
         assert new.getstate() == old.getstate(), seed
         for n in range(1, X.N + 1):
             for i in range(n + 1):
+                assert X.d(n, i).int_form == Y.d(n, i).int_form
                 assert _typed(X.d(n, i).matrix) == _typed(Y.d(n, i).matrix)
+
+
+def test_random_bi_instances_match_the_fraction_generator():
+    # the four eilenberg-zilber shapes of the benchmark, against the
+    # Fraction generator and a Fraction Kronecker product
+    def kron(A, B):
+        return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+    shapes = [([1, 1, 2], [1, 1, 1]), ([2, 2, 1], [1, 1, 2]),
+              ([1, 2, 1], [2, 2, 1]), ([2, 2, 1], [2, 2, 1])]
+    for hdims, vdims in shapes:
+        for seed in range(10):
+            new, old = random.Random(seed), random.Random(seed)
+            A = random_bisemicosimplicial(new, hdims, vdims)
+            V = _random_linear_semicosimplicial_reference(old, hdims)
+            W = _random_linear_semicosimplicial_reference(old, vdims)
+            assert new.getstate() == old.getstate(), (hdims, vdims, seed)
+            for p in range(len(hdims)):
+                for q in range(len(vdims)):
+                    for i in range(p + 1 if p else 0):
+                        ref = kron(V.d(p, i).matrix,
+                                   exactla.identity_matrix(vdims[q]))
+                        assert _typed(A.dh[p][q][i]) == _typed(ref)
+                        assert A.h(p, q, i).int_form == LinearHom(
+                            A.objects[p - 1][q], A.objects[p][q],
+                            ref).int_form
+                    for i in range(q + 1 if q else 0):
+                        ref = kron(exactla.identity_matrix(hdims[p]),
+                                   W.d(q, i).matrix)
+                        assert _typed(A.dv[p][q][i]) == _typed(ref)
+                        assert A.v(p, q, i).int_form == LinearHom(
+                            A.objects[p][q - 1], A.objects[p][q],
+                            ref).int_form
