@@ -1169,28 +1169,29 @@ def trivial_twist_isomorphism(U, beta, u0):
 
 class BiSemiCosimplicial:
     """Bi-semi-cosimplicial abelian object in linear mode: objects[p][q]
-    are vector groups (unipotent carriers of abelian algebras),
-    dh[p][q][i]: (p-1,q) -> (p,q), dv[p][q][i]:
-    (p,q-1) -> (p,q), each a matrix."""
+    are vector groups (unipotent carriers of abelian algebras), and the
+    matrices dh[p][q][i]: (p-1,q) -> (p,q) and dv[p][q][i]:
+    (p,q-1) -> (p,q) give the cofaces, each built here once as a
+    LinearHom; ``h`` and ``v`` return those homs."""
 
     def __init__(self, objects, dh, dv):
         self.objects = objects
         self.P = len(objects) - 1
         self.Q = len(objects[0]) - 1
-        self.dh = dh
-        self.dv = dv
+        self._h = {(p, q, i): LinearHom(objects[p - 1][q], objects[p][q], M)
+                   for p in range(1, self.P + 1) for q in range(self.Q + 1)
+                   for i, M in enumerate(dh[p][q])}
+        self._v = {(p, q, i): LinearHom(objects[p][q - 1], objects[p][q], M)
+                   for p in range(self.P + 1) for q in range(1, self.Q + 1)
+                   for i, M in enumerate(dv[p][q])}
 
     def h(self, p, q, i):
-        """Horizontal coface d_h^i: A^{p-1,q} -> A^{p,q}, built on each
-        call (``diagonal_cogenerate`` builds each one once)."""
-        return LinearHom(self.objects[p - 1][q], self.objects[p][q],
-                         self.dh[p][q][i])
+        """Horizontal coface d_h^i: A^{p-1,q} -> A^{p,q}."""
+        return self._h[p, q, i]
 
     def v(self, p, q, i):
-        """Vertical coface d_v^i: A^{p,q-1} -> A^{p,q}, built on each
-        call (``diagonal_cogenerate`` builds each one once)."""
-        return LinearHom(self.objects[p][q - 1], self.objects[p][q],
-                         self.dv[p][q][i])
+        """Vertical coface d_v^i: A^{p,q-1} -> A^{p,q}."""
+        return self._v[p, q, i]
 
 
 def diagonal_cogenerate(A, N):
@@ -1199,17 +1200,16 @@ def diagonal_cogenerate(A, N):
     each epi [n] ->> [a], the product of A^{a,b} over the epis
     [n] ->> [b].  A monotone f feeds the block of (eh, ev) from the epi
     parts of eh o f and ev o f, through the horizontal mono of eh o f and
-    then the vertical mono of ev o f, wired per process (``_wiring``).
-    Each bi-coface A.h / A.v is built once per call, in a memo of the call
-    (not of A, whose matrices may change).  The identities are not
-    verified here; check_identities does that on demand."""
+    then the vertical mono of ev o f, wired per process (``_wiring``),
+    each mono a composite of the bi-cofaces A.h / A.v that A holds.  The
+    identities are not verified here; check_identities does that on
+    demand."""
     hepis = [_gamma_epis(n, A.P) for n in range(N + 1)]
     vepis = [_gamma_epis(n, A.Q) for n in range(N + 1)]
     rows = [[_product_object([A.objects[a][b] for (b, _) in vepis[n]])
              for a in range(A.P + 1)] for n in range(N + 1)]
     objects = [_product_object([rows[n][a] for (a, _) in hepis[n]])
                for n in range(N + 1)]
-    h, v = functools.cache(A.h), functools.cache(A.v)
     hmonos, blocks = {}, {}
 
     def block(imh, a, imv, b):
@@ -1218,11 +1218,11 @@ def diagonal_cogenerate(A, N):
         ap, bp = len(imh) - 1, len(imv) - 1
         if (imh, a, bp) not in hmonos:
             hmonos[imh, a, bp] = _mono_composite(
-                lambda lev, m: h(lev, bp, m),
+                lambda lev, m: A.h(lev, bp, m),
                 identity_hom(A.objects[ap][bp]), imh, a)
         if (imh, a, imv, b) not in blocks:
             blocks[imh, a, imv, b] = _mono_composite(
-                lambda lev, m: v(a, lev, m), hmonos[imh, a, bp], imv, b)
+                lambda lev, m: A.v(a, lev, m), hmonos[imh, a, bp], imv, b)
         return blocks[imh, a, imv, b]
 
     def diagonal_map(f, np, n):
@@ -1401,6 +1401,17 @@ def _level_factors(i, p):
     return [(i, p)], False
 
 
+def _check_extension_maps(Z, U, Q, incl, proj):
+    """Raise ValueError unless Z, U, Q, incl and proj reach level 2 and
+    incl and proj commute with the structure maps."""
+    if min(len(incl), len(proj), Z.N + 1, U.N + 1, Q.N + 1) < 3:
+        raise ValueError("the extension needs levels 0..2")
+    if not (check_cosimplicial_map(Z, U, incl)
+            and check_cosimplicial_map(U, Q, proj)):
+        raise ValueError("levelwise maps of the extension do not "
+                         "commute with the structure maps")
+
+
 def les_central_finite(Z, U, Q, incl, proj):
     """Theorem part (3) for finite carriers: the seven-term sequence
     1 -> pi0 Z -> pi0 U -> pi0 Q -> pi1 Z -> pi1 U -> pi1 Q -> pi2 Z
@@ -1421,12 +1432,7 @@ def les_central_finite(Z, U, Q, incl, proj):
     ``pi0`` (three element lists), ``pi1`` (three lists of class
     representatives), ``pi2`` (the connecting-image representatives)
     and ``delta1`` (class of pi1(Q) -> label in pi2)."""
-    if min(len(incl), len(proj), Z.N + 1, U.N + 1, Q.N + 1) < 3:
-        raise ValueError("the extension needs levels 0..2")
-    if not (check_cosimplicial_map(Z, U, incl)
-            and check_cosimplicial_map(U, Q, proj)):
-        raise ValueError("levelwise maps of the extension do not "
-                         "commute with the structure maps")
+    _check_extension_maps(Z, U, Q, incl, proj)
     levels = [_level_factors(i, p) for i, p in zip(incl, proj)]
     checked = set()
     for n, (pairs, _) in enumerate(levels):
@@ -1547,12 +1553,7 @@ def les_central_unipotent(Z, U, Q, incl, proj):
     vanishes.  Also returns the Moore dims of Z, the pi^0 bases and
     ``dies_in_u``, the :class:`~cohw.exactla.Echelon` of the cocycles of
     Z whose class dies in U."""
-    if min(len(incl), len(proj), Z.N + 1, U.N + 1, Q.N + 1) < 3:
-        raise ValueError("the extension needs levels 0..2")
-    if not (check_cosimplicial_map(Z, U, incl)
-            and check_cosimplicial_map(U, Q, proj)):
-        raise ValueError("levelwise maps of the extension do not "
-                         "commute with the structure maps")
+    _check_extension_maps(Z, U, Q, incl, proj)
     for n in range(len(incl)):
         Zn, Un = Z.objects[n], U.objects[n]
         im = [list(incl[n].apply(e))

@@ -594,10 +594,6 @@ class UnipotentTorsor:
         sol, _ = solve_graded_affine(copies, residual, UnipotentCarrier(L))
         return sol
 
-    def is_trivial(self):
-        g, cert = self.trivialize()
-        return g is not None
-
 
 def torsor_pushout(torsor, f):
     """Push a transition-presented torsor along a group morphism f."""

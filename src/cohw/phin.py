@@ -23,7 +23,7 @@ from .exactla import (
 from .cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
     UnipotentCarrier, _product_object, certificate_report,
-    complex_cohomology_dims, complex_embedding, diagonal_cogenerate,
+    complex_cohomology_dims, diagonal_cogenerate,
     les_central_unipotent, pi0, pi1_unipotent_deciders, pi_abelian_all,
 )
 from .nilpotent import (
@@ -126,12 +126,11 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
     L, phi, p = X.L, X.phi, X.p
     D = UnipotentCarrier(abelian_lie_algebra(L.dim))
     eye = exactla.identity_matrix(L.dim)
-    columns = [phi]
-    vertical = None
+    columns, vertical = [phi], None
     if variant == "g/e":
         columns.append([[p * v for v in row] for row in phi])
-        eps = complex_embedding([L.dim, L.dim], [X.N])
-        vertical = [eps.d(1, i).matrix for i in range(2)]
+        vertical = [zero_matrix(L.dim, L.dim),
+                    [[-v for v in row] for row in X.N]]
     A = BiSemiCosimplicial([[D] * len(columns)] * 2,
                            [None, [[M, eye] for M in columns]],
                            [[None, vertical]] * 2)
@@ -194,6 +193,16 @@ def _total_complex_dims(X):
     return complex_cohomology_dims([d, 2 * d, d], [d0, d1])
 
 
+def _pi2_dual_dim(X):
+    """dim pi^2 of the g/e pattern by the dual formula: the fixed vectors
+    of weight p for the transposed Frobenius, killed by the transposed
+    monodromy."""
+    d = X.dim
+    pphit = [[X.p * v for v in row] for row in transpose(X.phi)]
+    rows = exactla.mat_sub(pphit, exactla.identity_matrix(d)) + transpose(X.N)
+    return len(kernel_basis(rows, d))
+
+
 def h1_quotient(X, variant="g/e"):
     """Deciders for the first cohomotopy of the quotient pattern, cut at
     level 3, plus full Moore dimensions (with independent cross-checks)
@@ -211,13 +220,7 @@ def h1_quotient(X, variant="g/e"):
             if dims != _total_complex_dims(X):
                 raise RuntimeError("Moore dims disagree with the "
                                    "total-complex oracle")
-            # dual description of pi^2: fixed vectors of weight p for the
-            # transposed Frobenius, killed by the transposed monodromy
-            d = X.dim
-            pphit = [[X.p * v for v in row] for row in transpose(X.phi)]
-            rows = exactla.mat_sub(pphit, exactla.identity_matrix(d)) + \
-                transpose(X.N)
-            if dims[2] != len(kernel_basis(rows, d)):
+            if dims[2] != _pi2_dual_dim(X):
                 raise RuntimeError("pi^2 disagrees with the dual formula")
         elif dims[2] != 0:
             raise RuntimeError("f/e pattern must vanish above degree 1")
@@ -392,12 +395,7 @@ def quotient_les(XZ, XU, XQ, incl, proj):
     p0Z, p0U, p0Q = (len(b) for b in les["pi0"])
     dimsZ = les["z_dims"]
 
-    # dual formula for pi2(Z)
-    dz = XZ.dim
-    pphit = [[p * v for v in row] for row in transpose(XZ.phi)]
-    rows = exactla.mat_sub(pphit, exactla.identity_matrix(dz)) + \
-        transpose(XZ.N)
-    clauses["pi2(Z) dual formula"] = dimsZ[2] == len(kernel_basis(rows, dz))
+    clauses["pi2(Z) dual formula"] = dimsZ[2] == _pi2_dual_dim(XZ)
     provenance["pi2(Z) dual formula"] = "exact"
 
     # abelian continuation

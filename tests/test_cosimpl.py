@@ -1,4 +1,3 @@
-import collections
 import json
 import math
 import os
@@ -267,32 +266,39 @@ def test_diagonal_cogenerate_identities():
         D.check_identities()
     # a horizontal coface that breaks the bi-semi-cosimplicial identities
     # breaks those of the diagonal
-    A.dh[1][0][0][0][0] += 1
+    dh = [[[A.h(p, q, i).matrix for i in range(p + 1)] if p else None
+           for q in range(A.Q + 1)] for p in range(A.P + 1)]
+    dv = [[[A.v(p, q, i).matrix for i in range(q + 1)] if q else None
+           for q in range(A.Q + 1)] for p in range(A.P + 1)]
+    dh[1][0][0] = [list(row) for row in dh[1][0][0]]
+    dh[1][0][0][0][0] += 1
+    broken = BiSemiCosimplicial(A.objects, dh, dv)
     with pytest.raises(RuntimeError,
                        match="coface identity fails at n=2 i=0 j=1"):
-        diagonal_cogenerate(A, 3).check_identities()
+        diagonal_cogenerate(broken, 3).check_identities()
 
 
 def test_diagonal_cogenerate_builds_each_bi_coface_once(monkeypatch):
-    # one diagonal builds the LinearHom of each A.h(p, q, i) and
-    # A.v(p, q, i) once, however many mono composites read it
-    built = collections.Counter()
+    # A builds the LinearHom of each bi-coface once; the diagonals and the
+    # Eilenberg-Zilber oracle read those homs and build no map between two
+    # objects of A again
+    objects, built = set(), []
+    init = LinearHom.__init__
 
-    def counting(side):
-        coface = getattr(BiSemiCosimplicial, side)
-
-        def build(A, p, q, i):
-            built[side, p, q, i] += 1
-            return coface(A, p, q, i)
-        return build
-    for side in ("h", "v"):
-        monkeypatch.setattr(BiSemiCosimplicial, side, counting(side))
+    def counting(h, source, target, matrix):
+        if source is not target and {id(source), id(target)} <= objects:
+            built.append((source, target))
+        init(h, source, target, matrix)
+    monkeypatch.setattr(LinearHom, "__init__", counting)
     rng = random.Random(8)
     for _ in range(3):
         A = random_bisemicosimplicial(rng, [2, 2, 1], [2, 1, 2])
-        built.clear()
+        assert A.h(2, 1, 0) is A.h(2, 1, 0) and A.v(1, 2, 1) is A.v(1, 2, 1)
+        objects = {id(G) for row in A.objects for G in row}
         diagonal_cogenerate(A, 3).check_identities()
-        assert built and set(built.values()) == {1}
+        diagonal_cogenerate(A, 3)
+        eilenberg_zilber_oracle(A)
+        assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -1715,14 +1721,12 @@ def test_random_bi_instances_match_the_fraction_generator():
                     for i in range(p + 1 if p else 0):
                         ref = kron(V.d(p, i).matrix,
                                    exactla.identity_matrix(vdims[q]))
-                        assert _typed(A.dh[p][q][i]) == _typed(ref)
                         assert A.h(p, q, i).int_form == LinearHom(
                             A.objects[p - 1][q], A.objects[p][q],
                             ref).int_form
                     for i in range(q + 1 if q else 0):
                         ref = kron(exactla.identity_matrix(hdims[p]),
                                    W.d(q, i).matrix)
-                        assert _typed(A.dv[p][q][i]) == _typed(ref)
                         assert A.v(p, q, i).int_form == LinearHom(
                             A.objects[p][q - 1], A.objects[p][q],
                             ref).int_form
