@@ -17,8 +17,8 @@ from math import gcd, lcm
 
 from . import exactla
 from .exactla import (
-    Echelon, _int_kernel, kernel_basis, mat_vec, rank, solve_affine,
-    span_echelon, transpose, vec_add, vec_sub, zero_vec,
+    Echelon, _echelon, _int_kernel, kernel_basis, mat_vec, rank,
+    solve_affine, span_echelon, transpose, vec_add, vec_sub, zero_vec,
 )
 from .nilpotent import (
     _combine, _descend, abelian_lie_algebra, direct_sum, solve_graded_affine,
@@ -299,11 +299,9 @@ class _IntMatrix:
 
     def compose(self, other):
         """self after other, on integer rows (see ``_int_product``)."""
-        h = LinearHom.__new__(LinearHom)
-        h.source, h.target = other.source, self.target
-        h.int_form = _int_product(self.int_form, other.int_form,
-                                  other.source.dim)
-        return h
+        return _int_hom(other.source, self.target,
+                        *_int_product(self.int_form, other.int_form,
+                                      other.source.dim))
 
 
 class LinearHom(_IntMatrix):
@@ -332,12 +330,23 @@ def _fractions(den, rows):
     return [[Fraction(x, den) if x else zero for x in row] for row in rows]
 
 
+def _int_hom(source, target, den, rows):
+    """The LinearHom of the integer rows over den, with den and the
+    entries divided by their gcd.  That int form is canonical, as the lcm
+    of the reduced denominators den / gcd(x_i, den) is
+    den / gcd(den, x_1, ..., x_n)."""
+    h = LinearHom.__new__(LinearHom)
+    h.source, h.target = source, target
+    g = gcd(den, *[gcd(*row) for row in rows])
+    h.int_form = (den // g, tuple(map(tuple, rows)) if g == 1 else
+                  tuple(tuple([x // g for x in row]) for row in rows))
+    return h
+
+
 def _int_product(a, b, ncols):
-    """The int form of the product of the int forms a = (da, A) and
-    b = (db, B), B with ncols columns: the integer product over D = da db,
-    zero terms skipped, with D and the entries divided by their gcd.
-    That is canonical, as the lcm of the reduced denominators
-    D / gcd(x_i, D) is D / gcd(D, x_1, ..., x_n)."""
+    """(D, rows): the product of the int forms a = (da, A) and b = (db, B),
+    B with ncols columns, as integer rows over D = da db, zero terms
+    skipped; ``_int_hom`` makes it canonical."""
     (da, A), (db, B) = a, b
     nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in B]
     rows = []
@@ -348,8 +357,7 @@ def _int_product(a, b, ncols):
                 for j, y in brow:
                     acc[j] += x * y
         rows.append(acc)
-    g = gcd(da * db, *[gcd(*row) for row in rows])
-    return da * db // g, tuple(tuple([x // g for x in row]) for row in rows)
+    return da * db, rows
 
 
 class StructuredHom(_IntMatrix):
@@ -447,7 +455,7 @@ def identity_hom(G):
             h = StructuredHom(G, G, [(i, identity_hom(f))
                                      for i, f in enumerate(G.factors)])
         else:
-            h = LinearHom(G, G, exactla.identity_matrix(G.dim))
+            h = _int_hom(G, G, 1, _int_identity(G.dim))
         G._identity = h
     return G._identity
 
@@ -1084,10 +1092,13 @@ def _signed_sum(nrows, ncols, terms):
 
 
 def complex_cohomology_dims(dims, diffs):
-    """H^i dims for a cochain complex given by object dims and matrices."""
+    """H^i dims for a cochain complex given by object dims and matrices
+    (``int`` or ``Fraction`` rows).  A rank is the number of pivots of
+    the forward elimination ``exactla._echelon``: no row is reduced above
+    its pivot or divided out to a ``Fraction``."""
     # d^i is the outgoing differential at degree i and the incoming one at
     # degree i + 1: rank each once
-    ranks = [rank(d) for d in diffs[:len(dims)]]
+    ranks = [len(_echelon(d)[1]) for d in diffs[:len(dims)]]
     out = []
     for i in range(len(dims)):
         rank_out = ranks[i] if i < len(ranks) else 0
@@ -1170,20 +1181,21 @@ def trivial_twist_isomorphism(U, beta, u0):
 class BiSemiCosimplicial:
     """Bi-semi-cosimplicial abelian object in linear mode: objects[p][q]
     are vector groups (unipotent carriers of abelian algebras), and the
-    matrices dh[p][q][i]: (p-1,q) -> (p,q) and dv[p][q][i]:
-    (p,q-1) -> (p,q) give the cofaces, each built here once as a
-    LinearHom; ``h`` and ``v`` return those homs."""
+    LinearHoms dh[p][q][i]: (p-1,q) -> (p,q) and dv[p][q][i]:
+    (p,q-1) -> (p,q) are the cofaces, each built once by the caller
+    (from a matrix, or from an int form as ``random_bisemicosimplicial``
+    does); ``h`` and ``v`` return those homs."""
 
     def __init__(self, objects, dh, dv):
         self.objects = objects
         self.P = len(objects) - 1
         self.Q = len(objects[0]) - 1
-        self._h = {(p, q, i): LinearHom(objects[p - 1][q], objects[p][q], M)
+        self._h = {(p, q, i): h
                    for p in range(1, self.P + 1) for q in range(self.Q + 1)
-                   for i, M in enumerate(dh[p][q])}
-        self._v = {(p, q, i): LinearHom(objects[p][q - 1], objects[p][q], M)
+                   for i, h in enumerate(dh[p][q])}
+        self._v = {(p, q, i): h
                    for p in range(self.P + 1) for q in range(1, self.Q + 1)
-                   for i, M in enumerate(dv[p][q])}
+                   for i, h in enumerate(dv[p][q])}
 
     def h(self, p, q, i):
         """Horizontal coface d_h^i: A^{p-1,q} -> A^{p,q}."""
@@ -1303,8 +1315,9 @@ def random_linear_semicosimplicial(rng, dims):
     given level dimensions: level-1 cofaces are free, higher cofaces are
     sampled from the affine space cut out by the coface identities.
     Drawn on integer rows: a level's cofaces are integer numerators over
-    one denominator, divided only to build the LinearHoms.  The rng draws,
-    in order, and the cofaces are those of the sampling in ``Fraction``s."""
+    one denominator, and each LinearHom is built from its rows over that
+    denominator (``_int_hom``), with no ``Fraction``.  The rng draws, in
+    order, and the cofaces are those of the sampling in ``Fraction``s."""
     N = len(dims) - 1
     objects = [UnipotentCarrier(abelian_lie_algebra(d)) for d in dims]
     mats = {}  # n -> (den, the integer matrices of the d(n, i) over den)
@@ -1343,22 +1356,26 @@ def random_linear_semicosimplicial(rng, dims):
                         flat[t] += coeff * b
         mats[n] = (den, [[[flat[var(i, r, c)] for c in range(cn)]
                           for r in range(rn)] for i in range(n + 1)])
-    cofaces = {n: [LinearHom(objects[n - 1], objects[n], _fractions(den, M))
-                   for M in Ms] for n, (den, Ms) in mats.items()}
+    cofaces = {n: [_int_hom(objects[n - 1], objects[n], den, M) for M in Ms]
+               for n, (den, Ms) in mats.items()}
     return SemiCosimplicialGroup(objects, cofaces, check=True)
 
 
 def _kron(A, B):
-    out = []
-    for ra in A:
-        for rb in B:
-            out.append([a * b for a in ra for b in rb])
-    return out
+    """The Kronecker product of integer matrices."""
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+
+
+def _int_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def random_bisemicosimplicial(rng, hdims, vdims):
     """Random bi-semi-cosimplicial vector space as the levelwise tensor
-    product of two independent random semi-cosimplicial vector spaces."""
+    product of two independent random semi-cosimplicial vector spaces.
+    Each bi-coface is the Kronecker product of a coface's integer rows
+    with an integer identity, over the coface's denominator, built as a
+    LinearHom by ``_int_hom``."""
     V = random_linear_semicosimplicial(rng, hdims)
     W = random_linear_semicosimplicial(rng, vdims)
     P, Q = V.N, W.N
@@ -1368,12 +1385,18 @@ def random_bisemicosimplicial(rng, hdims, vdims):
     dv = [[None] * (Q + 1) for _ in range(P + 1)]
     for p in range(1, P + 1):
         for q in range(Q + 1):
-            eye = exactla.identity_matrix(vdims[q])
-            dh[p][q] = [_kron(V.d(p, i).matrix, eye) for i in range(p + 1)]
+            eye = _int_identity(vdims[q])
+            dh[p][q] = [_int_hom(objects[p - 1][q], objects[p][q], den,
+                                 _kron(rows, eye))
+                        for den, rows in (V.d(p, i).int_form
+                                          for i in range(p + 1))]
     for p in range(P + 1):
         for q in range(1, Q + 1):
-            eye = exactla.identity_matrix(hdims[p])
-            dv[p][q] = [_kron(eye, W.d(q, i).matrix) for i in range(q + 1)]
+            eye = _int_identity(hdims[p])
+            dv[p][q] = [_int_hom(objects[p][q - 1], objects[p][q], den,
+                                 _kron(eye, rows))
+                        for den, rows in (W.d(q, i).int_form
+                                          for i in range(q + 1))]
     return BiSemiCosimplicial(objects, dh, dv)
 
 

@@ -8,9 +8,12 @@ membership, reduces modulo the space, reads coordinates, meets another
 space and compares spaces by ``==``.  No floating point anywhere.
 
 Row reduction is fraction-free: each row is cleared of denominators and
-elimination runs on Python integers, one core shared by :func:`rref`
-(and so :func:`rank`) and :class:`Echelon`.  :func:`rref` divides the
-pivots out once at the end, giving ``Fraction`` entries.
+elimination runs on Python integers, in one core of two phases.  The
+forward phase :func:`_echelon` gives a row echelon form, enough for
+whoever reads only pivots, a rank or a spanning set; the back phase
+completes it to the reduced form in :func:`_eliminate`, shared by
+:func:`rref` (and so :func:`rank`) and :class:`Echelon`.  :func:`rref`
+divides the pivots out once at the end, giving ``Fraction`` entries.
 :class:`Echelon` keeps its basis as primitive integer rows, builds its
 ``Fraction`` rows only when they are read, and decides membership and
 meets in integers.
@@ -268,15 +271,16 @@ def _fraction_row(row, p):
     return [Fraction(x, d) if x else _ZERO_Q for x in row]
 
 
-def _eliminate(rows):
-    """Gauss-Jordan elimination on integer rows, the one core of
-    :func:`rref` and :class:`Echelon`: each row is cleared of
-    denominators, every elimination step scales by the pivot instead of
-    dividing and then divides the row by its content.  Returns (rows,
-    pivots): one primitive integer row per pivot column, zero on the other
-    pivot columns, so dividing each by its pivot gives the reduced echelon
-    form.  That form is unique, so it equals the result of field
-    elimination."""
+def _echelon(rows):
+    """Forward elimination on integer rows, the first phase of
+    :func:`_eliminate`: each row is cleared of denominators, and the
+    rows below each pivot are cleared in its column, every step scaling
+    by the pivot instead of dividing and then dividing the row by its
+    content (fraction-free, as Bareiss' method is).  Returns (rows,
+    pivots): a row echelon form, one primitive integer row per pivot
+    column with a positive pivot and zeros left of it.  The pivots are
+    the first columns independent of those before them, so they and the
+    rank are those of the reduced form; its rows span the row space."""
     work = [ints for ints in map(_primitive_int_row, rows) if ints is not None]
     if not work:
         return [], []
@@ -293,26 +297,59 @@ def _eliminate(rows):
                 break
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
+        prow = work[piv]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        work[piv] = work[r]
+        work[r] = prow
         p = prow[c]
         # entries left of c vanish in every row at or below r
         support = [(j, y) for j, y in enumerate(prow[c:], c) if y]
-        for i, row in enumerate(work):
-            a = row[c]
-            if not a or i == r:
-                continue
-            g = gcd(p, a)
-            s, t = p // g, a // g
-            if s != 1:
-                row = [s * x for x in row]
-            for j, y in support:
-                row[j] -= t * y
-            g = gcd(*row)
-            work[i] = [x // g for x in row] if g > 1 else row
+        for i in range(r + 1, len(work)):
+            a = work[i][c]
+            if a:
+                work[i] = _cleared(work[i], a, p, support)
         pivots.append(c)
         r += 1
     return work[:r], pivots
+
+
+def _cleared(row, a, p, support):
+    """The row, with the nonzero entry a in a pivot column, scaled and
+    less a multiple of the pivot row (pivot p > 0 there, nonzero entries
+    ``support``) so that it is zero there, divided by its content."""
+    g = gcd(p, a)
+    s, t = p // g, a // g
+    if s != 1:
+        row = [s * x for x in row]
+    for j, y in support:
+        row[j] -= t * y
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(rows):
+    """Gauss-Jordan elimination on integer rows, the one core of
+    :func:`rref`, :class:`Echelon` and :func:`_int_kernel`: the forward
+    phase :func:`_echelon`, then a back phase that clears the rows above
+    each pivot, last pivot first, so each pivot row is already zero on
+    the later pivot columns.  Returns (rows, pivots): one primitive
+    integer row per pivot column with a positive pivot, zero on the
+    other pivot columns, so dividing each by its pivot gives the reduced
+    echelon form.  That form is unique, so it equals the result of field
+    elimination; and so are these rows, each the one primitive multiple
+    of a reduced row with a positive pivot."""
+    work, pivots = _echelon(rows)
+    for r in range(len(pivots) - 1, 0, -1):
+        prow, c = work[r], pivots[r]
+        # a pivot stays positive: the rows above are scaled by p // g > 0
+        p = prow[c]
+        support = [(j, y) for j, y in enumerate(prow[c:], c) if y]
+        for i in range(r):
+            a = work[i][c]
+            if a:
+                work[i] = _cleared(work[i], a, p, support)
+    return work, pivots
 
 
 def rank(A):
@@ -378,7 +415,8 @@ def span_echelon(vectors):
 
 class Echelon:
     """A subspace, kept as its reduced echelon basis: ``int_rows``, its rows
-    scaled to primitive integer rows with a positive pivot, and
+    scaled to primitive integer rows with a positive pivot (as
+    :func:`_eliminate` gives them), and
     ``pivots``, their columns.  Both are tuples and unique to the space,
     so ``==`` compares spaces.  ``rows``, the reduced rows with
     ``Fraction`` entries, is built on first read; ``len`` is the
@@ -388,9 +426,7 @@ class Echelon:
 
     def __init__(self, vectors):
         rows, pivots = _eliminate(vectors)
-        self.int_rows = tuple(tuple(row) if row[p] > 0
-                              else tuple(-x for x in row)
-                              for row, p in zip(rows, pivots))
+        self.int_rows = tuple(map(tuple, rows))
         self.pivots = tuple(pivots)
         self._rows = None
         ncols = len(rows[0]) if rows else 0
@@ -476,15 +512,16 @@ class Echelon:
     def meet(self, other):
         """The intersection with another subspace, by Zassenhaus' method:
         the rows (u | u) and (v | 0) over the two bases are independent and
-        span the pairs (u + v | u).  Their reduced rows with a pivot in the
-        second half are (0 | u), u = -v, and there are dim U + dim V -
-        dim(U + V) of them: their second halves are a basis of the meet."""
+        span the pairs (u + v | u).  Their echelon rows (the forward phase
+        :func:`_echelon` is enough) with a pivot in the second half are
+        (0 | u), u = -v, and there are dim U + dim V - dim(U + V) of them:
+        their second halves are a basis of the meet."""
         if not (self.pivots and other.pivots):
             return Echelon([])
         n = len(self.int_rows[0])
         zero = (0,) * n
-        rows, pivots = _eliminate([u + u for u in self.int_rows]
-                                  + [v + zero for v in other.int_rows])
+        rows, pivots = _echelon([u + u for u in self.int_rows]
+                                + [v + zero for v in other.int_rows])
         return Echelon([row[n:] for row, p in zip(rows, pivots) if p >= n])
 
 

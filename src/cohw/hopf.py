@@ -23,7 +23,7 @@ from fractions import Fraction
 import itertools
 import math
 
-from .exactla import Echelon, _eliminate, zero_vec
+from .exactla import Echelon, _echelon, zero_vec
 
 DEFAULT_ORDER = 3
 # largest PBW monomial basis a TruncatedEnvelope may have
@@ -458,10 +458,11 @@ def _symmetrized_rows(env):
 
 
 def _prefix_ranks(rows):
-    """[rank of rows[:k] for k = 0..len(rows)]: the pivots of the reduced
-    transposed rows are the columns independent of those before them, so
-    the pivots among the first k columns are a basis of their span."""
-    _, pivots = _eliminate(list(zip(*rows)))
+    """[rank of rows[:k] for k = 0..len(rows)]: the pivots of an echelon
+    form of the transposed rows are the columns independent of those
+    before them, so the pivots among the first k columns are a basis of
+    their span."""
+    _, pivots = _echelon(list(zip(*rows)))
     return [bisect.bisect_left(pivots, k) for k in range(len(rows) + 1)]
 
 

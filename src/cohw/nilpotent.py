@@ -24,7 +24,7 @@ from itertools import combinations
 
 from . import exactla
 from .exactla import (
-    Echelon, _eliminate, mat_vec, rank, solve_affine, transpose, vec_add,
+    Echelon, _echelon, mat_vec, rank, solve_affine, transpose, vec_add,
     vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vec,
 )
 
@@ -235,8 +235,8 @@ class NilpotentLieAlgebra:
 
         Layer m takes each reduced row of gamma_{m+1} independent of
         gamma_{m+2} and of the rows before it: with the terms listed
-        deepest first, the pivots of one elimination of the transposed
-        rows."""
+        deepest first, the pivots of one forward elimination of the
+        transposed rows."""
         if self._adapted is None:
             change, layers = None, [[] for _ in range(self.nilpotency_class)]
             if all(row.count(0) == self.dim - 1
@@ -246,7 +246,7 @@ class NilpotentLieAlgebra:
             else:
                 rows = [(m, k) for m in reversed(range(len(layers)))
                         for k in range(len(self.lcs[m]))]
-                _, pivots = _eliminate(list(zip(
+                _, pivots = _echelon(list(zip(
                     *[self.lcs[m].int_rows[k] for m, k in rows])))
                 picked = sorted(rows[p] for p in pivots)  # layer by layer
                 basis = [self.lcs[m].rows[k] for m, k in picked]

@@ -23,7 +23,7 @@ from .exactla import (
 from .cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
     UnipotentCarrier, _product_object, certificate_report,
-    complex_cohomology_dims, diagonal_cogenerate,
+    complex_cohomology_dims, diagonal_cogenerate, identity_hom,
     les_central_unipotent, pi0, pi1_unipotent_deciders, pi_abelian_all,
 )
 from .nilpotent import (
@@ -125,14 +125,14 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
                          % (variant,))
     L, phi, p = X.L, X.phi, X.p
     D = UnipotentCarrier(abelian_lie_algebra(L.dim))
-    eye = exactla.identity_matrix(L.dim)
     columns, vertical = [phi], None
     if variant == "g/e":
         columns.append([[p * v for v in row] for row in phi])
-        vertical = [zero_matrix(L.dim, L.dim),
-                    [[-v for v in row] for row in X.N]]
+        vertical = [LinearHom(D, D, M) for M in (
+            zero_matrix(L.dim, L.dim), [[-v for v in row] for row in X.N])]
     A = BiSemiCosimplicial([[D] * len(columns)] * 2,
-                           [None, [[M, eye] for M in columns]],
+                           [None, [[LinearHom(D, D, M), identity_hom(D)]
+                                   for M in columns]],
                            [[None, vertical]] * 2)
     diag = diagonal_cogenerate(A, N)
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohw.exactla import (
-    Echelon, Gaussian, I, complex_span, coords_in_basis, format_scalar,
+    Echelon, Gaussian, _echelon, _eliminate, I, complex_span, coords_in_basis, format_scalar,
     identity_matrix, in_span, kernel_basis, mat_mul, mat_vec, parse_scalar,
     rank, realify_vector, rref, solve_affine, span_echelon,
     unrealify_vector, vec_add, vec_is_zero, vec_scale, zero_vec,
@@ -391,6 +392,53 @@ def rational_matrix(draw, entries=rational_entries):
 @given(rational_matrix())
 def test_rref_matches_field_elimination(M):
     assert _typed_rref(rref(M)) == _typed_rref(_reference_rref(M))
+
+
+def _small_matrices(rng, count):
+    """Seeded small matrices of ``int`` or ``Fraction`` entries, most of
+    them zero: empty, all-zero, 1 x n, n x 1, tall and wide, some with a
+    row that is a multiple of another."""
+    shapes = [(0, 0), (1, 0)]
+    while len(shapes) < count:
+        m, n = sorted([rng.randint(1, 6), rng.randint(1, 6)])
+        shapes.append(rng.choice([(m, n), (n, m), (1, n), (n, 1)]))
+    out = []
+    for k, (m, n) in enumerate(shapes):
+        M = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0
+              for _ in range(n)] for _ in range(m)]
+        if k % 2:
+            M = [[F(x, rng.randint(1, 5)) for x in row] for row in M]
+        if k % 7 == 3:
+            M = [[x * 0 for x in row] for row in M]
+        elif m > 1 and k % 3 == 0:
+            M[0] = [rng.randint(-3, 3) * x for x in M[-1]]
+        out.append(M)
+    return out
+
+
+def test_forward_and_back_phases_on_small_matrices():
+    # the forward phase gives rref's pivots and rank, and forward then
+    # back the reduced form of a Fraction Gauss-Jordan reference, with
+    # primitive integer rows and positive pivots in both phases
+    for M in _small_matrices(random.Random(33), 300):
+        rows, pivots = rref(M)
+        ref_rows, ref_pivots = _reference_rref(
+            [[F(x) for x in row] for row in M])
+        assert _typed_rref((rows, pivots)) == _typed_rref(
+            (ref_rows, ref_pivots)), M
+        ech, ech_pivots = _echelon(M)
+        assert ech_pivots == pivots and len(ech_pivots) == rank(M), M
+        red, red_pivots = _eliminate(M)
+        assert red_pivots == pivots
+        for phase in (ech, red):
+            for row, p in zip(phase, pivots):
+                assert row[p] > 0 and gcd(*row) == 1
+                assert all(type(x) is int for x in row)
+                assert not any(row[:p])
+        assert [[F(x, row[p]) for x in row]
+                for row, p in zip(red, pivots)] == rows
+        # the echelon rows span the row space of M
+        assert Echelon(ech) == Echelon(M)
 
 
 gaussian_entries = st.one_of(
