@@ -1573,9 +1573,10 @@ def les_central_unipotent(Z, U, Q, incl, proj):
     and exactness at pi1(Q) because the pi^2(Z) obstruction of a lift of
     a cocycle of Q moves by a coboundary under a central correction
     incl^1(z), so the cocycle lifts exactly when its obstruction class
-    vanishes.  Also returns the Moore dims of Z, the pi^0 bases and
+    vanishes.  Also returns the Moore dims of Z, the pi^0 bases,
     ``dies_in_u``, the :class:`~cohw.exactla.Echelon` of the cocycles of
-    Z whose class dies in U."""
+    Z whose class dies in U, and ``middle_injective``, whether pi1(Z) ->
+    pi1(U) is injective: exactly when only coboundaries die in U."""
     _check_extension_maps(Z, U, Q, incl, proj)
     for n in range(len(incl)):
         Zn, Un = Z.objects[n], U.objects[n]
@@ -1645,5 +1646,6 @@ def les_central_unipotent(Z, U, Q, incl, proj):
 
     return {"report": certificate_report(clauses), "clauses": clauses,
             "provenance": provenance, "h1_z_dim": z_dims[1],
-            "z_dims": z_dims, "pi0": (p0Z, p0U, p0Q), "dies_in_u": dies}
+            "z_dims": z_dims, "pi0": (p0Z, p0U, p0Q), "dies_in_u": dies,
+            "middle_injective": len(dies) == len(b1)}
 

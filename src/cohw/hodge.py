@@ -462,8 +462,7 @@ def mhs_les(MZ, MU, MQ, incl, proj):
 
     clauses = les["clauses"]
     h1Q = h1_dimension(MQ)
-    middle_bijective = (clauses["fibers at pi1(Z) are connecting orbits"]
-                        and clauses["exact at pi1(U)"]
+    middle_bijective = (les["middle_injective"]
                         and h1Q == 0 and not les["pi0"][2])
 
     return {"report": les["report"], "clauses": clauses,

@@ -7,15 +7,11 @@ The group law on the same coordinate space is truncated
 Baker-Campbell-Hausdorff multiplication; since the algebra is nilpotent the
 series is a finite sum and everything stays exact.
 
-The BCH series itself is expanded once per nilpotency class in the free
-associative algebra on two letters (as the word-coefficient table of
-log(exp X exp Y) truncated in degree), then evaluated in a concrete algebra
-through the Dynkin right-nested-bracket projection.  The table is cached
-per class.
-
-Its linearization comes from the algebra too: the adjoint action ``Ad``
-and the left log derivative ``dexp`` are finite ad-series on vectors, and
-the chain rule gives the exact derivative of any word in the group law.
+The BCH product is a bracket series on vectors, summed homogeneous
+component by component by a recursion in brackets alone, and so is its
+linearization: the adjoint action ``Ad`` and the left log derivative
+``dexp`` are finite ad-series on vectors, and the chain rule gives the
+exact derivative of any word in the group law.
 """
 
 import functools
@@ -29,71 +25,16 @@ from .exactla import (
 )
 
 MAX_BCH_CLASS = 6
+# (2p, K_2p = B_2p / (2p)!) for the 2p < MAX_BCH_CLASS that BCH needs
+_BCH_K = ((2, Fraction(1, 12)), (4, Fraction(-1, 720)))
 
 
-# ---------------------------------------------------------------------------
-# the free-algebra BCH table
-
-def _word_mul(p, q):
-    """Multiply two word polynomials {word tuple: coeff}, truncating at
-    degree given by the caller via post-filtering."""
-    out = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            w = w1 + w2
-            out[w] = out.get(w, Fraction(0)) + c1 * c2
-            if not out[w]:
-                del out[w]
-    return out
-
-
-def _truncate(p, degree):
-    return {w: c for w, c in p.items() if len(w) <= degree}
-
-
-_BCH_TABLES = {}
-
-
-def bch_word_table(degree):
-    """Word coefficients of log(exp X exp Y) in the free associative algebra
-    on letters 0, 1, up to total degree ``degree``.  Cached."""
-    if not 1 <= degree <= MAX_BCH_CLASS:
-        raise ValueError("BCH degree out of range: %r" % (degree,))
-    if degree in _BCH_TABLES:
-        return _BCH_TABLES[degree]
-    # exp X exp Y - 1, truncated
-    z = {}
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            if a + b == 0:
-                continue
-            w = (0,) * a + (1,) * b
-            c = Fraction(1)
-            for k in range(1, a + 1):
-                c /= k
-            for k in range(1, b + 1):
-                c /= k
-            z[w] = c
-    # log(1 + z) = sum (-1)^(m+1) z^m / m
-    table = {}
-    power = {(): Fraction(1)}
-    for m in range(1, degree + 1):
-        power = _truncate(_word_mul(power, z), degree)
-        sign = Fraction((-1) ** (m + 1), m)
-        for w, c in power.items():
-            table[w] = table.get(w, Fraction(0)) + sign * c
-    table = {w: c for w, c in table.items() if c}
-    _BCH_TABLES[degree] = table
-    return table
-
-
-def _nested_bracket(L, word, values):
-    """Right-nested bracket [w0, [w1, [... wk]]] evaluated in L with the
-    letters replaced by coordinate vectors from ``values``."""
-    acc = values[word[-1]]
-    for letter in reversed(word[:-1]):
-        acc = L.bracket(values[letter], acc)
-    return acc
+def _compositions(n, parts):
+    """The ways to write n as an ordered sum of ``parts`` positive
+    integers."""
+    for cuts in combinations(range(1, n), parts - 1):
+        bounds = (0,) + cuts + (n,)
+        yield [b - a for a, b in zip(bounds, bounds[1:])]
 
 
 @functools.cache
@@ -262,22 +203,32 @@ class NilpotentLieAlgebra:
     # -- group structure (truncated BCH) ------------------------------------
 
     def bch(self, x, y):
-        """Group product exp^-1(exp x exp y) by the truncated BCH series."""
-        table = bch_word_table(self.nilpotency_class if self.nilpotency_class else 1)
-        values = (x, y)
-        out = self.zero()
-        for word, coeff in table.items():
-            if len(word) == 1:
-                out = vec_add(out, vec_scale(coeff, values[word[0]]))
-                continue
-            # each homogeneous component of the BCH series is a Lie element,
-            # so the Dynkin projection (nested bracket / word length) of the
-            # word table evaluates it
-            term = _nested_bracket(self, word, values)
-            if vec_is_zero(term):
-                continue
-            out = vec_add(out, vec_scale(coeff / len(word), term))
-        return out
+        """Group product exp^-1(exp x exp y): the sum of the homogeneous
+        BCH components Z_1, ..., Z_c, c the nilpotency class, by
+        Varadarajan's recursion (Lie Groups, Lie Algebras, and Their
+        Representations, section 2.15): Z_1 = x + y and
+
+          (n+1) Z_{n+1} = [x - y, Z_n] / 2 + sum_{p >= 1} K_2p
+              sum_{k_1 + ... + k_2p = n} [Z_k1, [... [Z_k2p, x + y]...]]
+
+        with K_2p = B_2p / (2p)!, B the Bernoulli numbers.  Int entries
+        come back as Fractions."""
+        s, b = vec_add(x, y), self.bracket(x, y)
+        if vec_is_zero(b):
+            # x and y commute, and b = 0 makes every entry a Fraction
+            return vec_add(s, b)
+        # z[k] = Z_k; the step n = 1 gives Z_2 = [x, y] / 2
+        z, d = [None, s, vec_scale(Fraction(1, 2), b)], vec_sub(x, y)
+        for n in range(2, self.nilpotency_class):
+            acc = vec_scale(Fraction(1, 2), self.bracket(d, z[n]))
+            for parts, k in _BCH_K:
+                for ks in _compositions(n, parts):
+                    term = s
+                    for i in reversed(ks):
+                        term = self.bracket(z[i], term)
+                    acc = vec_add(acc, vec_scale(k, term))
+            z.append(vec_scale(Fraction(1, n + 1), acc))
+        return functools.reduce(vec_add, z[1:])
 
     def inverse(self, x):
         return vec_neg(x)
@@ -323,12 +274,12 @@ class NilpotentLieAlgebra:
 
 
 @functools.cache
-def abelian_lie_algebra(dim, name="A"):
+def abelian_lie_algebra(dim):
     """Q^dim with the zero bracket: the algebra of the vector group Q^dim.
     Built once per process and shared (no caller changes an algebra), so
     the many vector carriers of a linear computation build no algebra
     each."""
-    return NilpotentLieAlgebra(dim, {}, name=name)
+    return NilpotentLieAlgebra(dim, {}, name="A")
 
 
 def heisenberg():

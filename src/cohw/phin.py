@@ -353,10 +353,11 @@ def quotient_les(XZ, XU, XQ, incl, proj):
     the quotient patterns (three of them derived from its checks); the
     dual formula for pi2(Z) and the Euler characteristic of the
     continuation are checked here.  ``middle_bijective`` (pi1(Z) ->
-    pi1(U)) is decided when the report holds and U is abelian, or when
-    pi0(Q) and H^1(Q) vanish (H^1(Q) is the Moore H^1 of the quotient
-    pattern, computed here when it is abelian); otherwise it is None,
-    undecided.  Data that does not commute with p, phi and N raises
+    pi1(U)) is False when the engine finds the map not injective; an
+    injective map is decided when the report holds and U is abelian, or
+    when pi0(Q) and H^1(Q) vanish (H^1(Q) is the Moore H^1 of the
+    quotient pattern, computed here when it is abelian); otherwise it is
+    None, undecided.  Data that does not commute with p, phi and N raises
     ValueError.
 
     Z is truncated at level 3 (for pi2); U and Q only need levels up to
@@ -411,17 +412,17 @@ def quotient_les(XZ, XU, XQ, incl, proj):
         provenance[name] = "exact"
 
     middle_bijective = None
-    if XU.is_abelian() and all(clauses.values()):
+    if not les["middle_injective"]:
+        middle_bijective = False
+    elif XU.is_abelian() and all(clauses.values()):
         # a linear map; exactness up to pi1(Z) makes its kernel, the image
         # of pi0(Q), of dimension p0Q - (p0U - p0Z)
         middle_bijective = (p0Z - p0U + p0Q == 0
                             and dimsZ[1] == pi_abelian_all(SU)[1])
     elif p0Q == 0 and all(G.is_abelian() for G in SQ.objects) \
             and pi_abelian_all(SQ)[1] == 0:
-        # the endpoints vanish: the fibers clause gives injectivity and
-        # exactness at pi1(U) surjectivity
-        middle_bijective = (clauses["fibers at pi1(Z) are connecting orbits"]
-                            and clauses["exact at pi1(U)"])
+        # pi1(Q) vanishes, so exactness at pi1(U) makes the map onto
+        middle_bijective = clauses["exact at pi1(U)"]
 
     return {"report": certificate_report(clauses),
             "middle_bijective": middle_bijective,

@@ -164,6 +164,10 @@ def test_phin_les_flagship(capsys):
     # applies, so the verdict is undecided, not a negative certificate
     (["dim 3", "bracket 0 1 2 1"], ["1 0 0", "0 1/2 0", "0 0 1/2"],
      ["incl 0 0 1", "proj 1 0 0", "proj 0 1 0"], "undecided"),
+    # U the Heisenberg group again, with pi0(Q) nonzero, but a cocycle of
+    # Z that is no coboundary dies in U: the map is exactly not injective
+    (["dim 3", "bracket 0 1 2 1"], ["1 0 0", "0 1 0", "1 0 1"],
+     ["incl 0 0 1", "proj 1 0 0", "proj 0 1 0"], "no"),
 ])
 def test_phin_les_middle_map_verdicts(tmp_path, capsys, algebra, phi,
                                       extension, verdict):
@@ -174,7 +178,7 @@ def test_phin_les_middle_map_verdicts(tmp_path, capsys, algebra, phi,
     code, out = run(capsys, ["phin-les", str(f)])
     assert "report: ok" in out
     assert "middle map bijective: %s; H1_{g/e}(Z) dim 1" % verdict in out
-    assert code == 0
+    assert code == (1 if verdict == "no" else 0)
 
 
 def test_phin_classify(capsys):

@@ -596,7 +596,10 @@ def test_quotient_les_on_seeded_extensions_matches_the_witnesses():
                 witness(incl1.apply(z)) is not None), (k, z)
         seen["pi0(Q) != 0"] += bool(les["pi0"][2])
         injective = len(dies) == len(span_echelon(transpose(MZ[0])))
+        assert les["middle_injective"] is injective, k
         seen["a class dies"] += not injective
+        if not injective:
+            assert res["middle_bijective"] is False, k
         if k % 2:
             # U is abelian: the verdict from the pi0 dims agrees with the
             # stabilizer's (injective) and the Moore H^1 dims (onto)
