@@ -263,7 +263,12 @@ class FiniteHom:
             S, lambda a, s: m[S.mul(a, s)] == T.mul(m[a], m[s])) is None
 
     def compose(self, other):
-        """self after other, its table filled only where it is read."""
+        """self after other, its table filled only where it is read, or
+        the other operand when one is the identity (``_is_identity``)."""
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         h = FiniteHom.__new__(FiniteHom)
         h.source, h.target = other.source, self.target
         h.mapping = _Composite(self.apply, other.apply)
@@ -389,19 +394,21 @@ class StructuredHom(_IntMatrix):
         return tuple(out)
 
     def compose(self, other, memo=None):
-        """self after other.  Two block maps compose block by block, each
+        """self after other; the other operand where one is the identity
+        on a finite carrier.  Two block maps compose block by block, each
         distinct pair of factor maps once per ``memo`` (see
         ``_compose``): a fresh one unless the caller shares its own."""
-        if isinstance(other, StructuredHom):
+        linear = is_linear_carrier(self.source)
+        if isinstance(other, StructuredHom) and (linear or not (
+                _is_identity(self) or _is_identity(other))):
             if memo is None:
                 memo = {}
             inner = other.parts
             parts = [(inner[i][0], _compose(h, inner[i][1], memo))
                      for (i, h) in self.parts]
             return StructuredHom(other.source, self.target, parts)
-        if is_linear_carrier(self.source):
-            return super().compose(other)
-        return FiniteHom.compose(self, other)
+        return super().compose(other) if linear else \
+            FiniteHom.compose(self, other)
 
     @property
     def int_form(self):
@@ -417,7 +424,9 @@ def _compose(h, h0, memo):
     """h after h0, composed once per pair of operands for as long as the
     dict ``memo`` lives; nested block maps share it.  An entry keeps both
     operands alive with the composite, so no id in a key is reused while
-    the memo exists."""
+    the memo exists.  An identity operand gives the other one."""
+    if _is_identity(h) or _is_identity(h0):
+        return h0 if _is_identity(h) else h
     key = (id(h), id(h0))
     hit = memo.get(key)
     if hit is None:
@@ -446,29 +455,40 @@ def _product_defect(S, holds):
 
 
 def identity_hom(G):
-    """The identity of G, kept on G (so a direct sum's is asked only once
-    its ``factors`` are set): a table, a block map or a matrix."""
+    """The one identity map of G, kept on G (so a direct sum's is asked
+    only once its ``factors`` are set): a table, the block map of the
+    factors' identities, or a matrix.  ``_is_identity`` tests by ``is``."""
     if "_identity" not in G.__dict__:
-        if not is_linear_carrier(G):
+        if isinstance(G, TableGroup):
             h = FiniteHom(G, G, {x: x for x in G.elements()}, check=False)
         elif hasattr(G, "factors"):
             h = StructuredHom(G, G, [(i, identity_hom(f))
                                      for i, f in enumerate(G.factors)])
+            if isinstance(G, ProductGroup):
+                h.apply = tuple  # an element, a flat tuple, reads through
         else:
             h = _int_hom(G, G, 1, _int_identity(G.dim))
         G._identity = h
     return G._identity
 
 
+def _is_identity(h):
+    return h is getattr(h.source, "_identity", None)
+
+
 def inner_automorphism(G, c):
-    """Conjugation x -> c x c^-1 as explicit homomorphism data."""
+    """Conjugation x -> c x c^-1 as explicit homomorphism data, or
+    ``identity_hom(G)`` when c commutes with G's generators (on a
+    product, when every factor conjugation is the identity)."""
     if isinstance(G, UnipotentCarrier):
         return LinearHom(G, G, G.L.Ad_matrix(list(c)))
     if isinstance(G, ProductGroup):
-        return StructuredHom(G, G, [
-            (i, inner_automorphism(f, c[at]))
-            for i, (f, at) in enumerate(zip(G.factors, G._at))])
-    if c == G.identity():
+        parts = [(i, inner_automorphism(f, c[at]))
+                 for i, (f, at) in enumerate(zip(G.factors, G._at))]
+        if all(_is_identity(h) for _, h in parts):
+            return identity_hom(G)
+        return StructuredHom(G, G, parts)
+    if all(G.mul(c, g) == G.mul(g, c) for g in G.generators()):
         return identity_hom(G)
     ci = G.inv(c)
     return FiniteHom(G, G, {x: G.mul(G.mul(c, x), ci) for x in G.elements()},
@@ -501,6 +521,8 @@ def _sides_agree(src, lhs, rhs, memo):
     else:
         blocks = src.factors
     for (b1, f1), (b2, f2) in zip(c1, c2):
+        if b1 == b2 and f1 == f2:
+            continue
         key = (b1 == b2, blocks[b1], blocks[b2], f1, f2)
         ok = memo.get(key)
         if ok is None:
@@ -511,14 +533,18 @@ def _sides_agree(src, lhs, rhs, memo):
 
 
 def _chains(src, maps):
-    """(source block, factor maps) per target block, or None."""
+    """(source block, factor maps) per target block, or None; identities
+    are left out (``_is_identity``, inlined: it runs once per part)."""
     if not hasattr(src, "factors") or not all(
             isinstance(h, StructuredHom) for h in maps):
         return None
-    chains = [(i, (f,)) for i, f in maps[0].parts] if maps else \
+    chains = [(i, () if f is getattr(f.source, "_identity", None) else (f,))
+              for i, f in maps[0].parts] if maps else \
         [(b, ()) for b in range(len(src.factors))]
     for h in maps[1:]:
-        chains = [(chains[i][0], chains[i][1] + (f,)) for i, f in h.parts]
+        chains = [(chains[i][0], chains[i][1] if f is getattr(
+            f.source, "_identity", None) else chains[i][1] + (f,))
+            for i, f in h.parts]
     return chains
 
 
@@ -819,7 +845,9 @@ def pi0(U):
 
 
 def cocycle_condition(U, u):
-    """d^1(u) = d^2(u) d^0(u) in U^2."""
+    """d^1(u) = d^2(u) d^0(u) in U^2, true of every u without a level 2."""
+    if U.N < 2:
+        return True
     d0, d1, d2 = U.d(2, 0), U.d(2, 1), U.d(2, 2)
     G2 = U.objects[2]
     return d1.apply(u) == G2.mul(d2.apply(u), d0.apply(u))
@@ -950,15 +978,25 @@ def pi1_finite(U):
 
     Each orbit is closed under the generators of U^0 alone: U^0 is
     finite, so the inverse of a generator is a positive power of it, and
-    a set closed under the generators is closed under all of U^0.  Every
-    image computed is checked to lie in Z^1."""
+    a set closed under the generators is closed under all of U^0.  A
+    generator g steps v to a v b (a = d^1(g)^-1, b = d^0(g)) through one
+    table per leaf of U^1, built per call: a's own row where b = e.
+    Every image computed is checked to lie in Z^1."""
     Z1 = z1_elements(U)
     zset = set(Z1)
     G0, G1 = U.objects[0], U.objects[1]
     d0, d1 = U.d(1, 0), U.d(1, 1)
-    # g . v = d^1(g)^-1 v d^0(g): one pair per generator
-    pairs = [(G1.inv(d1.apply(g)), d0.apply(g)) for g in G0.generators()]
-    mul = G1.mul
+    flat = isinstance(G1, ProductGroup)
+    leaves = G1.leaves if flat else [G1]
+    steps = []
+    for g in G0.generators():
+        a, b = G1.inv(d1.apply(g)), d0.apply(g)
+        tables = [L.table[x] if y == L.ident else
+                  [L.table[z][y] for z in L.table[x]]
+                  for L, x, y in zip(leaves, *((a, b) if flat else
+                                               ((a,), (b,))))]
+        steps.append(tables if flat else tables[0])
+    getitem = operator.getitem
     index = {}
     classes = []
     for u in Z1:
@@ -968,8 +1006,9 @@ def pi1_finite(U):
         queue = [u]
         while queue:
             v = queue.pop()
-            for a, b in pairs:
-                w = mul(mul(a, v), b)
+            for tables in steps:
+                # exact size: tuple(map(...)) over-allocates, then resizes
+                w = (*map(getitem, tables, v),) if flat else tables[v]
                 if w not in zset:
                     raise RuntimeError("twisted conjugation left Z^1 (bug)")
                 if w not in orbit:
@@ -1120,8 +1159,9 @@ def pi_abelian_all(A):
 def twist(U, beta):
     """Twist of a cosimplicial group by a 1-cocycle beta (an element of
     U^1, else ValueError): only the d^0 maps change, to u |-> c_n d^0(u)
-    c_n^{-1} with c_n = d^n...d^2(beta), so a verified U has only the
-    identities that read a d^0 re-checked (``check_identities``)."""
+    c_n^{-1} with c_n = d^n...d^2(beta), or stay U's very maps where that
+    conjugation is the identity; so a verified U has only the identities
+    that read a changed d^0 re-checked (``check_identities``)."""
     if not _is_element(U.objects[1], beta):
         raise ValueError("twisting datum is not an element of U^1")
     if not cocycle_condition(U, beta):

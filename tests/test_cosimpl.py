@@ -15,7 +15,7 @@ from cohw import cli, exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
-    _cocycle_walk, _compose, _inverse, _product_object,
+    _chains, _cocycle_walk, _compose, _inverse, _product_object,
     check_cosimplicial_map, cocycle_condition,
     cogenerate, cogenerate_morphism, complex_cohomology_dims,
     compose_monotone, cyclic_group, delta_map,
@@ -468,6 +468,53 @@ def test_pi1_orbits_under_generators_are_the_orbits_under_u0():
             assert pi1_finite(V) == _pi1_by_orbits_under_all_of_u0(V), \
                 (G.size(), left, right)
     assert {48, 24, 6} <= orders and orders & set(range(2, 11))
+
+
+def _les_cochain_objects():
+    """The cochain objects of Z, U and Q for a few small central
+    extensions Z -> C_n -> Q with C_m acting by multiplication by a."""
+    out = []
+    for n, d, a in [(8, 2, 3), (8, 4, 5), (9, 3, 4), (6, 2, 5), (16, 4, 3)]:
+        m = next(k for k in range(1, n) if pow(a, k, n) == 1)
+        for order in (d, n, n // d):
+            C = cyclic_group(order)
+            h = FiniteHom(C, C, {u: u * a % order for u in C.elements()})
+            out.append(cochain_cosimplicial(
+                GroupAction.from_generator_images(cyclic_group(m), C,
+                                                  {1: h}), N=2))
+    return out
+
+
+def test_pi1_per_leaf_tables_match_orbits_under_all_of_u0():
+    # seeded S3, S4 and cyclic double-coset objects, their twists by every
+    # cocycle, and the cochain objects of les instances: the stepped
+    # orbits are the orbits under every element of U^0, by G1.mul
+    rng = random.Random(2035)
+    objects, families = _les_cochain_objects(), set()
+    while len(families) < 3:
+        G, left, right = _random_double_coset(rng, 3000, 2)
+        family = G.size() if not G.is_abelian() else "cyclic"
+        if family in families:
+            continue
+        families.add(family)
+        U = cogenerate(_double_coset_object(G, left, right), N=2)
+        objects += [U] + [twist(U, beta) for beta in z1_elements(U)]
+    for U in objects:
+        assert pi1_finite(U) == _pi1_by_orbits_under_all_of_u0(U)
+
+
+def test_a_level_one_twist_keeps_the_pi1_count():
+    # without a level 2 every element of U^1 is a cocycle, so every
+    # element twists, and the twist has as many classes as U
+    S3 = symmetric_group(3)
+    swap01 = S3.perms.index((1, 0, 2))
+    for G, left, right in [(S3, [0, swap01], [0, swap01]),
+                           (cyclic_group(6), [0, 3], [0, 2, 4])]:
+        U = cogenerate(_double_coset_object(G, left, right), N=1)
+        count = pi1_finite(U)["count"]
+        for beta in U.objects[1].elements():
+            assert cocycle_condition(U, beta)
+            assert pi1_finite(twist(U, beta))["count"] == count
 
 
 def _nested(factors, x):
@@ -1354,9 +1401,9 @@ def _reads_d0(message):
 
 def test_only_a_verified_parent_lets_a_twist_skip_identities():
     # unchecked copies whose every broken identity reads no d^0: a twist
-    # by the identity cocycle (same maps, new d^0 objects) re-checks them
-    # and raises; were the copy verified, the twist would pass, having
-    # re-checked only the identities that read d^0
+    # by the identity cocycle (the very same maps) re-checks them and
+    # raises; were the copy verified, the twist would pass, having
+    # re-checked none
     U = _s3_coset_object()
     e = U.objects[1].identity()
     found = 0
@@ -1411,6 +1458,75 @@ def test_finite_checks_build_no_block_map(monkeypatch):
     Ub.check_identities()
     assert ok and check_cosimplicial_map(Ubp, Ub, maps)
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# one identity per carrier
+
+def test_composing_with_the_identity_gives_the_other_map():
+    U = _s3_coset_object()
+    S3, X0 = symmetric_group(3), U.objects[0]
+    for h in [inner_automorphism(S3, 1), U.d(1, 0), U.d(2, 1), U.s(0, 0)]:
+        assert identity_hom(h.target).compose(h) is h
+        assert h.compose(identity_hom(h.source)) is h
+        assert _compose(identity_hom(h.target), h, {}) is h
+        assert _compose(h, identity_hom(h.source), {}) is h
+    # a product's identity is the block map of its factors' identities
+    ident = identity_hom(X0)
+    assert isinstance(ident, StructuredHom)
+    assert [h for _, h in ident.parts] == [identity_hom(f)
+                                          for f in X0.factors]
+    assert all(ident.apply(x) == x for x in X0.elements())
+
+
+def test_conjugation_by_a_central_element_is_the_identity():
+    S3, C4 = symmetric_group(3), cyclic_group(4)
+    G = ProductGroup([S3, C4])
+    assert inner_automorphism(G, (0, 1)) is identity_hom(G)
+    assert inner_automorphism(C4, 3) is identity_hom(C4)
+    t = S3.perms.index((1, 0, 2))
+    for c in [(t, 0), (t, 1), (S3.perms.index((1, 2, 0)), 3)]:
+        conj = inner_automorphism(G, c)
+        assert conj is not identity_hom(G)
+        assert all(conj.apply(x) == G.mul(G.mul(c, x), G.inv(c))
+                   for x in G.elements())
+
+
+def test_block_chains_leave_identities_out():
+    U = _s3_coset_object()
+    X1 = U.objects[1]
+    h = U.d(2, 1)
+    assert _chains(X1, (identity_hom(X1), h)) == _chains(X1, (h,)) == \
+        _chains(X1, (h, identity_hom(U.objects[2])))
+    assert _chains(X1, (identity_hom(X1),)) == _chains(X1, ())
+    # the cogenerated d^0 at level 1 reads block 0 of U^0 through X0's
+    # identity: that chain has no map
+    assert (0, ()) in _chains(U.objects[0], (U.d(1, 0),))
+
+
+def test_a_central_twist_keeps_d0_and_decides_no_chain(monkeypatch):
+    # a twist of a cyclic double-coset object conjugates by central
+    # elements only: its d^0 maps are U's own and the verified parent
+    # covers every identity; an S3 twist still decides chains
+    import cohw.cosimpl as cosimpl
+    calls = []
+    agree = cosimpl._chains_agree
+
+    def counted(*args):
+        calls.append(args)
+        return agree(*args)
+    monkeypatch.setattr(cosimpl, "_chains_agree", counted)
+    C6 = cyclic_group(6)
+    U = cogenerate(_double_coset_object(C6, [0, 3], [0, 2, 4]), N=2)
+    for beta in z1_elements(U):
+        calls.clear()
+        V = twist(U, beta)
+        assert V.d(1, 0) is U.d(1, 0) and V.d(2, 0) is U.d(2, 0)
+        assert V.verified and calls == []
+    U = _s3_coset_object()
+    calls.clear()
+    twist(U, z1_elements(U)[-1])
+    assert calls
 
 
 def test_unipotent_deciders_and_hom_shapes_raise_under_optimization():
