@@ -28,7 +28,7 @@ from .exactla import (
 from .cosimpl import (
     ENUM_CAP, FiniteHom, LinearHom, ProductGroup, SemiCosimplicialGroup,
     UnipotentCarrier, cogenerate, cyclic_group, eilenberg_zilber_oracle,
-    hom_equal, identity_hom, pi0, pi1_finite, pi_abelian_all,
+    hom_equal, pi0, pi1_finite, pi_abelian_all,
     random_bisemicosimplicial, random_linear_semicosimplicial,
     subgroup_table, symmetric_group, trivial_twist_isomorphism, twist,
 )
@@ -603,7 +603,7 @@ def build_action(df):
         if not homomorphism:
             raise st.error("generator image is not a homomorphism of the "
                            "carrier", 2)
-        if g == G.identity() and not hom_equal(h, identity_hom(carrier)):
+        if g == G.identity() and not hom_equal(h, carrier.identity_hom):
             raise st.error("the identity must act trivially", 1)
         images[g] = h
     try:
@@ -622,9 +622,15 @@ def build_action(df):
 # verification suites
 
 @functools.cache
-def _bch_pool():
-    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
+def _fil3():
+    """The filiform algebra of class 3, shared by two suites."""
+    return NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
                                name="fil3")
+
+
+@functools.cache
+def _bch_pool():
+    fil3 = _fil3()
     fil4 = NilpotentLieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1},
                                    (0, 3): {4: 1}}, name="fil4")
     return (abelian_lie_algebra(1), abelian_lie_algebra(4),
@@ -845,8 +851,6 @@ def suite_twisted_conjugation(rng, instances):
     unipotent groups (class <= 3, dim <= 5); no graded eigenvalue 1
     forces transitivity."""
     failures = []
-    fil3 = NilpotentLieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
-                               name="fil3")
     scalars = [F(1), F(2), F(3), F(5), F(1, 2), F(-1), F(2), F(3)]
     for k in range(instances):
         which = rng.randrange(4)
@@ -861,7 +865,7 @@ def suite_twisted_conjugation(rng, instances):
             L = direct_sum(heisenberg(), abelian_lie_algebra(1))
             diag = [a, b, a * b, c]
         else:
-            L = fil3
+            L = _fil3()
             diag = [a, b, a * b, a * a * b]
         phi = [[diag[i] if i == j else Fraction(0) for j in range(L.dim)]
                for i in range(L.dim)]

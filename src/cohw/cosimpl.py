@@ -6,7 +6,9 @@ the unipotent group of the abelian Lie algebra of dimension n.  All
 structure maps are stored as explicit homomorphism data -- lookup
 tables, per-factor wiring, or matrices -- never closures, so equality of
 maps is decidable and the cosimplicial identities can be verified
-exactly.
+exactly.  Carriers and maps never change: what one computes from itself
+on first use (generators, the identity map, a preimage table, a block
+map's int form, a ``Fraction`` matrix) is a ``functools.cached_property``.
 """
 
 import functools
@@ -54,13 +56,12 @@ class TableGroup:
                     self._inv[a] = b
         if None in self._inv:
             raise ValueError("missing inverses")
-        self._gens = None
         if check:
             # the c with (ab)c = a(bc) for all a, b contain e and are
             # closed under products, and every element is a product of
             # generators: checking the generators decides associativity
             t = self.table
-            for s in self.generators():
+            for s in self.generators:
                 for a, row in enumerate(t):
                     for b in range(self.n):
                         if t[row[b]][s] != row[t[b][s]]:
@@ -81,27 +82,31 @@ class TableGroup:
     def elements(self):
         return list(range(self.n))
 
+    @functools.cached_property
     def generators(self):
-        if self._gens is None:
-            gens, span = [], {self.ident}
-            for x in range(self.n):
-                if x in span:
-                    continue
-                gens.append(x)
-                span = set()
-                queue = [self.ident]
-                span.add(self.ident)
-                while queue:
-                    g = queue.pop()
-                    for h in gens:
-                        for nxt in (self.mul(g, h), self.mul(h, g)):
-                            if nxt not in span:
-                                span.add(nxt)
-                                queue.append(nxt)
-                if len(span) == self.n:
-                    break
-            self._gens = gens
-        return self._gens
+        gens, span = [], {self.ident}
+        for x in range(self.n):
+            if x in span:
+                continue
+            gens.append(x)
+            span = set()
+            queue = [self.ident]
+            span.add(self.ident)
+            while queue:
+                g = queue.pop()
+                for h in gens:
+                    for nxt in (self.mul(g, h), self.mul(h, g)):
+                        if nxt not in span:
+                            span.add(nxt)
+                            queue.append(nxt)
+            if len(span) == self.n:
+                break
+        return tuple(gens)
+
+    @functools.cached_property
+    def identity_hom(self):
+        return FiniteHom(self, self, {x: x for x in self.elements()},
+                         check=False)
 
     def is_abelian(self):
         return all(self.table[a][b] == self.table[b][a]
@@ -166,7 +171,6 @@ class ProductGroup:
         self._flat = self.leaves == self.factors
         self._tables = [f.table for f in self.leaves]
         self._ident = tuple([f.ident for f in self.leaves])
-        self._gens = None
 
     def identity(self):
         return self._ident
@@ -188,13 +192,19 @@ class ProductGroup:
             raise ValueError("product too large to enumerate")
         return list(iproduct(*[f.elements() for f in self.leaves]))
 
+    @functools.cached_property
     def generators(self):
-        if self._gens is None:
-            e = self._ident
-            self._gens = [e[:i] + (g,) + e[i + 1:]
-                          for i, f in enumerate(self.leaves)
-                          for g in f.generators()]
-        return self._gens
+        e = self._ident
+        return tuple([e[:i] + (g,) + e[i + 1:]
+                      for i, f in enumerate(self.leaves)
+                      for g in f.generators])
+
+    @functools.cached_property
+    def identity_hom(self):
+        h = StructuredHom(self, self, [(i, f.identity_hom)
+                                       for i, f in enumerate(self.factors)])
+        h.apply = tuple  # an element, a flat tuple, reads through
+        return h
 
     def _split(self, x):
         """The values of the element x on the factors."""
@@ -233,6 +243,13 @@ class UnipotentCarrier:
 
     def is_abelian(self):
         return self.L.is_abelian()
+
+    @functools.cached_property
+    def identity_hom(self):
+        if hasattr(self, "factors"):  # a direct sum (``_product_object``)
+            return StructuredHom(self, self, [
+                (i, f.identity_hom) for i, f in enumerate(self.factors)])
+        return _int_hom(self, self, 1, _int_identity(self.dim))
 
     def __repr__(self):
         return "UnipotentCarrier(%r)" % (self.L,)
@@ -275,6 +292,16 @@ class FiniteHom:
         h.apply = h.mapping.__getitem__
         return h
 
+    @functools.cached_property
+    def preimage(self):
+        """image -> its first preimage in the order of
+        ``source.elements()``; one entry per element exactly when the map
+        is injective."""
+        table = {}
+        for x in self.source.elements():
+            table.setdefault(self.apply(x), x)
+        return table
+
 
 class _Composite(dict):
     """Lookup table of outer after inner, each entry computed on its
@@ -294,13 +321,9 @@ class _IntMatrix:
     have equal int forms.  ``matrix`` (``Fraction`` entries) is a view
     built on first read, as ``exactla.Echelon.rows`` is."""
 
-    _matrix = None
-
-    @property
+    @functools.cached_property
     def matrix(self):
-        if self._matrix is None:
-            self._matrix = _fractions(*self.int_form)
-        return self._matrix
+        return _fractions(*self.int_form)
 
     def compose(self, other):
         """self after other, on integer rows (see ``_int_product``)."""
@@ -374,7 +397,7 @@ class StructuredHom(_IntMatrix):
     block t is fed from source block parts[t][0] through the factor
     homomorphism parts[t][1], read at ``source._at[parts[t][0]]``.
     Applying, composing and comparing work block by block; for linear
-    carriers the int form is assembled only on demand, and cached."""
+    carriers the int form is assembled on first read."""
 
     def __init__(self, source, target, parts):
         self.source = source
@@ -382,7 +405,6 @@ class StructuredHom(_IntMatrix):
         self.parts = list(parts)  # (source factor index, hom on factors)
         if len(self.parts) != len(target.factors):
             raise ValueError("need one part per target factor")
-        self._ints = None
         self._flat = getattr(source, "_flat", False) and target._flat
 
     def apply(self, x):
@@ -410,14 +432,14 @@ class StructuredHom(_IntMatrix):
         return super().compose(other) if linear else \
             FiniteHom.compose(self, other)
 
-    @property
+    @functools.cached_property
     def int_form(self):
         # the blocks' rows over the lcm of their denominators: canonical
-        if self._ints is None:
-            den, rows = _signed_sum(self.target.dim, self.source.dim,
-                                    [(1, self, 0, 0)])
-            self._ints = (den, tuple(map(tuple, rows)))
-        return self._ints
+        den, rows = _signed_sum(self.target.dim, self.source.dim,
+                                [(1, self, 0, 0)])
+        return den, tuple(map(tuple, rows))
+
+    preimage = FiniteHom.preimage  # on finite carriers
 
 
 def _compose(h, h0, memo):
@@ -446,7 +468,7 @@ def _product_defect(S, holds):
     e = S.identity()
     if not holds(e, e):
         return (e, e)
-    gens = S.generators()
+    gens = S.generators
     for a in S.elements():
         for s in gens:
             if not holds(a, s):
@@ -454,31 +476,16 @@ def _product_defect(S, holds):
     return None
 
 
-def identity_hom(G):
-    """The one identity map of G, kept on G (so a direct sum's is asked
-    only once its ``factors`` are set): a table, the block map of the
-    factors' identities, or a matrix.  ``_is_identity`` tests by ``is``."""
-    if "_identity" not in G.__dict__:
-        if isinstance(G, TableGroup):
-            h = FiniteHom(G, G, {x: x for x in G.elements()}, check=False)
-        elif hasattr(G, "factors"):
-            h = StructuredHom(G, G, [(i, identity_hom(f))
-                                     for i, f in enumerate(G.factors)])
-            if isinstance(G, ProductGroup):
-                h.apply = tuple  # an element, a flat tuple, reads through
-        else:
-            h = _int_hom(G, G, 1, _int_identity(G.dim))
-        G._identity = h
-    return G._identity
-
-
 def _is_identity(h):
-    return h is getattr(h.source, "_identity", None)
+    """Whether h is the one identity map of its source, ``identity_hom``
+    of every carrier (a table, the block map of the factors' identities,
+    or a matrix), tested by ``is``; the probe builds no identity."""
+    return h is h.source.__dict__.get("identity_hom")
 
 
 def inner_automorphism(G, c):
     """Conjugation x -> c x c^-1 as explicit homomorphism data, or
-    ``identity_hom(G)`` when c commutes with G's generators (on a
+    ``G.identity_hom`` when c commutes with G's generators (on a
     product, when every factor conjugation is the identity)."""
     if isinstance(G, UnipotentCarrier):
         return LinearHom(G, G, G.L.Ad_matrix(list(c)))
@@ -486,10 +493,10 @@ def inner_automorphism(G, c):
         parts = [(i, inner_automorphism(f, c[at]))
                  for i, (f, at) in enumerate(zip(G.factors, G._at))]
         if all(_is_identity(h) for _, h in parts):
-            return identity_hom(G)
+            return G.identity_hom
         return StructuredHom(G, G, parts)
-    if all(G.mul(c, g) == G.mul(g, c) for g in G.generators()):
-        return identity_hom(G)
+    if all(G.mul(c, g) == G.mul(g, c) for g in G.generators):
+        return G.identity_hom
     ci = G.inv(c)
     return FiniteHom(G, G, {x: G.mul(G.mul(c, x), ci) for x in G.elements()},
                      check=False)
@@ -506,7 +513,7 @@ def hom_equal(h1, h2):
         return _sides_agree(h1.source, (h1,), (h2,), {})
     if is_linear_carrier(h1.source):
         return h1.int_form == h2.int_form
-    return all(h1.apply(g) == h2.apply(g) for g in h1.source.generators())
+    return all(h1.apply(g) == h2.apply(g) for g in h1.source.generators)
 
 
 def _sides_agree(src, lhs, rhs, memo):
@@ -538,13 +545,12 @@ def _chains(src, maps):
     if not hasattr(src, "factors") or not all(
             isinstance(h, StructuredHom) for h in maps):
         return None
-    chains = [(i, () if f is getattr(f.source, "_identity", None) else (f,))
+    chains = [(i, () if f is f.source.__dict__.get("identity_hom") else (f,))
               for i, f in maps[0].parts] if maps else \
         [(b, ()) for b in range(len(src.factors))]
     for h in maps[1:]:
-        chains = [(chains[i][0], chains[i][1] if f is getattr(
-            f.source, "_identity", None) else chains[i][1] + (f,))
-            for i, f in h.parts]
+        chains = [(chains[i][0], chains[i][1] if f is f.source.__dict__.get(
+            "identity_hom") else chains[i][1] + (f,)) for i, f in h.parts]
     return chains
 
 
@@ -557,14 +563,14 @@ def _chains_agree(same, S1, S2, f1, f2, memo):
             return _sides_agree(S1, (h1,), (h2,), memo)
         return h1.int_form == h2.int_form
     if same:
-        return all(_run(f1, g) == _run(f2, g) for g in S1.generators())
+        return all(_run(f1, g) == _run(f2, g) for g in S1.generators)
     return all(_run(f, g) == (f[-1].target if f else S).identity()
-               for S, f in ((S1, f1), (S2, f2)) for g in S.generators())
+               for S, f in ((S1, f1), (S2, f2)) for g in S.generators)
 
 
 def _fold(S, maps, memo):
     return functools.reduce(lambda h, f: _compose(f, h, memo), maps[1:],
-                            maps[0]) if maps else identity_hom(S)
+                            maps[0]) if maps else S.identity_hom
 
 
 def _run(maps, x):
@@ -792,7 +798,7 @@ def cogenerate(X, N=None):
         for (i, image, k) in _wiring(f, n, X.N):
             if (image, k) not in monos:
                 monos[image, k] = _mono_composite(
-                    X.d, identity_hom(X.objects[len(image) - 1]), image, k)
+                    X.d, X.objects[len(image) - 1].identity_hom, image, k)
             parts.append((i, monos[image, k]))
         return StructuredHom(objects[np], objects[n], parts)
 
@@ -872,9 +878,9 @@ def _cocycle_walk(U, target=None, first=False):
     so a failing prefix is never extended.  A block k of U^1 that some
     check reads only through an injective d^1 part, its other two parts
     reading earlier blocks, is solved from that check (through the
-    inverse table ``_inverse`` keeps on the part map) instead of
-    enumerated.  ENUM_CAP bounds the product of the sizes of the
-    enumerated blocks, which is at most |U^1|.  A level without blocks,
+    ``preimage`` table kept on the part map, which a twist of U shares)
+    instead of enumerated.  ENUM_CAP bounds the product of the sizes of
+    the enumerated blocks, which is at most |U^1|.  A level without blocks,
     or cofaces that are not block maps, count as one block."""
     G1 = U.objects[1]
     if G1.size() is None:
@@ -906,9 +912,8 @@ def _cocycle_walk(U, target=None, first=False):
             i0, d0, i1, _, i2, d2, mul, h1 = c
             if i1 != k or k <= max(i0, i2):
                 continue
-            solve = _inverse(h1)
-            if solve is not None:
-                solvers[k] = (i0, d0, i2, d2, mul, solve)
+            if len(h1.preimage) == h1.source.size():  # h1 injective
+                solvers[k] = (i0, d0, i2, d2, mul, h1.preimage.get)
                 cs.remove(c)
                 break
     size = 1
@@ -950,19 +955,6 @@ def _cocycle_walk(U, target=None, first=False):
     return None if first else out
 
 
-def _inverse(h):
-    """The lookup of the inverse of the finite map h (``dict.get``), or
-    None when h is not injective.  Built on the first call and kept on
-    h, so every walk on U, or on a twist of U (which shares U's d^1
-    parts), reads one table per part map."""
-    try:
-        return h._inverse_table
-    except AttributeError:
-        inv = {h.apply(v): v for v in h.source.elements()}
-        h._inverse_table = inv.get if len(inv) == h.source.size() else None
-        return h._inverse_table
-
-
 def twisted_conj(U, u0, u1):
     """u0 . u1 = d^1(u0)^{-1} u1 d^0(u0)."""
     d0, d1 = U.d(1, 0), U.d(1, 1)
@@ -989,7 +981,7 @@ def pi1_finite(U):
     flat = isinstance(G1, ProductGroup)
     leaves = G1.leaves if flat else [G1]
     steps = []
-    for g in G0.generators():
+    for g in G0.generators:
         a, b = G1.inv(d1.apply(g)), d0.apply(g)
         tables = [L.table[x] if y == L.ident else
                   [L.table[z][y] for z in L.table[x]]
@@ -1271,7 +1263,7 @@ def diagonal_cogenerate(A, N):
         if (imh, a, bp) not in hmonos:
             hmonos[imh, a, bp] = _mono_composite(
                 lambda lev, m: A.h(lev, bp, m),
-                identity_hom(A.objects[ap][bp]), imh, a)
+                A.objects[ap][bp].identity_hom, imh, a)
         if (imh, a, imv, b) not in blocks:
             blocks[imh, a, imv, b] = _mono_composite(
                 lambda lev, m: A.v(a, lev, m), hmonos[imh, a, bp], imv, b)
@@ -1510,28 +1502,19 @@ def les_central_finite(Z, U, Q, incl, proj):
             e = Qf.identity()
             if img != {u for u in Uf.elements() if g.apply(u) == e}:
                 raise ValueError("not exact at level %d" % n)
-            gens = Uf.generators()
+            gens = Uf.generators
             if any(Uf.mul(z, s) != Uf.mul(s, z) for z in img for s in gens):
                 raise ValueError("Z not central at level %d" % n)
             if len({g.apply(u) for u in Uf.elements()}) != Qf.size():
                 raise ValueError("U -> Q not surjective at level %d" % n)
-
-    tables = {}
 
     def pull(n, side, y):
         """A preimage of y under incl[n] (side 0) or proj[n] (side 1),
         factor by factor: the first in the order of elements()."""
         pairs, blocked = levels[n]
         level = (incl, proj)[side][n]
-        out = []
-        for pair, v in zip(pairs, level.target._split(y) if blocked
-                           else (y,)):
-            h = pair[side]
-            if id(h) not in tables:
-                tables[id(h)] = t = {}
-                for x in h.source.elements():
-                    t.setdefault(h.apply(x), x)
-            out.append(tables[id(h)][v])
+        out = [pair[side].preimage[v] for pair, v in zip(
+            pairs, level.target._split(y) if blocked else (y,))]
         return level.source._join(out) if blocked else out[0]
 
     p1 = [pi1_finite(X) for X in (Z, U, Q)]

@@ -26,6 +26,7 @@ is the scalar of input and output only (parsing, printing, and the
 conversions ``realify_vector``/``unrealify_vector``).
 """
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -422,13 +423,10 @@ class Echelon:
     ``Fraction`` entries, is built on first read; ``len`` is the
     dimension."""
 
-    __slots__ = ("int_rows", "pivots", "_rows", "_free", "_scales", "_den")
-
     def __init__(self, vectors):
         rows, pivots = _eliminate(vectors)
         self.int_rows = tuple(map(tuple, rows))
         self.pivots = tuple(pivots)
-        self._rows = None
         ncols = len(rows[0]) if rows else 0
         self._free = tuple(sorted(set(range(ncols)).difference(pivots)))
         # the row with pivot p times den // row[p] has the common pivot
@@ -441,17 +439,14 @@ class Echelon:
     def whole(cls, n):
         """Q^n, whose identity rows are built only when read."""
         E = cls.__new__(cls)
-        E.pivots, E._free, E._rows = tuple(range(n)), (), None
+        E.pivots, E._free = tuple(range(n)), ()
         E._den, E._scales = 1, (1,) * n
         return E
 
-    def __getattr__(self, name):  # only ``whole`` leaves a slot unset
-        if name != "int_rows":
-            raise AttributeError(name)
+    @functools.cached_property
+    def int_rows(self):  # read only on ``whole``: ``__init__`` sets it
         n = len(self.pivots)
-        self.int_rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
-                              for i in range(n))
-        return self.int_rows
+        return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
     def __len__(self):
         return len(self.pivots)
@@ -461,12 +456,10 @@ class Echelon:
             return NotImplemented
         return self.int_rows == other.int_rows
 
-    @property
+    @functools.cached_property
     def rows(self):
-        if self._rows is None:
-            self._rows = tuple(tuple(_fraction_row(row, p))
-                               for row, p in zip(self.int_rows, self.pivots))
-        return self._rows
+        return tuple(tuple(_fraction_row(row, p))
+                     for row, p in zip(self.int_rows, self.pivots))
 
     def contains(self, v):
         """Is v in the span?  In reduced echelon form the only combination

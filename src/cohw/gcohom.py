@@ -17,7 +17,7 @@ from itertools import product as iproduct
 from . import exactla
 from .cosimpl import (
     CosimplicialGroup, FiniteHom, StructuredHom, TableGroup,
-    _product_defect, _product_object, hom_equal, identity_hom,
+    _product_defect, _product_object, hom_equal,
     les_central_finite, pi0, pi1_finite, pi1_unipotent_deciders, twist,
 )
 
@@ -42,7 +42,7 @@ class GroupAction:
         nontrivially, or a(b(u)) != (ab)(u) for a first pair (a, b), b a
         generator (``_product_defect``) -- or None when they are one."""
         G, maps = self.G, self.maps
-        if not hom_equal(maps[G.identity()], identity_hom(self.carrier)):
+        if not hom_equal(maps[G.identity()], self.carrier.identity_hom):
             return "the identity acts nontrivially"
         bad = _product_defect(G, lambda a, s: hom_equal(
             maps[a].compose(maps[s]), maps[G.mul(a, s)]))
@@ -55,7 +55,7 @@ class GroupAction:
         """Extend automorphisms given on a generating set to all of G by
         composing along the Cayley graph.  Raises ValueError when the
         given elements do not generate G."""
-        maps = {G.identity(): identity_hom(carrier)}
+        maps = {G.identity(): carrier.identity_hom}
         frontier = [G.identity()]
         while frontier:
             nxt = []
@@ -78,7 +78,7 @@ class GroupAction:
 
 
 def trivial_action(G, carrier):
-    ident = identity_hom(carrier)
+    ident = carrier.identity_hom
     return GroupAction(G, carrier, {g: ident for g in G.elements()},
                        check=False)
 
@@ -105,7 +105,7 @@ def cochain_cosimplicial(action, N=2, check=True):
     index = {n: {t: i for i, t in enumerate(tuples[n])} for n in tuples}
     objects = [_product_object([U] * len(tuples[n]))
                for n in range(N + 1)]
-    uid = identity_hom(U)
+    uid = U.identity_hom
 
     def coface(n, i):
         parts = []
@@ -191,7 +191,7 @@ def z1_enumerate(action):
     """All 1-cocycles f: G -> U with f(gh) = f(g) (g.f(h)), enumerated by
     assigning values on a generating set and propagating."""
     G, U = action.G, action.carrier
-    gens = G.generators()
+    gens = G.generators
     if not gens:
         return [{G.identity(): U.identity()}]
     # per-generator prefilter: consistency along the cyclic subgroup
@@ -223,7 +223,7 @@ def h1_classes(action):
     remaining = {key(f): f for f in z1_enumerate(action)}
     # one (u^-1, [g.u for g in G]) per generator u
     moves = [(U.inv(u), [action.act(g, u) for g in elements])
-             for u in U.generators()]
+             for u in U.generators]
     classes = []
     while remaining:
         _, f = next(iter(remaining.items()))

@@ -21,9 +21,11 @@ F0U(C) x W0U(R), gives each class one canonical normal form, so two
 points are equivalent exactly when their normal forms agree.  The
 cosimplicial group cogenerated by the pattern F0U(C) x W0U(R) => U(C)
 has the same classes as its pi^1, and carries the exact sequence of a
-central extension.
+central extension; an ``MHSGroup`` builds the two subgroups and that
+object on first read, once.
 """
 
+import functools
 from fractions import Fraction
 
 from .exactla import (
@@ -114,7 +116,6 @@ class MHSGroup:
         self.hodge = {int(p): complex_span(basis)
                       for p, basis in hodge.items()}
         self.Lreal = realify_algebra(L)
-        self._cache = {}
         self.report = validate_mhs(self)
         if check and not self.report["ok"]:
             bad = next(c for c in self.report["checks"] if not c["ok"])
@@ -146,6 +147,47 @@ class MHSGroup:
         inter = self.f0().meet(
             Echelon([realify_vector(w) for w in self.w0().rows]))
         return [list(v[0::2]) for v in inter.rows]
+
+    @functools.cached_property
+    def w0_f0_subgroups(self):
+        """The two materialized subgroups: W0 over the rationals and F0
+        over the Gaussian field, both realized as subalgebras of the
+        realified Lie algebra (with the group structure through BCH), and
+        the acting group F0U(C) x W0U(R), their direct sum with factors
+        (F0, W0)."""
+        LR = self.Lreal
+        w_real = [realify_vector(w) for w in self.w0().rows]
+        walg, wb, wincl = subalgebra_on_basis(LR, w_real,
+                                              name=self.name + "_W0")
+        falg, fb, fincl = subalgebra_on_basis(LR, self.f0().rows,
+                                              self.name + "_F0")
+        return {"w0_basis": self.w0(), "f0_basis": self.f0(),
+                "w0_real": wb, "f0_real": fb,
+                "w0_algebra": walg, "f0_algebra": falg,
+                "w0_inclusion": wincl, "f0_inclusion": fincl,
+                "group": _product_object([UnipotentCarrier(falg),
+                                          UnipotentCarrier(walg)]),
+                "real_fixed": self.real_fixed()}
+
+    @functools.cached_property
+    def coset_cosimplicial(self):
+        """Cogenerate the pattern F0U(C) x W0U(R) => U(C) (d^0 = the Hodge
+        inclusion, d^1 = the real form) up to level 2, so that pi^0 is the
+        real fixed subgroup and pi^1 is the set of double cosets."""
+        sub = self.w0_f0_subgroups
+        LR = self.Lreal
+        X0 = sub["group"]
+        X1 = UnipotentCarrier(LR)
+        nf, nw = sub["f0_algebra"].dim, sub["w0_algebra"].dim
+        d0 = [row + [Fraction(0)] * nw for row in sub["f0_inclusion"].matrix]
+        d1 = [[Fraction(0)] * nf + row for row in sub["w0_inclusion"].matrix]
+        # both cofaces are Lie morphisms (subalgebra inclusions)
+        LieMorphism(X0.L, LR, d0, check=True)
+        LieMorphism(X0.L, LR, d1, check=True)
+        X = SemiCosimplicialGroup([X0, X1], {1: [LinearHom(X0, X1, d0),
+                                                 LinearHom(X0, X1, d1)]},
+                                  check=True)
+        return cogenerate(X, 2)
 
     def __repr__(self):
         return "MHSGroup(%s, dim=%d)" % (self.name, self.L.dim)
@@ -257,55 +299,8 @@ def validate_mhs(M):
             "graded_weights": graded}
 
 
-def w0_f0_subgroups(M):
-    """The two materialized subgroups: W0 over the rationals and F0 over
-    the Gaussian field, both realized as subalgebras of the realified
-    Lie algebra (with the group structure through BCH), and the acting
-    group F0U(C) x W0U(R), their direct sum with factors (F0, W0)."""
-    if "sub" in M._cache:
-        return M._cache["sub"]
-    LR = M.Lreal
-    w_real = [realify_vector(w) for w in M.w0().rows]
-    walg, wb, wincl = subalgebra_on_basis(LR, w_real, name=M.name + "_W0")
-    falg, fb, fincl = subalgebra_on_basis(LR, M.f0().rows, M.name + "_F0")
-    out = {"w0_basis": M.w0(), "f0_basis": M.f0(),
-           "w0_real": wb, "f0_real": fb,
-           "w0_algebra": walg, "f0_algebra": falg,
-           "w0_inclusion": wincl, "f0_inclusion": fincl,
-           "group": _product_object([UnipotentCarrier(falg),
-                                     UnipotentCarrier(walg)]),
-           "real_fixed": M.real_fixed()}
-    M._cache["sub"] = out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the double-coset cosimplicial group and its deciders
-
-def coset_cosimplicial(M):
-    """Cogenerate the pattern F0U(C) x W0U(R) => U(C) (d^0 = the Hodge
-    inclusion, d^1 = the real form) up to level 2, so that pi^0 is the
-    real fixed subgroup and pi^1 is the set of double cosets.  Built once
-    per group and kept in its cache."""
-    if "coset" in M._cache:
-        return M._cache["coset"]
-    sub = w0_f0_subgroups(M)
-    LR = M.Lreal
-    X0 = sub["group"]
-    X1 = UnipotentCarrier(LR)
-    nf, nw = sub["f0_algebra"].dim, sub["w0_algebra"].dim
-    d0 = [row + [Fraction(0)] * nw for row in sub["f0_inclusion"].matrix]
-    d1 = [[Fraction(0)] * nf + row for row in sub["w0_inclusion"].matrix]
-    # both cofaces are Lie morphisms (subalgebra inclusions)
-    LieMorphism(X0.L, LR, d0, check=True)
-    LieMorphism(X0.L, LR, d1, check=True)
-    X = SemiCosimplicialGroup([X0, X1], {1: [LinearHom(X0, X1, d0),
-                                             LinearHom(X0, X1, d1)]},
-                              check=True)
-    G = cogenerate(X, 2)
-    M._cache["coset"] = G
-    return G
-
 
 # ---------------------------------------------------------------------------
 # classification
@@ -341,7 +336,7 @@ class MHSTorsorClass:
 def classify_torsor(M, u):
     """The normal form of the double coset of u, by stabilizer descent of
     act(f, w) = w^-1 u f over the acting group F0U(C) x W0U(R)."""
-    sub = w0_f0_subgroups(M)
+    sub = M.w0_f0_subgroups
     LR, group = M.Lreal, sub["group"]
     nf = group.offsets[1]
     ur = realify_vector(u)
@@ -421,10 +416,10 @@ def mhs_les(MZ, MU, MQ, incl, proj):
                              "weight level escapes")
 
     # cosimplicial realization and levelwise maps
-    GZ, GU, GQ = (coset_cosimplicial(M) for M in (MZ, MU, MQ))
+    GZ, GU, GQ = (M.coset_cosimplicial for M in (MZ, MU, MQ))
 
     def factor_maps(Ma, Mb, mor):
-        suba, subb = w0_f0_subgroups(Ma), w0_f0_subgroups(Mb)
+        suba, subb = Ma.w0_f0_subgroups, Mb.w0_f0_subgroups
         real = realify_matrix(mor.matrix, Mb.L.dim, Ma.L.dim)
 
         def block(kind):
@@ -435,8 +430,8 @@ def mhs_les(MZ, MU, MQ, incl, proj):
             if None in cols:
                 raise RuntimeError("filtration map does not restrict")
             return [[co[r] for co in cols] for r in range(len(bb))]
-        Ga = coset_cosimplicial(Ma)
-        Gb = coset_cosimplicial(Mb)
+        Ga = Ma.coset_cosimplicial
+        Gb = Mb.coset_cosimplicial
         Xa, Xb = suba["group"], subb["group"]
         h0 = StructuredHom(Xa, Xb, [
             (k, LinearHom(Xa.factors[k], Xb.factors[k], block(kind)))

@@ -20,6 +20,7 @@ expansion of Delta(x^e).
 
 import bisect
 from fractions import Fraction
+import functools
 import itertools
 import math
 
@@ -87,10 +88,10 @@ class TruncatedEnvelope:
         # two-sided ideal (brackets only increase weight), so the truncation
         # is an honest algebra quotient.  That needs every basis vector to
         # have a depth: the basis must be adapted to the series.
-        if L.adapted_coordinates()[0] is not None:
+        if L.adapted_coordinates[0] is not None:
             raise ValueError("the standard basis of %s is not adapted to "
                              "its lower central series" % L.name)
-        self.weights = [d + 1 for d in L.depth_of_coordinate()]
+        self.weights = [d + 1 for d in L.depth_of_coordinate]
         self.monomials = _monomials(self.weights, order)
         self.index = {m: k for k, m in enumerate(self.monomials)}
         self._wdeg = {m: sum(e * w for e, w in zip(m, self.weights))
@@ -102,9 +103,6 @@ class TruncatedEnvelope:
             i = max((j for j, e in enumerate(m) if e), default=None)
             self._prefix.append(i if i is None else (
                 i, self.index[m[:i] + (m[i] - 1,) + m[i + 1:]]))
-        self._right = None
-        self._j_echelons = None
-        self._graded_basis = None
 
     def wdeg(self, m):
         """Weighted degree of a basis monomial."""
@@ -172,7 +170,7 @@ class TruncatedEnvelope:
         multiplications; each prefix's image is computed once.  row m
         carries den^d, d the length of m's word; all are brought to the
         largest."""
-        den, ops = self._right_multiplications()
+        den, ops = self._right_multiplications
         prefix, images = self._prefix, {}
 
         def image(k):
@@ -304,14 +302,10 @@ class TruncatedEnvelope:
     def from_vector(self, v):
         return {self.monomials[k]: c for k, c in enumerate(v) if c}
 
-    def j_powers(self):
-        """[U, J, J^2, ..., J^order, 0] as echelon bases of coordinate
-        vectors; honest iterated ideal powers.  Returns a fresh copy."""
-        return [[list(row) for row in e.rows] for e in self.j_echelons()]
-
+    @functools.cached_property
     def j_echelons(self):
-        """The J-powers of :meth:`j_powers` as immutable
-        :class:`~cohw.exactla.Echelon` objects, computed once per envelope.
+        """[U, J, J^2, ..., J^order, 0], honest iterated ideal powers, as
+        :class:`~cohw.exactla.Echelon` objects of coordinate vectors.
 
         J^m is spanned by the products J^{m-1} x_i over the basis x_i of
         L.  That span is the ideal power J^{m-1} J: every PBW monomial of
@@ -322,8 +316,6 @@ class TruncatedEnvelope:
         the integer rows of J^{m-1} with the compiled right
         multiplications; both scale each product, which changes no
         span."""
-        if self._j_echelons is not None:
-            return self._j_echelons
         n = len(self.monomials)
 
         def unit(k):
@@ -333,61 +325,59 @@ class TruncatedEnvelope:
         powers = [Echelon([unit(k) for k in range(n)]),
                   Echelon([unit(k) for k, m in enumerate(self.monomials)
                            if sum(m) >= 1])]
-        _, ops = self._right_multiplications()
+        _, ops = self._right_multiplications
         for _ in range(2, self.order + 1):
             powers.append(Echelon([_apply(row, op)
                                    for row in powers[-1].int_rows
                                    for op in ops]))
         powers.append(Echelon([]))  # J^{order+1} = 0 in the truncated model
-        self._j_echelons = tuple(powers)
-        return self._j_echelons
+        return tuple(powers)
 
+    @functools.cached_property
     def _right_multiplications(self):
-        """(den, ops), compiled once per envelope from the bracket:
-        ops[i][k] holds the terms (index, integer coefficient) of den times
-        the product of monomial k with the generator x_i.  For monomial k
-        = m' x_j with j > i, m' x_j x_i = (m' x_i) x_j + m' [x_j, x_i].
+        """(den, ops), compiled from the bracket: ops[i][k] holds the
+        terms (index, integer coefficient) of den times the product of
+        monomial k with the generator x_i.  For monomial k = m' x_j with
+        j > i, m' x_j x_i = (m' x_i) x_j + m' [x_j, x_i].
         One term of m' x_i has the length of m' x_j and a last letter at
         most j, so it takes x_j by appending; its other terms are shorter,
         so the recursion ends.  Every other product appends x_i, or
         vanishes past the truncation.  ``den`` is the least common
         denominator of the products, 1 when every structure constant they
         meet is integral."""
-        if self._right is None:
-            monomials, index, prefix = self.monomials, self.index, self._prefix
-            table = {}
+        monomials, index, prefix = self.monomials, self.index, self._prefix
+        table = {}
 
-            def times(k, i):
-                out = table.get((k, i))
-                if out is not None:
-                    return out
-                out = {}
-                if prefix[k] is None or prefix[k][0] <= i:
-                    m = monomials[k]
-                    s = index.get(m[:i] + (m[i] + 1,) + m[i + 1:])
-                    if s is not None:
-                        out[s] = 1
-                else:
-                    j, p = prefix[k]
-                    for t, c in times(p, i).items():
-                        for s, d in times(t, j).items():
-                            out[s] = out.get(s, 0) + c * d
-                    for l, b in self.L._bracket_sparse(j, {i: 1}).items():
-                        b = b.numerator if b.denominator == 1 else b
-                        for s, d in times(p, l).items():
-                            out[s] = out.get(s, 0) + b * d
-                    out = {s: c for s, c in out.items() if c}
-                table[(k, i)] = out
+        def times(k, i):
+            out = table.get((k, i))
+            if out is not None:
                 return out
-            products = [[times(k, i) for k in range(len(monomials))]
-                        for i in range(self.L.dim)]
-            den = math.lcm(*[c.denominator for row in products
-                             for terms in row for c in terms.values()])
-            self._right = (den, [
-                [tuple((s, c.numerator * (den // c.denominator))
-                       for s, c in terms.items()) for terms in row]
-                for row in products])
-        return self._right
+            out = {}
+            if prefix[k] is None or prefix[k][0] <= i:
+                m = monomials[k]
+                s = index.get(m[:i] + (m[i] + 1,) + m[i + 1:])
+                if s is not None:
+                    out[s] = 1
+            else:
+                j, p = prefix[k]
+                for t, c in times(p, i).items():
+                    for s, d in times(t, j).items():
+                        out[s] = out.get(s, 0) + c * d
+                for l, b in self.L._bracket_sparse(j, {i: 1}).items():
+                    b = b.numerator if b.denominator == 1 else b
+                    for s, d in times(p, l).items():
+                        out[s] = out.get(s, 0) + b * d
+                out = {s: c for s, c in out.items() if c}
+            table[(k, i)] = out
+            return out
+        products = [[times(k, i) for k in range(len(monomials))]
+                    for i in range(self.L.dim)]
+        den = math.lcm(*[c.denominator for row in products
+                         for terms in row for c in terms.values()])
+        return den, tuple(
+            tuple(tuple((s, c.numerator * (den // c.denominator))
+                        for s, c in terms.items()) for terms in row)
+            for row in products)
 
     def _left_multiplication(self, a):
         """The operator b -> a b as integer terms on each monomial index,
@@ -395,9 +385,10 @@ class TruncatedEnvelope:
         _, images = self._walk(self._row(a)[1], range(len(self.monomials)))
         return [tuple((j, x) for j, x in enumerate(v) if x) for v in images]
 
+    @functools.cached_property
     def _graded_j_basis(self):
         """For each level m = 0..order, the integer rows of J^m whose
-        pivots are not pivots of J^{m+1}; computed once per envelope.
+        pivots are not pivots of J^{m+1}.
 
         The pivots of a reduced echelon basis are the leading positions of
         the vectors of its span, so those of J^{m+1} are among those of
@@ -405,18 +396,15 @@ class TruncatedEnvelope:
         a nonzero combination of them has its leading position at one of
         their pivots, which no vector of J^{m+1} has.  There are dim J^m -
         dim J^{m+1} of them, so together with J^{m+1} they span J^m."""
-        if self._graded_basis is None:
-            powers = self.j_echelons()
-            self._graded_basis = tuple(
-                tuple(row for row, p in zip(powers[m].int_rows,
-                                            powers[m].pivots)
-                      if p not in powers[m + 1].pivots)
-                for m in range(self.order + 1))
-        return self._graded_basis
+        powers = self.j_echelons
+        return tuple(tuple(row for row, p in zip(powers[m].int_rows,
+                                                 powers[m].pivots)
+                           if p not in powers[m + 1].pivots)
+                     for m in range(self.order + 1))
 
     def j_filtration_dual_dims(self):
         """dim of the level-m quotient U/J^{m+1}, for m = 0..order."""
-        powers = self.j_echelons()
+        powers = self.j_echelons
         total = len(powers[0].pivots)
         return [total - len(powers[m + 1].pivots)
                 for m in range(self.order + 1)]
@@ -433,7 +421,7 @@ def symmetrize(env, exponents):
     if k is None:  # every ordering lies past the truncation
         return {}
     d = sum(exponents)
-    scale = (env._right_multiplications()[0] ** d * math.factorial(d)
+    scale = (env._right_multiplications[0] ** d * math.factorial(d)
              // math.prod(map(math.factorial, exponents)))
     return {env.monomials[j]: Fraction(x, scale)
             for j, x in enumerate(_symmetrized_rows(env)[k]) if x}
@@ -445,7 +433,7 @@ def _symmetrized_rows(env):
     that of the compiled right multiplications.  By the last letter, S(e)
     = sum over e_i > 0 of S(e - e_i) x_i, on rows of lower weighted degree,
     which come first, the unit first of all."""
-    den, ops = env._right_multiplications()
+    den, ops = env._right_multiplications
     rows = [env._row(env.one())[1]]
     for e in env.monomials[1:]:
         row = [0] * len(env.monomials)
@@ -477,7 +465,7 @@ def symmetrization_check(env):
     and only if that fails against lower powers, down to the first that
     holds it (-1 for none).  Rows of weighted degree >= m are a prefix of
     the rows by decreasing degree, so their rank is a prefix rank."""
-    powers = env.j_echelons()
+    powers = env.j_echelons
     weights = [env.wdeg(e) for e in reversed(env.monomials)]
     rows = _symmetrized_rows(env)[::-1]
     reach = [next((m for m in range(w, -1, -1) if powers[m].contains(row)),
@@ -510,8 +498,8 @@ def graded_trivialization_check(env, q):
     membership."""
     g_minus_one = env.sub(env.exp_coords(q), env.one())
     left = env._left_multiplication(g_minus_one)
-    powers = env.j_echelons()
-    for m, level in enumerate(env._graded_j_basis()):
+    powers = env.j_echelons
+    for m, level in enumerate(env._graded_j_basis):
         for b in level:
             if not powers[m + 1].contains(_apply(b, left)):
                 return False

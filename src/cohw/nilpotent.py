@@ -65,8 +65,6 @@ class NilpotentLieAlgebra:
             self.validate()
         self.lcs = self._lower_central_series()
         self.nilpotency_class = len(self.lcs) - 1
-        self._depths = None
-        self._adapted = None
         if self.nilpotency_class > MAX_BCH_CLASS:
             raise ValueError("nilpotency class above supported BCH "
                              "truncation depth")
@@ -154,51 +152,49 @@ class NilpotentLieAlgebra:
                         for i in set().union(*[partners[k] for k in v])]
         return tuple(series)
 
+    @functools.cached_property
     def depth_of_coordinate(self):
         """For the standard basis: largest m with e_i in gamma_{m+1}
-        (0-indexed layer).  A reduced echelon basis spans e_i exactly when
-        one of its rows is e_i.  Computed once per algebra; each call
-        returns a fresh copy."""
-        if self._depths is None:
-            self._depths = [0] * self.dim
-            for m, g in enumerate(self.lcs):
-                for row, p in zip(g.int_rows, g.pivots):
-                    if row.count(0) == self.dim - 1:
-                        self._depths[p] = m
-        return list(self._depths)
+        (0-indexed layer), a tuple.  A reduced echelon basis spans e_i
+        exactly when one of its rows is e_i."""
+        depths = [0] * self.dim
+        for m, g in enumerate(self.lcs):
+            for row, p in zip(g.int_rows, g.pivots):
+                if row.count(0) == self.dim - 1:
+                    depths[p] = m
+        return tuple(depths)
 
+    @functools.cached_property
     def adapted_coordinates(self):
         """(change, layers): ``change`` maps standard coordinates to those
         in a basis adapted to the central series, or is None when the
         standard basis is adapted (every gamma_m a coordinate subspace);
         layers[m] lists the coordinates spanning gamma_{m+1} modulo
-        gamma_{m+2}.  Computed once per algebra.
+        gamma_{m+2}.
 
         Layer m takes each reduced row of gamma_{m+1} independent of
         gamma_{m+2} and of the rows before it: with the terms listed
         deepest first, the pivots of one forward elimination of the
         transposed rows."""
-        if self._adapted is None:
-            change, layers = None, [[] for _ in range(self.nilpotency_class)]
-            if all(row.count(0) == self.dim - 1
-                   for g in self.lcs for row in g.int_rows):
-                for i, d in enumerate(self.depth_of_coordinate()):
-                    layers[d].append(i)
-            else:
-                rows = [(m, k) for m in reversed(range(len(layers)))
-                        for k in range(len(self.lcs[m]))]
-                _, pivots = _echelon(list(zip(
-                    *[self.lcs[m].int_rows[k] for m, k in rows])))
-                picked = sorted(rows[p] for p in pivots)  # layer by layer
-                basis = [self.lcs[m].rows[k] for m, k in picked]
-                for t, (m, _) in enumerate(picked):
-                    layers[m].append(t)
-                # [B | I] reduces to [I | B^-1]
-                red, _ = exactla.rref([list(col) + e for col, e in
-                                       zip(transpose(basis), self.basis())])
-                change = [row[self.dim:] for row in red]
-            self._adapted = change, layers
-        return self._adapted
+        change, layers = None, [[] for _ in range(self.nilpotency_class)]
+        if all(row.count(0) == self.dim - 1
+               for g in self.lcs for row in g.int_rows):
+            for i, d in enumerate(self.depth_of_coordinate):
+                layers[d].append(i)
+        else:
+            rows = [(m, k) for m in reversed(range(len(layers)))
+                    for k in range(len(self.lcs[m]))]
+            _, pivots = _echelon(list(zip(
+                *[self.lcs[m].int_rows[k] for m, k in rows])))
+            picked = sorted(rows[p] for p in pivots)  # layer by layer
+            basis = [self.lcs[m].rows[k] for m, k in picked]
+            for t, (m, _) in enumerate(picked):
+                layers[m].append(t)
+            # [B | I] reduces to [I | B^-1]
+            red, _ = exactla.rref([list(col) + e for col, e in
+                                   zip(transpose(basis), self.basis())])
+            change = tuple(tuple(row[self.dim:]) for row in red)
+        return change, tuple(map(tuple, layers))
 
     # -- group structure (truncated BCH) ------------------------------------
 
@@ -424,7 +420,7 @@ def _descend(L, act, group, stop_at_nonzero=False):
     """
     g = zero = zero_vec(group.dim)
     h = exactla.identity_matrix(group.dim)
-    change, coords_by_layer = L.adapted_coordinates()
+    change, coords_by_layer = L.adapted_coordinates
     read = (lambda r: r) if change is None else (lambda r: mat_vec(change, r))
     layers = []
     for coords in coords_by_layer:

@@ -23,7 +23,7 @@ from .exactla import (
 from .cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, LinearHom, StructuredHom,
     UnipotentCarrier, _product_object, certificate_report,
-    complex_cohomology_dims, diagonal_cogenerate, identity_hom,
+    complex_cohomology_dims, diagonal_cogenerate,
     les_central_unipotent, pi0, pi1_unipotent_deciders, pi_abelian_all,
 )
 from .nilpotent import (
@@ -131,7 +131,7 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
         vertical = [LinearHom(D, D, M) for M in (
             zero_matrix(L.dim, L.dim), [[-v for v in row] for row in X.N])]
     A = BiSemiCosimplicial([[D] * len(columns)] * 2,
-                           [None, [[LinearHom(D, D, M), identity_hom(D)]
+                           [None, [[LinearHom(D, D, M), D.identity_hom]
                                    for M in columns]],
                            [[None, vertical]] * 2)
     diag = diagonal_cogenerate(A, N)

@@ -15,12 +15,12 @@ from cohw import cli, exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
-    _chains, _cocycle_walk, _compose, _inverse, _product_object,
+    _chains, _cocycle_walk, _compose, _is_identity, _product_object,
     check_cosimplicial_map, cocycle_condition,
     cogenerate, cogenerate_morphism, complex_cohomology_dims,
     compose_monotone, cyclic_group, delta_map,
     diagonal_cogenerate, eilenberg_zilber_oracle, epi_mono_factor, epis,
-    hom_equal, identity_hom, inner_automorphism, les_central_finite,
+    hom_equal, inner_automorphism, les_central_finite,
     les_central_unipotent, moore_differentials, pi0, pi1_finite,
     pi1_unipotent_deciders, pi_abelian_all, random_bisemicosimplicial,
     random_linear_semicosimplicial, sigma_map, subgroup_table,
@@ -137,7 +137,7 @@ def test_random_double_cosets():
 
 def constant_cosimplicial(G, N):
     """G at every level, with identity structure maps (unchecked)."""
-    ident = identity_hom(G)
+    ident = G.identity_hom
     return CosimplicialGroup([G] * (N + 1),
                              {n: [ident] * (n + 1) for n in range(1, N + 1)},
                              {n: [ident] * (n + 1) for n in range(N)},
@@ -546,13 +546,13 @@ def test_flat_products_list_the_nested_elements_and_generators():
         e = tuple(f.identity() for f in factors)
         expected = []
         for i, f in enumerate(factors):
-            for g in f.generators():
+            for g in f.generators:
                 x = list(e)
                 x[i] = g
                 expected.append(tuple(x))
         assert _nested(factors, G.identity()) == e
-        assert [_nested(factors, g) for g in G.generators()] == expected
-        assert G.generators() is G.generators()
+        assert [_nested(factors, g) for g in G.generators] == expected
+        assert G.generators is G.generators
         elements = G.elements()
         assert [_nested(factors, x) for x in elements] == \
             list(iproduct(*[f.elements() for f in factors]))
@@ -566,32 +566,33 @@ def test_flat_products_list_the_nested_elements_and_generators():
     assert nested_seen
 
 
-def test_inverse_tables_are_kept_on_injective_maps_only():
+def test_preimage_tables_take_the_first_preimage_and_are_kept():
     C4 = cyclic_group(4)
     double = FiniteHom(C4, C4, {x: 2 * x % 4 for x in C4.elements()})
     triple = FiniteHom(C4, C4, {x: 3 * x % 4 for x in C4.elements()})
-    assert _inverse(double) is None
-    solve = _inverse(triple)
-    assert [solve(triple.apply(x)) for x in C4.elements()] == C4.elements()
-    assert _inverse(triple) is solve
+    assert double.preimage == {0: 0, 2: 1}
+    table = triple.preimage
+    assert [table[triple.apply(x)] for x in C4.elements()] == C4.elements()
+    assert triple.preimage is table
     # a walk on a twist reads the tables kept on U's d^1 parts
     S3 = symmetric_group(3)
     X = _double_coset_object(S3, [0, S3.perms.index((1, 0, 2))],
                              [0, S3.perms.index((2, 1, 0))])
     U = cogenerate(X, N=2)
     Z1 = z1_elements(U)
-    tables = [_inverse(h) for _, h in U.d(2, 1).parts]
-    assert any(t is not None for t in tables)
+    tables = [h.preimage for _, h in U.d(2, 1).parts]
+    assert any(len(t) == h.source.size()
+               for (_, h), t in zip(U.d(2, 1).parts, tables))
     Ub = twist(U, Z1[-1])
     assert z1_elements(Ub) == _z1_by_filter(Ub)
-    assert all(_inverse(h) is t
+    assert all(h.preimage is t
                for (_, h), t in zip(Ub.d(2, 1).parts, tables))
 
 
 def test_symmetric_groups_are_built_once_and_never_changed(monkeypatch):
     S3 = symmetric_group(3)
     table, perms = [list(row) for row in S3.table], list(S3.perms)
-    gens = list(S3.generators())
+    gens = list(S3.generators)
     for suite in ("double-coset", "twist"):
         drawn = []
 
@@ -602,7 +603,7 @@ def test_symmetric_groups_are_built_once_and_never_changed(monkeypatch):
         assert not run_verify(suite, 4, 6)[0][1]["failures"]
         assert 3 in drawn, suite
     assert symmetric_group(3) is S3
-    assert (S3.table, S3.perms, S3.generators()) == (table, perms, gens)
+    assert (S3.table, S3.perms, list(S3.generators)) == (table, perms, gens)
 
 
 def _is_hom_all_pairs(h):
@@ -651,7 +652,7 @@ def test_homomorphism_check_on_generators_matches_all_pairs():
     assert seen[False] > 50
     # the trivial group has no generators: only m(e) = e is left to check
     C1 = cyclic_group(1)
-    assert C1.generators() == []
+    assert C1.generators == ()
     assert FiniteHom(C1, S3, {0: 0}).is_homomorphism()
     bad = FiniteHom(C1, S3, {0: 1}, check=False)
     assert not bad.is_homomorphism() and not _is_hom_all_pairs(bad)
@@ -838,7 +839,7 @@ def _codim_vanishing_check(Z, U, Q, incl, proj, q1):
         rows = []
         for k in range(2):
             for g in epis(n, k):
-                h = identity_hom(Z.objects[n])
+                h = Z.objects[n].identity_hom
                 level, val = n, tuple(g)
                 while level > k:
                     # find i with val[i] == val[i+1]; peel off sigma^i
@@ -946,7 +947,7 @@ def test_unipotent_engines_run_on_vector_objects():
 
 def test_hom_equal_and_identities():
     C4 = cyclic_group(4)
-    ident = identity_hom(C4)
+    ident = C4.identity_hom
     sq = FiniteHom(C4, C4, {x: C4.mul(x, x) for x in C4.elements()},
                    check=True)
     assert hom_equal(ident, ident)
@@ -1107,7 +1108,7 @@ def test_block_maps_compare_and_compose_like_their_tables():
     # comparisons agree with the element tables
     C3 = cyclic_group(3)
     G = ProductGroup([C3, C3])
-    ident, double = identity_hom(C3), FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1})
+    ident, double = C3.identity_hom, FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1})
     maps = [StructuredHom(G, G, [(i, f), (j, g)])
             for i in (0, 1) for j in (0, 1)
             for f in (ident, double) for g in (ident, double)]
@@ -1203,7 +1204,7 @@ def test_perturbed_block_fails_only_a_mixed_identity():
     # codegeneracy identity, so only a mixed identity can catch it
     G = _dold_kan_object(5)
     top = G.objects[G.N]
-    A = _perturbed_block(identity_hom(top), 0)
+    A = _perturbed_block(top.identity_hom, 0)
     G.codegens[G.N - 1] = [s.compose(A) for s in G.codegens[G.N - 1]]
     expected = _first_identity_failure_dense(G)
     assert expected.startswith("mixed identity fails")
@@ -1248,9 +1249,9 @@ def test_cosimplicial_identities_raise_under_optimization():
     child = (
         "import json\n"
         "from cohw.cosimpl import CosimplicialGroup, FiniteHom, "
-        "SemiCosimplicialGroup, cyclic_group, identity_hom\n"
+        "SemiCosimplicialGroup, cyclic_group\n"
         "C2 = cyclic_group(2)\n"
-        "one, zero = identity_hom(C2), FiniteHom(C2, C2, {0: 0, 1: 0})\n"
+        "one, zero = C2.identity_hom, FiniteHom(C2, C2, {0: 0, 1: 0})\n"
         "def raised(call):\n"
         "    try:\n"
         "        call()\n"
@@ -1309,7 +1310,7 @@ def _composite_failures(G):
         for j in range(n + 1):
             for i in range(n + 2):
                 rhs = (G.d(n, i), G.s(n - 1, j - 1)) if i < j else \
-                    (identity_hom(G.objects[n]),) if i in (j, j + 1) else \
+                    (G.objects[n].identity_hom,) if i in (j, j + 1) else \
                     (G.d(n, i - 1), G.s(n - 1, j))
                 if differ(G.s(n, j), G.d(n + 1, i), *rhs):
                     yield "mixed identity fails at n=%d i=%d j=%d" % (
@@ -1467,27 +1468,53 @@ def test_composing_with_the_identity_gives_the_other_map():
     U = _s3_coset_object()
     S3, X0 = symmetric_group(3), U.objects[0]
     for h in [inner_automorphism(S3, 1), U.d(1, 0), U.d(2, 1), U.s(0, 0)]:
-        assert identity_hom(h.target).compose(h) is h
-        assert h.compose(identity_hom(h.source)) is h
-        assert _compose(identity_hom(h.target), h, {}) is h
-        assert _compose(h, identity_hom(h.source), {}) is h
+        assert h.target.identity_hom.compose(h) is h
+        assert h.compose(h.source.identity_hom) is h
+        assert _compose(h.target.identity_hom, h, {}) is h
+        assert _compose(h, h.source.identity_hom, {}) is h
     # a product's identity is the block map of its factors' identities
-    ident = identity_hom(X0)
+    ident = X0.identity_hom
     assert isinstance(ident, StructuredHom)
-    assert [h for _, h in ident.parts] == [identity_hom(f)
+    assert [h for _, h in ident.parts] == [f.identity_hom
                                           for f in X0.factors]
     assert all(ident.apply(x) == x for x in X0.elements())
+
+
+def test_identity_probes_build_no_identity():
+    # _is_identity and _chains read the identity a carrier already keeps:
+    # on a table group, a nested product and a linear direct sum
+    C2, C3, C4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    inner = ProductGroup([C2, C3])
+    nested = ProductGroup([inner, C4])
+    neg = FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1})
+    line, H = (UnipotentCarrier(L)
+               for L in (abelian_lie_algebra(1), heisenberg()))
+    dsum = _product_object([line, H])
+    homs = [neg, StructuredHom(nested, nested, [
+        (0, StructuredHom(inner, inner, [
+            (0, FiniteHom(C2, C2, {0: 0, 1: 1})), (1, neg)])),
+        (1, FiniteHom(C4, C4, {x: -x % 4 for x in range(4)}))]),
+        StructuredHom(dsum, dsum, [
+            (0, LinearHom(line, line, [[2]])),
+            (1, LinearHom(H, H, [[2, 0, 0], [0, 1, 0], [0, 0, 2]]))])]
+    for h in homs:
+        assert not _is_identity(h)
+        _chains(h.source, (h, h))
+    carriers = [C2, C3, C4, inner, nested, line, H, dsum]
+    assert all("identity_hom" not in vars(G) for G in carriers)
+    assert all(_is_identity(G.identity_hom) for G in (nested, dsum))
+    assert all("identity_hom" in vars(G) for G in carriers)
 
 
 def test_conjugation_by_a_central_element_is_the_identity():
     S3, C4 = symmetric_group(3), cyclic_group(4)
     G = ProductGroup([S3, C4])
-    assert inner_automorphism(G, (0, 1)) is identity_hom(G)
-    assert inner_automorphism(C4, 3) is identity_hom(C4)
+    assert inner_automorphism(G, (0, 1)) is G.identity_hom
+    assert inner_automorphism(C4, 3) is C4.identity_hom
     t = S3.perms.index((1, 0, 2))
     for c in [(t, 0), (t, 1), (S3.perms.index((1, 2, 0)), 3)]:
         conj = inner_automorphism(G, c)
-        assert conj is not identity_hom(G)
+        assert conj is not G.identity_hom
         assert all(conj.apply(x) == G.mul(G.mul(c, x), G.inv(c))
                    for x in G.elements())
 
@@ -1496,9 +1523,9 @@ def test_block_chains_leave_identities_out():
     U = _s3_coset_object()
     X1 = U.objects[1]
     h = U.d(2, 1)
-    assert _chains(X1, (identity_hom(X1), h)) == _chains(X1, (h,)) == \
-        _chains(X1, (h, identity_hom(U.objects[2])))
-    assert _chains(X1, (identity_hom(X1),)) == _chains(X1, ())
+    assert _chains(X1, (X1.identity_hom, h)) == _chains(X1, (h,)) == \
+        _chains(X1, (h, U.objects[2].identity_hom))
+    assert _chains(X1, (X1.identity_hom,)) == _chains(X1, ())
     # the cogenerated d^0 at level 1 reads block 0 of U^0 through X0's
     # identity: that chain has no map
     assert (0, ()) in _chains(U.objects[0], (U.d(1, 0),))
@@ -1537,10 +1564,10 @@ def test_unipotent_deciders_and_hom_shapes_raise_under_optimization():
     child = (
         "import json\n"
         "from cohw.cosimpl import CosimplicialGroup, LinearHom, "
-        "UnipotentCarrier, identity_hom, pi1_unipotent_deciders\n"
+        "UnipotentCarrier, pi1_unipotent_deciders\n"
         "from cohw.nilpotent import abelian_lie_algebra, heisenberg\n"
         "H = UnipotentCarrier(heisenberg())\n"
-        "one = identity_hom(H)\n"
+        "one = H.identity_hom\n"
         "D = pi1_unipotent_deciders(CosimplicialGroup(\n"
         "    [H] * 3, {1: [one] * 2, 2: [one] * 3},\n"
         "    {0: [one], 1: [one] * 2}, check=False))\n"
@@ -1742,7 +1769,7 @@ def test_linear_homs_share_no_matrix():
     D, E = (UnipotentCarrier(abelian_lie_algebra(d)) for d in (2, 1))
     M = [[F(1), 2], [F(0), F(1, 3)]]
     h = LinearHom(D, D, M)
-    g = h.compose(identity_hom(D))
+    g = h.compose(D.identity_hom)
     M[0][0] = F(5)
     M.append([F(7), F(7)])
     assert _typed(h.matrix) == _typed([[F(1), F(2)], [F(0), F(1, 3)]])
@@ -1751,7 +1778,7 @@ def test_linear_homs_share_no_matrix():
     view.append([F(0), F(0)])
     form = (3, ((3, 6), (0, 1)))
     assert h.int_form == g.int_form == form
-    assert identity_hom(D).compose(h).int_form == form
+    assert D.identity_hom.compose(h).int_form == form
     assert _typed(g.matrix) == _typed([[F(1), F(2)], [F(0), F(1, 3)]])
     assert _typed(h.compose(h).matrix) == _typed(
         [[F(1), F(8, 3)], [F(0), F(1, 9)]])

@@ -546,3 +546,12 @@ def test_echelon_and_rank_share_rref(data, M):
     assert Echelon(data.draw(respanned(M))) == E
     assert (Echelon(M + [v]) == E) == E.contains(v)
     assert E.contains([0] * n) and E.contains([F(0)] * n)
+
+
+def test_whole_space_builds_no_rows_until_they_are_read():
+    W = Echelon.whole(3)
+    assert len(W) == 3 and W.pivots == (0, 1, 2)
+    assert "int_rows" not in vars(W) and "rows" not in vars(W)
+    assert W.int_rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert "rows" not in vars(W) and W.int_rows is W.int_rows
+    assert W == Echelon(identity_matrix(3)) and W.rows is W.rows

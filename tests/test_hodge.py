@@ -14,8 +14,8 @@ from cohw.exactla import Echelon, Gaussian, complex_span, coords_in_basis, \
 from cohw.cli import derive_mhs_extension, load_description
 from cohw.cosimpl import check_cosimplicial_map, pi0, pi1_unipotent_deciders
 from cohw.hodge import (
-    MHSGroup, classify_torsor, coset_cosimplicial, equivalent, h1_dimension,
-    mhs_les, twist_mhs, validate_mhs, w0_f0_subgroups,
+    MHSGroup, classify_torsor, equivalent, h1_dimension, mhs_les, twist_mhs,
+    validate_mhs,
 )
 from cohw.nilpotent import (
     LieMorphism, NilpotentLieAlgebra, abelian_lie_algebra, heisenberg,
@@ -80,7 +80,7 @@ def _move(M, rng, u):
     """w^-1 u f for random w in W0U(R) and f in F0U(C), as a complex
     point."""
     LR = M.Lreal
-    sub = w0_f0_subgroups(M)
+    sub = M.w0_f0_subgroups
     w = LR.zero()
     for g in sub["w0_real"].rows:
         w = vec_add(w, vec_scale(F(rng.randint(-3, 3)), g))
@@ -147,13 +147,13 @@ def test_invalid_filtrations_are_refused_under_optimization():
 
 
 def test_w0_f0_subgroups():
-    r1 = w0_f0_subgroups(_r1())
+    r1 = _r1().w0_f0_subgroups
     assert len(r1["w0_basis"]) == 1 and len(r1["f0_basis"]) == 0
     assert r1["real_fixed"] == []
-    v = w0_f0_subgroups(_v())
+    v = _v().w0_f0_subgroups
     # F^0 is one complex dimension: two real ones, abelian
     assert v["f0_algebra"].dim == 2 and v["f0_algebra"].is_abelian()
-    h = w0_f0_subgroups(_heis())
+    h = _heis().w0_f0_subgroups
     # [v, v] = 0 makes the Hodge subgroup abelian inside the Heisenberg
     assert h["f0_algebra"].dim == 2 and h["f0_algebra"].is_abelian()
     assert h["w0_algebra"].dim == 3
@@ -162,7 +162,7 @@ def test_w0_f0_subgroups():
 
 def test_fixed_points_match_cosimplicial():
     for M in (_r1(), _v(), _heis()):
-        G = coset_cosimplicial(M)
+        G = M.coset_cosimplicial
         # pi^0 of the coset pattern = conjugation-fixed F^0 /\ W0 points
         assert len(pi0(G)) == len(M.real_fixed())
 
@@ -200,7 +200,7 @@ def test_equivalent_constructed_pairs():
     M = _heis()
     rng = random.Random(5)
     LR = M.Lreal
-    sub = w0_f0_subgroups(M)
+    sub = M.w0_f0_subgroups
     for _ in range(10):
         u = [Gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
              for _ in range(3)]
@@ -248,7 +248,7 @@ def test_equivalent_matches_the_cosimplicial_decider():
     group, decided on its level-1 cochains."""
     rng = random.Random(31)
     for M in (_heis(), _heis_skew()):
-        G = coset_cosimplicial(M)
+        G = M.coset_cosimplicial
         dec = pi1_unipotent_deciders(G)
         # the level-1 factor indexed by the identity epi [1] ->> [1]
         k = [i for i, (n, _) in enumerate(G.level_epis[1]) if n == 1][0]
@@ -301,7 +301,7 @@ def freeness_check(M, samples):
     zero solution.  A reference that ``h1_dimension`` does not need.
     Properness is out of scope; freeness only."""
     LR = M.Lreal
-    sub = w0_f0_subgroups(M)
+    sub = M.w0_f0_subgroups
     wgens = sub["w0_real"].rows
     fgens = sub["f0_real"].rows
     dims = []

@@ -250,7 +250,7 @@ def test_exp_is_group_hom_to_bch():
 
 def test_j_filtration_heisenberg():
     env = TruncatedEnvelope(heisenberg(), order=2)
-    powers = env.j_powers()
+    powers = _j_powers(env)
     # z = xy - yx lies in J^2: J = (x, y, z, x^2, xy, y^2), J^2 = (z, deg 2)
     assert [len(p) for p in powers] == [7, 6, 4, 0]
     dual = env.j_filtration_dual_dims()
@@ -261,7 +261,7 @@ def test_j_filtration_heisenberg():
 def test_j_filtration_abelian():
     env = TruncatedEnvelope(abelian_lie_algebra(2), order=2)
     # no brackets: J^m is exactly the monomials of degree >= m
-    assert [len(p) for p in env.j_powers()] == [6, 5, 3, 0]
+    assert [len(p) for p in _j_powers(env)] == [6, 5, 3, 0]
     assert env.j_filtration_dual_dims() == [1, 3, 6]
 
 
@@ -284,7 +284,7 @@ def test_symmetrization_check_heisenberg():
     assert report["ok"], report
     # the weighted filtration is essential: level 2 contains z linearly
     dims = {e["level"]: e["j_dim"] for e in report["levels"]}
-    assert dims[2] == len(env.j_powers()[2])
+    assert dims[2] == len(_j_powers(env)[2])
 
 
 def test_symmetrization_check_class_three():
@@ -327,8 +327,8 @@ def test_graded_trivialization():
 def test_graded_basis_spans_each_level_modulo_the_next():
     L = central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
     env = TruncatedEnvelope(L, order=4)
-    powers = env.j_echelons()
-    levels = env._graded_j_basis()
+    powers = env.j_echelons
+    levels = env._graded_j_basis
     assert len(levels) == env.order + 1
     for m, level in enumerate(levels):
         rows = [list(b) for b in level]
@@ -352,13 +352,13 @@ def test_trivialization_certificate_refuses_a_non_grouplike(monkeypatch):
 def test_trivialization_certificate_refuses_a_too_small_j_power():
     # J^2 without its x^2 row: (g - 1) x holds q_0 x^2, which leaves it
     env = TruncatedEnvelope(heisenberg(), order=3)
-    powers = list(env.j_echelons())
+    powers = list(env.j_echelons)
     x2 = env.index[(2, 0, 0)]
     rows = [row for row in powers[2].rows if row[x2] == 0]
     assert len(rows) == len(powers[2].rows) - 1
     powers[2] = exactla.Echelon(rows)
-    assert all(env.j_echelons()[2].contains(v) for v in powers[2].rows)
-    env._j_echelons = tuple(powers)
+    assert all(env.j_echelons[2].contains(v) for v in powers[2].rows)
+    env.j_echelons = tuple(powers)
     assert not graded_trivialization_check(env, [F(1), F(0), F(0)])
     # the same q passes on an envelope with the true J^2
     assert graded_trivialization_check(TruncatedEnvelope(heisenberg(), 3),
@@ -424,7 +424,7 @@ def test_right_multiplications_match_normal_order(L, order):
     # compiled from the bracket, not from words: den times m x_i in integers
     env = TruncatedEnvelope(L, order=order)
     ref = _WordReference(env)
-    den, ops = env._right_multiplications()
+    den, ops = env._right_multiplications
     assert type(den) is int and den >= 1
     for k, m in enumerate(env.monomials):
         for i in range(L.dim):
@@ -502,6 +502,11 @@ def test_coproduct_of_random_elements_matches_the_words(L, order):
         assert all(type(c) is F for c in delta.values())
 
 
+def _j_powers(env):
+    """The J-powers of the envelope as lists of ``Fraction`` rows."""
+    return [[list(row) for row in e.rows] for e in env.j_echelons]
+
+
 def _ideal_powers(env):
     # J^m as J^{m-1} J with J spanned by every monomial of positive degree,
     # multiplied by the word reference
@@ -555,7 +560,7 @@ def _walk_symmetrized_row(env, exponents):
     # sum over the distinct orderings of the word multiplied out letter by
     # letter with the compiled right multiplications, and scale the power
     # of their denominator times the number of orderings
-    den, ops = env._right_multiplications()
+    den, ops = env._right_multiplications
     counts = list(exponents)
     degree = sum(counts)
     row = [0] * len(env.monomials)
@@ -582,7 +587,7 @@ def _walk_symmetrized_row(env, exponents):
 def _former_symmetrization_check(env):
     # the former check, kept as a reference: every level tests all rows of
     # weighted degree >= m against J^m and echelons them afresh
-    powers = env.j_echelons()
+    powers = env.j_echelons
     sym = {w: [_walk_symmetrized_row(env, mono)[1] for mono in monos]
            for w, monos in weighted_filtration_levels(env).items()}
     report = {"ok": True, "levels": []}
@@ -629,12 +634,12 @@ def _with_smaller_j_power(L, order, m):
     # of J^m's graded basis rows: smaller than J^m, and the J-powers still
     # decrease
     env = TruncatedEnvelope(L, order=order)
-    powers = list(env.j_echelons())
+    powers = list(env.j_echelons)
     smaller = exactla.Echelon(list(powers[m + 1].int_rows)
-                              + list(env._graded_j_basis()[m][:-1]))
+                              + list(env._graded_j_basis[m][:-1]))
     assert len(smaller) == len(powers[m]) - 1
     powers[m] = smaller
-    env._j_echelons = tuple(powers)
+    env.j_echelons = tuple(powers)
     return env
 
 
@@ -662,12 +667,12 @@ def _sheared(L, order):
     one = env.index[env.unit_monomial()]
     z = env.index[next(iter(env.gen(env.weights.index(2))))]
     moved = []
-    for power in env.j_echelons():
+    for power in env.j_echelons:
         rows = [list(row) for row in power.int_rows]
         for row in rows:
             row[one] += row[z]
         moved.append(exactla.Echelon(rows))
-    env._j_echelons = tuple(moved)
+    env.j_echelons = tuple(moved)
     return env
 
 
@@ -722,9 +727,9 @@ def test_suite_hopf_reuses_its_envelopes_and_runs_every_check(monkeypatch):
              TruncatedEnvelope(heisenberg(), 3),
              TruncatedEnvelope(_class_three(), 4)]
     for env, new in zip(shared, fresh, strict=True):
-        assert env.j_echelons() == new.j_echelons()
-        assert env._right_multiplications() == new._right_multiplications()
-        assert env._graded_j_basis() == new._graded_j_basis()
+        assert env.j_echelons == new.j_echelons
+        assert env._right_multiplications == new._right_multiplications
+        assert env._graded_j_basis == new._graded_j_basis
 
 
 @pytest.mark.parametrize("L, order, dims", [
@@ -737,14 +742,26 @@ def test_suite_hopf_reuses_its_envelopes_and_runs_every_check(monkeypatch):
 ])
 def test_j_powers_are_ideal_powers(L, order, dims):
     env = TruncatedEnvelope(L, order=order)
-    assert [len(p) for p in env.j_powers()] == dims
-    assert env.j_powers() == _ideal_powers(env)
+    assert [len(p) for p in _j_powers(env)] == dims
+    assert _j_powers(env) == _ideal_powers(env)
+
+
+def test_right_multiplications_are_compiled_once(monkeypatch):
+    compiled = []
+    kept = TruncatedEnvelope.__dict__["_right_multiplications"]
+    compile_ops = kept.func
+    monkeypatch.setattr(kept, "func",
+                        lambda env: compiled.append(env) or compile_ops(env))
+    env = TruncatedEnvelope(_class_three(), order=4)
+    assert env.j_echelons and env._graded_j_basis
+    assert symmetrize(env, (1, 1, 0, 0)) and symmetrization_check(env)["ok"]
+    assert compiled == [env]
 
 
 def test_checks_on_a_non_integral_structure_constant():
     env = TruncatedEnvelope(_half_heisenberg(), order=3)
     # the compiled right multiplications take the common denominator 2
-    assert env._right_multiplications()[0] == 2
+    assert env._right_multiplications[0] == 2
     assert symmetrize(env, (1, 1, 0)) == {(1, 1, 0): F(1), (0, 0, 1): F(-1, 4)}
     assert symmetrization_check(env)["ok"]
     q = [F(1), F(-2), F(1, 3)]
@@ -758,11 +775,11 @@ def test_checks_on_a_non_integral_structure_constant():
     scale = next(F(x) / y for x, y in zip(got, want) if y)
     assert scale > 0 and [F(x) for x in got] == [scale * y for y in want]
     # and refuses, as on the Heisenberg algebra, without the x^2 row of J^2
-    powers = list(env.j_echelons())
+    powers = list(env.j_echelons)
     x2 = env.index[(2, 0, 0)]
     powers[2] = exactla.Echelon([row for row in powers[2].rows
                                  if row[x2] == 0])
-    env._j_echelons = tuple(powers)
+    env.j_echelons = tuple(powers)
     assert not graded_trivialization_check(env, q)
 
 
@@ -788,20 +805,14 @@ def test_exp_grouplike_log_primitive(q):
     assert env.log_coords(g) == [F(c) for c in q]
 
 
-def test_j_powers_copy_protects_cache():
+def test_j_echelons_are_one_immutable_tuple():
     env = TruncatedEnvelope(heisenberg(), order=3)
-    before = symmetrization_check(env)
-    dims = env.j_filtration_dual_dims()
-    q = [F(1), F(-1), F(2)]
-    assert graded_trivialization_check(env, q)
-    powers = env.j_powers()
-    # wreck every level of the returned copy
-    for basis in powers:
-        for row in basis:
-            row[:] = [F(7)] * len(row)
-        basis.append([F(1)] * len(env.monomials))
-    powers.append([])
-    assert symmetrization_check(env) == before
-    assert env.j_filtration_dual_dims() == dims
-    assert graded_trivialization_check(env, q)
-    assert env.j_powers() == TruncatedEnvelope(heisenberg(), order=3).j_powers()
+    powers = env.j_echelons
+    assert type(powers) is tuple
+    assert all(type(p.int_rows) is tuple and type(p.rows) is tuple
+               and all(type(row) is tuple for row in p.rows)
+               for p in powers)
+    assert symmetrization_check(env)["ok"]
+    assert graded_trivialization_check(env, [F(1), F(-1), F(2)])
+    assert env.j_echelons is powers
+    assert _j_powers(env) == _j_powers(TruncatedEnvelope(heisenberg(), 3))

@@ -207,7 +207,7 @@ def test_lower_central_series_heisenberg():
     assert [len(g) for g in H.lcs] == [3, 1, 0]
     assert H.lcs[1].rows == ((0, 0, 1),)
     assert H.nilpotency_class == 2
-    _, layers = H.adapted_coordinates()
+    _, layers = H.adapted_coordinates
     assert [len(l) for l in layers] == [2, 1]
 
 
@@ -277,8 +277,10 @@ def _assert_series_matches_the_reference(L):
     assert all(type(g) is exactla.Echelon for g in L.lcs)
     assert [g.rows for g in L.lcs] == [tuple(map(tuple, g)) for g in ref]
     assert L.nilpotency_class == len(ref) - 1
-    assert L.depth_of_coordinate() == _reference_depths(L)
-    assert L.adapted_coordinates() == _reference_adapted_coordinates(L)
+    assert list(L.depth_of_coordinate) == _reference_depths(L)
+    change, layers = L.adapted_coordinates
+    assert (change and list(map(list, change)), list(map(list, layers))) \
+        == _reference_adapted_coordinates(L)
 
 
 def _unimodular(rng, n):
@@ -341,7 +343,7 @@ def test_series_and_adapted_coordinates_match_the_dense_reference():
     for k in range(50):
         L = _in_basis(algebras[k % 5], _unimodular(rng, algebras[k % 5].dim))
         _assert_series_matches_the_reference(L)
-        moved += L.adapted_coordinates()[0] is not None
+        moved += L.adapted_coordinates[0] is not None
     assert moved >= 45
 
 
@@ -386,27 +388,28 @@ def test_class_three_extension():
     assert [len(g) for g in L.lcs] == [4, 2, 1, 0]
 
 
-def test_depth_of_coordinate_cached_copy():
+def test_depth_of_coordinate_is_one_immutable_tuple():
     L = central_extension(heisenberg(), 1, {(0, 2): [F(1)]})
-    fresh = [max(m for m, g in enumerate(L.lcs)
-                 if g.contains(L.basis_vector(i)))
-             for i in range(L.dim)]
-    assert fresh == [0, 0, 1, 2]
-    first = L.depth_of_coordinate()
-    assert first == fresh
-    first[3] = 0
-    second = L.depth_of_coordinate()
-    assert second == fresh and second is not first
+    fresh = tuple(max(m for m, g in enumerate(L.lcs)
+                      if g.contains(L.basis_vector(i)))
+                  for i in range(L.dim))
+    assert fresh == (0, 0, 1, 2)
+    first = L.depth_of_coordinate
+    assert type(first) is tuple and first == fresh
+    assert L.depth_of_coordinate is first
+    change, layers = L.adapted_coordinates
+    assert L.adapted_coordinates[1] is layers
+    assert type(layers) is tuple and all(type(l) is tuple for l in layers)
 
 
 def test_adapted_coordinates_read_the_central_series():
     H = heisenberg()
-    assert H.adapted_coordinates() == (None, [[0, 1], [2]])
+    assert H.adapted_coordinates == (None, ((0, 1), (2,)))
     # [e0, e1] = e2 + e3: Gamma_2 is not a coordinate subspace
     L = NilpotentLieAlgebra(4, {(0, 1): {2: 1, 3: 1}})
-    assert L.depth_of_coordinate() == [0, 0, 0, 0]
-    change, layers = L.adapted_coordinates()
-    assert layers == [[0, 1, 2], [3]]
+    assert L.depth_of_coordinate == (0, 0, 0, 0)
+    change, layers = L.adapted_coordinates
+    assert layers == ((0, 1, 2), (3,))
     centre = exactla.mat_vec(change, [F(0), F(0), F(1), F(1)])
     assert centre[:3] == [0, 0, 0] and centre[3] != 0
     # the adapted coordinates are a change of basis
@@ -424,7 +427,7 @@ def test_torsor_auto_conjugator_in_a_basis_not_adapted_to_the_series():
             row = exactla.coords_in_basis(f, fil3.bracket(f[i], f[j]))
             structure[(i, j)] = {k: c for k, c in enumerate(row) if c}
     L = NilpotentLieAlgebra(4, structure)
-    assert L.nilpotency_class == 3 and L.adapted_coordinates()[0] is not None
+    assert L.nilpotency_class == 3 and L.adapted_coordinates[0] is not None
     rng = random.Random(2)
     for _ in range(4):
         c = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]

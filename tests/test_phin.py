@@ -478,7 +478,7 @@ def test_twisted_conjugation_verdicts_do_not_depend_on_the_basis():
         P = [[F(rng.randint(-2, 2)) + int(i == j) * 5 for j in range(n)]
              for i in range(n)]
         M, Pinv = _change_basis(L, P)
-        assert M.adapted_coordinates()[0] is not None
+        assert M.adapted_coordinates[0] is not None
         phiM = mat_mul(Pinv, mat_mul(phi, P))
         got = twisted_conj_equivalent(L, phi, w, wprime)
         moved = twisted_conj_equivalent(M, phiM, mat_vec(Pinv, w),
