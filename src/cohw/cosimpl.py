@@ -1009,8 +1009,8 @@ def pi1_finite(U):
         index.update(dict.fromkeys(orbit, len(classes)))
         classes.append({"rep": u, "orbit": orbit,
                         "distinguished": U.objects[1].identity() in orbit})
-    return {"classes": classes, "count": len(classes),
-            "z1_size": len(Z1), "index": index, "z1": Z1}
+    return {"classes": classes, "count": len(classes), "index": index,
+            "z1": Z1}
 
 
 def pi1_unipotent_deciders(U):

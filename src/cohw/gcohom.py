@@ -5,11 +5,14 @@ The cochain object has level n the group of all maps G^n -> U; its
 cofaces act on arguments (with the G-action entering only through the
 outer face) and its codegeneracies insert the identity.  Low-degree
 cohomology is computed either through the cosimplicial machinery (small
-instances) or by generator-propagation enumeration of cocycles, and the
-two paths are cross-checked in the tests.  The seven-term sequence of a
-central extension of G-groups is ``cosimpl.les_central_finite`` on the
-three cochain objects: group cohomology is one more cosimplicial model,
-with no engine of its own.
+instances) or by generator-propagation enumeration of cocycles; where
+both run, ``h0_h1`` checks that they give the same fixed points and the
+same partition of Z^1 into classes.  A 1-cocycle f is the tuple
+(f(g) for g in G.elements()), the element of level 1 of the cochain
+object, and H^1 is the record ``cosimpl.pi1_finite`` returns.  The
+seven-term sequence of a central extension of G-groups is
+``cosimpl.les_central_finite`` on the three cochain objects: group
+cohomology is one more cosimplicial model, with no engine of its own.
 """
 
 from itertools import product as iproduct
@@ -17,7 +20,7 @@ from itertools import product as iproduct
 from . import exactla
 from .cosimpl import (
     CosimplicialGroup, FiniteHom, StructuredHom, TableGroup,
-    _product_defect, _product_object, hom_equal,
+    _product_defect, _product_object, hom_equal, inner_automorphism,
     les_central_finite, pi0, pi1_finite, pi1_unipotent_deciders, twist,
 )
 
@@ -132,11 +135,7 @@ def cochain_cosimplicial(action, N=2, check=True):
     cofaces = {n: [coface(n, i) for i in range(n + 1)]
                for n in range(1, N + 1)}
     codegens = {n: [codegen(n, i) for i in range(n + 1)] for n in range(N)}
-    C = CosimplicialGroup(objects, cofaces, codegens, check=check)
-    C.tuples = tuples
-    C.tuple_index = index
-    C.action = action
-    return C
+    return CosimplicialGroup(objects, cofaces, codegens, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +155,17 @@ def h0_fixed_points(action):
 
 def _is_cocycle_table(action, f):
     """Whether f(gh) = f(g) (g.f(h)) for all g, h, checked on generators
-    h as ``_product_defect`` explains (the action is by automorphisms)."""
+    h as ``_product_defect`` explains (the action is by automorphisms);
+    f is a cocycle tuple, f[g] its value at g."""
     G, U = action.G, action.carrier
     return _product_defect(G, lambda g, s: f[G.mul(g, s)] == U.mul(
         f[g], action.act(g, f[s]))) is None
 
 
-def _propagate(action, gens, values, require_full=True):
+def _propagate(action, gens, values):
     """Extend a candidate cocycle from its values on generators along the
-    Cayley graph by f(gs) = f(g) (g.f(s)); returns the (possibly partial)
-    table or None on conflict."""
+    Cayley graph by f(gs) = f(g) (g.f(s)); returns the table g -> f(g) on
+    the subgroup the generators reach, or None on conflict."""
     G, U = action.G, action.carrier
     f = {G.identity(): U.identity()}
     frontier = [G.identity()]
@@ -182,150 +182,136 @@ def _propagate(action, gens, values, require_full=True):
                     f[gs] = val
                     nxt.append(gs)
         frontier = nxt
-    if require_full and len(f) != G.size():
-        return None
     return f
 
 
 def z1_enumerate(action):
-    """All 1-cocycles f: G -> U with f(gh) = f(g) (g.f(h)), enumerated by
-    assigning values on a generating set and propagating."""
+    """All 1-cocycles f: G -> U with f(gh) = f(g) (g.f(h)), as tuples
+    (f(g) for g in G.elements()), enumerated by assigning values on a
+    generating set and propagating."""
     G, U = action.G, action.carrier
     gens = G.generators
-    if not gens:
-        return [{G.identity(): U.identity()}]
     # per-generator prefilter: consistency along the cyclic subgroup
-    cand = []
-    for s in gens:
-        ok = []
-        for v in U.elements():
-            f = _propagate(action, [s], [v], require_full=False)
-            if f is not None:
-                ok.append(v)
-        cand.append(ok)
+    cand = [[v for v in U.elements()
+             if _propagate(action, [s], [v]) is not None] for s in gens]
     out = []
     for values in iproduct(*cand):
-        f = _propagate(action, gens, list(values))
-        if f is not None and _is_cocycle_table(action, f):
-            out.append(f)
+        f = _propagate(action, gens, values)
+        if f is not None and len(f) == G.size():
+            f = tuple(f[g] for g in G.elements())
+            if _is_cocycle_table(action, f):
+                out.append(f)
     return out
 
 
 def h1_classes(action):
     """H^1 as orbits of Z^1 under f ~ (g -> u^-1 f(g) (g.u)), a right
-    action of the finite U.  Each orbit is closed under the generators of
-    U alone, as the inverse of a generator is a positive power of it.
+    action of the finite U, in the record of ``pi1_finite``: ``classes``
+    (``rep``, ``orbit`` a set of cocycle tuples, ``distinguished``),
+    ``count``, ``index`` (cocycle -> class) and ``z1``, the cocycles of
+    ``z1_enumerate``.  Each orbit is closed under the generators of U
+    alone, as the inverse of a generator is a positive power of it.
     Every cocycle reached, the starting one included, is checked to lie
     in Z^1."""
     G, U = action.G, action.carrier
     elements = G.elements()
-    key = lambda f: tuple(f[g] for g in elements)
-    remaining = {key(f): f for f in z1_enumerate(action)}
+    Z1 = z1_enumerate(action)
     # one (u^-1, [g.u for g in G]) per generator u
     moves = [(U.inv(u), [action.act(g, u) for g in elements])
              for u in U.generators]
-    classes = []
-    while remaining:
-        _, f = next(iter(remaining.items()))
-        orbit, queue = {key(f): f}, [f]
+    base = (U.identity(),) * len(elements)
+    index, classes = {}, []
+    for f in Z1:
+        if f in index:
+            continue
+        orbit, queue = {f}, [f]
         while queue:
             h = queue.pop()
             if not _is_cocycle_table(action, h):
                 raise RuntimeError("H^1 orbit left Z^1 (bug)")
             for ui, gu in moves:
-                hu = {g: U.mul(U.mul(ui, h[g]), x)
-                      for g, x in zip(elements, gu)}
-                if orbit.setdefault(key(hu), hu) is hu:
+                hu = tuple([U.mul(U.mul(ui, x), y) for x, y in zip(h, gu)])
+                if hu not in orbit:
+                    orbit.add(hu)
                     queue.append(hu)
-        for k in orbit:
-            remaining.pop(k, None)
+        index.update(dict.fromkeys(orbit, len(classes)))
         classes.append({"rep": f, "orbit": orbit,
-                        "distinguished": key(
-                            {g: U.identity() for g in elements}) in orbit})
-    return classes
+                        "distinguished": base in orbit})
+    return {"classes": classes, "count": len(classes), "index": index,
+            "z1": Z1}
+
+
+def _orbits(h1):
+    """The partition of Z^1 into classes of an H^1 record."""
+    return {frozenset(c["orbit"]) for c in h1["classes"]}
 
 
 def h0_h1(action):
-    """H^0 and H^1, through the cosimplicial machinery when the cochain
-    levels are enumerable and by direct cocycle enumeration otherwise.
-    Unipotent coefficients get deciders instead of a finite answer.  Both
-    read the cochain object up to level 2 only."""
+    """H^0 and H^1, by direct fixed-point and cocycle enumeration, and
+    through the cosimplicial machinery too when the cochain levels are
+    enumerable: then fixed points or classes of Z^1 that differ from
+    pi^0 and pi^1 raise RuntimeError.  The result's ``h1_classes`` is the
+    record ``h1_classes`` returns.  Unipotent coefficients get deciders
+    instead of a finite answer.  Both read the cochain object up to level
+    2 only."""
     G, U = action.G, action.carrier
     if not action.is_finite():
         C = cochain_cosimplicial(action)
         return {"mode": "unipotent", "h0_basis": h0_fixed_points(action),
                 "deciders": pi1_unipotent_deciders(C), "cochain": C}
-    small = U.size() ** G.size() <= 20000
-    if small:
+    classes = h1_classes(action)
+    res = {"mode": "enumeration", "h0": h0_fixed_points(action),
+           "h1_classes": classes, "h1_count": classes["count"]}
+    if U.size() ** G.size() <= 20000:
+        # cross-check against the cosimplicial computation
         C = cochain_cosimplicial(action)
-        p1 = pi1_finite(C)
-        fixed = pi0(C)
-        res = {"mode": "cosimplicial", "h0": [t[0] for t in fixed],
-               "h1_count": p1["count"], "cochain": C}
-        # cross-check against the from-definition enumeration
-        direct = h1_classes(action)
-        if len(direct) != p1["count"]:
+        if _orbits(classes) != _orbits(pi1_finite(C)):
             raise RuntimeError("cocycle enumeration disagrees with "
                                "cosimplicial computation")
-        if sorted(res["h0"]) != sorted(h0_fixed_points(action)):
+        fixed = [t[0] for t in pi0(C)]
+        if sorted(fixed) != sorted(res["h0"]):
             raise RuntimeError("fixed points disagree with pi^0")
-        res["h1_classes"] = direct
-        return res
-    classes = h1_classes(action)
-    return {"mode": "enumeration", "h0": h0_fixed_points(action),
-            "h1_classes": classes, "h1_count": len(classes)}
+        res.update(mode="cosimplicial", h0=fixed, cochain=C)
+    return res
 
 
 # ---------------------------------------------------------------------------
 # twisting
 
 def serre_twist(action, alpha):
-    """Twist of the action by a 1-cocycle alpha: the new action is
-    u -> alpha(g) (g.u) alpha(g)^{-1}."""
+    """Twist of the action by a 1-cocycle alpha, a tuple (alpha(g) for g
+    in G.elements()): the new action is u -> alpha(g) (g.u) alpha(g)^{-1},
+    conjugation by alpha(g) (``inner_automorphism``) after g."""
     if not _is_cocycle_table(action, alpha):
         raise ValueError("twisting datum must be a cocycle")
     G, U = action.G, action.carrier
-    maps = {}
-    for g in G.elements():
-        a = alpha[g]
-        ai = U.inv(a)
-        base = action.maps[g]
-        conj = FiniteHom(U, U, {u: U.mul(U.mul(a, u), ai)
-                                for u in U.elements()}, check=False)
-        maps[g] = conj.compose(base)
-    return GroupAction(G, U, maps, check=True)
+    return GroupAction(G, U, {
+        g: inner_automorphism(U, alpha[g]).compose(action.maps[g])
+        for g in G.elements()}, check=True)
 
 
 def serre_twist_matches_cosimplicial(action, alpha):
     """The cochain object of the twisted action coincides, up to level
-    2, with the cosimplicial twist of the cochain object by alpha (as an
-    element of level 1), and right multiplication by alpha gives a
-    bijection on H^1 classes."""
-    C = cochain_cosimplicial(action, N=2)
-    beta = tuple(alpha[t[0]] for t in C.tuples[1])
-    Ct = twist(C, beta)
-    Cs = cochain_cosimplicial(serre_twist(action, alpha), N=2)
-    for n in range(1, 3):
-        for i in range(n + 1):
-            if not hom_equal(Ct.d(n, i), Cs.d(n, i)):
-                return False
+    2, with the cosimplicial twist of the cochain object by the cocycle
+    tuple alpha (an element of level 1), and right multiplication by
+    alpha gives a bijection on H^1 classes."""
+    twisted = serre_twist(action, alpha)
+    Ct = twist(cochain_cosimplicial(action, N=2), alpha)
+    Cs = cochain_cosimplicial(twisted, N=2)
+    if not all(hom_equal(Ct.d(n, i), Cs.d(n, i))
+               for n in range(1, 3) for i in range(n + 1)):
+        return False
     # H^1 bijection by right multiplication
-    tw = h1_classes(serre_twist(action, alpha))
-    orig = h1_classes(action)
-    G, U = action.G, action.carrier
+    U = action.carrier
+    tw, orig = h1_classes(twisted), h1_classes(action)
     images = set()
-    for c in tw:
-        f = c["rep"]
-        g_img = {g: U.mul(f[g], alpha[g]) for g in G.elements()}
-        if not _is_cocycle_table(action, g_img):
-            raise RuntimeError("twisted cocycle times alpha is no "
-                               "cocycle (bug)")
-        k = tuple(g_img[g] for g in G.elements())
-        matches = [i for i, c2 in enumerate(orig) if k in c2["orbit"]]
-        if len(matches) != 1:
-            return False
-        images.add(matches[0])
-    return len(images) == len(tw) == len(orig)
+    for c in tw["classes"]:
+        k = orig["index"].get(tuple(map(U.mul, c["rep"], alpha)))
+        if k is None:
+            raise RuntimeError("twisted cocycle times alpha has no H^1 "
+                               "class (bug)")
+        images.add(k)
+    return len(images) == tw["count"] == orig["count"]
 
 
 # ---------------------------------------------------------------------------
@@ -378,43 +364,32 @@ def inflation_restriction(action, normal):
             check=False)
     act_Q = GroupAction(Qg, UI, qmaps, check=True)
 
-    hq = h1_classes(act_Q)
-    hg = h1_classes(action)
-    hi = h1_classes(act_I)
+    hq, hg, hi = h1_classes(act_Q), h1_classes(action), h1_classes(act_I)
 
-    def find_class(classes, keyfun, f):
-        k = keyfun(f)
-        matches = [i for i, c in enumerate(classes) if k in c["orbit"]]
-        if len(matches) != 1:
-            raise RuntimeError("H^1 class lookup failed (bug)")
-        return matches[0]
-
-    gkey = lambda f: tuple(f[g] for g in G.elements())
-    ikey = lambda f: tuple(f[i] for i in I.elements())
-
-    # inflation: pull back along G -> G/I, include U^I -> U
+    # inflation: pull back along G -> G/I, include U^I -> U; each class
+    # index holds only cocycles checked in Z^1
     inf_images = []
-    for c in hq:
-        f = c["rep"]
-        g_f = {g: uincl[f[coset_of(g)]] for g in G.elements()}
-        if not _is_cocycle_table(action, g_f):
+    for c in hq["classes"]:
+        k = hg["index"].get(tuple(uincl[c["rep"][coset_of(g)]]
+                                  for g in G.elements()))
+        if k is None:
             raise RuntimeError("inflated class is no cocycle (bug)")
-        inf_images.append(find_class(hg, gkey, g_f))
-    injective = len(set(inf_images)) == len(hq)
+        inf_images.append(k)
+    injective = len(set(inf_images)) == hq["count"]
 
     # restriction
     res_images = []
-    for c in hg:
-        f = c["rep"]
-        i_f = {i: f[incl[i]] for i in I.elements()}
-        if not _is_cocycle_table(act_I, i_f):
+    for c in hg["classes"]:
+        k = hi["index"].get(tuple(c["rep"][incl[i]] for i in I.elements()))
+        if k is None:
             raise RuntimeError("restricted class is no cocycle (bug)")
-        res_images.append(find_class(hi, ikey, i_f))
-    base_i = next(i for i, c in enumerate(hi) if c["distinguished"])
+        res_images.append(k)
+    base_i = hi["index"][(U.identity(),) * I.size()]
     kernel = {i for i, img in enumerate(res_images) if img == base_i}
     exact = kernel == set(inf_images)
     return {"injective": injective, "exact_middle": exact,
-            "h1_quotient": len(hq), "h1_total": len(hg), "h1_sub": len(hi)}
+            "h1_quotient": hq["count"], "h1_total": hg["count"],
+            "h1_sub": hi["count"]}
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +403,12 @@ def les_group_cohomology(actZ, actU, actQ, incl, proj):
     every block of every level, and its certificate returned."""
     if not actZ.G.size() == actU.G.size() == actQ.G.size():
         raise ValueError("the three actions need one group")
-    C = [cochain_cosimplicial(a, N=2, check=False) for a in (actZ, actU, actQ)]
+    acts = (actZ, actU, actQ)
+    C = [cochain_cosimplicial(a, N=2, check=False) for a in acts]
     level_maps = []
-    for X, Y, table in ((C[0], C[1], incl), (C[1], C[2], proj)):
-        h = FiniteHom(X.action.carrier, Y.action.carrier, table)
-        level_maps.append([StructuredHom(X.objects[n], Y.objects[n], [
-            (t, h) for t in range(len(X.tuples[n]))]) for n in range(3)])
+    for k, table in enumerate((incl, proj)):
+        h = FiniteHom(acts[k].carrier, acts[k + 1].carrier, table)
+        level_maps.append([
+            StructuredHom(X, Y, [(t, h) for t in range(len(X.factors))])
+            for X, Y in zip(C[k].objects, C[k + 1].objects)])
     return les_central_finite(*C, *level_maps)

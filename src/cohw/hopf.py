@@ -113,9 +113,6 @@ class TruncatedEnvelope:
     def unit_monomial(self):
         return (0,) * self.L.dim
 
-    def zero(self):
-        return {}
-
     def one(self):
         return {self.unit_monomial(): Fraction(1)}
 

@@ -448,8 +448,8 @@ def _pi1_by_orbits_under_all_of_u0(U):
         index.update(dict.fromkeys(orbit, len(classes)))
         classes.append({"rep": u, "orbit": orbit, "distinguished":
                         U.objects[1].identity() in orbit})
-    return {"classes": classes, "count": len(classes), "z1_size": len(Z1),
-            "index": index, "z1": Z1}
+    return {"classes": classes, "count": len(classes), "index": index,
+            "z1": Z1}
 
 
 def test_pi1_orbits_under_generators_are_the_orbits_under_u0():

@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from cohw import cli, cosimpl, exactla
+from cohw import cli, cosimpl, exactla, gcohom
 from cohw.cosimpl import (
     CosimplicialGroup, FiniteHom, LinearHom, TableGroup, UnipotentCarrier,
     _cocycle_walk, cocycle_condition, cyclic_group, hom_equal,
@@ -20,10 +20,10 @@ from cohw.cosimpl import (
     symmetric_group, trivial_twist_isomorphism, twist, z1_elements,
 )
 from cohw.gcohom import (
-    GroupAction, _is_cocycle_table, cochain_cosimplicial, h0_fixed_points,
-    h0_h1, h1_classes, inflation_restriction, les_group_cohomology,
-    serre_twist, serre_twist_matches_cosimplicial, trivial_action,
-    z1_enumerate,
+    GroupAction, _is_cocycle_table, _orbits, cochain_cosimplicial,
+    h0_fixed_points, h0_h1, h1_classes, inflation_restriction,
+    les_group_cohomology, serre_twist, serre_twist_matches_cosimplicial,
+    trivial_action, z1_enumerate,
 )
 from cohw.nilpotent import heisenberg
 
@@ -120,7 +120,7 @@ def test_unipotent_sign_action():
     C = res["cochain"]
     # a cochain f with f(e) = 0, f(g) = 1
     cand = [F(0)] * C.objects[1].dim
-    cand[C.tuple_index[1][(1,)]] = F(1)
+    cand[C.objects[1].offsets[1]] = F(1)
     cand = tuple(cand)
     assert dec["is_cocycle"](cand)
     assert dec["is_trivial"](cand)
@@ -137,7 +137,7 @@ def test_twist_of_a_unipotent_cochain_object():
     S = cochain_cosimplicial(act)
     assert all(isinstance(G, UnipotentCarrier) for G in S.objects)
     beta = [F(0)] * S.objects[1].dim
-    beta[S.tuple_index[1][(1,)] * H.dim + 1] = F(1)
+    beta[S.objects[1].offsets[1] + 1] = F(1)
     beta = tuple(beta)
     assert cocycle_condition(S, beta)
     Ub = twist(S, beta)
@@ -148,8 +148,7 @@ def test_twist_of_a_unipotent_cochain_object():
 
 def test_serre_twist_abelian():
     act = _inversion_action(3)
-    alpha = {0: 0, 1: 1}
-    assert serre_twist_matches_cosimplicial(act, alpha)
+    assert serre_twist_matches_cosimplicial(act, (0, 1))
 
 
 def test_serre_twist_nonabelian():
@@ -236,9 +235,8 @@ def test_z2_coboundary_propagates_its_cochain():
         # c with d^1(c) = d^2(c) z2^-1 d^0(c), i.e. z2 = c(g) (g.c(h)) c(gh)^-1
         C = cochain_cosimplicial(act, N=2)
         Z = act.carrier
-        t = tuple(Z.inv(z2[gh]) for gh in C.tuples[2])
-        c = _cocycle_walk(C, t, first=True)
-        return c and {g: c[C.tuple_index[1][(g,)]] for g in G.elements()}
+        t = tuple(Z.inv(z2[gh]) for gh in iproduct(G.elements(), repeat=2))
+        return _cocycle_walk(C, t, first=True)
 
     act = trivial_action(G, cyclic_group(3))
     z2 = {(g, h): (g * h * 2) % 3 for g in G.elements() for h in G.elements()}
@@ -308,11 +306,11 @@ def test_action_and_cocycle_checks_on_generators_match_all_pairs():
             assert (other.defect() is None) == expected
             seen["action"].add(expected)
             # a cocycle with one changed value, or a random map
-            f = dict(rng.choice(cocycles))
+            f = list(rng.choice(cocycles))
             if rng.random() < 0.5:
                 f[rng.choice(G.elements())] = rng.choice(U.elements())
             else:
-                f = {g: rng.choice(U.elements()) for g in G.elements()}
+                f = [rng.choice(U.elements()) for g in G.elements()]
             expected = _cocycle_all_pairs(act, f)
             assert _is_cocycle_table(act, f) == expected, f
             seen["cocycle"].add(expected)
@@ -321,9 +319,10 @@ def test_action_and_cocycle_checks_on_generators_match_all_pairs():
     C1, C3 = cyclic_group(1), cyclic_group(3)
     act = trivial_action(C1, C3)
     assert C1.generators == () and act.defect() is None
-    assert _is_cocycle_table(act, {0: 0})
-    assert not _is_cocycle_table(act, {0: 1})
-    assert not _cocycle_all_pairs(act, {0: 1})
+    assert z1_enumerate(act) == [(0,)]
+    assert _is_cocycle_table(act, (0,))
+    assert not _is_cocycle_table(act, (1,))
+    assert not _cocycle_all_pairs(act, (1,))
     flip = GroupAction(C1, C3, {0: FiniteHom(C3, C3, {0: 0, 1: 2, 2: 1})},
                        check=False)
     assert flip.defect() == "the identity acts nontrivially"
@@ -357,8 +356,7 @@ def test_cocycle_walk_matches_elementwise_filter_on_cochain_objects():
         # one cocycle per cocycle table, in the order of the values on the
         # generator
         if act.G.size() > 1 and act.G.generators == (1,):
-            assert Z1 == [tuple(f[g] for g in act.G.elements())
-                          for f in z1_enumerate(act)]
+            assert Z1 == z1_enumerate(act)
 
 
 def test_h0_h1_enumeration_matches_the_cochain_object():
@@ -375,24 +373,22 @@ def test_h0_h1_enumeration_matches_the_cochain_object():
 
 
 def _h1_classes_by_walk_over_u(action):
-    """The reference for ``h1_classes``: the orbit of each first remaining
-    cocycle f as its images u^-1 f(g) (g.u) under every element u of U."""
+    """The reference for ``h1_classes``: the orbit of each first cocycle f
+    in no earlier orbit as its images u^-1 f(g) (g.u) under every element
+    u of U."""
     G, U = action.G, action.carrier
-    key = lambda f: tuple(f[g] for g in G.elements())
-    remaining = {key(f): f for f in z1_enumerate(action)}
-    classes = []
-    while remaining:
-        f = next(iter(remaining.values()))
-        orbit = {}
-        for u in U.elements():
-            fu = {g: U.mul(U.mul(U.inv(u), f[g]), action.act(g, u))
-                  for g in G.elements()}
-            orbit[key(fu)] = fu
-        for k in orbit:
-            remaining.pop(k, None)
-        classes.append({"rep": f, "orbit": orbit, "distinguished": key(
-            {g: U.identity() for g in G.elements()}) in orbit})
-    return classes
+    Z1 = z1_enumerate(action)
+    index, classes = {}, []
+    for f in Z1:
+        if f in index:
+            continue
+        orbit = {tuple(U.mul(U.mul(U.inv(u), f[g]), action.act(g, u))
+                       for g in G.elements()) for u in U.elements()}
+        index.update(dict.fromkeys(orbit, len(classes)))
+        classes.append({"rep": f, "orbit": orbit, "distinguished":
+                        (U.identity(),) * G.size() in orbit})
+    return {"classes": classes, "count": len(classes), "index": index,
+            "z1": Z1}
 
 
 def test_h1_orbits_under_generators_are_the_orbits_under_u():
@@ -420,8 +416,32 @@ def test_h1_orbits_under_generators_are_the_orbits_under_u():
     for act in actions:
         got = h1_classes(act)
         assert got == _h1_classes_by_walk_over_u(act)
-        sizes.update(len(c["orbit"]) for c in got)
+        # the record of pi^1 of the cochain object, with the same orbits
+        p1 = pi1_finite(cochain_cosimplicial(act, check=False))
+        assert got.keys() == p1.keys()
+        assert _orbits(got) == _orbits(p1)
+        sizes.update(len(c["orbit"]) for c in got["classes"])
     assert 1 in sizes and max(sizes) > 2
+
+
+def test_h0_h1_cross_checks_the_orbits_not_only_their_count(monkeypatch):
+    # C2 acting trivially on C4: H^1 = Hom(C2, C4) has two classes of one
+    # cocycle each; a pi^1 with the second cocycle moved into the first
+    # class keeps the class count but not the orbit partition
+    act = trivial_action(cyclic_group(2), cyclic_group(4))
+    assert h0_h1(act)["h1_count"] == 2
+    pi1 = gcohom.pi1_finite
+
+    def moved(C):
+        p = pi1(C)
+        c0, c1 = p["classes"]
+        v = next(iter(c1["orbit"]))
+        return dict(p, classes=[dict(c0, orbit=c0["orbit"] | {v}),
+                                dict(c1, orbit=c1["orbit"] - {v})],
+                    index={**p["index"], v: 0})
+    monkeypatch.setattr(gcohom, "pi1_finite", moved)
+    with pytest.raises(RuntimeError, match="cocycle enumeration disagrees"):
+        h0_h1(act)
 
 
 def test_h1_of_the_trivial_c200_action_is_fast(tmp_path, capsys):
@@ -446,8 +466,7 @@ def test_cocycle_walk_enumerates_only_the_unsolved_blocks(monkeypatch):
     C = cochain_cosimplicial(act, N=2, check=False)
     assert C.objects[1].size() == 64 ** 8
     monkeypatch.setattr(cosimpl, "ENUM_CAP", 64 ** 2)
-    assert z1_elements(C) == [tuple(f[g] for g in act.G.elements())
-                              for f in z1_enumerate(act)]
+    assert z1_elements(C) == z1_enumerate(act)
     # on the Klein four group the blocks of e and of both generators are
     # enumerated: 64^3 candidates exceed the cap, so the walk refuses to
     # start, and under a cap of 64^3 it finds Hom(V4, C64)
@@ -495,7 +514,7 @@ def _brute_h2_image(actZ, actQ, incl, proj, actU):
         lift.setdefault(proj[u], u)
     incl_inv = {incl[z]: z for z in Z.elements()}
     images = set()
-    for c in h1_classes(actQ):
+    for c in h1_classes(actQ)["classes"]:
         u = {g: lift[c["rep"][g]] for g in Ge}
         z2 = [incl_inv[U.mul(U.mul(u[g], actU.act(g, u[h])),
                              U.inv(u[G.mul(g, h)]))] for g, h in pairs]
@@ -527,7 +546,7 @@ def test_les_nodes_match_the_direct_references():
             len(seq["pi2"])]
         assert sizes[:6] == [len(h0_fixed_points(a))
                              for a in (actZ, actU, actQ)] + [
-            len(h1_classes(a)) for a in (actZ, actU, actQ)]
+            h1_classes(a)["count"] for a in (actZ, actU, actQ)]
         if actZ.carrier.size() ** actZ.G.size() <= 4096:
             brute += 1
             assert sizes[6] == _brute_h2_image(actZ, actQ, incl, proj, actU)
@@ -660,8 +679,18 @@ def test_gcohom_checks_raise_under_optimization():
         "    C2, C3, {0: inv, 1: C3.identity_hom}, check=True))\n"
         "out['maps'] = raised(lambda: GroupAction(C2, C3, {0: inv}))\n"
         "act = trivial_action(C2, C3)\n"
-        "out['twist'] = raised(lambda: serre_twist(act, {0: 0, 1: 1}))\n"
-        "gcohom.z1_enumerate = lambda a: [{0: 0, 1: 1}]\n"
+        "out['twist'] = raised(lambda: serre_twist(act, (0, 1)))\n"
+        "pi1 = gcohom.pi1_finite\n"
+        "def merged(C):\n"
+        "    p = pi1(C)\n"
+        "    c0, c1 = p['classes']\n"
+        "    return dict(p, classes=[\n"
+        "        dict(c0, orbit=c0['orbit'] | c1['orbit']),\n"
+        "        dict(c1, orbit=set())])\n"
+        "gcohom.pi1_finite = merged\n"
+        "out['cross'] = raised(\n"
+        "    lambda: gcohom.h0_h1(trivial_action(C2, cyclic_group(4))))\n"
+        "gcohom.z1_enumerate = lambda a: [(0, 1)]\n"
         "out['orbit'] = raised(lambda: h1_classes(act))\n"
         "print(json.dumps(out))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", child], cwd=root,
@@ -672,5 +701,7 @@ def test_gcohom_checks_raise_under_optimization():
         "action": ["ValueError", "the identity acts nontrivially"],
         "maps": ["ValueError", "need a map per element"],
         "twist": ["ValueError", "twisting datum must be a cocycle"],
+        "cross": ["RuntimeError", "cocycle enumeration disagrees with "
+                  "cosimplicial computation"],
         "orbit": ["RuntimeError", "H^1 orbit left Z^1 (bug)"],
     }

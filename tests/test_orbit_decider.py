@@ -259,7 +259,7 @@ def test_group_cohomology_tangent_dimensions_match_sympy_jacobian():
         S = cochain_cosimplicial(act)
         dec = pi1_unipotent_deciders(S)
         G0, G1 = S.objects[0], S.objects[1]
-        block = S.tuple_index[1][(1,)] * H.dim
+        block = G1.offsets[1]  # where f(1) starts
         for k in range(4):
             c = [F(0)] * G1.dim
             c[block:block + H.dim] = anti(F(rng.randint(1, 3)),
