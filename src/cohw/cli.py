@@ -1161,8 +1161,8 @@ def main(argv=None):
                 raise _ArgumentError(e) from None
             lines, code = COMMANDS[args.command](df, args)
     except ParseError as e:
-        lines, code = ["error: %s:%d:%d: %s" % (getattr(
-            args, "file", "<input>"), e.line, e.col, e.message)], 2
+        lines, code = ["error: %s:%d:%d: %s" % (
+            args.file, e.line, e.col, e.message)], 2
     except _ArgumentError as e:
         lines, code = ["error: %s" % e], 2
     except (AssertionError, ValueError, RuntimeError) as e:

@@ -14,7 +14,7 @@ map's int form, a ``Fraction`` matrix) is a ``functools.cached_property``.
 import functools
 import operator
 from fractions import Fraction
-from itertools import chain, product as iproduct, repeat
+from itertools import accumulate, chain, product as iproduct, repeat
 from math import gcd, lcm
 
 from . import exactla
@@ -35,7 +35,9 @@ ENUM_CAP = 10 ** 6
 class TableGroup:
     """Finite group given by a multiplication table (list of lists of
     element indices).  Elements are integers 0..n-1, unnamed; ``check``
-    decides associativity."""
+    decides associativity.  It is one block: it has no ``factors``."""
+
+    factors = ()
 
     def __init__(self, table, check=True):
         self.table = [list(row) for row in table]
@@ -223,11 +225,18 @@ class ProductGroup:
 
 class UnipotentCarrier:
     """Unipotent group of a nilpotent Lie algebra, in log coordinates; the
-    linear carrier (Q^n is the one of ``abelian_lie_algebra(n)``)."""
+    linear carrier (Q^n is the one of ``abelian_lie_algebra(n)``).  A
+    direct sum is given its summands, ``factors``; a plain one has none."""
 
-    def __init__(self, L):
+    factors, _flat = (), False  # a summand is a slice, not one entry
+
+    def __init__(self, L, factors=()):
         self.L = L
         self.dim = L.dim
+        if factors:  # summand i is on the coordinates _at[i]
+            self.factors = list(factors)
+            self.offsets = [0, *accumulate(f.dim for f in self.factors)]
+            self._at = list(map(slice, self.offsets, self.offsets[1:]))
 
     def identity(self):
         return tuple(self.L.zero())
@@ -246,7 +255,7 @@ class UnipotentCarrier:
 
     @functools.cached_property
     def identity_hom(self):
-        if hasattr(self, "factors"):  # a direct sum (``_product_object``)
+        if self.factors:
             return StructuredHom(self, self, [
                 (i, f.identity_hom) for i, f in enumerate(self.factors)])
         return _int_hom(self, self, 1, _int_identity(self.dim))
@@ -392,12 +401,12 @@ class StructuredHom(_IntMatrix):
     """Block homomorphism between product-shaped carriers.
 
     One type serves finite products (ProductGroup) and linear direct sums
-    (a UnipotentCarrier built by ``_product_object``, which lists its
-    summands in ``factors``; vector groups are the abelian ones).  Target
-    block t is fed from source block parts[t][0] through the factor
-    homomorphism parts[t][1], read at ``source._at[parts[t][0]]``.
-    Applying, composing and comparing work block by block; for linear
-    carriers the int form is assembled on first read."""
+    (a UnipotentCarrier given its summands as ``factors``; vector groups
+    are the abelian ones).  Target block t is fed from source block
+    parts[t][0] through the factor homomorphism parts[t][1], read at
+    ``source._at[parts[t][0]]``.  Applying, composing and comparing work
+    block by block; for linear carriers the int form is assembled on
+    first read."""
 
     def __init__(self, source, target, parts):
         self.source = source
@@ -405,7 +414,7 @@ class StructuredHom(_IntMatrix):
         self.parts = list(parts)  # (source factor index, hom on factors)
         if len(self.parts) != len(target.factors):
             raise ValueError("need one part per target factor")
-        self._flat = getattr(source, "_flat", False) and target._flat
+        self._flat = source._flat and target._flat
 
     def apply(self, x):
         if self._flat:
@@ -542,7 +551,7 @@ def _sides_agree(src, lhs, rhs, memo):
 def _chains(src, maps):
     """(source block, factor maps) per target block, or None; identities
     are left out (``_is_identity``, inlined: it runs once per part)."""
-    if not hasattr(src, "factors") or not all(
+    if not src.factors or not all(
             isinstance(h, StructuredHom) for h in maps):
         return None
     chains = [(i, () if f is f.source.__dict__.get("identity_hom") else (f,))
@@ -619,6 +628,7 @@ class CosimplicialGroup(SemiCosimplicialGroup):
 
     def __init__(self, objects, cofaces, codegens, check=True):
         super().__init__(objects, cofaces, check=False)
+        self.verified = False
         self.codegens = {n: list(ss) for n, ss in codegens.items()}
         for n, ss in self.codegens.items():
             if len(ss) != n + 1:
@@ -634,9 +644,8 @@ class CosimplicialGroup(SemiCosimplicialGroup):
         """All cosimplicial identities, decided on block chains (finite
         ones by evaluation, ``_check``), but those whose maps are all the
         very maps (``is``) of the same identity of a verified parent."""
-        self.verified = False
         _check(self._identities(), parent._identities()
-               if getattr(parent, "verified", False) else None)
+               if parent is not None and parent.verified else None)
         self.verified = True
 
     def _identities(self):
@@ -761,18 +770,11 @@ def _mono_composite(coface, start, image, k):
 
 def _product_object(factors):
     """Product of the factor carriers: a ProductGroup of finite ones, or
-    the direct sum of unipotent ones, which records its summands in
-    ``factors`` and the coordinate where each starts in ``offsets``."""
+    the direct sum of unipotent ones, given them as its summands."""
     if not all(map(is_linear_carrier, factors)):
         return ProductGroup(factors)
-    G = UnipotentCarrier(factors[0].L if len(factors) == 1 else
-                         direct_sum(*[f.L for f in factors]))
-    G.factors = list(factors)
-    G.offsets = [0]
-    for f in factors:
-        G.offsets.append(G.offsets[-1] + f.dim)
-    G._at = [slice(a, b) for a, b in zip(G.offsets, G.offsets[1:])]
-    return G
+    return UnipotentCarrier(factors[0].L if len(factors) == 1 else
+                            direct_sum(*[f.L for f in factors]), factors)
 
 
 def cogenerate(X, N=None):
@@ -787,9 +789,8 @@ def cogenerate(X, N=None):
     past the check."""
     if N is None:
         N = X.N + 1
-    level_epis = {n: _gamma_epis(n, X.N) for n in range(N + 1)}
-    objects = [_product_object([X.objects[k] for (k, _) in level_epis[n]])
-               for n in range(N + 1)]
+    objects = [_product_object([X.objects[k] for (k, _) in
+                                _gamma_epis(n, X.N)]) for n in range(N + 1)]
     monos = {}
 
     def gamma_map(f, np, n):
@@ -804,7 +805,6 @@ def cogenerate(X, N=None):
 
     G = CosimplicialGroup(objects, *_structure_maps(gamma_map, N),
                           check=True)
-    G.level_epis = level_epis
     G.semi = X
     return G
 
@@ -827,10 +827,10 @@ def cogenerate_morphism(GX, GY, factor_maps):
     factor maps commute with the cofaces."""
     out = []
     for n in range(min(GX.N, GY.N) + 1):
-        if GX.level_epis[n] != GY.level_epis[n]:
+        epis = _gamma_epis(n, GX.semi.N)
+        if epis != _gamma_epis(n, GY.semi.N):
             raise ValueError("level %d epis differ" % n)
-        parts = [(i, factor_maps[k])
-                 for i, (k, _) in enumerate(GX.level_epis[n])]
+        parts = [(i, factor_maps[k]) for i, (k, _) in enumerate(epis)]
         out.append(StructuredHom(GX.objects[n], GY.objects[n], parts))
     return out
 
@@ -886,8 +886,7 @@ def _cocycle_walk(U, target=None, first=False):
     if G1.size() is None:
         raise ValueError("U^1 too large to enumerate")
     ds = [U.d(2, i) for i in range(3)] if U.N >= 2 else []
-    if hasattr(G1, "factors") and all(isinstance(h, StructuredHom)
-                                      for h in ds):
+    if G1.factors and all(isinstance(h, StructuredHom) for h in ds):
         blocks, element = G1.factors, G1._join
         parts = [h.parts for h in ds]
         rows = U.objects[2].factors if ds else []
@@ -1173,9 +1172,9 @@ def twist(U, beta):
 def _is_element(G, x):
     if isinstance(G, TableGroup):
         return isinstance(x, int) and 0 <= x < G.n
-    return isinstance(x, tuple) and (len(x) == G.dim if hasattr(G, "dim")
-                                     else len(x) == len(G.leaves)
-                                     and all(map(_is_element, G.leaves, x)))
+    return isinstance(x, tuple) and (
+        len(x) == G.dim if isinstance(G, UnipotentCarrier) else
+        len(x) == len(G.leaves) and all(map(_is_element, G.leaves, x)))
 
 
 def check_cosimplicial_map(U, V, maps):
@@ -1605,10 +1604,11 @@ def les_central_unipotent(Z, U, Q, incl, proj):
         Zn, Un = Z.objects[n], U.objects[n]
         im = [list(incl[n].apply(e))
               for e in exactla.identity_matrix(Zn.dim)]
-        if not (Zn.is_abelian() and rank(im) == Zn.dim
-                and rank(proj[n].matrix) == Q.objects[n].dim
-                and Echelon(im) == Echelon(
-                    kernel_basis(proj[n].matrix, Un.dim))
+        E = Echelon(im)
+        # with E = ker(proj^n), incl^n is injective and proj^n onto
+        if not (Zn.is_abelian()
+                and len(E) == Zn.dim == Un.dim - Q.objects[n].dim
+                and E == Echelon(kernel_basis(proj[n].matrix, Un.dim))
                 and all(Un.L.is_central(z) for z in im)):
             raise ValueError("not a central extension at level %d" % n)
 

@@ -336,9 +336,9 @@ def _quotient_group(G, normal):
 
 
 def inflation_restriction(action, normal):
-    """Exactness of 1 -> H^1(G/I, U^I) -> H^1(G, U) -> H^1(I, U) for a
-    normal subgroup I acting trivially on nothing in particular; U^I is
-    the fixed subgroup.  Returns a report with the verified clauses."""
+    """Exactness of 1 -> H^1(G/I, U^I) -> H^1(G, U) -> H^1(I, U) for any
+    normal subgroup I of G, with G/I acting on U^I, the fixed points of
+    I.  Returns a report with the verified clauses."""
     from .cosimpl import subgroup_table
     G, U = action.G, action.carrier
     members = set(normal)

@@ -457,8 +457,8 @@ def mhs_les(MZ, MU, MQ, incl, proj):
 
     clauses = les["clauses"]
     h1Q = h1_dimension(MQ)
-    middle_bijective = (les["middle_injective"]
-                        and h1Q == 0 and not les["pi0"][2])
+    # pi0(Q) = 0: it matched the real fixed points, none in weights < 0
+    middle_bijective = les["middle_injective"] and h1Q == 0
 
     return {"report": les["report"], "clauses": clauses,
             "provenance": les["provenance"],

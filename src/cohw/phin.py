@@ -141,8 +141,8 @@ def selmer_quotient_cosimplicial(X, variant="g/e", N=3):
         # the epsilon carrier is, as a vector space, the row's sum of
         # copies of D: main part first, then one epsilon coefficient each
         row = G.factors[0]
-        U = UnipotentCarrier(epsilon_lie_algebra(L, len(row.factors) - 1))
-        U.factors, U.offsets, U._at = row.factors, row.offsets, row._at
+        U = UnipotentCarrier(epsilon_lie_algebra(L, len(row.factors) - 1),
+                             row.factors)
         objects.append(_product_object([U] * len(G.factors)))
     cofaces = {n: [StructuredHom(objects[n - 1], objects[n], h.parts)
                    for h in hs] for n, hs in diag.cofaces.items()}
@@ -355,8 +355,8 @@ def quotient_les(XZ, XU, XQ, incl, proj):
     continuation are checked here.  ``middle_bijective`` (pi1(Z) ->
     pi1(U)) is False when the engine finds the map not injective; an
     injective map is decided when the report holds and U is abelian, or
-    when pi0(Q) and H^1(Q) vanish (H^1(Q) is the Moore H^1 of the
-    quotient pattern, computed here when it is abelian); otherwise it is
+    when H^1(Q) vanishes (H^1(Q) is the Moore H^1 of the quotient
+    pattern, computed here when it is abelian); otherwise it is
     None, undecided.  Data that does not commute with p, phi and N raises
     ValueError.
 
@@ -415,13 +415,13 @@ def quotient_les(XZ, XU, XQ, incl, proj):
     if not les["middle_injective"]:
         middle_bijective = False
     elif XU.is_abelian() and all(clauses.values()):
-        # a linear map; exactness up to pi1(Z) makes its kernel, the image
-        # of pi0(Q), of dimension p0Q - (p0U - p0Z)
-        middle_bijective = (p0Z - p0U + p0Q == 0
-                            and dimsZ[1] == pi_abelian_all(SU)[1])
-    elif p0Q == 0 and all(G.is_abelian() for G in SQ.objects) \
+        # linear and injective (with exactness, p0Z - p0U + p0Q == 0):
+        # onto exactly when the Moore H^1 dims agree
+        middle_bijective = dimsZ[1] == pi_abelian_all(SU)[1]
+    elif all(G.is_abelian() for G in SQ.objects) \
             and pi_abelian_all(SQ)[1] == 0:
-        # pi1(Q) vanishes, so exactness at pi1(U) makes the map onto
+        # pi1(Q) vanishes (and pi0(Q), by Euler characteristic 0), so
+        # exactness at pi1(U) makes the map onto
         middle_bijective = clauses["exact at pi1(U)"]
 
     return {"report": certificate_report(clauses),

@@ -526,8 +526,9 @@ def test_extension_that_is_no_central_extension_exits_2_at_its_line(
 
 
 def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
-    # a table entry out of range is reported at that entry, a short row
-    # and a non-associative table at their row, a Jacobi failure at the
+    # a table entry out of range is reported at that entry, a short row,
+    # a missing row (at the last row), a table without inverses and a
+    # non-associative table at their row, a Jacobi failure at the
     # first bracket, a double-coset element out of range at that element,
     # and a double-coset subset that is empty or not closed at its line
     # (line 12 of the corpus file), as are left/right lines
@@ -539,6 +540,8 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
     files = {
         "out_of_range": table % ("row 1 7 0", "0 1"),
         "short_row": table % ("row 1 2", "0 1"),
+        "too_few_rows": "[finite_group]\nelements 3\nrow 0 1 2\nrow 1 2 0\n",
+        "missing_inverses": table % ("row 1 1 1", "1 0"),
         "not_associative": table % ("row 1 0 1", "2 0"),
         "jacobi": "[lie_algebra]\ndim 5\nbracket 0 1 2 1\n"
                   "bracket 2 3 4 1\n",
@@ -552,6 +555,8 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
     reasons = {
         "out_of_range": "4:7: table entry 7 out of range 0..2",
         "short_row": "4:1: row needs 3 entries, got 2",
+        "too_few_rows": "4:1: expected 3 table rows",
+        "missing_inverses": "3:1: invalid table: missing inverses",
         "not_associative": "3:1: invalid table: not associative",
         "jacobi": "3:1: invalid Lie algebra: Jacobi identity fails on "
                   "basis (0,1,3)",
@@ -567,6 +572,15 @@ def test_invalid_tables_and_jacobi_exit_2_also_under_optimization(tmp_path):
         name = pathlib.Path(argv[-1]).stem
         assert code == 2, (argv, out)
         assert out == "error: %s:%s\n" % (argv[-1], reasons[name]), out
+
+
+def test_a_group_given_by_its_table_validates(tmp_path, capsys):
+    path = tmp_path / "table.alg"
+    path.write_text("[finite_group]\nelements 3\n"
+                    "row 0 1 2\nrow 1 2 0\nrow 2 0 1\n")
+    code, out = run(capsys, ["validate", str(path)])
+    assert code == 0, out
+    assert "finite group: order 3\n" in out and "verdict: ok" in out
 
 
 def test_invalid_filtrations_exit_2_in_every_hodge_command(tmp_path):

@@ -15,7 +15,8 @@ from cohw import cli, exactla
 from cohw.cosimpl import (
     BiSemiCosimplicial, CosimplicialGroup, FiniteHom, LinearHom, ProductGroup,
     SemiCosimplicialGroup, StructuredHom, TableGroup, UnipotentCarrier,
-    _chains, _cocycle_walk, _compose, _is_identity, _product_object,
+    _chains, _cocycle_walk, _compose, _gamma_epis, _is_identity,
+    _product_object,
     check_cosimplicial_map, cocycle_condition,
     cogenerate, cogenerate_morphism, complex_cohomology_dims,
     compose_monotone, cyclic_group, delta_map,
@@ -236,7 +237,7 @@ def _uncached_wiring(f, src_epis, tgt_epis):
 def test_the_kept_wiring_is_that_of_each_structure_map():
     # every coface and codegeneracy up to level 4, truncations up to 3:
     # the kept wiring and factors are tuples equal to the uncached ones
-    from cohw.cosimpl import _gamma_epis, _wiring
+    from cohw.cosimpl import _wiring
     factors = {(n, j): [(k, e) for k in range(min(n, j) + 1)
                         for e in epis(n, k)]
                for n in range(5) for j in range(4)}
@@ -1008,8 +1009,9 @@ def _reference_mono_matrix(X, image, k):
     raise AssertionError("mono not realizable")
 
 
-def _reference_gamma_matrix(X, level_epis, f, np, n):
+def _reference_gamma_matrix(X, f, np, n):
     # the dense assembly of the old linear branch of cogenerate's gamma_map
+    level_epis = {m: _gamma_epis(m, X.N) for m in (np, n)}
     src_idx = {e: i for i, e in enumerate(level_epis[np])}
     src_offsets = []
     off = 0
@@ -1052,13 +1054,11 @@ def test_cogenerated_block_maps_match_dense_assembly(data, dims, seed):
     for n in range(1, G.N + 1):
         for i in range(n + 1):
             assert _typed(G.d(n, i).matrix) == _typed(
-                _reference_gamma_matrix(X, G.level_epis, delta_map(n, i),
-                                        n - 1, n))
+                _reference_gamma_matrix(X, delta_map(n, i), n - 1, n))
     for n in range(G.N):
         for i in range(n + 1):
             assert _typed(G.s(n, i).matrix) == _typed(
-                _reference_gamma_matrix(X, G.level_epis, sigma_map(n, i),
-                                        n + 1, n))
+                _reference_gamma_matrix(X, sigma_map(n, i), n + 1, n))
     # block compose and hom_equal against mat_mul and mat_eq: all
     # composites Gamma^1 -> Gamma^2 -> Gamma^1 of the structure maps
     maps = [G.s(1, j).compose(G.d(2, i)) for i in range(3) for j in range(2)]

@@ -12,7 +12,9 @@ from cohw.exactla import Echelon, Gaussian, complex_span, coords_in_basis, \
     kernel_basis, mat_vec, rank, realify_vector, span_echelon, \
     unrealify_vector, vec_add, vec_neg, vec_scale
 from cohw.cli import derive_mhs_extension, load_description
-from cohw.cosimpl import check_cosimplicial_map, pi0, pi1_unipotent_deciders
+from cohw.cosimpl import (
+    _gamma_epis, check_cosimplicial_map, pi0, pi1_unipotent_deciders,
+)
 from cohw.hodge import (
     MHSGroup, classify_torsor, equivalent, h1_dimension, mhs_les, twist_mhs,
     validate_mhs,
@@ -251,7 +253,8 @@ def test_equivalent_matches_the_cosimplicial_decider():
         G = M.coset_cosimplicial
         dec = pi1_unipotent_deciders(G)
         # the level-1 factor indexed by the identity epi [1] ->> [1]
-        k = [i for i, (n, _) in enumerate(G.level_epis[1]) if n == 1][0]
+        k = [i for i, (n, _) in enumerate(_gamma_epis(1, G.semi.N))
+             if n == 1][0]
         off = G.objects[1].offsets
 
         def embed(u):
@@ -363,6 +366,35 @@ def test_mhs_les_degenerate_and_split():
                   LieMorphism(LU, _v().L, [[0, F(1), 0], [0, 0, F(1)]]))
     assert res["report"]["ok"]
     assert res["h1_z_dim"] == 1 == h1_dimension(MU)
+
+
+def test_the_middle_map_verdict_needs_no_pi0_condition(monkeypatch):
+    """pi0(Q) is cross-checked against the real fixed points of Q, which
+    vanish for valid filtrations with negative weights: on seeded twists
+    of the Heisenberg extension (U by alpha, Q by proj(alpha); Z is
+    central, so Ad fixes it) and on the corpus extension, pi0(Q) is 0
+    wherever the verdict is read."""
+    import cohw.hodge as hodge
+    engine, seen = hodge.les_central_unipotent, []
+    monkeypatch.setattr(hodge, "les_central_unipotent",
+                        lambda *a: seen.append(engine(*a)) or seen[-1])
+    MZ, MU, MQ = _r1(), _heis(), _v()
+    incl = LieMorphism(MZ.L, MU.L, [[0], [0], [F(1)]])
+    proj = LieMorphism(MU.L, MQ.L, [[F(1), 0, 0], [0, F(1), 0]])
+    rng = random.Random(5)
+    extensions = [derive_mhs_extension(
+        load_description(str(CORPUS / "heisenberg_mhs.alg")))]
+    for _ in range(8):
+        alpha = _random_point(rng, 3, bound=2)
+        extensions.append((MZ, twist_mhs(MU, alpha),
+                           twist_mhs(MQ, mat_vec(proj.matrix, alpha)),
+                           incl, proj))
+    for Z, U, Q, i, p in extensions:
+        res = mhs_les(Z, U, Q, i, p)
+        assert seen[-1]["pi0"][2] == [] and Q.real_fixed() == []
+        assert res["middle_bijective"] == (
+            seen[-1]["middle_injective"] and res["h1_q_dim"] == 0)
+    assert len(seen) == 9
 
 
 def test_mhs_les_rejects_nonstrict_data():
